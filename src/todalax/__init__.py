@@ -26,18 +26,14 @@ from .lax import (
 )
 from .spectral import (
     SpectralData,
-    BlockCoordinates,
     AnnihilatorPolynomial,
-    FrozenFrame,
     decompose,
+    spectra,
     interlacing_check,
-    block_coordinates,
-    freeze_frame,
     annihilator,
 )
 from .dynamics import (
     Gradient,
-    FlowState,
     Trajectory,
     grad_F,
     grad_combination,

@@ -167,11 +167,6 @@ def cmd_maslov(args) -> int:
         raise ConfigError(f"bad curve spec: {exc}") from exc
     try:
         rep = check_holonomy_theorem(curve)
-        trace = None
-        if args.trace_csv:
-            from .maslov import maslov_index
-
-            trace = maslov_index(curve).winding_trace
     except (RegularityError, TransportError, LagrangianFrameError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -191,10 +186,10 @@ def cmd_maslov(args) -> int:
         print(f"result written to {args.out}")
     else:
         print(text)
-    if args.trace_csv and trace is not None:
+    if args.trace_csv:
         with open(args.trace_csv, "w", encoding="utf-8") as fh:
             fh.write("t,winding_argument\n")
-            for t, phi in trace:
+            for t, phi in rep.maslov.winding_trace:
                 fh.write(f"{float_str(t)},{float_str(phi)}\n")
         print(f"winding trace written to {args.trace_csv}")
     return 0 if rep.agree else 1

@@ -25,7 +25,6 @@ __all__ = [
     "poisson",
     "lax_residual",
     "FlowError",
-    "FlowState",
     "Trajectory",
     "integrate_flow",
     "trajectory_to_csv",
@@ -142,15 +141,6 @@ class FlowError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class FlowState:
-    """One sample of an integrated trajectory."""
-
-    t: float
-    z: PhasePoint
-    c: np.ndarray
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Dense-output samples of one Hamiltonian flow."""
 
@@ -161,9 +151,6 @@ class Trajectory:
     @property
     def n(self) -> int:
         return self.points.shape[1] // 2
-
-    def state(self, k: int) -> FlowState:
-        return FlowState(float(self.times[k]), PhasePoint.from_vector(self.points[k]), self.c)
 
     def phase_points(self) -> list[PhasePoint]:
         return [PhasePoint.from_vector(row) for row in self.points]

@@ -17,16 +17,14 @@ from dataclasses import dataclass
 from typing import Callable
 import numpy as np
 
-from .lax import PhasePoint, build_lax
+from .lax import PhasePoint
 from .dynamics import grad_F
-from .spectral import DEGENERACY_TOL
+from .spectral import DEGENERACY_TOL, SpectralData, spectra
 from .singularity import (
     PairTarget,
     SingularPoint,
-    _class_sign,
-    _pair_forms,
     pair_bracket,
-    _degenerate_pair_data,
+    pair_plane_duals,
 )
 
 __all__ = [
@@ -146,89 +144,59 @@ class ClosedCurve:
         return ClosedCurve.circle(z, v1, v2, radius, initial_samples, orientation)
 
 
-def pair_plane_duals(
-    point: SingularPoint | PhasePoint, target: PairTarget,
-    degeneracy_tol: float = DEGENERACY_TOL,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Minimum-norm directions v1, v2 with dxi(v1) = deta(v2) = 1 and zero cross terms."""
-    z = point.z if isinstance(point, SingularPoint) else point
-    _, _, u1, u2, _ = _degenerate_pair_data(z, target, degeneracy_tol)
-    dxi, deta, _ = _pair_forms(z, target.odd_class, u1, u2)
-    A = np.vstack([dxi, deta])
-    duals = A.T @ np.linalg.inv(A @ A.T)
-    return duals[:, 0], duals[:, 1]
-
-
-def _regularity_gap(z: PhasePoint) -> float:
-    """Smallest eigenvalue gap of either Lax matrix, relative to the spectral range."""
-    worst = np.inf
-    for odd in (False, True):
-        vals = np.sort(np.linalg.eigvalsh(build_lax(z, _class_sign(z.n, odd)).entries))
-        scale = max(1.0, float(vals[-1] - vals[0]))
-        worst = min(worst, float(np.min(np.diff(vals))) / scale)
-    return worst
-
-
-def _assert_regular(z: PhasePoint, t: float, tol: float) -> None:
-    gap = _regularity_gap(z)
-    if gap < tol:
-        raise RegularityError(
-            f"sample at t = {t:.6f} has eigenvalue gap {gap:.3e} below {tol:.1e}; "
-            "the curve passes too close to a singular point"
-        )
-
-
-def _descending_vectors(z: PhasePoint, odd_class: bool) -> np.ndarray:
-    entries = build_lax(z, _class_sign(z.n, odd_class)).entries
-    _, vecs = np.linalg.eigh(entries)
-    return vecs[:, ::-1]
-
-
-def _transport_class(
+def _walk(
     curve: ClosedCurve,
-    odd_class: bool,
-    min_overlap: float,
+    observe: Callable[[PhasePoint, tuple[SpectralData, SpectralData] | None], object],
+    advance: Callable[[object, object, float], tuple[object, str | None]],
+    check_regularity: bool,
     regularity_tol: float,
     max_evaluations: int,
-) -> np.ndarray:
-    """Continue all eigenvectors of one class around the loop; return the signs."""
-    ts = list(np.linspace(0.0, 1.0, curve.initial_samples + 1))
-    z0 = curve.point_at(ts[0])
-    _assert_regular(z0, 0.0, regularity_tol)
-    V0 = _descending_vectors(z0, odd_class)
-    V = V0.copy()
-    t_curr = ts[0]
-    pending = ts[1:]
+):
+    """Walk a closed curve from t = 0 to t = 1, bisecting rejected steps.
+
+    The walk starts from ``curve.initial_samples`` equal steps.  At each
+    sample ``observe(z, specs)`` reads the walked quantity, where ``specs``
+    are the spectra of both Lax classes when the regularity check is on
+    (a sample whose relative eigenvalue gap falls below ``regularity_tol``
+    raises RegularityError) and None otherwise.  ``advance(state, obs, t)``
+    returns ``(new_state, None)`` to accept the step to t or
+    ``(None, reason)`` to reject it; a rejected step is halved, down to a
+    1e-10 parameter step.  Returns the first and the last accepted state.
+    """
+
+    def sample(t: float):
+        z = curve.point_at(t)
+        specs = None
+        if check_regularity:
+            specs = spectra(z)
+            gap = min(float(np.min(s.relative_gaps)) for s in specs)
+            if gap < regularity_tol:
+                raise RegularityError(
+                    f"sample at t = {t:.6f} has eigenvalue gap {gap:.3e} below "
+                    f"{regularity_tol:.1e}; the curve passes too close to a singular point"
+                )
+        return observe(z, specs)
+
+    first = state = sample(0.0)
+    t_curr = 0.0
+    pending = list(np.linspace(0.0, 1.0, curve.initial_samples + 1)[:0:-1])  # next t last
     evaluations = 0
     while pending:
-        t_next = pending[0]
-        z = curve.point_at(t_next)
+        t_next = pending[-1]
         evaluations += 1
         if evaluations > max_evaluations:
-            raise TransportError("transport exceeded the evaluation budget")
-        _assert_regular(z, t_next, regularity_tol)
-        W = _descending_vectors(z, odd_class)
-        overlaps = np.einsum("ij,ij->j", V, W)
-        r = int(np.argmin(np.abs(overlaps)))
-        if abs(overlaps[r]) <= min_overlap:
+            raise TransportError(
+                f"loop walk exceeded the budget of {max_evaluations} evaluations"
+            )
+        accepted, reason = advance(state, sample(t_next), t_next)
+        if accepted is None:
             if t_next - t_curr < 1e-10:
-                raise TransportError(
-                    f"eigenvector {r} overlap {abs(overlaps[r]):.3f} <= {min_overlap} "
-                    f"at t = {t_next:.8f} despite maximal refinement"
-                )
-            pending.insert(0, 0.5 * (t_curr + t_next))
+                raise TransportError(f"{reason} at t = {t_next:.8f} despite maximal refinement")
+            pending.append(0.5 * (t_curr + t_next))
             continue
-        V = W * np.sign(overlaps)
-        t_curr = t_next
-        pending.pop(0)
-
-    final = np.einsum("ij,ij->j", V0, V)
-    if np.min(np.abs(final)) < 0.99:
-        raise TransportError(
-            f"loop closure overlap {np.min(np.abs(final)):.3f} too weak; "
-            "transport did not return to the initial eigenspaces"
-        )
-    return np.sign(final)
+        state, t_curr = accepted, t_next
+        pending.pop()
+    return first, state
 
 
 @dataclass(frozen=True)
@@ -266,11 +234,31 @@ def transport_eigenvectors(
 
     At every step the new eigenvector signs maximise overlap with the
     previous ones; the sampling is bisected wherever the smallest overlap
-    drops to ``min_overlap`` or below.
+    over both classes drops to ``min_overlap`` or below.
     """
-    gamma = _transport_class(curve, False, min_overlap, regularity_tol, max_evaluations)
-    gammabar = _transport_class(curve, True, min_overlap, regularity_tol, max_evaluations)
-    return HolonomyResult(gamma, gammabar)
+
+    def advance(frames, new, _t):
+        overlaps = [np.einsum("ij,ij->j", V, W) for V, W in zip(frames, new)]
+        for cls, ov in zip(("even", "odd"), overlaps):
+            r = int(np.argmin(np.abs(ov)))
+            if abs(ov[r]) <= min_overlap:
+                return None, f"{cls} eigenvector {r} overlap {abs(ov[r]):.3f} <= {min_overlap}"
+        return tuple(W * np.sign(ov) for W, ov in zip(new, overlaps)), None
+
+    first, last = _walk(
+        curve, lambda _z, specs: tuple(s.vectors for s in specs), advance,
+        True, regularity_tol, max_evaluations,
+    )
+    signs = []
+    for V0, V in zip(first, last):
+        final = np.einsum("ij,ij->j", V0, V)
+        if np.min(np.abs(final)) < 0.99:
+            raise TransportError(
+                f"loop closure overlap {np.min(np.abs(final)):.3f} too weak; "
+                "transport did not return to the initial eigenspaces"
+            )
+        signs.append(np.sign(final))
+    return HolonomyResult(*signs)
 
 
 def toda_frame(z: PhasePoint) -> np.ndarray:
@@ -355,39 +343,18 @@ def maslov_index(
     if check_regularity is None:
         check_regularity = frame_fn is toda_frame
 
-    ts = list(np.linspace(0.0, 1.0, curve.initial_samples + 1))
-    z0 = curve.point_at(0.0)
-    if check_regularity:
-        _assert_regular(z0, 0.0, regularity_tol)
-    phi_curr = _unitary_phase(frame_fn(z0))
     trace = [(0.0, 0.0)]
-    total = 0.0
-    t_curr = 0.0
-    pending = ts[1:]
-    evaluations = 0
-    while pending:
-        t_next = pending[0]
-        z = curve.point_at(t_next)
-        evaluations += 1
-        if evaluations > max_evaluations:
-            raise TransportError("winding accumulation exceeded the evaluation budget")
-        if check_regularity:
-            _assert_regular(z, t_next, regularity_tol)
-        phi_next = _unitary_phase(frame_fn(z))
-        step = _principal(phi_next - phi_curr)
-        if abs(step) >= 0.5 * np.pi:
-            if t_next - t_curr < 1e-10:
-                raise TransportError(
-                    f"phase jump {step:.3f} at t = {t_next:.8f} despite maximal refinement"
-                )
-            pending.insert(0, 0.5 * (t_curr + t_next))
-            continue
-        total += step
-        phi_curr = phi_next
-        t_curr = t_next
-        pending.pop(0)
-        trace.append((t_curr, total))
 
+    def advance(phi, phi_next, t):
+        step = _principal(phi_next - phi)
+        if abs(step) >= 0.5 * np.pi:
+            return None, f"phase jump {step:.3f}"
+        trace.append((t, trace[-1][1] + step))
+        return phi_next, None
+
+    _walk(curve, lambda z, _specs: _unitary_phase(frame_fn(z)), advance,
+          check_regularity, regularity_tol, max_evaluations)
+    total = trace[-1][1]
     winding = total / (2.0 * np.pi)
     nearest = int(np.rint(winding))
     if abs(winding - nearest) > 1e-3:
@@ -404,9 +371,13 @@ def maslov_index(
 class HolonomyTheoremReport:
     """Both sides of the holonomy identity (-1)^(mu/2) = product of even holonomies."""
 
-    mu: int
+    maslov: MaslovResult
     holonomy: HolonomyResult
     lhs: int
+
+    @property
+    def mu(self) -> int:
+        return self.maslov.mu
 
     @property
     def agree(self) -> bool:
@@ -422,7 +393,7 @@ def check_holonomy_theorem(curve: ClosedCurve, **kwargs) -> HolonomyTheoremRepor
     hol = transport_eigenvectors(curve, **kwargs)
     mas = maslov_index(curve)
     lhs = int((-1) ** (mas.mu // 2))
-    return HolonomyTheoremReport(mas.mu, hol, lhs)
+    return HolonomyTheoremReport(mas, hol, lhs)
 
 
 @dataclass(frozen=True)
@@ -466,11 +437,12 @@ def _disk_sigma(disk: DiskSpec) -> int:
     The disk map sends the oriented basis of the parameter plane to
     (v1, +-v2), whose (dxi, deta) projection has determinant +-1, and the
     symplectic orientation of the transverse plane is the sign of
-    {xi, eta} at the singular point.
+    {xi, eta} at the singular point.  The pair is flagged there: drawing
+    the disk's circle with ``pair_plane_duals`` checked it.
     """
     z = disk.center.z
     target = disk.pair()
-    _, _, u1, u2, _ = _degenerate_pair_data(z, target, DEGENERACY_TOL)
+    u1, u2 = spectra(z)[target.odd_class].pair_vectors(target.positions(z.n))
     return int(disk.orientation * np.sign(pair_bracket(z, target.odd_class, u1, u2)))
 
 

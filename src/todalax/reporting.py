@@ -34,7 +34,8 @@ class CheckRecord:
 
     ``statement`` is a self-describing mathematical summary of what was
     checked ("plumbing" for infrastructure-only checks).  ``status`` is
-    pass, fail or inconclusive.
+    pass, fail or inconclusive.  ``detail`` keeps the reason of a check
+    whose computation raised; it is serialized only when non-empty.
     """
 
     check_id: str
@@ -42,15 +43,19 @@ class CheckRecord:
     residual: float
     tolerance: float
     status: str
+    detail: str = ""
 
     def to_json_dict(self) -> dict:
-        return {
+        out = {
             "id": self.check_id,
             "statement": self.statement,
             "residual": float_str(self.residual),
             "tolerance": float_str(self.tolerance),
             "status": self.status,
         }
+        if self.detail:
+            out["detail"] = self.detail
+        return out
 
 
 @dataclass

@@ -6,7 +6,7 @@ the Jacobian) equals the number of doubly degenerate eigenvalues of the
 two Lax representatives.  The deepest stratum consists of the relative
 equilibria, where both spectra are known in closed form.  Near such
 points, selected eigenvalue pairs are driven back together by a
-Gauss-Newton iteration on the frozen-frame block coordinates, and the
+Gauss-Newton iteration on the 2x2 block coordinates of each pair, and the
 local canonical structure (Poisson brackets of the block coordinates,
 second derivative of the annihilating combination of the traces, and the
 transverse oscillation frequency) is verified against analytic gradients.
@@ -19,7 +19,7 @@ import numpy as np
 
 from .lax import PhasePoint, SignVector, build_generator, build_lax
 from .dynamics import coordinate_form, grad_combination, grad_F, poisson
-from .spectral import DEGENERACY_TOL, SpectralData, annihilator, decompose
+from .spectral import DEGENERACY_TOL, SpectralData, annihilator, spectra
 
 __all__ = [
     "PairTarget",
@@ -34,6 +34,7 @@ __all__ = [
     "StratumCollapseError",
     "find_singular",
     "perturbed_seed",
+    "pair_plane_duals",
     "pairing_denominator",
     "pair_bracket",
     "transverse_frequency",
@@ -156,10 +157,8 @@ def corank(
     band = (s >= 0.1 * rank_tol * smax) & (s <= 10.0 * rank_tol * smax)
     null_basis = U[:, n - k:].T.copy() if k else np.empty((0, n))
 
-    nu = len(decompose(build_lax(z), degeneracy_tol).degenerate_pairs)
-    nubar = len(
-        decompose(build_lax(z, SignVector.odd(n)), degeneracy_tol).degenerate_pairs
-    )
+    even, odd = spectra(z, degeneracy_tol)
+    nu, nubar = len(even.degenerate_pairs), len(odd.degenerate_pairs)
     return CorankReport(z, s, k, nu, nubar, null_basis, bool(np.any(band)), rank_tol)
 
 
@@ -195,32 +194,24 @@ def _class_sign(n: int, odd_class: bool) -> SignVector:
     return SignVector.odd(n) if odd_class else SignVector.even(n)
 
 
-def _target_gaps(z: PhasePoint, targets: list[PairTarget]) -> np.ndarray:
+def _target_gaps(specs: tuple[SpectralData, SpectralData], targets: list[PairTarget]) -> np.ndarray:
     """Eigenvalue gap of every target pair, relative to max(1, spectral range)."""
-    n = z.n
-    gaps = np.empty(len(targets))
-    spectra = {}
-    for k, t in enumerate(targets):
-        if t.odd_class not in spectra:
-            vals = np.sort(np.linalg.eigvalsh(build_lax(z, _class_sign(n, t.odd_class)).entries))[::-1]
-            spectra[t.odd_class] = vals
-        vals = spectra[t.odd_class]
-        i, j = t.positions(n)
-        gaps[k] = (vals[i] - vals[j]) / max(1.0, float(vals[0] - vals[-1]))
-    return gaps
+    n = specs[0].n
+    return np.array([specs[t.odd_class].relative_gaps[t.positions(n)[0]] for t in targets])
 
 
-def _pair_basis_at(z: PhasePoint, target: PairTarget):
-    """Current canonical basis (u1, u2) of a target pair's 2-space."""
-    from .spectral import _canonical_pair_basis
+def _block_coordinates(z: PhasePoint, odd_class: bool, u1: np.ndarray, u2: np.ndarray):
+    """Block coordinates (xi, eta) of one Lax class at z in a fixed pair basis.
 
-    n = z.n
-    entries = build_lax(z, _class_sign(n, target.odd_class)).entries
-    _, vecs = np.linalg.eigh(entries)
-    vecs = vecs[:, ::-1]
-    i, j = target.positions(n)
-    u1, u2 = _canonical_pair_basis(vecs[:, i], vecs[:, j])
-    return entries, u1, u2, vecs
+    xi is half the diagonal difference and eta the off-diagonal element of
+    the 2x2 block of the matrix in the basis (u1, u2); both vanish where the
+    basis spans a degenerate eigenspace, and their differentials at the
+    basis point are the (dxi, deta) of ``_pair_forms``.
+    """
+    entries = build_lax(z, _class_sign(z.n, odd_class)).entries
+    a = float(u1 @ entries @ u1)
+    d = float(u2 @ entries @ u2)
+    return 0.5 * (d - a), float(u1 @ entries @ u2)
 
 
 @dataclass(frozen=True)
@@ -260,16 +251,12 @@ def perturbed_seed(
     closed to second order; they are then re-closed by the finder.
     """
     z = omega.z
+    specs = spectra(z)
     rows = []
     rhs = []
     for t in open_targets:
-        _, u1, u2, _ = _pair_basis_at(z, t)
-        sign = _class_sign(z.n, t.odd_class)
-        dxi = 0.5 * (
-            coordinate_form(z, sign, u2, u2).as_vector()
-            - coordinate_form(z, sign, u1, u1).as_vector()
-        )
-        deta = coordinate_form(z, sign, u1, u2).as_vector()
+        u1, u2 = specs[t.odd_class].pair_basis(t.positions(z.n))
+        dxi, deta, _ = _pair_forms(z, t.odd_class, u1, u2)
         rows.extend([dxi, deta])
         rhs.extend([eps, 0.0])
     A = np.array(rows)
@@ -287,10 +274,10 @@ def find_singular(
 ) -> SingularPoint:
     """Drive the target eigenvalue pairs degenerate by Gauss-Newton.
 
-    Each iteration freezes the current eigenbasis of every involved class,
-    takes the minimum-norm step on the stacked (xi, eta) residuals computed
-    from their exact frozen-frame gradients, and halves the step until the
-    new pair eigenspaces keep overlap above ``min_overlap`` with the frozen
+    Each iteration freezes the canonical basis of every target pair, takes
+    the minimum-norm step on the stacked (xi, eta) residuals computed from
+    their exact gradients in that basis, and halves the step until the new
+    pair eigenspaces keep overlap above ``min_overlap`` with the frozen
     ones.  Convergence means every target gap is below gap_tol relative to
     the spectral range; a degenerate non-target pair at the solution raises
     StratumCollapseError.
@@ -302,9 +289,10 @@ def find_singular(
     for t in targets:
         t.positions(n)  # validate ordinals early
     z = seed
+    specs = spectra(z, degeneracy_tol)
     iterations = 0
     for it in range(max_iter + 1):
-        gaps = _target_gaps(z, targets)
+        gaps = _target_gaps(specs, targets)
         if float(np.max(gaps)) < gap_tol:
             iterations = it
             break
@@ -314,19 +302,11 @@ def find_singular(
             )
         residual = []
         rows = []
-        frames = {}
+        bases = {}
         for t in targets:
-            entries, u1, u2, _ = _pair_basis_at(z, t)
-            frames[t] = (u1, u2)
-            sign = _class_sign(n, t.odd_class)
-            a = float(u1 @ entries @ u1)
-            d = float(u2 @ entries @ u2)
-            residual.extend([0.5 * (d - a), float(u1 @ entries @ u2)])
-            dxi = 0.5 * (
-                coordinate_form(z, sign, u2, u2).as_vector()
-                - coordinate_form(z, sign, u1, u1).as_vector()
-            )
-            deta = coordinate_form(z, sign, u1, u2).as_vector()
+            u1, u2 = bases[t] = specs[t.odd_class].pair_basis(t.positions(n))
+            residual.extend(_block_coordinates(z, t.odd_class, u1, u2))
+            dxi, deta, _ = _pair_forms(z, t.odd_class, u1, u2)
             rows.extend([dxi, deta])
         J = np.array(rows)
         r = np.array(residual)
@@ -334,27 +314,21 @@ def find_singular(
 
         for _ in range(30):
             z_new = z.displaced(delta)
-            ok = True
-            for t in targets:
-                _, v1, v2, _ = _pair_basis_at(z_new, t)
-                u1, u2 = frames[t]
-                M = np.column_stack([u1, u2]).T @ np.column_stack([v1, v2])
-                if float(np.linalg.svd(M, compute_uv=False)[-1]) < min_overlap:
-                    ok = False
-                    break
-            if ok:
+            specs_new = spectra(z_new, degeneracy_tol)
+            if all(
+                _subspace_overlap(bases[t], specs_new[t.odd_class].pair_basis(t.positions(n)))
+                >= min_overlap
+                for t in targets
+            ):
                 break
             delta = 0.5 * delta
         else:
             raise ConvergenceError("step damping failed to keep the frame overlap")
-        z = z_new
+        z, specs = z_new, specs_new
 
     # the only degenerate pairs at the solution must be the targets
     want = {(t.odd_class, t.positions(n)) for t in targets}
-    have = set()
-    for odd_class in (False, True):
-        spec = decompose(build_lax(z, _class_sign(n, odd_class)), degeneracy_tol)
-        have.update((odd_class, p) for p in spec.degenerate_pairs)
+    have = {(odd, p) for odd in (False, True) for p in specs[odd].degenerate_pairs}
     extra = have - want
     missing = want - have
     if missing:
@@ -364,15 +338,19 @@ def find_singular(
             f"collapsed onto a higher stratum: extra degenerate pairs {sorted(extra)}"
         )
 
-    freqs = np.array([transverse_frequency(z, t, degeneracy_tol) for t in targets])
-    return SingularPoint(z, tuple(targets), _target_gaps(z, targets), freqs, iterations)
+    freqs = np.array([_frequency(z, specs[t.odd_class], t) for t in targets])
+    return SingularPoint(z, tuple(targets), _target_gaps(specs, targets), freqs, iterations)
 
 
-def _degenerate_pair_data(z: PhasePoint, target: PairTarget, degeneracy_tol: float):
-    """SpectralData, pair index, basis and annihilator for a degenerate target."""
-    n = z.n
-    spec = decompose(build_lax(z, _class_sign(n, target.odd_class)), degeneracy_tol)
-    positions = target.positions(n)
+def _subspace_overlap(basis, other) -> float:
+    """Smallest principal cosine between the spans of two orthonormal pairs."""
+    M = np.column_stack(basis).T @ np.column_stack(other)
+    return float(np.linalg.svd(M, compute_uv=False)[-1])
+
+
+def _flagged_pair(spec: SpectralData, target: PairTarget):
+    """Index in ``spec.degenerate_pairs`` and basis of a target pair flagged there."""
+    positions = target.positions(spec.n)
     try:
         idx = spec.degenerate_pairs.index(positions)
     except ValueError:
@@ -381,8 +359,21 @@ def _degenerate_pair_data(z: PhasePoint, target: PairTarget, degeneracy_tol: flo
             f"flagged pairs: {spec.degenerate_pairs}"
         ) from None
     u1, u2 = spec.pair_vectors(positions)
-    ann = annihilator(spec, idx)
-    return spec, idx, u1, u2, ann
+    return idx, u1, u2
+
+
+def pair_plane_duals(
+    point: PhasePoint | SingularPoint,
+    target: PairTarget,
+    degeneracy_tol: float = DEGENERACY_TOL,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-norm directions v1, v2 with dxi(v1) = deta(v2) = 1 and zero cross terms."""
+    z = point.z if isinstance(point, SingularPoint) else point
+    _, u1, u2 = _flagged_pair(spectra(z, degeneracy_tol)[target.odd_class], target)
+    dxi, deta, _ = _pair_forms(z, target.odd_class, u1, u2)
+    A = np.vstack([dxi, deta])
+    duals = A.T @ np.linalg.inv(A @ A.T)
+    return duals[:, 0], duals[:, 1]
 
 
 def pairing_denominator(z: PhasePoint, odd_class: bool, u1: np.ndarray, u2: np.ndarray) -> float:
@@ -412,17 +403,21 @@ def transverse_frequency(
     it), the magnitude is basis independent.
     """
     z = point.z if isinstance(point, SingularPoint) else point
-    _, _, u1, u2, ann = _degenerate_pair_data(z, target, degeneracy_tol)
+    return _frequency(z, spectra(z, degeneracy_tol)[target.odd_class], target)
+
+
+def _frequency(z: PhasePoint, spec: SpectralData, target: PairTarget) -> float:
+    idx, u1, u2 = _flagged_pair(spec, target)
     denom = pairing_denominator(z, target.odd_class, u1, u2)
     if abs(denom) < 1e-10:
         raise RuntimeError(
             "vanishing pair pairing; the eigenpair basis lost orthonormality"
         )
-    return 2.0 * ann.derivative_at_root * denom / z.n
+    return 2.0 * annihilator(spec, idx).derivative_at_root * denom / z.n
 
 
 def _pair_forms(z: PhasePoint, odd_class: bool, u1: np.ndarray, u2: np.ndarray):
-    """Gradient 1-forms (dxi, deta, dtau) of one frozen pair, as 2n vectors."""
+    """Gradient 1-forms (dxi, deta, dtau) of the block of a fixed pair basis, as 2n vectors."""
     sign = _class_sign(z.n, odd_class)
     f11 = coordinate_form(z, sign, u1, u1).as_vector()
     f22 = coordinate_form(z, sign, u2, u2).as_vector()
@@ -492,7 +487,9 @@ def hessian_structure_check(
     """
     z = point.z if isinstance(point, SingularPoint) else point
     n = z.n
-    spec, idx, u1, u2, ann = _degenerate_pair_data(z, target, degeneracy_tol)
+    spec = spectra(z, degeneracy_tol)[target.odd_class]
+    idx, u1, u2 = _flagged_pair(spec, target)
+    ann = annihilator(spec, idx)
     c = ann.coefficients
 
     h = step * max(1.0, float(np.max(np.abs(z.as_vector()))))
@@ -552,7 +549,7 @@ def hessian_structure_check(
 
 @dataclass(frozen=True)
 class BracketReport:
-    """Poisson-bracket table of all frozen block coordinates at one point."""
+    """Poisson-bracket table of the block coordinates of all degenerate pairs at one point."""
 
     labels: tuple[str, ...]
     table: np.ndarray
@@ -639,10 +636,9 @@ def bracket_relations_check(
     conj_res = 0.0
     b = z.couplings()
 
-    specs = {}
+    specs = spectra(z, degeneracy_tol)
     for odd_class in (False, True):
-        spec = decompose(build_lax(z, _class_sign(n, odd_class)), degeneracy_tol)
-        specs[odd_class] = spec
+        spec = specs[odd_class]
         cls = "bar" if odd_class else ""
         for pair in spec.degenerate_pairs:
             u1, u2 = spec.pair_vectors(pair)
@@ -712,8 +708,7 @@ def tangent_symplectic_check(point: PhasePoint | SingularPoint,
     z = point.z if isinstance(point, SingularPoint) else point
     n = z.n
     rows = []
-    for odd_class in (False, True):
-        spec = decompose(build_lax(z, _class_sign(n, odd_class)), degeneracy_tol)
+    for odd_class, spec in zip((False, True), spectra(z, degeneracy_tol)):
         for pair in spec.degenerate_pairs:
             u1, u2 = spec.pair_vectors(pair)
             dxi, deta, _ = _pair_forms(z, odd_class, u1, u2)

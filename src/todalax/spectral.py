@@ -3,10 +3,10 @@
 Eigenvalues are kept in descending order throughout.  Degeneracies of the
 periodic Toda Lax matrices are at most two-fold, so a flagged triple is
 treated as evidence of a tolerance or input fault rather than mathematics.
-Near a singular point the frozen eigenbasis of the base point provides
-first-order-accurate local coordinates (xi, eta, tau) for every degenerate
-2x2 block, and the annihilating polynomial of the base matrix supplies the
-coefficient vector that fixes the singularity under the integrable flows.
+``spectra`` gives the spectral data of both Lax classes at a phase point;
+it is the one place the library diagonalises a Lax matrix.  The
+annihilating polynomial of a degenerate matrix supplies the coefficient
+vector that fixes the singularity under the integrable flows.
 """
 
 from __future__ import annotations
@@ -19,15 +19,11 @@ from .lax import LaxMatrix, PhasePoint, SignVector, build_lax
 __all__ = [
     "TripleDegeneracyError",
     "EigensolverError",
-    "FrameValidityError",
     "SpectralData",
     "decompose",
+    "spectra",
     "interlacing_chain",
     "interlacing_check",
-    "FrozenFrame",
-    "freeze_frame",
-    "BlockCoordinates",
-    "block_coordinates",
     "AnnihilatorPolynomial",
     "annihilator",
 ]
@@ -41,10 +37,6 @@ class TripleDegeneracyError(RuntimeError):
 
 class EigensolverError(RuntimeError):
     """Eigen-decomposition failed its residual or orthonormality bound."""
-
-
-class FrameValidityError(RuntimeError):
-    """Current eigenspaces overlap the frozen frame too weakly."""
 
 
 @dataclass(frozen=True)
@@ -71,6 +63,11 @@ class SpectralData:
     def spectral_range(self) -> float:
         return float(self.values[0] - self.values[-1])
 
+    @property
+    def relative_gaps(self) -> np.ndarray:
+        """Consecutive gaps divided by max(1, spectral range)."""
+        return self.gaps / max(1.0, self.spectral_range)
+
     def pair_vectors(self, pair: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
         i, j = pair
         return self.vectors[:, i], self.vectors[:, j]
@@ -79,10 +76,17 @@ class SpectralData:
         i, j = pair
         return float(0.5 * (self.values[i] + self.values[j]))
 
+    def pair_basis(self, pair: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+        """Canonical basis of the 2-space at positions ``pair``, flagged or not.
 
-def _canonical_sign(v: np.ndarray) -> np.ndarray:
-    k = int(np.argmax(np.abs(v)))
-    return -v if v[k] < 0 else v
+        A flagged pair's columns already hold it; an open pair (one the
+        singularity finder is still closing) is canonicalised the same way.
+        Both come back as contiguous arrays, so that products with them
+        round alike whether or not the pair is flagged.
+        """
+        if pair in self.degenerate_pairs:
+            return tuple(v.copy() for v in self.pair_vectors(pair))
+        return _canonical_pair_basis(*self.pair_vectors(pair))
 
 
 def _canonical_pair_basis(v1: np.ndarray, v2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -135,7 +139,11 @@ def decompose(
     else:
         entries = np.asarray(L, dtype=float)
         sgn = sign if sign is not None else SignVector.even(entries.shape[0])
-    if not np.allclose(entries, entries.T, atol=1e-12 * max(1.0, np.abs(entries).max())):
+    # build_lax's matrices are exactly symmetric and skip the tolerance test
+    if not (
+        np.array_equal(entries, entries.T)
+        or np.allclose(entries, entries.T, atol=1e-12 * max(1.0, np.abs(entries).max()))
+    ):
         raise ValueError("matrix is not symmetric")
 
     try:
@@ -156,11 +164,20 @@ def decompose(
                 "check the degeneracy tolerance and the input matrix"
             )
     pairs = tuple((i, i + 1) for i in range(n - 1) if small[i])
+    # residual of the solver's own eigenpairs: rotating a flagged pair inside
+    # its 2-space moves each vector off its eigenvalue by up to the pair's
+    # gap, which the degeneracy threshold allows but this bound does not
+    residual = np.max(np.abs(entries @ vecs - vecs * vals))
 
-    vecs = vecs.copy()
-    paired = set()
+    # unpaired columns get a deterministic sign: largest entry positive, or
+    # nonnegative overlap with the reference column
+    if reference is None:
+        flip = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(n)] < 0
+    else:
+        flip = np.einsum("ij,ij->j", reference, vecs) < 0
+    flip[[k for pair in pairs for k in pair]] = False
+    vecs = np.where(flip, -vecs, vecs)
     for (i, j) in pairs:
-        paired.update((i, j))
         if reference is not None:
             w1, w2 = _align_pair_to_reference(
                 vecs[:, i], vecs[:, j], reference[:, i], reference[:, j]
@@ -168,15 +185,8 @@ def decompose(
         else:
             w1, w2 = _canonical_pair_basis(vecs[:, i], vecs[:, j])
         vecs[:, i], vecs[:, j] = w1, w2
-    for i in range(n):
-        if i not in paired:
-            if reference is not None and float(reference[:, i] @ vecs[:, i]) < 0:
-                vecs[:, i] = -vecs[:, i]
-            elif reference is None:
-                vecs[:, i] = _canonical_sign(vecs[:, i])
 
     scale = max(1.0, float(np.abs(vals).max()))
-    residual = np.max(np.abs(entries @ vecs - vecs * vals))
     ortho = np.max(np.abs(vecs.T @ vecs - np.eye(n)))
     if residual > 1e-10 * scale or ortho > 1e-10:
         raise EigensolverError(
@@ -184,6 +194,20 @@ def decompose(
             "exceeds the 1e-10 bound"
         )
     return SpectralData(vals, vecs, gaps, pairs, sgn)
+
+
+def spectra(
+    z: PhasePoint, degeneracy_tol: float = DEGENERACY_TOL
+) -> tuple[SpectralData, SpectralData]:
+    """Spectral data of both Lax classes at z: (even L, odd Lbar).
+
+    Each equals ``decompose(build_lax(z, sign))`` for its class, so
+    ``spectra(z)[odd_class]`` selects one class.
+    """
+    return tuple(
+        decompose(build_lax(z, sign), degeneracy_tol)
+        for sign in (SignVector.even(z.n), SignVector.odd(z.n))
+    )
 
 
 def interlacing_chain(n: int) -> list[tuple[str, int]]:
@@ -231,17 +255,17 @@ def interlacing_check(z: PhasePoint, tol: float = 1e-12) -> InterlacingReport:
     are within same-matrix adjacent pairs.
     """
     n = z.n
-    lam = np.sort(np.linalg.eigvalsh(build_lax(z).entries))[::-1]
-    bar = np.sort(np.linalg.eigvalsh(build_lax(z, SignVector.odd(n)).entries))[::-1]
+    even, odd = spectra(z)
+    lam, bar = even.values, odd.values
     scale = max(1.0, float(lam[0] - lam[-1]))
     chain = interlacing_chain(n)
-    spectra = {"L": lam, "B": bar}
+    by_matrix = {"L": lam, "B": bar}
 
     violations = []
     min_strict = np.inf
     max_weak = 0.0
     for (ta, ia), (tb, ib) in zip(chain[:-1], chain[1:]):
-        a, b = spectra[ta][ia], spectra[tb][ib]
+        a, b = by_matrix[ta][ia], by_matrix[tb][ib]
         if ta == tb:
             overshoot = b - a
             max_weak = max(max_weak, overshoot)
@@ -253,129 +277,6 @@ def interlacing_check(z: PhasePoint, tol: float = 1e-12) -> InterlacingReport:
             if margin < tol * scale:
                 violations.append(f"{ta}[{ia}] > {tb}[{ib}] violated, margin {margin:.3e}")
     return InterlacingReport(n, tuple(violations), float(min_strict), float(max_weak))
-
-
-@dataclass(frozen=True)
-class FrozenFrame:
-    """Eigenbasis of one Lax class frozen at a base point.
-
-    ``pairs`` records the 0-indexed positions of the tracked 2x2 blocks;
-    they need not be below the degeneracy threshold (the singularity finder
-    tracks pairs it is still driving together).
-    """
-
-    base: PhasePoint
-    sign: SignVector
-    values: np.ndarray
-    vectors: np.ndarray
-    pairs: tuple[tuple[int, int], ...]
-
-    @property
-    def n(self) -> int:
-        return self.values.size
-
-
-def freeze_frame(
-    z: PhasePoint,
-    sign: SignVector,
-    pairs: tuple[tuple[int, int], ...] | None = None,
-    degeneracy_tol: float = DEGENERACY_TOL,
-    reference: np.ndarray | None = None,
-) -> FrozenFrame:
-    """Freeze the eigenbasis of L^sign(z), tracking the given block positions."""
-    spec = decompose(build_lax(z, sign), degeneracy_tol, reference=reference)
-    if pairs is None:
-        pairs = spec.degenerate_pairs
-    else:
-        pairs = tuple(tuple(p) for p in pairs)
-        flagged = set(spec.degenerate_pairs)
-        vecs = spec.vectors.copy()
-        for p in pairs:
-            if p not in flagged:
-                # near-degenerate tracked block: canonicalise it the same way
-                if reference is not None:
-                    w1, w2 = _align_pair_to_reference(
-                        vecs[:, p[0]], vecs[:, p[1]], reference[:, p[0]], reference[:, p[1]]
-                    )
-                else:
-                    w1, w2 = _canonical_pair_basis(vecs[:, p[0]], vecs[:, p[1]])
-                vecs[:, p[0]], vecs[:, p[1]] = w1, w2
-        spec = SpectralData(spec.values, vecs, spec.gaps, spec.degenerate_pairs, spec.sign)
-    return FrozenFrame(z, sign, spec.values, spec.vectors, pairs)
-
-
-def _pair_overlap(frame: FrozenFrame, current: np.ndarray, pair: tuple[int, int]) -> float:
-    i, j = pair
-    M = frame.vectors[:, [i, j]].T @ current[:, [i, j]]
-    return float(np.linalg.svd(M, compute_uv=False)[-1])
-
-
-@dataclass(frozen=True)
-class BlockCoordinates:
-    """Local 2x2-block coordinates of both Lax classes in frozen frames.
-
-    Per tracked pair: xi is half the diagonal difference, eta the
-    off-diagonal element and tau half the diagonal sum of the block of the
-    current Lax matrix expressed in the base point's eigenbasis.  All xi and
-    eta vanish at the base point, where tau equals the degenerate eigenvalue.
-    """
-
-    point: PhasePoint
-    xi: np.ndarray
-    eta: np.ndarray
-    tau: np.ndarray
-    xibar: np.ndarray
-    etabar: np.ndarray
-    taubar: np.ndarray
-    overlaps: np.ndarray
-    overlaps_bar: np.ndarray
-
-
-def _block_values(frame: FrozenFrame, entries: np.ndarray):
-    xi = np.empty(len(frame.pairs))
-    eta = np.empty(len(frame.pairs))
-    tau = np.empty(len(frame.pairs))
-    for k, (i, j) in enumerate(frame.pairs):
-        u1, u2 = frame.vectors[:, i], frame.vectors[:, j]
-        a = float(u1 @ entries @ u1)
-        d = float(u2 @ entries @ u2)
-        xi[k] = 0.5 * (d - a)
-        eta[k] = float(u1 @ entries @ u2)
-        tau[k] = 0.5 * (d + a)
-    return xi, eta, tau
-
-
-def block_coordinates(
-    z: PhasePoint,
-    even_frame: FrozenFrame,
-    odd_frame: FrozenFrame,
-    min_overlap: float = 0.9,
-    check_overlap: bool = True,
-) -> BlockCoordinates:
-    """Evaluate the frozen-frame block coordinates of both classes at z.
-
-    Raises FrameValidityError when the current eigenspace of any tracked
-    pair overlaps its frozen counterpart with smallest principal cosine
-    below ``min_overlap``.
-    """
-    out = {}
-    for tag, frame in (("even", even_frame), ("odd", odd_frame)):
-        entries = build_lax(z, frame.sign).entries
-        overlaps = np.ones(len(frame.pairs))
-        if check_overlap and frame.pairs:
-            vals, vecs = np.linalg.eigh(entries)
-            vecs = vecs[:, ::-1]
-            for k, pair in enumerate(frame.pairs):
-                overlaps[k] = _pair_overlap(frame, vecs, pair)
-                if overlaps[k] < min_overlap:
-                    raise FrameValidityError(
-                        f"{tag} pair {pair}: eigenspace overlap {overlaps[k]:.3f} "
-                        f"below {min_overlap}"
-                    )
-        out[tag] = (_block_values(frame, entries), overlaps)
-    (xi, eta, tau), ov = out["even"]
-    (xibar, etabar, taubar), ovb = out["odd"]
-    return BlockCoordinates(z, xi, eta, tau, xibar, etabar, taubar, ov, ovb)
 
 
 @dataclass(frozen=True)

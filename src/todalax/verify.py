@@ -9,9 +9,7 @@ residual compared against its pinned tolerance.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-import os
 import time
 import numpy as np
 
@@ -26,8 +24,10 @@ from .lax import (
 from .dynamics import grad_F, integrate_flow, lax_residual, poisson
 from .spectral import interlacing_check
 from .singularity import (
+    ConvergenceError,
     PairTarget,
     SingularPoint,
+    StratumCollapseError,
     all_pair_targets,
     bracket_relations_check,
     corank,
@@ -40,6 +40,9 @@ from .singularity import (
 from .maslov import (
     ClosedCurve,
     DiskSpec,
+    LagrangianFrameError,
+    RegularityError,
+    TransportError,
     check_holonomy_theorem,
     enclosure_count_check,
     maslov_index,
@@ -48,7 +51,12 @@ from .maslov import (
 )
 from .reporting import CheckRecord, VerificationReport
 
-__all__ = ["RunConfig", "run_suite", "worker_count", "pool_map"]
+__all__ = ["RunConfig", "run_suite"]
+
+# Failures of the finder and the loop walkers: a check that meets one is
+# recorded as failed with the message, the rest of the suite still runs.
+FINDER_ERRORS = (ConvergenceError, StratumCollapseError)
+LOOP_ERRORS = FINDER_ERRORS + (RegularityError, TransportError, LagrangianFrameError)
 
 
 @dataclass
@@ -93,26 +101,6 @@ class RunConfig:
         return RunConfig(**data)
 
 
-def worker_count() -> int:
-    raw = os.environ.get("TODA_LAX_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def pool_map(fn, items):
-    """Order-preserving map, parallel when TODA_LAX_THREADS allows it."""
-    workers = worker_count()
-    items = list(items)
-    if workers <= 1 or len(items) < 2:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 DESK_SCALE = 0.35  # keeps absolute tolerances meaningful up to n = 8
 
 
@@ -127,6 +115,10 @@ def _status(residual: float, tol: float) -> str:
     return "pass" if residual < tol else "fail"
 
 
+def _reason(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
 def run_suite(config: RunConfig) -> VerificationReport:
     """Run every check of the suite and collect one record per check."""
     report = VerificationReport(config={
@@ -137,10 +129,10 @@ def run_suite(config: RunConfig) -> VerificationReport:
     })
     rng = np.random.default_rng(config.seed)
 
-    def record(check_id, statement, residual, tol, status=None, seconds=None):
+    def record(check_id, statement, residual, tol, status=None, seconds=None, detail=""):
         report.add(
             CheckRecord(check_id, statement, float(residual), tol,
-                        status or _status(residual, tol)),
+                        status or _status(residual, tol), detail),
             seconds,
         )
 
@@ -148,13 +140,11 @@ def run_suite(config: RunConfig) -> VerificationReport:
         points = _random_points(rng, n, config.points)
 
         t0 = time.perf_counter()
-        def _off_band_worst(z):
-            worst = 0.0
+        worst = 0.0
+        for z in points:
             for j in range(1, n + 1):
                 rep = off_band_check(z, j)
                 worst = max(worst, rep.zero_residual, rep.diagonal_residual)
-            return worst
-        worst = max(pool_map(_off_band_worst, points))
         record(
             f"off_band[n={n}]",
             "powers L^j - Lbar^j are j-off-banded; first diagonal 2 b_{r-1}..b_{r-j}, 4 at j=n",
@@ -189,13 +179,12 @@ def run_suite(config: RunConfig) -> VerificationReport:
         )
 
         t0 = time.perf_counter()
-        def _involution_worst(z):
+        worst = 0.0
+        for z in points:
             grads = [grad_F(z, j) for j in range(1, n + 1)]
-            return max(
-                abs(poisson(grads[i], grads[j]))
-                for i in range(n) for j in range(i + 1, n)
-            )
-        worst = max(pool_map(_involution_worst, points))
+            for i in range(n):
+                for j in range(i + 1, n):
+                    worst = max(worst, abs(poisson(grads[i], grads[j])))
         record(
             f"involution[n={n}]",
             "all pairwise brackets of the conserved traces vanish",
@@ -204,12 +193,10 @@ def run_suite(config: RunConfig) -> VerificationReport:
 
         t0 = time.perf_counter()
         lax_points = points[: max(10, config.points // 4)]
-        def _lax_worst(z):
-            return max(
-                lax_residual(z, j, odd)
-                for j in range(1, n + 1) for odd in (False, True)
-            )
-        worst = max(pool_map(_lax_worst, lax_points))
+        worst = max(
+            lax_residual(z, j, odd)
+            for z in lax_points for j in range(1, n + 1) for odd in (False, True)
+        )
         record(
             f"lax_equations[n={n}]",
             "bracket of L with each trace equals the commutator with its generator, both classes",
@@ -293,18 +280,18 @@ def run_suite(config: RunConfig) -> VerificationReport:
         om = omega_point(n)
         found: list[SingularPoint] = []
         t0 = time.perf_counter()
+        detail = ""
         try:
             for target in all_pair_targets(n):
                 rest = [t for t in all_pair_targets(n) if t != target]
                 seed = perturbed_seed(om, rest, eps=1e-2)
                 found.append(find_singular(seed, [target]))
-            residual = 0.0
-        except Exception:
-            residual = 1.0
+        except FINDER_ERRORS as exc:
+            detail = _reason(exc)
         record(
             f"sigma1_components[n={n}]",
             "every allowed single-pair degeneracy is realized near the relative equilibrium",
-            residual, 0.5, seconds=time.perf_counter() - t0,
+            1.0 if detail else 0.0, 0.5, seconds=time.perf_counter() - t0, detail=detail,
         )
 
         t0 = time.perf_counter()
@@ -352,49 +339,57 @@ def run_suite(config: RunConfig) -> VerificationReport:
 
     if 2 in config.n_values:
         t0 = time.perf_counter()
-        sp2 = find_singular(omega_point(2).z, [PairTarget(True, 1)])
-        curve = ClosedCurve.around_pair(sp2, PairTarget(True, 1), radius=5e-2)
-        rep = check_holonomy_theorem(curve)
-        ok = (
-            rep.agree
-            and abs(rep.mu) == 2
-            and rep.lhs == -1
-            and np.array_equal(rep.holonomy.gammabar, [-1.0, -1.0])
-            and np.array_equal(rep.holonomy.gamma, [1.0, 1.0])
-        )
+        detail = ""
+        try:
+            sp2 = find_singular(omega_point(2).z, [PairTarget(True, 1)])
+            curve = ClosedCurve.around_pair(sp2, PairTarget(True, 1), radius=5e-2)
+            rep = check_holonomy_theorem(curve)
+            ok = (
+                rep.agree
+                and abs(rep.mu) == 2
+                and rep.lhs == -1
+                and np.array_equal(rep.holonomy.gammabar, [-1.0, -1.0])
+                and np.array_equal(rep.holonomy.gamma, [1.0, 1.0])
+            )
+        except LOOP_ERRORS as exc:
+            ok, detail = False, _reason(exc)
         record(
             "holonomy_omega_line[n=2]",
             "loop around the relative-equilibrium line: odd pair flips, |mu| = 2, "
             "(-1)^(mu/2) = even-index product = -1",
-            0.0 if ok else 1.0, 0.5, seconds=time.perf_counter() - t0,
+            0.0 if ok else 1.0, 0.5, seconds=time.perf_counter() - t0, detail=detail,
         )
 
     if 3 in config.n_values:
         t0 = time.perf_counter()
-        om3 = omega_point(3)
-        sp3 = find_singular(
-            perturbed_seed(om3, [PairTarget(False, 1)], eps=1e-2), [PairTarget(True, 1)]
-        )
-        curve = ClosedCurve.around_pair(sp3, PairTarget(True, 1), radius=2e-3)
-        rep = check_holonomy_theorem(curve)
-        ok = rep.agree and abs(rep.mu) == 2
+        detail = ""
+        try:
+            om3 = omega_point(3)
+            sp3 = find_singular(
+                perturbed_seed(om3, [PairTarget(False, 1)], eps=1e-2), [PairTarget(True, 1)]
+            )
+            curve = ClosedCurve.around_pair(sp3, PairTarget(True, 1), radius=2e-3)
+            rep = check_holonomy_theorem(curve)
+            ok = rep.agree and abs(rep.mu) == 2
 
-        z_reg = PhasePoint(np.array([0.5, -0.2, 0.1]), np.array([0.3, 0.9, -0.4]))
-        v1 = np.eye(6)[0]
-        v2 = np.eye(6)[4]
-        rep_reg = check_holonomy_theorem(ClosedCurve.circle(z_reg, v1, v2, 0.05))
-        ok = ok and rep_reg.mu == 0 and rep_reg.agree
+            z_reg = PhasePoint(np.array([0.5, -0.2, 0.1]), np.array([0.3, 0.9, -0.4]))
+            v1 = np.eye(6)[0]
+            v2 = np.eye(6)[4]
+            rep_reg = check_holonomy_theorem(ClosedCurve.circle(z_reg, v1, v2, 0.05))
+            ok = ok and rep_reg.mu == 0 and rep_reg.agree
 
-        sp3b = find_singular(PhasePoint(sp3.z.q, sp3.z.p + 0.25), [PairTarget(True, 1)])
-        enc = enclosure_count_check(
-            [DiskSpec(sp3, radius=2e-3), DiskSpec(sp3b, radius=2e-3)]
-        )
-        ok = ok and enc.passed
+            sp3b = find_singular(PhasePoint(sp3.z.q, sp3.z.p + 0.25), [PairTarget(True, 1)])
+            enc = enclosure_count_check(
+                [DiskSpec(sp3, radius=2e-3), DiskSpec(sp3b, radius=2e-3)]
+            )
+            ok = ok and enc.passed
+        except LOOP_ERRORS as exc:
+            ok, detail = False, _reason(exc)
         record(
             "maslov_theorem[n=3]",
             "(-1)^(mu/2) equals the even-indexed holonomy product; boundary winding "
             "counts enclosed singular points as -2 sum sigma",
-            0.0 if ok else 1.0, 0.5, seconds=time.perf_counter() - t0,
+            0.0 if ok else 1.0, 0.5, seconds=time.perf_counter() - t0, detail=detail,
         )
 
     if 3 in config.n_values:

@@ -3,8 +3,13 @@ import json
 import numpy as np
 import pytest
 
+import todalax.verify as verify
 from todalax.cli import main
-from todalax.verify import RunConfig, run_suite, worker_count
+from todalax.lax import PhasePoint
+from todalax.maslov import ClosedCurve, maslov_index
+from todalax.reporting import float_str
+from todalax.singularity import ConvergenceError, PairTarget
+from todalax.verify import RunConfig, run_suite
 
 
 class TestConfig:
@@ -24,14 +29,6 @@ class TestConfig:
     def test_quick_suite_shrinks_samples(self):
         cfg = RunConfig(num_points=200, suite="quick")
         assert cfg.points == 50
-
-    def test_worker_count_env(self, monkeypatch):
-        monkeypatch.delenv("TODA_LAX_THREADS", raising=False)
-        assert worker_count() == 1
-        monkeypatch.setenv("TODA_LAX_THREADS", "3")
-        assert worker_count() == 3
-        monkeypatch.setenv("TODA_LAX_THREADS", "junk")
-        assert worker_count() == 1
 
 
 class TestVerifyCommand:
@@ -59,17 +56,6 @@ class TestVerifyCommand:
             assert code == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
-
-    def test_threaded_run_matches_serial(self, tmp_path, monkeypatch):
-        serial = tmp_path / "serial.json"
-        threaded = tmp_path / "threaded.json"
-        monkeypatch.delenv("TODA_LAX_THREADS", raising=False)
-        main(["verify", "--n", "3", "--points", "12", "--suite", "quick",
-              "--out", str(serial), "--no-timing"])
-        monkeypatch.setenv("TODA_LAX_THREADS", "4")
-        main(["verify", "--n", "3", "--points", "12", "--suite", "quick",
-              "--out", str(threaded), "--no-timing"])
-        assert serial.read_bytes() == threaded.read_bytes()
 
     def test_huge_rank_tol_inconclusive_exit_zero(self, capsys):
         code = main([
@@ -166,6 +152,14 @@ class TestMaslovCommand:
         lines = trace.read_text().splitlines()
         assert lines[0] == "t,winding_argument"
         assert len(lines) > 100
+        # the trace is the winding walk's own, row for row
+        curve = ClosedCurve.around_pair(
+            PhasePoint(np.array(singular_center["q"]), np.array(singular_center["p"])),
+            PairTarget(True, 1), radius=2e-3, initial_samples=256,
+        )
+        expected = [f"{float_str(t)},{float_str(phi)}"
+                    for t, phi in maslov_index(curve).winding_trace]
+        assert lines[1:] == expected
 
     def test_sample_loop_regular(self, tmp_path):
         base = np.array([0.5, -0.2, 0.1, 0.3, 0.9, -0.4])
@@ -227,6 +221,28 @@ class TestIntegrateCommand:
             "--c", "0,1", "--out", "/tmp/x.csv",
         ])
         assert code == 2
+
+
+def test_suite_keeps_failure_reasons(monkeypatch):
+    # a finder failure fails the checks that need it, with its message,
+    # and the rest of the suite still runs
+    def planted(*args, **kwargs):
+        raise ConvergenceError("planted")
+
+    monkeypatch.setattr(verify, "find_singular", planted)
+    report = run_suite(RunConfig(n_values=[2, 3], num_points=10, suite="quick",
+                                 flow_t_final=1.0))
+    by_id = {r.check_id: r for r in report.records}
+    for check_id in ("sigma1_components[n=3]", "holonomy_omega_line[n=2]",
+                     "maslov_theorem[n=3]"):
+        assert by_id[check_id].status == "fail"
+        assert "planted" in by_id[check_id].detail
+        assert by_id[check_id].to_json_dict()["detail"] == by_id[check_id].detail
+    assert "isospectral_flows[n=3]" in by_id
+    assert all("detail" not in r.to_json_dict() for r in report.records if not r.detail)
+    assert {r.check_id for r in report.failures} == {
+        "sigma1_components[n=3]", "holonomy_omega_line[n=2]", "maslov_theorem[n=3]"
+    }
 
 
 def test_suite_runs_inconclusive_band(tmp_path):

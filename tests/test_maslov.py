@@ -3,7 +3,13 @@ import numpy.testing as npt
 import pytest
 
 from todalax.lax import PhasePoint
-from todalax.singularity import PairTarget, find_singular, omega_point, perturbed_seed
+from todalax.singularity import (
+    PairTarget,
+    all_pair_targets,
+    find_singular,
+    omega_point,
+    perturbed_seed,
+)
 from todalax.maslov import (
     CALIBRATION_SIGN,
     ClosedCurve,
@@ -24,6 +30,24 @@ def sigma1_n3():
     return find_singular(
         perturbed_seed(om, [PairTarget(False, 1)], eps=1e-2), [PairTarget(True, 1)]
     )
+
+
+@pytest.fixture(scope="module")
+def coarse_loops():
+    """Circles around the n = 5 and n = 8 single-pair points: 256 samples, then 4, 5, 6.
+
+    The coarse circles start with steps too long for the walkers, which must
+    bisect to reach the fine circle's answer.
+    """
+    loops = []
+    for n, target in [(n, t) for n in (5, 8) for t in all_pair_targets(n)]:
+        rest = [t for t in all_pair_targets(n) if t != target]
+        sp = find_singular(perturbed_seed(omega_point(n), rest, eps=1e-2), [target])
+        fine = ClosedCurve.around_pair(sp, target, radius=2e-3)
+        coarse = [ClosedCurve.around_pair(sp, target, radius=2e-3, initial_samples=s)
+                  for s in (4, 5, 6)]
+        loops.append((fine, coarse))
+    return loops
 
 
 class TestClosedCurve:
@@ -79,12 +103,18 @@ class TestTransport:
             npt.assert_array_equal(hol.gamma, np.ones(3))
             npt.assert_array_equal(hol.gammabar, np.ones(3))
 
-    def test_signs_stable_under_refinement(self, sigma1_n3):
+    def test_signs_stable_under_refinement(self, sigma1_n3, coarse_loops):
         curve = ClosedCurve.around_pair(sigma1_n3, PairTarget(True, 1), radius=2e-3)
         a = transport_eigenvectors(curve)
         b = transport_eigenvectors(curve.refined(2))
         npt.assert_array_equal(a.gamma, b.gamma)
         npt.assert_array_equal(a.gammabar, b.gammabar)
+        for fine, coarse in coarse_loops:
+            ref = transport_eigenvectors(fine)
+            for curve in coarse:
+                hol = transport_eigenvectors(curve)
+                npt.assert_array_equal(hol.gamma, ref.gamma)
+                npt.assert_array_equal(hol.gammabar, ref.gammabar)
 
     def test_signs_stable_under_small_perturbation(self, sigma1_n3):
         a = transport_eigenvectors(
@@ -141,9 +171,17 @@ class TestMaslovIndex:
         curve = ClosedCurve.around_pair(sigma1_n3, PairTarget(True, 1), radius=2e-3)
         assert maslov_index(curve).mu == -maslov_index(curve.reversed()).mu
 
-    def test_invariant_under_refinement(self, sigma1_n3):
+    def test_invariant_under_refinement(self, sigma1_n3, coarse_loops):
         curve = ClosedCurve.around_pair(sigma1_n3, PairTarget(True, 1), radius=2e-3)
         assert maslov_index(curve).mu == maslov_index(curve.refined(2)).mu
+        for fine, coarse in coarse_loops:
+            mu = maslov_index(fine).mu
+            assert abs(mu) == 2
+            for curve in coarse:
+                res = maslov_index(curve)
+                assert res.mu == mu
+                # more accepted steps than initial ones: the walk bisected
+                assert len(res.winding_trace) > curve.initial_samples + 1
 
     def test_invariant_under_reparameterization(self, sigma1_n3):
         curve = ClosedCurve.around_pair(sigma1_n3, PairTarget(True, 1), radius=2e-3)

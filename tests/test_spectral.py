@@ -4,16 +4,15 @@ import pytest
 
 from todalax.lax import PhasePoint, SignVector, build_lax
 from todalax.spectral import (
-    FrameValidityError,
     TripleDegeneracyError,
+    _canonical_pair_basis,
     annihilator,
-    block_coordinates,
     decompose,
-    freeze_frame,
     interlacing_chain,
     interlacing_check,
+    spectra,
 )
-from todalax.singularity import omega_point
+from todalax.singularity import _block_coordinates, _pair_forms, omega_point
 
 
 def random_point(rng, n, scale=1.0):
@@ -95,6 +94,52 @@ class TestDecompose:
         with pytest.raises(ValueError):
             decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_near_degenerate_pair_is_flagged_not_rejected(self):
+        # a gap below the degeneracy threshold but far above the solver's
+        # accuracy: the pair rotation may not trip the eigensolver check
+        Q, _ = np.linalg.qr(np.random.default_rng(10).standard_normal((4, 4)))
+        L = Q @ np.diag([2.0, 1.0 + 2e-9, 1.0, -1.0]) @ Q.T
+        spec = decompose(0.5 * (L + L.T))
+        assert spec.degenerate_pairs == ((1, 2),)
+
+
+class TestSpectra:
+    def test_matches_decompose_bitwise(self):
+        rng = np.random.default_rng(8)
+        points = [random_point(rng, n, 0.35) for n in (2, 3, 5, 8)]
+        points += [omega_point(n, p0=0.3).z for n in (3, 4, 7)]
+        for z in points:
+            for spec, sign in zip(spectra(z), (SignVector.even(z.n), SignVector.odd(z.n))):
+                ref = decompose(build_lax(z, sign))
+                npt.assert_array_equal(spec.values, ref.values)
+                npt.assert_array_equal(spec.vectors, ref.vectors)
+                npt.assert_array_equal(spec.gaps, ref.gaps)
+                assert spec.degenerate_pairs == ref.degenerate_pairs
+                npt.assert_array_equal(spec.sign.eps, sign.eps)
+
+    def test_pair_basis_of_open_pair(self):
+        # an unflagged pair gets the canonical basis of its raw eigenvectors
+        rng = np.random.default_rng(9)
+        z = omega_point(5).z.displaced(1e-3 * rng.standard_normal(10))
+        for spec, sign in zip(spectra(z), (SignVector.even(5), SignVector.odd(5))):
+            assert spec.degenerate_pairs == ()
+            _, raw = np.linalg.eigh(build_lax(z, sign).entries)
+            raw = raw[:, ::-1]
+            for i in range(4):
+                got = spec.pair_basis((i, i + 1))
+                want = _canonical_pair_basis(raw[:, i], raw[:, i + 1])
+                npt.assert_array_equal(got[0], want[0])
+                npt.assert_array_equal(got[1], want[1])
+
+    def test_pair_basis_of_flagged_pair(self):
+        even, odd = spectra(omega_point(4).z)
+        for spec in (even, odd):
+            for pair in spec.degenerate_pairs:
+                u1, u2 = spec.pair_basis(pair)
+                v1, v2 = spec.pair_vectors(pair)
+                npt.assert_array_equal(u1, v1)
+                npt.assert_array_equal(u2, v2)
+
 
 class TestInterlacing:
     def test_chain_layout_small_n(self):
@@ -125,27 +170,34 @@ class TestInterlacing:
 
 
 class TestBlockCoordinates:
+    """The finder's block coordinates (xi, eta) in a pair basis frozen at n = 3's equilibrium."""
+
     def setup_method(self):
         self.om = omega_point(3)
-        self.even = freeze_frame(self.om.z, SignVector.even(3))
-        self.odd = freeze_frame(self.om.z, SignVector.odd(3))
+        even, odd = spectra(self.om.z)
+        self.even_pair, self.odd_pair = even.degenerate_pairs[0], odd.degenerate_pairs[0]
+        self.specs = (even, odd)
+        self.bases = (even.pair_basis(self.even_pair), odd.pair_basis(self.odd_pair))
+
+    def coords(self, z):
+        return np.array([
+            x for odd in (False, True) for x in _block_coordinates(z, odd, *self.bases[odd])
+        ])
 
     def test_exact_at_base_point(self):
-        bc = block_coordinates(self.om.z, self.even, self.odd)
-        npt.assert_allclose(bc.xi, 0.0, atol=1e-14)
-        npt.assert_allclose(bc.eta, 0.0, atol=1e-14)
-        npt.assert_allclose(bc.tau, [-1.0], atol=1e-14)
-        npt.assert_allclose(bc.taubar, [1.0], atol=1e-14)
+        npt.assert_allclose(self.coords(self.om.z), 0.0, atol=1e-14)
+        even, odd = self.specs
+        assert even.pair_value(self.even_pair) == pytest.approx(-1.0, abs=1e-14)
+        assert odd.pair_value(self.odd_pair) == pytest.approx(1.0, abs=1e-14)
 
     def test_first_order_accuracy(self):
-        # frozen-frame coordinates match their differentials to second order
+        # frozen-basis coordinates match their differentials to second order
         rng = np.random.default_rng(4)
         v = rng.standard_normal(6)
         v /= np.linalg.norm(v)
 
         def coords(delta):
-            bc = block_coordinates(self.om.z.displaced(delta * v), self.even, self.odd)
-            return np.array([bc.xi[0], bc.eta[0], bc.xibar[0], bc.etabar[0]])
+            return self.coords(self.om.z.displaced(delta * v))
 
         d1, d2 = 1e-3, 5e-4
         c1, c2 = coords(d1), coords(d2)
@@ -155,6 +207,13 @@ class TestBlockCoordinates:
         c3 = coords(2.5e-4)
         defect2 = np.abs(c2 / 5e-4 - c3 / 2.5e-4)
         assert np.all(defect2 < 0.6 * defect + 1e-12)
+        # and the first-order term is the differential the finder steps with
+        slope = np.array([
+            form @ v
+            for odd in (False, True)
+            for form in _pair_forms(self.om.z, odd, *self.bases[odd])[:2]
+        ])
+        npt.assert_allclose(c3 / 2.5e-4, slope, atol=2e-3)
 
     def test_gap_matches_block_radius(self):
         rng = np.random.default_rng(5)
@@ -162,30 +221,10 @@ class TestBlockCoordinates:
         v /= np.linalg.norm(v)
         delta = 1e-4
         z = self.om.z.displaced(delta * v)
-        bc = block_coordinates(z, self.even, self.odd)
+        xi, eta = _block_coordinates(z, False, *self.bases[False])
         vals = np.sort(np.linalg.eigvalsh(build_lax(z).entries))[::-1]
         gap = vals[1] - vals[2]
-        npt.assert_allclose(
-            gap, 2.0 * np.hypot(bc.xi[0], bc.eta[0]), atol=50 * delta**2
-        )
-
-    def test_frame_validity_guard(self):
-        far = PhasePoint(np.array([1.5, -0.8, 0.2]), np.array([2.0, -1.0, 0.5]))
-        with pytest.raises(FrameValidityError):
-            block_coordinates(far, self.even, self.odd)
-
-    def test_explicit_pair_tracking_off_stratum(self):
-        # freezing a slightly displaced base still tracks the named block
-        rng = np.random.default_rng(7)
-        z = self.om.z.displaced(1e-3 * rng.standard_normal(6))
-        even = freeze_frame(z, SignVector.even(3), pairs=((1, 2),))
-        odd = freeze_frame(z, SignVector.odd(3), pairs=((0, 1),))
-        assert even.pairs == ((1, 2),)
-        bc = block_coordinates(z, even, odd)
-        # at the base point the block radius equals half the tracked gap
-        vals = np.sort(np.linalg.eigvalsh(build_lax(z).entries))[::-1]
-        npt.assert_allclose(np.hypot(bc.xi[0], bc.eta[0]), 0.5 * (vals[1] - vals[2]),
-                            rtol=1e-10)
+        npt.assert_allclose(gap, 2.0 * np.hypot(xi, eta), atol=50 * delta**2)
 
 
 class TestAnnihilator:
