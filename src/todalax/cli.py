@@ -12,8 +12,8 @@ import json
 import sys
 import numpy as np
 
-from .lax import PhasePoint
-from .dynamics import integrate_flow, trajectory_to_csv
+from .lax import PhaseDomainError, PhasePoint
+from .dynamics import FlowError, integrate_flow, trajectory_to_csv
 from .singularity import (
     ConvergenceError,
     PairTarget,
@@ -200,14 +200,25 @@ def cmd_integrate(args) -> int:
     p = np.asarray(args.p, float)
     if q.size != p.size:
         raise ConfigError("q and p must have equal length")
-    z0 = PhasePoint(q, p)
     c = np.asarray(args.c, float)
     if c.size != q.size:
         raise ConfigError("coefficient vector must have length n")
+    if args.samples < 1:
+        raise ConfigError(f"samples must be at least 1, got {args.samples}")
+    try:
+        z0 = PhasePoint(q, p)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     t_eval = np.linspace(0.0, args.t_final, args.samples)
-    traj = integrate_flow(z0, c, args.t_final, t_eval=t_eval,
-                          rtol=args.rtol, method=args.method, dt=args.dt)
-    trajectory_to_csv(traj, args.out)
+    try:
+        traj = integrate_flow(z0, c, args.t_final, t_eval=t_eval,
+                              rtol=args.rtol, method=args.method, dt=args.dt)
+        trajectory_to_csv(traj, args.out)
+    except (PhaseDomainError, FlowError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     print(f"trajectory with {traj.times.size} samples written to {args.out}")
     return 0
 

@@ -15,7 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .lax import PhasePoint, SignVector, build_generator, build_lax, integrals
+from .lax import (
+    PhasePoint,
+    SignVector,
+    _couplings,
+    _cyclic,
+    _lax_entries,
+    _traces,
+    build_generator,
+    build_lax,
+)
 
 __all__ = [
     "Gradient",
@@ -45,22 +54,12 @@ class Gradient:
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.dq, self.dp])
 
-    def __add__(self, other: "Gradient") -> "Gradient":
-        return Gradient(self.dq + other.dq, self.dp + other.dp)
 
-    def scaled(self, a: float) -> "Gradient":
-        return Gradient(a * self.dq, a * self.dp)
-
-
-def _grad_from_power(power: np.ndarray, b: np.ndarray) -> Gradient:
-    """Gradient of Tr(L^j)/j given L^(j-1) and the couplings."""
-    n = b.size
-    idx = np.arange(n)
-    nxt = (idx + 1) % n
-    off = power[idx, nxt]
-    dp = np.diag(power).copy()
-    dq = b * off - np.roll(b * off, 1)
-    return Gradient(dq, dp)
+def _grad_from_power(power: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(dq, dp) of Tr(L^j)/j given L^(j-1) and the couplings; dp is a read-only view."""
+    ix = _cyclic(b.size)
+    off = b * power.take(ix.upper)
+    return off - off[ix.prv], power.diagonal()
 
 
 def grad_F(z: PhasePoint, j: int) -> Gradient:
@@ -69,7 +68,37 @@ def grad_F(z: PhasePoint, j: int) -> Gradient:
     if not 1 <= j <= n:
         raise ValueError(f"flow index {j} out of range 1..{n}")
     L = build_lax(z).entries
-    return _grad_from_power(np.linalg.matrix_power(L, j - 1), z.couplings())
+    dq, dp = _grad_from_power(np.linalg.matrix_power(L, j - 1), z.couplings())
+    return Gradient(dq, dp.copy())
+
+
+def _gradient_field(n: int, c: np.ndarray):
+    """(q, p) -> (dG/dq, dG/dp) of G = sum_j c_j F_j on raw coordinate arrays.
+
+    One power recurrence up to the highest nonzero c_j serves every term.
+    Points outside the phase-space domain raise PhasePoint's
+    PhaseDomainError.
+    """
+    nonzero = np.flatnonzero(c)
+    top = int(nonzero[-1]) + 1 if nonzero.size else 0
+    even = np.ones(n)
+    eye = np.eye(n)
+
+    def gradient(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        b = _couplings(q, p)
+        L = _lax_entries(b, p, even)
+        dq, dp = np.zeros(n), np.zeros(n)
+        power = eye
+        for j in range(top):
+            if c[j] != 0.0:
+                gq, gp = _grad_from_power(power, b)
+                dq = dq + c[j] * gq
+                dp = dp + c[j] * gp
+            if j + 1 < top:
+                power = power @ L
+        return dq, dp
+
+    return gradient
 
 
 def grad_combination(z: PhasePoint, c: np.ndarray) -> Gradient:
@@ -78,16 +107,7 @@ def grad_combination(z: PhasePoint, c: np.ndarray) -> Gradient:
     n = z.n
     if c.size != n:
         raise ValueError(f"coefficient vector length {c.size} != {n}")
-    L = build_lax(z).entries
-    b = z.couplings()
-    power = np.eye(n)
-    total = Gradient(np.zeros(n), np.zeros(n))
-    for j in range(1, n + 1):
-        if c[j - 1] != 0.0:
-            total = total + _grad_from_power(power, b).scaled(c[j - 1])
-        if j < n:
-            power = power @ L
-    return total
+    return Gradient(*_gradient_field(n, c)(z.q, z.p))
 
 
 def coordinate_form(z: PhasePoint, eps: SignVector, v: np.ndarray, w: np.ndarray) -> Gradient:
@@ -156,29 +176,38 @@ class Trajectory:
         return [PhasePoint.from_vector(row) for row in self.points]
 
     def integrals_along(self) -> np.ndarray:
-        return np.array([integrals(PhasePoint.from_vector(row)) for row in self.points])
+        """integrals() of every sample, computed for all rows at once."""
+        n = self.n
+        return _traces(self.points[:, :n], self.points[:, n:])
 
 
 def _verlet(z0: PhasePoint, t_final: float, dt: float, t_eval: np.ndarray) -> np.ndarray:
-    """Fixed-step leapfrog for the physical Hamiltonian flow F_2."""
+    """Fixed-step leapfrog for the physical Hamiltonian flow F_2.
+
+    The force at the end of one step is the force at the start of the next.
+    """
+    n = z0.n
+    ix = _cyclic(n)
 
     def force(q):
-        b2 = np.exp(q - np.roll(q, -1))
-        return -(b2 - np.roll(b2, 1))
+        b2 = np.exp(q - q[ix.nxt])
+        return -(b2 - b2[ix.prv])
 
     steps = int(np.ceil(t_final / dt))
     dt = t_final / steps
-    q, p = z0.q.copy(), z0.p.copy()
-    record = np.empty((steps + 1, 2 * z0.n))
-    record[0] = np.concatenate([q, p])
+    half = 0.5 * dt
+    record = np.empty((steps + 1, 2 * n))
+    q, p = record[:, :n], record[:, n:]
+    q[0], p[0] = z0.q, z0.p
+    f = force(q[0])
     for k in range(steps):
-        p_half = p + 0.5 * dt * force(q)
-        q = q + dt * p_half
-        p = p_half + 0.5 * dt * force(q)
-        record[k + 1] = np.concatenate([q, p])
+        p_half = p[k] + half * f
+        np.add(q[k], dt * p_half, out=q[k + 1])
+        f = force(q[k + 1])
+        np.add(p_half, half * f, out=p[k + 1])
     grid = np.linspace(0.0, t_final, steps + 1)
-    out = np.empty((t_eval.size, 2 * z0.n))
-    for i in range(2 * z0.n):
+    out = np.empty((t_eval.size, 2 * n))
+    for i in range(2 * n):
         out[:, i] = np.interp(t_eval, grid, record[:, i])
     return out
 
@@ -206,22 +235,32 @@ def integrate_flow(
         raise ValueError(f"coefficient vector length {c.size} != {n}")
     if not np.isfinite(t_final):
         raise ValueError("t_final must be finite")
+    if t_final == 0.0:
+        raise ValueError("t_final must be nonzero")
     if t_eval is None:
         t_eval = np.linspace(0.0, t_final, 101)
     t_eval = np.asarray(t_eval, dtype=float)
+    if t_eval.size == 0:
+        raise ValueError("t_eval must hold at least one time")
 
     if method == "verlet":
         e2 = np.zeros(n)
         e2[1] = 1.0
         if not np.array_equal(c, e2):
             raise ValueError("the leapfrog option applies only to the pure F_2 flow")
+        if t_final < 0.0:
+            raise ValueError(f"the leapfrog integrates forward only: t_final = {t_final} < 0")
+        if not (np.isfinite(dt) and dt > 0.0):
+            raise ValueError(f"dt must be positive and finite, got {dt}")
         return Trajectory(t_eval, _verlet(z0, t_final, dt, t_eval), c)
     if method != "rk45":
         raise ValueError(f"unknown integrator {method!r}")
 
-    def rhs(_t, zvec):
-        g = grad_combination(PhasePoint.from_vector(zvec), c)
-        return np.concatenate([g.dp, -g.dq])
+    gradient = _gradient_field(n, c)
+
+    def rhs(_t, z):
+        dq, dp = gradient(z[:n], z[n:])
+        return np.concatenate([dp, -dq])
 
     sol = solve_ivp(
         rhs,

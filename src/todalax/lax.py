@@ -17,6 +17,9 @@ the index-form sums mod n instead of special-casing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+import math
+from typing import NamedTuple
 import numpy as np
 
 __all__ = [
@@ -152,15 +155,55 @@ class GeneratorMatrix:
         return self.entries.shape[0]
 
 
+class _Cyclic(NamedTuple):
+    """Read-only index arrays of the periodic chain, for r = 0..n-1."""
+
+    nxt: np.ndarray  # r + 1 (mod n)
+    prv: np.ndarray  # r - 1 (mod n)
+    diag: np.ndarray  # flat position of the entry (r, r) of an n x n matrix
+    upper: np.ndarray  # ... of (r, r + 1)
+    lower: np.ndarray  # ... of (r + 1, r)
+
+
+@lru_cache(maxsize=None)
+def _cyclic(n: int) -> _Cyclic:
+    r = np.arange(n)
+    nxt, prv = (r + 1) % n, (r - 1) % n
+    out = _Cyclic(nxt, prv, r * (n + 1), r * n + nxt, nxt * n + r)
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def _couplings(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Couplings b_j of stacked rows q, p of shape (..., n), inside PhasePoint's domain.
+
+    One test over all rows (every gap within Q_GAP_LIMIT, a finite sum of
+    the momenta) lets valid input through; otherwise every row is built as
+    a PhasePoint, whose own test raises the PhaseDomainError naming the fault.
+    """
+    n = q.shape[-1]
+    gaps = q - q[..., _cyclic(n).nxt]
+    if not (np.abs(gaps).max(initial=0.0) <= Q_GAP_LIMIT and math.isfinite(p.sum())):
+        for qr, pr in zip(q.reshape(-1, n), p.reshape(-1, n)):
+            PhasePoint(qr, pr)
+    return np.exp(0.5 * gaps)
+
+
 def _lax_entries(b: np.ndarray, p: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    n = b.size
-    m = np.zeros((n, n))
-    m[np.arange(n), np.arange(n)] = p
-    for r in range(n):
-        s = (r + 1) % n
-        m[r, s] += eps[r] * b[r]
-        m[s, r] += eps[r] * b[r]
-    return m
+    """Lax matrices of stacked rows b, p of shape (..., n): shape (..., n, n).
+
+    The entry (r, r + 1) and its mirror accumulate eps_r b_r; for n = 2
+    they coincide and hold eps_1 b_1 + eps_2 b_2.
+    """
+    n = b.shape[-1]
+    ix = _cyclic(n)
+    w = eps * b
+    m = np.zeros(b.shape[:-1] + (n * n,))
+    m[..., ix.diag] = p
+    m[..., ix.upper] = w
+    m[..., ix.lower] += w
+    return m.reshape(b.shape + (n,))
 
 
 def build_lax(z: PhasePoint, eps: SignVector | None = None) -> LaxMatrix:
@@ -199,20 +242,25 @@ def build_generator(z: PhasePoint, j: int, odd_class: bool = False) -> Generator
     return GeneratorMatrix(upper - upper.T, j, odd_class)
 
 
+def _traces(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """F_j = Tr(L^j)/j, j = 1..n, of stacked rows q, p of shape (..., n)."""
+    n = q.shape[-1]
+    L = _lax_entries(_couplings(q, p), p, np.ones(n))
+    out = np.empty(q.shape)
+    power = np.eye(n)
+    for j in range(1, n + 1):
+        power = power @ L
+        out[..., j - 1] = np.trace(power, axis1=-2, axis2=-1) / j
+    return out
+
+
 def integrals(z: PhasePoint) -> np.ndarray:
     """The n conserved quantities F_j = Tr(L^j)/j, j = 1..n.
 
     F_1 is the centre-of-mass momentum and F_2 the Hamiltonian
     sum(p_r^2)/2 + sum(b_r^2).
     """
-    L = build_lax(z).entries
-    n = z.n
-    out = np.empty(n)
-    power = np.eye(n)
-    for j in range(1, n + 1):
-        power = power @ L
-        out[j - 1] = np.trace(power) / j
-    return out
+    return _traces(z.q, z.p)
 
 
 def hamiltonian(z: PhasePoint) -> float:

@@ -222,6 +222,32 @@ class TestIntegrateCommand:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("extra, name", [
+        (["--t-final", "0"], "t_final"),
+        (["--t-final", "0", "--method", "verlet"], "t_final"),
+        (["--t-final", "-1", "--method", "verlet"], "t_final"),
+        (["--method", "verlet", "--dt", "0"], "dt"),
+        (["--method", "verlet", "--dt=-1e-3"], "dt"),
+        (["--q", "0.1,700.0"], "overflows"),
+        (["--samples", "0"], "samples"),
+    ])
+    def test_bad_times_and_points_are_config_errors(self, tmp_path, capsys, extra, name):
+        out = tmp_path / "traj.csv"
+        code = main(["integrate", "--q", "0.1,-0.1", "--p", "0.0,0.0", "--c", "0,1",
+                     "--samples", "3", "--out", str(out), *extra])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and name in err
+        assert not out.exists()
+
+    def test_backward_rk45_supported(self, tmp_path):
+        out = tmp_path / "traj.csv"
+        code = main(["integrate", "--q", "0.1,-0.1", "--p", "0.0,0.0", "--c", "0,1",
+                     "--t-final", "-1", "--samples", "3", "--out", str(out)])
+        assert code == 0
+        times = [float(ln.split(",")[0]) for ln in out.read_text().splitlines()[1:]]
+        assert times == [0.0, -0.5, -1.0]
+
 
 def test_suite_keeps_failure_reasons(monkeypatch):
     # a finder failure fails the checks that need it, with its message,
@@ -240,8 +266,13 @@ def test_suite_keeps_failure_reasons(monkeypatch):
         assert by_id[check_id].to_json_dict()["detail"] == by_id[check_id].detail
     assert "isospectral_flows[n=3]" in by_id
     assert all("detail" not in r.to_json_dict() for r in report.records if not r.detail)
+    # the checks that run on the finder's points fail and name what is missing
+    for check_id in ("corank_sigma1[n=3]", "transverse_structure[n=3]"):
+        assert by_id[check_id].status == "fail"
+        assert by_id[check_id].detail == "no sigma1_components[n=3] point for even:1, odd:1"
     assert {r.check_id for r in report.failures} == {
-        "sigma1_components[n=3]", "holonomy_omega_line[n=2]", "maslov_theorem[n=3]"
+        "sigma1_components[n=3]", "holonomy_omega_line[n=2]", "maslov_theorem[n=3]",
+        "corank_sigma1[n=3]", "transverse_structure[n=3]",
     }
 
 

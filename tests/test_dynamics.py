@@ -1,11 +1,16 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.integrate import solve_ivp
 
-from todalax.lax import PhasePoint, SignVector, build_lax, integrals
+import todalax.dynamics as dynamics
+from todalax.lax import PhaseDomainError, PhasePoint, SignVector, build_lax, integrals
 from todalax.dynamics import (
     FlowError,
     Gradient,
+    Trajectory,
     coordinate_form,
     grad_F,
     grad_combination,
@@ -196,8 +201,28 @@ class TestFlows:
 
     def test_nonfinite_time_rejected(self):
         z0 = PhasePoint(np.zeros(2), np.zeros(2))
+        c = np.array([0.0, 1.0])
         with pytest.raises(ValueError):
-            integrate_flow(z0, np.array([0.0, 1.0]), np.inf)
+            integrate_flow(z0, c, np.inf)
+        for method in ("rk45", "verlet"):
+            with pytest.raises(ValueError, match="t_final"):
+                integrate_flow(z0, c, 0.0, method=method)
+        with pytest.raises(ValueError, match="t_final"):
+            integrate_flow(z0, c, -1.0, method="verlet")
+        for dt in (0.0, -1e-3, np.nan):
+            with pytest.raises(ValueError, match="dt"):
+                integrate_flow(z0, c, 1.0, method="verlet", dt=dt)
+        for method in ("rk45", "verlet"):
+            with pytest.raises(ValueError, match="t_eval"):
+                integrate_flow(z0, c, 1.0, t_eval=np.array([]), method=method)
+
+    def test_backward_adaptive_flow(self):
+        z0 = PhasePoint(np.array([0.1, -0.4, 0.3]), np.array([0.2, 0.0, -0.2]))
+        c = np.array([0.0, 1.0, 0.0])
+        back = integrate_flow(z0, c, -2.0, t_eval=np.array([0.0, -2.0]))
+        there = back.phase_points()[-1]
+        ahead = integrate_flow(there, c, 2.0, t_eval=np.array([0.0, 2.0]))
+        npt.assert_allclose(ahead.points[-1], z0.as_vector(), atol=1e-8)
 
     def test_csv_export_schema(self, tmp_path):
         z0 = PhasePoint(np.array([0.1, -0.1]), np.array([0.0, 0.0]))
@@ -210,3 +235,181 @@ class TestFlows:
         first = [float(tok) for tok in lines[1].split(",")]
         assert first[0] == 0.0
         npt.assert_allclose(first[1:3], z0.q)
+
+
+# A frozen copy of the flow layers as they were before the vectorised kernel:
+# the right-hand side through PhasePoint, np.roll and a looped Lax fill, and
+# the leapfrog with two force evaluations per step.  The kernel must match it
+# bit for bit.
+
+def _reference_lax(z):
+    n = z.n
+    b = np.exp(0.5 * (z.q - np.roll(z.q, -1)))
+    m = np.zeros((n, n))
+    m[np.arange(n), np.arange(n)] = z.p
+    for r in range(n):
+        s = (r + 1) % n
+        m[r, s] += 1.0 * b[r]
+        m[s, r] += 1.0 * b[r]
+    return m, b
+
+
+def _reference_grad_from_power(power, b):
+    n = b.size
+    idx = np.arange(n)
+    nxt = (idx + 1) % n
+    off = power[idx, nxt]
+    dp = np.diag(power).copy()
+    dq = b * off - np.roll(b * off, 1)
+    return dq, dp
+
+
+def _reference_grad_combination(z, c):
+    n = z.n
+    L, b = _reference_lax(z)
+    power = np.eye(n)
+    dq, dp = np.zeros(n), np.zeros(n)
+    for j in range(1, n + 1):
+        if c[j - 1] != 0.0:
+            gq, gp = _reference_grad_from_power(power, b)
+            dq, dp = dq + c[j - 1] * gq, dp + c[j - 1] * gp
+        if j < n:
+            power = power @ L
+    return dq, dp
+
+
+def _reference_rhs(c):
+    def rhs(_t, zvec):
+        dq, dp = _reference_grad_combination(PhasePoint.from_vector(zvec), c)
+        return np.concatenate([dp, -dq])
+
+    return rhs
+
+
+def _reference_verlet(z0, t_final, dt, t_eval):
+    def force(q):
+        b2 = np.exp(q - np.roll(q, -1))
+        return -(b2 - np.roll(b2, 1))
+
+    steps = int(np.ceil(t_final / dt))
+    dt = t_final / steps
+    q, p = z0.q.copy(), z0.p.copy()
+    record = np.empty((steps + 1, 2 * z0.n))
+    record[0] = np.concatenate([q, p])
+    for k in range(steps):
+        p_half = p + 0.5 * dt * force(q)
+        q = q + dt * p_half
+        p = p_half + 0.5 * dt * force(q)
+        record[k + 1] = np.concatenate([q, p])
+    grid = np.linspace(0.0, t_final, steps + 1)
+    out = np.empty((t_eval.size, 2 * z0.n))
+    for i in range(2 * z0.n):
+        out[:, i] = np.interp(t_eval, grid, record[:, i])
+    return out
+
+
+def _reference_integrals(z):
+    L, _ = _reference_lax(z)
+    out = np.empty(z.n)
+    power = np.eye(z.n)
+    for j in range(1, z.n + 1):
+        power = power @ L
+        out[j - 1] = np.trace(power) / j
+    return out
+
+
+def _flow_specs(n):
+    eye = np.eye(n)
+    mixed = np.zeros(n)
+    mixed[:3] = (0.25, 1.0, -0.5)[:n]
+    return [eye[j] for j in range(min(n, 3))] + [mixed]
+
+
+class TestFrozenReference:
+    T_FINAL = 1.0
+    T_EVAL = np.linspace(0.0, 1.0, 11)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_adaptive_trajectories_bit_identical(self, n):
+        rng = np.random.default_rng(20 + n)
+        z0 = random_point(rng, n, scale=0.35)
+        for c in _flow_specs(n):
+            traj = integrate_flow(z0, c, self.T_FINAL, t_eval=self.T_EVAL)
+            ref = solve_ivp(_reference_rhs(c), (0.0, self.T_FINAL), z0.as_vector(),
+                            method="RK45", t_eval=self.T_EVAL, rtol=1e-10, atol=1e-12)
+            assert np.array_equal(traj.times, ref.t)
+            assert np.array_equal(traj.points, ref.y.T), c
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_leapfrog_bit_identical(self, n):
+        rng = np.random.default_rng(30 + n)
+        z0 = random_point(rng, n, scale=0.35)
+        traj = integrate_flow(z0, np.eye(n)[1], self.T_FINAL, t_eval=self.T_EVAL,
+                              method="verlet", dt=1e-2)
+        ref = _reference_verlet(z0, self.T_FINAL, 1e-2, self.T_EVAL)
+        assert np.array_equal(traj.points, ref)
+
+    def test_grad_combination_bit_identical(self):
+        rng = np.random.default_rng(40)
+        for n in (2, 3, 5, 8):
+            for _ in range(5):
+                z = random_point(rng, n)
+                cs = [np.zeros(n), np.eye(n)[0], np.eye(n)[-1], rng.standard_normal(n)]
+                sparse = rng.standard_normal(n)
+                sparse[::2] = 0.0
+                sparse[-1] = 0.0  # a zero top entry
+                cs.append(sparse)
+                for c in cs:
+                    g = grad_combination(z, c)
+                    dq, dp = _reference_grad_combination(z, c)
+                    assert np.array_equal(g.dq, dq) and np.array_equal(g.dp, dp)
+
+    def test_integrals_along_is_integrals_of_each_row(self):
+        rng = np.random.default_rng(50)
+        for n in (2, 3, 5, 8):
+            z0 = random_point(rng, n, scale=0.35)
+            traj = integrate_flow(z0, np.eye(n)[1], 0.5, t_eval=np.linspace(0.0, 0.5, 7))
+            along = traj.integrals_along()
+            rows = np.array([integrals(pt) for pt in traj.phase_points()])
+            assert np.array_equal(along, rows)
+            assert np.array_equal(rows, [_reference_integrals(pt) for pt in traj.phase_points()])
+
+
+class TestDomain:
+    def _vector_field(self, monkeypatch, n):
+        seen = {}
+
+        def spy(fun, *args, **kwargs):
+            seen["rhs"] = fun
+            return solve_ivp(fun, *args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "solve_ivp", spy)
+        integrate_flow(PhasePoint(np.zeros(n), np.zeros(n)), np.eye(n)[1], 0.1)
+        return seen["rhs"]
+
+    BAD = [
+        (np.array([0.0, 700.0, 0.0]), np.zeros(3)),
+        (np.array([0.0, np.nan, 0.0]), np.zeros(3)),
+        (np.zeros(3), np.array([0.0, np.inf, 0.0])),
+        (np.array([np.inf, np.inf, np.inf]), np.zeros(3)),
+    ]
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("q, p", BAD)
+    def test_vector_field_raises_phase_point_error(self, monkeypatch, q, p):
+        rhs = self._vector_field(monkeypatch, 3)
+        with pytest.raises(PhaseDomainError) as want:
+            PhasePoint(q, p)
+        with pytest.raises(PhaseDomainError, match=re.escape(str(want.value))):
+            rhs(0.0, np.concatenate([q, p]))
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("q, p", BAD)
+    def test_integrals_along_raises_phase_point_error(self, q, p):
+        good = np.zeros(6)
+        traj = Trajectory(np.arange(3.0), np.array([good, np.concatenate([q, p]), good]),
+                          np.eye(3)[1])
+        with pytest.raises(PhaseDomainError) as want:
+            PhasePoint(q, p)
+        with pytest.raises(PhaseDomainError, match=re.escape(str(want.value))):
+            traj.integrals_along()
