@@ -20,9 +20,9 @@ from .lax import (
     SignVector,
     _couplings,
     _cyclic,
+    _generator,
     _lax_entries,
     _traces,
-    build_generator,
     build_lax,
 )
 
@@ -130,29 +130,26 @@ def poisson(f: Gradient, g: Gradient) -> float:
     return float(np.dot(f.dq, g.dp) - np.dot(f.dp, g.dq))
 
 
-def _entrywise_bracket_with_F(z: PhasePoint, eps: SignVector, gF: Gradient) -> np.ndarray:
-    """Matrix of brackets {L^eps_rs, F} from the analytic gradient of F."""
-    n = z.n
-    b = z.couplings() * eps.eps
-    # sum_t dL/dq_t gF.dp_t: coupling m contributes b_m (gFdp_m - gFdp_{m+1})/2
-    weight = 0.5 * b * (gF.dp - np.roll(gF.dp, -1))
-    out = np.zeros((n, n))
-    idx = np.arange(n)
-    nxt = (idx + 1) % n
-    for m in range(n):
-        out[m, nxt[m]] += weight[m]
-        out[nxt[m], m] += weight[m]
-    out[idx, idx] -= gF.dq
-    return out
-
-
 def lax_residual(z: PhasePoint, j: int, odd_class: bool = False) -> float:
-    """Max-abs entry of {L, F_j} - [L, M_(j)] (or the odd-class analogue)."""
+    """Max-abs entry of {L, F_j} - [L, M_(j)] (or the odd-class analogue).
+
+    {L, F_j}, from the analytic gradient, has L's periodic tridiagonal pattern:
+    -dF/dq on the diagonal, b_m (dF/dp_m - dF/dp_(m+1))/2 at coupling m.
+    """
     n = z.n
-    sign = SignVector.odd(n) if odd_class else SignVector.even(n)
-    L = build_lax(z, sign).entries
-    M = build_generator(z, j, odd_class=odd_class).entries
-    bracket = _entrywise_bracket_with_F(z, sign, grad_F(z, j))
+    if not 1 <= j <= n:
+        raise ValueError(f"flow index {j} out of range 1..{n}")
+    b = z.couplings()
+    even, odd = SignVector.even(n).eps, SignVector.odd(n).eps
+    L_even, L_odd = _lax_entries(b, z.p, even), _lax_entries(b, z.p, odd)
+    grad_power = np.linalg.matrix_power(L_even, j - 1)
+    dq, dp = _grad_from_power(grad_power, b)
+    if odd_class:
+        L, eps, M = L_odd, odd, _generator(grad_power)
+    else:
+        L, eps, M = L_even, even, _generator(np.linalg.matrix_power(L_odd, j - 1))
+    weight = 0.5 * (b * eps) * (dp - dp[_cyclic(n).nxt])
+    bracket = _lax_entries(weight, -dq, even)
     return float(np.max(np.abs(bracket - (L @ M - M @ L))))
 
 

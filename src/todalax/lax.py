@@ -99,12 +99,13 @@ class PhasePoint:
 
 @dataclass(frozen=True)
 class SignVector:
-    """An n-tuple of signs selecting one member of the Lax family."""
+    """An n-tuple of signs selecting one member of the Lax family; eps is a read-only copy."""
 
     eps: np.ndarray
 
     def __post_init__(self):
-        eps = np.asarray(self.eps, dtype=float)
+        eps = np.array(self.eps, dtype=float)
+        eps.setflags(write=False)
         object.__setattr__(self, "eps", eps)
         if eps.ndim != 1 or eps.size < 2:
             raise ValueError("sign vector must be 1-d with length >= 2")
@@ -120,10 +121,12 @@ class SignVector:
         return int(np.prod(self.eps))
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def even(n: int) -> "SignVector":
         return SignVector(np.ones(n))
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def odd(n: int) -> "SignVector":
         eps = np.ones(n)
         eps[-1] = -1.0
@@ -221,8 +224,10 @@ def build_lax(z: PhasePoint, eps: SignVector | None = None) -> LaxMatrix:
     return LaxMatrix(_lax_entries(z.couplings(), z.p, eps.eps), eps)
 
 
-def _strict_upper(a: np.ndarray) -> np.ndarray:
-    return np.triu(a, k=1)
+def _generator(power: np.ndarray) -> np.ndarray:
+    """Antisymmetric matrix from the strict upper triangle of power / 2."""
+    upper = 0.5 * np.triu(power, k=1)
+    return upper - upper.T
 
 
 def build_generator(z: PhasePoint, j: int, odd_class: bool = False) -> GeneratorMatrix:
@@ -237,9 +242,7 @@ def build_generator(z: PhasePoint, j: int, odd_class: bool = False) -> Generator
     if not 1 <= j <= n:
         raise ValueError(f"flow index {j} out of range 1..{n}")
     source = build_lax(z, SignVector.even(n) if odd_class else SignVector.odd(n))
-    power = np.linalg.matrix_power(source.entries, j - 1)
-    upper = 0.5 * _strict_upper(power)
-    return GeneratorMatrix(upper - upper.T, j, odd_class)
+    return GeneratorMatrix(_generator(np.linalg.matrix_power(source.entries, j - 1)), j, odd_class)
 
 
 def _traces(q: np.ndarray, p: np.ndarray) -> np.ndarray:

@@ -1,16 +1,18 @@
-"""The full verification suite run by the command-line front end.
+"""The verification suite: one ordered registry of checks, ``CHECKS``, run by ``run_suite``.
 
-Each check exercises one exact statement about the chain (structure of the
-Lax powers, conserved-trace identities, rank of the energy-momentum map,
-local canonical structure at singular points, holonomy and winding
-identities) over deterministic seeded samples, and reduces to a single
-residual compared against its pinned tolerance.
+Each check tests one exact statement about the chain (Lax-power structure, trace
+identities, rank of the energy-momentum map, canonical structure at singular
+points, holonomy and winding) on a sample, as one residual against its tolerance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property, partial
+from itertools import groupby
+import math
 import time
+from typing import Callable, NamedTuple
 import numpy as np
 
 from .lax import (
@@ -25,6 +27,7 @@ from .dynamics import grad_F, integrate_flow, lax_residual, poisson
 from .spectral import interlacing_check
 from .singularity import (
     ConvergenceError,
+    OmegaPoint,
     PairTarget,
     SingularPoint,
     StratumCollapseError,
@@ -36,6 +39,7 @@ from .singularity import (
     omega_point,
     perturbed_seed,
     tangent_symplectic_check,
+    transverse_frequency,
 )
 from .maslov import (
     ClosedCurve,
@@ -51,7 +55,7 @@ from .maslov import (
 )
 from .reporting import CheckRecord, VerificationReport
 
-__all__ = ["RunConfig", "run_suite"]
+__all__ = ["RunConfig", "Sample", "Outcome", "Check", "CHECKS", "run_suite"]
 
 # Failures of the finder and the loop walkers: a check that meets one is
 # recorded as failed with the message, the rest of the suite still runs.
@@ -76,12 +80,16 @@ class RunConfig:
 
     def __post_init__(self):
         for name in ("degeneracy_tol", "rank_tol", "bracket_tol", "ode_rtol"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"tolerance {name} must be positive")
-        if any(n < 2 for n in self.n_values):
-            raise ValueError("all n values must be at least 2")
+        if any(n < 2 for n in self.n_values) or len(set(self.n_values)) != len(self.n_values):
+            raise ValueError(f"n values must be distinct and at least 2, got {self.n_values}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.num_points < 1:
             raise ValueError("num_points must be positive")
+        if not (math.isfinite(self.flow_t_final) and self.flow_t_final != 0):
+            raise ValueError(f"flow_t_final must be finite and nonzero, got {self.flow_t_final}")
         if self.suite not in ("full", "quick"):
             raise ValueError(f"unknown suite {self.suite!r}")
 
@@ -91,11 +99,7 @@ class RunConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "RunConfig":
-        known = {
-            "n_values", "seed", "num_points", "flow_t_final", "degeneracy_tol",
-            "rank_tol", "bracket_tol", "ode_rtol", "suite", "out",
-        }
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(RunConfig)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return RunConfig(**data)
@@ -104,319 +108,315 @@ class RunConfig:
 DESK_SCALE = 0.35  # keeps absolute tolerances meaningful up to n = 8
 
 
-def _random_points(rng: np.random.Generator, n: int, count: int, scale: float = DESK_SCALE):
-    return [
-        PhasePoint(scale * rng.standard_normal(n), scale * rng.standard_normal(n))
-        for _ in range(count)
-    ]
-
-
-def _status(residual: float, tol: float) -> str:
-    return "pass" if residual < tol else "fail"
+def random_points(rng: np.random.Generator, n: int, count: int, scale: float = DESK_SCALE):
+    """``count`` points with q and p drawn as scale * N(0, 1)."""
+    return [PhasePoint(scale * rng.standard_normal(n), scale * rng.standard_normal(n))
+            for _ in range(count)]
 
 
 def _reason(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def run_suite(config: RunConfig) -> VerificationReport:
-    """Run every check of the suite and collect one record per check."""
-    report = VerificationReport(config={
-        "n_values": config.n_values,
-        "seed": config.seed,
-        "num_points": config.points,
-        "suite": config.suite,
-    })
-    rng = np.random.default_rng(config.seed)
+@dataclass
+class Sample:
+    """What the checks run on at one size n, None for a check that does not depend on n.
 
-    def record(check_id, statement, residual, tol, status=None, seconds=None, detail=""):
-        report.add(
-            CheckRecord(check_id, statement, float(residual), tol,
-                        status or _status(residual, tol), detail),
-            seconds,
-        )
+    Random points, a relative equilibrium, centres of contractible loops (any size).
+    """
 
-    for n in config.n_values:
-        points = _random_points(rng, n, config.points)
+    n: int | None
+    points: list[PhasePoint] = field(default_factory=list)
+    equilibrium: OmegaPoint | None = None
+    centres: tuple[PhasePoint, ...] = ()
 
-        t0 = time.perf_counter()
-        worst = 0.0
-        for z in points:
-            for j in range(1, n + 1):
-                rep = off_band_check(z, j)
-                worst = max(worst, rep.zero_residual, rep.diagonal_residual)
-        record(
-            f"off_band[n={n}]",
-            "powers L^j - Lbar^j are j-off-banded; first diagonal 2 b_{r-1}..b_{r-j}, 4 at j=n",
-            worst, 1e-10, seconds=time.perf_counter() - t0,
-        )
-
-        t0 = time.perf_counter()
-        worst = max(float(np.max(trace_relation_check(z).residuals)) for z in points)
-        record(
-            f"trace_gap[n={n}]",
-            "Tr L^j = Tr Lbar^j for j < n and Tr L^n - Tr Lbar^n = 4n",
-            worst, 1e-9, seconds=time.perf_counter() - t0,
-        )
-
-        t0 = time.perf_counter()
-        constants = []
-        deviation = 0.0
-        for z in points:
-            rep = char_poly_offset(z)
-            constants.append(rep.constant)
-            deviation = max(rep.max_deviation, deviation)
-        constants = np.array(constants)
-        worst = max(
-            deviation,
-            float(np.max(np.abs(np.abs(constants) - 4.0))),
-            float(np.max(constants) - np.min(constants)),
-        )
-        record(
-            f"char_poly_offset[n={n}]",
-            "det(xI - L) - det(xI - Lbar) is constant in x and z with magnitude 4",
-            worst, 1e-8, seconds=time.perf_counter() - t0,
-        )
-
-        t0 = time.perf_counter()
-        worst = 0.0
-        for z in points:
-            grads = [grad_F(z, j) for j in range(1, n + 1)]
-            for i in range(n):
-                for j in range(i + 1, n):
-                    worst = max(worst, abs(poisson(grads[i], grads[j])))
-        record(
-            f"involution[n={n}]",
-            "all pairwise brackets of the conserved traces vanish",
-            worst, 1e-9, seconds=time.perf_counter() - t0,
-        )
-
-        t0 = time.perf_counter()
-        lax_points = points[: max(10, config.points // 4)]
-        worst = max(
-            lax_residual(z, j, odd)
-            for z in lax_points for j in range(1, n + 1) for odd in (False, True)
-        )
-        record(
-            f"lax_equations[n={n}]",
-            "bracket of L with each trace equals the commutator with its generator, both classes",
-            worst, 1e-8, seconds=time.perf_counter() - t0,
-        )
-
-        t0 = time.perf_counter()
-        violations = 0
-        for z in points:
-            violations += len(interlacing_check(z).violations)
-        record(
-            f"interlacing[n={n}]",
-            "merged spectra alternate strictly between classes, weakly inside",
-            float(violations), 1.0, seconds=time.perf_counter() - t0,
-        )
-
-        t0 = time.perf_counter()
-        p0 = float(rng.uniform(-1, 1))
-        om = omega_point(n, q0=float(rng.uniform(-1, 1)), p0=p0)
-        lam = np.sort(np.linalg.eigvalsh(build_lax(om.z).entries))[::-1]
-        bar = np.sort(np.linalg.eigvalsh(build_lax(om.z, SignVector.odd(n)).entries))[::-1]
-        worst = max(
-            float(np.max(np.abs(lam - om.even_values))),
-            float(np.max(np.abs(bar - om.odd_values))),
-        )
-        record(
-            f"omega_spectra[n={n}]",
-            "relative-equilibrium spectra match p0 + 2cos(pi k / n) closed forms",
-            worst, 1e-12, seconds=time.perf_counter() - t0,
-        )
-
-        t0 = time.perf_counter()
-        rep = corank(om.z, config.rank_tol, config.degeneracy_tol)
-        ok = rep.corank == n - 1 and rep.theorem_holds and not rep.inconclusive
-        record(
-            f"corank_omega[n={n}]",
-            "corank of the trace Jacobian equals nu + nubar = n - 1 at relative equilibria",
-            0.0 if ok else 1.0, 0.5,
-            status="pass" if ok else ("inconclusive" if rep.inconclusive else "fail"),
-            seconds=time.perf_counter() - t0,
-        )
-
-        t0 = time.perf_counter()
-        bad = 0
-        inconclusive = 0
-        for z in points:
-            rep = corank(z, config.rank_tol, config.degeneracy_tol)
-            if rep.inconclusive:
-                inconclusive += 1
-            elif rep.corank != 0 or not rep.theorem_holds:
-                bad += 1
-        status = "pass" if bad == 0 else "fail"
-        if bad == 0 and inconclusive > 0:
-            status = "inconclusive"
-        record(
-            f"corank_random[n={n}]",
-            "generic points are regular: corank 0 and no degenerate pairs",
-            float(bad), 1.0, status=status, seconds=time.perf_counter() - t0,
-        )
-
-        t0 = time.perf_counter()
-        brep = bracket_relations_check(om.z, config.bracket_tol, degeneracy_tol=config.degeneracy_tol)
-        worst = max(
-            brep.zero_max,
-            float(np.max(np.abs(brep.ratio_errors))) * config.bracket_tol / 1e-6,
-            brep.mixed_parity_max,
-            brep.conjugate_formula_residual,
-            brep.m_independence_max * config.bracket_tol / 1e-9,
-        )
-        record(
-            f"bracket_relations_omega[n={n}]",
-            "block coordinates are canonical: only same-pair {xi, eta} brackets survive, "
-            "value = pairing / n, pairing m-independent",
-            worst, config.bracket_tol, seconds=time.perf_counter() - t0,
-        )
-
-    # singular-point structure for n = 3 and 4
-    for n in (3, 4):
-        if n not in config.n_values:
-            continue
-        om = omega_point(n)
-        targets = all_pair_targets(n)
+    @cached_property
+    def sigma1(self) -> tuple[list[SingularPoint], str, str]:
+        """Single-pair points near omega_point(n), the missing targets, the finder's reason."""
+        om = omega_point(self.n)
+        targets = all_pair_targets(self.n)
         found: list[SingularPoint] = []
-        t0 = time.perf_counter()
-        detail = ""
         try:
             for target in targets:
                 rest = [t for t in targets if t != target]
-                seed = perturbed_seed(om, rest, eps=1e-2)
-                found.append(find_singular(seed, [target]))
+                found.append(find_singular(perturbed_seed(om, rest, eps=1e-2), [target]))
         except FINDER_ERRORS as exc:
-            detail = _reason(exc)
-        record(
-            f"sigma1_components[n={n}]",
-            "every allowed single-pair degeneracy is realized near the relative equilibrium",
-            1.0 if detail else 0.0, 0.5, seconds=time.perf_counter() - t0, detail=detail,
+            missing = ", ".join(t.label for t in targets[len(found):])
+            return found, f"no sigma1_components[n={self.n}] point for {missing}", _reason(exc)
+        return found, "", ""
+
+
+class Outcome(NamedTuple):
+    """A check's result on one sample; a status of None is decided by the tolerance."""
+
+    residual: float
+    status: str | None = None
+    detail: str = ""
+
+
+@dataclass(frozen=True)
+class Check:
+    """One registry entry: an exact statement, its bound and how to test it on a sample.
+
+    ``tolerance`` is a number or the name of the RunConfig field holding it.
+    ``sizes`` are the n the suite runs it at: None for every configured n,
+    else those of the tuple that are configured; a size None is one run that
+    does not depend on n, and its id carries no n.
+    """
+
+    name: str
+    statement: str
+    tolerance: float | str
+    fn: Callable[[Sample, RunConfig], Outcome]
+    sizes: tuple[int | None, ...] | None = None
+
+    def run(self, sample: Sample, config: RunConfig) -> CheckRecord:
+        tol = getattr(config, self.tolerance) if isinstance(self.tolerance, str) else self.tolerance
+        residual, status, detail = self.fn(sample, config)
+        check_id = self.name if sample.n is None else f"{self.name}[n={sample.n}]"
+        return CheckRecord(check_id, self.statement, float(residual), tol,
+                           status or ("pass" if residual < tol else "fail"), detail)
+
+
+# Each entry below is its function made a Check: @partial(Check, name, statement, tolerance).
+
+# -- every configured n: random points and a relative equilibrium ---------
+
+@partial(Check, "off_band", "powers L^j - Lbar^j are j-off-banded; first diagonal "
+         "2 b_{r-1}..b_{r-j}, 4 at j=n", 1e-10)
+def _off_band(s: Sample, config: RunConfig) -> Outcome:
+    worst = 0.0
+    for z in s.points:
+        for j in range(1, s.n + 1):
+            rep = off_band_check(z, j)
+            worst = max(worst, rep.zero_residual, rep.diagonal_residual)
+    return Outcome(worst)
+
+
+@partial(Check, "trace_gap", "Tr L^j = Tr Lbar^j for j < n and Tr L^n - Tr Lbar^n = 4n", 1e-9)
+def _trace_gap(s: Sample, config: RunConfig) -> Outcome:
+    return Outcome(max(float(np.max(trace_relation_check(z).residuals)) for z in s.points))
+
+
+@partial(Check, "char_poly_offset",
+         "det(xI - L) - det(xI - Lbar) is constant in x and z with magnitude 4", 1e-8)
+def _char_poly_offset(s: Sample, config: RunConfig) -> Outcome:
+    reps = [char_poly_offset(z) for z in s.points]
+    constants = np.array([rep.constant for rep in reps])
+    return Outcome(max(max(rep.max_deviation for rep in reps),
+                       float(np.max(np.abs(np.abs(constants) - 4.0))),
+                       float(np.max(constants) - np.min(constants))))
+
+
+@partial(Check, "involution", "all pairwise brackets of the conserved traces vanish", 1e-9)
+def _involution(s: Sample, config: RunConfig) -> Outcome:
+    worst = 0.0
+    for z in s.points:
+        grads = [grad_F(z, j) for j in range(1, s.n + 1)]
+        for i in range(s.n):
+            for j in range(i + 1, s.n):
+                worst = max(worst, abs(poisson(grads[i], grads[j])))
+    return Outcome(worst)
+
+
+@partial(Check, "lax_equations", "bracket of L with each trace equals the commutator with "
+         "its generator, both classes", 1e-8)
+def _lax_equations(s: Sample, config: RunConfig) -> Outcome:
+    # the first quarter of the points, at least ten
+    return Outcome(max(
+        lax_residual(z, j, odd)
+        for z in s.points[: max(10, len(s.points) // 4)]
+        for j in range(1, s.n + 1) for odd in (False, True)
+    ))
+
+
+@partial(Check, "interlacing",
+         "merged spectra alternate strictly between classes, weakly inside", 1.0)
+def _interlacing(s: Sample, config: RunConfig) -> Outcome:
+    return Outcome(float(sum(len(interlacing_check(z).violations) for z in s.points)))
+
+
+@partial(Check, "omega_spectra",
+         "relative-equilibrium spectra match p0 + 2cos(pi k / n) closed forms", 1e-12)
+def _omega_spectra(s: Sample, config: RunConfig) -> Outcome:
+    om = s.equilibrium
+    lam = np.sort(np.linalg.eigvalsh(build_lax(om.z).entries))[::-1]
+    bar = np.sort(np.linalg.eigvalsh(build_lax(om.z, SignVector.odd(s.n)).entries))[::-1]
+    return Outcome(max(float(np.max(np.abs(lam - om.even_values))),
+                       float(np.max(np.abs(bar - om.odd_values)))))
+
+
+@partial(Check, "corank_omega", "corank of the trace Jacobian equals nu + nubar = n - 1 at "
+         "relative equilibria", 0.5)
+def _corank_omega(s: Sample, config: RunConfig) -> Outcome:
+    rep = corank(s.equilibrium.z, config.rank_tol, config.degeneracy_tol)
+    ok = (rep.corank == s.n - 1 and rep.nu == (s.n - 1) // 2 and rep.nubar == s.n // 2
+          and rep.theorem_holds and not rep.inconclusive)
+    return Outcome(0.0 if ok else 1.0,
+                   "pass" if ok else ("inconclusive" if rep.inconclusive else "fail"))
+
+
+@partial(Check, "corank_random",
+         "generic points are regular: corank 0 and no degenerate pairs", 1.0)
+def _corank_random(s: Sample, config: RunConfig) -> Outcome:
+    reps = [corank(z, config.rank_tol, config.degeneracy_tol) for z in s.points]
+    bad = sum(not r.inconclusive and (r.corank != 0 or not r.theorem_holds) for r in reps)
+    inconclusive = any(r.inconclusive for r in reps)
+    return Outcome(float(bad), "fail" if bad else ("inconclusive" if inconclusive else "pass"))
+
+
+@partial(Check, "bracket_relations_omega", "block coordinates are canonical: only same-pair "
+         "{xi, eta} brackets survive, value = pairing / n, pairing m-independent", "bracket_tol")
+def _bracket_relations_omega(s: Sample, config: RunConfig) -> Outcome:
+    brep = bracket_relations_check(s.equilibrium.z, config.bracket_tol,
+                                   degeneracy_tol=config.degeneracy_tol)
+    return Outcome(max(
+        brep.zero_max,
+        float(np.max(np.abs(brep.ratio_errors))) * config.bracket_tol / 1e-6,
+        brep.mixed_parity_max,
+        brep.conjugate_formula_residual,
+        brep.m_independence_max * config.bracket_tol / 1e-9,
+    ))
+
+
+# -- n = 3, 4: singular points near the relative equilibrium ---------------
+
+@partial(Check, "sigma1_components", "every allowed single-pair degeneracy is realized near "
+         "the relative equilibrium", 0.5, sizes=(3, 4))
+def _sigma1_components(s: Sample, config: RunConfig) -> Outcome:
+    reason = s.sigma1[2]
+    return Outcome(1.0 if reason else 0.0, detail=reason)
+
+
+@partial(Check, "corank_sigma1", "corank 1 = nu + nubar at every refined single-pair point",
+         0.5, sizes=(3, 4))
+def _corank_sigma1(s: Sample, config: RunConfig) -> Outcome:
+    found, missing, _ = s.sigma1
+    worst = 1.0 if missing else 0.0
+    for sp in found:
+        rep = corank(sp.z, config.rank_tol, config.degeneracy_tol)
+        if rep.corank != 1 or not rep.theorem_holds or rep.inconclusive:
+            worst = 1.0
+    return Outcome(worst, detail=missing)
+
+
+@partial(Check, "transverse_structure", "Hessian of the annihilating combination is the "
+         "spectral dyad sum; linearized flow elliptic with the closed-form frequency", 1e-6,
+         sizes=(3, 4))
+def _transverse_structure(s: Sample, config: RunConfig) -> Outcome:
+    found, missing, _ = s.sigma1
+    worst = 1.0 if missing else 0.0
+    for sp in found:
+        target = sp.targets[0]
+        hrep = hessian_structure_check(sp, target, degeneracy_tol=config.degeneracy_tol)
+        formula = transverse_frequency(sp, target, config.degeneracy_tol)
+        brep = bracket_relations_check(sp, config.bracket_tol,
+                                       degeneracy_tol=config.degeneracy_tol)
+        worst = max(
+            worst,
+            hrep.residual_full,
+            hrep.omega_relative_error,
+            abs(abs(formula) - hrep.omega_spectrum) / abs(formula),
+            0.0 if hrep.trace_K_squared < 0 else 1.0,
+            brep.zero_max * 1e-6 / config.bracket_tol,
+            brep.mixed_parity_max * 1e-6 / config.bracket_tol,
+            float(np.max(np.abs(brep.ratio_errors))),
+            0.0 if brep.m_independence_max < 1e-9 else 1.0,
+            0.0 if tangent_symplectic_check(sp) > 1e-6 else 1.0,
         )
-        # the two checks below run on the found points: a missing one fails them
-        missing = [t.label for t in targets[len(found):]]
-        missing_detail = (
-            f"no sigma1_components[n={n}] point for {', '.join(missing)}" if missing else ""
-        )
+    return Outcome(worst, detail=missing)
 
-        t0 = time.perf_counter()
-        worst = 1.0 if missing else 0.0
-        for sp in found:
-            rep = corank(sp.z, config.rank_tol, config.degeneracy_tol)
-            if rep.corank != 1 or not rep.theorem_holds or rep.inconclusive:
-                worst = 1.0
-        record(
-            f"corank_sigma1[n={n}]",
-            "corank 1 = nu + nubar at every refined single-pair point",
-            worst, 0.5, seconds=time.perf_counter() - t0, detail=missing_detail,
-        )
 
-        t0 = time.perf_counter()
-        worst = 1.0 if missing else 0.0
-        for sp in found:
-            hrep = hessian_structure_check(sp, sp.targets[0], degeneracy_tol=config.degeneracy_tol)
-            worst = max(
-                worst,
-                hrep.residual_full,
-                hrep.omega_relative_error,
-                0.0 if hrep.trace_K_squared < 0 else 1.0,
-            )
-            brep = bracket_relations_check(sp, config.bracket_tol,
-                                           degeneracy_tol=config.degeneracy_tol)
-            worst = max(worst, brep.zero_max * 1e-6 / config.bracket_tol,
-                        float(np.max(np.abs(brep.ratio_errors))))
-            worst = max(worst, 0.0 if tangent_symplectic_check(sp) > 1e-6 else 1.0)
-        record(
-            f"transverse_structure[n={n}]",
-            "Hessian of the annihilating combination is the spectral dyad sum; "
-            "linearized flow elliptic with the closed-form frequency",
-            worst, 1e-6, seconds=time.perf_counter() - t0, detail=missing_detail,
-        )
+# -- holonomy, winding and flows -------------------------------------------
 
-    # holonomy and winding checks
-    t0 = time.perf_counter()
-    mu_osc = maslov_index(oscillator_angle_loop(3), frame_fn=oscillator_frame).mu
-    record(
-        "maslov_calibration",
-        "plumbing: harmonic-oscillator angle loop scores +2 with the stored orientation",
-        0.0 if mu_osc == 2 else 1.0, 0.5, seconds=time.perf_counter() - t0,
-    )
+@partial(Check, "maslov_calibration", "plumbing: harmonic-oscillator angle loop scores +2 "
+         "with the stored orientation", 0.5, sizes=(None,))
+def _maslov_calibration(s: Sample, config: RunConfig) -> Outcome:
+    res = maslov_index(oscillator_angle_loop(3), frame_fn=oscillator_frame)
+    return Outcome(0.0 if res.mu == 2 and res.calibration_sign == -1 else 1.0)
 
-    if 2 in config.n_values:
-        t0 = time.perf_counter()
-        detail = ""
-        try:
-            sp2 = find_singular(omega_point(2).z, [PairTarget(True, 1)])
-            curve = ClosedCurve.around_pair(sp2, PairTarget(True, 1), radius=5e-2)
-            rep = check_holonomy_theorem(curve)
-            ok = (
-                rep.agree
-                and abs(rep.mu) == 2
-                and rep.lhs == -1
-                and np.array_equal(rep.holonomy.gammabar, [-1.0, -1.0])
-                and np.array_equal(rep.holonomy.gamma, [1.0, 1.0])
-            )
-        except LOOP_ERRORS as exc:
-            ok, detail = False, _reason(exc)
-        record(
-            "holonomy_omega_line[n=2]",
-            "loop around the relative-equilibrium line: odd pair flips, |mu| = 2, "
-            "(-1)^(mu/2) = even-index product = -1",
-            0.0 if ok else 1.0, 0.5, seconds=time.perf_counter() - t0, detail=detail,
-        )
 
-    if 3 in config.n_values:
-        t0 = time.perf_counter()
-        detail = ""
-        try:
-            om3 = omega_point(3)
-            sp3 = find_singular(
-                perturbed_seed(om3, [PairTarget(False, 1)], eps=1e-2), [PairTarget(True, 1)]
-            )
-            curve = ClosedCurve.around_pair(sp3, PairTarget(True, 1), radius=2e-3)
-            rep = check_holonomy_theorem(curve)
-            ok = rep.agree and abs(rep.mu) == 2
+@partial(Check, "holonomy_omega_line", "loop around the relative-equilibrium line: odd pair "
+         "flips, |mu| = 2, (-1)^(mu/2) = even-index product = -1", 0.5, sizes=(2,))
+def _holonomy_omega_line(s: Sample, config: RunConfig) -> Outcome:
+    try:
+        sp = find_singular(omega_point(s.n).z, [PairTarget(True, 1)])
+        rep = check_holonomy_theorem(ClosedCurve.around_pair(sp, PairTarget(True, 1), radius=5e-2))
+    except LOOP_ERRORS as exc:
+        return Outcome(1.0, detail=_reason(exc))
+    hol = rep.holonomy
+    ok = (rep.agree and abs(rep.mu) == 2 and rep.lhs == -1 and hol.even_product == -1
+          and np.array_equal(hol.gammabar, [-1.0, -1.0]) and np.array_equal(hol.gamma, [1.0, 1.0]))
+    return Outcome(0.0 if ok else 1.0)
 
-            z_reg = PhasePoint(np.array([0.5, -0.2, 0.1]), np.array([0.3, 0.9, -0.4]))
-            v1 = np.eye(6)[0]
-            v2 = np.eye(6)[4]
-            rep_reg = check_holonomy_theorem(ClosedCurve.circle(z_reg, v1, v2, 0.05))
-            ok = ok and rep_reg.mu == 0 and rep_reg.agree
 
-            sp3b = find_singular(PhasePoint(sp3.z.q, sp3.z.p + 0.25), [PairTarget(True, 1)])
-            enc = enclosure_count_check(
-                [DiskSpec(sp3, radius=2e-3), DiskSpec(sp3b, radius=2e-3)]
-            )
-            ok = ok and enc.passed
-        except LOOP_ERRORS as exc:
-            ok, detail = False, _reason(exc)
-        record(
-            "maslov_theorem[n=3]",
-            "(-1)^(mu/2) equals the even-indexed holonomy product; boundary winding "
-            "counts enclosed singular points as -2 sum sigma",
-            0.0 if ok else 1.0, 0.5, seconds=time.perf_counter() - t0, detail=detail,
-        )
+@partial(Check, "maslov_theorem", "(-1)^(mu/2) equals the even-indexed holonomy product; "
+         "boundary winding counts enclosed singular points as -2 sum sigma", 0.5, sizes=(3,))
+def _maslov_theorem(s: Sample, config: RunConfig) -> Outcome:
+    target = PairTarget(True, 1)
+    try:
+        sp = find_singular(perturbed_seed(omega_point(s.n), [PairTarget(False, 1)], eps=1e-2),
+                           [target])
+        rep = check_holonomy_theorem(ClosedCurve.around_pair(sp, target, radius=2e-3))
+        ok = rep.agree and abs(rep.mu) == 2
+        for z in s.centres:  # contractible loops: mu = 0, every holonomy +1
+            axes = np.eye(2 * z.n)
+            rep = check_holonomy_theorem(ClosedCurve.circle(z, axes[0], axes[z.n + 1], 0.05))
+            ok = (ok and rep.mu == 0 and rep.agree
+                  and np.all(rep.holonomy.gamma == 1.0) and np.all(rep.holonomy.gammabar == 1.0))
+        sp_b = find_singular(PhasePoint(sp.z.q, sp.z.p + 0.25), [target])
+        disks = [DiskSpec(sp, radius=2e-3), DiskSpec(sp_b, radius=2e-3)]
+        ok = ok and enclosure_count_check(disks).passed
+    except LOOP_ERRORS as exc:
+        return Outcome(1.0, detail=_reason(exc))
+    return Outcome(0.0 if ok else 1.0)
 
-    if 3 in config.n_values:
-        t0 = time.perf_counter()
-        z0 = PhasePoint(np.array([0.4, -0.3, -0.1]), np.array([0.2, -0.5, 0.3]))
-        drift = 0.0
-        for flow_j in (2, 3):
-            c = np.zeros(3)
-            c[flow_j - 1] = 1.0
-            traj = integrate_flow(z0, c, config.flow_t_final,
-                                  t_eval=np.linspace(0, config.flow_t_final, 51),
-                                  rtol=config.ode_rtol)
-            ref = np.sort(np.linalg.eigvalsh(build_lax(z0).entries))
-            scale = max(1.0, float(np.max(np.abs(ref))))
-            for pt in traj.phase_points():
-                vals = np.sort(np.linalg.eigvalsh(build_lax(pt).entries))
+
+@partial(Check, "isospectral_flows", "eigenvalues of L are constant along the second and "
+         "third trace flows", 1e-8, sizes=(3,))
+def _isospectral_flows(s: Sample, config: RunConfig) -> Outcome:
+    # the spectra of both classes, drift relative to the even one's size
+    z0 = PhasePoint(np.array([0.4, -0.3, -0.1]), np.array([0.2, -0.5, 0.3]))
+    signs = (SignVector.even(3), SignVector.odd(3))
+    refs = [np.sort(np.linalg.eigvalsh(build_lax(z0, sign).entries)) for sign in signs]
+    scale = max(1.0, float(np.max(np.abs(refs[0]))))
+    t_final = config.flow_t_final
+    drift = 0.0
+    for c in np.eye(3)[1:]:
+        traj = integrate_flow(z0, c, t_final, t_eval=np.linspace(0, t_final, 51),
+                              rtol=config.ode_rtol)
+        for pt in traj.phase_points():
+            for sign, ref in zip(signs, refs):
+                vals = np.sort(np.linalg.eigvalsh(build_lax(pt, sign).entries))
                 drift = max(drift, float(np.max(np.abs(vals - ref))) / scale)
-        record(
-            "isospectral_flows[n=3]",
-            "eigenvalues of L are constant along the second and third trace flows",
-            drift, 1e-8, seconds=time.perf_counter() - t0,
-        )
+    return Outcome(drift)
 
+
+CHECKS = (
+    _off_band, _trace_gap, _char_poly_offset, _involution, _lax_equations, _interlacing,
+    _omega_spectra, _corank_omega, _corank_random, _bracket_relations_omega,
+    _sigma1_components, _corank_sigma1, _transverse_structure,
+    _maslov_calibration, _holonomy_omega_line, _maslov_theorem, _isospectral_flows,
+)
+
+
+def run_suite(config: RunConfig) -> VerificationReport:
+    """Run the registry and collect one timed record per check and size."""
+    report = VerificationReport(config={"n_values": config.n_values, "seed": config.seed,
+                                        "num_points": config.points, "suite": config.suite})
+    rng = np.random.default_rng(config.seed)
+    loops = (PhasePoint(np.array([0.5, -0.2, 0.1]), np.array([0.3, 0.9, -0.4])),)
+    samples = {None: Sample(None)}
+    for n in config.n_values:  # random points, then p0, then q0
+        points = random_points(rng, n, config.points)
+        p0 = float(rng.uniform(-1, 1))
+        om = omega_point(n, q0=float(rng.uniform(-1, 1)), p0=p0)
+        samples[n] = Sample(n, points, om, loops)
+    # consecutive checks with equal sizes run size by size, at the sizes with a sample
+    for sizes, block in groupby(CHECKS, key=lambda check: check.sizes):
+        block = list(block)
+        for n in config.n_values if sizes is None else [n for n in sizes if n in samples]:
+            for check in block:
+                t0 = time.perf_counter()
+                report.add(check.run(samples[n], config), time.perf_counter() - t0)
     return report

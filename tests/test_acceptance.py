@@ -1,330 +1,101 @@
-"""Acceptance suite: one test per criterion, each printing a pass/fail line.
+"""Acceptance suite: the paper's twelve criteria, run as checks of the registry.
 
-Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
-lines.  Sampling uses desk-scale seeded points (sigma = 0.35) so that the
-absolute tolerances stay meaningful at the largest sizes.
+Each criterion runs its entries of ``todalax.verify.CHECKS`` on the test's
+own samples (seeds 101-106, n up to 8), with the registry's tolerances, and
+prints one pass/fail line per check.  Run with
+``pytest tests/test_acceptance.py -s`` to see the lines.
 """
 
 import time
 
 import numpy as np
-import numpy.testing as npt
 import pytest
 
-from todalax.lax import (
-    PhasePoint,
-    SignVector,
-    build_lax,
-    char_poly_offset,
-    off_band_check,
-    trace_relation_check,
-)
-from todalax.dynamics import grad_F, integrate_flow, lax_residual, poisson
-from todalax.spectral import interlacing_check
-from todalax.singularity import (
-    PairTarget,
-    all_pair_targets,
-    bracket_relations_check,
-    corank,
-    find_singular,
-    hessian_structure_check,
-    omega_point,
-    perturbed_seed,
-    transverse_frequency,
-)
-from todalax.maslov import (
-    ClosedCurve,
-    DiskSpec,
-    check_holonomy_theorem,
-    enclosure_count_check,
-    maslov_index,
-    oscillator_angle_loop,
-    oscillator_frame,
-    transport_eigenvectors,
-)
+from todalax.lax import PhasePoint
+from todalax.singularity import omega_point
+from todalax.verify import CHECKS, RunConfig, Sample, random_points
 
-SCALE = 0.35
+CONFIG = RunConfig()
+SIGMA1_CHECKS = ("sigma1_components", "corank_sigma1", "transverse_structure")
 
 
-def _points(rng, n, count):
-    return [
-        PhasePoint(SCALE * rng.standard_normal(n), SCALE * rng.standard_normal(n))
-        for _ in range(count)
-    ]
+def _random(seed, sizes, count):
+    rng = np.random.default_rng(seed)
+    return [Sample(n, random_points(rng, n, count)) for n in sizes]
 
 
-def _line(num, ok, detail):
-    print(f"criterion {num:2d} [{'PASS' if ok else 'FAIL'}] {detail}")
-    assert ok, detail
+def _equilibria(sizes, *q0_p0):
+    return [Sample(n, equilibrium=omega_point(n, q0, p0)) for n in sizes for q0, p0 in q0_p0]
+
+
+# the test's samples of every registry check but the sigma1 ones
+SAMPLES = {
+    "off_band": lambda: _random(101, range(2, 9), 100),
+    "trace_gap": lambda: _random(102, range(2, 9), 100),
+    "char_poly_offset": lambda: _random(102, range(2, 9), 100),
+    "lax_equations": lambda: _random(103, range(2, 7), 200),  # the check uses 50
+    "involution": lambda: _random(104, range(2, 7), 1000),
+    "corank_random": lambda: _random(105, range(2, 9), 150),
+    "interlacing": lambda: _random(106, range(3, 9), 1667),
+    "omega_spectra": lambda: _equilibria(range(2, 9), (0.0, 0.0), (0.6, -0.8), (-1.1, 0.4)),
+    "corank_omega": lambda: _equilibria(range(2, 9), (0.0, 0.0)),
+    "bracket_relations_omega": lambda: _equilibria(range(2, 7), (0.0, 0.2)),
+    "maslov_calibration": lambda: [Sample(None)],
+    "holonomy_omega_line": lambda: [Sample(2)],
+    "maslov_theorem": lambda: [Sample(3, centres=(
+        PhasePoint(np.array([0.4, -0.1]), np.array([0.2, 0.7])),
+        PhasePoint(np.array([0.5, -0.2, 0.1]), np.array([0.3, 0.9, -0.4])),
+    ))],
+    "isospectral_flows": lambda: [Sample(3)],
+}
+
+# criterion -> its registry checks and a wall-time limit in seconds
+CRITERIA = {
+    "01_off_band_structure": (("off_band",), 10.0),
+    "02_trace_and_charpoly_constants": (("trace_gap", "char_poly_offset"), 5.0),
+    "03_higher_lax_equations": (("lax_equations",), 30.0),
+    "04_involution": (("involution",), None),
+    "05_corank_theorem": (("corank_omega", "corank_sigma1", "corank_random"), None),
+    "06_interlacing": (("interlacing",), None),
+    "07_omega_spectra": (("omega_spectra",), None),
+    "08_bracket_structure": (("bracket_relations_omega",), None),
+    "09_transverse_stability": (("sigma1_components", "transverse_structure"), 60.0),
+    "10_maslov_holonomy": (("holonomy_omega_line", "maslov_theorem"), None),
+    "11_calibration_regression": (("maslov_calibration",), None),
+    "12_isospectral_flows": (("isospectral_flows",), None),
+}
 
 
 @pytest.fixture(scope="module")
-def sigma1_points():
-    """One refined single-pair point per component for n = 3 and n = 4."""
-    found = {}
-    for n in (3, 4):
-        om = omega_point(n)
-        targets = all_pair_targets(n)
-        found[n] = []
-        for t in targets:
-            rest = [u for u in targets if u != t]
-            found[n].append(find_singular(perturbed_seed(om, rest, eps=1e-2), [t]))
-    return found
+def sigma1():
+    """The sigma1 checks' samples; they share the finder's points."""
+    return [Sample(3), Sample(4)]
 
 
-def test_criterion_01_off_band_structure():
-    rng = np.random.default_rng(101)
-    start = time.perf_counter()
-    worst = 0.0
-    for n in range(2, 9):
-        for j in range(1, n + 1):
-            for z in _points(rng, n, 100):
-                rep = off_band_check(z, j, tol=1e-10)
-                worst = max(worst, rep.zero_residual, rep.diagonal_residual)
-    elapsed = time.perf_counter() - start
-    ok = worst < 1e-10 and elapsed < 10.0
-    _line(1, ok, f"off-banded powers: worst residual {worst:.2e} (tol 1e-10), {elapsed:.1f}s")
+def _criterion(names, limit):
+    def test(sigma1):
+        start = time.perf_counter()
+        for name in names:
+            check = next(c for c in CHECKS if c.name == name)
+            t0 = time.perf_counter()
+            samples = sigma1 if name in SIGMA1_CHECKS else SAMPLES[name]()
+            records = [check.run(s, CONFIG) for s in samples]
+            bad = [f"{r.check_id} {r.status} {r.detail}" for r in records if r.status != "pass"]
+            print(f"{name:24s} [{'FAIL' if bad else 'PASS'}] worst residual "
+                  f"{max(r.residual for r in records):.2e} (tol {records[0].tolerance:.0e}) "
+                  f"over {len(records)} samples, {time.perf_counter() - t0:.1f}s")
+            assert not bad, bad
+        elapsed = time.perf_counter() - start
+        assert limit is None or elapsed < limit, f"{elapsed:.1f}s over the {limit}s limit"
+
+    return test
 
 
-def test_criterion_02_trace_and_charpoly_constants():
-    rng = np.random.default_rng(102)
-    start = time.perf_counter()
-    worst_trace = 0.0
-    worst_dev = 0.0
-    worst_const = 0.0
-    x_grid = np.linspace(-3.0, 3.0, 21)
-    for n in range(2, 9):
-        for z in _points(rng, n, 100):
-            worst_trace = max(worst_trace, float(np.max(trace_relation_check(z).residuals)))
-            rep = char_poly_offset(z, x_grid)
-            worst_dev = max(worst_dev, rep.max_deviation)
-            worst_const = max(worst_const, abs(abs(rep.constant) - 4.0))
-    elapsed = time.perf_counter() - start
-    ok = worst_trace < 1e-9 and worst_dev < 1e-8 and worst_const < 1e-8 and elapsed < 5.0
-    _line(
-        2, ok,
-        f"trace gap {worst_trace:.2e} (tol 1e-9), char-poly deviation {worst_dev:.2e}, "
-        f"|const|-4 {worst_const:.2e} (tol 1e-8), {elapsed:.1f}s",
-    )
+for _label, (_names, _limit) in CRITERIA.items():
+    globals()[f"test_criterion_{_label}"] = _criterion(_names, _limit)
 
 
-def test_criterion_03_higher_lax_equations():
-    rng = np.random.default_rng(103)
-    start = time.perf_counter()
-    worst = 0.0
-    for n in range(2, 7):
-        for z in _points(rng, n, 50):
-            for j in range(1, n + 1):
-                worst = max(worst, lax_residual(z, j), lax_residual(z, j, odd_class=True))
-    elapsed = time.perf_counter() - start
-    ok = worst < 1e-8 and elapsed < 30.0
-    _line(3, ok, f"bracket vs commutator residual {worst:.2e} (tol 1e-8), {elapsed:.1f}s")
-
-
-def test_criterion_04_involution():
-    rng = np.random.default_rng(104)
-    worst = 0.0
-    for n in range(2, 7):
-        for z in _points(rng, n, 1000):
-            grads = [grad_F(z, j) for j in range(1, n + 1)]
-            for i in range(n):
-                for j in range(i + 1, n):
-                    worst = max(worst, abs(poisson(grads[i], grads[j])))
-    ok = worst < 1e-9
-    _line(4, ok, f"trace brackets vanish: worst {worst:.2e} (tol 1e-9)")
-
-
-def test_criterion_05_corank_theorem(sigma1_points):
-    rng = np.random.default_rng(105)
-    ok = True
-    detail = []
-    for n in range(2, 9):
-        rep = corank(omega_point(n).z)
-        good = (
-            rep.corank == n - 1
-            and rep.nu == (n - 1) // 2
-            and rep.nubar == n // 2
-            and not rep.inconclusive
-        )
-        ok = ok and good
-        if not good:
-            detail.append(f"equilibrium n={n}: corank {rep.corank}, nu {rep.nu}, nubar {rep.nubar}")
-    for n in (3, 4):
-        for sp in sigma1_points[n]:
-            rep = corank(sp.z)
-            good = rep.corank == 1 and rep.theorem_holds and not rep.inconclusive
-            ok = ok and good
-            if not good:
-                detail.append(f"refined point n={n} {sp.targets[0].label}: corank {rep.corank}")
-    regular_bad = 0
-    for n in range(2, 9):
-        for z in _points(rng, n, 150):
-            rep = corank(z)
-            if rep.corank != 0 or rep.nu + rep.nubar != 0:
-                regular_bad += 1
-    ok = ok and regular_bad == 0
-    _line(
-        5, ok,
-        "corank equals nu + nubar at equilibria (n-1), refined points (1) and "
-        f"1050 regular points (0); {'; '.join(detail) or 'no exceptions'}",
-    )
-
-
-def test_criterion_06_interlacing():
-    rng = np.random.default_rng(106)
-    violations = 0
-    total = 0
-    for n in range(3, 9):
-        for z in _points(rng, n, 1667):
-            violations += len(interlacing_check(z).violations)
-            total += 1
-    ok = violations == 0
-    _line(6, ok, f"interlacing chain: {violations} violations over {total} points")
-
-
-def test_criterion_07_omega_spectra():
-    worst = 0.0
-    for n in range(2, 9):
-        for (q0, p0) in ((0.0, 0.0), (0.6, -0.8), (-1.1, 0.4)):
-            om = omega_point(n, q0, p0)
-            lam = np.sort(np.linalg.eigvalsh(build_lax(om.z).entries))[::-1]
-            bar = np.sort(np.linalg.eigvalsh(build_lax(om.z, SignVector.odd(n)).entries))[::-1]
-            worst = max(
-                worst,
-                float(np.max(np.abs(lam - om.even_values))),
-                float(np.max(np.abs(bar - om.odd_values))),
-            )
-    ok = worst < 1e-12
-    _line(7, ok, f"closed-form equilibrium spectra: worst mismatch {worst:.2e} (tol 1e-12)")
-
-
-def test_criterion_08_bracket_structure(sigma1_points):
-    worst_zero = 0.0
-    worst_ratio = 0.0
-    worst_m = 0.0
-    for n in range(2, 7):
-        rep = bracket_relations_check(omega_point(n, p0=0.2).z)
-        worst_zero = max(worst_zero, rep.zero_max, rep.mixed_parity_max)
-        worst_ratio = max(worst_ratio, float(np.max(np.abs(rep.ratio_errors))))
-        worst_m = max(worst_m, rep.m_independence_max)
-    for n in (3, 4):
-        for sp in sigma1_points[n]:
-            rep = bracket_relations_check(sp)
-            worst_zero = max(worst_zero, rep.zero_max, rep.mixed_parity_max)
-            worst_ratio = max(worst_ratio, float(np.max(np.abs(rep.ratio_errors))))
-            worst_m = max(worst_m, rep.m_independence_max)
-    ok = worst_zero < 1e-7 and worst_ratio < 1e-6 and worst_m < 1e-9
-    _line(
-        8, ok,
-        f"canonical block brackets: zero-pattern {worst_zero:.2e} (tol 1e-7), "
-        f"normalized ratio error {worst_ratio:.2e} (tol 1e-6), "
-        f"pairing m-independence {worst_m:.2e} (tol 1e-9)",
-    )
-
-
-def test_criterion_09_transverse_stability(sigma1_points):
-    start = time.perf_counter()
-    worst_dyad = 0.0
-    worst_omega = 0.0
-    all_elliptic = True
-    for n in (3, 4):
-        for sp in sigma1_points[n]:
-            rep = hessian_structure_check(sp, sp.targets[0])
-            worst_dyad = max(worst_dyad, rep.residual_full)
-            worst_omega = max(worst_omega, rep.omega_relative_error)
-            all_elliptic = all_elliptic and rep.trace_K_squared < 0.0
-            formula = transverse_frequency(sp, sp.targets[0])
-            worst_omega = max(
-                worst_omega, abs(abs(formula) - rep.omega_spectrum) / abs(formula)
-            )
-    elapsed = time.perf_counter() - start
-    ok = worst_dyad < 1e-6 and worst_omega < 1e-6 and all_elliptic and elapsed < 60.0
-    _line(
-        9, ok,
-        f"transverse stability: dyadic residual {worst_dyad:.2e} (tol 1e-6), "
-        f"frequency agreement {worst_omega:.2e} (tol 1e-6), elliptic {all_elliptic}, "
-        f"{elapsed:.1f}s",
-    )
-
-
-def test_criterion_10_maslov_holonomy(sigma1_points):
-    notes = []
-    ok = True
-
-    # loop around the n = 2 relative-equilibrium line
-    sp2 = find_singular(omega_point(2).z, [PairTarget(True, 1)])
-    curve2 = ClosedCurve.around_pair(sp2, PairTarget(True, 1), radius=5e-2)
-    rep2 = check_holonomy_theorem(curve2)
-    good = (
-        np.array_equal(rep2.holonomy.gammabar, [-1.0, -1.0])
-        and np.array_equal(rep2.holonomy.gamma, [1.0, 1.0])
-        and abs(rep2.mu) == 2
-        and rep2.lhs == -1
-        and rep2.holonomy.even_product == -1
-        and rep2.agree
-    )
-    ok = ok and good
-    notes.append(f"n=2 loop mu={rep2.mu}, gammabar={rep2.holonomy.gammabar.astype(int)}")
-
-    # loop around a refined n = 3 point: both sides agree
-    sp3 = next(sp for sp in sigma1_points[3] if sp.targets[0].odd_class)
-    curve3 = ClosedCurve.around_pair(sp3, PairTarget(True, 1), radius=2e-3)
-    rep3 = check_holonomy_theorem(curve3)
-    ok = ok and rep3.agree and abs(rep3.mu) == 2
-    notes.append(f"n=3 loop mu={rep3.mu}, agree={rep3.agree}")
-
-    # contractible regular loops
-    for n, qp in ((2, ([0.4, -0.1], [0.2, 0.7])), (3, ([0.5, -0.2, 0.1], [0.3, 0.9, -0.4]))):
-        z = PhasePoint(np.array(qp[0]), np.array(qp[1]))
-        v1 = np.eye(2 * n)[0]
-        v2 = np.eye(2 * n)[n + 1]
-        rep = check_holonomy_theorem(ClosedCurve.circle(z, v1, v2, 0.05))
-        ok = ok and rep.mu == 0 and rep.agree
-        ok = ok and np.all(rep.holonomy.gamma == 1.0) and np.all(rep.holonomy.gammabar == 1.0)
-    notes.append("contractible loops trivial")
-
-    # two-point disk
-    sp3b = find_singular(PhasePoint(sp3.z.q, sp3.z.p + 0.25), [PairTarget(True, 1)])
-    enc = enclosure_count_check([DiskSpec(sp3, radius=2e-3), DiskSpec(sp3b, radius=2e-3)])
-    ok = ok and enc.passed
-    notes.append(f"two-point disk mu={enc.mu} = -2*sum(sigma)={enc.expected}")
-
-    # determinism under refinement
-    hol_a = transport_eigenvectors(curve3)
-    hol_b = transport_eigenvectors(curve3.refined(2))
-    same = (
-        np.array_equal(hol_a.gamma, hol_b.gamma)
-        and np.array_equal(hol_a.gammabar, hol_b.gammabar)
-        and maslov_index(curve3).mu == maslov_index(curve3.refined(2)).mu
-    )
-    ok = ok and same
-    notes.append("refinement-stable")
-    _line(10, ok, "; ".join(notes))
-
-
-def test_criterion_11_calibration_regression():
-    res = maslov_index(oscillator_angle_loop(3), frame_fn=oscillator_frame)
-    ok = res.mu == 2 and res.calibration_sign == -1
-    _line(11, ok, f"oscillator angle loop mu={res.mu} with calibration sign {res.calibration_sign}")
-
-
-def test_criterion_12_isospectral_flows():
-    z0 = PhasePoint(np.array([0.4, -0.3, -0.1]), np.array([0.2, -0.5, 0.3]))
-    ref_even = np.sort(np.linalg.eigvalsh(build_lax(z0).entries))
-    ref_odd = np.sort(np.linalg.eigvalsh(build_lax(z0, SignVector.odd(3)).entries))
-    scale = max(1.0, float(np.max(np.abs(ref_even))))
-    drift = 0.0
-    for j in (2, 3):
-        c = np.zeros(3)
-        c[j - 1] = 1.0
-        traj = integrate_flow(z0, c, 50.0, t_eval=np.linspace(0.0, 50.0, 51))
-        for pt in traj.phase_points():
-            vals = np.sort(np.linalg.eigvalsh(build_lax(pt).entries))
-            valsb = np.sort(np.linalg.eigvalsh(build_lax(pt, SignVector.odd(3)).entries))
-            drift = max(
-                drift,
-                float(np.max(np.abs(vals - ref_even))) / scale,
-                float(np.max(np.abs(valsb - ref_odd))) / scale,
-            )
-    ok = drift < 1e-8
-    _line(12, ok, f"eigenvalue drift along the second and third flows: {drift:.2e} (tol 1e-8)")
+def test_criteria_run_every_registry_check_once():
+    names = [name for names, _ in CRITERIA.values() for name in names]
+    assert sorted(names) == sorted(c.name for c in CHECKS)
+    assert set(SAMPLES) | set(SIGMA1_CHECKS) == set(names)

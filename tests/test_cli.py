@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from todalax.lax import PhasePoint
 from todalax.maslov import ClosedCurve, maslov_index
 from todalax.reporting import float_str
 from todalax.singularity import ConvergenceError, PairTarget
-from todalax.verify import RunConfig, run_suite
+from todalax.verify import CHECKS, RunConfig, run_suite
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestConfig:
@@ -30,13 +33,45 @@ class TestConfig:
         cfg = RunConfig(num_points=200, suite="quick")
         assert cfg.points == 50
 
+    @pytest.mark.parametrize("bad, name", [
+        ({"n_values": [2, 2]}, "distinct"),
+        ({"n_values": [3, 2, 3]}, "distinct"),
+        ({"flow_t_final": 0.0}, "flow_t_final"),
+        ({"flow_t_final": float("inf")}, "flow_t_final"),
+        ({"flow_t_final": float("nan")}, "flow_t_final"),
+        ({"seed": -1}, "seed"),
+        ({"rank_tol": float("nan")}, "rank_tol"),
+    ])
+    def test_rejects_bad_values(self, bad, name):
+        with pytest.raises(ValueError, match=name):
+            RunConfig(**bad)
+
+    def test_backward_flow_time_accepted(self):
+        assert RunConfig(flow_t_final=-50.0).flow_t_final == -50.0
+
+
+def test_registry_tolerances_are_pinned():
+    # every bound as the suite has always had it: loosening one shows here
+    assert {c.name: c.tolerance for c in CHECKS} == {
+        "off_band": 1e-10, "trace_gap": 1e-9, "char_poly_offset": 1e-8, "involution": 1e-9,
+        "lax_equations": 1e-8, "interlacing": 1.0, "omega_spectra": 1e-12,
+        "corank_omega": 0.5, "corank_random": 1.0, "bracket_relations_omega": "bracket_tol",
+        "sigma1_components": 0.5, "corank_sigma1": 0.5, "transverse_structure": 1e-6,
+        "maslov_calibration": 0.5, "holonomy_omega_line": 0.5, "maslov_theorem": 0.5,
+        "isospectral_flows": 1e-8,
+    }
+    cfg = RunConfig()
+    assert (cfg.degeneracy_tol, cfg.rank_tol, cfg.bracket_tol, cfg.ode_rtol) == (
+        1e-8, 1e-7, 1e-7, 1e-10)
+    assert cfg.flow_t_final == 50.0
+
 
 class TestVerifyCommand:
     def test_quick_run_passes(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         code = main([
             "verify", "--n", "2,3", "--points", "20", "--suite", "quick",
-            "--out", str(out),
+            "--out", str(out), "--no-timing",
         ])
         assert code == 0
         data = json.loads(out.read_text())
@@ -44,6 +79,8 @@ class TestVerifyCommand:
         assert statuses == {"pass"}
         captured = capsys.readouterr().out
         assert "checks passed" in captured
+        # every id, residual and tolerance as the suite has always reported them
+        assert out.read_bytes() == (DATA / "verify_quick.json").read_bytes()
 
     def test_deterministic_results(self, tmp_path):
         outs = []
@@ -72,6 +109,24 @@ class TestVerifyCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "line 1" in err
+
+    @pytest.mark.parametrize("args, config, name", [
+        (["--n", "2,2"], None, "distinct"),
+        (["--seed", "-1"], None, "seed"),
+        ([], '{"flow_t_final": 0}', "flow_t_final"),
+        ([], '{"flow_t_final": Infinity}', "flow_t_final"),
+        ([], '{"flow_t_final": NaN}', "flow_t_final"),
+    ])
+    def test_bad_config_exit_two_before_any_check(self, tmp_path, capsys, args, config, name):
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(config)
+            args = [*args, "--config", str(path)]
+        out = tmp_path / "r.json"
+        assert main(["verify", *args, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:") and name in captured.err
+        assert captured.out == "" and not out.exists()
 
     def test_config_file_with_overrides(self, tmp_path):
         cfg = tmp_path / "cfg.json"

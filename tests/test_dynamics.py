@@ -242,15 +242,16 @@ class TestFlows:
 # the leapfrog with two force evaluations per step.  The kernel must match it
 # bit for bit.
 
-def _reference_lax(z):
+def _reference_lax(z, eps=None):
     n = z.n
+    eps = np.ones(n) if eps is None else eps
     b = np.exp(0.5 * (z.q - np.roll(z.q, -1)))
     m = np.zeros((n, n))
     m[np.arange(n), np.arange(n)] = z.p
     for r in range(n):
         s = (r + 1) % n
-        m[r, s] += 1.0 * b[r]
-        m[s, r] += 1.0 * b[r]
+        m[r, s] += eps[r] * b[r]
+        m[s, r] += eps[r] * b[r]
     return m, b
 
 
@@ -318,6 +319,26 @@ def _reference_integrals(z):
     return out
 
 
+def _reference_lax_residual(z, j, odd_class):
+    # three Lax builds, two matrix powers and a looped bracket fill
+    n = z.n
+    odd = np.ones(n)
+    odd[-1] = -1.0
+    eps = odd if odd_class else np.ones(n)
+    L, b = _reference_lax(z, eps)
+    source, _ = _reference_lax(z, np.ones(n) if odd_class else odd)
+    upper = 0.5 * np.triu(np.linalg.matrix_power(source, j - 1), k=1)
+    M = upper - upper.T
+    dq, dp = _reference_grad_from_power(np.linalg.matrix_power(_reference_lax(z)[0], j - 1), b)
+    weight = 0.5 * (b * eps) * (dp - np.roll(dp, -1))
+    bracket = np.zeros((n, n))
+    for m in range(n):
+        bracket[m, (m + 1) % n] += weight[m]
+        bracket[(m + 1) % n, m] += weight[m]
+    bracket[np.arange(n), np.arange(n)] -= dq
+    return float(np.max(np.abs(bracket - (L @ M - M @ L))))
+
+
 def _flow_specs(n):
     eye = np.eye(n)
     mixed = np.zeros(n)
@@ -363,6 +384,16 @@ class TestFrozenReference:
                     g = grad_combination(z, c)
                     dq, dp = _reference_grad_combination(z, c)
                     assert np.array_equal(g.dq, dq) and np.array_equal(g.dp, dp)
+
+    def test_lax_residual_bit_identical(self):
+        rng = np.random.default_rng(60)
+        for n in (2, 3, 5, 8):
+            for _ in range(3):
+                z = random_point(rng, n)
+                for j in range(1, n + 1):
+                    for odd_class in (False, True):
+                        assert np.array_equal(lax_residual(z, j, odd_class),
+                                              _reference_lax_residual(z, j, odd_class))
 
     def test_integrals_along_is_integrals_of_each_row(self):
         rng = np.random.default_rng(50)

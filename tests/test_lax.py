@@ -57,6 +57,25 @@ class TestSignVector:
     def test_rejects_non_unit_entries(self):
         with pytest.raises(ValueError):
             SignVector(np.array([1.0, 0.5]))
+        with pytest.raises(ValueError):
+            SignVector(np.array([1.0]))
+        with pytest.raises(ValueError):
+            SignVector(np.ones((2, 2)))
+
+    def test_even_and_odd_are_shared_and_read_only(self):
+        for make in (SignVector.even, SignVector.odd):
+            sign = make(4)
+            assert make(4) is sign
+            with pytest.raises(ValueError, match="read-only"):
+                sign.eps[0] = -1.0
+        npt.assert_array_equal(SignVector.odd(4).eps, [1.0, 1.0, 1.0, -1.0])
+        # a caller's array is copied, not frozen in place
+        eps = np.array([1.0, -1.0, 1.0])
+        sign = SignVector(eps)
+        eps[0] = -1.0
+        assert sign.eps[0] == 1.0 and not sign.eps.flags.writeable
+        with pytest.raises(ValueError):
+            SignVector.even(1)
 
 
 class TestBuildLax:
