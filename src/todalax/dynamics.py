@@ -72,6 +72,24 @@ def grad_F(z: PhasePoint, j: int) -> Gradient:
     return Gradient(dq, dp.copy())
 
 
+def _trace_gradients(z: PhasePoint) -> np.ndarray:
+    """Rows (dF_j/dq, dF_j/dp) of F_1..F_n, from one power recurrence L^0 .. L^(n-1).
+
+    Row j equals grad_F(z, j + 1).as_vector() bit for bit up to n = 4; beyond,
+    matrix_power's binary decomposition of exponents >= 4 rounds differently.
+    """
+    n = z.n
+    b = z.couplings()
+    L = _lax_entries(b, z.p, SignVector.even(n).eps)
+    rows = np.empty((n, 2 * n))
+    power = np.eye(n)
+    for j in range(n):
+        rows[j, :n], rows[j, n:] = _grad_from_power(power, b)
+        if j + 1 < n:
+            power = power @ L
+    return rows
+
+
 def _gradient_field(n: int, c: np.ndarray):
     """(q, p) -> (dG/dq, dG/dp) of G = sum_j c_j F_j on raw coordinate arrays.
 
@@ -113,12 +131,11 @@ def grad_combination(z: PhasePoint, c: np.ndarray) -> Gradient:
 def coordinate_form(z: PhasePoint, eps: SignVector, v: np.ndarray, w: np.ndarray) -> Gradient:
     """Exact gradient of the spectral component v . L^eps(z) . w for fixed v, w."""
     n = z.n
+    ix = _cyclic(n)
     b = z.couplings() * eps.eps
-    idx = np.arange(n)
-    nxt = (idx + 1) % n
-    cross = v[idx] * w[nxt] + v[nxt] * w[idx]
+    cross = v * w[ix.nxt] + v[ix.nxt] * w
     half = 0.5 * b * cross
-    dq = half - np.roll(half, 1)
+    dq = half - half[ix.prv]
     dp = v * w
     return Gradient(dq, dp)
 

@@ -64,7 +64,7 @@ class PhasePoint:
             raise ValueError("need at least two particles")
         if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
             raise PhaseDomainError("non-finite phase-space coordinates")
-        gaps = q - np.roll(q, -1)
+        gaps = q - q[_cyclic(q.size).nxt]
         bad = np.nonzero(np.abs(gaps) > Q_GAP_LIMIT)[0]
         if bad.size:
             j = int(bad[0])
@@ -79,7 +79,7 @@ class PhasePoint:
 
     def couplings(self) -> np.ndarray:
         """The n couplings b_j = exp((q_j - q_{j+1})/2), q_{n+1} = q_1."""
-        return np.exp(0.5 * (self.q - np.roll(self.q, -1)))
+        return np.exp(0.5 * (self.q - self.q[_cyclic(self.n).nxt]))
 
     def displaced(self, dz: np.ndarray) -> "PhasePoint":
         """The point shifted by a 2n-vector (dq, dp)."""

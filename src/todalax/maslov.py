@@ -13,12 +13,13 @@ reproduces (-1)^(mu/2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, field
 from typing import Callable
 import numpy as np
 
 from .lax import PhasePoint
-from .dynamics import grad_F
+from .dynamics import _trace_gradients
 from .spectral import DEGENERACY_TOL, SpectralData, spectra
 from .singularity import (
     PairTarget,
@@ -75,6 +76,9 @@ class ClosedCurve:
 
     point_at: Callable[[float], PhasePoint]
     initial_samples: int = 256
+    # t -> smallest relative eigenvalue gap of both Lax classes, on the copy
+    # check_holonomy_theorem walks; None on every other curve.
+    _gaps: dict[float, float] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         z0, z1 = self.point_at(0.0), self.point_at(1.0)
@@ -146,57 +150,69 @@ class ClosedCurve:
 
 def _walk(
     curve: ClosedCurve,
-    observe: Callable[[PhasePoint, tuple[SpectralData, SpectralData] | None], object],
+    observe: Callable[[float, PhasePoint], object],
     advance: Callable[[object, object, float], tuple[object, str | None]],
-    check_regularity: bool,
-    regularity_tol: float,
     max_evaluations: int,
 ):
     """Walk a closed curve from t = 0 to t = 1, bisecting rejected steps.
 
-    The walk starts from ``curve.initial_samples`` equal steps.  At each
-    sample ``observe(z, specs)`` reads the walked quantity, where ``specs``
-    are the spectra of both Lax classes when the regularity check is on
-    (a sample whose relative eigenvalue gap falls below ``regularity_tol``
-    raises RegularityError) and None otherwise.  ``advance(state, obs, t)``
-    returns ``(new_state, None)`` to accept the step to t or
-    ``(None, reason)`` to reject it; a rejected step is halved, down to a
-    1e-10 parameter step.  Returns the first and the last accepted state.
+    The walk starts from ``curve.initial_samples`` equal steps.
+    ``observe(t, z)`` reads the walked quantity at the sample z =
+    ``curve.point_at(t)``; ``advance(state, obs, t)`` returns
+    ``(new_state, None)`` to accept the step to t or ``(None, reason)`` to
+    reject it.  A rejected step is halved, down to a 1e-10 parameter step,
+    and its observation is held until the walk comes back to t, so each t
+    is observed once.  Returns the first and the last accepted state.
     """
-
-    def sample(t: float):
-        z = curve.point_at(t)
-        specs = None
-        if check_regularity:
-            specs = spectra(z)
-            gap = min(float(np.min(s.relative_gaps)) for s in specs)
-            if gap < regularity_tol:
-                raise RegularityError(
-                    f"sample at t = {t:.6f} has eigenvalue gap {gap:.3e} below "
-                    f"{regularity_tol:.1e}; the curve passes too close to a singular point"
-                )
-        return observe(z, specs)
-
-    first = state = sample(0.0)
+    first = state = observe(0.0, curve.point_at(0.0))
     t_curr = 0.0
-    pending = list(np.linspace(0.0, 1.0, curve.initial_samples + 1)[:0:-1])  # next t last
+    # (t, held observation or None), next t last
+    pending = [(t, None) for t in np.linspace(0.0, 1.0, curve.initial_samples + 1)[:0:-1]]
     evaluations = 0
     while pending:
-        t_next = pending[-1]
+        t_next, obs = pending[-1]
         evaluations += 1
         if evaluations > max_evaluations:
             raise TransportError(
                 f"loop walk exceeded the budget of {max_evaluations} evaluations"
             )
-        accepted, reason = advance(state, sample(t_next), t_next)
+        if obs is None:
+            obs = observe(t_next, curve.point_at(t_next))
+        accepted, reason = advance(state, obs, t_next)
         if accepted is None:
             if t_next - t_curr < 1e-10:
                 raise TransportError(f"{reason} at t = {t_next:.8f} despite maximal refinement")
-            pending.append(0.5 * (t_curr + t_next))
+            pending[-1] = (t_next, obs)
+            pending.append((0.5 * (t_curr + t_next), None))
             continue
         state, t_curr = accepted, t_next
         pending.pop()
     return first, state
+
+
+def _require_regular(curve: ClosedCurve, t: float, z: PhasePoint, regularity_tol: float,
+                     specs: tuple[SpectralData, SpectralData] | None = None) -> None:
+    """Raise RegularityError if the sample at t has a relative eigenvalue gap below the tolerance.
+
+    The gap is the smallest relative gap over both Lax classes, taken from
+    ``specs`` when given; otherwise from the gap an earlier walk of the same
+    ``check_holonomy_theorem`` call recorded at t, or from ``spectra(z)``.
+    Such a call's curve records every gap it computes.
+    """
+    gaps = curve._gaps
+    if specs is None and gaps is not None and t in gaps:
+        gap = gaps[t]
+    else:
+        if specs is None:
+            specs = spectra(z)
+        gap = min(float(np.min(s.relative_gaps)) for s in specs)
+        if gaps is not None:
+            gaps[t] = gap
+    if gap < regularity_tol:
+        raise RegularityError(
+            f"sample at t = {t:.6f} has eigenvalue gap {gap:.3e} below "
+            f"{regularity_tol:.1e}; the curve passes too close to a singular point"
+        )
 
 
 @dataclass(frozen=True)
@@ -245,10 +261,12 @@ def transport_eigenvectors(
                 return None, f"{cls} eigenvector {r} overlap {abs(ov[r]):.3f} <= {min_overlap}"
         return tuple(W * np.sign(ov) for W, ov in zip(new, overlaps)), None
 
-    first, last = _walk(
-        curve, lambda _z, specs: tuple(s.vectors for s in specs), advance,
-        True, regularity_tol, max_evaluations,
-    )
+    def observe(t, z):
+        specs = spectra(z)
+        _require_regular(curve, t, z, regularity_tol, specs)
+        return tuple(s.vectors for s in specs)
+
+    first, last = _walk(curve, observe, advance, max_evaluations)
     signs = []
     for V0, V in zip(first, last):
         final = np.einsum("ij,ij->j", V0, V)
@@ -262,14 +280,13 @@ def transport_eigenvectors(
 
 
 def toda_frame(z: PhasePoint) -> np.ndarray:
-    """Columns are the Hamiltonian vector fields of the n conserved traces."""
+    """Columns are the Hamiltonian vector fields of the n conserved traces.
+
+    All n gradients come from one power recurrence L^0 .. L^(n-1).
+    """
     n = z.n
-    X = np.empty((2 * n, n))
-    for j in range(1, n + 1):
-        g = grad_F(z, j)
-        X[:n, j - 1] = g.dp
-        X[n:, j - 1] = -g.dq
-    return X
+    grads = _trace_gradients(z)
+    return np.concatenate([grads[:, n:].T, -grads[:, :n].T])
 
 
 def oscillator_frame(z: PhasePoint) -> np.ndarray:
@@ -352,8 +369,12 @@ def maslov_index(
         trace.append((t, trace[-1][1] + step))
         return phi_next, None
 
-    _walk(curve, lambda z, _specs: _unitary_phase(frame_fn(z)), advance,
-          check_regularity, regularity_tol, max_evaluations)
+    def observe(t, z):
+        if check_regularity:
+            _require_regular(curve, t, z, regularity_tol)
+        return _unitary_phase(frame_fn(z))
+
+    _walk(curve, observe, advance, max_evaluations)
     total = trace[-1][1]
     winding = total / (2.0 * np.pi)
     nearest = int(np.rint(winding))
@@ -389,9 +410,17 @@ class HolonomyTheoremReport:
 
 
 def check_holonomy_theorem(curve: ClosedCurve, **kwargs) -> HolonomyTheoremReport:
-    """Compute the Maslov index and the holonomies independently and compare."""
-    hol = transport_eigenvectors(curve, **kwargs)
-    mas = maslov_index(curve)
+    """Compute the Maslov index and the holonomies independently and compare.
+
+    Both walks run on a copy of the curve that records the smallest relative
+    eigenvalue gap of each sample, so the winding walk decomposes only the
+    samples the transport walk did not visit.  Each walk compares the gap
+    with its own regularity tolerance.
+    """
+    shared = copy.copy(curve)
+    object.__setattr__(shared, "_gaps", {})
+    hol = transport_eigenvectors(shared, **kwargs)
+    mas = maslov_index(shared)
     lhs = int((-1) ** (mas.mu // 2))
     return HolonomyTheoremReport(mas, hol, lhs)
 

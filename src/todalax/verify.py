@@ -63,6 +63,11 @@ FINDER_ERRORS = (ConvergenceError, StratumCollapseError)
 LOOP_ERRORS = FINDER_ERRORS + (RegularityError, TransportError, LagrangianFrameError)
 
 
+def _is_int(value) -> bool:
+    """An int or numpy integer; bool, an int subclass, does not count."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass
 class RunConfig:
     """Suite configuration: sizes, seed, tolerances and output paths."""
@@ -79,6 +84,11 @@ class RunConfig:
     out: str | None = None
 
     def __post_init__(self):
+        for name in ("seed", "num_points"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not all(_is_int(n) for n in self.n_values):
+            raise ValueError(f"n_values must be integers, got {self.n_values}")
         for name in ("degeneracy_tol", "rank_tol", "bracket_tol", "ode_rtol"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"tolerance {name} must be positive")

@@ -41,6 +41,13 @@ class TestConfig:
         ({"flow_t_final": float("nan")}, "flow_t_final"),
         ({"seed": -1}, "seed"),
         ({"rank_tol": float("nan")}, "rank_tol"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"num_points": 10.5}, "num_points"),
+        ({"num_points": True}, "num_points"),
+        ({"n_values": [2.5]}, "n_values"),
+        ({"n_values": [3.0]}, "n_values"),
+        ({"n_values": [2, True]}, "n_values"),
     ])
     def test_rejects_bad_values(self, bad, name):
         with pytest.raises(ValueError, match=name):
@@ -116,6 +123,11 @@ class TestVerifyCommand:
         ([], '{"flow_t_final": 0}', "flow_t_final"),
         ([], '{"flow_t_final": Infinity}', "flow_t_final"),
         ([], '{"flow_t_final": NaN}', "flow_t_final"),
+        ([], '{"seed": 1.5, "n_values": [2], "suite": "quick"}', "seed"),
+        ([], '{"seed": true, "n_values": [2], "suite": "quick"}', "seed"),
+        ([], '{"num_points": 10.5, "n_values": [2], "suite": "quick"}', "num_points"),
+        ([], '{"n_values": [2.5], "suite": "quick"}', "n_values"),
+        ([], '{"n_values": [2, false], "suite": "quick"}', "n_values"),
     ])
     def test_bad_config_exit_two_before_any_check(self, tmp_path, capsys, args, config, name):
         if config is not None:

@@ -7,6 +7,7 @@ from scipy.integrate import solve_ivp
 
 import todalax.dynamics as dynamics
 from todalax.lax import PhaseDomainError, PhasePoint, SignVector, build_lax, integrals
+from todalax.maslov import toda_frame
 from todalax.dynamics import (
     FlowError,
     Gradient,
@@ -339,6 +340,18 @@ def _reference_lax_residual(z, j, odd_class):
     return float(np.max(np.abs(bracket - (L @ M - M @ L))))
 
 
+def _reference_toda_frame(z):
+    # n gradients, each from its own matrix_power of L
+    n = z.n
+    L, b = _reference_lax(z)
+    X = np.empty((2 * n, n))
+    for j in range(1, n + 1):
+        dq, dp = _reference_grad_from_power(np.linalg.matrix_power(L, j - 1), b)
+        X[:n, j - 1] = dp
+        X[n:, j - 1] = -dq
+    return X
+
+
 def _flow_specs(n):
     eye = np.eye(n)
     mixed = np.zeros(n)
@@ -394,6 +407,18 @@ class TestFrozenReference:
                     for odd_class in (False, True):
                         assert np.array_equal(lax_residual(z, j, odd_class),
                                               _reference_lax_residual(z, j, odd_class))
+
+    def test_toda_frame_matches_per_gradient_powers(self):
+        # exponents up to 3 multiply alike; from 4 on matrix_power squares
+        rng = np.random.default_rng(70)
+        for n in range(2, 9):
+            for _ in range(5):
+                z = random_point(rng, n)
+                X, ref = toda_frame(z), _reference_toda_frame(z)
+                if n <= 4:
+                    assert np.array_equal(X, ref)
+                else:
+                    assert np.max(np.abs(X - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_integrals_along_is_integrals_of_each_row(self):
         rng = np.random.default_rng(50)

@@ -2,7 +2,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import todalax.maslov as maslov
 from todalax.lax import PhasePoint
+from todalax.spectral import spectra
 from todalax.singularity import (
     PairTarget,
     all_pair_targets,
@@ -214,6 +216,35 @@ class TestHolonomyTheorem:
         assert rep.agree
         assert rep.lhs == -1
         npt.assert_array_equal(rep.holonomy.gammabar[:2], [-1.0, -1.0])
+
+    def test_holonomy_check_decomposes_each_sample_once(self, sigma1_n3, monkeypatch):
+        calls = []
+
+        def counting_spectra(z, *args):
+            calls.append(z)
+            return spectra(z, *args)
+
+        monkeypatch.setattr(maslov, "spectra", counting_spectra)
+        fine = ClosedCurve.around_pair(sigma1_n3, PairTarget(True, 1), radius=2e-3)
+        check_holonomy_theorem(fine)
+        assert len(calls) == 257
+
+        seen = set()
+
+        def at(t):
+            seen.add(t)
+            return fine.point_at(t)
+
+        coarse = ClosedCurve(at, initial_samples=4)
+        calls.clear()
+        rep = check_holonomy_theorem(coarse)
+        assert len(seen) > 5  # the walks bisected
+        assert len(calls) == len(seen)
+        hol, mas = transport_eigenvectors(coarse), maslov_index(coarse)
+        assert rep.mu == mas.mu
+        assert np.array_equal(rep.maslov.winding_trace, mas.winding_trace)
+        npt.assert_array_equal(rep.holonomy.gamma, hol.gamma)
+        npt.assert_array_equal(rep.holonomy.gammabar, hol.gammabar)
 
     def test_regular_loop(self):
         z = PhasePoint(np.array([0.5, -0.2, 0.1]), np.array([0.3, 0.9, -0.4]))
