@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from .lax import PhaseDomainError, PhasePoint
-from .dynamics import FlowError, integrate_flow, trajectory_to_csv
+from .dynamics import DEFAULT_RTOL, FlowError, integrate_flow, trajectory_to_csv
 from .singularity import (
     ConvergenceError,
     PairTarget,
@@ -272,8 +272,8 @@ def _parser() -> argparse.ArgumentParser:
                     help="coefficients of the flow combination")
     pi.add_argument("--t-final", type=float, default=50.0)
     pi.add_argument("--samples", type=int, default=101)
-    pi.add_argument("--rtol", type=float, default=1e-10)
-    pi.add_argument("--method", choices=["rk45", "verlet"], default="rk45")
+    pi.add_argument("--rtol", type=float, default=DEFAULT_RTOL)
+    pi.add_argument("--method", choices=["dop853", "verlet"], default="dop853")
     pi.add_argument("--dt", type=float, default=1e-3, help="leapfrog step size")
     pi.set_defaults(fn=cmd_integrate)
     return ap

@@ -12,6 +12,9 @@ adaptive error control.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
+import numbers
+
 import numpy as np
 from scipy.integrate import solve_ivp
 
@@ -27,6 +30,7 @@ from .lax import (
 )
 
 __all__ = [
+    "DEFAULT_RTOL",
     "Gradient",
     "grad_F",
     "grad_combination",
@@ -170,17 +174,37 @@ def lax_residual(z: PhasePoint, j: int, odd_class: bool = False) -> float:
     return float(np.max(np.abs(bracket - (L @ M - M @ L))))
 
 
+# DOP853's relative tolerance unless a caller sets one; integrate_flow says why not 1e-10.
+DEFAULT_RTOL = 1e-11
+
+
+def _is_real(value) -> bool:
+    """A Python or numpy real; bool, an int subclass, does not count."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _require_tolerance(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is a finite positive real."""
+    if not (_is_real(value) and math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be a finite positive real, got {value!r}")
+
+
 class FlowError(RuntimeError):
     """Integration failed (step-size underflow or solver breakdown)."""
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Dense-output samples of one Hamiltonian flow."""
+    """Samples of one Hamiltonian flow at the requested times.
+
+    ``nfev`` counts the right-hand side evaluations of the adaptive scheme,
+    or the force evaluations of the leapfrog, that produced the samples.
+    """
 
     times: np.ndarray
     points: np.ndarray  # shape (len(times), 2n)
     c: np.ndarray
+    nfev: int = 0
 
     @property
     def n(self) -> int:
@@ -195,8 +219,9 @@ class Trajectory:
         return _traces(self.points[:, :n], self.points[:, n:])
 
 
-def _verlet(z0: PhasePoint, t_final: float, dt: float, t_eval: np.ndarray) -> np.ndarray:
-    """Fixed-step leapfrog for the physical Hamiltonian flow F_2.
+def _verlet(z0: PhasePoint, t_final: float, dt: float,
+            t_eval: np.ndarray) -> tuple[np.ndarray, int]:
+    """Fixed-step leapfrog for the physical Hamiltonian flow F_2: samples and force evaluations.
 
     The force at the end of one step is the force at the start of the next.
     """
@@ -223,7 +248,7 @@ def _verlet(z0: PhasePoint, t_final: float, dt: float, t_eval: np.ndarray) -> np
     out = np.empty((t_eval.size, 2 * n))
     for i in range(2 * n):
         out[:, i] = np.interp(t_eval, grid, record[:, i])
-    return out
+    return out, steps + 1
 
 
 def integrate_flow(
@@ -231,17 +256,21 @@ def integrate_flow(
     c: np.ndarray,
     t_final: float,
     t_eval: np.ndarray | None = None,
-    rtol: float = 1e-10,
+    rtol: float = DEFAULT_RTOL,
     atol: float = 1e-12,
-    method: str = "rk45",
+    method: str = "dop853",
     dt: float = 1e-3,
 ) -> Trajectory:
     """Integrate the flow of G = sum_j c_j F_j from z0 up to t_final.
 
-    The default integrator is an adaptive embedded Runge-Kutta pair with
-    dense output evaluated at the requested times.  ``method="verlet"`` is
-    available only for the pure physical flow c = e_2, whose kinetic plus
-    potential splitting supports a fixed-step leapfrog.
+    The default integrator is Dormand-Prince 8(5,3) (scipy's DOP853) with
+    error control at ``rtol``, 1e-11 by default, and ``atol``; its dense
+    output is evaluated at the requested times.  At rtol = 1e-10 some
+    n = 8 flows of F_3 drifted by up to 1.7e-8 over t = 1, above the
+    suite's 1e-8 bound.  ``method="verlet"`` is available only for the pure physical
+    flow c = e_2, whose kinetic plus potential splitting supports a
+    fixed-step leapfrog.  Tolerances that are not finite positive reals
+    raise ValueError.
     """
     c = np.asarray(c, dtype=float)
     n = z0.n
@@ -256,6 +285,8 @@ def integrate_flow(
     t_eval = np.asarray(t_eval, dtype=float)
     if t_eval.size == 0:
         raise ValueError("t_eval must hold at least one time")
+    _require_tolerance("rtol", rtol)
+    _require_tolerance("atol", atol)
 
     if method == "verlet":
         e2 = np.zeros(n)
@@ -266,8 +297,9 @@ def integrate_flow(
             raise ValueError(f"the leapfrog integrates forward only: t_final = {t_final} < 0")
         if not (np.isfinite(dt) and dt > 0.0):
             raise ValueError(f"dt must be positive and finite, got {dt}")
-        return Trajectory(t_eval, _verlet(z0, t_final, dt, t_eval), c)
-    if method != "rk45":
+        points, nfev = _verlet(z0, t_final, dt, t_eval)
+        return Trajectory(t_eval, points, c, nfev)
+    if method != "dop853":
         raise ValueError(f"unknown integrator {method!r}")
 
     gradient = _gradient_field(n, c)
@@ -280,7 +312,7 @@ def integrate_flow(
         rhs,
         (0.0, t_final),
         z0.as_vector(),
-        method="RK45",
+        method="DOP853",
         t_eval=t_eval,
         rtol=rtol,
         atol=atol,
@@ -288,7 +320,7 @@ def integrate_flow(
     )
     if not sol.success:
         raise FlowError(f"integration stopped at t = {sol.t[-1] if sol.t.size else 0.0}: {sol.message}")
-    return Trajectory(sol.t, sol.y.T.copy(), c)
+    return Trajectory(sol.t, sol.y.T.copy(), c, sol.nfev)
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:
@@ -300,9 +332,8 @@ def trajectory_to_csv(traj: Trajectory, path) -> None:
         + [f"p_{i}" for i in range(1, n + 1)]
         + [f"F_{i}" for i in range(1, n + 1)]
     )
-    F = traj.integrals_along()
+    rows = np.column_stack([traj.times, traj.points, traj.integrals_along()])
+    fmt = ",".join(["%.17g"] * rows.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for k in range(traj.times.size):
-            row = [traj.times[k], *traj.points[k], *F[k]]
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        fh.writelines(fmt % tuple(row) for row in rows.tolist())

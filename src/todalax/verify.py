@@ -23,7 +23,15 @@ from .lax import (
     off_band_check,
     trace_relation_check,
 )
-from .dynamics import grad_F, integrate_flow, lax_residual, poisson
+from .dynamics import (
+    DEFAULT_RTOL,
+    _is_real,
+    _require_tolerance,
+    grad_F,
+    integrate_flow,
+    lax_residual,
+    poisson,
+)
 from .spectral import interlacing_check
 from .singularity import (
     ConvergenceError,
@@ -79,7 +87,7 @@ class RunConfig:
     degeneracy_tol: float = 1e-8
     rank_tol: float = 1e-7
     bracket_tol: float = 1e-7
-    ode_rtol: float = 1e-10
+    ode_rtol: float = DEFAULT_RTOL
     suite: str = "full"
     out: str | None = None
 
@@ -90,15 +98,15 @@ class RunConfig:
         if not all(_is_int(n) for n in self.n_values):
             raise ValueError(f"n_values must be integers, got {self.n_values}")
         for name in ("degeneracy_tol", "rank_tol", "bracket_tol", "ode_rtol"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"tolerance {name} must be positive")
+            _require_tolerance(f"tolerance {name}", getattr(self, name))
         if any(n < 2 for n in self.n_values) or len(set(self.n_values)) != len(self.n_values):
             raise ValueError(f"n values must be distinct and at least 2, got {self.n_values}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.num_points < 1:
             raise ValueError("num_points must be positive")
-        if not (math.isfinite(self.flow_t_final) and self.flow_t_final != 0):
+        if not (_is_real(self.flow_t_final) and math.isfinite(self.flow_t_final)
+                and self.flow_t_final != 0):
             raise ValueError(f"flow_t_final must be finite and nonzero, got {self.flow_t_final}")
         if self.suite not in ("full", "quick"):
             raise ValueError(f"unknown suite {self.suite!r}")

@@ -6,11 +6,12 @@ import pytest
 
 import todalax.verify as verify
 from todalax.cli import main
+from todalax.dynamics import integrate_flow
 from todalax.lax import PhasePoint
 from todalax.maslov import ClosedCurve, maslov_index
 from todalax.reporting import float_str
 from todalax.singularity import ConvergenceError, PairTarget
-from todalax.verify import CHECKS, RunConfig, run_suite
+from todalax.verify import CHECKS, RunConfig, Sample, run_suite
 
 DATA = Path(__file__).parent / "data"
 
@@ -48,6 +49,10 @@ class TestConfig:
         ({"n_values": [2.5]}, "n_values"),
         ({"n_values": [3.0]}, "n_values"),
         ({"n_values": [2, True]}, "n_values"),
+        ({"rank_tol": True}, "rank_tol"),
+        ({"ode_rtol": float("inf")}, "ode_rtol"),
+        ({"flow_t_final": True}, "flow_t_final"),
+        ({"degeneracy_tol": "1e-8"}, "degeneracy_tol"),
     ])
     def test_rejects_bad_values(self, bad, name):
         with pytest.raises(ValueError, match=name):
@@ -69,8 +74,23 @@ def test_registry_tolerances_are_pinned():
     }
     cfg = RunConfig()
     assert (cfg.degeneracy_tol, cfg.rank_tol, cfg.bracket_tol, cfg.ode_rtol) == (
-        1e-8, 1e-7, 1e-7, 1e-10)
+        1e-8, 1e-7, 1e-7, 1e-11)
     assert cfg.flow_t_final == 50.0
+
+
+def test_isospectral_flows_evaluation_count(monkeypatch):
+    # the integrator's cost as a count, which repeats exactly where a timing would not
+    trajectories = []
+
+    def counted(*args, **kwargs):
+        trajectories.append(integrate_flow(*args, **kwargs))
+        return trajectories[-1]
+
+    monkeypatch.setattr(verify, "integrate_flow", counted)
+    check = next(c for c in CHECKS if c.name == "isospectral_flows")
+    assert check.run(Sample(3), RunConfig()).status == "pass"
+    assert len(trajectories) == 2
+    assert sum(t.nfev for t in trajectories) < 20_000
 
 
 class TestVerifyCommand:
@@ -128,6 +148,9 @@ class TestVerifyCommand:
         ([], '{"num_points": 10.5, "n_values": [2], "suite": "quick"}', "num_points"),
         ([], '{"n_values": [2.5], "suite": "quick"}', "n_values"),
         ([], '{"n_values": [2, false], "suite": "quick"}', "n_values"),
+        ([], '{"rank_tol": true}', "rank_tol"),
+        ([], '{"degeneracy_tol": "1e-8"}', "degeneracy_tol"),
+        (["--tol.ode", "inf"], None, "ode_rtol"),
     ])
     def test_bad_config_exit_two_before_any_check(self, tmp_path, capsys, args, config, name):
         if config is not None:
@@ -297,6 +320,11 @@ class TestIntegrateCommand:
         (["--method", "verlet", "--dt=-1e-3"], "dt"),
         (["--q", "0.1,700.0"], "overflows"),
         (["--samples", "0"], "samples"),
+        (["--rtol", "-1"], "rtol"),
+        (["--rtol", "0"], "rtol"),
+        (["--rtol", "nan"], "rtol"),
+        (["--rtol", "inf"], "rtol"),
+        (["--rtol", "-1", "--method", "verlet"], "rtol"),
     ])
     def test_bad_times_and_points_are_config_errors(self, tmp_path, capsys, extra, name):
         out = tmp_path / "traj.csv"
@@ -307,7 +335,16 @@ class TestIntegrateCommand:
         assert err.startswith("config error:") and name in err
         assert not out.exists()
 
-    def test_backward_rk45_supported(self, tmp_path):
+    def test_rk45_is_not_a_method(self, tmp_path, capsys):
+        out = tmp_path / "traj.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["integrate", "--q", "0.1,-0.1", "--p", "0.0,0.0", "--c", "0,1",
+                  "--method", "rk45", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'rk45'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_backward_dop853_supported(self, tmp_path):
         out = tmp_path / "traj.csv"
         code = main(["integrate", "--q", "0.1,-0.1", "--p", "0.0,0.0", "--c", "0,1",
                      "--t-final", "-1", "--samples", "3", "--out", str(out)])

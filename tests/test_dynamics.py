@@ -205,7 +205,7 @@ class TestFlows:
         c = np.array([0.0, 1.0])
         with pytest.raises(ValueError):
             integrate_flow(z0, c, np.inf)
-        for method in ("rk45", "verlet"):
+        for method in ("dop853", "verlet"):
             with pytest.raises(ValueError, match="t_final"):
                 integrate_flow(z0, c, 0.0, method=method)
         with pytest.raises(ValueError, match="t_final"):
@@ -213,9 +213,22 @@ class TestFlows:
         for dt in (0.0, -1e-3, np.nan):
             with pytest.raises(ValueError, match="dt"):
                 integrate_flow(z0, c, 1.0, method="verlet", dt=dt)
-        for method in ("rk45", "verlet"):
+        for method in ("dop853", "verlet"):
             with pytest.raises(ValueError, match="t_eval"):
                 integrate_flow(z0, c, 1.0, t_eval=np.array([]), method=method)
+
+    @pytest.mark.parametrize("method", ["dop853", "verlet"])
+    @pytest.mark.parametrize("name", ["rtol", "atol"])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf, -np.inf, True, "1e-10", None])
+    def test_bad_tolerances_rejected(self, method, name, bad):
+        z0 = PhasePoint(np.zeros(2), np.zeros(2))
+        with pytest.raises(ValueError, match=f"{name} must be a finite positive real"):
+            integrate_flow(z0, np.array([0.0, 1.0]), 1.0, method=method, **{name: bad})
+
+    def test_rk45_is_not_an_integrator(self):
+        z0 = PhasePoint(np.zeros(2), np.zeros(2))
+        with pytest.raises(ValueError, match="unknown integrator 'rk45'"):
+            integrate_flow(z0, np.array([0.0, 1.0]), 1.0, method="rk45")
 
     def test_backward_adaptive_flow(self):
         z0 = PhasePoint(np.array([0.1, -0.4, 0.3]), np.array([0.2, 0.0, -0.2]))
@@ -310,6 +323,19 @@ def _reference_verlet(z0, t_final, dt, t_eval):
     return out
 
 
+def _reference_trajectory_to_csv(traj, path):
+    # the writer before the one-format-per-row version: one f-string per value
+    n = traj.n
+    header = (["t"] + [f"q_{i}" for i in range(1, n + 1)] + [f"p_{i}" for i in range(1, n + 1)]
+              + [f"F_{i}" for i in range(1, n + 1)])
+    F = traj.integrals_along()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for k in range(traj.times.size):
+            row = [traj.times[k], *traj.points[k], *F[k]]
+            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+
+
 def _reference_integrals(z):
     L, _ = _reference_lax(z)
     out = np.empty(z.n)
@@ -370,9 +396,10 @@ class TestFrozenReference:
         for c in _flow_specs(n):
             traj = integrate_flow(z0, c, self.T_FINAL, t_eval=self.T_EVAL)
             ref = solve_ivp(_reference_rhs(c), (0.0, self.T_FINAL), z0.as_vector(),
-                            method="RK45", t_eval=self.T_EVAL, rtol=1e-10, atol=1e-12)
+                            method="DOP853", t_eval=self.T_EVAL, rtol=1e-11, atol=1e-12)
             assert np.array_equal(traj.times, ref.t)
             assert np.array_equal(traj.points, ref.y.T), c
+            assert traj.nfev == ref.nfev
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_leapfrog_bit_identical(self, n):
@@ -382,6 +409,7 @@ class TestFrozenReference:
                               method="verlet", dt=1e-2)
         ref = _reference_verlet(z0, self.T_FINAL, 1e-2, self.T_EVAL)
         assert np.array_equal(traj.points, ref)
+        assert traj.nfev == 101  # the initial force and one per step
 
     def test_grad_combination_bit_identical(self):
         rng = np.random.default_rng(40)
@@ -419,6 +447,17 @@ class TestFrozenReference:
                     assert np.array_equal(X, ref)
                 else:
                     assert np.max(np.abs(X - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    @pytest.mark.parametrize("t_final", [1.0, -1.0])
+    def test_csv_bytes_match_per_value_writer(self, tmp_path, n, t_final):
+        rng = np.random.default_rng(80 + n)
+        z0 = random_point(rng, n, scale=0.35)
+        traj = integrate_flow(z0, _flow_specs(n)[-1], t_final)
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        trajectory_to_csv(traj, new)
+        _reference_trajectory_to_csv(traj, old)
+        assert new.read_bytes() == old.read_bytes()
 
     def test_integrals_along_is_integrals_of_each_row(self):
         rng = np.random.default_rng(50)
