@@ -65,10 +65,10 @@ def _build_config(args) -> RunConfig:
     if args.out is not None:
         data["out"] = args.out
     for name in ("degeneracy", "rank", "bracket"):
-        value = getattr(args, f"tol_{name}", None)
+        value = getattr(args, f"tol_{name}")
         if value is not None:
             data[f"{name}_tol"] = value
-    if getattr(args, "tol_ode", None) is not None:
+    if args.tol_ode is not None:
         data["ode_rtol"] = args.tol_ode
     try:
         return RunConfig.from_dict(data)
@@ -231,27 +231,29 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON configuration file")
-    common.add_argument("--n", type=_parse_int_list, help="comma-separated chain sizes")
-    common.add_argument("--seed", type=int, help="random seed")
-    common.add_argument("--points", type=int, help="random samples per check")
-    common.add_argument("--suite", choices=["full", "quick"], help="suite size")
-    common.add_argument("--out", help="output path")
-    common.add_argument("--tol.degeneracy", dest="tol_degeneracy", type=float,
-                        help="eigenvalue degeneracy tolerance")
-    common.add_argument("--tol.rank", dest="tol_rank", type=float,
-                        help="relative rank-decision tolerance")
-    common.add_argument("--tol.bracket", dest="tol_bracket", type=float,
-                        help="bracket zero-pattern tolerance")
-    common.add_argument("--tol.ode", dest="tol_ode", type=float,
-                        help="relative integrator tolerance")
+    # each subcommand takes only the options it reads; argparse rejects the rest
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="output path")
+    sizes = argparse.ArgumentParser(add_help=False)
+    sizes.add_argument("--n", type=_parse_int_list, help="comma-separated chain sizes")
 
-    pv = sub.add_parser("verify", parents=[common], help="run the verification suite")
+    pv = sub.add_parser("verify", parents=[sizes, out], help="run the verification suite")
+    pv.add_argument("--config", help="JSON configuration file")
+    pv.add_argument("--seed", type=int, help="random seed")
+    pv.add_argument("--points", type=int, help="random samples per check")
+    pv.add_argument("--suite", choices=["full", "quick"], help="suite size")
+    pv.add_argument("--tol.degeneracy", dest="tol_degeneracy", type=float,
+                    help="eigenvalue degeneracy tolerance")
+    pv.add_argument("--tol.rank", dest="tol_rank", type=float,
+                    help="relative rank-decision tolerance")
+    pv.add_argument("--tol.bracket", dest="tol_bracket", type=float,
+                    help="bracket zero-pattern tolerance")
+    pv.add_argument("--tol.ode", dest="tol_ode", type=float,
+                    help="relative integrator tolerance")
     pv.add_argument("--no-timing", action="store_true", help="omit wall times from the report")
     pv.set_defaults(fn=cmd_verify)
 
-    ps = sub.add_parser("singular", parents=[common], help="locate singular points")
+    ps = sub.add_parser("singular", parents=[sizes, out], help="locate singular points")
     ps.add_argument("--targets", default="all",
                     help="comma-separated pair labels like even:1,odd:2, or 'all'")
     ps.add_argument("--joint", action="store_true",
@@ -260,12 +262,12 @@ def _parser() -> argparse.ArgumentParser:
     ps.add_argument("--p0", type=float, default=0.0, help="common momentum of the seed equilibrium")
     ps.set_defaults(fn=cmd_singular)
 
-    pm = sub.add_parser("maslov", parents=[common], help="holonomies and Maslov index of a loop")
+    pm = sub.add_parser("maslov", parents=[out], help="holonomies and Maslov index of a loop")
     pm.add_argument("curve", help="JSON curve specification file")
     pm.add_argument("--trace-csv", help="write the winding trace as CSV")
     pm.set_defaults(fn=cmd_maslov)
 
-    pi = sub.add_parser("integrate", parents=[common], help="integrate a trace flow")
+    pi = sub.add_parser("integrate", help="integrate a trace flow")
     pi.add_argument("--q", type=_parse_float_list, required=True, help="initial positions")
     pi.add_argument("--p", type=_parse_float_list, required=True, help="initial momenta")
     pi.add_argument("--c", type=_parse_float_list, required=True,
@@ -275,6 +277,7 @@ def _parser() -> argparse.ArgumentParser:
     pi.add_argument("--rtol", type=float, default=DEFAULT_RTOL)
     pi.add_argument("--method", choices=["dop853", "verlet"], default="dop853")
     pi.add_argument("--dt", type=float, default=1e-3, help="leapfrog step size")
+    pi.add_argument("--out", required=True, help="output CSV path")
     pi.set_defaults(fn=cmd_integrate)
     return ap
 

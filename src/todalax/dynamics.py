@@ -12,6 +12,7 @@ adaptive error control.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 import math
 import numbers
 
@@ -25,12 +26,13 @@ from .lax import (
     _cyclic,
     _generator,
     _lax_entries,
+    _require_index,
     _traces,
-    build_lax,
 )
 
 __all__ = [
     "DEFAULT_RTOL",
+    "RTOL_FLOOR",
     "Gradient",
     "grad_F",
     "grad_combination",
@@ -60,20 +62,37 @@ class Gradient:
 
 
 def _grad_from_power(power: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(dq, dp) of Tr(L^j)/j given L^(j-1) and the couplings; dp is a read-only view."""
-    ix = _cyclic(b.size)
-    off = b * power.take(ix.upper)
-    return off - off[ix.prv], power.diagonal()
+    """(dq, dp) of Tr(L^j)/j given L^(j-1) and the couplings; dp is a read-only view.
+
+    Stacked powers (N, n, n) and couplings (N, n) give rows (N, n).  A
+    single point (a 2-d power, as in the flow's right-hand side) takes the
+    short path: the stack's reshape and axis-wise takes would add about
+    2 us to a 40 us right-hand side evaluation.
+    """
+    ix = _cyclic(b.shape[-1])
+    if power.ndim == 2:
+        off = b * power.take(ix.upper)
+        return off - off[ix.prv], power.diagonal()
+    off = b * power.reshape(len(b), -1).take(ix.upper, axis=1)
+    return off - off.take(ix.prv, axis=1), power.diagonal(0, 1, 2)
+
+
+def _gradients(b: np.ndarray, p: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """dF_j/dq and dF_j/dp of stacked rows (see lax._off_band), from matrix_power(L, j - 1).
+
+    Both are contiguous arrays of their own: _brackets' matmuls of strided
+    rows would not round as np.dot does.
+    """
+    L = _lax_entries(b, p, SignVector.even(b.shape[-1]).eps)
+    dq, dp = _grad_from_power(np.linalg.matrix_power(L, j - 1), b)
+    return dq, dp.copy()
 
 
 def grad_F(z: PhasePoint, j: int) -> Gradient:
     """Analytic gradient of the j-th conserved trace, 1 <= j <= n."""
-    n = z.n
-    if not 1 <= j <= n:
-        raise ValueError(f"flow index {j} out of range 1..{n}")
-    L = build_lax(z).entries
-    dq, dp = _grad_from_power(np.linalg.matrix_power(L, j - 1), z.couplings())
-    return Gradient(dq, dp.copy())
+    j = _require_index("flow index", j, z.n)
+    dq, dp = _gradients(z.couplings()[None], z.p[None], j)
+    return Gradient(dq[0], dp[0])
 
 
 def _trace_gradients(z: PhasePoint) -> np.ndarray:
@@ -151,31 +170,56 @@ def poisson(f: Gradient, g: Gradient) -> float:
     return float(np.dot(f.dq, g.dp) - np.dot(f.dp, g.dq))
 
 
-def lax_residual(z: PhasePoint, j: int, odd_class: bool = False) -> float:
-    """Max-abs entry of {L, F_j} - [L, M_(j)] (or the odd-class analogue).
+def _brackets(b: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """{F_i, F_j} for 1 <= i < j <= n of stacked rows (see lax._off_band).
 
-    {L, F_j}, from the analytic gradient, has L's periodic tridiagonal pattern:
-    -dF/dq on the diagonal, b_m (dF/dp_m - dF/dp_(m+1))/2 at coupling m.
+    Shape (N, n(n-1)/2), the pairs (i, j) in lexicographic order.  Each sum
+    is a stacked matmul of a contiguous row by a contiguous column, which
+    rounds as poisson's np.dot does.
     """
-    n = z.n
-    if not 1 <= j <= n:
-        raise ValueError(f"flow index {j} out of range 1..{n}")
-    b = z.couplings()
+    n = b.shape[-1]
+    grads = [_gradients(b, p, j) for j in range(1, n + 1)]
+    out = np.empty((len(b), n * (n - 1) // 2))
+    for k, (i, j) in enumerate(combinations(range(n), 2)):
+        (fq, fp), (gq, gp) = grads[i], grads[j]
+        out[:, k] = (fq[:, None, :] @ gp[:, :, None] - fp[:, None, :] @ gq[:, :, None])[:, 0, 0]
+    return out
+
+
+def _lax_residuals(b: np.ndarray, p: np.ndarray, j: int, odd_class: bool) -> np.ndarray:
+    """lax_residual of stacked rows (see lax._off_band): shape (N,).
+
+    The gradient of F_j comes from L^(j-1); the even class's generator from
+    Lbar^(j-1), the odd class's from L^(j-1).
+    """
+    n = b.shape[-1]
     even, odd = SignVector.even(n).eps, SignVector.odd(n).eps
-    L_even, L_odd = _lax_entries(b, z.p, even), _lax_entries(b, z.p, odd)
+    L_even, L_odd = _lax_entries(b, p, even), _lax_entries(b, p, odd)
     grad_power = np.linalg.matrix_power(L_even, j - 1)
     dq, dp = _grad_from_power(grad_power, b)
     if odd_class:
         L, eps, M = L_odd, odd, _generator(grad_power)
     else:
         L, eps, M = L_even, even, _generator(np.linalg.matrix_power(L_odd, j - 1))
-    weight = 0.5 * (b * eps) * (dp - dp[_cyclic(n).nxt])
+    weight = 0.5 * (b * eps) * (dp - dp.take(_cyclic(n).nxt, axis=-1))
     bracket = _lax_entries(weight, -dq, even)
-    return float(np.max(np.abs(bracket - (L @ M - M @ L))))
+    return np.max(np.abs(bracket - (L @ M - M @ L)), axis=(-2, -1))
+
+
+def lax_residual(z: PhasePoint, j: int, odd_class: bool = False) -> float:
+    """Max-abs entry of {L, F_j} - [L, M_(j)] (or the odd-class analogue).
+
+    {L, F_j}, from the analytic gradient, has L's periodic tridiagonal pattern:
+    -dF/dq on the diagonal, b_m (dF/dp_m - dF/dp_(m+1))/2 at coupling m.
+    """
+    j = _require_index("flow index", j, z.n)
+    return float(_lax_residuals(z.couplings()[None], z.p[None], j, odd_class)[0])
 
 
 # DOP853's relative tolerance unless a caller sets one; integrate_flow says why not 1e-10.
 DEFAULT_RTOL = 1e-11
+# solve_ivp raises a smaller rtol to 100 machine epsilons, with only a warning.
+RTOL_FLOOR = 100 * float(np.finfo(float).eps)
 
 
 def _is_real(value) -> bool:
@@ -187,6 +231,14 @@ def _require_tolerance(name: str, value) -> None:
     """Raise ValueError unless ``value`` is a finite positive real."""
     if not (_is_real(value) and math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be a finite positive real, got {value!r}")
+
+
+def _require_rtol(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is a finite real of at least RTOL_FLOOR."""
+    _require_tolerance(name, value)
+    if value < RTOL_FLOOR:
+        raise ValueError(f"{name} must be at least scipy's floor 100 eps = {RTOL_FLOOR:.3g}, "
+                         f"got {value!r}")
 
 
 class FlowError(RuntimeError):
@@ -269,8 +321,9 @@ def integrate_flow(
     n = 8 flows of F_3 drifted by up to 1.7e-8 over t = 1, above the
     suite's 1e-8 bound.  ``method="verlet"`` is available only for the pure physical
     flow c = e_2, whose kinetic plus potential splitting supports a
-    fixed-step leapfrog.  Tolerances that are not finite positive reals
-    raise ValueError.
+    fixed-step leapfrog.  Tolerances that are not finite positive reals,
+    and an rtol below RTOL_FLOOR, which solve_ivp would not honour, raise
+    ValueError.
     """
     c = np.asarray(c, dtype=float)
     n = z0.n
@@ -285,7 +338,7 @@ def integrate_flow(
     t_eval = np.asarray(t_eval, dtype=float)
     if t_eval.size == 0:
         raise ValueError("t_eval must hold at least one time")
-    _require_tolerance("rtol", rtol)
+    _require_rtol("rtol", rtol)
     _require_tolerance("atol", atol)
 
     if method == "verlet":

@@ -186,7 +186,7 @@ def _couplings(q: np.ndarray, p: np.ndarray) -> np.ndarray:
     a PhasePoint, whose own test raises the PhaseDomainError naming the fault.
     """
     n = q.shape[-1]
-    gaps = q - q[..., _cyclic(n).nxt]
+    gaps = q - q.take(_cyclic(n).nxt, axis=-1)
     if not (np.abs(gaps).max(initial=0.0) <= Q_GAP_LIMIT and math.isfinite(p.sum())):
         for qr, pr in zip(q.reshape(-1, n), p.reshape(-1, n)):
             PhasePoint(qr, pr)
@@ -209,6 +209,24 @@ def _lax_entries(b: np.ndarray, p: np.ndarray, eps: np.ndarray) -> np.ndarray:
     return m.reshape(b.shape + (n,))
 
 
+def _lax_pair(b: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """L and Lbar of stacked couplings and momenta of shape (..., n)."""
+    n = b.shape[-1]
+    return _lax_entries(b, p, SignVector.even(n).eps), _lax_entries(b, p, SignVector.odd(n).eps)
+
+
+def _is_int(value) -> bool:
+    """An int or numpy integer; bool, an int subclass, does not count."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _require_index(what: str, j, n: int) -> int:
+    """``j`` as an int; ValueError unless it is an integer, not a bool, in 1..n."""
+    if not (_is_int(j) and 1 <= j <= n):
+        raise ValueError(f"{what} must be an integer in 1..{n}, got {j!r}")
+    return int(j)
+
+
 def build_lax(z: PhasePoint, eps: SignVector | None = None) -> LaxMatrix:
     """Build the Lax matrix with diagonal p and cyclic off-diagonal eps_r b_r.
 
@@ -224,10 +242,18 @@ def build_lax(z: PhasePoint, eps: SignVector | None = None) -> LaxMatrix:
     return LaxMatrix(_lax_entries(z.couplings(), z.p, eps.eps), eps)
 
 
+@lru_cache(maxsize=None)
+def _strict_upper(n: int) -> np.ndarray:
+    """Read-only mask of the entries (r, s), s > r, of an n x n matrix."""
+    mask = np.triu(np.ones((n, n), dtype=bool), k=1)
+    mask.setflags(write=False)
+    return mask
+
+
 def _generator(power: np.ndarray) -> np.ndarray:
-    """Antisymmetric matrix from the strict upper triangle of power / 2."""
-    upper = 0.5 * np.triu(power, k=1)
-    return upper - upper.T
+    """Antisymmetric matrix from the strict upper triangle of power / 2; stacks too."""
+    upper = 0.5 * np.where(_strict_upper(power.shape[-1]), power, 0.0)
+    return upper - np.swapaxes(upper, -1, -2)
 
 
 def build_generator(z: PhasePoint, j: int, odd_class: bool = False) -> GeneratorMatrix:
@@ -239,8 +265,7 @@ def build_generator(z: PhasePoint, j: int, odd_class: bool = False) -> Generator
     nearest-neighbour antisymmetric coupling matrix.
     """
     n = z.n
-    if not 1 <= j <= n:
-        raise ValueError(f"flow index {j} out of range 1..{n}")
+    j = _require_index("flow index", j, n)
     source = build_lax(z, SignVector.even(n) if odd_class else SignVector.odd(n))
     return GeneratorMatrix(_generator(np.linalg.matrix_power(source.entries, j - 1)), j, odd_class)
 
@@ -293,12 +318,84 @@ def conjugating_signs(eps: SignVector, sigma: SignVector) -> np.ndarray:
     return d
 
 
-def _matrix_powers(a: np.ndarray, jmax: int) -> list[np.ndarray]:
-    """[a^1, ..., a^jmax] by repeated multiplication."""
-    powers = [a]
-    for _ in range(jmax - 1):
-        powers.append(powers[-1] @ a)
-    return powers
+@lru_cache(maxsize=None)
+def _band(n: int, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index arrays of L^j - Lbar^j (n x n, flattened) for off_band_check.
+
+    The flat positions of the entries with plain distance |r - s| < n - j;
+    the flat positions (i, i + n - j), i < j, of the first nonzero diagonal;
+    the (j, j) coupling indices r - 1 - k (mod n) of its descending products.
+    """
+    r, s = np.indices((n, n))
+    i = np.arange(j)
+    out = (np.flatnonzero(np.abs(r - s) < n - j), i * n + i + n - j,
+           (i[:, None] - 1 - np.arange(j)) % n)
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+# The stacked kernels below take the rows of N points as couplings b
+# (from _couplings, which checks the phase-space domain, or from
+# PhasePoint.couplings) and momenta p, both of shape (N, n).  The scalar
+# checks are their N = 1 rows.
+
+def _off_band(b: np.ndarray, p: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-pattern and first-diagonal residuals of L^j - Lbar^j, 1 <= j <= n.
+
+    Two arrays of shape (N,); see off_band_check for their definitions.
+    """
+    n = b.shape[-1]
+    L, Lbar = _lax_pair(b, p)
+    D = (np.linalg.matrix_power(L, j) - np.linalg.matrix_power(Lbar, j)).reshape(-1, n * n)
+    # ||L||_2 is the largest singular value, the first that svd lists
+    scale = np.maximum(np.linalg.svd(L, compute_uv=False)[:, 0], 1.0) ** j
+    zeros, first, products = _band(n, j)
+    zero_residual = np.max(np.abs(D[:, zeros]), axis=-1, initial=0.0) / scale
+    expected = 4.0 if j == n else 2.0 * np.prod(b[:, products], axis=-1)
+    diagonal = np.abs(D[:, first] - expected) / np.maximum(np.abs(expected), 1e-300)
+    return zero_residual, np.max(diagonal, axis=-1)
+
+
+def _trace_gaps(b: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """|Tr L^j - Tr Lbar^j - target| / scale, j = 1..n: shape (N, n).
+
+    The target is 0 for j < n and 4n at j = n; the scale is the largest of
+    1, |Tr L^j|, |Tr Lbar^j| and the target.
+    """
+    n = b.shape[-1]
+    L, Lbar = _lax_pair(b, p)
+    out = np.empty(b.shape)
+    PL, PB = L, Lbar
+    for j in range(1, n + 1):
+        if j > 1:
+            PL, PB = PL @ L, PB @ Lbar
+        tl = np.trace(PL, axis1=-2, axis2=-1)
+        tb = np.trace(PB, axis1=-2, axis2=-1)
+        target = 4.0 * n if j == n else 0.0
+        scale = np.maximum(np.maximum(np.abs(tl), np.abs(tb)), max(1.0, target))
+        out[:, j - 1] = np.abs(tl - tb - target) / scale
+    return out
+
+
+_CHAR_POLY_GRID = np.linspace(-3.0, 3.0, 21)
+_CHAR_POLY_GRID.setflags(write=False)
+
+
+def _char_poly(b: np.ndarray, p: np.ndarray,
+               x_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Grid mean and worst deviation from it of det(xI - L) - det(xI - Lbar).
+
+    Two arrays of shape (N,), from one det call over all rows, both
+    classes and every grid value.
+    """
+    n = b.shape[-1]
+    L, Lbar = _lax_pair(b, p)
+    xI = x_grid[:, None, None] * np.eye(n)
+    dets = np.linalg.det(xI - np.stack([L, Lbar], axis=1)[:, :, None])
+    diffs = dets[:, 0] - dets[:, 1]
+    constant = np.mean(diffs, axis=-1)
+    return constant, np.max(np.abs(diffs - constant[:, None]), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -325,30 +422,9 @@ def off_band_check(z: PhasePoint, j: int, tol: float = 1e-10) -> OffBandReport:
     b_{r-1} b_{r-2} ... b_{r-j} for j < n, and equal 4 for j = n.  Residuals
     are scaled by ||L||^j (zero pattern) and relatively (diagonal values).
     """
-    n = z.n
-    if not 1 <= j <= n:
-        raise ValueError(f"power {j} out of range 1..{n}")
-    L = build_lax(z).entries
-    Lbar = build_lax(z, SignVector.odd(n)).entries
-    D = np.linalg.matrix_power(L, j) - np.linalg.matrix_power(Lbar, j)
-
-    scale = max(np.linalg.norm(L, 2), 1.0) ** j
-    rows, cols = np.indices((n, n))
-    zero_mask = np.abs(rows - cols) < n - j
-    zero_residual = float(np.max(np.abs(D[zero_mask])) / scale) if zero_mask.any() else 0.0
-
-    b = z.couplings()
-    diag_residual = 0.0
-    for i in range(j):
-        value = D[i, i + n - j]
-        if j == n:
-            expected = 4.0
-        else:
-            # product b_{r-1}...b_{r-j} for 1-indexed row r = i+1, indices mod n
-            idx = (i - 1 - np.arange(j)) % n
-            expected = 2.0 * float(np.prod(b[idx]))
-        diag_residual = max(diag_residual, abs(value - expected) / max(abs(expected), 1e-300))
-    return OffBandReport(n, j, zero_residual, float(diag_residual), tol)
+    j = _require_index("power", j, z.n)
+    zero, diagonal = _off_band(z.couplings()[None], z.p[None], j)
+    return OffBandReport(z.n, j, float(zero[0]), float(diagonal[0]), tol)
 
 
 @dataclass(frozen=True)
@@ -366,16 +442,7 @@ class TraceReport:
 
 def trace_relation_check(z: PhasePoint, tol: float = 1e-9) -> TraceReport:
     """Check that the traces of L^j and Lbar^j agree for j < n and differ by 4n at j = n."""
-    n = z.n
-    L = build_lax(z).entries
-    Lbar = build_lax(z, SignVector.odd(n)).entries
-    residuals = np.empty(n)
-    for j, (PL, PB) in enumerate(zip(_matrix_powers(L, n), _matrix_powers(Lbar, n)), start=1):
-        gap = np.trace(PL) - np.trace(PB)
-        target = 4.0 * n if j == n else 0.0
-        scale = max(1.0, abs(np.trace(PL)), abs(np.trace(PB)), target)
-        residuals[j - 1] = abs(gap - target) / scale
-    return TraceReport(n, residuals, tol)
+    return TraceReport(z.n, _trace_gaps(z.couplings()[None], z.p[None])[0], tol)
 
 
 @dataclass(frozen=True)
@@ -400,15 +467,13 @@ def char_poly_offset(
     point; its magnitude is 4 and, in this determinant orientation, its sign
     is negative for every n.  The constant is determined empirically: the
     reported value is the grid mean, the deviation the worst distance to it.
+    The grid, 21 points on [-3, 3] by default, must be a non-empty 1-d
+    array of finite values; otherwise ValueError.
     """
-    n = z.n
     if x_grid is None:
-        x_grid = np.linspace(-3.0, 3.0, 21)
-    L = build_lax(z).entries
-    Lbar = build_lax(z, SignVector.odd(n)).entries
-    eye = np.eye(n)
-    diffs = np.array(
-        [np.linalg.det(x * eye - L) - np.linalg.det(x * eye - Lbar) for x in x_grid]
-    )
-    constant = float(np.mean(diffs))
-    return CharPolyReport(constant, float(np.max(np.abs(diffs - constant))), tol)
+        x_grid = _CHAR_POLY_GRID
+    x_grid = np.asarray(x_grid, dtype=float)
+    if x_grid.ndim != 1 or x_grid.size == 0 or not np.all(np.isfinite(x_grid)):
+        raise ValueError(f"x_grid must be a non-empty 1-d array of finite values, got {x_grid!r}")
+    constant, deviation = _char_poly(z.couplings()[None], z.p[None], x_grid)
+    return CharPolyReport(float(constant[0]), float(deviation[0]), tol)

@@ -18,19 +18,22 @@ import numpy as np
 from .lax import (
     PhasePoint,
     SignVector,
+    _CHAR_POLY_GRID,
+    _char_poly,
+    _couplings,
+    _is_int,
+    _off_band,
+    _trace_gaps,
     build_lax,
-    char_poly_offset,
-    off_band_check,
-    trace_relation_check,
 )
 from .dynamics import (
     DEFAULT_RTOL,
+    _brackets,
     _is_real,
+    _lax_residuals,
+    _require_rtol,
     _require_tolerance,
-    grad_F,
     integrate_flow,
-    lax_residual,
-    poisson,
 )
 from .spectral import interlacing_check
 from .singularity import (
@@ -71,11 +74,6 @@ FINDER_ERRORS = (ConvergenceError, StratumCollapseError)
 LOOP_ERRORS = FINDER_ERRORS + (RegularityError, TransportError, LagrangianFrameError)
 
 
-def _is_int(value) -> bool:
-    """An int or numpy integer; bool, an int subclass, does not count."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 @dataclass
 class RunConfig:
     """Suite configuration: sizes, seed, tolerances and output paths."""
@@ -97,8 +95,9 @@ class RunConfig:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not all(_is_int(n) for n in self.n_values):
             raise ValueError(f"n_values must be integers, got {self.n_values}")
-        for name in ("degeneracy_tol", "rank_tol", "bracket_tol", "ode_rtol"):
+        for name in ("degeneracy_tol", "rank_tol", "bracket_tol"):
             _require_tolerance(f"tolerance {name}", getattr(self, name))
+        _require_rtol("tolerance ode_rtol", self.ode_rtol)
         if any(n < 2 for n in self.n_values) or len(set(self.n_values)) != len(self.n_values):
             raise ValueError(f"n values must be distinct and at least 2, got {self.n_values}")
         if self.seed < 0:
@@ -126,10 +125,15 @@ class RunConfig:
 DESK_SCALE = 0.35  # keeps absolute tolerances meaningful up to n = 8
 
 
-def random_points(rng: np.random.Generator, n: int, count: int, scale: float = DESK_SCALE):
-    """``count`` points with q and p drawn as scale * N(0, 1)."""
-    return [PhasePoint(scale * rng.standard_normal(n), scale * rng.standard_normal(n))
-            for _ in range(count)]
+def random_points(rng: np.random.Generator, n: int, count: int,
+                  scale: float = DESK_SCALE) -> tuple[np.ndarray, np.ndarray]:
+    """q and p of ``count`` points, each of shape (count, n), drawn as scale * N(0, 1).
+
+    The draws run point by point, q before p, as ``count`` pairs of calls
+    ``scale * rng.standard_normal(n)`` would make them.
+    """
+    q, p = (scale * rng.standard_normal((count, 2, n))).transpose(1, 0, 2).copy()
+    return q, p
 
 
 def _reason(exc: Exception) -> str:
@@ -140,13 +144,28 @@ def _reason(exc: Exception) -> str:
 class Sample:
     """What the checks run on at one size n, None for a check that does not depend on n.
 
-    Random points, a relative equilibrium, centres of contractible loops (any size).
+    Random points as stacked rows q, p of shape (N, n), a relative
+    equilibrium, centres of contractible loops (any size).
     """
 
     n: int | None
-    points: list[PhasePoint] = field(default_factory=list)
+    q: np.ndarray | None = None
+    p: np.ndarray | None = None
     equilibrium: OmegaPoint | None = None
     centres: tuple[PhasePoint, ...] = ()
+
+    @cached_property
+    def couplings(self) -> np.ndarray:
+        """Couplings of the random points, shape (N, n), the stacked checks' input.
+
+        A point outside the phase-space domain raises PhasePoint's PhaseDomainError.
+        """
+        return _couplings(self.q, self.p)
+
+    @cached_property
+    def points(self) -> list[PhasePoint]:
+        """The random points one by one, for the checks that run per point."""
+        return [PhasePoint(q, p) for q, p in zip(self.q, self.p)]
 
     @cached_property
     def sigma1(self) -> tuple[list[SingularPoint], str, str]:
@@ -202,50 +221,36 @@ class Check:
 
 @partial(Check, "off_band", "powers L^j - Lbar^j are j-off-banded; first diagonal "
          "2 b_{r-1}..b_{r-j}, 4 at j=n", 1e-10)
-def _off_band(s: Sample, config: RunConfig) -> Outcome:
-    worst = 0.0
-    for z in s.points:
-        for j in range(1, s.n + 1):
-            rep = off_band_check(z, j)
-            worst = max(worst, rep.zero_residual, rep.diagonal_residual)
-    return Outcome(worst)
+def _off_band_check(s: Sample, config: RunConfig) -> Outcome:
+    return Outcome(max(float(np.max(_off_band(s.couplings, s.p, j))) for j in range(1, s.n + 1)))
 
 
 @partial(Check, "trace_gap", "Tr L^j = Tr Lbar^j for j < n and Tr L^n - Tr Lbar^n = 4n", 1e-9)
 def _trace_gap(s: Sample, config: RunConfig) -> Outcome:
-    return Outcome(max(float(np.max(trace_relation_check(z).residuals)) for z in s.points))
+    return Outcome(float(np.max(_trace_gaps(s.couplings, s.p))))
 
 
 @partial(Check, "char_poly_offset",
          "det(xI - L) - det(xI - Lbar) is constant in x and z with magnitude 4", 1e-8)
 def _char_poly_offset(s: Sample, config: RunConfig) -> Outcome:
-    reps = [char_poly_offset(z) for z in s.points]
-    constants = np.array([rep.constant for rep in reps])
-    return Outcome(max(max(rep.max_deviation for rep in reps),
+    constants, deviations = _char_poly(s.couplings, s.p, _CHAR_POLY_GRID)
+    return Outcome(max(float(np.max(deviations)),
                        float(np.max(np.abs(np.abs(constants) - 4.0))),
                        float(np.max(constants) - np.min(constants))))
 
 
 @partial(Check, "involution", "all pairwise brackets of the conserved traces vanish", 1e-9)
 def _involution(s: Sample, config: RunConfig) -> Outcome:
-    worst = 0.0
-    for z in s.points:
-        grads = [grad_F(z, j) for j in range(1, s.n + 1)]
-        for i in range(s.n):
-            for j in range(i + 1, s.n):
-                worst = max(worst, abs(poisson(grads[i], grads[j])))
-    return Outcome(worst)
+    return Outcome(float(np.max(np.abs(_brackets(s.couplings, s.p)))))
 
 
 @partial(Check, "lax_equations", "bracket of L with each trace equals the commutator with "
          "its generator, both classes", 1e-8)
 def _lax_equations(s: Sample, config: RunConfig) -> Outcome:
     # the first quarter of the points, at least ten
-    return Outcome(max(
-        lax_residual(z, j, odd)
-        for z in s.points[: max(10, len(s.points) // 4)]
-        for j in range(1, s.n + 1) for odd in (False, True)
-    ))
+    k = max(10, len(s.q) // 4)
+    return Outcome(max(float(np.max(_lax_residuals(s.couplings[:k], s.p[:k], j, odd)))
+                       for j in range(1, s.n + 1) for odd in (False, True)))
 
 
 @partial(Check, "interlacing",
@@ -411,7 +416,7 @@ def _isospectral_flows(s: Sample, config: RunConfig) -> Outcome:
 
 
 CHECKS = (
-    _off_band, _trace_gap, _char_poly_offset, _involution, _lax_equations, _interlacing,
+    _off_band_check, _trace_gap, _char_poly_offset, _involution, _lax_equations, _interlacing,
     _omega_spectra, _corank_omega, _corank_random, _bracket_relations_omega,
     _sigma1_components, _corank_sigma1, _transverse_structure,
     _maslov_calibration, _holonomy_omega_line, _maslov_theorem, _isospectral_flows,
@@ -426,10 +431,10 @@ def run_suite(config: RunConfig) -> VerificationReport:
     loops = (PhasePoint(np.array([0.5, -0.2, 0.1]), np.array([0.3, 0.9, -0.4])),)
     samples = {None: Sample(None)}
     for n in config.n_values:  # random points, then p0, then q0
-        points = random_points(rng, n, config.points)
+        q, p = random_points(rng, n, config.points)
         p0 = float(rng.uniform(-1, 1))
         om = omega_point(n, q0=float(rng.uniform(-1, 1)), p0=p0)
-        samples[n] = Sample(n, points, om, loops)
+        samples[n] = Sample(n, q, p, om, loops)
     # consecutive checks with equal sizes run size by size, at the sizes with a sample
     for sizes, block in groupby(CHECKS, key=lambda check: check.sizes):
         block = list(block)

@@ -21,7 +21,7 @@ SIGMA1_CHECKS = ("sigma1_components", "corank_sigma1", "transverse_structure")
 
 def _random(seed, sizes, count):
     rng = np.random.default_rng(seed)
-    return [Sample(n, random_points(rng, n, count)) for n in sizes]
+    return [Sample(n, *random_points(rng, n, count)) for n in sizes]
 
 
 def _equilibria(sizes, *q0_p0):

@@ -1,5 +1,6 @@
 import json
 from pathlib import Path
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 import todalax.verify as verify
 from todalax.cli import main
 from todalax.dynamics import integrate_flow
-from todalax.lax import PhasePoint
+from todalax.lax import PhaseDomainError, PhasePoint
 from todalax.maslov import ClosedCurve, maslov_index
 from todalax.reporting import float_str
 from todalax.singularity import ConvergenceError, PairTarget
@@ -53,6 +54,8 @@ class TestConfig:
         ({"ode_rtol": float("inf")}, "ode_rtol"),
         ({"flow_t_final": True}, "flow_t_final"),
         ({"degeneracy_tol": "1e-8"}, "degeneracy_tol"),
+        ({"ode_rtol": 1e-20}, "ode_rtol must be at least scipy's floor 100 eps = 2.22e-14"),
+        ({"ode_rtol": 1e-15}, "ode_rtol"),
     ])
     def test_rejects_bad_values(self, bad, name):
         with pytest.raises(ValueError, match=name):
@@ -151,6 +154,7 @@ class TestVerifyCommand:
         ([], '{"rank_tol": true}', "rank_tol"),
         ([], '{"degeneracy_tol": "1e-8"}', "degeneracy_tol"),
         (["--tol.ode", "inf"], None, "ode_rtol"),
+        (["--tol.ode", "1e-20"], None, "ode_rtol"),
     ])
     def test_bad_config_exit_two_before_any_check(self, tmp_path, capsys, args, config, name):
         if config is not None:
@@ -325,6 +329,8 @@ class TestIntegrateCommand:
         (["--rtol", "nan"], "rtol"),
         (["--rtol", "inf"], "rtol"),
         (["--rtol", "-1", "--method", "verlet"], "rtol"),
+        (["--rtol", "1e-20"], "rtol must be at least scipy's floor 100 eps = 2.22e-14"),
+        (["--rtol", "1e-15", "--method", "verlet"], "2.22e-14"),
     ])
     def test_bad_times_and_points_are_config_errors(self, tmp_path, capsys, extra, name):
         out = tmp_path / "traj.csv"
@@ -351,6 +357,74 @@ class TestIntegrateCommand:
         assert code == 0
         times = [float(ln.split(",")[0]) for ln in out.read_text().splitlines()[1:]]
         assert times == [0.0, -0.5, -1.0]
+
+
+INTEGRATE = ["integrate", "--q", "0.1,-0.1", "--p", "0.0,0.0", "--c", "0,1", "--samples", "3"]
+
+
+@pytest.mark.parametrize("argv", [
+    [*INTEGRATE, "--tol.ode", "1e-3"],
+    [*INTEGRATE, "--seed", "3"],
+    [*INTEGRATE, "--n", "2"],
+    [*INTEGRATE, "--points", "10"],
+    [*INTEGRATE, "--suite", "quick"],
+    [*INTEGRATE, "--config", "cfg.json"],
+    ["singular", "--n", "3", "--seed", "3"],
+    ["singular", "--n", "3", "--tol.rank", "0.1"],
+    ["maslov", "curve.json", "--n", "3"],
+    ["maslov", "curve.json", "--tol.degeneracy", "1e-6"],
+    ["verify", "--n", "2", "--rtol", "1e-9"],
+], ids=lambda argv: f"{argv[0]}-{argv[-2]}")
+def test_options_a_subcommand_does_not_read_are_usage_errors(tmp_path, capsys, argv):
+    # integrate --tol.ode 1e-3 used to be accepted and ignored
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_integrate_requires_out(capsys):
+    # without --out the CSV writer met a None path
+    with pytest.raises(SystemExit) as exc:
+        main(INTEGRATE)
+    assert exc.value.code == 2
+    assert "--out" in capsys.readouterr().err
+
+
+def test_random_points_keep_the_per_point_draw_order():
+    q, p = verify.random_points(np.random.default_rng(5), 4, 7)
+    assert q.shape == p.shape == (7, 4)
+    rng = np.random.default_rng(5)
+    for k in range(7):
+        assert np.array_equal(q[k], verify.DESK_SCALE * rng.standard_normal(4))
+        assert np.array_equal(p[k], verify.DESK_SCALE * rng.standard_normal(4))
+
+
+STACKED = ("off_band", "trace_gap", "char_poly_offset", "involution", "lax_equations")
+
+
+def test_stacked_checks_build_no_per_point_objects():
+    # the five Lax-structure checks run on the stacked rows; only interlacing
+    # and corank_random walk the points one by one
+    sample = Sample(4, *verify.random_points(np.random.default_rng(1), 4, 30))
+    for check in CHECKS:
+        if check.name in STACKED:
+            assert check.run(sample, RunConfig()).status == "pass"
+    assert "points" not in vars(sample)
+    assert len(sample.points) == 30
+
+
+def test_stacked_checks_raise_the_phase_point_error_of_a_bad_row():
+    q, p = verify.random_points(np.random.default_rng(2), 4, 12)
+    q[7] = [0.0, 700.0, 0.0, 0.0]
+    with pytest.raises(PhaseDomainError) as own:
+        PhasePoint(q[7], p[7])
+    for check in CHECKS:
+        if check.name in STACKED:
+            with pytest.raises(PhaseDomainError, match=f"^{re.escape(str(own.value))}$"):
+                check.run(Sample(4, q, p), RunConfig())
 
 
 def test_suite_keeps_failure_reasons(monkeypatch):

@@ -1,4 +1,6 @@
+import itertools
 import re
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -6,9 +8,10 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import todalax.dynamics as dynamics
-from todalax.lax import PhaseDomainError, PhasePoint, SignVector, build_lax, integrals
+from todalax.lax import PhaseDomainError, PhasePoint, SignVector, _couplings, build_lax, integrals
 from todalax.maslov import toda_frame
 from todalax.dynamics import (
+    RTOL_FLOOR,
     FlowError,
     Gradient,
     Trajectory,
@@ -74,6 +77,13 @@ class TestGradients:
         z = PhasePoint(np.zeros(3), np.zeros(3))
         with pytest.raises(ValueError):
             grad_F(z, 0)
+
+    @pytest.mark.parametrize("bad", [True, False, 2.5, np.float64(2.0), "2", None, 0, 4])
+    def test_flow_index_must_be_an_integer_in_range(self, bad):
+        z = PhasePoint(np.zeros(3), np.zeros(3))
+        for fn in (grad_F, lax_residual):
+            with pytest.raises(ValueError, match="flow index must be an integer in 1..3"):
+                fn(z, bad)
 
     def test_coordinate_form_matches_finite_differences(self):
         rng = np.random.default_rng(4)
@@ -147,6 +157,42 @@ class TestLaxResidual:
                 for j in range(1, n + 1):
                     assert lax_residual(z, j) < 1e-9
                     assert lax_residual(z, j, odd_class=True) < 1e-9
+
+
+def _stack(seed, n, count, scale):
+    """Couplings and momenta of ``count`` random points, and the points themselves."""
+    rng = np.random.default_rng(seed)
+    q, p = scale * rng.standard_normal((count, n)), scale * rng.standard_normal((count, n))
+    return _couplings(q, p), p, [PhasePoint(a, c) for a, c in zip(q, p)]
+
+
+class TestStackedKernels:
+    """Rows of the stacked gradient, bracket and Lax-residual kernels equal the scalar calls."""
+
+    @pytest.mark.parametrize("count", [1, 30])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_rows_equal_scalar_calls(self, n, count):
+        b, p, points = _stack(600 + n, n, count, scale=1.0)
+        grads = [[grad_F(z, j) for j in range(1, n + 1)] for z in points]
+        for j in range(1, n + 1):
+            dq, dp = dynamics._gradients(b, p, j)
+            assert np.array_equal(dq, [g[j - 1].dq for g in grads])
+            assert np.array_equal(dp, [g[j - 1].dp for g in grads])
+            for odd_class in (False, True):
+                assert np.array_equal(dynamics._lax_residuals(b, p, j, odd_class),
+                                      [lax_residual(z, j, odd_class) for z in points])
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        assert np.array_equal(dynamics._brackets(b, p),
+                              [[poisson(g[i], g[j]) for i, j in pairs] for g in grads])
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_kernels_equal_the_frozen_reference(self, n):
+        b, p, points = _stack(700 + n, n, 12, scale=0.35)
+        for j in range(1, n + 1):
+            for odd_class in (False, True):
+                ref = [_reference_lax_residual(z, j, odd_class) for z in points]
+                assert np.array_equal(dynamics._lax_residuals(b, p, j, odd_class), ref)
+        assert np.array_equal(dynamics._brackets(b, p), [_reference_brackets(z) for z in points])
 
 
 class TestFlows:
@@ -224,6 +270,22 @@ class TestFlows:
         z0 = PhasePoint(np.zeros(2), np.zeros(2))
         with pytest.raises(ValueError, match=f"{name} must be a finite positive real"):
             integrate_flow(z0, np.array([0.0, 1.0]), 1.0, method=method, **{name: bad})
+
+    @pytest.mark.parametrize("method", ["dop853", "verlet"])
+    @pytest.mark.parametrize("bad", [1e-20, 1e-15, 2.2e-14, np.nextafter(RTOL_FLOOR, 0.0)])
+    def test_rtol_below_scipy_floor_rejected(self, method, bad):
+        # solve_ivp would run at 100 eps instead, with only a warning; atol has no floor
+        z0 = PhasePoint(np.zeros(2), np.zeros(2))
+        with pytest.raises(ValueError, match="rtol must be at least scipy's floor 100 eps = 2.22e-14"):
+            integrate_flow(z0, np.array([0.0, 1.0]), 1.0, method=method, rtol=bad)
+
+    def test_rtol_at_scipy_floor_runs_without_warning(self):
+        z0 = PhasePoint(np.array([0.1, -0.1]), np.zeros(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = integrate_flow(z0, np.array([0.0, 1.0]), 0.1, t_eval=np.array([0.0, 0.1]),
+                                  rtol=RTOL_FLOOR, atol=1e-20)
+        assert RTOL_FLOOR == 100 * np.finfo(float).eps and traj.nfev > 0
 
     def test_rk45_is_not_an_integrator(self):
         z0 = PhasePoint(np.zeros(2), np.zeros(2))
@@ -364,6 +426,14 @@ def _reference_lax_residual(z, j, odd_class):
         bracket[(m + 1) % n, m] += weight[m]
     bracket[np.arange(n), np.arange(n)] -= dq
     return float(np.max(np.abs(bracket - (L @ M - M @ L))))
+
+
+def _reference_brackets(z):
+    # {F_i, F_j}, i < j, from contiguous gradients and np.dot, as the suite took them
+    L, b = _reference_lax(z)
+    grads = [_reference_grad_from_power(np.linalg.matrix_power(L, j), b) for j in range(z.n)]
+    return [float(np.dot(fq, gp) - np.dot(fp, gq))
+            for (fq, fp), (gq, gp) in itertools.combinations(grads, 2)]
 
 
 def _reference_toda_frame(z):

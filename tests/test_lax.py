@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from todalax.lax import (
+    _CHAR_POLY_GRID,
     PhaseDomainError,
     PhasePoint,
     SignVector,
@@ -14,6 +17,10 @@ from todalax.lax import (
     integrals,
     off_band_check,
     trace_relation_check,
+    _char_poly,
+    _couplings,
+    _off_band,
+    _trace_gaps,
 )
 
 
@@ -153,6 +160,17 @@ class TestGenerators:
         with pytest.raises(ValueError):
             build_generator(z, 4)
 
+    @pytest.mark.parametrize("bad", [True, False, 2.5, np.float64(2.0), "2", None])
+    def test_flow_index_must_be_an_integer(self, bad):
+        z = PhasePoint(np.zeros(3), np.zeros(3))
+        with pytest.raises(ValueError, match="flow index must be an integer in 1..3"):
+            build_generator(z, bad)
+
+    def test_numpy_integer_flow_index_accepted(self):
+        z = PhasePoint(np.array([0.1, -0.2, 0.3]), np.array([0.4, 0.0, -0.1]))
+        assert np.array_equal(build_generator(z, np.int64(3)).entries,
+                              build_generator(z, 3).entries)
+
 
 class TestIntegrals:
     def test_origin_values(self):
@@ -263,6 +281,18 @@ class TestOffBand:
         with pytest.raises(ValueError):
             off_band_check(z, 4)
 
+    @pytest.mark.parametrize("bad", [True, False, 2.5, np.float64(2.0), "2", None, 0, -1])
+    def test_power_must_be_an_integer_in_range(self, bad):
+        # True used to run as j = 1 and 2.5 died inside matrix_power
+        z = PhasePoint(np.zeros(3), np.zeros(3))
+        with pytest.raises(ValueError, match="power must be an integer in 1..3"):
+            off_band_check(z, bad)
+
+    def test_numpy_integer_power_accepted(self):
+        z = PhasePoint(np.array([0.1, -0.2, 0.3]), np.array([0.4, 0.0, -0.1]))
+        rep = off_band_check(z, np.int64(2))
+        assert rep == off_band_check(z, 2) and type(rep.j) is int
+
 
 class TestTraceRelation:
     def test_origin_n3(self):
@@ -321,6 +351,20 @@ class TestCharPolyOffset:
                 constants.append(rep.constant)
             npt.assert_allclose(constants, -4.0, atol=1e-9)
 
+    @pytest.mark.parametrize("grid", [
+        [], np.zeros((0,)), [[0.0, 1.0], [2.0, 3.0]], 0.5, [0.0, np.nan], [np.inf], [-np.inf, 1.0],
+    ])
+    def test_bad_grid_rejected(self, grid):
+        # a NaN grid gave NaN residuals, a wrong "fail"; an empty one died in a reduction
+        z = PhasePoint(np.zeros(3), np.zeros(3))
+        with pytest.raises(ValueError, match="x_grid must be a non-empty 1-d array of finite"):
+            char_poly_offset(z, grid)
+
+    def test_custom_grid(self):
+        z = PhasePoint(np.array([0.3, -0.1, 0.2]), np.array([0.0, 0.5, -0.4]))
+        rep = char_poly_offset(z, [-1.0, 0.0, 2.5])
+        assert rep.passed and rep.constant == pytest.approx(-4.0, abs=1e-12)
+
 
 class TestDifferencesSpanFullRank:
     def test_flattened_powers_independent(self):
@@ -338,3 +382,106 @@ class TestDifferencesSpanFullRank:
             A = np.array(cols).T
             s = np.linalg.svd(A, compute_uv=False)
             assert s[-1] > 1e-10 * s[0]
+
+
+# -- the stacked kernels ----------------------------------------------------
+
+
+def _reference_off_band(z, j):
+    # the per-point implementation the kernel replaced: a loop over the first diagonal
+    n = z.n
+    L = build_lax(z).entries
+    Lbar = build_lax(z, SignVector.odd(n)).entries
+    D = np.linalg.matrix_power(L, j) - np.linalg.matrix_power(Lbar, j)
+    scale = max(np.linalg.norm(L, 2), 1.0) ** j
+    rows, cols = np.indices((n, n))
+    zero_mask = np.abs(rows - cols) < n - j
+    zero = float(np.max(np.abs(D[zero_mask])) / scale) if zero_mask.any() else 0.0
+    b = z.couplings()
+    diagonal = 0.0
+    for i in range(j):
+        expected = 4.0 if j == n else 2.0 * float(np.prod(b[(i - 1 - np.arange(j)) % n]))
+        diagonal = max(diagonal, abs(D[i, i + n - j] - expected) / max(abs(expected), 1e-300))
+    return zero, diagonal
+
+
+def _reference_trace_gaps(z):
+    n = z.n
+    L = build_lax(z).entries
+    Lbar = build_lax(z, SignVector.odd(n)).entries
+    out = np.empty(n)
+    PL, PB = np.eye(n), np.eye(n)
+    for j in range(1, n + 1):
+        PL, PB = (L, Lbar) if j == 1 else (PL @ L, PB @ Lbar)
+        target = 4.0 * n if j == n else 0.0
+        scale = max(1.0, abs(np.trace(PL)), abs(np.trace(PB)), target)
+        out[j - 1] = abs(np.trace(PL) - np.trace(PB) - target) / scale
+    return out
+
+
+def _reference_char_poly(z):
+    # one det per grid value and class
+    n = z.n
+    L = build_lax(z).entries
+    Lbar = build_lax(z, SignVector.odd(n)).entries
+    eye = np.eye(n)
+    diffs = np.array([np.linalg.det(x * eye - L) - np.linalg.det(x * eye - Lbar)
+                      for x in np.linspace(-3.0, 3.0, 21)])
+    constant = float(np.mean(diffs))
+    return constant, float(np.max(np.abs(diffs - constant)))
+
+
+def _stack(seed, n, count, scale):
+    """Couplings and momenta of ``count`` random points, and the points themselves."""
+    rng = np.random.default_rng(seed)
+    q, p = scale * rng.standard_normal((count, n)), scale * rng.standard_normal((count, n))
+    return _couplings(q, p), p, [PhasePoint(a, c) for a, c in zip(q, p)]
+
+
+class TestStackedKernels:
+    """Every row of a stacked kernel equals the scalar check on that point, bit for bit.
+
+    The scalar checks are the kernels at N = 1; n = 2 is the collapsed
+    corner where the superdiagonal and the periodic corner coincide.
+    """
+
+    @pytest.mark.parametrize("count", [1, 40])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_rows_equal_scalar_checks(self, n, count):
+        b, p, points = _stack(300 + n, n, count, scale=1.0)
+        for j in range(1, n + 1):
+            zero, diagonal = _off_band(b, p, j)
+            reps = [off_band_check(z, j) for z in points]
+            assert np.array_equal(zero, [r.zero_residual for r in reps]), j
+            assert np.array_equal(diagonal, [r.diagonal_residual for r in reps]), j
+        assert np.array_equal(_trace_gaps(b, p), [trace_relation_check(z).residuals
+                                                  for z in points])
+        constant, deviation = _char_poly(b, p, _CHAR_POLY_GRID)
+        reps = [char_poly_offset(z) for z in points]
+        assert np.array_equal(constant, [r.constant for r in reps])
+        assert np.array_equal(deviation, [r.max_deviation for r in reps])
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_kernels_equal_the_per_point_loops(self, n):
+        b, p, points = _stack(400 + n, n, 25, scale=0.35)
+        for j in range(1, n + 1):
+            got = np.stack(_off_band(b, p, j), axis=-1)
+            assert np.array_equal(got, [_reference_off_band(z, j) for z in points]), j
+        assert np.array_equal(_trace_gaps(b, p), [_reference_trace_gaps(z) for z in points])
+        got = np.stack(_char_poly(b, p, _CHAR_POLY_GRID), axis=-1)
+        assert np.array_equal(got, [_reference_char_poly(z) for z in points])
+
+    @pytest.mark.parametrize("q_bad, p_bad", [
+        ([0.0, 700.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]),
+        ([0.0, 0.0, 0.0, 0.0], [0.0, np.nan, 0.0, 0.0]),
+        ([0.0, 0.0, np.inf, 0.0], [0.0, 0.0, 0.0, 0.0]),
+    ])
+    def test_out_of_domain_row_raises_phase_point_error(self, q_bad, p_bad):
+        # the stacks' couplings come from _couplings, which checks every row
+        rng = np.random.default_rng(500)
+        q, p = 0.35 * rng.standard_normal((6, 4)), 0.35 * rng.standard_normal((6, 4))
+        q[3], p[3] = q_bad, p_bad
+        with pytest.raises(PhaseDomainError) as own:
+            PhasePoint(q[3], p[3])
+        with pytest.raises(PhaseDomainError, match=f"^{re.escape(str(own.value))}$"):
+            _couplings(q, p)
