@@ -242,17 +242,9 @@ def build_lax(z: PhasePoint, eps: SignVector | None = None) -> LaxMatrix:
     return LaxMatrix(_lax_entries(z.couplings(), z.p, eps.eps), eps)
 
 
-@lru_cache(maxsize=None)
-def _strict_upper(n: int) -> np.ndarray:
-    """Read-only mask of the entries (r, s), s > r, of an n x n matrix."""
-    mask = np.triu(np.ones((n, n), dtype=bool), k=1)
-    mask.setflags(write=False)
-    return mask
-
-
 def _generator(power: np.ndarray) -> np.ndarray:
     """Antisymmetric matrix from the strict upper triangle of power / 2; stacks too."""
-    upper = 0.5 * np.where(_strict_upper(power.shape[-1]), power, 0.0)
+    upper = 0.5 * np.triu(power, k=1)
     return upper - np.swapaxes(upper, -1, -2)
 
 
