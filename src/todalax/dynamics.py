@@ -64,12 +64,13 @@ class Gradient:
 def _grad_from_power(power: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(dq, dp) of Tr(L^j)/j given L^(j-1) and the couplings; dp is a read-only view.
 
-    Powers (..., n, n) and couplings (..., n) give rows (..., n): one point
-    or a stack of them.
+    Powers (..., n, n) and couplings broadcastable to (..., n) give rows
+    (..., n): one point, a stack of points, or a stack of powers of one point.
     """
-    ix = _cyclic(b.shape[-1])
-    off = b * power.reshape(*b.shape[:-1], -1).take(ix.upper, axis=-1)
-    return off - off.take(ix.prv, axis=-1), np.diagonal(power, axis1=-2, axis2=-1)
+    n = b.shape[-1]
+    ix = _cyclic(n)
+    off = b * power.reshape(power.shape[:-2] + (n * n,)).take(ix.upper, axis=-1)
+    return off - off.take(ix.prv, axis=-1), power.diagonal(0, -2, -1)
 
 
 def _gradients(b: np.ndarray, p: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
@@ -99,13 +100,10 @@ def _trace_gradients(z: PhasePoint) -> np.ndarray:
     n = z.n
     b = z.couplings()
     L = _lax_entries(b, z.p, SignVector.even(n).eps)
-    rows = np.empty((n, 2 * n))
-    power = np.eye(n)
-    for j in range(n):
-        rows[j, :n], rows[j, n:] = _grad_from_power(power, b)
-        if j + 1 < n:
-            power = power @ L
-    return rows
+    powers = [np.eye(n)]
+    for _ in range(n - 1):
+        powers.append(powers[-1] @ L)
+    return np.concatenate(_grad_from_power(np.array(powers), b), axis=1)
 
 
 def _gradient_field(n: int, c: np.ndarray):
