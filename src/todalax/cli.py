@@ -14,30 +14,22 @@ import numpy as np
 
 from .lax import PhaseDomainError, PhasePoint
 from .dynamics import DEFAULT_RTOL, FlowError, integrate_flow, trajectory_to_csv
-from .singularity import (
-    ConvergenceError,
-    PairTarget,
-    StratumCollapseError,
-    all_pair_targets,
-    find_singular,
-    omega_point,
-    perturbed_seed,
-)
-from .maslov import (
-    ClosedCurve,
-    LagrangianFrameError,
-    RegularityError,
-    TransportError,
-    check_holonomy_theorem,
-)
+from .spectral import EigensolverError, TripleDegeneracyError
+from .singularity import PairTarget, all_pair_targets, find_singular, omega_point, perturbed_seed
+from .maslov import ClosedCurve, check_holonomy_theorem
 from .reporting import float_str
-from .verify import RunConfig, run_suite
+from .verify import FINDER_ERRORS, LOOP_ERRORS, RunConfig, run_suite
 
 __all__ = ["main", "cmd_verify", "cmd_singular", "cmd_maslov", "cmd_integrate"]
 
 
 class ConfigError(Exception):
     pass
+
+
+# Eigen-decomposition failures met while seeding, finding or walking: like the
+# finder's and walkers' own, reported as "error:" with exit 1.
+SPECTRAL_ERRORS = (TripleDegeneracyError, EigensolverError)
 
 
 def _load_json(path: str) -> dict:
@@ -117,14 +109,16 @@ def cmd_singular(args) -> int:
             raise ConfigError(str(exc)) from exc
     if not targets:
         raise ConfigError("no targets given")
-    om = omega_point(n, p0=args.p0)
+    try:
+        om = omega_point(n, p0=args.p0)
+    except PhaseDomainError as exc:
+        raise ConfigError(f"--p0 {args.p0}: {exc}") from exc
     results = []
     for group in ([targets] if args.joint else [[t] for t in targets]):
         rest = [t for t in all_pair_targets(n) if t not in group]
-        seed = perturbed_seed(om, rest, eps=args.eps) if rest else om.z
         try:
-            sp = find_singular(seed, group)
-        except (ConvergenceError, StratumCollapseError) as exc:
+            sp = find_singular(_seed(om, rest, args.eps), group)
+        except (*FINDER_ERRORS, *SPECTRAL_ERRORS) as exc:
             print(f"error: target {[t.label for t in group]}: {exc}", file=sys.stderr)
             return 1
         results.append(sp.to_json_dict())
@@ -136,6 +130,16 @@ def cmd_singular(args) -> int:
     else:
         print(payload)
     return 0
+
+
+def _seed(om, rest: list[PairTarget], eps: float) -> PhasePoint:
+    """The finder's start: the equilibrium displaced so that the ``rest`` pairs open."""
+    if not rest:
+        return om.z
+    try:
+        return perturbed_seed(om, rest, eps=eps)
+    except PhaseDomainError as exc:
+        raise ConfigError(f"--eps {eps}: {exc}") from exc
 
 
 def _curve_from_spec(spec: dict) -> ClosedCurve:
@@ -153,7 +157,7 @@ def _curve_from_spec(spec: dict) -> ClosedCurve:
             center,
             target,
             radius=float(spec.get("radius", 1e-2)),
-            initial_samples=int(spec.get("samples", 256)),
+            initial_samples=spec.get("samples", 256),
             orientation=int(spec.get("orientation", 1)),
         )
     raise ConfigError(f"unknown curve type {kind!r}; expected 'samples' or 'circle'")
@@ -165,9 +169,12 @@ def cmd_maslov(args) -> int:
         curve = _curve_from_spec(spec)
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad curve spec: {exc}") from exc
+    except SPECTRAL_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     try:
         rep = check_holonomy_theorem(curve)
-    except (RegularityError, TransportError, LagrangianFrameError, ValueError) as exc:
+    except (*LOOP_ERRORS, *SPECTRAL_ERRORS, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     payload = {

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 import numpy as np
 
-from .lax import PhasePoint
+from .lax import PhasePoint, _is_int
 from .dynamics import _trace_gradients
 from .spectral import DEGENERACY_TOL, SpectralData, spectra
 from .singularity import (
@@ -52,6 +52,19 @@ __all__ = [
 # angle loop, whose Maslov index is 2 by the semiclassical normalisation.
 CALIBRATION_SIGN = -1
 
+# A transport step is accepted while every eigenvector keeps more than this
+# overlap with its predecessor.
+MIN_OVERLAP = 0.9
+# Smallest relative eigenvalue gap a loop sample may have.
+REGULARITY_TOL = DEGENERACY_TOL
+# Curve evaluations one walk may spend before it gives up.
+MAX_EVALUATIONS = 200000
+# Initial steps of the calibration loop, and of the circles and corridors of
+# an enclosure boundary.
+CALIBRATION_SAMPLES = 128
+CIRCLE_SAMPLES = 256
+CORRIDOR_SAMPLES = 32
+
 
 class RegularityError(RuntimeError):
     """A curve sample is too close to an eigenvalue degeneracy."""
@@ -70,8 +83,8 @@ class ClosedCurve:
     """A parameterized loop t in [0, 1] in phase space.
 
     ``point_at`` must satisfy point_at(0) = point_at(1).  Transport and
-    winding computations start from ``initial_samples`` equal subintervals
-    and subdivide adaptively.
+    winding computations start from ``initial_samples`` equal subintervals,
+    an integer of at least 2, and subdivide adaptively.
     """
 
     point_at: Callable[[float], PhasePoint]
@@ -81,6 +94,11 @@ class ClosedCurve:
     _gaps: dict[float, float] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # a walk of fewer than two steps never leaves its start point
+        if not (_is_int(self.initial_samples) and self.initial_samples >= 2):
+            raise ValueError(
+                f"initial_samples must be an integer of at least 2, got {self.initial_samples!r}"
+            )
         z0, z1 = self.point_at(0.0), self.point_at(1.0)
         gap = float(np.max(np.abs(z0.as_vector() - z1.as_vector())))
         if gap > 1e-12:
@@ -112,7 +130,7 @@ class ClosedCurve:
             w = s - k
             return PhasePoint.from_vector((1.0 - w) * Z[k] + w * Z[k + 1])
 
-        return ClosedCurve(at, initial_samples or max(2 * m, 64))
+        return ClosedCurve(at, max(2 * m, 64) if initial_samples is None else initial_samples)
 
     @staticmethod
     def circle(
@@ -152,7 +170,6 @@ def _walk(
     curve: ClosedCurve,
     observe: Callable[[float, PhasePoint], object],
     advance: Callable[[object, object, float], tuple[object, str | None]],
-    max_evaluations: int,
 ):
     """Walk a closed curve from t = 0 to t = 1, bisecting rejected steps.
 
@@ -172,9 +189,9 @@ def _walk(
     while pending:
         t_next, obs = pending[-1]
         evaluations += 1
-        if evaluations > max_evaluations:
+        if evaluations > MAX_EVALUATIONS:
             raise TransportError(
-                f"loop walk exceeded the budget of {max_evaluations} evaluations"
+                f"loop walk exceeded the budget of {MAX_EVALUATIONS} evaluations"
             )
         if obs is None:
             obs = observe(t_next, curve.point_at(t_next))
@@ -190,9 +207,9 @@ def _walk(
     return first, state
 
 
-def _require_regular(curve: ClosedCurve, t: float, z: PhasePoint, regularity_tol: float,
+def _require_regular(curve: ClosedCurve, t: float, z: PhasePoint,
                      specs: tuple[SpectralData, SpectralData] | None = None) -> None:
-    """Raise RegularityError if the sample at t has a relative eigenvalue gap below the tolerance.
+    """Raise RegularityError if the sample at t has a relative eigenvalue gap below REGULARITY_TOL.
 
     The gap is the smallest relative gap over both Lax classes, taken from
     ``specs`` when given; otherwise from the gap an earlier walk of the same
@@ -208,10 +225,10 @@ def _require_regular(curve: ClosedCurve, t: float, z: PhasePoint, regularity_tol
         gap = min(float(np.min(s.relative_gaps)) for s in specs)
         if gaps is not None:
             gaps[t] = gap
-    if gap < regularity_tol:
+    if gap < REGULARITY_TOL:
         raise RegularityError(
             f"sample at t = {t:.6f} has eigenvalue gap {gap:.3e} below "
-            f"{regularity_tol:.1e}; the curve passes too close to a singular point"
+            f"{REGULARITY_TOL:.1e}; the curve passes too close to a singular point"
         )
 
 
@@ -240,33 +257,28 @@ class HolonomyResult:
         return int(np.prod(self.gamma)), int(np.prod(self.gammabar))
 
 
-def transport_eigenvectors(
-    curve: ClosedCurve,
-    min_overlap: float = 0.9,
-    regularity_tol: float = DEGENERACY_TOL,
-    max_evaluations: int = 200000,
-) -> HolonomyResult:
+def transport_eigenvectors(curve: ClosedCurve) -> HolonomyResult:
     """Continue the eigenvectors of both Lax matrices around the loop.
 
     At every step the new eigenvector signs maximise overlap with the
     previous ones; the sampling is bisected wherever the smallest overlap
-    over both classes drops to ``min_overlap`` or below.
+    over both classes drops to MIN_OVERLAP or below.
     """
 
     def advance(frames, new, _t):
         overlaps = [np.einsum("ij,ij->j", V, W) for V, W in zip(frames, new)]
         for cls, ov in zip(("even", "odd"), overlaps):
             r = int(np.argmin(np.abs(ov)))
-            if abs(ov[r]) <= min_overlap:
-                return None, f"{cls} eigenvector {r} overlap {abs(ov[r]):.3f} <= {min_overlap}"
+            if abs(ov[r]) <= MIN_OVERLAP:
+                return None, f"{cls} eigenvector {r} overlap {abs(ov[r]):.3f} <= {MIN_OVERLAP}"
         return tuple(W * np.sign(ov) for W, ov in zip(new, overlaps)), None
 
     def observe(t, z):
         specs = spectra(z)
-        _require_regular(curve, t, z, regularity_tol, specs)
+        _require_regular(curve, t, z, specs)
         return tuple(s.vectors for s in specs)
 
-    first, last = _walk(curve, observe, advance, max_evaluations)
+    first, last = _walk(curve, observe, advance)
     signs = []
     for V0, V in zip(first, last):
         final = np.einsum("ij,ij->j", V0, V)
@@ -299,18 +311,18 @@ def oscillator_frame(z: PhasePoint) -> np.ndarray:
     return X
 
 
-def oscillator_angle_loop(n: int, oscillator: int = 0, initial_samples: int = 128) -> ClosedCurve:
+def oscillator_angle_loop(n: int) -> ClosedCurve:
     """One period of the first oscillator's flow, the others held at (1, 0)."""
 
     def at(t: float) -> PhasePoint:
         q = np.ones(n)
         p = np.zeros(n)
         a = 2.0 * np.pi * t
-        q[oscillator] = np.cos(a)
-        p[oscillator] = -np.sin(a)
+        q[0] = np.cos(a)
+        p[0] = -np.sin(a)
         return PhasePoint(q, p)
 
-    return ClosedCurve(at, initial_samples)
+    return ClosedCurve(at, CALIBRATION_SAMPLES)
 
 
 @dataclass(frozen=True)
@@ -342,23 +354,19 @@ def _principal(a: float) -> float:
 
 
 def maslov_index(
-    curve: ClosedCurve,
-    frame_fn: Callable[[PhasePoint], np.ndarray] | None = None,
-    regularity_tol: float = DEGENERACY_TOL,
-    max_evaluations: int = 200000,
-    check_regularity: bool | None = None,
+    curve: ClosedCurve, frame_fn: Callable[[PhasePoint], np.ndarray] | None = None
 ) -> MaslovResult:
     """Winding number of the squared determinant of the unitarised frame.
 
     The continuous argument is accumulated with per-step jumps kept below
     pi/2 by bisection, so the integer winding is unambiguous; the stored
     calibration sign converts it to the Maslov index normalisation in
-    which the harmonic-oscillator angle loop scores +2.
+    which the harmonic-oscillator angle loop scores +2.  ``frame_fn``
+    defaults to ``toda_frame``, whose samples must be regular.
     """
     if frame_fn is None:
         frame_fn = toda_frame
-    if check_regularity is None:
-        check_regularity = frame_fn is toda_frame
+    check_regularity = frame_fn is toda_frame
 
     trace = [(0.0, 0.0)]
 
@@ -371,10 +379,10 @@ def maslov_index(
 
     def observe(t, z):
         if check_regularity:
-            _require_regular(curve, t, z, regularity_tol)
+            _require_regular(curve, t, z)
         return _unitary_phase(frame_fn(z))
 
-    _walk(curve, observe, advance, max_evaluations)
+    _walk(curve, observe, advance)
     total = trace[-1][1]
     winding = total / (2.0 * np.pi)
     nearest = int(np.rint(winding))
@@ -409,17 +417,16 @@ class HolonomyTheoremReport:
         )
 
 
-def check_holonomy_theorem(curve: ClosedCurve, **kwargs) -> HolonomyTheoremReport:
+def check_holonomy_theorem(curve: ClosedCurve) -> HolonomyTheoremReport:
     """Compute the Maslov index and the holonomies independently and compare.
 
     Both walks run on a copy of the curve that records the smallest relative
     eigenvalue gap of each sample, so the winding walk decomposes only the
-    samples the transport walk did not visit.  Each walk compares the gap
-    with its own regularity tolerance.
+    samples the transport walk did not visit.
     """
     shared = copy.copy(curve)
     object.__setattr__(shared, "_gaps", {})
-    hol = transport_eigenvectors(shared, **kwargs)
+    hol = transport_eigenvectors(shared)
     mas = maslov_index(shared)
     lhs = int((-1) ** (mas.mu // 2))
     return HolonomyTheoremReport(mas, hol, lhs)
@@ -431,16 +438,15 @@ class DiskSpec:
 
     The disk is the image of (a, b) -> z* + a v1 + (orientation) b v2 over
     a**2 + b**2 <= radius**2 with (v1, v2) the dual directions of the
-    degenerate pair's (xi, eta) plane.
+    (xi, eta) plane of the centre's first target pair.
     """
 
     center: SingularPoint
     radius: float = 1e-2
     orientation: int = 1
-    target: PairTarget | None = None
 
     def pair(self) -> PairTarget:
-        return self.target if self.target is not None else self.center.targets[0]
+        return self.center.targets[0]
 
 
 class DiskGeometryError(ValueError):
@@ -475,11 +481,7 @@ def _disk_sigma(disk: DiskSpec) -> int:
     return int(disk.orientation * np.sign(pair_bracket(z, target.odd_class, u1, u2)))
 
 
-def enclosure_count_check(
-    disks: list[DiskSpec],
-    samples_per_circle: int = 256,
-    samples_per_corridor: int = 32,
-) -> EnclosureReport:
+def enclosure_count_check(disks: list[DiskSpec]) -> EnclosureReport:
     """Check that the boundary winding counts the enclosed singular points.
 
     For several disks the boundary is the chain composition
@@ -493,7 +495,7 @@ def enclosure_count_check(
     for d in disks:
         v1, v2 = pair_plane_duals(d.center, d.pair())
         zc = d.center.z.as_vector()
-        angles = 2.0 * np.pi * np.linspace(0.0, 1.0, samples_per_circle + 1) * d.orientation
+        angles = 2.0 * np.pi * np.linspace(0.0, 1.0, CIRCLE_SAMPLES + 1) * d.orientation
         pts = [
             PhasePoint.from_vector(zc + d.radius * (np.cos(a) * v1 + np.sin(a) * v2))
             for a in angles
@@ -513,7 +515,7 @@ def enclosure_count_check(
         za, zb = a.as_vector(), b.as_vector()
         return [
             PhasePoint.from_vector(za + s * (zb - za))
-            for s in np.linspace(0.0, 1.0, samples_per_corridor + 1)[1:]
+            for s in np.linspace(0.0, 1.0, CORRIDOR_SAMPLES + 1)[1:]
         ]
 
     path = list(circles[0])

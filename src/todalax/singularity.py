@@ -46,6 +46,18 @@ __all__ = [
 ]
 
 RANK_TOL = 1e-7
+# Gauss-Newton limits of the finder: iterations, the relative target gap
+# that counts as closed, and the overlap a damped step keeps with the
+# frozen pair bases.
+MAX_ITER = 50
+GAP_TOL = 1e-10
+FRAME_OVERLAP = 0.9
+# Central-difference step of the Hessian, relative to max(1, |z|), and the
+# bound on its relative residual against the spectral dyad sum.
+HESSIAN_STEP = 1e-5
+HESSIAN_TOL = 1e-6
+# Bound on |n {xi, eta} / pairing - 1| of every degenerate pair.
+RATIO_TOL = 1e-6
 
 
 class ConvergenceError(RuntimeError):
@@ -264,23 +276,16 @@ def perturbed_seed(
     return z.displaced(delta)
 
 
-def find_singular(
-    seed: PhasePoint,
-    targets: list[PairTarget],
-    max_iter: int = 50,
-    gap_tol: float = 1e-10,
-    min_overlap: float = 0.9,
-    degeneracy_tol: float = DEGENERACY_TOL,
-) -> SingularPoint:
+def find_singular(seed: PhasePoint, targets: list[PairTarget]) -> SingularPoint:
     """Drive the target eigenvalue pairs degenerate by Gauss-Newton.
 
     Each iteration freezes the canonical basis of every target pair, takes
     the minimum-norm step on the stacked (xi, eta) residuals computed from
     their exact gradients in that basis, and halves the step until the new
-    pair eigenspaces keep overlap above ``min_overlap`` with the frozen
-    ones.  Convergence means every target gap is below gap_tol relative to
-    the spectral range; a degenerate non-target pair at the solution raises
-    StratumCollapseError.
+    pair eigenspaces keep overlap of at least FRAME_OVERLAP with the frozen
+    ones.  Convergence within MAX_ITER iterations means every target gap is
+    below GAP_TOL relative to the spectral range; a degenerate non-target
+    pair at the solution raises StratumCollapseError.
     """
     if not targets:
         raise ValueError("need at least one target pair")
@@ -289,16 +294,16 @@ def find_singular(
     for t in targets:
         t.positions(n)  # validate ordinals early
     z = seed
-    specs = spectra(z, degeneracy_tol)
+    specs = spectra(z)
     iterations = 0
-    for it in range(max_iter + 1):
+    for it in range(MAX_ITER + 1):
         gaps = _target_gaps(specs, targets)
-        if float(np.max(gaps)) < gap_tol:
+        if float(np.max(gaps)) < GAP_TOL:
             iterations = it
             break
-        if it == max_iter:
+        if it == MAX_ITER:
             raise ConvergenceError(
-                f"gaps {gaps} still above {gap_tol} after {max_iter} iterations"
+                f"gaps {gaps} still above {GAP_TOL} after {MAX_ITER} iterations"
             )
         residual = []
         rows = []
@@ -314,10 +319,10 @@ def find_singular(
 
         for _ in range(30):
             z_new = z.displaced(delta)
-            specs_new = spectra(z_new, degeneracy_tol)
+            specs_new = spectra(z_new)
             if all(
                 _subspace_overlap(bases[t], specs_new[t.odd_class].pair_basis(t.positions(n)))
-                >= min_overlap
+                >= FRAME_OVERLAP
                 for t in targets
             ):
                 break
@@ -363,13 +368,11 @@ def _flagged_pair(spec: SpectralData, target: PairTarget):
 
 
 def pair_plane_duals(
-    point: PhasePoint | SingularPoint,
-    target: PairTarget,
-    degeneracy_tol: float = DEGENERACY_TOL,
+    point: PhasePoint | SingularPoint, target: PairTarget
 ) -> tuple[np.ndarray, np.ndarray]:
     """Minimum-norm directions v1, v2 with dxi(v1) = deta(v2) = 1 and zero cross terms."""
     z = point.z if isinstance(point, SingularPoint) else point
-    _, u1, u2 = _flagged_pair(spectra(z, degeneracy_tol)[target.odd_class], target)
+    _, u1, u2 = _flagged_pair(spectra(z)[target.odd_class], target)
     dxi, deta, _ = _pair_forms(z, target.odd_class, u1, u2)
     A = np.vstack([dxi, deta])
     duals = A.T @ np.linalg.inv(A @ A.T)
@@ -391,11 +394,7 @@ def pair_bracket(z: PhasePoint, odd_class: bool, u1: np.ndarray, u2: np.ndarray)
     return pairing_denominator(z, odd_class, u1, u2) / z.n
 
 
-def transverse_frequency(
-    point: PhasePoint | SingularPoint,
-    target: PairTarget,
-    degeneracy_tol: float = DEGENERACY_TOL,
-) -> float:
+def transverse_frequency(point: PhasePoint | SingularPoint, target: PairTarget) -> float:
     """Frequency of the elliptic transverse oscillation fixing the stratum.
 
     omega = 2 T'(lambda*) {xi, eta}* for the pair's annihilating polynomial;
@@ -403,7 +402,7 @@ def transverse_frequency(
     it), the magnitude is basis independent.
     """
     z = point.z if isinstance(point, SingularPoint) else point
-    return _frequency(z, spectra(z, degeneracy_tol)[target.odd_class], target)
+    return _frequency(z, spectra(z)[target.odd_class], target)
 
 
 def _frequency(z: PhasePoint, spec: SpectralData, target: PairTarget) -> float:
@@ -473,14 +472,13 @@ class HessianReport:
 def hessian_structure_check(
     point: PhasePoint | SingularPoint,
     target: PairTarget,
-    tol: float = 1e-6,
-    step: float = 1e-5,
     degeneracy_tol: float = DEGENERACY_TOL,
 ) -> HessianReport:
     """Verify the dyadic Hessian structure and the linearised flow spectrum.
 
     The Hessian is built by central differences of the analytic gradient of
-    G, keeping it independent of the dyadic formula under test.  Checks:
+    G, with step HESSIAN_STEP, keeping it independent of the dyadic formula
+    under test.  Checks:
     the full spectral dyad identity, eig(J G'') = one conjugate imaginary
     pair +-i omega and zeros, agreement of omega with the closed form, and
     ellipticity Tr (J G'')^2 = -2 omega^2 < 0.
@@ -492,7 +490,7 @@ def hessian_structure_check(
     ann = annihilator(spec, idx)
     c = ann.coefficients
 
-    h = step * max(1.0, float(np.max(np.abs(z.as_vector()))))
+    h = HESSIAN_STEP * max(1.0, float(np.max(np.abs(z.as_vector()))))
     dim = 2 * n
     H = np.empty((dim, dim))
     for i in range(dim):
@@ -543,7 +541,7 @@ def hessian_structure_check(
         spurious_eigenvalue=spurious,
         trace_K_squared=float(np.trace(K @ K)),
         hessian_rank=rank,
-        tol=tol,
+        tol=HESSIAN_TOL,
     )
 
 
@@ -614,7 +612,6 @@ def _conjugate_spot_check(
 def bracket_relations_check(
     point: PhasePoint | SingularPoint,
     tol: float = 1e-7,
-    ratio_tol: float = 1e-6,
     degeneracy_tol: float = DEGENERACY_TOL,
 ) -> BracketReport:
     """Verify the canonical structure of the block coordinates at a singular point.
@@ -693,7 +690,7 @@ def bracket_relations_check(
         mixed_parity_max=float(mixed_parity),
         conjugate_formula_residual=float(conj_res),
         tol=tol,
-        ratio_tol=ratio_tol,
+        ratio_tol=RATIO_TOL,
     )
 
 

@@ -29,6 +29,9 @@ __all__ = [
 ]
 
 DEGENERACY_TOL = 1e-8
+# Weak and strict interlacing inequalities hold to this fraction of the
+# spectral range.
+INTERLACING_TOL = 1e-12
 
 
 class TripleDegeneracyError(RuntimeError):
@@ -110,35 +113,19 @@ def _canonical_pair_basis(v1: np.ndarray, v2: np.ndarray) -> tuple[np.ndarray, n
     return w1, w2
 
 
-def _align_pair_to_reference(
-    v1: np.ndarray, v2: np.ndarray, r1: np.ndarray, r2: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rotate (v1, v2) inside their span to maximal overlap with (r1, r2)."""
-    V = np.column_stack([v1, v2])
-    M = V.T @ np.column_stack([r1, r2])
-    U, _, Wt = np.linalg.svd(M)
-    W = V @ (U @ Wt)
-    return W[:, 0], W[:, 1]
-
-
-def decompose(
-    L: LaxMatrix | np.ndarray,
-    degeneracy_tol: float = DEGENERACY_TOL,
-    reference: np.ndarray | None = None,
-    sign: SignVector | None = None,
-) -> SpectralData:
+def decompose(L: LaxMatrix | np.ndarray, degeneracy_tol: float = DEGENERACY_TOL) -> SpectralData:
     """Descending eigen-decomposition with degenerate-pair detection.
 
     A gap below degeneracy_tol * max(1, spectral range) flags the pair;
     two consecutive flagged gaps abort with TripleDegeneracyError.  Inside
-    each flagged pair the basis is rotated deterministically, or to maximal
-    overlap with the matching columns of ``reference`` when supplied.
+    each flagged pair the basis is rotated deterministically.  A bare
+    array is taken as an even-class matrix.
     """
     if isinstance(L, LaxMatrix):
         entries, sgn = L.entries, L.sign
     else:
         entries = np.asarray(L, dtype=float)
-        sgn = sign if sign is not None else SignVector.even(entries.shape[0])
+        sgn = SignVector.even(entries.shape[0])
     # build_lax's matrices are exactly symmetric and skip the tolerance test
     if not (
         np.array_equal(entries, entries.T)
@@ -169,22 +156,12 @@ def decompose(
     # gap, which the degeneracy threshold allows but this bound does not
     residual = np.max(np.abs(entries @ vecs - vecs * vals))
 
-    # unpaired columns get a deterministic sign: largest entry positive, or
-    # nonnegative overlap with the reference column
-    if reference is None:
-        flip = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(n)] < 0
-    else:
-        flip = np.einsum("ij,ij->j", reference, vecs) < 0
+    # unpaired columns get a deterministic sign: largest entry positive
+    flip = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(n)] < 0
     flip[[k for pair in pairs for k in pair]] = False
     vecs = np.where(flip, -vecs, vecs)
     for (i, j) in pairs:
-        if reference is not None:
-            w1, w2 = _align_pair_to_reference(
-                vecs[:, i], vecs[:, j], reference[:, i], reference[:, j]
-            )
-        else:
-            w1, w2 = _canonical_pair_basis(vecs[:, i], vecs[:, j])
-        vecs[:, i], vecs[:, j] = w1, w2
+        vecs[:, i], vecs[:, j] = _canonical_pair_basis(vecs[:, i], vecs[:, j])
 
     scale = max(1.0, float(np.abs(vals).max()))
     ortho = np.max(np.abs(vecs.T @ vecs - np.eye(n)))
@@ -247,7 +224,7 @@ class InterlacingReport:
         return not self.violations
 
 
-def interlacing_check(z: PhasePoint, tol: float = 1e-12) -> InterlacingReport:
+def interlacing_check(z: PhasePoint) -> InterlacingReport:
     """Verify the alternating eigenvalue chain of L and Lbar.
 
     The merged descending sequence interleaves strictly between the two
@@ -269,12 +246,12 @@ def interlacing_check(z: PhasePoint, tol: float = 1e-12) -> InterlacingReport:
         if ta == tb:
             overshoot = b - a
             max_weak = max(max_weak, overshoot)
-            if overshoot > tol * scale:
+            if overshoot > INTERLACING_TOL * scale:
                 violations.append(f"{ta}[{ia}] >= {tb}[{ib}] violated by {overshoot:.3e}")
         else:
             margin = a - b
             min_strict = min(min_strict, margin)
-            if margin < tol * scale:
+            if margin < INTERLACING_TOL * scale:
                 violations.append(f"{ta}[{ia}] > {tb}[{ib}] violated, margin {margin:.3e}")
     return InterlacingReport(n, tuple(violations), float(min_strict), float(max_weak))
 

@@ -50,7 +50,6 @@ from .singularity import (
     omega_point,
     perturbed_seed,
     tangent_symplectic_check,
-    transverse_frequency,
 )
 from .maslov import (
     ClosedCurve,
@@ -332,20 +331,18 @@ def _transverse_structure(s: Sample, config: RunConfig) -> Outcome:
     for sp in found:
         target = sp.targets[0]
         hrep = hessian_structure_check(sp, target, degeneracy_tol=config.degeneracy_tol)
-        formula = transverse_frequency(sp, target, config.degeneracy_tol)
         brep = bracket_relations_check(sp, config.bracket_tol,
                                        degeneracy_tol=config.degeneracy_tol)
         worst = max(
             worst,
             hrep.residual_full,
             hrep.omega_relative_error,
-            abs(abs(formula) - hrep.omega_spectrum) / abs(formula),
             0.0 if hrep.trace_K_squared < 0 else 1.0,
             brep.zero_max * 1e-6 / config.bracket_tol,
             brep.mixed_parity_max * 1e-6 / config.bracket_tol,
             float(np.max(np.abs(brep.ratio_errors))),
             0.0 if brep.m_independence_max < 1e-9 else 1.0,
-            0.0 if tangent_symplectic_check(sp) > 1e-6 else 1.0,
+            0.0 if tangent_symplectic_check(sp, config.degeneracy_tol) > 1e-6 else 1.0,
         )
     return Outcome(worst, detail=missing)
 

@@ -5,13 +5,14 @@ import re
 import numpy as np
 import pytest
 
+from todalax import maslov, singularity, spectral
 import todalax.verify as verify
 from todalax.cli import main
 from todalax.dynamics import integrate_flow
 from todalax.lax import PhaseDomainError, PhasePoint
 from todalax.maslov import ClosedCurve, maslov_index
 from todalax.reporting import float_str
-from todalax.singularity import ConvergenceError, PairTarget
+from todalax.singularity import ConvergenceError, PairTarget, tangent_symplectic_check
 from todalax.verify import CHECKS, RunConfig, Sample, run_suite
 
 DATA = Path(__file__).parent / "data"
@@ -79,6 +80,30 @@ def test_registry_tolerances_are_pinned():
     assert (cfg.degeneracy_tol, cfg.rank_tol, cfg.bracket_tol, cfg.ode_rtol) == (
         1e-8, 1e-7, 1e-7, 1e-11)
     assert cfg.flow_t_final == 50.0
+    # the fixed limits of the eigen-decomposition, the finder and the loop walkers
+    assert spectral.INTERLACING_TOL == 1e-12
+    assert (singularity.MAX_ITER, singularity.GAP_TOL, singularity.FRAME_OVERLAP) == (
+        50, 1e-10, 0.9)
+    assert (singularity.HESSIAN_STEP, singularity.HESSIAN_TOL, singularity.RATIO_TOL) == (
+        1e-5, 1e-6, 1e-6)
+    assert (maslov.MIN_OVERLAP, maslov.REGULARITY_TOL, maslov.MAX_EVALUATIONS) == (
+        0.9, 1e-8, 200000)
+    assert (maslov.CALIBRATION_SAMPLES, maslov.CIRCLE_SAMPLES, maslov.CORRIDOR_SAMPLES) == (
+        128, 256, 32)
+
+
+def test_transverse_structure_reads_the_degeneracy_tolerance(monkeypatch):
+    # the symplectic-tangent test used to run at the default tolerance
+    seen = []
+
+    def spy(point, degeneracy_tol=spectral.DEGENERACY_TOL):
+        seen.append(degeneracy_tol)
+        return tangent_symplectic_check(point, degeneracy_tol)
+
+    monkeypatch.setattr(verify, "tangent_symplectic_check", spy)
+    check = next(c for c in CHECKS if c.name == "transverse_structure")
+    assert check.run(Sample(3), RunConfig(degeneracy_tol=1e-9)).status == "pass"
+    assert seen == [1e-9, 1e-9]
 
 
 def test_isospectral_flows_evaluation_count(monkeypatch):
@@ -97,12 +122,13 @@ def test_isospectral_flows_evaluation_count(monkeypatch):
 
 
 class TestVerifyCommand:
-    def test_quick_run_passes(self, tmp_path, capsys):
+    @pytest.mark.parametrize("argv, golden", [
+        (["--n", "2,3", "--points", "20", "--suite", "quick"], "verify_quick.json"),
+        ([], "verify_default.json"),  # the default config: n = 2..5, 200 points
+    ], ids=["quick", "default"])
+    def test_quick_run_passes(self, tmp_path, capsys, argv, golden):
         out = tmp_path / "report.json"
-        code = main([
-            "verify", "--n", "2,3", "--points", "20", "--suite", "quick",
-            "--out", str(out), "--no-timing",
-        ])
+        code = main(["verify", *argv, "--out", str(out), "--no-timing"])
         assert code == 0
         data = json.loads(out.read_text())
         statuses = {r["status"] for r in data["results"]}
@@ -110,7 +136,7 @@ class TestVerifyCommand:
         captured = capsys.readouterr().out
         assert "checks passed" in captured
         # every id, residual and tolerance as the suite has always reported them
-        assert out.read_bytes() == (DATA / "verify_quick.json").read_bytes()
+        assert out.read_bytes() == (DATA / golden).read_bytes()
 
     def test_deterministic_results(self, tmp_path):
         outs = []
@@ -215,6 +241,18 @@ class TestSingularCommand:
         code = main(["singular", "--n", "3", "--targets", "weird:9"])
         assert code == 2
 
+    @pytest.mark.parametrize("option, value", [
+        ("--eps", "nan"), ("--eps", "inf"), ("--p0", "nan"), ("--p0", "inf"),
+    ])
+    def test_non_finite_seed_is_config_error(self, capsys, option, value):
+        assert main(["singular", "--n", "3", option, value]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {option} {value}: ")
+
+    def test_eigenvalue_failure_is_an_error(self, capsys):
+        # at p0 = 1e17 the whole spectrum is one rounding step wide
+        assert main(["singular", "--n", "3", "--p0", "1e17"]) == 1
+        assert capsys.readouterr().err.startswith("error: target ['even:1']: eigenvalues 0..2")
+
 
 class TestMaslovCommand:
     @pytest.fixture()
@@ -286,6 +324,23 @@ class TestMaslovCommand:
         code = main(["maslov", str(spec_path)])
         assert code == 1
         assert "singular" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("samples", [0, 1, 2.5])
+    def test_too_few_samples_is_config_error(self, tmp_path, singular_center, capsys, samples):
+        # 0 and 1 used to give mu = 0 and "agree"; 2.5 was truncated to 2
+        spec_path = tmp_path / "curve.json"
+        spec_path.write_text(json.dumps({"type": "circle", "center": singular_center,
+                                         "pair": "odd:1", "radius": 2e-3, "samples": samples}))
+        assert main(["maslov", str(spec_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "at least 2" in err
+
+    def test_eigenvalue_failure_is_an_error(self, tmp_path, capsys):
+        pts = [{"q": [0.1 * k, 0.0, -0.1], "p": [1e300] * 3} for k in range(4)]
+        spec_path = tmp_path / "huge.json"
+        spec_path.write_text(json.dumps({"type": "samples", "points": [*pts, pts[0]]}))
+        assert main(["maslov", str(spec_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: eigenvalues 0..2")
 
     def test_unknown_curve_type(self, tmp_path):
         spec_path = tmp_path / "odd.json"

@@ -69,6 +69,23 @@ class TestClosedCurve:
         npt.assert_allclose(mid.q, [0.5, 0.0])
         npt.assert_allclose(curve.point_at(1.0).as_vector(), curve.point_at(0.0).as_vector())
 
+    @pytest.mark.parametrize("samples", [0, 1, -4, 2.5, 3.0, True, "4", None])
+    def test_rejects_too_few_or_non_integer_samples(self, samples):
+        # a walk of fewer than two steps never leaves its start point
+        z = PhasePoint(np.array([0.5, -0.1]), np.zeros(2))
+        with pytest.raises(ValueError, match="initial_samples must be an integer of at least 2"):
+            ClosedCurve(lambda t: z, samples)
+        with pytest.raises(ValueError, match="at least 2"):
+            ClosedCurve.circle(z, np.eye(4)[0], np.eye(4)[2], 0.1, initial_samples=samples)
+        if samples is not None:  # None lets from_samples choose
+            with pytest.raises(ValueError, match="at least 2"):
+                ClosedCurve.from_samples([z, z.displaced(0.1 * np.eye(4)[0]), z], samples)
+
+    def test_accepts_integer_samples_from_two(self):
+        z = PhasePoint(np.array([0.5, -0.1]), np.zeros(2))
+        for samples in (2, np.int64(3)):
+            assert ClosedCurve(lambda t: z, samples).initial_samples == samples
+
     def test_reversed_traversal(self):
         z0 = PhasePoint(np.array([0.4, -0.4]), np.zeros(2))
         v1, v2 = np.eye(4)[0], np.eye(4)[2]
