@@ -14,22 +14,16 @@ import numpy as np
 
 from .lax import PhaseDomainError, PhasePoint
 from .dynamics import DEFAULT_RTOL, FlowError, integrate_flow, trajectory_to_csv
-from .spectral import EigensolverError, TripleDegeneracyError
 from .singularity import PairTarget, all_pair_targets, find_singular, omega_point, perturbed_seed
 from .maslov import ClosedCurve, check_holonomy_theorem
 from .reporting import float_str
-from .verify import FINDER_ERRORS, LOOP_ERRORS, RunConfig, run_suite
+from .verify import COMPUTATION_ERRORS, RunConfig, run_suite
 
 __all__ = ["main", "cmd_verify", "cmd_singular", "cmd_maslov", "cmd_integrate"]
 
 
 class ConfigError(Exception):
     pass
-
-
-# Eigen-decomposition failures met while seeding, finding or walking: like the
-# finder's and walkers' own, reported as "error:" with exit 1.
-SPECTRAL_ERRORS = (TripleDegeneracyError, EigensolverError)
 
 
 def _load_json(path: str) -> dict:
@@ -118,7 +112,7 @@ def cmd_singular(args) -> int:
         rest = [t for t in all_pair_targets(n) if t not in group]
         try:
             sp = find_singular(_seed(om, rest, args.eps), group)
-        except (*FINDER_ERRORS, *SPECTRAL_ERRORS) as exc:
+        except COMPUTATION_ERRORS as exc:
             print(f"error: target {[t.label for t in group]}: {exc}", file=sys.stderr)
             return 1
         results.append(sp.to_json_dict())
@@ -158,7 +152,7 @@ def _curve_from_spec(spec: dict) -> ClosedCurve:
             target,
             radius=float(spec.get("radius", 1e-2)),
             initial_samples=spec.get("samples", 256),
-            orientation=int(spec.get("orientation", 1)),
+            orientation=spec.get("orientation", 1),
         )
     raise ConfigError(f"unknown curve type {kind!r}; expected 'samples' or 'circle'")
 
@@ -166,15 +160,12 @@ def _curve_from_spec(spec: dict) -> ClosedCurve:
 def cmd_maslov(args) -> int:
     spec = _load_json(args.curve)
     try:
-        curve = _curve_from_spec(spec)
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad curve spec: {exc}") from exc
-    except SPECTRAL_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        try:
+            curve = _curve_from_spec(spec)
+        except (KeyError, ValueError) as exc:
+            raise ConfigError(f"bad curve spec: {exc}") from exc
         rep = check_holonomy_theorem(curve)
-    except (*LOOP_ERRORS, *SPECTRAL_ERRORS, ValueError) as exc:
+    except (*COMPUTATION_ERRORS, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     payload = {

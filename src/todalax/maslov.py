@@ -66,6 +66,12 @@ CIRCLE_SAMPLES = 256
 CORRIDOR_SAMPLES = 32
 
 
+def _require_orientation(orientation) -> None:
+    """Raise ValueError unless ``orientation`` is the integer +1 or -1 (0 walks a constant loop)."""
+    if not (_is_int(orientation) and orientation in (1, -1)):
+        raise ValueError(f"orientation must be +1 or -1, got {orientation!r}")
+
+
 class RegularityError(RuntimeError):
     """A curve sample is too close to an eigenvalue degeneracy."""
 
@@ -141,7 +147,8 @@ class ClosedCurve:
         initial_samples: int = 256,
         orientation: int = 1,
     ) -> "ClosedCurve":
-        """The loop center + radius (cos(2 pi t) v1 + sin(2 pi t) v2)."""
+        """The loop center + radius (cos(2 pi t) v1 + sin(2 pi t) v2), t -> orientation * t."""
+        _require_orientation(orientation)
         zc = center.as_vector()
         v1 = np.asarray(v1, float)
         v2 = np.asarray(v2, float)
@@ -444,6 +451,9 @@ class DiskSpec:
     center: SingularPoint
     radius: float = 1e-2
     orientation: int = 1
+
+    def __post_init__(self):
+        _require_orientation(self.orientation)
 
     def pair(self) -> PairTarget:
         return self.center.targets[0]

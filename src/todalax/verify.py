@@ -3,6 +3,7 @@
 Each check tests one exact statement about the chain (Lax-power structure, trace
 identities, rank of the energy-momentum map, canonical structure at singular
 points, holonomy and winding) on a sample, as one residual against its tolerance.
+The library's structure checks return residuals; their bounds are defined here, once.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import numpy as np
 from .lax import (
     PhasePoint,
     SignVector,
-    _CHAR_POLY_GRID,
     _char_poly,
     _couplings,
     _is_int,
@@ -35,8 +35,9 @@ from .dynamics import (
     _require_tolerance,
     integrate_flow,
 )
-from .spectral import interlacing_check
+from .spectral import DEGENERACY_TOL, EigensolverError, TripleDegeneracyError, interlacing_check
 from .singularity import (
+    RANK_TOL,
     ConvergenceError,
     OmegaPoint,
     PairTarget,
@@ -67,10 +68,18 @@ from .reporting import CheckRecord, VerificationReport
 
 __all__ = ["RunConfig", "Sample", "Outcome", "Check", "CHECKS", "run_suite"]
 
-# Failures of the finder and the loop walkers: a check that meets one is
-# recorded as failed with the message, the rest of the suite still runs.
-FINDER_ERRORS = (ConvergenceError, StratumCollapseError)
-LOOP_ERRORS = FINDER_ERRORS + (RegularityError, TransportError, LagrangianFrameError)
+# Failures of the finder, the loop walkers and the eigen-decomposition: a
+# check that meets one is recorded as failed with the message, the rest of
+# the suite still runs.
+COMPUTATION_ERRORS = (ConvergenceError, StratumCollapseError, RegularityError, TransportError,
+                      LagrangianFrameError, TripleDegeneracyError, EigensolverError)
+
+# Bounds of the canonical-structure checks: |n {xi, eta} / pairing - 1| of
+# every degenerate pair, the spread of the pairing's coupling form over m,
+# and the smallest singular value of the symplectic form on the stratum tangent.
+RATIO_TOL = 1e-6
+M_INDEPENDENCE_TOL = 1e-9
+TANGENT_TOL = 1e-6
 
 
 @dataclass
@@ -81,8 +90,8 @@ class RunConfig:
     seed: int = 42
     num_points: int = 200
     flow_t_final: float = 50.0
-    degeneracy_tol: float = 1e-8
-    rank_tol: float = 1e-7
+    degeneracy_tol: float = DEGENERACY_TOL
+    rank_tol: float = RANK_TOL
     bracket_tol: float = 1e-7
     ode_rtol: float = DEFAULT_RTOL
     suite: str = "full"
@@ -176,7 +185,7 @@ class Sample:
             for target in targets:
                 rest = [t for t in targets if t != target]
                 found.append(find_singular(perturbed_seed(om, rest, eps=1e-2), [target]))
-        except FINDER_ERRORS as exc:
+        except COMPUTATION_ERRORS as exc:
             missing = ", ".join(t.label for t in targets[len(found):])
             return found, f"no sigma1_components[n={self.n}] point for {missing}", _reason(exc)
         return found, "", ""
@@ -208,7 +217,10 @@ class Check:
 
     def run(self, sample: Sample, config: RunConfig) -> CheckRecord:
         tol = getattr(config, self.tolerance) if isinstance(self.tolerance, str) else self.tolerance
-        residual, status, detail = self.fn(sample, config)
+        try:
+            residual, status, detail = self.fn(sample, config)
+        except COMPUTATION_ERRORS as exc:
+            residual, status, detail = 1.0, "fail", _reason(exc)
         check_id = self.name if sample.n is None else f"{self.name}[n={sample.n}]"
         return CheckRecord(check_id, self.statement, float(residual), tol,
                            status or ("pass" if residual < tol else "fail"), detail)
@@ -232,7 +244,7 @@ def _trace_gap(s: Sample, config: RunConfig) -> Outcome:
 @partial(Check, "char_poly_offset",
          "det(xI - L) - det(xI - Lbar) is constant in x and z with magnitude 4", 1e-8)
 def _char_poly_offset(s: Sample, config: RunConfig) -> Outcome:
-    constants, deviations = _char_poly(s.couplings, s.p, _CHAR_POLY_GRID)
+    constants, deviations = _char_poly(s.couplings, s.p)
     return Outcome(max(float(np.max(deviations)),
                        float(np.max(np.abs(np.abs(constants) - 4.0))),
                        float(np.max(constants) - np.min(constants))))
@@ -290,14 +302,13 @@ def _corank_random(s: Sample, config: RunConfig) -> Outcome:
 @partial(Check, "bracket_relations_omega", "block coordinates are canonical: only same-pair "
          "{xi, eta} brackets survive, value = pairing / n, pairing m-independent", "bracket_tol")
 def _bracket_relations_omega(s: Sample, config: RunConfig) -> Outcome:
-    brep = bracket_relations_check(s.equilibrium.z, config.bracket_tol,
-                                   degeneracy_tol=config.degeneracy_tol)
+    brep = bracket_relations_check(s.equilibrium.z, degeneracy_tol=config.degeneracy_tol)
     return Outcome(max(
         brep.zero_max,
-        float(np.max(np.abs(brep.ratio_errors))) * config.bracket_tol / 1e-6,
+        float(np.max(np.abs(brep.ratio_errors))) * config.bracket_tol / RATIO_TOL,
         brep.mixed_parity_max,
         brep.conjugate_formula_residual,
-        brep.m_independence_max * config.bracket_tol / 1e-9,
+        brep.m_independence_max * config.bracket_tol / M_INDEPENDENCE_TOL,
     ))
 
 
@@ -322,27 +333,28 @@ def _corank_sigma1(s: Sample, config: RunConfig) -> Outcome:
     return Outcome(worst, detail=missing)
 
 
+# The residual is in units of RATIO_TOL, the bound of the ratio errors and of
+# the Hessian's relative residuals; the bracket zeros are rescaled to it.
 @partial(Check, "transverse_structure", "Hessian of the annihilating combination is the "
-         "spectral dyad sum; linearized flow elliptic with the closed-form frequency", 1e-6,
-         sizes=(3, 4))
+         "spectral dyad sum; linearized flow elliptic with the closed-form frequency",
+         RATIO_TOL, sizes=(3, 4))
 def _transverse_structure(s: Sample, config: RunConfig) -> Outcome:
     found, missing, _ = s.sigma1
     worst = 1.0 if missing else 0.0
     for sp in found:
         target = sp.targets[0]
         hrep = hessian_structure_check(sp, target, degeneracy_tol=config.degeneracy_tol)
-        brep = bracket_relations_check(sp, config.bracket_tol,
-                                       degeneracy_tol=config.degeneracy_tol)
+        brep = bracket_relations_check(sp, degeneracy_tol=config.degeneracy_tol)
         worst = max(
             worst,
             hrep.residual_full,
             hrep.omega_relative_error,
             0.0 if hrep.trace_K_squared < 0 else 1.0,
-            brep.zero_max * 1e-6 / config.bracket_tol,
-            brep.mixed_parity_max * 1e-6 / config.bracket_tol,
+            brep.zero_max * RATIO_TOL / config.bracket_tol,
+            brep.mixed_parity_max * RATIO_TOL / config.bracket_tol,
             float(np.max(np.abs(brep.ratio_errors))),
-            0.0 if brep.m_independence_max < 1e-9 else 1.0,
-            0.0 if tangent_symplectic_check(sp, config.degeneracy_tol) > 1e-6 else 1.0,
+            0.0 if brep.m_independence_max < M_INDEPENDENCE_TOL else 1.0,
+            0.0 if tangent_symplectic_check(sp, config.degeneracy_tol) > TANGENT_TOL else 1.0,
         )
     return Outcome(worst, detail=missing)
 
@@ -359,11 +371,8 @@ def _maslov_calibration(s: Sample, config: RunConfig) -> Outcome:
 @partial(Check, "holonomy_omega_line", "loop around the relative-equilibrium line: odd pair "
          "flips, |mu| = 2, (-1)^(mu/2) = even-index product = -1", 0.5, sizes=(2,))
 def _holonomy_omega_line(s: Sample, config: RunConfig) -> Outcome:
-    try:
-        sp = find_singular(omega_point(s.n).z, [PairTarget(True, 1)])
-        rep = check_holonomy_theorem(ClosedCurve.around_pair(sp, PairTarget(True, 1), radius=5e-2))
-    except LOOP_ERRORS as exc:
-        return Outcome(1.0, detail=_reason(exc))
+    sp = find_singular(omega_point(s.n).z, [PairTarget(True, 1)])
+    rep = check_holonomy_theorem(ClosedCurve.around_pair(sp, PairTarget(True, 1), radius=5e-2))
     hol = rep.holonomy
     ok = (rep.agree and abs(rep.mu) == 2 and rep.lhs == -1 and hol.even_product == -1
           and np.array_equal(hol.gammabar, [-1.0, -1.0]) and np.array_equal(hol.gamma, [1.0, 1.0]))
@@ -374,21 +383,18 @@ def _holonomy_omega_line(s: Sample, config: RunConfig) -> Outcome:
          "boundary winding counts enclosed singular points as -2 sum sigma", 0.5, sizes=(3,))
 def _maslov_theorem(s: Sample, config: RunConfig) -> Outcome:
     target = PairTarget(True, 1)
-    try:
-        sp = find_singular(perturbed_seed(omega_point(s.n), [PairTarget(False, 1)], eps=1e-2),
-                           [target])
-        rep = check_holonomy_theorem(ClosedCurve.around_pair(sp, target, radius=2e-3))
-        ok = rep.agree and abs(rep.mu) == 2
-        for z in s.centres:  # contractible loops: mu = 0, every holonomy +1
-            axes = np.eye(2 * z.n)
-            rep = check_holonomy_theorem(ClosedCurve.circle(z, axes[0], axes[z.n + 1], 0.05))
-            ok = (ok and rep.mu == 0 and rep.agree
-                  and np.all(rep.holonomy.gamma == 1.0) and np.all(rep.holonomy.gammabar == 1.0))
-        sp_b = find_singular(PhasePoint(sp.z.q, sp.z.p + 0.25), [target])
-        disks = [DiskSpec(sp, radius=2e-3), DiskSpec(sp_b, radius=2e-3)]
-        ok = ok and enclosure_count_check(disks).passed
-    except LOOP_ERRORS as exc:
-        return Outcome(1.0, detail=_reason(exc))
+    sp = find_singular(perturbed_seed(omega_point(s.n), [PairTarget(False, 1)], eps=1e-2),
+                       [target])
+    rep = check_holonomy_theorem(ClosedCurve.around_pair(sp, target, radius=2e-3))
+    ok = rep.agree and abs(rep.mu) == 2
+    for z in s.centres:  # contractible loops: mu = 0, every holonomy +1
+        axes = np.eye(2 * z.n)
+        rep = check_holonomy_theorem(ClosedCurve.circle(z, axes[0], axes[z.n + 1], 0.05))
+        ok = (ok and rep.mu == 0 and rep.agree
+              and np.all(rep.holonomy.gamma == 1.0) and np.all(rep.holonomy.gammabar == 1.0))
+    sp_b = find_singular(PhasePoint(sp.z.q, sp.z.p + 0.25), [target])
+    disks = [DiskSpec(sp, radius=2e-3), DiskSpec(sp_b, radius=2e-3)]
+    ok = ok and enclosure_count_check(disks).passed
     return Outcome(0.0 if ok else 1.0)
 
 

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from todalax import maslov, singularity, spectral
+from todalax import dynamics, maslov, singularity, spectral
 import todalax.verify as verify
 from todalax.cli import main
 from todalax.dynamics import integrate_flow
@@ -76,16 +76,20 @@ def test_registry_tolerances_are_pinned():
         "maslov_calibration": 0.5, "holonomy_omega_line": 0.5, "maslov_theorem": 0.5,
         "isospectral_flows": 1e-8,
     }
+    # the bounds of the canonical-structure checks
+    assert (verify.RATIO_TOL, verify.M_INDEPENDENCE_TOL, verify.TANGENT_TOL) == (1e-6, 1e-9, 1e-6)
     cfg = RunConfig()
     assert (cfg.degeneracy_tol, cfg.rank_tol, cfg.bracket_tol, cfg.ode_rtol) == (
         1e-8, 1e-7, 1e-7, 1e-11)
+    assert (cfg.degeneracy_tol, cfg.rank_tol, cfg.ode_rtol) == (
+        spectral.DEGENERACY_TOL, singularity.RANK_TOL, dynamics.DEFAULT_RTOL)
     assert cfg.flow_t_final == 50.0
+    assert dynamics.ATOL == 1e-12
     # the fixed limits of the eigen-decomposition, the finder and the loop walkers
     assert spectral.INTERLACING_TOL == 1e-12
     assert (singularity.MAX_ITER, singularity.GAP_TOL, singularity.FRAME_OVERLAP) == (
         50, 1e-10, 0.9)
-    assert (singularity.HESSIAN_STEP, singularity.HESSIAN_TOL, singularity.RATIO_TOL) == (
-        1e-5, 1e-6, 1e-6)
+    assert singularity.HESSIAN_STEP == 1e-5
     assert (maslov.MIN_OVERLAP, maslov.REGULARITY_TOL, maslov.MAX_EVALUATIONS) == (
         0.9, 1e-8, 200000)
     assert (maslov.CALIBRATION_SAMPLES, maslov.CIRCLE_SAMPLES, maslov.CORRIDOR_SAMPLES) == (
@@ -149,6 +153,19 @@ class TestVerifyCommand:
             assert code == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_spectral_error_fails_its_check(self, tmp_path, capsys):
+        # at this tolerance every eigenvalue of a random n = 3 point counts as one
+        # degenerate triple; the suite used to die with a traceback
+        out = tmp_path / "r.json"
+        code = main(["verify", "--n", "3", "--points", "10", "--suite", "quick",
+                     "--tol.degeneracy", "0.9", "--out", str(out)])
+        assert code == 1
+        assert "Traceback" not in capsys.readouterr().err
+        record = next(r for r in json.loads(out.read_text())["results"]
+                      if r["id"] == "corank_random[n=3]")
+        assert record["status"] == "fail"
+        assert record["detail"].startswith("TripleDegeneracyError")
 
     def test_huge_rank_tol_inconclusive_exit_zero(self, capsys):
         code = main([
@@ -334,6 +351,18 @@ class TestMaslovCommand:
         assert main(["maslov", str(spec_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "at least 2" in err
+
+    @pytest.mark.parametrize("orientation", [0, 1.7])
+    def test_bad_orientation_is_config_error(self, tmp_path, singular_center, capsys,
+                                             orientation):
+        # 0 walked a constant loop (mu = 0, "agree"); 1.7 was truncated to 1
+        spec_path = tmp_path / "curve.json"
+        spec_path.write_text(json.dumps({"type": "circle", "center": singular_center,
+                                         "pair": "odd:1", "radius": 2e-3,
+                                         "orientation": orientation}))
+        assert main(["maslov", str(spec_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "orientation must be +1 or -1" in err
 
     def test_eigenvalue_failure_is_an_error(self, tmp_path, capsys):
         pts = [{"q": [0.1 * k, 0.0, -0.1], "p": [1e300] * 3} for k in range(4)]

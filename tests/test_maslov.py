@@ -86,6 +86,15 @@ class TestClosedCurve:
         for samples in (2, np.int64(3)):
             assert ClosedCurve(lambda t: z, samples).initial_samples == samples
 
+    @pytest.mark.parametrize("orientation", [0, 2, -2, 1.7, 1.0, True, "1", None])
+    def test_rejects_orientation_other_than_plus_or_minus_one(self, sigma1_n3, orientation):
+        # 0 walked a constant loop, and any other factor another loop than the circle
+        z = PhasePoint(np.array([0.5, -0.1]), np.zeros(2))
+        with pytest.raises(ValueError, match=r"orientation must be \+1 or -1"):
+            ClosedCurve.circle(z, np.eye(4)[0], np.eye(4)[2], 0.1, orientation=orientation)
+        with pytest.raises(ValueError, match=r"orientation must be \+1 or -1"):
+            DiskSpec(sigma1_n3, orientation=orientation)
+
     def test_reversed_traversal(self):
         z0 = PhasePoint(np.array([0.4, -0.4]), np.zeros(2))
         v1, v2 = np.eye(4)[0], np.eye(4)[2]
