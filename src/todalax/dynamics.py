@@ -92,19 +92,20 @@ def grad_F(z: PhasePoint, j: int) -> Gradient:
     return Gradient(dq[0], dp[0])
 
 
-def _trace_gradients(z: PhasePoint) -> np.ndarray:
-    """Rows (dF_j/dq, dF_j/dp) of F_1..F_n, from one power recurrence L^0 .. L^(n-1).
+def _trace_gradients(b: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Rows (dF_j/dq, dF_j/dp) of F_1..F_n at stacked rows b, p (m, n): shape (m, n, 2n).
 
-    Row j equals grad_F(z, j + 1).as_vector() bit for bit up to n = 4; beyond,
+    All n come from one power recurrence L^0 .. L^(n-1).  Row j of a point
+    equals grad_F(z, j + 1).as_vector() bit for bit up to n = 4; beyond,
     matrix_power's binary decomposition of exponents >= 4 rounds differently.
     """
-    n = z.n
-    b = z.couplings()
-    L = _lax_entries(b, z.p, SignVector.even(n).eps)
-    powers = [np.eye(n)]
-    for _ in range(n - 1):
-        powers.append(powers[-1] @ L)
-    return np.concatenate(_grad_from_power(np.array(powers), b), axis=1)
+    m, n = b.shape
+    L = _lax_entries(b, p, SignVector.even(n).eps)
+    powers = np.empty((m, n, n, n))
+    powers[:, 0] = np.eye(n)
+    for k in range(1, n):
+        np.matmul(powers[:, k - 1], L, out=powers[:, k])
+    return np.concatenate(_grad_from_power(powers, b[:, None, :]), axis=-1)
 
 
 def _gradient_field(n: int, c: np.ndarray):

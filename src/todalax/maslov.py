@@ -13,14 +13,13 @@ reproduces (-1)^(mu/2).
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 import numpy as np
 
-from .lax import PhasePoint, _is_int
+from .lax import PhasePoint, SignVector, _couplings, _is_int, _lax_entries
 from .dynamics import _trace_gradients
-from .spectral import DEGENERACY_TOL, SpectralData, spectra
+from .spectral import DEGENERACY_TOL, _decompose_stack, _flag_gaps, _solve_rows, spectra
 from .singularity import (
     PairTarget,
     SingularPoint,
@@ -59,6 +58,9 @@ MIN_OVERLAP = 0.9
 REGULARITY_TOL = DEGENERACY_TOL
 # Curve evaluations one walk may spend before it gives up.
 MAX_EVALUATIONS = 200000
+# Samples of a walk's initial grid observed in one stacked call; a longer
+# grid is observed this many samples at a time, as the walk reaches them.
+GRID_CHUNK = 128
 # Initial steps of the calibration loop, and of the circles and corridors of
 # an enclosure boundary.
 CALIBRATION_SAMPLES = 128
@@ -95,9 +97,6 @@ class ClosedCurve:
 
     point_at: Callable[[float], PhasePoint]
     initial_samples: int = 256
-    # t -> smallest relative eigenvalue gap of both Lax classes, on the copy
-    # check_holonomy_theorem walks; None on every other curve.
-    _gaps: dict[float, float] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # a walk of fewer than two steps never leaves its start point
@@ -114,29 +113,12 @@ class ClosedCurve:
         inner = self.point_at
         return ClosedCurve(lambda t: inner(1.0 - t), self.initial_samples)
 
-    def refined(self, factor: int = 2) -> "ClosedCurve":
-        return ClosedCurve(self.point_at, self.initial_samples * factor)
-
     @staticmethod
     def from_samples(points: list[PhasePoint], initial_samples: int | None = None) -> "ClosedCurve":
         """Piecewise-linear loop through the given points (last equals first)."""
         if len(points) < 3:
             raise ValueError("need at least three samples")
-        closure = float(
-            np.max(np.abs(points[0].as_vector() - points[-1].as_vector()))
-        )
-        if closure > 1e-12:
-            raise ValueError(f"sample list does not close: gap {closure:.3e}")
-        Z = np.array([pt.as_vector() for pt in points])
-        m = len(points) - 1
-
-        def at(t: float) -> PhasePoint:
-            s = min(max(t, 0.0), 1.0) * m
-            k = min(int(np.floor(s)), m - 1)
-            w = s - k
-            return PhasePoint.from_vector((1.0 - w) * Z[k] + w * Z[k + 1])
-
-        return ClosedCurve(at, max(2 * m, 64) if initial_samples is None else initial_samples)
+        return _polyline(np.array([pt.as_vector() for pt in points]), initial_samples)
 
     @staticmethod
     def circle(
@@ -173,70 +155,130 @@ class ClosedCurve:
         return ClosedCurve.circle(z, v1, v2, radius, initial_samples, orientation)
 
 
+def _polyline(Z: np.ndarray, initial_samples: int | None = None) -> ClosedCurve:
+    """The piecewise-linear loop through the rows of Z (m + 1, 2n), the last equal to the first."""
+    closure = float(np.max(np.abs(Z[0] - Z[-1])))
+    if closure > 1e-12:
+        raise ValueError(f"sample list does not close: gap {closure:.3e}")
+    m = len(Z) - 1
+
+    def at(t: float) -> PhasePoint:
+        s = min(max(t, 0.0), 1.0) * m
+        k = min(int(np.floor(s)), m - 1)
+        w = s - k
+        return PhasePoint.from_vector((1.0 - w) * Z[k] + w * Z[k + 1])
+
+    return ClosedCurve(at, max(2 * m, 64) if initial_samples is None else initial_samples)
+
+
+_Observe = Callable[[np.ndarray, list[PhasePoint]], list]
+
+
+def _observe(curve: ClosedCurve, ts: np.ndarray, observe: _Observe) -> list:
+    """``observe`` at the samples point_at(t), t in ts: per t, the observation or its error.
+
+    A point_at that raises ends the list with its exception, which the walk
+    raises when it reaches that t, as it would have raised it there alone.
+    """
+    points = []
+    for t in ts:
+        try:
+            points.append(curve.point_at(t))
+        except Exception as exc:  # any error of the curve's own code, raised in walk order
+            return (observe(ts[:len(points)], points) if points else []) + [exc]
+    return observe(ts, points)
+
+
+def _grid(curve: ClosedCurve, observe: _Observe):
+    """(t, observation or error) of the initial grid, observed GRID_CHUNK samples at a time."""
+    grid = np.linspace(0.0, 1.0, curve.initial_samples + 1)
+    for start in range(0, grid.size, GRID_CHUNK):
+        ts = grid[start:start + GRID_CHUNK]
+        yield from zip(ts, _observe(curve, ts, observe))
+
+
 def _walk(
     curve: ClosedCurve,
-    observe: Callable[[float, PhasePoint], object],
+    observe: _Observe,
     advance: Callable[[object, object, float], tuple[object, str | None]],
 ):
     """Walk a closed curve from t = 0 to t = 1, bisecting rejected steps.
 
     The walk starts from ``curve.initial_samples`` equal steps.
-    ``observe(t, z)`` reads the walked quantity at the sample z =
-    ``curve.point_at(t)``; ``advance(state, obs, t)`` returns
-    ``(new_state, None)`` to accept the step to t or ``(None, reason)`` to
-    reject it.  A rejected step is halved, down to a 1e-10 parameter step,
-    and its observation is held until the walk comes back to t, so each t
-    is observed once.  Returns the first and the last accepted state.
+    ``observe(ts, zs)`` reads the walked quantity at a stack of samples, zs
+    the points ``curve.point_at(t)`` of ts: per sample, the observation, or
+    the exception it raises.  The grid of initial steps is observed in
+    stacks of GRID_CHUNK samples, a bisection midpoint as a stack of one;
+    an error comes out when the walk reaches its sample.
+    ``advance(state, obs, t)`` returns ``(new_state, None)`` to accept the
+    step to t or ``(None, reason)`` to reject it.  A rejected step is
+    halved, down to a 1e-10 parameter step, and its observation is held
+    until the walk comes back to t, so each t is observed once.  Returns
+    the first and the last accepted state.
     """
-    first = state = observe(0.0, curve.point_at(0.0))
-    t_curr = 0.0
-    # (t, held observation or None), next t last
-    pending = [(t, None) for t in np.linspace(0.0, 1.0, curve.initial_samples + 1)[:0:-1]]
-    evaluations = 0
-    while pending:
-        t_next, obs = pending[-1]
-        evaluations += 1
-        if evaluations > MAX_EVALUATIONS:
-            raise TransportError(
-                f"loop walk exceeded the budget of {MAX_EVALUATIONS} evaluations"
-            )
-        if obs is None:
-            obs = observe(t_next, curve.point_at(t_next))
-        accepted, reason = advance(state, obs, t_next)
-        if accepted is None:
-            if t_next - t_curr < 1e-10:
-                raise TransportError(f"{reason} at t = {t_next:.8f} despite maximal refinement")
-            pending[-1] = (t_next, obs)
-            pending.append((0.5 * (t_curr + t_next), None))
-            continue
-        state, t_curr = accepted, t_next
-        pending.pop()
+    budget = f"loop walk exceeded the budget of {MAX_EVALUATIONS} evaluations"
+    # every initial step costs an evaluation
+    if curve.initial_samples > MAX_EVALUATIONS:
+        raise TransportError(budget)
+    grid = _grid(curve, observe)
+    _, first = next(grid)
+    if isinstance(first, Exception):
+        raise first
+    state, t_curr, evaluations = first, 0.0, 0
+    for t_grid, obs_grid in grid:
+        # (t, held observation or None), next t last
+        pending = [(t_grid, obs_grid)]
+        while pending:
+            t_next, obs = pending[-1]
+            evaluations += 1
+            if evaluations > MAX_EVALUATIONS:
+                raise TransportError(budget)
+            if obs is None:
+                obs = observe([t_next], [curve.point_at(t_next)])[0]
+            if isinstance(obs, Exception):
+                raise obs
+            accepted, reason = advance(state, obs, t_next)
+            if accepted is None:
+                if t_next - t_curr < 1e-10:
+                    raise TransportError(f"{reason} at t = {t_next:.8f} despite maximal refinement")
+                pending[-1] = (t_next, obs)
+                pending.append((0.5 * (t_curr + t_next), None))
+                continue
+            state, t_curr = accepted, t_next
+            pending.pop()
     return first, state
 
 
-def _require_regular(curve: ClosedCurve, t: float, z: PhasePoint,
-                     specs: tuple[SpectralData, SpectralData] | None = None) -> None:
-    """Raise RegularityError if the sample at t has a relative eigenvalue gap below REGULARITY_TOL.
+def _lax_classes(points: list[PhasePoint]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Couplings and momenta (m, n) of the points, and their Lax matrices (2m, n, n).
 
-    The gap is the smallest relative gap over both Lax classes, taken from
-    ``specs`` when given; otherwise from the gap an earlier walk of the same
-    ``check_holonomy_theorem`` call recorded at t, or from ``spectra(z)``.
-    Such a call's curve records every gap it computes.
+    The m even-class matrices come first, then the m odd-class ones.
     """
-    gaps = curve._gaps
-    if specs is None and gaps is not None and t in gaps:
-        gap = gaps[t]
-    else:
-        if specs is None:
-            specs = spectra(z)
-        gap = min(float(np.min(s.relative_gaps)) for s in specs)
-        if gaps is not None:
-            gaps[t] = gap
-    if gap < REGULARITY_TOL:
-        raise RegularityError(
-            f"sample at t = {t:.6f} has eigenvalue gap {gap:.3e} below "
+    q, p = np.array([z.q for z in points]), np.array([z.p for z in points])
+    b = _couplings(q, p)
+    m, n = b.shape
+    eps = np.stack([SignVector.even(n).eps, SignVector.odd(n).eps])[:, None, :]
+    return b, p, _lax_entries(np.broadcast_to(b, (2, m, n)), p, eps).reshape(2 * m, n, n)
+
+
+def _sample_errors(rows: list, ts, values: np.ndarray, gaps: np.ndarray,
+                   errors: dict[int, Exception]) -> None:
+    """Put in ``rows`` each sample's first error: of its even class, its odd class, or its gap.
+
+    ``values``, ``gaps`` and ``errors`` are of the stack of both classes,
+    even first.  The gap is the smallest relative eigenvalue gap of both;
+    below REGULARITY_TOL the sample is a RegularityError.
+    """
+    m = len(rows)
+    relative = gaps / np.maximum(1.0, values[:, 0] - values[:, -1])[:, None]
+    gap = np.minimum(relative[:m].min(axis=1), relative[m:].min(axis=1))
+    for r in np.flatnonzero(gap < REGULARITY_TOL):
+        rows[r] = RegularityError(
+            f"sample at t = {ts[r]:.6f} has eigenvalue gap {gap[r]:.3e} below "
             f"{REGULARITY_TOL:.1e}; the curve passes too close to a singular point"
         )
+    for r in sorted(errors, reverse=True):  # the odd class first, so the even one wins
+        rows[r % m] = errors[r]
 
 
 @dataclass(frozen=True)
@@ -280,10 +322,13 @@ def transport_eigenvectors(curve: ClosedCurve) -> HolonomyResult:
                 return None, f"{cls} eigenvector {r} overlap {abs(ov[r]):.3f} <= {MIN_OVERLAP}"
         return tuple(W * np.sign(ov) for W, ov in zip(new, overlaps)), None
 
-    def observe(t, z):
-        specs = spectra(z)
-        _require_regular(curve, t, z, specs)
-        return tuple(s.vectors for s in specs)
+    def observe(ts, points):
+        _, _, entries = _lax_classes(points)
+        values, vectors, gaps, _, errors = _decompose_stack(entries, DEGENERACY_TOL)
+        m = len(points)
+        rows = list(zip(vectors[:m], vectors[m:]))
+        _sample_errors(rows, ts, values, gaps, errors)
+        return rows
 
     first, last = _walk(curve, observe, advance)
     signs = []
@@ -298,14 +343,19 @@ def transport_eigenvectors(curve: ClosedCurve) -> HolonomyResult:
     return HolonomyResult(*signs)
 
 
+def _toda_frames(b: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """``toda_frame`` of stacked rows b, p (m, n): frames (m, 2n, n)."""
+    n = b.shape[-1]
+    grads = np.swapaxes(_trace_gradients(b, p), 1, 2)
+    return np.concatenate([grads[:, n:], -grads[:, :n]], axis=1)
+
+
 def toda_frame(z: PhasePoint) -> np.ndarray:
     """Columns are the Hamiltonian vector fields of the n conserved traces.
 
     All n gradients come from one power recurrence L^0 .. L^(n-1).
     """
-    n = z.n
-    grads = _trace_gradients(z)
-    return np.concatenate([grads[:, n:].T, -grads[:, :n].T])
+    return _toda_frames(z.couplings()[None], z.p[None])[0]
 
 
 def oscillator_frame(z: PhasePoint) -> np.ndarray:
@@ -341,19 +391,23 @@ class MaslovResult:
     calibration_sign: int
 
 
-def _unitary_phase(frame: np.ndarray) -> float:
-    """Argument of det(U)^2 for the unitary part U of the complex frame."""
-    n = frame.shape[1]
-    W = frame[:n, :] + 1j * frame[n:, :]
-    gram = W.conj().T @ W
+def _unitary_phase(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Argument of det(U)^2 for the unitary part U of each complex frame of a stack (..., 2n, n).
+
+    Also returns each frame's smallest Gram eigenvalue.  At or below 1e-10
+    the frame has lost rank: its phase means nothing, and the winding walk
+    raises LagrangianFrameError there.
+    """
+    n = frames.shape[-1]
+    W = frames[..., :n, :] + 1j * frames[..., n:, :]
+    gram = np.conj(np.swapaxes(W, -1, -2)) @ W
     w, Q = np.linalg.eigh(gram)
-    if w[0] <= 1e-10:
-        raise LagrangianFrameError(
-            f"frame Gram matrix smallest eigenvalue {w[0]:.3e} <= 1e-10"
-        )
-    U = W @ (Q * (w ** -0.5)) @ Q.conj().T
+    low = w[..., 0]
+    if np.any(low <= 1e-10):
+        w = np.where(low[..., None] > 1e-10, w, 1.0)
+    U = W @ (Q * w[..., None, :] ** -0.5) @ np.conj(np.swapaxes(Q, -1, -2))
     det = np.linalg.det(U)
-    return float(np.angle(det * det))
+    return np.angle(det * det), low
 
 
 def _principal(a: float) -> float:
@@ -373,7 +427,6 @@ def maslov_index(
     """
     if frame_fn is None:
         frame_fn = toda_frame
-    check_regularity = frame_fn is toda_frame
 
     trace = [(0.0, 0.0)]
 
@@ -384,10 +437,23 @@ def maslov_index(
         trace.append((t, trace[-1][1] + step))
         return phi_next, None
 
-    def observe(t, z):
-        if check_regularity:
-            _require_regular(curve, t, z)
-        return _unitary_phase(frame_fn(z))
+    def observe(ts, points):
+        if frame_fn is not toda_frame:
+            phases, low = _unitary_phase(np.array([frame_fn(z) for z in points]))
+            rows = list(phases)
+        else:  # the samples must be regular: both spectra, from eigenvalues only
+            b, p, entries = _lax_classes(points)
+            values, _, errors = _solve_rows(np.linalg.eigvalsh, entries)
+            values = values[:, ::-1]
+            gaps, _ = _flag_gaps(values, DEGENERACY_TOL, errors)
+            phases, low = _unitary_phase(_toda_frames(b, p))
+            rows = list(phases)
+            _sample_errors(rows, ts, values, gaps, errors)
+        for r in np.flatnonzero(low <= 1e-10):
+            if not isinstance(rows[r], Exception):
+                rows[r] = LagrangianFrameError(
+                    f"frame Gram matrix smallest eigenvalue {low[r]:.3e} <= 1e-10")
+        return rows
 
     _walk(curve, observe, advance)
     total = trace[-1][1]
@@ -427,14 +493,11 @@ class HolonomyTheoremReport:
 def check_holonomy_theorem(curve: ClosedCurve) -> HolonomyTheoremReport:
     """Compute the Maslov index and the holonomies independently and compare.
 
-    Both walks run on a copy of the curve that records the smallest relative
-    eigenvalue gap of each sample, so the winding walk decomposes only the
-    samples the transport walk did not visit.
+    Each walk observes its own samples: the transport walk decomposes both
+    Lax classes, the winding walk reads their eigenvalues only.
     """
-    shared = copy.copy(curve)
-    object.__setattr__(shared, "_gaps", {})
-    hol = transport_eigenvectors(shared)
-    mas = maslov_index(shared)
+    hol = transport_eigenvectors(curve)
+    mas = maslov_index(curve)
     lhs = int((-1) ** (mas.mu // 2))
     return HolonomyTheoremReport(mas, hol, lhs)
 
@@ -504,37 +567,29 @@ def enclosure_count_check(disks: list[DiskSpec]) -> EnclosureReport:
     circles = []
     for d in disks:
         v1, v2 = pair_plane_duals(d.center, d.pair())
-        zc = d.center.z.as_vector()
-        angles = 2.0 * np.pi * np.linspace(0.0, 1.0, CIRCLE_SAMPLES + 1) * d.orientation
-        pts = [
-            PhasePoint.from_vector(zc + d.radius * (np.cos(a) * v1 + np.sin(a) * v2))
-            for a in angles
-        ]
-        circles.append(pts)
+        a = 2.0 * np.pi * np.linspace(0.0, 1.0, CIRCLE_SAMPLES + 1)[:, None] * d.orientation
+        circles.append(d.center.z.as_vector() + d.radius * (np.cos(a) * v1 + np.sin(a) * v2))
+    circles = np.array(circles)
+    n = circles.shape[-1] // 2
+    _couplings(circles[..., :n], circles[..., n:])  # each sample a valid phase point
 
-    centers = [d.center.z.as_vector() for d in disks]
-    for pts in circles:
-        for j, c in enumerate(centers):
-            dist = min(float(np.linalg.norm(p.as_vector() - c)) for p in pts)
-            if dist < 0.3 * disks[j].radius:
-                raise DiskGeometryError(
-                    f"singular point {j} lies within {dist:.3e} of the boundary"
-                )
+    # distance of each circle (rows) to each centre (columns)
+    centers = np.array([d.center.z.as_vector() for d in disks])
+    dist = np.linalg.norm(circles[:, None] - centers[None, :, None], axis=-1).min(axis=-1)
+    close = np.argwhere(dist < 0.3 * np.array([d.radius for d in disks]))
+    if close.size:
+        i, j = close[0]
+        raise DiskGeometryError(f"singular point {j} lies within {dist[i, j]:.3e} of the boundary")
 
-    def corridor(a: PhasePoint, b: PhasePoint):
-        za, zb = a.as_vector(), b.as_vector()
-        return [
-            PhasePoint.from_vector(za + s * (zb - za))
-            for s in np.linspace(0.0, 1.0, CORRIDOR_SAMPLES + 1)[1:]
-        ]
+    def corridor(za: np.ndarray, zb: np.ndarray) -> np.ndarray:
+        s = np.linspace(0.0, 1.0, CORRIDOR_SAMPLES + 1)[1:, None]
+        return za + s * (zb - za)
 
-    path = list(circles[0])
-    for k in range(1, len(circles)):
-        out = corridor(path[-1], circles[k][0])
-        path += out
-        path += circles[k][1:]
-        path += corridor(path[-1], circles[0][0])
-    curve = ClosedCurve.from_samples(path)
+    path = [circles[0]]
+    for circle in circles[1:]:
+        path += [corridor(path[-1][-1], circle[0]), circle[1:]]
+        path.append(corridor(circle[-1], circles[0][0]))
+    curve = _polyline(np.concatenate(path))
 
     mu = maslov_index(curve).mu
     sigmas = tuple(_disk_sigma(d) for d in disks)

@@ -113,13 +113,101 @@ def _canonical_pair_basis(v1: np.ndarray, v2: np.ndarray) -> tuple[np.ndarray, n
     return w1, w2
 
 
+def _solve_rows(solve, entries: np.ndarray) -> tuple[object, np.ndarray, dict[int, Exception]]:
+    """``solve`` (np.linalg.eigh or eigvalsh) on a stack (m, n, n): result, stack solved, failures.
+
+    A row the solver fails on gets an EigensolverError and is solved as the
+    zero matrix, so the rest of the stack keeps its results.
+    """
+    try:
+        return solve(entries), entries, {}
+    except np.linalg.LinAlgError:
+        pass
+    errors = {}
+    for r, a in enumerate(entries):
+        try:
+            solve(a)
+        except np.linalg.LinAlgError as exc:
+            errors[r] = EigensolverError(str(exc))
+    failed = np.zeros(len(entries), dtype=bool)
+    failed[list(errors)] = True
+    entries = np.where(failed[:, None, None], 0.0, entries)
+    return solve(entries), entries, errors
+
+
+def _flag_gaps(values: np.ndarray, degeneracy_tol: float,
+               errors: dict[int, Exception]) -> tuple[np.ndarray, list[tuple]]:
+    """Gaps (m, n - 1) of descending rows of eigenvalues (m, n), and each row's flagged pairs.
+
+    A gap below degeneracy_tol * max(1, spectral range) flags its pair; a
+    row with two consecutive flagged gaps gets a TripleDegeneracyError in
+    ``errors`` unless it has an error already.
+    """
+    gaps = values[:, :-1] - values[:, 1:]
+    threshold = degeneracy_tol * np.maximum(1.0, values[:, 0] - values[:, -1])
+    small = gaps < threshold[:, None]
+    pairs = [()] * len(values)
+    if np.count_nonzero(small):
+        for r, i in zip(*np.nonzero(small[:, :-1] & small[:, 1:])):
+            errors.setdefault(int(r), TripleDegeneracyError(
+                f"eigenvalues {i}..{i + 2} all within {threshold[r]:.3e}; "
+                "check the degeneracy tolerance and the input matrix"
+            ))
+        for r in np.flatnonzero(small.any(axis=1)):
+            pairs[r] = tuple((int(i), int(i) + 1) for i in np.flatnonzero(small[r]))
+    return gaps, pairs
+
+
+def _decompose_stack(entries: np.ndarray, degeneracy_tol: float) -> tuple[
+        np.ndarray, np.ndarray, np.ndarray, list, dict[int, Exception]]:
+    """``decompose`` of a stack of symmetric matrices (m, n, n), row by row alike.
+
+    Returns descending values (m, n), vectors (m, n, n), gaps (m, n - 1),
+    each row's flagged pairs, and the error each failing row raises in
+    ``decompose``: the solver's, a triple, then the residual or
+    orthonormality bound.  The results of a failing row are meaningless.
+    """
+    (vals, vecs), entries, errors = _solve_rows(np.linalg.eigh, entries)
+    m, n = vals.shape
+    # residual of the solver's own eigenpairs: rotating a flagged pair inside
+    # its 2-space moves each vector off its eigenvalue by up to the pair's
+    # gap, which the degeneracy threshold allows but this bound does not
+    residual = np.abs(entries @ vecs - vecs * vals[:, None, :])
+    # unpaired columns get a deterministic sign: largest entry positive
+    sign = np.sign(vecs[np.arange(m)[:, None], np.abs(vecs).argmax(axis=1), np.arange(n)])
+
+    vals = vals[:, ::-1]
+    gaps, pairs = _flag_gaps(vals, degeneracy_tol, errors)
+    sign = sign[:, ::-1]
+    flagged = [(r, i) for r, row in enumerate(pairs) if r not in errors for i, _ in row]
+    for r, i in flagged:
+        sign[r, i:i + 2] = 1.0
+    vecs = vecs[:, :, ::-1] * sign[:, None, :]
+    for r, i in flagged:
+        vecs[r, :, i], vecs[r, :, i + 1] = _canonical_pair_basis(vecs[r, :, i], vecs[r, :, i + 1])
+
+    ortho = np.abs(np.swapaxes(vecs, 1, 2) @ vecs - np.eye(n))
+    # each row's bound is 1e-10 times at least 1: below it on the whole stack, no row fails
+    if residual.max() > 1e-10 or ortho.max() > 1e-10:
+        residual = residual.max(axis=(1, 2))
+        ortho = ortho.max(axis=(1, 2))
+        scale = np.maximum(1.0, np.abs(vals).max(axis=1))
+        for r in np.flatnonzero((residual > 1e-10 * scale) | (ortho > 1e-10)):
+            errors.setdefault(int(r), EigensolverError(
+                f"eigen residual {residual[r]:.3e} or orthonormality defect {ortho[r]:.3e} "
+                "exceeds the 1e-10 bound"
+            ))
+    return vals, vecs, gaps, pairs, errors
+
+
 def decompose(L: LaxMatrix | np.ndarray, degeneracy_tol: float = DEGENERACY_TOL) -> SpectralData:
     """Descending eigen-decomposition with degenerate-pair detection.
 
     A gap below degeneracy_tol * max(1, spectral range) flags the pair;
     two consecutive flagged gaps abort with TripleDegeneracyError.  Inside
     each flagged pair the basis is rotated deterministically.  A bare
-    array is taken as an even-class matrix.
+    array is taken as an even-class matrix.  This is the one-row case of
+    ``_decompose_stack``.
     """
     if isinstance(L, LaxMatrix):
         entries, sgn = L.entries, L.sign
@@ -132,45 +220,10 @@ def decompose(L: LaxMatrix | np.ndarray, degeneracy_tol: float = DEGENERACY_TOL)
         or np.allclose(entries, entries.T, atol=1e-12 * max(1.0, np.abs(entries).max()))
     ):
         raise ValueError("matrix is not symmetric")
-
-    try:
-        vals, vecs = np.linalg.eigh(entries)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(str(exc)) from exc
-    vals = vals[::-1]
-    vecs = vecs[:, ::-1]
-
-    n = vals.size
-    gaps = vals[:-1] - vals[1:]
-    threshold = degeneracy_tol * max(1.0, float(vals[0] - vals[-1]))
-    small = gaps < threshold
-    for i in range(n - 2):
-        if small[i] and small[i + 1]:
-            raise TripleDegeneracyError(
-                f"eigenvalues {i}..{i + 2} all within {threshold:.3e}; "
-                "check the degeneracy tolerance and the input matrix"
-            )
-    pairs = tuple((i, i + 1) for i in range(n - 1) if small[i])
-    # residual of the solver's own eigenpairs: rotating a flagged pair inside
-    # its 2-space moves each vector off its eigenvalue by up to the pair's
-    # gap, which the degeneracy threshold allows but this bound does not
-    residual = np.max(np.abs(entries @ vecs - vecs * vals))
-
-    # unpaired columns get a deterministic sign: largest entry positive
-    flip = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(n)] < 0
-    flip[[k for pair in pairs for k in pair]] = False
-    vecs = np.where(flip, -vecs, vecs)
-    for (i, j) in pairs:
-        vecs[:, i], vecs[:, j] = _canonical_pair_basis(vecs[:, i], vecs[:, j])
-
-    scale = max(1.0, float(np.abs(vals).max()))
-    ortho = np.max(np.abs(vecs.T @ vecs - np.eye(n)))
-    if residual > 1e-10 * scale or ortho > 1e-10:
-        raise EigensolverError(
-            f"eigen residual {residual:.3e} or orthonormality defect {ortho:.3e} "
-            "exceeds the 1e-10 bound"
-        )
-    return SpectralData(vals, vecs, gaps, pairs, sgn)
+    vals, vecs, gaps, pairs, errors = _decompose_stack(entries[None], degeneracy_tol)
+    if errors:
+        raise errors[0]
+    return SpectralData(vals[0], vecs[0], gaps[0], pairs[0], sgn)
 
 
 def spectra(

@@ -325,12 +325,17 @@ def _sigma1_components(s: Sample, config: RunConfig) -> Outcome:
          0.5, sizes=(3, 4))
 def _corank_sigma1(s: Sample, config: RunConfig) -> Outcome:
     found, missing, _ = s.sigma1
-    worst = 1.0 if missing else 0.0
+    reasons = [missing] if missing else []
     for sp in found:
         rep = corank(sp.z, config.rank_tol, config.degeneracy_tol)
-        if rep.corank != 1 or not rep.theorem_holds or rep.inconclusive:
-            worst = 1.0
-    return Outcome(worst, detail=missing)
+        label = sp.targets[0].label
+        if rep.inconclusive:
+            reasons.append(f"{label}: inconclusive rank decision")
+        if rep.corank != 1:
+            reasons.append(f"{label}: corank {rep.corank} != 1")
+        if not rep.theorem_holds:
+            reasons.append(f"{label}: corank {rep.corank} != nu + nubar = {rep.nu + rep.nubar}")
+    return Outcome(1.0 if reasons else 0.0, detail="; ".join(reasons))
 
 
 # The residual is in units of RATIO_TOL, the bound of the ratio errors and of
@@ -341,22 +346,32 @@ def _corank_sigma1(s: Sample, config: RunConfig) -> Outcome:
 def _transverse_structure(s: Sample, config: RunConfig) -> Outcome:
     found, missing, _ = s.sigma1
     worst = 1.0 if missing else 0.0
+    reasons = [missing] if missing else []
     for sp in found:
         target = sp.targets[0]
         hrep = hessian_structure_check(sp, target, degeneracy_tol=config.degeneracy_tol)
         brep = bracket_relations_check(sp, degeneracy_tol=config.degeneracy_tol)
-        worst = max(
-            worst,
-            hrep.residual_full,
-            hrep.omega_relative_error,
-            0.0 if hrep.trace_K_squared < 0 else 1.0,
-            brep.zero_max * RATIO_TOL / config.bracket_tol,
-            brep.mixed_parity_max * RATIO_TOL / config.bracket_tol,
-            float(np.max(np.abs(brep.ratio_errors))),
-            0.0 if brep.m_independence_max < M_INDEPENDENCE_TOL else 1.0,
-            0.0 if tangent_symplectic_check(sp, config.degeneracy_tol) > TANGENT_TOL else 1.0,
+        tangent = tangent_symplectic_check(sp, config.degeneracy_tol)
+        ratio = float(np.max(np.abs(brep.ratio_errors)))
+        # (term of the residual, the statement it breaks at RATIO_TOL and above)
+        terms = (
+            (hrep.residual_full, f"Hessian dyad residual {hrep.residual_full:.3e}"),
+            (hrep.omega_relative_error,
+             f"omega relative error {hrep.omega_relative_error:.3e}"),
+            (0.0 if hrep.trace_K_squared < 0 else 1.0, "trace K^2 >= 0"),
+            (brep.zero_max * RATIO_TOL / config.bracket_tol,
+             f"vanishing bracket {brep.zero_max:.3e}"),
+            (brep.mixed_parity_max * RATIO_TOL / config.bracket_tol,
+             f"mixed-parity bracket {brep.mixed_parity_max:.3e}"),
+            (ratio, f"bracket ratio error {ratio:.3e}"),
+            (0.0 if brep.m_independence_max < M_INDEPENDENCE_TOL else 1.0,
+             f"pairing m-dependence {brep.m_independence_max:.3e}"),
+            (0.0 if tangent > TANGENT_TOL else 1.0,
+             f"stratum tangent symplectic form {tangent:.3e} <= {TANGENT_TOL:.0e}"),
         )
-    return Outcome(worst, detail=missing)
+        worst = max(worst, *(term for term, _ in terms))
+        reasons += [f"{target.label}: {why}" for term, why in terms if term >= RATIO_TOL]
+    return Outcome(worst, detail="; ".join(reasons))
 
 
 # -- holonomy, winding and flows -------------------------------------------

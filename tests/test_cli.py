@@ -92,6 +92,7 @@ def test_registry_tolerances_are_pinned():
     assert singularity.HESSIAN_STEP == 1e-5
     assert (maslov.MIN_OVERLAP, maslov.REGULARITY_TOL, maslov.MAX_EVALUATIONS) == (
         0.9, 1e-8, 200000)
+    assert maslov.GRID_CHUNK == 128
     assert (maslov.CALIBRATION_SAMPLES, maslov.CIRCLE_SAMPLES, maslov.CORRIDOR_SAMPLES) == (
         128, 256, 32)
 
@@ -166,6 +167,20 @@ class TestVerifyCommand:
                       if r["id"] == "corank_random[n=3]")
         assert record["status"] == "fail"
         assert record["detail"].startswith("TripleDegeneracyError")
+
+    def test_failing_sigma1_checks_name_what_broke(self, tmp_path):
+        # each used to fold its terms into one max and fail with an empty detail
+        out = tmp_path / "r.json"
+        main(["verify", "--n", "3", "--points", "10", "--suite", "quick",
+              "--tol.degeneracy", "0.9", "--out", str(out), "--no-timing"])
+        records = {r["id"]: r for r in json.loads(out.read_text())["results"]}
+        corank, transverse = records["corank_sigma1[n=3]"], records["transverse_structure[n=3]"]
+        assert corank["status"] == transverse["status"] == "fail"
+        assert corank["detail"] == ("even:1: corank 1 != nu + nubar = 2; "
+                                    "odd:1: corank 1 != nu + nubar = 2")
+        reasons = transverse["detail"].split("; ")
+        assert "odd:1: pairing m-dependence 8.637e-03" in reasons
+        assert all(r.startswith(("even:1: ", "odd:1: ")) for r in reasons)
 
     def test_huge_rank_tol_inconclusive_exit_zero(self, capsys):
         code = main([

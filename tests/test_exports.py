@@ -81,7 +81,6 @@ def test_settable_values_are_pinned():
         "maslov.ClosedCurve.circle(orientation)",
         "maslov.ClosedCurve.from_samples(initial_samples)",
         "maslov.ClosedCurve.initial_samples",
-        "maslov.ClosedCurve.refined(factor)",
         "maslov.DiskSpec.orientation",
         "maslov.DiskSpec.radius",
         "maslov.maslov_index(frame_fn)",

@@ -4,24 +4,30 @@ import pytest
 
 import todalax.maslov as maslov
 from todalax.lax import PhasePoint
-from todalax.spectral import spectra
+from todalax.spectral import _decompose_stack as decompose_stack, decompose, spectra
 from todalax.singularity import (
     PairTarget,
     all_pair_targets,
     find_singular,
     omega_point,
+    pair_plane_duals,
     perturbed_seed,
 )
 from todalax.maslov import (
     CALIBRATION_SIGN,
+    GRID_CHUNK,
+    MAX_EVALUATIONS,
     ClosedCurve,
+    DiskGeometryError,
     DiskSpec,
     RegularityError,
+    TransportError,
     check_holonomy_theorem,
     enclosure_count_check,
     maslov_index,
     oscillator_angle_loop,
     oscillator_frame,
+    toda_frame,
     transport_eigenvectors,
 )
 
@@ -134,7 +140,7 @@ class TestTransport:
     def test_signs_stable_under_refinement(self, sigma1_n3, coarse_loops):
         curve = ClosedCurve.around_pair(sigma1_n3, PairTarget(True, 1), radius=2e-3)
         a = transport_eigenvectors(curve)
-        b = transport_eigenvectors(curve.refined(2))
+        b = transport_eigenvectors(ClosedCurve(curve.point_at, 2 * curve.initial_samples))
         npt.assert_array_equal(a.gamma, b.gamma)
         npt.assert_array_equal(a.gammabar, b.gammabar)
         for fine, coarse in coarse_loops:
@@ -201,7 +207,8 @@ class TestMaslovIndex:
 
     def test_invariant_under_refinement(self, sigma1_n3, coarse_loops):
         curve = ClosedCurve.around_pair(sigma1_n3, PairTarget(True, 1), radius=2e-3)
-        assert maslov_index(curve).mu == maslov_index(curve.refined(2)).mu
+        assert maslov_index(curve).mu == maslov_index(
+            ClosedCurve(curve.point_at, 2 * curve.initial_samples)).mu
         for fine, coarse in coarse_loops:
             mu = maslov_index(fine).mu
             assert abs(mu) == 2
@@ -244,29 +251,38 @@ class TestHolonomyTheorem:
         npt.assert_array_equal(rep.holonomy.gammabar[:2], [-1.0, -1.0])
 
     def test_holonomy_check_decomposes_each_sample_once(self, sigma1_n3, monkeypatch):
-        calls = []
+        # the transport walk decomposes each sample once, its initial grid in
+        # stacks of GRID_CHUNK samples; the winding walk reads eigenvalues only
+        stacks = []
 
-        def counting_spectra(z, *args):
-            calls.append(z)
-            return spectra(z, *args)
+        def counting_decompose(entries, *args):
+            stacks.append(len(entries) // 2)  # both classes of each sample
+            return decompose_stack(entries, *args)
 
-        monkeypatch.setattr(maslov, "spectra", counting_spectra)
+        monkeypatch.setattr(maslov, "_decompose_stack", counting_decompose)
         fine = ClosedCurve.around_pair(sigma1_n3, PairTarget(True, 1), radius=2e-3)
         check_holonomy_theorem(fine)
-        assert len(calls) == 257
+        full, rest = divmod(257, GRID_CHUNK)
+        assert stacks == [GRID_CHUNK] * full + [rest]
 
-        seen = set()
+        seen = []
 
         def at(t):
-            seen.add(t)
+            seen.append(t)
             return fine.point_at(t)
 
         coarse = ClosedCurve(at, initial_samples=4)
-        calls.clear()
+        seen.clear()
+        stacks.clear()
+        hol = transport_eigenvectors(coarse)
+        assert len(stacks) > 1 and stacks[0] == 5  # the grid, then the midpoints
+        assert set(stacks[1:]) == {1}
+        assert sum(stacks) == len(seen) == len(set(seen))
+        stacks.clear()
+        seen.clear()
+        mas = maslov_index(coarse)
+        assert not stacks and len(seen) == len(set(seen)) > 5
         rep = check_holonomy_theorem(coarse)
-        assert len(seen) > 5  # the walks bisected
-        assert len(calls) == len(seen)
-        hol, mas = transport_eigenvectors(coarse), maslov_index(coarse)
         assert rep.mu == mas.mu
         assert np.array_equal(rep.maslov.winding_trace, mas.winding_trace)
         npt.assert_array_equal(rep.holonomy.gamma, hol.gamma)
@@ -305,3 +321,116 @@ class TestEnclosureCount:
     def test_needs_at_least_one_disk(self):
         with pytest.raises(ValueError):
             enclosure_count_check([])
+
+
+class TestStackedGrid:
+    """The walkers observe their initial grid in stacks; each midpoint is a stack of one."""
+
+    @staticmethod
+    def through(point, radius, samples):
+        # the circle of this radius through the singular point, at t = 1/2
+        target = point.targets[0]
+        v1, v2 = pair_plane_duals(point, target)
+        return ClosedCurve.circle(point.z.displaced(radius * np.asarray(v1)), v1, v2, radius,
+                                  samples)
+
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_stacked_phase_within_four_ulps_of_one_row(self, n):
+        target = PairTarget(True, 1)
+        rest = [t for t in all_pair_targets(n) if t != target]
+        sp = find_singular(perturbed_seed(omega_point(n), rest, eps=1e-2), [target])
+        curve = ClosedCurve.around_pair(sp, target, radius=2e-3)
+        points = [curve.point_at(t) for t in np.linspace(0.0, 1.0, 257)]
+        b, p, _ = maslov._lax_classes(points)
+        frames = maslov._toda_frames(b, p)
+        phases, low = maslov._unitary_phase(frames)
+        for z, frame, phase, smallest in zip(points, frames, phases, low):
+            assert np.array_equal(frame, toda_frame(z))
+            one_phase, one_low = maslov._unitary_phase(toda_frame(z))
+            # 1 ulp of pi measured; the stacked products round apart from the 2-d ones
+            assert abs(phase - one_phase) <= 4 * np.spacing(np.pi)
+            assert smallest == pytest.approx(one_low, rel=1e-12)
+
+    @pytest.mark.parametrize("samples", [4, 5, 64])
+    def test_singular_sample_raises_where_the_walk_reaches_it(self, sigma1_n3, samples):
+        # the message of the one-sample-at-a-time walk, on the grid (4, 64 samples)
+        # and at a midpoint (5)
+        message = ("sample at t = 0.500000 has eigenvalue gap 1.034e-12 below 1.0e-08; "
+                   "the curve passes too close to a singular point")
+        curve = self.through(sigma1_n3, 5e-2, samples)
+        for walk in (transport_eigenvectors, maslov_index, check_holonomy_theorem):
+            with pytest.raises(RegularityError) as err:
+                walk(curve)
+            assert str(err.value) == message
+
+    def test_errors_of_later_samples_wait_for_the_walk(self, sigma1_n3):
+        # the grid sample at t = 0.8 cannot be evaluated; the walk stops at
+        # t = 1/2 first, as it did when it observed one sample at a time
+        inner = self.through(sigma1_n3, 5e-2, 10).point_at
+
+        def at(t):
+            if 0.75 < t < 0.85:
+                raise ValueError(f"no sample at {t}")
+            return inner(t)
+
+        for walk in (transport_eigenvectors, maslov_index):
+            with pytest.raises(RegularityError, match="t = 0.500000"):
+                walk(ClosedCurve(at, 10))
+        regular = ClosedCurve.around_pair(sigma1_n3, PairTarget(True, 1), radius=2e-3)
+
+        def broken(t):
+            if 0.75 < t < 0.85:
+                raise ValueError(f"no sample at {t}")
+            return regular.point_at(t)
+
+        with pytest.raises(ValueError, match="no sample at 0.8"):
+            transport_eigenvectors(ClosedCurve(broken, 10))
+
+    def test_grid_one_past_the_chunk_matches_one_row_walk(self, sigma1_n3, monkeypatch):
+        curve = ClosedCurve.around_pair(sigma1_n3, PairTarget(True, 1), radius=2e-3,
+                                        initial_samples=GRID_CHUNK)
+        stacks, frames = [], []
+        decompose_stack, toda_frames = maslov._decompose_stack, maslov._toda_frames
+
+        def counting_decompose(entries, *args):
+            stacks.append(len(entries) // 2)
+            return decompose_stack(entries, *args)
+
+        def counting_frames(b, p):
+            frames.append(len(b))
+            return toda_frames(b, p)
+
+        monkeypatch.setattr(maslov, "_decompose_stack", counting_decompose)
+        monkeypatch.setattr(maslov, "_toda_frames", counting_frames)
+        stacked = check_holonomy_theorem(curve)
+        assert stacks == frames == [GRID_CHUNK, 1]
+        monkeypatch.setattr(maslov, "GRID_CHUNK", 1)
+        one_row = check_holonomy_theorem(curve)
+        assert frames[2:] == [1] * (GRID_CHUNK + 1)  # no midpoints: the grid is fine enough
+        assert stacked.mu == one_row.mu and abs(stacked.mu) == 2
+        npt.assert_array_equal(stacked.holonomy.gamma, one_row.holonomy.gamma)
+        npt.assert_array_equal(stacked.holonomy.gammabar, one_row.holonomy.gammabar)
+        npt.assert_allclose(stacked.maslov.winding_trace, one_row.maslov.winding_trace,
+                            rtol=0, atol=1e-13)
+
+    def test_budget_error_before_any_sample(self):
+        z = PhasePoint(np.array([0.5, -0.2, 0.1]), np.array([0.3, 0.9, -0.4]))
+        seen = []
+
+        def at(t):
+            seen.append(t)
+            return z
+
+        curve = ClosedCurve(at, MAX_EVALUATIONS + 1)
+        seen.clear()
+        for walk in (transport_eigenvectors, maslov_index):
+            with pytest.raises(TransportError, match=f"budget of {MAX_EVALUATIONS} evaluations"):
+                walk(curve)
+        assert seen == []
+
+    def test_boundary_too_close_to_a_centre(self, sigma1_n3):
+        # two disks on one centre: the smaller circle is too close to the larger disk's centre
+        for radii, j in (((1e-3, 1e-2), 1), ((1e-2, 1e-3), 0)):
+            with pytest.raises(DiskGeometryError) as err:
+                enclosure_count_check([DiskSpec(sigma1_n3, radius=r) for r in radii])
+            assert str(err.value) == f"singular point {j} lies within 1.224e-03 of the boundary"

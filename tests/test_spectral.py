@@ -4,15 +4,26 @@ import pytest
 
 from todalax.lax import PhasePoint, SignVector, build_lax
 from todalax.spectral import (
+    EigensolverError,
     TripleDegeneracyError,
     _canonical_pair_basis,
+    _decompose_stack,
     annihilator,
     decompose,
     interlacing_chain,
     interlacing_check,
     spectra,
 )
-from todalax.singularity import _block_coordinates, _pair_forms, omega_point
+from todalax.singularity import (
+    PairTarget,
+    _block_coordinates,
+    _pair_forms,
+    all_pair_targets,
+    find_singular,
+    omega_point,
+    pair_plane_duals,
+    perturbed_seed,
+)
 
 
 def random_point(rng, n, scale=1.0):
@@ -133,6 +144,49 @@ class TestSpectra:
                 v1, v2 = spec.pair_vectors(pair)
                 npt.assert_array_equal(u1, v1)
                 npt.assert_array_equal(u2, v2)
+
+
+class TestDecomposeStack:
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_rows_match_one_row_decompose(self, n):
+        # a loop's grid around a sigma_1 point, with the point itself (one
+        # flagged pair) in the middle of the stack
+        target = PairTarget(True, 1)
+        rest = [t for t in all_pair_targets(n) if t != target]
+        sp = find_singular(perturbed_seed(omega_point(n), rest, eps=1e-2), [target])
+        v1, v2 = pair_plane_duals(sp, target)
+        angles = 2.0 * np.pi * np.linspace(0.0, 1.0, 33)
+        points = [sp.z.displaced(2e-3 * (np.cos(a) * v1 + np.sin(a) * v2)) for a in angles]
+        points.insert(16, sp.z)
+        for sign in (SignVector.even(n), SignVector.odd(n)):
+            mats = [build_lax(z, sign) for z in points]
+            vals, vecs, gaps, pairs, errors = _decompose_stack(
+                np.array([L.entries for L in mats]), 1e-8)
+            assert errors == {}
+            for r, L in enumerate(mats):
+                ref = decompose(L)
+                assert np.array_equal(vals[r], ref.values)
+                assert np.array_equal(vecs[r], ref.vectors)
+                assert np.array_equal(gaps[r], ref.gaps)
+                assert pairs[r] == ref.degenerate_pairs
+            assert len(pairs[16]) == (sign.parity() < 0)  # the odd class's pair is flagged
+
+    def test_errors_stay_in_their_rows(self):
+        rng = np.random.default_rng(3)
+        good = build_lax(random_point(rng, 4)).entries
+        triple = np.diag([1.0, 1.0, 1.0, 0.0])
+        stack = np.array([good, triple, np.full((4, 4), np.inf), good])
+        vals, vecs, _, _, errors = _decompose_stack(stack, 1e-8)
+        assert sorted(errors) == [1, 2]
+        with pytest.raises(TripleDegeneracyError) as triple_error:
+            decompose(triple)
+        with pytest.raises(EigensolverError) as solver_error:
+            decompose(np.full((4, 4), np.inf))
+        assert str(errors[1]) == str(triple_error.value)
+        assert str(errors[2]) == str(solver_error.value)
+        ref = decompose(good)
+        for r in (0, 3):
+            assert np.array_equal(vals[r], ref.values) and np.array_equal(vecs[r], ref.vectors)
 
 
 class TestInterlacing:
