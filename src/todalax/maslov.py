@@ -177,14 +177,15 @@ _Observe = Callable[[np.ndarray, list[PhasePoint]], list]
 def _observe(curve: ClosedCurve, ts: np.ndarray, observe: _Observe) -> list:
     """``observe`` at the samples point_at(t), t in ts: per t, the observation or its error.
 
-    A point_at that raises ends the list with its exception, which the walk
-    raises when it reaches that t, as it would have raised it there alone.
+    A point_at that raises a ValueError (a PhaseDomainError off the phase
+    space) ends the list with it, and the walk raises it when it reaches
+    that t, as it would have raised it there alone.
     """
     points = []
     for t in ts:
         try:
             points.append(curve.point_at(t))
-        except Exception as exc:  # any error of the curve's own code, raised in walk order
+        except ValueError as exc:
             return (observe(ts[:len(points)], points) if points else []) + [exc]
     return observe(ts, points)
 

@@ -4,7 +4,8 @@ Eigenvalues are kept in descending order throughout.  Degeneracies of the
 periodic Toda Lax matrices are at most two-fold, so a flagged triple is
 treated as evidence of a tolerance or input fault rather than mathematics.
 ``spectra`` gives the spectral data of both Lax classes at a phase point;
-it is the one place the library diagonalises a Lax matrix.  The
+the loop walkers run the same bookkeeping, ``_decompose_stack``, on stacks
+of Lax matrices, and ``decompose`` is its one-row case.  The
 annihilating polynomial of a degenerate matrix supplies the coefficient
 vector that fixes the singularity under the integrable flows.
 """
