@@ -4,7 +4,7 @@ import pytest
 
 import todalax.maslov as maslov
 from todalax.lax import PhasePoint
-from todalax.spectral import _decompose_stack as decompose_stack, decompose, spectra
+from todalax.spectral import _decompose_stack as decompose_stack
 from todalax.singularity import (
     PairTarget,
     all_pair_targets,
