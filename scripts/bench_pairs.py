@@ -5,7 +5,10 @@
 
 Each side runs ``perfbench/run.py`` from its own checkout: the parent from a
 ``git archive`` export of REV, the change from this checkout (or from an
-export of ``--change REV``).  Pair k uses seed ``seed0 + k`` on both sides and
+export of ``--change REV``).  Both checkouts must hold the same benchmark:
+``BENCHMARK.json`` and the files under ``perfbench/`` (its ``out/`` and the
+Python caches aside) are compared first, and a difference stops the script
+with the names of the differing files.  Pair k uses seed ``seed0 + k`` on both sides and
 runs the parent first when k is even.  The runs are made one at a time.  The
 result goes to ``BENCH_<label>.json`` at the root of this checkout: seeds,
 per-run metrics, medians, quartiles and pair wins of every end-to-end metric
@@ -46,6 +49,41 @@ def export(rev: str, dest: str) -> str:
         tar.extractall(tree, filter="data")
     os.remove(archive)
     return tree
+
+
+# directories under perfbench/ that runs and tests write, not part of the benchmark
+_NOT_BENCHMARK = {"out", "__pycache__", ".pytest_cache"}
+
+
+def bench_files(checkout: str) -> dict[str, bytes]:
+    """``BENCHMARK.json`` and the files under ``perfbench/`` of a checkout, by relative path."""
+    files = {}
+    top = os.path.join(checkout, "BENCHMARK.json")
+    if os.path.isfile(top):
+        with open(top, "rb") as fh:
+            files["BENCHMARK.json"] = fh.read()
+    for dirpath, dirnames, filenames in os.walk(os.path.join(checkout, "perfbench")):
+        dirnames[:] = sorted(d for d in dirnames if d not in _NOT_BENCHMARK)
+        for name in filenames:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                files[os.path.relpath(path, checkout).replace(os.sep, "/")] = fh.read()
+    return files
+
+
+def differing_bench_files(a: str, b: str) -> list[str]:
+    """Relative paths of the benchmark files that differ between, or exist in only one of, a and b."""
+    fa, fb = bench_files(a), bench_files(b)
+    return sorted(k for k in fa.keys() | fb.keys() if fa.get(k) != fb.get(k))
+
+
+def describe_change(rev: str | None) -> dict:
+    """The change side's commit; without ``rev``, HEAD of this checkout and whether it is dirty."""
+    if rev:
+        return {"change": resolve(rev), "change_dirty": False}
+    done = subprocess.run(["git", "-C", ROOT, "status", "--porcelain"],
+                          capture_output=True, text=True, check=True)
+    return {"change": resolve("HEAD"), "change_dirty": bool(done.stdout.strip())}
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -156,6 +194,10 @@ def main(argv=None) -> int:
             sides["change"] = export(args.change, os.path.join(tmp, "change"))
         else:
             sides["change"] = ROOT
+        differing = differing_bench_files(sides["parent"], sides["change"])
+        if differing:
+            raise SystemExit("the parent and the change run different benchmarks; differing "
+                             f"files: {', '.join(differing)}")
         report = {
             "label": args.label,
             "what": args.what,
@@ -164,13 +206,14 @@ def main(argv=None) -> int:
             "host": f"{os.cpu_count()} cores, {platform.machine()}; Python "
                     f"{platform.python_version()}, numpy {np.__version__}, scipy "
                     f"{scipy.__version__}; BLAS pinned to one thread by perfbench",
-            "method": "scripts/bench_pairs.py: parent and change run from two checkouts with "
-                      "identical perfbench files, in alternating pairs (pair k runs the parent "
+            "method": "scripts/bench_pairs.py: parent and change run from two checkouts whose "
+                      "perfbench/ and BENCHMARK.json files were compared equal before the first "
+                      "run, in alternating pairs (pair k runs the parent "
                       "first when k is even), one run at a time, seed seed0 + k for pair k; "
                       "quartiles are numpy percentiles 25/50/75 over the runs of one side; op "
                       "and set-up times are perfbench's host-speed-scaled figures",
             "parent": resolve(args.parent),
-            "change": resolve(args.change) if args.change else "working tree",
+            **describe_change(args.change),
             "end_to_end": {},
         }
         for workload, pairs in workloads.items():

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lax import PhasePoint, SignVector, build_generator, build_lax
-from .dynamics import coordinate_form, grad_combination, grad_F, poisson
-from .spectral import DEGENERACY_TOL, SpectralData, annihilator, spectra
+from .dynamics import _gradients, coordinate_form, grad_combination, grad_F, poisson
+from .spectral import DEGENERACY_TOL, SpectralData, _spectra_stack, annihilator, spectra
 
 __all__ = [
     "PairTarget",
@@ -152,6 +152,17 @@ class CorankReport:
         }
 
 
+def _rank_decision(s: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Corank and inconclusive flag of rows (N, n) of descending singular values.
+
+    The corank counts the values below rank_tol times the row's largest; a
+    value inside [0.1, 10] x rank_tol times it makes the row inconclusive.
+    """
+    smax = s[:, :1]
+    band = (s >= 0.1 * rank_tol * smax) & (s <= 10.0 * rank_tol * smax)
+    return (s < rank_tol * smax).sum(axis=1), band.any(axis=1)
+
+
 def corank(
     z: PhasePoint, rank_tol: float = RANK_TOL, degeneracy_tol: float = DEGENERACY_TOL
 ) -> CorankReport:
@@ -159,15 +170,31 @@ def corank(
     n = z.n
     dF = np.array([grad_F(z, j).as_vector() for j in range(1, n + 1)])
     U, s, _ = np.linalg.svd(dF)
-    smax = float(s[0])
-    below = s < rank_tol * smax
-    k = int(np.sum(below))
-    band = (s >= 0.1 * rank_tol * smax) & (s <= 10.0 * rank_tol * smax)
+    k, band = _rank_decision(s[None], rank_tol)
+    k = int(k[0])
     null_basis = U[:, n - k:].T.copy() if k else np.empty((0, n))
 
     even, odd = spectra(z, degeneracy_tol)
     nu, nubar = len(even.degenerate_pairs), len(odd.degenerate_pairs)
-    return CorankReport(z, s, k, nu, nubar, null_basis, bool(np.any(band)), rank_tol)
+    return CorankReport(z, s, k, nu, nubar, null_basis, bool(band[0]), rank_tol)
+
+
+def _corank_stack(b: np.ndarray, p: np.ndarray, rank_tol: float, degeneracy_tol: float
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``corank`` of stacked rows b, p (N, n): singular values, corank, inconclusive, nu, nubar.
+
+    Row r of each equals the field of ``corank`` at row r's point.  A
+    failing row raises the error ``corank`` raises there, as
+    ``spectral._spectra_stack`` orders them.
+    """
+    m, n = b.shape
+    jac = np.empty((m, n, 2 * n))
+    for j in range(1, n + 1):
+        jac[:, j - 1, :n], jac[:, j - 1, n:] = _gradients(b, p, j)
+    s = np.linalg.svd(jac)[1]
+    k, band = _rank_decision(s, rank_tol)
+    (_, even), (_, odd) = _spectra_stack(b, p, degeneracy_tol)
+    return s, k, band, np.array([len(r) for r in even]), np.array([len(r) for r in odd])
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,9 @@ Eigenvalues are kept in descending order throughout.  Degeneracies of the
 periodic Toda Lax matrices are at most two-fold, so a flagged triple is
 treated as evidence of a tolerance or input fault rather than mathematics.
 ``spectra`` gives the spectral data of both Lax classes at a phase point;
-the loop walkers run the same bookkeeping, ``_decompose_stack``, on stacks
-of Lax matrices, and ``decompose`` is its one-row case.  The
+the loop walkers and the suite's random-point checks run the same
+bookkeeping, ``_decompose_stack``, on stacks of Lax matrices, and
+``decompose`` is its one-row case.  The
 annihilating polynomial of a degenerate matrix supplies the coefficient
 vector that fixes the singularity under the integrable flows.
 """
@@ -13,9 +14,10 @@ vector that fixes the singularity under the integrable flows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 import numpy as np
 
-from .lax import LaxMatrix, PhasePoint, SignVector, build_lax
+from .lax import LaxMatrix, PhasePoint, SignVector, _lax_entries, build_lax
 
 __all__ = [
     "TripleDegeneracyError",
@@ -278,36 +280,79 @@ class InterlacingReport:
         return not self.violations
 
 
+@lru_cache(maxsize=None)
+def _chain_links(n: int) -> tuple[tuple, np.ndarray, np.ndarray, np.ndarray]:
+    """``interlacing_chain(n)`` and its links as positions in a row (L values, Lbar values).
+
+    Returns the chain, each link's upper and lower position, and its sign:
+    -1 for a link inside one matrix (weak), +1 for one between them (strict).
+    """
+    chain = tuple(interlacing_chain(n))
+    pos = np.array([i if t == "L" else n + i for t, i in chain])
+    sign = np.where((pos[:-1] < n) == (pos[1:] < n), -1.0, 1.0)
+    for a in (pos, sign):
+        a.setflags(write=False)
+    return chain, pos[:-1], pos[1:], sign
+
+
+def _interlacing_stack(lam: np.ndarray, bar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each link's drop and violation of descending rows lam, bar (N, n) of both classes.
+
+    A link's drop is its upper minus its lower entry: a strict link's
+    margin, a weak link's overshoot negated.  A margin below, or an
+    overshoot above, INTERLACING_TOL * max(1, range of lam) violates the
+    link.  Both arrays are (N, 2n - 1).
+    """
+    _, upper, lower, sign = _chain_links(lam.shape[1])
+    merged = np.concatenate((lam, bar), axis=1)
+    drop = merged.take(upper, axis=1) - merged.take(lower, axis=1)
+    tol = INTERLACING_TOL * np.maximum(1.0, lam[:, :1] - lam[:, -1:])
+    # a weak link violates where -drop > tol, that is drop < -tol
+    return drop, drop < tol * sign
+
+
+def _spectra_stack(b: np.ndarray, p: np.ndarray, degeneracy_tol: float) -> tuple[
+        tuple[np.ndarray, list], tuple[np.ndarray, list]]:
+    """``spectra`` of stacked rows b, p (N, n): each class's descending values and flagged pairs.
+
+    A failing row raises the error ``spectra`` raises at its point, the
+    lowest row first and the even class before the odd.
+    """
+    n = b.shape[-1]
+    out, errors = [], {}
+    for sign in (SignVector.even(n), SignVector.odd(n)):
+        vals, _, _, pairs, errs = _decompose_stack(_lax_entries(b, p, sign.eps), degeneracy_tol)
+        out.append((vals, pairs))
+        for r, exc in errs.items():
+            errors.setdefault(r, exc)
+    if errors:
+        raise errors[min(errors)]
+    return tuple(out)
+
+
 def interlacing_check(z: PhasePoint) -> InterlacingReport:
     """Verify the alternating eigenvalue chain of L and Lbar.
 
     The merged descending sequence interleaves strictly between the two
     matrices and weakly inside them, so that the only possible degeneracies
-    are within same-matrix adjacent pairs.
+    are within same-matrix adjacent pairs.  The one-row case of
+    ``_interlacing_stack``.
     """
     n = z.n
     even, odd = spectra(z)
-    lam, bar = even.values, odd.values
-    scale = max(1.0, float(lam[0] - lam[-1]))
-    chain = interlacing_chain(n)
-    by_matrix = {"L": lam, "B": bar}
-
-    violations = []
-    min_strict = np.inf
-    max_weak = 0.0
-    for (ta, ia), (tb, ib) in zip(chain[:-1], chain[1:]):
-        a, b = by_matrix[ta][ia], by_matrix[tb][ib]
+    drop, bad = _interlacing_stack(even.values[None], odd.values[None])
+    chain = _chain_links(n)[0]
+    violations, margins, overshoots = [], [], [0.0]
+    for (ta, ia), (tb, ib), d, v in zip(chain[:-1], chain[1:], drop[0].tolist(), bad[0].tolist()):
         if ta == tb:
-            overshoot = b - a
-            max_weak = max(max_weak, overshoot)
-            if overshoot > INTERLACING_TOL * scale:
-                violations.append(f"{ta}[{ia}] >= {tb}[{ib}] violated by {overshoot:.3e}")
+            overshoots.append(-d)
+            if v:
+                violations.append(f"{ta}[{ia}] >= {tb}[{ib}] violated by {-d:.3e}")
         else:
-            margin = a - b
-            min_strict = min(min_strict, margin)
-            if margin < INTERLACING_TOL * scale:
-                violations.append(f"{ta}[{ia}] > {tb}[{ib}] violated, margin {margin:.3e}")
-    return InterlacingReport(n, tuple(violations), float(min_strict), float(max_weak))
+            margins.append(d)
+            if v:
+                violations.append(f"{ta}[{ia}] > {tb}[{ib}] violated, margin {d:.3e}")
+    return InterlacingReport(n, tuple(violations), min(margins), max(overshoots))
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from .lax import (
     _char_poly,
     _couplings,
     _is_int,
+    _lax_entries,
     _off_band,
     _trace_gaps,
     build_lax,
@@ -35,7 +36,13 @@ from .dynamics import (
     _require_tolerance,
     integrate_flow,
 )
-from .spectral import DEGENERACY_TOL, EigensolverError, TripleDegeneracyError, interlacing_check
+from .spectral import (
+    DEGENERACY_TOL,
+    EigensolverError,
+    TripleDegeneracyError,
+    _interlacing_stack,
+    _spectra_stack,
+)
 from .singularity import (
     RANK_TOL,
     ConvergenceError,
@@ -43,6 +50,7 @@ from .singularity import (
     PairTarget,
     SingularPoint,
     StratumCollapseError,
+    _corank_stack,
     all_pair_targets,
     bracket_relations_check,
     corank,
@@ -153,7 +161,8 @@ class Sample:
     """What the checks run on at one size n, None for a check that does not depend on n.
 
     Random points as stacked rows q, p of shape (N, n), a relative
-    equilibrium, centres of contractible loops (any size).
+    equilibrium, centres of contractible loops (any size).  Every
+    random-point check reads the stacked rows at once.
     """
 
     n: int | None
@@ -164,16 +173,11 @@ class Sample:
 
     @cached_property
     def couplings(self) -> np.ndarray:
-        """Couplings of the random points, shape (N, n), the stacked checks' input.
+        """Couplings of the random points, shape (N, n); with p, the random-point checks' input.
 
         A point outside the phase-space domain raises PhasePoint's PhaseDomainError.
         """
         return _couplings(self.q, self.p)
-
-    @cached_property
-    def points(self) -> list[PhasePoint]:
-        """The random points one by one, for the checks that run per point."""
-        return [PhasePoint(q, p) for q, p in zip(self.q, self.p)]
 
     @cached_property
     def sigma1(self) -> tuple[list[SingularPoint], str, str]:
@@ -267,7 +271,8 @@ def _lax_equations(s: Sample, config: RunConfig) -> Outcome:
 @partial(Check, "interlacing",
          "merged spectra alternate strictly between classes, weakly inside", 1.0)
 def _interlacing(s: Sample, config: RunConfig) -> Outcome:
-    return Outcome(float(sum(len(interlacing_check(z).violations) for z in s.points)))
+    (lam, _), (bar, _) = _spectra_stack(s.couplings, s.p, DEGENERACY_TOL)
+    return Outcome(float(np.count_nonzero(_interlacing_stack(lam, bar)[1])))
 
 
 @partial(Check, "omega_spectra",
@@ -293,10 +298,10 @@ def _corank_omega(s: Sample, config: RunConfig) -> Outcome:
 @partial(Check, "corank_random",
          "generic points are regular: corank 0 and no degenerate pairs", 1.0)
 def _corank_random(s: Sample, config: RunConfig) -> Outcome:
-    reps = [corank(z, config.rank_tol, config.degeneracy_tol) for z in s.points]
-    bad = sum(not r.inconclusive and (r.corank != 0 or not r.theorem_holds) for r in reps)
-    inconclusive = any(r.inconclusive for r in reps)
-    return Outcome(float(bad), "fail" if bad else ("inconclusive" if inconclusive else "pass"))
+    _, k, band, nu, nubar = _corank_stack(s.couplings, s.p, config.rank_tol,
+                                          config.degeneracy_tol)
+    bad = np.count_nonzero(~band & ((k != 0) | (k != nu + nubar)))
+    return Outcome(float(bad), "fail" if bad else ("inconclusive" if band.any() else "pass"))
 
 
 @partial(Check, "bracket_relations_omega", "block coordinates are canonical: only same-pair "
@@ -383,15 +388,30 @@ def _maslov_calibration(s: Sample, config: RunConfig) -> Outcome:
     return Outcome(0.0 if res.mu == 2 and res.calibration_sign == -1 else 1.0)
 
 
+def _loop_faults(loop: str, rep, abs_mu: int, signs: tuple[float, ...] = ()) -> list[str]:
+    """The statements a loop's holonomy report breaks: the identity and |mu|, then
+    each class's holonomy signs against ``signs`` (gamma, gammabar), if given."""
+    faults = [] if rep.agree and abs(rep.mu) == abs_mu else [
+        f"{loop}: agree {rep.agree}, mu {rep.mu}"]
+    for name, got, expected in zip(("gamma", "gammabar"),
+                                   (rep.holonomy.gamma, rep.holonomy.gammabar), signs):
+        if not np.all(got == expected):
+            faults.append(f"{loop}: {name} != {expected:+.0f}")
+    return faults
+
+
 @partial(Check, "holonomy_omega_line", "loop around the relative-equilibrium line: odd pair "
          "flips, |mu| = 2, (-1)^(mu/2) = even-index product = -1", 0.5, sizes=(2,))
 def _holonomy_omega_line(s: Sample, config: RunConfig) -> Outcome:
-    sp = find_singular(omega_point(s.n).z, [PairTarget(True, 1)])
-    rep = check_holonomy_theorem(ClosedCurve.around_pair(sp, PairTarget(True, 1), radius=5e-2))
-    hol = rep.holonomy
-    ok = (rep.agree and abs(rep.mu) == 2 and rep.lhs == -1 and hol.even_product == -1
-          and np.array_equal(hol.gammabar, [-1.0, -1.0]) and np.array_equal(hol.gamma, [1.0, 1.0]))
-    return Outcome(0.0 if ok else 1.0)
+    target = PairTarget(True, 1)
+    sp = find_singular(omega_point(s.n).z, [target])
+    rep = check_holonomy_theorem(ClosedCurve.around_pair(sp, target, radius=5e-2))
+    loop = f"omega-line loop {target.label}"
+    faults = _loop_faults(loop, rep, 2, (1.0, -1.0))
+    if rep.lhs != -1 or rep.holonomy.even_product != -1:
+        faults.append(f"{loop}: (-1)^(mu/2) = {rep.lhs}, even-index product "
+                      f"{rep.holonomy.even_product}, not -1")
+    return Outcome(1.0 if faults else 0.0, detail="; ".join(faults))
 
 
 @partial(Check, "maslov_theorem", "(-1)^(mu/2) equals the even-indexed holonomy product; "
@@ -401,16 +421,16 @@ def _maslov_theorem(s: Sample, config: RunConfig) -> Outcome:
     sp = find_singular(perturbed_seed(omega_point(s.n), [PairTarget(False, 1)], eps=1e-2),
                        [target])
     rep = check_holonomy_theorem(ClosedCurve.around_pair(sp, target, radius=2e-3))
-    ok = rep.agree and abs(rep.mu) == 2
-    for z in s.centres:  # contractible loops: mu = 0, every holonomy +1
+    faults = _loop_faults(f"pair loop {target.label}", rep, 2)
+    for i, z in enumerate(s.centres):  # contractible loops: mu = 0, every holonomy +1
         axes = np.eye(2 * z.n)
         rep = check_holonomy_theorem(ClosedCurve.circle(z, axes[0], axes[z.n + 1], 0.05))
-        ok = (ok and rep.mu == 0 and rep.agree
-              and np.all(rep.holonomy.gamma == 1.0) and np.all(rep.holonomy.gammabar == 1.0))
+        faults += _loop_faults(f"contractible loop {i}", rep, 0, (1.0, 1.0))
     sp_b = find_singular(PhasePoint(sp.z.q, sp.z.p + 0.25), [target])
-    disks = [DiskSpec(sp, radius=2e-3), DiskSpec(sp_b, radius=2e-3)]
-    ok = ok and enclosure_count_check(disks).passed
-    return Outcome(0.0 if ok else 1.0)
+    enc = enclosure_count_check([DiskSpec(sp, radius=2e-3), DiskSpec(sp_b, radius=2e-3)])
+    if not enc.passed:
+        faults.append(f"enclosure: mu {enc.mu} != -2 sum sigma = {enc.expected}")
+    return Outcome(1.0 if faults else 0.0, detail="; ".join(faults))
 
 
 @partial(Check, "isospectral_flows", "eigenvalues of L are constant along the second and "
@@ -426,10 +446,11 @@ def _isospectral_flows(s: Sample, config: RunConfig) -> Outcome:
     for c in np.eye(3)[1:]:
         traj = integrate_flow(z0, c, t_final, t_eval=np.linspace(0, t_final, 51),
                               rtol=config.ode_rtol)
-        for pt in traj.phase_points():
-            for sign, ref in zip(signs, refs):
-                vals = np.sort(np.linalg.eigvalsh(build_lax(pt, sign).entries))
-                drift = max(drift, float(np.max(np.abs(vals - ref))) / scale)
+        q, p = traj.points[:, :3], traj.points[:, 3:]
+        b = _couplings(q, p)
+        for sign, ref in zip(signs, refs):
+            vals = np.sort(np.linalg.eigvalsh(_lax_entries(b, p, sign.eps)), axis=1)
+            drift = max(drift, float(np.max(np.abs(vals - ref))) / scale)
     return Outcome(drift)
 
 

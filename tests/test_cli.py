@@ -166,7 +166,10 @@ class TestVerifyCommand:
         record = next(r for r in json.loads(out.read_text())["results"]
                       if r["id"] == "corank_random[n=3]")
         assert record["status"] == "fail"
-        assert record["detail"].startswith("TripleDegeneracyError")
+        # the error of the lowest failing point, as the per-point loop met it
+        assert record["detail"] == (
+            "TripleDegeneracyError: eigenvalues 0..2 all within 3.102e+00; "
+            "check the degeneracy tolerance and the input matrix")
 
     def test_failing_sigma1_checks_name_what_broke(self, tmp_path):
         # each used to fold its terms into one max and fail with an empty detail
@@ -501,18 +504,22 @@ def test_random_points_keep_the_per_point_draw_order():
         assert np.array_equal(p[k], verify.DESK_SCALE * rng.standard_normal(4))
 
 
-STACKED = ("off_band", "trace_gap", "char_poly_offset", "involution", "lax_equations")
+STACKED = ("off_band", "trace_gap", "char_poly_offset", "involution", "lax_equations",
+           "interlacing", "corank_random")
 
 
-def test_stacked_checks_build_no_per_point_objects():
-    # the five Lax-structure checks run on the stacked rows; only interlacing
-    # and corank_random walk the points one by one
+def test_stacked_checks_build_no_per_point_objects(monkeypatch):
+    # every random-point check runs on the stacked rows: none builds a PhasePoint
     sample = Sample(4, *verify.random_points(np.random.default_rng(1), 4, 30))
+
+    def forbidden(self):
+        raise AssertionError("a random-point check built a PhasePoint")
+
+    monkeypatch.setattr(PhasePoint, "__post_init__", forbidden)
+    assert {c.name for c in CHECKS if c.sizes is None} >= set(STACKED)
     for check in CHECKS:
         if check.name in STACKED:
             assert check.run(sample, RunConfig()).status == "pass"
-    assert "points" not in vars(sample)
-    assert len(sample.points) == 30
 
 
 def test_stacked_checks_raise_the_phase_point_error_of_a_bad_row():
@@ -551,6 +558,43 @@ def test_suite_keeps_failure_reasons(monkeypatch):
         "sigma1_components[n=3]", "holonomy_omega_line[n=2]", "maslov_theorem[n=3]",
         "corank_sigma1[n=3]", "transverse_structure[n=3]",
     }
+
+
+def _holonomy_report(mu, gamma, gammabar):
+    return maslov.HolonomyTheoremReport(
+        maslov.MaslovResult(mu, np.zeros(1), maslov.CALIBRATION_SIGN),
+        maslov.HolonomyResult(np.array(gamma), np.array(gammabar)), int((-1) ** (mu // 2)))
+
+
+def test_failing_maslov_theorem_names_the_loop_and_statement(monkeypatch):
+    # the check used to fold its loops into one pass/fail with an empty detail
+    monkeypatch.setattr(verify, "check_holonomy_theorem",
+                        lambda curve: _holonomy_report(0, [1.0, 1.0, 1.0], [1.0, -1.0, 1.0]))
+    monkeypatch.setattr(verify, "enclosure_count_check",
+                        lambda disks: maslov.EnclosureReport(-2, (1, 1), -4))
+    check = next(c for c in CHECKS if c.name == "maslov_theorem")
+    centre = PhasePoint(np.array([0.5, -0.2, 0.1]), np.array([0.3, 0.9, -0.4]))
+    record = check.run(Sample(3, centres=(centre,)), RunConfig())
+    assert record.status == "fail"
+    assert record.detail.split("; ") == [
+        "pair loop odd:1: agree False, mu 0",
+        "contractible loop 0: agree False, mu 0",
+        "contractible loop 0: gammabar != +1",
+        "enclosure: mu -2 != -2 sum sigma = -4",
+    ]
+
+
+def test_failing_holonomy_omega_line_names_the_statement(monkeypatch):
+    monkeypatch.setattr(verify, "check_holonomy_theorem",
+                        lambda curve: _holonomy_report(2, [1.0, 1.0], [-1.0, 1.0]))
+    check = next(c for c in CHECKS if c.name == "holonomy_omega_line")
+    record = check.run(Sample(2), RunConfig())
+    assert record.status == "fail"
+    assert record.detail.split("; ") == [
+        "omega-line loop odd:1: agree False, mu 2",
+        "omega-line loop odd:1: gammabar != -1",
+        "omega-line loop odd:1: (-1)^(mu/2) = -1, even-index product 1, not -1",
+    ]
 
 
 def test_suite_runs_inconclusive_band(tmp_path):

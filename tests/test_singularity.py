@@ -1,12 +1,25 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from todalax.lax import PhasePoint, SignVector, build_lax
-from todalax.spectral import annihilator, decompose
+from todalax.lax import PhasePoint, SignVector, _couplings, build_lax
+from todalax.spectral import (
+    TripleDegeneracyError,
+    _chain_links,
+    _interlacing_stack,
+    _spectra_stack,
+    annihilator,
+    decompose,
+    interlacing_check,
+    spectra,
+)
 from todalax.singularity import (
+    RANK_TOL,
     PairTarget,
     StratumCollapseError,
+    _corank_stack,
     all_pair_targets,
     bracket_relations_check,
     corank,
@@ -19,7 +32,15 @@ from todalax.singularity import (
     tangent_symplectic_check,
     transverse_frequency,
 )
-from todalax.verify import CHECKS, M_INDEPENDENCE_TOL, RATIO_TOL, TANGENT_TOL, RunConfig
+from todalax.verify import (
+    CHECKS,
+    M_INDEPENDENCE_TOL,
+    RATIO_TOL,
+    TANGENT_TOL,
+    RunConfig,
+    Sample,
+    random_points,
+)
 
 # the registry's bounds, which decide pass or fail
 BRACKET_TOL = RunConfig().bracket_tol
@@ -89,6 +110,101 @@ class TestCorank:
         data = json.loads(json.dumps(rep.to_json_dict()))
         assert data["corank"] == 2
         assert [float(s) for s in data["singular_values"]][0] > 0
+
+
+def _rows(points):
+    """Couplings and momenta of the points as stacked rows (N, n)."""
+    q, p = np.array([z.q for z in points]), np.array([z.p for z in points])
+    return _couplings(q, p), p
+
+
+def _mixed_stack(n):
+    """Desk-scale random points with relative equilibria and single-pair points among them."""
+    q, p = random_points(np.random.default_rng(40 + n), n, 12)
+    points = [PhasePoint(qr, pr) for qr, pr in zip(q, p)]
+    points.insert(3, omega_point(n).z)
+    points.insert(8, omega_point(n, q0=0.3, p0=-0.4).z)
+    if n >= 3:
+        found, missing, _ = Sample(n).sigma1
+        assert not missing
+        for k, sp in enumerate(found):
+            points.insert(2 * k + 1, sp.z)
+    return points
+
+
+class TestStackedRows:
+    """Each row of the stacked kernels equals the one-point call at its point."""
+
+    @pytest.mark.parametrize("rank_tol", [RANK_TOL, 0.5])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_corank_rows(self, n, rank_tol):
+        points = _mixed_stack(n)
+        s, k, band, nu, nubar = _corank_stack(*_rows(points), rank_tol, 1e-8)
+        for r, z in enumerate(points):
+            ref = corank(z, rank_tol)
+            assert np.array_equal(s[r], ref.singular_values)
+            assert (k[r], nu[r], nubar[r], band[r]) == (
+                ref.corank, ref.nu, ref.nubar, ref.inconclusive)
+        # the stack holds singular rows, and at rank_tol 0.5 inconclusive ones
+        assert np.any(nu + nubar > 0) and np.any(k > 0)
+        assert np.any(band) == (rank_tol == 0.5)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_interlacing_rows(self, n):
+        points = _mixed_stack(n)
+        (lam, _), (bar, _) = _spectra_stack(*_rows(points), 1e-8)
+        drop, bad = _interlacing_stack(lam, bar)
+        strict = _chain_links(n)[3] > 0
+        for r, z in enumerate(points):
+            even, odd = spectra(z)
+            assert np.array_equal(lam[r], even.values) and np.array_equal(bar[r], odd.values)
+            ref = interlacing_check(z)
+            assert np.count_nonzero(bad[r]) == len(ref.violations)
+            assert drop[r][strict].min() == ref.min_strict_margin
+            assert max(0.0, -drop[r][~strict].min()) == ref.max_weak_overshoot
+
+
+class TestStackErrors:
+    """A failing row raises the error the per-point loop meets first."""
+
+    @staticmethod
+    def _failing_stack(tol):
+        # rows of one draw sorted by what corank(z, RANK_TOL, tol) raises at them
+        q, p = random_points(np.random.default_rng(4), 3, 40)
+        good, bad = [], []
+        for qr, pr in zip(q, p):
+            z = PhasePoint(qr, pr)
+            try:
+                corank(z, RANK_TOL, tol)
+                good.append(z)
+            except TripleDegeneracyError as exc:
+                bad.append((z, str(exc)))
+        return good, bad
+
+    @pytest.mark.parametrize("tol", [0.7, 0.9])
+    def test_lowest_failing_row_raises(self, tol):
+        good, bad = self._failing_stack(tol)
+        (z3, message3), (z7, message7) = bad[:2]
+        assert message3 != message7
+        points = good[:3] + [z3] + good[3:6] + [z7] + good[6:9]
+        with pytest.raises(TripleDegeneracyError, match=f"^{re.escape(message3)}$"):
+            _corank_stack(*_rows(points), RANK_TOL, tol)
+        with pytest.raises(TripleDegeneracyError, match=f"^{re.escape(message3)}$"):
+            _spectra_stack(*_rows(points), tol)
+
+    def test_even_class_before_odd(self):
+        # a point whose two classes both hold a triple raises the even one's
+        _, bad = self._failing_stack(0.9)
+        z, message = bad[0]
+        signs = (SignVector.even(3), SignVector.odd(3))
+        own = []
+        for sign in signs:
+            with pytest.raises(TripleDegeneracyError) as exc:
+                decompose(build_lax(z, sign), 0.9)
+            own.append(str(exc.value))
+        assert message == own[0] != own[1]
+        with pytest.raises(TripleDegeneracyError, match=f"^{re.escape(own[0])}$"):
+            _spectra_stack(*_rows([z]), 0.9)
 
 
 class TestOmegaPoint:

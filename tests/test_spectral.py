@@ -1,13 +1,17 @@
+import types
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import todalax.spectral as spectral
 from todalax.lax import PhasePoint, SignVector, build_lax
 from todalax.spectral import (
     EigensolverError,
     TripleDegeneracyError,
     _canonical_pair_basis,
     _decompose_stack,
+    _interlacing_stack,
     annihilator,
     decompose,
     interlacing_chain,
@@ -215,6 +219,71 @@ class TestInterlacing:
             for _ in range(200):
                 rep = interlacing_check(random_point(rng, n))
                 assert rep.passed, rep.violations
+
+
+def _reference_interlacing(n, lam, bar):
+    """The per-link loop interlacing_check ran before the stacked kernel, kept as the reference."""
+    scale = max(1.0, float(lam[0] - lam[-1]))
+    chain = interlacing_chain(n)
+    by_matrix = {"L": lam, "B": bar}
+    violations = []
+    min_strict = np.inf
+    max_weak = 0.0
+    for (ta, ia), (tb, ib) in zip(chain[:-1], chain[1:]):
+        a, b = by_matrix[ta][ia], by_matrix[tb][ib]
+        if ta == tb:
+            overshoot = b - a
+            max_weak = max(max_weak, overshoot)
+            if overshoot > spectral.INTERLACING_TOL * scale:
+                violations.append(f"{ta}[{ia}] >= {tb}[{ib}] violated by {overshoot:.3e}")
+        else:
+            margin = a - b
+            min_strict = min(min_strict, margin)
+            if margin < spectral.INTERLACING_TOL * scale:
+                violations.append(f"{ta}[{ia}] > {tb}[{ib}] violated, margin {margin:.3e}")
+    return tuple(violations), float(min_strict), float(max_weak)
+
+
+class TestInterlacingStack:
+    # rows (lam, bar, violations) at n = 3, chain L0 > B0 >= B1 > L1 >= L2 > B2;
+    # every lam has range 4, so the tolerance is 4e-12
+    PLANTED = [
+        ([3.0, 0.0, -1.0], [2.0, 1.0, -2.0], 0),
+        ([3.0, 0.0, -1.0], [3.5, 1.0, -2.0], 1),  # strict L0 > B0
+        ([3.0, 0.0, -1.0], [1.0, 1.5, -2.0], 1),  # weak B0 >= B1
+        ([3.0, -1.5, -1.0], [2.0, 1.0, -2.0], 1),  # weak L1 >= L2
+        ([3.0, 0.0, -1.0], [3.0, 1.0, -1.0], 2),  # equal strict pairs L0, B0 and L2, B2
+        ([3.0, 0.0, -1.0], [2.0, 2.0, -2.0], 0),  # an equal weak pair holds
+        ([3.0, 0.0, -1.0], [2.0, 2.0 + 5e-12, -2.0], 1),  # weak overshoot above the tolerance
+        ([3.0, 0.0, -1.0], [2.0, 2.0 + 3e-12, -2.0], 0),  # ... and below it
+    ]
+
+    def test_counts_planted_violations(self):
+        lam, bar, counts = (np.array(column) for column in zip(*self.PLANTED))
+        _, bad = _interlacing_stack(lam, bar)
+        assert bad.sum(axis=1).tolist() == counts.tolist()
+        for r in range(len(counts)):
+            assert counts[r] == len(_reference_interlacing(3, lam[r], bar[r])[0])
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_report_matches_per_link_loop(self, n, monkeypatch):
+        # random descending rows, some pushed out of order, through interlacing_check
+        rng = np.random.default_rng(n)
+        z = omega_point(n).z
+        violated = 0
+        for k in range(40):
+            lam, bar = -np.sort(-rng.standard_normal((2, n)), axis=1)
+            if k % 2:
+                lam[rng.integers(n)] += rng.choice([1e-13, 0.5])
+            fake = (types.SimpleNamespace(values=lam), types.SimpleNamespace(values=bar))
+            monkeypatch.setattr(spectral, "spectra", lambda z, fake=fake: fake)
+            rep = interlacing_check(z)
+            assert (rep.violations, rep.min_strict_margin, rep.max_weak_overshoot) == \
+                _reference_interlacing(n, lam, bar)
+            _, bad = _interlacing_stack(lam[None], bar[None])
+            assert np.count_nonzero(bad) == len(rep.violations)
+            violated += bool(rep.violations)
+        assert violated >= 10
 
 
 class TestBlockCoordinates:
