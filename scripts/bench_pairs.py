@@ -8,8 +8,8 @@ Each side runs ``perfbench/run.py`` from its own checkout: the parent from a
 export of ``--change REV``).  Both checkouts must hold the same benchmark:
 ``BENCHMARK.json`` and the files under ``perfbench/`` (its ``out/`` and the
 Python caches aside) are compared first, and a difference stops the script
-with the names of the differing files.  Pair k uses seed ``seed0 + k`` on both sides and
-runs the parent first when k is even.  The runs are made one at a time.  The
+with the names of the differing files.  Pair k uses seed ``seed0 + k`` on
+both sides and runs the parent first when k is even.  The runs are made one at a time.  The
 result goes to ``BENCH_<label>.json`` at the root of this checkout: seeds,
 per-run metrics, medians, quartiles and pair wins of every end-to-end metric
 that ``BENCHMARK.json`` declares, and the per-layer metrics of the traced
@@ -72,7 +72,7 @@ def bench_files(checkout: str) -> dict[str, bytes]:
 
 
 def differing_bench_files(a: str, b: str) -> list[str]:
-    """Relative paths of the benchmark files that differ between, or exist in only one of, a and b."""
+    """Relative paths of the benchmark files that differ between a and b or exist in one only."""
     fa, fb = bench_files(a), bench_files(b)
     return sorted(k for k in fa.keys() | fb.keys() if fa.get(k) != fb.get(k))
 
