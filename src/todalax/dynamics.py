@@ -17,12 +17,11 @@ import math
 import numbers
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .lax import (
+    Q_GAP_LIMIT,
     PhasePoint,
     SignVector,
-    _couplings,
     _cyclic,
     _generator,
     _lax_entries,
@@ -109,29 +108,47 @@ def _trace_gradients(b: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def _gradient_field(n: int, c: np.ndarray):
-    """(q, p) -> (dG/dq, dG/dp) of G = sum_j c_j F_j on raw coordinate arrays.
+    """(q, p) -> (dG/dq, dG/dp) of G = sum_j c_j F_j on raw coordinate arrays: the one-point kernel.
 
-    One power recurrence up to the highest nonzero c_j serves every term.
-    Points outside the phase-space domain raise PhasePoint's
-    PhaseDomainError.
+    Built once: the cyclic index arrays, the coefficients of the chain L,
+    L^2, ... up to the highest nonzero c_j, and the constant gradient (0, 1)
+    of F_1, scaled by c_1.  Each evaluation takes one gap vector, _couplings'
+    domain test, one exp, one flat Lax build and the power chain, reading the
+    upper entries and the diagonal of each power with a nonzero coefficient.
+    The values equal _grad_from_power's summed onto zeros in increasing j,
+    bit for bit, and every evaluation returns arrays of its own (solve_ivp
+    keeps the last one).  A non-finite c raises ValueError; points outside
+    the phase-space domain raise PhasePoint's PhaseDomainError.
     """
+    if not np.all(np.isfinite(c)):
+        raise ValueError(f"coefficient vector c must be finite, got {c}")
+    nxt, prv, diag, upper, lower = _cyclic(n)
     nonzero = np.flatnonzero(c)
-    top = int(nonzero[-1]) + 1 if nonzero.size else 0
-    even = np.ones(n)
-    eye = np.eye(n)
+    chain = c[1:nonzero[-1] + 1].tolist() if nonzero.size else []
+    dp_first = np.zeros(n) + c[0]
 
     def gradient(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        b = _couplings(q, p)
-        L = _lax_entries(b, p, even)
-        dq, dp = np.zeros(n), np.zeros(n)
-        power = eye
-        for j in range(top):
-            if c[j] != 0.0:
-                gq, gp = _grad_from_power(power, b)
-                dq = dq + c[j] * gq
-                dp = dp + c[j] * gp
-            if j + 1 < top:
+        gaps = q - q[nxt]
+        # _couplings' test on Python floats, where a NaN fails every comparison
+        if not (math.isfinite(sum(p.tolist()))
+                and all([-Q_GAP_LIMIT <= g <= Q_GAP_LIMIT for g in gaps.tolist()])):
+            PhasePoint(q, p)
+        b = np.exp(0.5 * gaps)
+        m = np.zeros(n * n)
+        m[diag] = p
+        m[upper] = b
+        m[lower] += b  # n = 2: both couplings meet in one entry
+        L = m.reshape(n, n)
+        dq, dp = np.zeros(n), dp_first.copy()
+        power = L
+        for k, cj in enumerate(chain):
+            if k:
                 power = power @ L
+            if cj:
+                flat = power.ravel()
+                off = b * flat[upper]
+                dq += cj * (off - off[prv])
+                dp += cj * flat[diag]
         return dq, dp
 
     return gradient
@@ -238,6 +255,17 @@ def _require_rtol(name: str, value) -> None:
                          f"got {value!r}")
 
 
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on first use.
+
+    Importing scipy.integrate costs about 0.7 s, which only integrate_flow
+    needs; the name stays a module attribute that tracers can replace.
+    """
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(*args, **kwargs)
+
+
 class FlowError(RuntimeError):
     """Integration failed (step-size underflow or solver breakdown)."""
 
@@ -317,7 +345,10 @@ def integrate_flow(
     n = 8 flows of F_3 drifted by up to 1.7e-8 over t = 1, above the
     suite's 1e-8 bound.  ``method="verlet"`` is available only for the pure physical
     flow c = e_2, whose kinetic plus potential splitting supports a
-    fixed-step leapfrog.  An rtol that is not a finite positive real, or is
+    fixed-step leapfrog.  The adaptive right-hand side is one call of
+    _gradient_field's one-point kernel, and scipy.integrate is imported at
+    the first adaptive run (see solve_ivp).  A non-finite coefficient or
+    requested time, or an rtol that is not a finite positive real or is
     below RTOL_FLOOR, which solve_ivp would not honour, raises ValueError.
     """
     c = np.asarray(c, dtype=float)
@@ -333,7 +364,10 @@ def integrate_flow(
     t_eval = np.asarray(t_eval, dtype=float)
     if t_eval.size == 0:
         raise ValueError("t_eval must hold at least one time")
+    if not np.all(np.isfinite(t_eval)):
+        raise ValueError("t_eval must be finite")
     _require_rtol("rtol", rtol)
+    gradient = _gradient_field(n, c)  # checks c for the leapfrog too
 
     if method == "verlet":
         e2 = np.zeros(n)
@@ -348,8 +382,6 @@ def integrate_flow(
         return Trajectory(t_eval, points, c, nfev)
     if method != "dop853":
         raise ValueError(f"unknown integrator {method!r}")
-
-    gradient = _gradient_field(n, c)
 
     def rhs(_t, z):
         dq, dp = gradient(z[:n], z[n:])

@@ -283,9 +283,12 @@ def perturbed_seed(
 
     The minimum-norm displacement with first-order block coordinates
     (xi, eta) = (eps, 0) on every listed pair leaves the remaining pairs
-    closed to second order; they are then re-closed by the finder.
+    closed to second order; they are then re-closed by the finder.  With
+    no pair to open the displacement is zero and the seed is omega.z.
     """
     z = omega.z
+    if not open_targets:
+        return z
     specs = spectra(z)
     rows = []
     rhs = []

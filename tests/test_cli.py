@@ -1,6 +1,9 @@
 import json
+import os
 from pathlib import Path
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -425,6 +428,8 @@ class TestIntegrateCommand:
         (["--method", "verlet", "--dt", "0"], "dt"),
         (["--method", "verlet", "--dt=-1e-3"], "dt"),
         (["--q", "0.1,700.0"], "overflows"),
+        (["--c", "nan,1"], "coefficient vector c must be finite"),
+        (["--c", "0,inf", "--method", "verlet"], "coefficient vector c must be finite"),
         (["--samples", "0"], "samples"),
         (["--rtol", "-1"], "rtol"),
         (["--rtol", "0"], "rtol"),
@@ -493,6 +498,30 @@ def test_integrate_requires_out(capsys):
         main(INTEGRATE)
     assert exc.value.code == 2
     assert "--out" in capsys.readouterr().err
+
+
+FIRST_FLOW = """
+import contextlib, io, sys
+import numpy as np
+import todalax.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert todalax.cli.main(["singular", "--n", "3"]) == 0
+print("scipy.integrate" in sys.modules)
+from todalax.dynamics import integrate_flow
+from todalax.lax import PhasePoint
+integrate_flow(PhasePoint(np.zeros(2), np.zeros(2)), np.array([0.0, 1.0]), 0.1)
+print("scipy.integrate" in sys.modules)
+"""
+
+
+def test_scipy_integrate_is_imported_by_the_first_adaptive_flow():
+    # importing scipy.integrate takes about 0.7 s, and only integrate_flow needs it
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", FIRST_FLOW], capture_output=True, text=True,
+                         env=env, check=True)
+    assert run.stdout.split() == ["False", "True"]
 
 
 def test_random_points_keep_the_per_point_draw_order():

@@ -262,6 +262,22 @@ class TestFlows:
         for method in ("dop853", "verlet"):
             with pytest.raises(ValueError, match="t_eval"):
                 integrate_flow(z0, c, 1.0, t_eval=np.array([]), method=method)
+            for bad in ([np.nan], [0.0, np.inf]):  # [nan] used to end in an AttributeError
+                with pytest.raises(ValueError, match="t_eval must be finite"):
+                    integrate_flow(z0, c, 1.0, t_eval=bad, method=method)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_coefficients_rejected(self, bad):
+        # grad_combination returned NaN gradients; integrate_flow warned, then blamed the point
+        z = PhasePoint(np.array([0.1, -0.4, 0.3]), np.array([0.2, 0.0, -0.2]))
+        c = np.array([bad, 1.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="coefficient vector c must be finite"):
+                grad_combination(z, c)
+            for method in ("dop853", "verlet"):
+                with pytest.raises(ValueError, match="coefficient vector c must be finite"):
+                    integrate_flow(z, c, 1.0, method=method)
 
     @pytest.mark.parametrize("method", ["dop853", "verlet"])
     @pytest.mark.parametrize("name", ["rtol"])
@@ -482,11 +498,14 @@ class TestFrozenReference:
         assert traj.nfev == 101  # the initial force and one per step
 
     def test_grad_combination_bit_identical(self):
+        # every single trace, the top one included, c = 0, sparse and negative combinations;
+        # compared as bytes, so even the sign of a zero must match
         rng = np.random.default_rng(40)
-        for n in (2, 3, 5, 8):
+        for n in range(2, 9):
             for _ in range(5):
                 z = random_point(rng, n)
-                cs = [np.zeros(n), np.eye(n)[0], np.eye(n)[-1], rng.standard_normal(n)]
+                cs = [np.zeros(n), *np.eye(n), *-np.eye(n), rng.standard_normal(n),
+                      -np.abs(rng.standard_normal(n))]
                 sparse = rng.standard_normal(n)
                 sparse[::2] = 0.0
                 sparse[-1] = 0.0  # a zero top entry
@@ -494,7 +513,19 @@ class TestFrozenReference:
                 for c in cs:
                     g = grad_combination(z, c)
                     dq, dp = _reference_grad_combination(z, c)
-                    assert np.array_equal(g.dq, dq) and np.array_equal(g.dp, dp)
+                    assert g.dq.tobytes() == dq.tobytes() and g.dp.tobytes() == dp.tobytes(), c
+
+    @pytest.mark.parametrize("c", [[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.5, 1.0, -0.5]])
+    def test_field_evaluations_share_no_memory(self, c):
+        # solve_ivp keeps the last value of its right-hand side between steps
+        field = dynamics._gradient_field(3, np.array(c))
+        first = field(np.array([0.4, -0.3, -0.1]), np.array([0.2, -0.5, 0.3]))
+        kept = [a.copy() for a in first]
+        second = field(np.array([0.1, 0.2, -0.3]), np.array([-0.4, 0.1, 0.6]))
+        for a in first:
+            for b in second:
+                assert not np.shares_memory(a, b)
+        assert all(np.array_equal(a, b) for a, b in zip(first, kept))
 
     def test_lax_residual_bit_identical(self):
         rng = np.random.default_rng(60)

@@ -270,6 +270,16 @@ class TestFindSingular:
                 rep = corank(sp.z)
                 assert rep.corank == 2 and rep.theorem_holds
 
+    def test_no_pair_to_open_seeds_at_the_equilibrium(self):
+        # n = 2 has one target, so Sample.sigma1 opens none; lstsq used to get a (0,) matrix
+        om = omega_point(2)
+        assert perturbed_seed(om, []) is om.z
+        found, missing, reason = Sample(2).sigma1
+        assert (missing, reason) == ("", "")
+        assert [sp.targets for sp in found] == [(PairTarget(True, 1),)]
+        rep = corank(found[0].z)
+        assert (rep.corank, rep.nu, rep.nubar) == (1, 0, 1) and rep.theorem_holds
+
     def test_collapse_detection(self):
         # seeding exactly at the equilibrium and asking for one pair keeps the
         # other pairs degenerate too
