@@ -428,8 +428,6 @@ class TestIntegrateCommand:
         (["--method", "verlet", "--dt", "0"], "dt"),
         (["--method", "verlet", "--dt=-1e-3"], "dt"),
         (["--q", "0.1,700.0"], "overflows"),
-        (["--c", "nan,1"], "coefficient vector c must be finite"),
-        (["--c", "0,inf", "--method", "verlet"], "coefficient vector c must be finite"),
         (["--samples", "0"], "samples"),
         (["--rtol", "-1"], "rtol"),
         (["--rtol", "0"], "rtol"),
@@ -438,6 +436,8 @@ class TestIntegrateCommand:
         (["--rtol", "-1", "--method", "verlet"], "rtol"),
         (["--rtol", "1e-20"], "rtol must be at least scipy's floor 100 eps = 2.22e-14"),
         (["--rtol", "1e-15", "--method", "verlet"], "2.22e-14"),
+        (["--c", "nan,1"], "coefficient vector c must be finite"),
+        (["--c", "0,inf", "--method", "verlet"], "coefficient vector c must be finite"),
     ])
     def test_bad_times_and_points_are_config_errors(self, tmp_path, capsys, extra, name):
         out = tmp_path / "traj.csv"

@@ -502,8 +502,10 @@ class TestFrozenReference:
         # compared as bytes, so even the sign of a zero must match
         rng = np.random.default_rng(40)
         for n in range(2, 9):
-            for _ in range(5):
+            for k in range(6):
                 z = random_point(rng, n)
+                if k == 5:  # zero momenta give zero entries, whose sign must match too
+                    z = PhasePoint(z.q, np.zeros(n))
                 cs = [np.zeros(n), *np.eye(n), *-np.eye(n), rng.standard_normal(n),
                       -np.abs(rng.standard_normal(n))]
                 sparse = rng.standard_normal(n)
