@@ -128,8 +128,6 @@ def cmd_singular(args) -> int:
 
 def _seed(om, rest: list[PairTarget], eps: float) -> PhasePoint:
     """The finder's start: the equilibrium displaced so that the ``rest`` pairs open."""
-    if not rest:
-        return om.z
     try:
         return perturbed_seed(om, rest, eps=eps)
     except PhaseDomainError as exc:

@@ -1,14 +1,14 @@
 """Eigenvector holonomies and Maslov indices along closed curves.
 
 On the regular set the Hamiltonian vector fields of the n conserved traces
-span a Lagrangian plane; identifying the plane with the unitary part of
-its complex frame makes the squared determinant well defined, and the
-winding of its argument around a closed curve is the Maslov index (up to
-one global orientation constant pinned by the harmonic-oscillator angle
-loop).  Independently, each normalized real eigenvector of either Lax
-matrix returns to plus or minus itself after continuation around the
-curve; the product of the even-indexed holonomy signs over both matrices
-reproduces (-1)^(mu/2).
+span a Lagrangian plane with complex frame W = X_q + i X_p.  Its polar
+factors W = U P have P = (W^H W)^(1/2) positive definite, so det(W)^2 has
+the argument of det(U)^2, and the winding of that argument around a closed
+curve is the Maslov index (up to one global orientation constant pinned
+by the harmonic-oscillator angle loop).  Independently, each normalized
+real eigenvector of either Lax matrix returns to plus or minus itself
+after continuation around the curve; the product of the even-indexed
+holonomy signs over both matrices reproduces (-1)^(mu/2).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable
 import numpy as np
 
-from .lax import PhasePoint, SignVector, _couplings, _is_int, _lax_entries
+from .lax import PhasePoint, _couplings, _is_int, _lax_pair
 from .dynamics import _trace_gradients
 from .spectral import DEGENERACY_TOL, _decompose_stack, _flag_gaps, _solve_rows, spectra
 from .singularity import (
@@ -56,6 +56,8 @@ CALIBRATION_SIGN = -1
 MIN_OVERLAP = 0.9
 # Smallest relative eigenvalue gap a loop sample may have.
 REGULARITY_TOL = DEGENERACY_TOL
+# A complex frame W with an eigenvalue of W^H W at or below this has lost rank.
+FRAME_GRAM_TOL = 1e-10
 # Curve evaluations one walk may spend before it gives up.
 MAX_EVALUATIONS = 200000
 # Samples of a walk's initial grid observed in one stacked call; a longer
@@ -257,9 +259,7 @@ def _lax_classes(points: list[PhasePoint]) -> tuple[np.ndarray, np.ndarray, np.n
     """
     q, p = np.array([z.q for z in points]), np.array([z.p for z in points])
     b = _couplings(q, p)
-    m, n = b.shape
-    eps = np.stack([SignVector.even(n).eps, SignVector.odd(n).eps])[:, None, :]
-    return b, p, _lax_entries(np.broadcast_to(b, (2, m, n)), p, eps).reshape(2 * m, n, n)
+    return b, p, np.concatenate(_lax_pair(b, p))
 
 
 def _sample_errors(rows: list, ts, values: np.ndarray, gaps: np.ndarray,
@@ -392,22 +392,17 @@ class MaslovResult:
     calibration_sign: int
 
 
-def _unitary_phase(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Argument of det(U)^2 for the unitary part U of each complex frame of a stack (..., 2n, n).
+def _frame_phase(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Argument of det(W)^2 for each complex frame W = X_q + i X_p of a stack (..., 2n, n).
 
-    Also returns each frame's smallest Gram eigenvalue.  At or below 1e-10
-    the frame has lost rank: its phase means nothing, and the winding walk
-    raises LagrangianFrameError there.
+    Also returns each frame's smallest Gram eigenvalue, of W^H W.  At or
+    below FRAME_GRAM_TOL the frame has lost rank: its phase means nothing,
+    and the winding walk raises LagrangianFrameError there.
     """
     n = frames.shape[-1]
     W = frames[..., :n, :] + 1j * frames[..., n:, :]
-    gram = np.conj(np.swapaxes(W, -1, -2)) @ W
-    w, Q = np.linalg.eigh(gram)
-    low = w[..., 0]
-    if np.any(low <= 1e-10):
-        w = np.where(low[..., None] > 1e-10, w, 1.0)
-    U = W @ (Q * w[..., None, :] ** -0.5) @ np.conj(np.swapaxes(Q, -1, -2))
-    det = np.linalg.det(U)
+    low = np.linalg.eigvalsh(np.conj(np.swapaxes(W, -1, -2)) @ W)[..., 0]
+    det = np.linalg.det(W)
     return np.angle(det * det), low
 
 
@@ -418,11 +413,12 @@ def _principal(a: float) -> float:
 def maslov_index(
     curve: ClosedCurve, frame_fn: Callable[[PhasePoint], np.ndarray] | None = None
 ) -> MaslovResult:
-    """Winding number of the squared determinant of the unitarised frame.
+    """Winding number of det(W)^2 for the complex frames W = X_q + i X_p along the curve.
 
-    The continuous argument is accumulated with per-step jumps kept below
-    pi/2 by bisection, so the integer winding is unambiguous; the stored
-    calibration sign converts it to the Maslov index normalisation in
+    det P > 0 for the positive definite polar factor P of W = U P, so the
+    argument is that of det(U)^2.  It is accumulated with per-step jumps
+    kept below pi/2 by bisection, so the integer winding is unambiguous; the
+    stored calibration sign converts it to the Maslov index normalisation in
     which the harmonic-oscillator angle loop scores +2.  ``frame_fn``
     defaults to ``toda_frame``, whose samples must be regular.
     """
@@ -440,20 +436,20 @@ def maslov_index(
 
     def observe(ts, points):
         if frame_fn is not toda_frame:
-            phases, low = _unitary_phase(np.array([frame_fn(z) for z in points]))
+            phases, low = _frame_phase(np.array([frame_fn(z) for z in points]))
             rows = list(phases)
         else:  # the samples must be regular: both spectra, from eigenvalues only
             b, p, entries = _lax_classes(points)
             values, _, errors = _solve_rows(np.linalg.eigvalsh, entries)
             values = values[:, ::-1]
             gaps, _ = _flag_gaps(values, DEGENERACY_TOL, errors)
-            phases, low = _unitary_phase(_toda_frames(b, p))
+            phases, low = _frame_phase(_toda_frames(b, p))
             rows = list(phases)
             _sample_errors(rows, ts, values, gaps, errors)
-        for r in np.flatnonzero(low <= 1e-10):
+        for r in np.flatnonzero(low <= FRAME_GRAM_TOL):
             if not isinstance(rows[r], Exception):
-                rows[r] = LagrangianFrameError(
-                    f"frame Gram matrix smallest eigenvalue {low[r]:.3e} <= 1e-10")
+                rows[r] = LagrangianFrameError(f"frame Gram matrix smallest eigenvalue "
+                                               f"{low[r]:.3e} <= {FRAME_GRAM_TOL:.0e}")
         return rows
 
     _walk(curve, observe, advance)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 import numpy as np
 
-from .lax import LaxMatrix, PhasePoint, SignVector, _lax_entries, build_lax
+from .lax import LaxMatrix, PhasePoint, SignVector, _lax_pair, build_lax
 
 __all__ = [
     "TripleDegeneracyError",
@@ -318,10 +318,9 @@ def _spectra_stack(b: np.ndarray, p: np.ndarray, degeneracy_tol: float) -> tuple
     A failing row raises the error ``spectra`` raises at its point, the
     lowest row first and the even class before the odd.
     """
-    n = b.shape[-1]
     out, errors = [], {}
-    for sign in (SignVector.even(n), SignVector.odd(n)):
-        vals, _, _, pairs, errs = _decompose_stack(_lax_entries(b, p, sign.eps), degeneracy_tol)
+    for entries in _lax_pair(b, p):
+        vals, _, _, pairs, errs = _decompose_stack(entries, degeneracy_tol)
         out.append((vals, pairs))
         for r, exc in errs.items():
             errors.setdefault(r, exc)

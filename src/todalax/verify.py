@@ -18,14 +18,12 @@ import numpy as np
 
 from .lax import (
     PhasePoint,
-    SignVector,
     _char_poly,
     _couplings,
     _is_int,
-    _lax_entries,
+    _lax_pair,
     _off_band,
     _trace_gaps,
-    build_lax,
 )
 from .dynamics import (
     DEFAULT_RTOL,
@@ -279,8 +277,7 @@ def _interlacing(s: Sample, config: RunConfig) -> Outcome:
          "relative-equilibrium spectra match p0 + 2cos(pi k / n) closed forms", 1e-12)
 def _omega_spectra(s: Sample, config: RunConfig) -> Outcome:
     om = s.equilibrium
-    lam = np.sort(np.linalg.eigvalsh(build_lax(om.z).entries))[::-1]
-    bar = np.sort(np.linalg.eigvalsh(build_lax(om.z, SignVector.odd(s.n)).entries))[::-1]
+    lam, bar = np.sort(np.linalg.eigvalsh(_lax_pair(om.z.couplings(), om.z.p)))[:, ::-1]
     return Outcome(max(float(np.max(np.abs(lam - om.even_values))),
                        float(np.max(np.abs(bar - om.odd_values)))))
 
@@ -400,11 +397,19 @@ def _loop_faults(loop: str, rep, abs_mu: int, signs: tuple[float, ...] = ()) -> 
     return faults
 
 
+def _sigma1_point(s: Sample, target: PairTarget) -> SingularPoint | str:
+    """The point of ``s.sigma1`` refined for ``target``, or why the finder has none."""
+    found, missing, reason = s.sigma1
+    return next((sp for sp in found if sp.targets[0] == target), f"{missing}; {reason}")
+
+
 @partial(Check, "holonomy_omega_line", "loop around the relative-equilibrium line: odd pair "
          "flips, |mu| = 2, (-1)^(mu/2) = even-index product = -1", 0.5, sizes=(2,))
 def _holonomy_omega_line(s: Sample, config: RunConfig) -> Outcome:
     target = PairTarget(True, 1)
-    sp = find_singular(omega_point(s.n).z, [target])
+    sp = _sigma1_point(s, target)
+    if isinstance(sp, str):
+        return Outcome(1.0, detail=sp)
     rep = check_holonomy_theorem(ClosedCurve.around_pair(sp, target, radius=5e-2))
     loop = f"omega-line loop {target.label}"
     faults = _loop_faults(loop, rep, 2, (1.0, -1.0))
@@ -418,8 +423,9 @@ def _holonomy_omega_line(s: Sample, config: RunConfig) -> Outcome:
          "boundary winding counts enclosed singular points as -2 sum sigma", 0.5, sizes=(3,))
 def _maslov_theorem(s: Sample, config: RunConfig) -> Outcome:
     target = PairTarget(True, 1)
-    sp = find_singular(perturbed_seed(omega_point(s.n), [PairTarget(False, 1)], eps=1e-2),
-                       [target])
+    sp = _sigma1_point(s, target)
+    if isinstance(sp, str):
+        return Outcome(1.0, detail=sp)
     rep = check_holonomy_theorem(ClosedCurve.around_pair(sp, target, radius=2e-3))
     faults = _loop_faults(f"pair loop {target.label}", rep, 2)
     for i, z in enumerate(s.centres):  # contractible loops: mu = 0, every holonomy +1
@@ -438,8 +444,7 @@ def _maslov_theorem(s: Sample, config: RunConfig) -> Outcome:
 def _isospectral_flows(s: Sample, config: RunConfig) -> Outcome:
     # the spectra of both classes, drift relative to the even one's size
     z0 = PhasePoint(np.array([0.4, -0.3, -0.1]), np.array([0.2, -0.5, 0.3]))
-    signs = (SignVector.even(3), SignVector.odd(3))
-    refs = [np.sort(np.linalg.eigvalsh(build_lax(z0, sign).entries)) for sign in signs]
+    refs = np.sort(np.linalg.eigvalsh(_lax_pair(z0.couplings(), z0.p)), axis=-1)
     scale = max(1.0, float(np.max(np.abs(refs[0]))))
     t_final = config.flow_t_final
     drift = 0.0
@@ -448,8 +453,8 @@ def _isospectral_flows(s: Sample, config: RunConfig) -> Outcome:
                               rtol=config.ode_rtol)
         q, p = traj.points[:, :3], traj.points[:, 3:]
         b = _couplings(q, p)
-        for sign, ref in zip(signs, refs):
-            vals = np.sort(np.linalg.eigvalsh(_lax_entries(b, p, sign.eps)), axis=1)
+        for entries, ref in zip(_lax_pair(b, p), refs):
+            vals = np.sort(np.linalg.eigvalsh(entries), axis=1)
             drift = max(drift, float(np.max(np.abs(vals - ref))) / scale)
     return Outcome(drift)
 

@@ -42,10 +42,10 @@ SAMPLES = {
     "bracket_relations_omega": lambda: _equilibria(range(2, 7), (0.0, 0.2)),
     "maslov_calibration": lambda: [Sample(None)],
     "holonomy_omega_line": lambda: [Sample(2)],
-    "maslov_theorem": lambda: [Sample(3, centres=(
+    "maslov_theorem": lambda: [Sample(n, centres=(
         PhasePoint(np.array([0.4, -0.1]), np.array([0.2, 0.7])),
         PhasePoint(np.array([0.5, -0.2, 0.1]), np.array([0.3, 0.9, -0.4])),
-    ))],
+    )) for n in range(3, 9)],
     "isospectral_flows": lambda: [Sample(3)],
 }
 
@@ -69,7 +69,7 @@ CRITERIA = {
 @pytest.fixture(scope="module")
 def sigma1():
     """The sigma1 checks' samples; they share the finder's points."""
-    return [Sample(3), Sample(4)]
+    return [Sample(n) for n in range(3, 9)]
 
 
 def _criterion(names, limit):

@@ -95,6 +95,7 @@ def test_registry_tolerances_are_pinned():
     assert singularity.HESSIAN_STEP == 1e-5
     assert (maslov.MIN_OVERLAP, maslov.REGULARITY_TOL, maslov.MAX_EVALUATIONS) == (
         0.9, 1e-8, 200000)
+    assert maslov.FRAME_GRAM_TOL == 1e-10
     assert maslov.GRID_CHUNK == 128
     assert (maslov.CALIBRATION_SAMPLES, maslov.CIRCLE_SAMPLES, maslov.CORRIDOR_SAMPLES) == (
         128, 256, 32)
@@ -587,6 +588,27 @@ def test_suite_keeps_failure_reasons(monkeypatch):
         "sigma1_components[n=3]", "holonomy_omega_line[n=2]", "maslov_theorem[n=3]",
         "corank_sigma1[n=3]", "transverse_structure[n=3]",
     }
+
+
+def test_loop_checks_read_their_singular_point_from_sigma1(monkeypatch):
+    # once the sample's sigma1 points are found, the loop checks find only the
+    # enclosure's second point, shifted by p + 0.25
+    samples = {"maslov_theorem": Sample(3), "holonomy_omega_line": Sample(2)}
+    for s in samples.values():
+        assert not s.sigma1[2]
+    calls = []
+    find_singular = verify.find_singular
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return find_singular(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "find_singular", counted)
+    for name, expected in (("maslov_theorem", 1), ("holonomy_omega_line", 0)):
+        calls.clear()
+        check = next(c for c in CHECKS if c.name == name)
+        assert check.run(samples[name], RunConfig()).status == "pass"
+        assert len(calls) == expected, name
 
 
 def _holonomy_report(mu, gamma, gammabar):

@@ -15,11 +15,13 @@ from todalax.singularity import (
 )
 from todalax.maslov import (
     CALIBRATION_SIGN,
+    FRAME_GRAM_TOL,
     GRID_CHUNK,
     MAX_EVALUATIONS,
     ClosedCurve,
     DiskGeometryError,
     DiskSpec,
+    LagrangianFrameError,
     RegularityError,
     TransportError,
     check_holonomy_theorem,
@@ -323,6 +325,70 @@ class TestEnclosureCount:
             enclosure_count_check([])
 
 
+def _unitary_phase(frames):
+    """Reference winding phase: arg det(U)^2 for the unitary part U of each complex frame.
+
+    U comes from the eigendecomposition of the Gram matrix W^H W, a frame at
+    or below FRAME_GRAM_TOL patched to eigenvalues 1; also returns the
+    smallest Gram eigenvalue.
+    """
+    n = frames.shape[-1]
+    W = frames[..., :n, :] + 1j * frames[..., n:, :]
+    w, Q = np.linalg.eigh(np.conj(np.swapaxes(W, -1, -2)) @ W)
+    low = w[..., 0]
+    w = np.where(low[..., None] > FRAME_GRAM_TOL, w, 1.0)
+    U = W @ (Q * w[..., None, :] ** -0.5) @ np.conj(np.swapaxes(Q, -1, -2))
+    det = np.linalg.det(U)
+    return np.angle(det * det), low
+
+
+class TestFramePhase:
+    """arg det(W)^2 is the phase of the unitary part: W = U P with det P > 0."""
+
+    @staticmethod
+    def assert_same_phase(frames):
+        phase, low = maslov._frame_phase(frames)
+        ref_phase, ref_low = _unitary_phase(frames)
+        assert np.array_equal(low <= FRAME_GRAM_TOL, ref_low <= FRAME_GRAM_TOL)
+        regular = ref_low > FRAME_GRAM_TOL
+        step = maslov._principal(phase - ref_phase)  # mod 2 pi, in [-pi, pi)
+        assert np.max(np.abs(step[regular]), initial=0.0) <= 1e-11
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_random_frames(self, n):
+        rng = np.random.default_rng(n)
+        points = [PhasePoint(*(0.35 * rng.standard_normal((2, n)))) for _ in range(200)]
+        frames = np.array([toda_frame(z) for z in points])
+        # a frame of two equal columns has lost rank: both guards must say so
+        lost = frames[0].copy()
+        lost[:, 1] = lost[:, 0]
+        frames = np.concatenate([frames, lost[None]])
+        self.assert_same_phase(frames)
+        assert maslov._frame_phase(frames)[1][-1] <= FRAME_GRAM_TOL
+
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_loop_samples(self, n):
+        for target in all_pair_targets(n):
+            rest = [t for t in all_pair_targets(n) if t != target]
+            sp = find_singular(perturbed_seed(omega_point(n), rest, eps=1e-2), [target])
+            curve = ClosedCurve.around_pair(sp, target, radius=2e-3)
+            b, p, _ = maslov._lax_classes([curve.point_at(t) for t in np.linspace(0, 1, 257)])
+            self.assert_same_phase(maslov._toda_frames(b, p))
+        loop = oscillator_angle_loop(3)
+        self.assert_same_phase(np.array([oscillator_frame(loop.point_at(t))
+                                         for t in np.linspace(0, 1, 129)]))
+
+    def test_frame_of_lost_rank_raises(self):
+        def frame(z):
+            X = oscillator_frame(z)
+            X[:, 1] = X[:, 0]
+            return X
+
+        with pytest.raises(LagrangianFrameError,
+                           match=r"^frame Gram matrix smallest eigenvalue \S+ <= 1e-10$"):
+            maslov_index(oscillator_angle_loop(3), frame_fn=frame)
+
+
 class TestStackedGrid:
     """The walkers observe their initial grid in stacks; each midpoint is a stack of one."""
 
@@ -343,10 +409,10 @@ class TestStackedGrid:
         points = [curve.point_at(t) for t in np.linspace(0.0, 1.0, 257)]
         b, p, _ = maslov._lax_classes(points)
         frames = maslov._toda_frames(b, p)
-        phases, low = maslov._unitary_phase(frames)
+        phases, low = maslov._frame_phase(frames)
         for z, frame, phase, smallest in zip(points, frames, phases, low):
             assert np.array_equal(frame, toda_frame(z))
-            one_phase, one_low = maslov._unitary_phase(toda_frame(z))
+            one_phase, one_low = maslov._frame_phase(toda_frame(z))
             # 1 ulp of pi measured; the stacked products round apart from the 2-d ones
             assert abs(phase - one_phase) <= 4 * np.spacing(np.pi)
             assert smallest == pytest.approx(one_low, rel=1e-12)
