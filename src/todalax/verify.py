@@ -397,19 +397,13 @@ def _loop_faults(loop: str, rep, abs_mu: int, signs: tuple[float, ...] = ()) -> 
     return faults
 
 
-def _sigma1_point(s: Sample, target: PairTarget) -> SingularPoint | str:
-    """The point of ``s.sigma1`` refined for ``target``, or why the finder has none."""
-    found, missing, reason = s.sigma1
-    return next((sp for sp in found if sp.targets[0] == target), f"{missing}; {reason}")
-
-
 @partial(Check, "holonomy_omega_line", "loop around the relative-equilibrium line: odd pair "
          "flips, |mu| = 2, (-1)^(mu/2) = even-index product = -1", 0.5, sizes=(2,))
 def _holonomy_omega_line(s: Sample, config: RunConfig) -> Outcome:
     target = PairTarget(True, 1)
-    sp = _sigma1_point(s, target)
-    if isinstance(sp, str):
-        return Outcome(1.0, detail=sp)
+    sp = next((sp for sp in s.sigma1[0] if sp.targets[0] == target), None)
+    if sp is None:  # sigma1 missed it: what is missing and the finder's reason
+        return Outcome(1.0, detail="; ".join(s.sigma1[1:]))
     rep = check_holonomy_theorem(ClosedCurve.around_pair(sp, target, radius=5e-2))
     loop = f"omega-line loop {target.label}"
     faults = _loop_faults(loop, rep, 2, (1.0, -1.0))
@@ -423,9 +417,9 @@ def _holonomy_omega_line(s: Sample, config: RunConfig) -> Outcome:
          "boundary winding counts enclosed singular points as -2 sum sigma", 0.5, sizes=(3,))
 def _maslov_theorem(s: Sample, config: RunConfig) -> Outcome:
     target = PairTarget(True, 1)
-    sp = _sigma1_point(s, target)
-    if isinstance(sp, str):
-        return Outcome(1.0, detail=sp)
+    sp = next((sp for sp in s.sigma1[0] if sp.targets[0] == target), None)
+    if sp is None:  # sigma1 missed it: what is missing and the finder's reason
+        return Outcome(1.0, detail="; ".join(s.sigma1[1:]))
     rep = check_holonomy_theorem(ClosedCurve.around_pair(sp, target, radius=2e-3))
     faults = _loop_faults(f"pair loop {target.label}", rep, 2)
     for i, z in enumerate(s.centres):  # contractible loops: mu = 0, every holonomy +1
