@@ -29,33 +29,23 @@ class ConfigError(Exception):
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"invalid JSON in {path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path} must hold a JSON object, got {type(data).__name__}")
+    return data
 
 
 def _build_config(args) -> RunConfig:
     data = _load_json(args.config) if args.config else {}
-    if args.n is not None:
-        data["n_values"] = args.n
-    if args.seed is not None:
-        data["seed"] = args.seed
-    if args.points is not None:
-        data["num_points"] = args.points
-    if args.suite is not None:
-        data["suite"] = args.suite
-    if args.out is not None:
-        data["out"] = args.out
-    for name in ("degeneracy", "rank", "bracket"):
-        value = getattr(args, f"tol_{name}")
-        if value is not None:
-            data[f"{name}_tol"] = value
-    if args.tol_ode is not None:
-        data["ode_rtol"] = args.tol_ode
+    flags = {"n_values": args.n, "seed": args.seed, "num_points": args.points,
+             "suite": args.suite, "out": args.out}
+    data.update((key, value) for key, value in flags.items() if value is not None)
     try:
         return RunConfig.from_dict(data)
     except (TypeError, ValueError) as exc:
@@ -238,14 +228,6 @@ def _parser() -> argparse.ArgumentParser:
     pv.add_argument("--seed", type=int, help="random seed")
     pv.add_argument("--points", type=int, help="random samples per check")
     pv.add_argument("--suite", choices=["full", "quick"], help="suite size")
-    pv.add_argument("--tol.degeneracy", dest="tol_degeneracy", type=float,
-                    help="eigenvalue degeneracy tolerance")
-    pv.add_argument("--tol.rank", dest="tol_rank", type=float,
-                    help="relative rank-decision tolerance")
-    pv.add_argument("--tol.bracket", dest="tol_bracket", type=float,
-                    help="bracket zero-pattern tolerance")
-    pv.add_argument("--tol.ode", dest="tol_ode", type=float,
-                    help="relative integrator tolerance")
     pv.add_argument("--no-timing", action="store_true", help="omit wall times from the report")
     pv.set_defaults(fn=cmd_verify)
 

@@ -236,22 +236,13 @@ RTOL_FLOOR = 100 * float(np.finfo(float).eps)
 ATOL = 1e-12
 
 
-def _is_real(value) -> bool:
-    """A Python or numpy real; bool, an int subclass, does not count."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _require_tolerance(name: str, value) -> None:
-    """Raise ValueError unless ``value`` is a finite positive real."""
-    if not (_is_real(value) and math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be a finite positive real, got {value!r}")
-
-
-def _require_rtol(name: str, value) -> None:
-    """Raise ValueError unless ``value`` is a finite real of at least RTOL_FLOOR."""
-    _require_tolerance(name, value)
+def _require_rtol(value) -> None:
+    """Raise ValueError unless ``value`` is a finite real (bool is not) of at least RTOL_FLOOR."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value) and value > 0):
+        raise ValueError(f"rtol must be a finite positive real, got {value!r}")
     if value < RTOL_FLOOR:
-        raise ValueError(f"{name} must be at least scipy's floor 100 eps = {RTOL_FLOOR:.3g}, "
+        raise ValueError(f"rtol must be at least scipy's floor 100 eps = {RTOL_FLOOR:.3g}, "
                          f"got {value!r}")
 
 
@@ -366,7 +357,7 @@ def integrate_flow(
         raise ValueError("t_eval must hold at least one time")
     if not np.all(np.isfinite(t_eval)):
         raise ValueError("t_eval must be finite")
-    _require_rtol("rtol", rtol)
+    _require_rtol(rtol)
     gradient = _gradient_field(n, c)  # checks c for the leapfrog too
 
     if method == "verlet":

@@ -325,7 +325,7 @@ def transport_eigenvectors(curve: ClosedCurve) -> HolonomyResult:
 
     def observe(ts, points):
         _, _, entries = _lax_classes(points)
-        values, vectors, gaps, _, errors = _decompose_stack(entries, DEGENERACY_TOL)
+        values, vectors, gaps, _, errors = _decompose_stack(entries)
         m = len(points)
         rows = list(zip(vectors[:m], vectors[m:]))
         _sample_errors(rows, ts, values, gaps, errors)
@@ -442,7 +442,7 @@ def maslov_index(
             b, p, entries = _lax_classes(points)
             values, _, errors = _solve_rows(np.linalg.eigvalsh, entries)
             values = values[:, ::-1]
-            gaps, _ = _flag_gaps(values, DEGENERACY_TOL, errors)
+            gaps, _ = _flag_gaps(values, errors)
             phases, low = _frame_phase(_toda_frames(b, p))
             rows = list(phases)
             _sample_errors(rows, ts, values, gaps, errors)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .lax import PhasePoint, SignVector, build_generator, build_lax
 from .dynamics import _gradients, coordinate_form, grad_combination, grad_F, poisson
-from .spectral import DEGENERACY_TOL, SpectralData, _spectra_stack, annihilator, spectra
+from .spectral import SpectralData, _spectra_stack, annihilator, spectra
 
 __all__ = [
     "PairTarget",
@@ -117,10 +117,10 @@ class CorankReport:
     """Both sides of the rank identity at one point.
 
     ``corank`` counts singular values of the n x 2n Jacobian of the traces
-    below rank_tol times the largest one; ``nu`` and ``nubar`` count the
+    below RANK_TOL times the largest one; ``nu`` and ``nubar`` count the
     degenerate eigenvalue pairs of the two Lax representatives.  Singular
-    values inside [0.1, 10] x rank_tol are flagged inconclusive and excluded
-    from identity assertions.
+    values inside [0.1, 10] x RANK_TOL times the largest are flagged
+    inconclusive and excluded from identity assertions.
     """
 
     z: PhasePoint
@@ -130,56 +130,38 @@ class CorankReport:
     nubar: int
     null_basis: np.ndarray
     inconclusive: bool
-    rank_tol: float
 
     @property
     def theorem_holds(self) -> bool:
         return self.corank == self.nu + self.nubar
 
-    def to_json_dict(self) -> dict:
-        from .reporting import float_str, vector_strs
 
-        return {
-            "q": vector_strs(self.z.q),
-            "p": vector_strs(self.z.p),
-            "singular_values": vector_strs(self.singular_values),
-            "corank": self.corank,
-            "nu": self.nu,
-            "nubar": self.nubar,
-            "null_basis": [vector_strs(row) for row in self.null_basis],
-            "inconclusive": self.inconclusive,
-            "rank_tol": float_str(self.rank_tol),
-        }
-
-
-def _rank_decision(s: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _rank_decision(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Corank and inconclusive flag of rows (N, n) of descending singular values.
 
-    The corank counts the values below rank_tol times the row's largest; a
-    value inside [0.1, 10] x rank_tol times it makes the row inconclusive.
+    The corank counts the values below RANK_TOL times the row's largest; a
+    value inside [0.1, 10] x RANK_TOL times it makes the row inconclusive.
     """
     smax = s[:, :1]
-    band = (s >= 0.1 * rank_tol * smax) & (s <= 10.0 * rank_tol * smax)
-    return (s < rank_tol * smax).sum(axis=1), band.any(axis=1)
+    band = (s >= 0.1 * RANK_TOL * smax) & (s <= 10.0 * RANK_TOL * smax)
+    return (s < RANK_TOL * smax).sum(axis=1), band.any(axis=1)
 
 
-def corank(
-    z: PhasePoint, rank_tol: float = RANK_TOL, degeneracy_tol: float = DEGENERACY_TOL
-) -> CorankReport:
+def corank(z: PhasePoint) -> CorankReport:
     """Rank-decide the Jacobian of the traces and count Lax degeneracies."""
     n = z.n
     dF = np.array([grad_F(z, j).as_vector() for j in range(1, n + 1)])
     U, s, _ = np.linalg.svd(dF)
-    k, band = _rank_decision(s[None], rank_tol)
+    k, band = _rank_decision(s[None])
     k = int(k[0])
     null_basis = U[:, n - k:].T.copy() if k else np.empty((0, n))
 
-    even, odd = spectra(z, degeneracy_tol)
+    even, odd = spectra(z)
     nu, nubar = len(even.degenerate_pairs), len(odd.degenerate_pairs)
-    return CorankReport(z, s, k, nu, nubar, null_basis, bool(band[0]), rank_tol)
+    return CorankReport(z, s, k, nu, nubar, null_basis, bool(band[0]))
 
 
-def _corank_stack(b: np.ndarray, p: np.ndarray, rank_tol: float, degeneracy_tol: float
+def _corank_stack(b: np.ndarray, p: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``corank`` of stacked rows b, p (N, n): singular values, corank, inconclusive, nu, nubar.
 
@@ -192,8 +174,8 @@ def _corank_stack(b: np.ndarray, p: np.ndarray, rank_tol: float, degeneracy_tol:
     for j in range(1, n + 1):
         jac[:, j - 1, :n], jac[:, j - 1, n:] = _gradients(b, p, j)
     s = np.linalg.svd(jac)[1]
-    k, band = _rank_decision(s, rank_tol)
-    (_, even), (_, odd) = _spectra_stack(b, p, degeneracy_tol)
+    k, band = _rank_decision(s)
+    (_, even), (_, odd) = _spectra_stack(b, p)
     return s, k, band, np.array([len(r) for r in even]), np.array([len(r) for r in odd])
 
 
@@ -264,7 +246,7 @@ class SingularPoint:
         return self.z.n
 
     def to_json_dict(self) -> dict:
-        from .reporting import float_str, vector_strs
+        from .reporting import vector_strs
 
         return {
             "q": vector_strs(self.z.q),
@@ -481,11 +463,7 @@ class HessianReport:
         return abs(abs(self.omega_formula) - self.omega_spectrum) / abs(self.omega_formula)
 
 
-def hessian_structure_check(
-    point: PhasePoint | SingularPoint,
-    target: PairTarget,
-    degeneracy_tol: float = DEGENERACY_TOL,
-) -> HessianReport:
+def hessian_structure_check(point: PhasePoint | SingularPoint, target: PairTarget) -> HessianReport:
     """Measure the dyadic Hessian structure and the linearised flow spectrum.
 
     The Hessian is built by central differences of the analytic gradient of
@@ -498,7 +476,7 @@ def hessian_structure_check(
     """
     z = point.z if isinstance(point, SingularPoint) else point
     n = z.n
-    spec = spectra(z, degeneracy_tol)[target.odd_class]
+    spec = spectra(z)[target.odd_class]
     idx, u1, u2 = _flagged_pair(spec, target)
     ann = annihilator(spec, idx)
     c = ann.coefficients
@@ -603,10 +581,7 @@ def _conjugate_spot_check(
     return worst
 
 
-def bracket_relations_check(
-    point: PhasePoint | SingularPoint,
-    degeneracy_tol: float = DEGENERACY_TOL,
-) -> BracketReport:
+def bracket_relations_check(point: PhasePoint | SingularPoint) -> BracketReport:
     """Measure the canonical structure of the block coordinates at a singular point.
 
     All brackets among {xi_r, eta_r, tau_r} of both classes vanish except
@@ -626,7 +601,7 @@ def bracket_relations_check(
     conj_res = 0.0
     b = z.couplings()
 
-    specs = spectra(z, degeneracy_tol)
+    specs = spectra(z)
     for odd_class in (False, True):
         spec = specs[odd_class]
         cls = "bar" if odd_class else ""
@@ -685,8 +660,7 @@ def bracket_relations_check(
     )
 
 
-def tangent_symplectic_check(point: PhasePoint | SingularPoint,
-                             degeneracy_tol: float = DEGENERACY_TOL) -> float:
+def tangent_symplectic_check(point: PhasePoint | SingularPoint) -> float:
     """Smallest singular value of the symplectic form restricted to the stratum tangent.
 
     The tangent space is the joint kernel of the dxi and deta covectors of
@@ -696,7 +670,7 @@ def tangent_symplectic_check(point: PhasePoint | SingularPoint,
     z = point.z if isinstance(point, SingularPoint) else point
     n = z.n
     rows = []
-    for odd_class, spec in zip((False, True), spectra(z, degeneracy_tol)):
+    for odd_class, spec in zip((False, True), spectra(z)):
         for pair in spec.degenerate_pairs:
             u1, u2 = spec.pair_vectors(pair)
             dxi, deta, _ = _pair_forms(z, odd_class, u1, u2)

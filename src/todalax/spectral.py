@@ -138,16 +138,15 @@ def _solve_rows(solve, entries: np.ndarray) -> tuple[object, np.ndarray, dict[in
     return solve(entries), entries, errors
 
 
-def _flag_gaps(values: np.ndarray, degeneracy_tol: float,
-               errors: dict[int, Exception]) -> tuple[np.ndarray, list[tuple]]:
+def _flag_gaps(values: np.ndarray, errors: dict[int, Exception]) -> tuple[np.ndarray, list]:
     """Gaps (m, n - 1) of descending rows of eigenvalues (m, n), and each row's flagged pairs.
 
-    A gap below degeneracy_tol * max(1, spectral range) flags its pair; a
+    A gap below DEGENERACY_TOL * max(1, spectral range) flags its pair; a
     row with two consecutive flagged gaps gets a TripleDegeneracyError in
     ``errors`` unless it has an error already.
     """
     gaps = values[:, :-1] - values[:, 1:]
-    threshold = degeneracy_tol * np.maximum(1.0, values[:, 0] - values[:, -1])
+    threshold = DEGENERACY_TOL * np.maximum(1.0, values[:, 0] - values[:, -1])
     small = gaps < threshold[:, None]
     pairs = [()] * len(values)
     if np.count_nonzero(small):
@@ -161,7 +160,7 @@ def _flag_gaps(values: np.ndarray, degeneracy_tol: float,
     return gaps, pairs
 
 
-def _decompose_stack(entries: np.ndarray, degeneracy_tol: float) -> tuple[
+def _decompose_stack(entries: np.ndarray) -> tuple[
         np.ndarray, np.ndarray, np.ndarray, list, dict[int, Exception]]:
     """``decompose`` of a stack of symmetric matrices (m, n, n), row by row alike.
 
@@ -180,7 +179,7 @@ def _decompose_stack(entries: np.ndarray, degeneracy_tol: float) -> tuple[
     sign = np.sign(vecs[np.arange(m)[:, None], np.abs(vecs).argmax(axis=1), np.arange(n)])
 
     vals = vals[:, ::-1]
-    gaps, pairs = _flag_gaps(vals, degeneracy_tol, errors)
+    gaps, pairs = _flag_gaps(vals, errors)
     sign = sign[:, ::-1]
     flagged = [(r, i) for r, row in enumerate(pairs) if r not in errors for i, _ in row]
     for r, i in flagged:
@@ -203,10 +202,10 @@ def _decompose_stack(entries: np.ndarray, degeneracy_tol: float) -> tuple[
     return vals, vecs, gaps, pairs, errors
 
 
-def decompose(L: LaxMatrix | np.ndarray, degeneracy_tol: float = DEGENERACY_TOL) -> SpectralData:
+def decompose(L: LaxMatrix | np.ndarray) -> SpectralData:
     """Descending eigen-decomposition with degenerate-pair detection.
 
-    A gap below degeneracy_tol * max(1, spectral range) flags the pair;
+    A gap below DEGENERACY_TOL * max(1, spectral range) flags the pair;
     two consecutive flagged gaps abort with TripleDegeneracyError.  Inside
     each flagged pair the basis is rotated deterministically.  A bare
     array is taken as an even-class matrix.  This is the one-row case of
@@ -223,22 +222,20 @@ def decompose(L: LaxMatrix | np.ndarray, degeneracy_tol: float = DEGENERACY_TOL)
         or np.allclose(entries, entries.T, atol=1e-12 * max(1.0, np.abs(entries).max()))
     ):
         raise ValueError("matrix is not symmetric")
-    vals, vecs, gaps, pairs, errors = _decompose_stack(entries[None], degeneracy_tol)
+    vals, vecs, gaps, pairs, errors = _decompose_stack(entries[None])
     if errors:
         raise errors[0]
     return SpectralData(vals[0], vecs[0], gaps[0], pairs[0], sgn)
 
 
-def spectra(
-    z: PhasePoint, degeneracy_tol: float = DEGENERACY_TOL
-) -> tuple[SpectralData, SpectralData]:
+def spectra(z: PhasePoint) -> tuple[SpectralData, SpectralData]:
     """Spectral data of both Lax classes at z: (even L, odd Lbar).
 
     Each equals ``decompose(build_lax(z, sign))`` for its class, so
     ``spectra(z)[odd_class]`` selects one class.
     """
     return tuple(
-        decompose(build_lax(z, sign), degeneracy_tol)
+        decompose(build_lax(z, sign))
         for sign in (SignVector.even(z.n), SignVector.odd(z.n))
     )
 
@@ -311,7 +308,7 @@ def _interlacing_stack(lam: np.ndarray, bar: np.ndarray) -> tuple[np.ndarray, np
     return drop, drop < tol * sign
 
 
-def _spectra_stack(b: np.ndarray, p: np.ndarray, degeneracy_tol: float) -> tuple[
+def _spectra_stack(b: np.ndarray, p: np.ndarray) -> tuple[
         tuple[np.ndarray, list], tuple[np.ndarray, list]]:
     """``spectra`` of stacked rows b, p (N, n): each class's descending values and flagged pairs.
 
@@ -320,7 +317,7 @@ def _spectra_stack(b: np.ndarray, p: np.ndarray, degeneracy_tol: float) -> tuple
     """
     out, errors = [], {}
     for entries in _lax_pair(b, p):
-        vals, _, _, pairs, errs = _decompose_stack(entries, degeneracy_tol)
+        vals, _, _, pairs, errs = _decompose_stack(entries)
         out.append((vals, pairs))
         for r, exc in errs.items():
             errors.setdefault(r, exc)

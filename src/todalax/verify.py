@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
 from itertools import groupby
-import math
 import time
 from typing import Callable, NamedTuple
 import numpy as np
@@ -25,24 +24,14 @@ from .lax import (
     _off_band,
     _trace_gaps,
 )
-from .dynamics import (
-    DEFAULT_RTOL,
-    _brackets,
-    _is_real,
-    _lax_residuals,
-    _require_rtol,
-    _require_tolerance,
-    integrate_flow,
-)
+from .dynamics import _brackets, _lax_residuals, integrate_flow
 from .spectral import (
-    DEGENERACY_TOL,
     EigensolverError,
     TripleDegeneracyError,
     _interlacing_stack,
     _spectra_stack,
 )
 from .singularity import (
-    RANK_TOL,
     ConvergenceError,
     OmegaPoint,
     PairTarget,
@@ -80,26 +69,25 @@ __all__ = ["RunConfig", "Sample", "Outcome", "Check", "CHECKS", "run_suite"]
 COMPUTATION_ERRORS = (ConvergenceError, StratumCollapseError, RegularityError, TransportError,
                       LagrangianFrameError, TripleDegeneracyError, EigensolverError)
 
-# Bounds of the canonical-structure checks: |n {xi, eta} / pairing - 1| of
-# every degenerate pair, the spread of the pairing's coupling form over m,
-# and the smallest singular value of the symplectic form on the stratum tangent.
+# Bounds of the canonical-structure checks: the brackets that vanish,
+# |n {xi, eta} / pairing - 1| of every degenerate pair, the spread of the
+# pairing's coupling form over m, and the smallest singular value of the
+# symplectic form on the stratum tangent.
+BRACKET_TOL = 1e-7
 RATIO_TOL = 1e-6
 M_INDEPENDENCE_TOL = 1e-9
 TANGENT_TOL = 1e-6
+# Time over which isospectral_flows integrates each trace flow.
+FLOW_T_FINAL = 50.0
 
 
 @dataclass
 class RunConfig:
-    """Suite configuration: sizes, seed, tolerances and output paths."""
+    """Suite configuration: sizes, seed, sample count, suite size and output path."""
 
     n_values: list[int] = field(default_factory=lambda: [2, 3, 4, 5])
     seed: int = 42
     num_points: int = 200
-    flow_t_final: float = 50.0
-    degeneracy_tol: float = DEGENERACY_TOL
-    rank_tol: float = RANK_TOL
-    bracket_tol: float = 1e-7
-    ode_rtol: float = DEFAULT_RTOL
     suite: str = "full"
     out: str | None = None
 
@@ -109,18 +97,12 @@ class RunConfig:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not all(_is_int(n) for n in self.n_values):
             raise ValueError(f"n_values must be integers, got {self.n_values}")
-        for name in ("degeneracy_tol", "rank_tol", "bracket_tol"):
-            _require_tolerance(f"tolerance {name}", getattr(self, name))
-        _require_rtol("tolerance ode_rtol", self.ode_rtol)
         if any(n < 2 for n in self.n_values) or len(set(self.n_values)) != len(self.n_values):
             raise ValueError(f"n values must be distinct and at least 2, got {self.n_values}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.num_points < 1:
             raise ValueError("num_points must be positive")
-        if not (_is_real(self.flow_t_final) and math.isfinite(self.flow_t_final)
-                and self.flow_t_final != 0):
-            raise ValueError(f"flow_t_final must be finite and nonzero, got {self.flow_t_final}")
         if self.suite not in ("full", "quick"):
             raise ValueError(f"unknown suite {self.suite!r}")
 
@@ -205,7 +187,6 @@ class Outcome(NamedTuple):
 class Check:
     """One registry entry: an exact statement, its bound and how to test it on a sample.
 
-    ``tolerance`` is a number or the name of the RunConfig field holding it.
     ``sizes`` are the n the suite runs it at: None for every configured n,
     else those of the tuple that are configured; a size None is one run that
     does not depend on n, and its id carries no n.
@@ -213,19 +194,18 @@ class Check:
 
     name: str
     statement: str
-    tolerance: float | str
-    fn: Callable[[Sample, RunConfig], Outcome]
+    tolerance: float
+    fn: Callable[[Sample], Outcome]
     sizes: tuple[int | None, ...] | None = None
 
-    def run(self, sample: Sample, config: RunConfig) -> CheckRecord:
-        tol = getattr(config, self.tolerance) if isinstance(self.tolerance, str) else self.tolerance
+    def run(self, sample: Sample) -> CheckRecord:
         try:
-            residual, status, detail = self.fn(sample, config)
+            residual, status, detail = self.fn(sample)
         except COMPUTATION_ERRORS as exc:
             residual, status, detail = 1.0, "fail", _reason(exc)
         check_id = self.name if sample.n is None else f"{self.name}[n={sample.n}]"
-        return CheckRecord(check_id, self.statement, float(residual), tol,
-                           status or ("pass" if residual < tol else "fail"), detail)
+        return CheckRecord(check_id, self.statement, float(residual), self.tolerance,
+                           status or ("pass" if residual < self.tolerance else "fail"), detail)
 
 
 # Each entry below is its function made a Check: @partial(Check, name, statement, tolerance).
@@ -234,18 +214,18 @@ class Check:
 
 @partial(Check, "off_band", "powers L^j - Lbar^j are j-off-banded; first diagonal "
          "2 b_{r-1}..b_{r-j}, 4 at j=n", 1e-10)
-def _off_band_check(s: Sample, config: RunConfig) -> Outcome:
+def _off_band_check(s: Sample) -> Outcome:
     return Outcome(max(float(np.max(_off_band(s.couplings, s.p, j))) for j in range(1, s.n + 1)))
 
 
 @partial(Check, "trace_gap", "Tr L^j = Tr Lbar^j for j < n and Tr L^n - Tr Lbar^n = 4n", 1e-9)
-def _trace_gap(s: Sample, config: RunConfig) -> Outcome:
+def _trace_gap(s: Sample) -> Outcome:
     return Outcome(float(np.max(_trace_gaps(s.couplings, s.p))))
 
 
 @partial(Check, "char_poly_offset",
          "det(xI - L) - det(xI - Lbar) is constant in x and z with magnitude 4", 1e-8)
-def _char_poly_offset(s: Sample, config: RunConfig) -> Outcome:
+def _char_poly_offset(s: Sample) -> Outcome:
     constants, deviations = _char_poly(s.couplings, s.p)
     return Outcome(max(float(np.max(deviations)),
                        float(np.max(np.abs(np.abs(constants) - 4.0))),
@@ -253,13 +233,13 @@ def _char_poly_offset(s: Sample, config: RunConfig) -> Outcome:
 
 
 @partial(Check, "involution", "all pairwise brackets of the conserved traces vanish", 1e-9)
-def _involution(s: Sample, config: RunConfig) -> Outcome:
+def _involution(s: Sample) -> Outcome:
     return Outcome(float(np.max(np.abs(_brackets(s.couplings, s.p)))))
 
 
 @partial(Check, "lax_equations", "bracket of L with each trace equals the commutator with "
          "its generator, both classes", 1e-8)
-def _lax_equations(s: Sample, config: RunConfig) -> Outcome:
+def _lax_equations(s: Sample) -> Outcome:
     # the first quarter of the points, at least ten
     k = max(10, len(s.q) // 4)
     return Outcome(max(float(np.max(_lax_residuals(s.couplings[:k], s.p[:k], j, odd)))
@@ -268,14 +248,14 @@ def _lax_equations(s: Sample, config: RunConfig) -> Outcome:
 
 @partial(Check, "interlacing",
          "merged spectra alternate strictly between classes, weakly inside", 1.0)
-def _interlacing(s: Sample, config: RunConfig) -> Outcome:
-    (lam, _), (bar, _) = _spectra_stack(s.couplings, s.p, DEGENERACY_TOL)
+def _interlacing(s: Sample) -> Outcome:
+    (lam, _), (bar, _) = _spectra_stack(s.couplings, s.p)
     return Outcome(float(np.count_nonzero(_interlacing_stack(lam, bar)[1])))
 
 
 @partial(Check, "omega_spectra",
          "relative-equilibrium spectra match p0 + 2cos(pi k / n) closed forms", 1e-12)
-def _omega_spectra(s: Sample, config: RunConfig) -> Outcome:
+def _omega_spectra(s: Sample) -> Outcome:
     om = s.equilibrium
     lam, bar = np.sort(np.linalg.eigvalsh(_lax_pair(om.z.couplings(), om.z.p)))[:, ::-1]
     return Outcome(max(float(np.max(np.abs(lam - om.even_values))),
@@ -284,8 +264,8 @@ def _omega_spectra(s: Sample, config: RunConfig) -> Outcome:
 
 @partial(Check, "corank_omega", "corank of the trace Jacobian equals nu + nubar = n - 1 at "
          "relative equilibria", 0.5)
-def _corank_omega(s: Sample, config: RunConfig) -> Outcome:
-    rep = corank(s.equilibrium.z, config.rank_tol, config.degeneracy_tol)
+def _corank_omega(s: Sample) -> Outcome:
+    rep = corank(s.equilibrium.z)
     ok = (rep.corank == s.n - 1 and rep.nu == (s.n - 1) // 2 and rep.nubar == s.n // 2
           and rep.theorem_holds and not rep.inconclusive)
     return Outcome(0.0 if ok else 1.0,
@@ -294,23 +274,22 @@ def _corank_omega(s: Sample, config: RunConfig) -> Outcome:
 
 @partial(Check, "corank_random",
          "generic points are regular: corank 0 and no degenerate pairs", 1.0)
-def _corank_random(s: Sample, config: RunConfig) -> Outcome:
-    _, k, band, nu, nubar = _corank_stack(s.couplings, s.p, config.rank_tol,
-                                          config.degeneracy_tol)
+def _corank_random(s: Sample) -> Outcome:
+    _, k, band, nu, nubar = _corank_stack(s.couplings, s.p)
     bad = np.count_nonzero(~band & ((k != 0) | (k != nu + nubar)))
     return Outcome(float(bad), "fail" if bad else ("inconclusive" if band.any() else "pass"))
 
 
 @partial(Check, "bracket_relations_omega", "block coordinates are canonical: only same-pair "
-         "{xi, eta} brackets survive, value = pairing / n, pairing m-independent", "bracket_tol")
-def _bracket_relations_omega(s: Sample, config: RunConfig) -> Outcome:
-    brep = bracket_relations_check(s.equilibrium.z, degeneracy_tol=config.degeneracy_tol)
+         "{xi, eta} brackets survive, value = pairing / n, pairing m-independent", BRACKET_TOL)
+def _bracket_relations_omega(s: Sample) -> Outcome:
+    brep = bracket_relations_check(s.equilibrium.z)
     return Outcome(max(
         brep.zero_max,
-        float(np.max(np.abs(brep.ratio_errors))) * config.bracket_tol / RATIO_TOL,
+        float(np.max(np.abs(brep.ratio_errors))) * BRACKET_TOL / RATIO_TOL,
         brep.mixed_parity_max,
         brep.conjugate_formula_residual,
-        brep.m_independence_max * config.bracket_tol / M_INDEPENDENCE_TOL,
+        brep.m_independence_max * BRACKET_TOL / M_INDEPENDENCE_TOL,
     ))
 
 
@@ -318,18 +297,18 @@ def _bracket_relations_omega(s: Sample, config: RunConfig) -> Outcome:
 
 @partial(Check, "sigma1_components", "every allowed single-pair degeneracy is realized near "
          "the relative equilibrium", 0.5, sizes=(3, 4))
-def _sigma1_components(s: Sample, config: RunConfig) -> Outcome:
+def _sigma1_components(s: Sample) -> Outcome:
     reason = s.sigma1[2]
     return Outcome(1.0 if reason else 0.0, detail=reason)
 
 
 @partial(Check, "corank_sigma1", "corank 1 = nu + nubar at every refined single-pair point",
          0.5, sizes=(3, 4))
-def _corank_sigma1(s: Sample, config: RunConfig) -> Outcome:
+def _corank_sigma1(s: Sample) -> Outcome:
     found, missing, _ = s.sigma1
     reasons = [missing] if missing else []
     for sp in found:
-        rep = corank(sp.z, config.rank_tol, config.degeneracy_tol)
+        rep = corank(sp.z)
         label = sp.targets[0].label
         if rep.inconclusive:
             reasons.append(f"{label}: inconclusive rank decision")
@@ -345,15 +324,15 @@ def _corank_sigma1(s: Sample, config: RunConfig) -> Outcome:
 @partial(Check, "transverse_structure", "Hessian of the annihilating combination is the "
          "spectral dyad sum; linearized flow elliptic with the closed-form frequency",
          RATIO_TOL, sizes=(3, 4))
-def _transverse_structure(s: Sample, config: RunConfig) -> Outcome:
+def _transverse_structure(s: Sample) -> Outcome:
     found, missing, _ = s.sigma1
     worst = 1.0 if missing else 0.0
     reasons = [missing] if missing else []
     for sp in found:
         target = sp.targets[0]
-        hrep = hessian_structure_check(sp, target, degeneracy_tol=config.degeneracy_tol)
-        brep = bracket_relations_check(sp, degeneracy_tol=config.degeneracy_tol)
-        tangent = tangent_symplectic_check(sp, config.degeneracy_tol)
+        hrep = hessian_structure_check(sp, target)
+        brep = bracket_relations_check(sp)
+        tangent = tangent_symplectic_check(sp)
         ratio = float(np.max(np.abs(brep.ratio_errors)))
         # (term of the residual, the statement it breaks at RATIO_TOL and above)
         terms = (
@@ -361,9 +340,9 @@ def _transverse_structure(s: Sample, config: RunConfig) -> Outcome:
             (hrep.omega_relative_error,
              f"omega relative error {hrep.omega_relative_error:.3e}"),
             (0.0 if hrep.trace_K_squared < 0 else 1.0, "trace K^2 >= 0"),
-            (brep.zero_max * RATIO_TOL / config.bracket_tol,
+            (brep.zero_max * RATIO_TOL / BRACKET_TOL,
              f"vanishing bracket {brep.zero_max:.3e}"),
-            (brep.mixed_parity_max * RATIO_TOL / config.bracket_tol,
+            (brep.mixed_parity_max * RATIO_TOL / BRACKET_TOL,
              f"mixed-parity bracket {brep.mixed_parity_max:.3e}"),
             (ratio, f"bracket ratio error {ratio:.3e}"),
             (0.0 if brep.m_independence_max < M_INDEPENDENCE_TOL else 1.0,
@@ -380,7 +359,7 @@ def _transverse_structure(s: Sample, config: RunConfig) -> Outcome:
 
 @partial(Check, "maslov_calibration", "plumbing: harmonic-oscillator angle loop scores +2 "
          "with the stored orientation", 0.5, sizes=(None,))
-def _maslov_calibration(s: Sample, config: RunConfig) -> Outcome:
+def _maslov_calibration(s: Sample) -> Outcome:
     res = maslov_index(oscillator_angle_loop(3), frame_fn=oscillator_frame)
     return Outcome(0.0 if res.mu == 2 and res.calibration_sign == -1 else 1.0)
 
@@ -399,7 +378,7 @@ def _loop_faults(loop: str, rep, abs_mu: int, signs: tuple[float, ...] = ()) -> 
 
 @partial(Check, "holonomy_omega_line", "loop around the relative-equilibrium line: odd pair "
          "flips, |mu| = 2, (-1)^(mu/2) = even-index product = -1", 0.5, sizes=(2,))
-def _holonomy_omega_line(s: Sample, config: RunConfig) -> Outcome:
+def _holonomy_omega_line(s: Sample) -> Outcome:
     target = PairTarget(True, 1)
     sp = next((sp for sp in s.sigma1[0] if sp.targets[0] == target), None)
     if sp is None:  # sigma1 missed it: what is missing and the finder's reason
@@ -415,7 +394,7 @@ def _holonomy_omega_line(s: Sample, config: RunConfig) -> Outcome:
 
 @partial(Check, "maslov_theorem", "(-1)^(mu/2) equals the even-indexed holonomy product; "
          "boundary winding counts enclosed singular points as -2 sum sigma", 0.5, sizes=(3,))
-def _maslov_theorem(s: Sample, config: RunConfig) -> Outcome:
+def _maslov_theorem(s: Sample) -> Outcome:
     target = PairTarget(True, 1)
     sp = next((sp for sp in s.sigma1[0] if sp.targets[0] == target), None)
     if sp is None:  # sigma1 missed it: what is missing and the finder's reason
@@ -435,16 +414,14 @@ def _maslov_theorem(s: Sample, config: RunConfig) -> Outcome:
 
 @partial(Check, "isospectral_flows", "eigenvalues of L are constant along the second and "
          "third trace flows", 1e-8, sizes=(3,))
-def _isospectral_flows(s: Sample, config: RunConfig) -> Outcome:
+def _isospectral_flows(s: Sample) -> Outcome:
     # the spectra of both classes, drift relative to the even one's size
     z0 = PhasePoint(np.array([0.4, -0.3, -0.1]), np.array([0.2, -0.5, 0.3]))
     refs = np.sort(np.linalg.eigvalsh(_lax_pair(z0.couplings(), z0.p)), axis=-1)
     scale = max(1.0, float(np.max(np.abs(refs[0]))))
-    t_final = config.flow_t_final
     drift = 0.0
     for c in np.eye(3)[1:]:
-        traj = integrate_flow(z0, c, t_final, t_eval=np.linspace(0, t_final, 51),
-                              rtol=config.ode_rtol)
+        traj = integrate_flow(z0, c, FLOW_T_FINAL, t_eval=np.linspace(0, FLOW_T_FINAL, 51))
         q, p = traj.points[:, :3], traj.points[:, 3:]
         b = _couplings(q, p)
         for entries, ref in zip(_lax_pair(b, p), refs):
@@ -479,5 +456,5 @@ def run_suite(config: RunConfig) -> VerificationReport:
         for n in config.n_values if sizes is None else [n for n in sizes if n in samples]:
             for check in block:
                 t0 = time.perf_counter()
-                report.add(check.run(samples[n], config), time.perf_counter() - t0)
+                report.add(check.run(samples[n]), time.perf_counter() - t0)
     return report

@@ -13,9 +13,8 @@ import pytest
 
 from todalax.lax import PhasePoint
 from todalax.singularity import omega_point
-from todalax.verify import CHECKS, RunConfig, Sample, random_points
+from todalax.verify import CHECKS, Sample, random_points
 
-CONFIG = RunConfig()
 SIGMA1_CHECKS = ("sigma1_components", "corank_sigma1", "transverse_structure")
 
 
@@ -79,7 +78,7 @@ def _criterion(names, limit):
             check = next(c for c in CHECKS if c.name == name)
             t0 = time.perf_counter()
             samples = sigma1 if name in SIGMA1_CHECKS else SAMPLES[name]()
-            records = [check.run(s, CONFIG) for s in samples]
+            records = [check.run(s) for s in samples]
             bad = [f"{r.check_id} {r.status} {r.detail}" for r in records if r.status != "pass"]
             print(f"{name:24s} [{'FAIL' if bad else 'PASS'}] worst residual "
                   f"{max(r.residual for r in records):.2e} (tol {records[0].tolerance:.0e}) "

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 from pathlib import Path
@@ -8,17 +9,20 @@ import sys
 import numpy as np
 import pytest
 
-from todalax import dynamics, maslov, singularity, spectral
+from todalax import cli, dynamics, maslov, singularity, spectral
 import todalax.verify as verify
 from todalax.cli import main
 from todalax.dynamics import integrate_flow
 from todalax.lax import PhaseDomainError, PhasePoint
 from todalax.maslov import ClosedCurve, maslov_index
 from todalax.reporting import float_str
-from todalax.singularity import ConvergenceError, PairTarget, tangent_symplectic_check
+from todalax.singularity import ConvergenceError, PairTarget
 from todalax.verify import CHECKS, RunConfig, Sample, run_suite
 
 DATA = Path(__file__).parent / "data"
+# thresholds and the flow time are module constants: a config naming one is
+# refused as an unknown key, whatever its value
+CONSTANT_KEYS = {"flow_t_final", "degeneracy_tol", "rank_tol", "bracket_tol", "ode_rtol"}
 
 
 class TestConfig:
@@ -30,10 +34,6 @@ class TestConfig:
     def test_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown config keys"):
             RunConfig.from_dict({"n_values": [3], "bogus": 1})
-
-    def test_rejects_nonpositive_tolerance(self):
-        with pytest.raises(ValueError):
-            RunConfig(rank_tol=0.0)
 
     def test_quick_suite_shrinks_samples(self):
         cfg = RunConfig(num_points=200, suite="quick")
@@ -58,15 +58,13 @@ class TestConfig:
         ({"ode_rtol": float("inf")}, "ode_rtol"),
         ({"flow_t_final": True}, "flow_t_final"),
         ({"degeneracy_tol": "1e-8"}, "degeneracy_tol"),
-        ({"ode_rtol": 1e-20}, "ode_rtol must be at least scipy's floor 100 eps = 2.22e-14"),
+        ({"bracket_tol": 1e-7}, "bracket_tol"),
         ({"ode_rtol": 1e-15}, "ode_rtol"),
     ])
     def test_rejects_bad_values(self, bad, name):
-        with pytest.raises(ValueError, match=name):
-            RunConfig(**bad)
-
-    def test_backward_flow_time_accepted(self):
-        assert RunConfig(flow_t_final=-50.0).flow_t_final == -50.0
+        with pytest.raises(ValueError, match=name) as exc:
+            RunConfig.from_dict(bad)
+        assert ("unknown config keys" in str(exc.value)) == bool(CONSTANT_KEYS & set(bad))
 
 
 def test_registry_tolerances_are_pinned():
@@ -74,20 +72,18 @@ def test_registry_tolerances_are_pinned():
     assert {c.name: c.tolerance for c in CHECKS} == {
         "off_band": 1e-10, "trace_gap": 1e-9, "char_poly_offset": 1e-8, "involution": 1e-9,
         "lax_equations": 1e-8, "interlacing": 1.0, "omega_spectra": 1e-12,
-        "corank_omega": 0.5, "corank_random": 1.0, "bracket_relations_omega": "bracket_tol",
+        "corank_omega": 0.5, "corank_random": 1.0, "bracket_relations_omega": 1e-7,
         "sigma1_components": 0.5, "corank_sigma1": 0.5, "transverse_structure": 1e-6,
         "maslov_calibration": 0.5, "holonomy_omega_line": 0.5, "maslov_theorem": 0.5,
         "isospectral_flows": 1e-8,
     }
-    # the bounds of the canonical-structure checks
-    assert (verify.RATIO_TOL, verify.M_INDEPENDENCE_TOL, verify.TANGENT_TOL) == (1e-6, 1e-9, 1e-6)
-    cfg = RunConfig()
-    assert (cfg.degeneracy_tol, cfg.rank_tol, cfg.bracket_tol, cfg.ode_rtol) == (
-        1e-8, 1e-7, 1e-7, 1e-11)
-    assert (cfg.degeneracy_tol, cfg.rank_tol, cfg.ode_rtol) == (
-        spectral.DEGENERACY_TOL, singularity.RANK_TOL, dynamics.DEFAULT_RTOL)
-    assert cfg.flow_t_final == 50.0
-    assert dynamics.ATOL == 1e-12
+    # the bounds of the canonical-structure checks and the flow check's time
+    assert (verify.BRACKET_TOL, verify.RATIO_TOL, verify.M_INDEPENDENCE_TOL,
+            verify.TANGENT_TOL) == (1e-7, 1e-6, 1e-9, 1e-6)
+    assert verify.FLOW_T_FINAL == 50.0
+    # the suite's thresholds and the integrator's error control
+    assert (spectral.DEGENERACY_TOL, singularity.RANK_TOL) == (1e-8, 1e-7)
+    assert (dynamics.DEFAULT_RTOL, dynamics.ATOL) == (1e-11, 1e-12)
     # the fixed limits of the eigen-decomposition, the finder and the loop walkers
     assert spectral.INTERLACING_TOL == 1e-12
     assert (singularity.MAX_ITER, singularity.GAP_TOL, singularity.FRAME_OVERLAP) == (
@@ -101,20 +97,6 @@ def test_registry_tolerances_are_pinned():
         128, 256, 32)
 
 
-def test_transverse_structure_reads_the_degeneracy_tolerance(monkeypatch):
-    # the symplectic-tangent test used to run at the default tolerance
-    seen = []
-
-    def spy(point, degeneracy_tol=spectral.DEGENERACY_TOL):
-        seen.append(degeneracy_tol)
-        return tangent_symplectic_check(point, degeneracy_tol)
-
-    monkeypatch.setattr(verify, "tangent_symplectic_check", spy)
-    check = next(c for c in CHECKS if c.name == "transverse_structure")
-    assert check.run(Sample(3), RunConfig(degeneracy_tol=1e-9)).status == "pass"
-    assert seen == [1e-9, 1e-9]
-
-
 def test_isospectral_flows_evaluation_count(monkeypatch):
     # the integrator's cost as a count, which repeats exactly where a timing would not
     trajectories = []
@@ -125,7 +107,7 @@ def test_isospectral_flows_evaluation_count(monkeypatch):
 
     monkeypatch.setattr(verify, "integrate_flow", counted)
     check = next(c for c in CHECKS if c.name == "isospectral_flows")
-    assert check.run(Sample(3), RunConfig()).status == "pass"
+    assert check.run(Sample(3)).status == "pass"
     assert len(trajectories) == 2
     assert sum(t.nfev for t in trajectories) < 20_000
 
@@ -159,12 +141,13 @@ class TestVerifyCommand:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_spectral_error_fails_its_check(self, tmp_path, capsys):
+    def test_spectral_error_fails_its_check(self, tmp_path, capsys, monkeypatch):
         # at this tolerance every eigenvalue of a random n = 3 point counts as one
         # degenerate triple; the suite used to die with a traceback
+        monkeypatch.setattr(spectral, "DEGENERACY_TOL", 0.9)
         out = tmp_path / "r.json"
         code = main(["verify", "--n", "3", "--points", "10", "--suite", "quick",
-                     "--tol.degeneracy", "0.9", "--out", str(out)])
+                     "--out", str(out)])
         assert code == 1
         assert "Traceback" not in capsys.readouterr().err
         record = next(r for r in json.loads(out.read_text())["results"]
@@ -175,25 +158,24 @@ class TestVerifyCommand:
             "TripleDegeneracyError: eigenvalues 0..2 all within 3.102e+00; "
             "check the degeneracy tolerance and the input matrix")
 
-    def test_failing_sigma1_checks_name_what_broke(self, tmp_path):
-        # each used to fold its terms into one max and fail with an empty detail
-        out = tmp_path / "r.json"
-        main(["verify", "--n", "3", "--points", "10", "--suite", "quick",
-              "--tol.degeneracy", "0.9", "--out", str(out), "--no-timing"])
-        records = {r["id"]: r for r in json.loads(out.read_text())["results"]}
-        corank, transverse = records["corank_sigma1[n=3]"], records["transverse_structure[n=3]"]
-        assert corank["status"] == transverse["status"] == "fail"
-        assert corank["detail"] == ("even:1: corank 1 != nu + nubar = 2; "
-                                    "odd:1: corank 1 != nu + nubar = 2")
-        reasons = transverse["detail"].split("; ")
+    def test_failing_sigma1_checks_name_what_broke(self, monkeypatch):
+        # each used to fold its terms into one max and fail with an empty detail;
+        # the points are found at the default tolerance, then checked at a huge one
+        sample = Sample(3)
+        assert len(sample.sigma1[0]) == 2
+        monkeypatch.setattr(spectral, "DEGENERACY_TOL", 0.9)
+        corank, transverse = (next(c for c in CHECKS if c.name == name).run(sample)
+                              for name in ("corank_sigma1", "transverse_structure"))
+        assert corank.status == transverse.status == "fail"
+        assert corank.detail == ("even:1: corank 1 != nu + nubar = 2; "
+                                 "odd:1: corank 1 != nu + nubar = 2")
+        reasons = transverse.detail.split("; ")
         assert "odd:1: pairing m-dependence 8.637e-03" in reasons
         assert all(r.startswith(("even:1: ", "odd:1: ")) for r in reasons)
 
-    def test_huge_rank_tol_inconclusive_exit_zero(self, capsys):
-        code = main([
-            "verify", "--n", "2", "--points", "10", "--suite", "quick",
-            "--tol.rank", "0.5",
-        ])
+    def test_huge_rank_tol_inconclusive_exit_zero(self, capsys, monkeypatch):
+        monkeypatch.setattr(singularity, "RANK_TOL", 0.5)
+        code = main(["verify", "--n", "2", "--points", "10", "--suite", "quick"])
         assert code == 0
         assert "inconclusive" in capsys.readouterr().out
 
@@ -218,8 +200,10 @@ class TestVerifyCommand:
         ([], '{"n_values": [2, false], "suite": "quick"}', "n_values"),
         ([], '{"rank_tol": true}', "rank_tol"),
         ([], '{"degeneracy_tol": "1e-8"}', "degeneracy_tol"),
-        (["--tol.ode", "inf"], None, "ode_rtol"),
-        (["--tol.ode", "1e-20"], None, "ode_rtol"),
+        ([], '{"bracket_tol": 1e-7}', "bracket_tol"),
+        ([], '{"ode_rtol": 1e-11}', "ode_rtol"),
+        ([], '[1, 2]', "must hold a JSON object, got list"),
+        (["--n", "2"], '"n_values"', "must hold a JSON object, got str"),
     ])
     def test_bad_config_exit_two_before_any_check(self, tmp_path, capsys, args, config, name):
         if config is not None:
@@ -230,6 +214,8 @@ class TestVerifyCommand:
         assert main(["verify", *args, "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("config error:") and name in captured.err
+        keys = set(json.loads(config)) if config else set()
+        assert ("unknown config keys" in captured.err) == bool(CONSTANT_KEYS & keys)
         assert captured.out == "" and not out.exists()
 
     def test_config_file_with_overrides(self, tmp_path):
@@ -393,6 +379,13 @@ class TestMaslovCommand:
         assert main(["maslov", str(spec_path)]) == 1
         assert capsys.readouterr().err.startswith("error: eigenvalues 0..2")
 
+    def test_curve_spec_must_be_an_object(self, tmp_path, capsys):
+        # a JSON list used to end in a traceback
+        spec_path = tmp_path / "list.json"
+        spec_path.write_text("[]")
+        assert main(["maslov", str(spec_path)]) == 2
+        assert "must hold a JSON object, got list" in capsys.readouterr().err
+
     def test_unknown_curve_type(self, tmp_path):
         spec_path = tmp_path / "odd.json"
         spec_path.write_text(json.dumps({"type": "spiral"}))
@@ -482,6 +475,10 @@ INTEGRATE = ["integrate", "--q", "0.1,-0.1", "--p", "0.0,0.0", "--c", "0,1", "--
     ["maslov", "curve.json", "--n", "3"],
     ["maslov", "curve.json", "--tol.degeneracy", "1e-6"],
     ["verify", "--n", "2", "--rtol", "1e-9"],
+    ["verify", "--n", "2", "--tol.degeneracy", "1e-8"],
+    ["verify", "--n", "2", "--tol.rank", "1e-7"],
+    ["verify", "--n", "2", "--tol.bracket", "1e-7"],
+    ["verify", "--n", "2", "--tol.ode", "1e-11"],
 ], ids=lambda argv: f"{argv[0]}-{argv[-2]}")
 def test_options_a_subcommand_does_not_read_are_usage_errors(tmp_path, capsys, argv):
     # integrate --tol.ode 1e-3 used to be accepted and ignored
@@ -491,6 +488,18 @@ def test_options_a_subcommand_does_not_read_are_usage_errors(tmp_path, capsys, a
     assert exc.value.code == 2
     assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_readme_lists_the_verify_flags():
+    # the README's flag list and the parser name the same options, so the docs cannot drift
+    parser = cli._parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {s for a in subparsers.choices["verify"]._actions for s in a.option_strings
+               if s.startswith("--")} - {"--help"}
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    start = readme.index("The flags of `todalax verify` are ")
+    sentence = readme[start:re.search(r"\.\s", readme[start:]).end() + start]
+    assert set(re.findall(r"`(--[\w.-]+)`", sentence)) == options
 
 
 def test_integrate_requires_out(capsys):
@@ -549,7 +558,7 @@ def test_stacked_checks_build_no_per_point_objects(monkeypatch):
     assert {c.name for c in CHECKS if c.sizes is None} >= set(STACKED)
     for check in CHECKS:
         if check.name in STACKED:
-            assert check.run(sample, RunConfig()).status == "pass"
+            assert check.run(sample).status == "pass"
 
 
 def test_stacked_checks_raise_the_phase_point_error_of_a_bad_row():
@@ -560,7 +569,7 @@ def test_stacked_checks_raise_the_phase_point_error_of_a_bad_row():
     for check in CHECKS:
         if check.name in STACKED:
             with pytest.raises(PhaseDomainError, match=f"^{re.escape(str(own.value))}$"):
-                check.run(Sample(4, q, p), RunConfig())
+                check.run(Sample(4, q, p))
 
 
 def test_suite_keeps_failure_reasons(monkeypatch):
@@ -570,8 +579,8 @@ def test_suite_keeps_failure_reasons(monkeypatch):
         raise ConvergenceError("planted")
 
     monkeypatch.setattr(verify, "find_singular", planted)
-    report = run_suite(RunConfig(n_values=[2, 3], num_points=10, suite="quick",
-                                 flow_t_final=1.0))
+    monkeypatch.setattr(verify, "FLOW_T_FINAL", 1.0)
+    report = run_suite(RunConfig(n_values=[2, 3], num_points=10, suite="quick"))
     by_id = {r.check_id: r for r in report.records}
     for check_id in ("sigma1_components[n=3]", "holonomy_omega_line[n=2]",
                      "maslov_theorem[n=3]"):
@@ -607,7 +616,7 @@ def test_loop_checks_read_their_singular_point_from_sigma1(monkeypatch):
     for name, expected in (("maslov_theorem", 1), ("holonomy_omega_line", 0)):
         calls.clear()
         check = next(c for c in CHECKS if c.name == name)
-        assert check.run(samples[name], RunConfig()).status == "pass"
+        assert check.run(samples[name]).status == "pass"
         assert len(calls) == expected, name
 
 
@@ -625,7 +634,7 @@ def test_failing_maslov_theorem_names_the_loop_and_statement(monkeypatch):
                         lambda disks: maslov.EnclosureReport(-2, (1, 1), -4))
     check = next(c for c in CHECKS if c.name == "maslov_theorem")
     centre = PhasePoint(np.array([0.5, -0.2, 0.1]), np.array([0.3, 0.9, -0.4]))
-    record = check.run(Sample(3, centres=(centre,)), RunConfig())
+    record = check.run(Sample(3, centres=(centre,)))
     assert record.status == "fail"
     assert record.detail.split("; ") == [
         "pair loop odd:1: agree False, mu 0",
@@ -639,7 +648,7 @@ def test_failing_holonomy_omega_line_names_the_statement(monkeypatch):
     monkeypatch.setattr(verify, "check_holonomy_theorem",
                         lambda curve: _holonomy_report(2, [1.0, 1.0], [-1.0, 1.0]))
     check = next(c for c in CHECKS if c.name == "holonomy_omega_line")
-    record = check.run(Sample(2), RunConfig())
+    record = check.run(Sample(2))
     assert record.status == "fail"
     assert record.detail.split("; ") == [
         "omega-line loop odd:1: agree False, mu 2",
@@ -648,8 +657,9 @@ def test_failing_holonomy_omega_line_names_the_statement(monkeypatch):
     ]
 
 
-def test_suite_runs_inconclusive_band(tmp_path):
+def test_suite_runs_inconclusive_band(monkeypatch):
     # an absurd rank tolerance turns corank checks inconclusive, not failed
-    report = run_suite(RunConfig(n_values=[2], num_points=10, suite="quick", rank_tol=0.5))
+    monkeypatch.setattr(singularity, "RANK_TOL", 0.5)
+    report = run_suite(RunConfig(n_values=[2], num_points=10, suite="quick"))
     assert not report.failures
     assert report.inconclusive

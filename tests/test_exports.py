@@ -84,14 +84,7 @@ def test_settable_values_are_pinned():
         "maslov.DiskSpec.orientation",
         "maslov.DiskSpec.radius",
         "maslov.maslov_index(frame_fn)",
-        "singularity.bracket_relations_check(degeneracy_tol)",
-        "singularity.corank(degeneracy_tol)",
-        "singularity.corank(rank_tol)",
-        "singularity.hessian_structure_check(degeneracy_tol)",
         "singularity.omega_point(p0)",
         "singularity.omega_point(q0)",
         "singularity.perturbed_seed(eps)",
-        "singularity.tangent_symplectic_check(degeneracy_tol)",
-        "spectral.decompose(degeneracy_tol)",
-        "spectral.spectra(degeneracy_tol)",
     ]

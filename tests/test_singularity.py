@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from todalax import singularity, spectral
 from todalax.lax import PhasePoint, SignVector, _couplings, build_lax
 from todalax.spectral import (
     TripleDegeneracyError,
@@ -33,17 +34,16 @@ from todalax.singularity import (
     transverse_frequency,
 )
 from todalax.verify import (
+    BRACKET_TOL,
     CHECKS,
     M_INDEPENDENCE_TOL,
     RATIO_TOL,
     TANGENT_TOL,
-    RunConfig,
     Sample,
     random_points,
 )
 
 # the registry's bounds, which decide pass or fail
-BRACKET_TOL = RunConfig().bracket_tol
 TRANSVERSE_TOL = next(c.tolerance for c in CHECKS if c.name == "transverse_structure")
 
 
@@ -103,14 +103,6 @@ class TestCorank:
         for c in rep.null_basis:
             assert np.linalg.norm(c @ dF) < 1e-10 * rep.singular_values[0]
 
-    def test_json_round_trip(self):
-        import json
-
-        rep = corank(omega_point(3).z)
-        data = json.loads(json.dumps(rep.to_json_dict()))
-        assert data["corank"] == 2
-        assert [float(s) for s in data["singular_values"]][0] > 0
-
 
 def _rows(points):
     """Couplings and momenta of the points as stacked rows (N, n)."""
@@ -137,11 +129,12 @@ class TestStackedRows:
 
     @pytest.mark.parametrize("rank_tol", [RANK_TOL, 0.5])
     @pytest.mark.parametrize("n", range(2, 9))
-    def test_corank_rows(self, n, rank_tol):
+    def test_corank_rows(self, n, rank_tol, monkeypatch):
         points = _mixed_stack(n)
-        s, k, band, nu, nubar = _corank_stack(*_rows(points), rank_tol, 1e-8)
+        monkeypatch.setattr(singularity, "RANK_TOL", rank_tol)
+        s, k, band, nu, nubar = _corank_stack(*_rows(points))
         for r, z in enumerate(points):
-            ref = corank(z, rank_tol)
+            ref = corank(z)
             assert np.array_equal(s[r], ref.singular_values)
             assert (k[r], nu[r], nubar[r], band[r]) == (
                 ref.corank, ref.nu, ref.nubar, ref.inconclusive)
@@ -152,7 +145,7 @@ class TestStackedRows:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_interlacing_rows(self, n):
         points = _mixed_stack(n)
-        (lam, _), (bar, _) = _spectra_stack(*_rows(points), 1e-8)
+        (lam, _), (bar, _) = _spectra_stack(*_rows(points))
         drop, bad = _interlacing_stack(lam, bar)
         strict = _chain_links(n)[3] > 0
         for r, z in enumerate(points):
@@ -168,43 +161,44 @@ class TestStackErrors:
     """A failing row raises the error the per-point loop meets first."""
 
     @staticmethod
-    def _failing_stack(tol):
-        # rows of one draw sorted by what corank(z, RANK_TOL, tol) raises at them
+    def _failing_stack(monkeypatch, tol):
+        # rows of one draw sorted by what corank(z) raises at them at this degeneracy tolerance
+        monkeypatch.setattr(spectral, "DEGENERACY_TOL", tol)
         q, p = random_points(np.random.default_rng(4), 3, 40)
         good, bad = [], []
         for qr, pr in zip(q, p):
             z = PhasePoint(qr, pr)
             try:
-                corank(z, RANK_TOL, tol)
+                corank(z)
                 good.append(z)
             except TripleDegeneracyError as exc:
                 bad.append((z, str(exc)))
         return good, bad
 
     @pytest.mark.parametrize("tol", [0.7, 0.9])
-    def test_lowest_failing_row_raises(self, tol):
-        good, bad = self._failing_stack(tol)
+    def test_lowest_failing_row_raises(self, tol, monkeypatch):
+        good, bad = self._failing_stack(monkeypatch, tol)
         (z3, message3), (z7, message7) = bad[:2]
         assert message3 != message7
         points = good[:3] + [z3] + good[3:6] + [z7] + good[6:9]
         with pytest.raises(TripleDegeneracyError, match=f"^{re.escape(message3)}$"):
-            _corank_stack(*_rows(points), RANK_TOL, tol)
+            _corank_stack(*_rows(points))
         with pytest.raises(TripleDegeneracyError, match=f"^{re.escape(message3)}$"):
-            _spectra_stack(*_rows(points), tol)
+            _spectra_stack(*_rows(points))
 
-    def test_even_class_before_odd(self):
+    def test_even_class_before_odd(self, monkeypatch):
         # a point whose two classes both hold a triple raises the even one's
-        _, bad = self._failing_stack(0.9)
+        _, bad = self._failing_stack(monkeypatch, 0.9)
         z, message = bad[0]
         signs = (SignVector.even(3), SignVector.odd(3))
         own = []
         for sign in signs:
             with pytest.raises(TripleDegeneracyError) as exc:
-                decompose(build_lax(z, sign), 0.9)
+                decompose(build_lax(z, sign))
             own.append(str(exc.value))
         assert message == own[0] != own[1]
         with pytest.raises(TripleDegeneracyError, match=f"^{re.escape(own[0])}$"):
-            _spectra_stack(*_rows([z]), 0.9)
+            _spectra_stack(*_rows([z]))
 
 
 class TestOmegaPoint:

@@ -164,8 +164,7 @@ class TestDecomposeStack:
         points.insert(16, sp.z)
         for sign in (SignVector.even(n), SignVector.odd(n)):
             mats = [build_lax(z, sign) for z in points]
-            vals, vecs, gaps, pairs, errors = _decompose_stack(
-                np.array([L.entries for L in mats]), 1e-8)
+            vals, vecs, gaps, pairs, errors = _decompose_stack(np.array([L.entries for L in mats]))
             assert errors == {}
             for r, L in enumerate(mats):
                 ref = decompose(L)
@@ -180,7 +179,7 @@ class TestDecomposeStack:
         good = build_lax(random_point(rng, 4)).entries
         triple = np.diag([1.0, 1.0, 1.0, 0.0])
         stack = np.array([good, triple, np.full((4, 4), np.inf), good])
-        vals, vecs, _, _, errors = _decompose_stack(stack, 1e-8)
+        vals, vecs, _, _, errors = _decompose_stack(stack)
         assert sorted(errors) == [1, 2]
         with pytest.raises(TripleDegeneracyError) as triple_error:
             decompose(triple)
