@@ -22,9 +22,10 @@ from .lax import (
     Q_GAP_LIMIT,
     PhasePoint,
     SignVector,
+    _class_signs,
     _cyclic,
     _generator,
-    _lax_entries,
+    _lax,
     _require_index,
     _traces,
 )
@@ -79,7 +80,7 @@ def _gradients(b: np.ndarray, p: np.ndarray, j: int) -> tuple[np.ndarray, np.nda
     Both are contiguous arrays of their own: _brackets' matmuls of strided
     rows would not round as np.dot does.
     """
-    L = _lax_entries(b, p, SignVector.even(b.shape[-1]).eps)
+    L = _lax(b, p, SignVector.even(b.shape[-1]).eps)
     dq, dp = _grad_from_power(np.linalg.matrix_power(L, j - 1), b)
     return dq, dp.copy()
 
@@ -99,7 +100,7 @@ def _trace_gradients(b: np.ndarray, p: np.ndarray) -> np.ndarray:
     matrix_power's binary decomposition of exponents >= 4 rounds differently.
     """
     m, n = b.shape
-    L = _lax_entries(b, p, SignVector.even(n).eps)
+    L = _lax(b, p, SignVector.even(n).eps)
     powers = np.empty((m, n, n, n))
     powers[:, 0] = np.eye(n)
     for k in range(1, n):
@@ -202,19 +203,21 @@ def _lax_residuals(b: np.ndarray, p: np.ndarray, j: int, odd_class: bool) -> np.
     """lax_residual of stacked rows (see lax._off_band): shape (N,).
 
     The gradient of F_j comes from L^(j-1); the even class's generator from
-    Lbar^(j-1), the odd class's from L^(j-1).
+    Lbar^(j-1), the odd class's from L^(j-1).  Both classes are built at
+    once, and the even class raises both to the power j - 1 in one call.
     """
     n = b.shape[-1]
-    even, odd = SignVector.even(n).eps, SignVector.odd(n).eps
-    L_even, L_odd = _lax_entries(b, p, even), _lax_entries(b, p, odd)
-    grad_power = np.linalg.matrix_power(L_even, j - 1)
-    dq, dp = _grad_from_power(grad_power, b)
+    pair = _lax(b, p)
     if odd_class:
-        L, eps, M = L_odd, odd, _generator(grad_power)
+        grad_power = np.linalg.matrix_power(pair[:, 0], j - 1)
+        M = _generator(grad_power)
     else:
-        L, eps, M = L_even, even, _generator(np.linalg.matrix_power(L_odd, j - 1))
+        powers = np.linalg.matrix_power(pair, j - 1)
+        grad_power, M = powers[:, 0], _generator(powers[:, 1])
+    dq, dp = _grad_from_power(grad_power, b)
+    L, eps = pair[:, int(odd_class)], _class_signs(n)[int(odd_class)]
     weight = 0.5 * (b * eps) * (dp - dp.take(_cyclic(n).nxt, axis=-1))
-    bracket = _lax_entries(weight, -dq, even)
+    bracket = _lax(weight, -dq, SignVector.even(n).eps)
     return np.max(np.abs(bracket - (L @ M - M @ L)), axis=(-2, -1))
 
 

@@ -9,9 +9,11 @@ antisymmetric generators of the higher flows, the conserved traces
 F_j = Tr(L^j)/j, and the structural identities that relate L and Lbar
 (off-banded powers, trace gap, constant characteristic-polynomial offset).
 
-All indices are periodic with period n; the n = 2 corner case, where the
-superdiagonal and the periodic corner coincide, is handled by accumulating
-the index-form sums mod n instead of special-casing.
+All indices are periodic with period n.  Every Lax matrix comes from one
+gather: a cached index map takes each entry from the row (0, p, eps b of
+each class), so both classes of a stack of points are built in one call.
+For n = 2, where the superdiagonal and the periodic corner coincide, the
+two couplings of each class are summed before the gather.
 """
 
 from __future__ import annotations
@@ -193,26 +195,52 @@ def _couplings(q: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.exp(0.5 * gaps)
 
 
-def _lax_entries(b: np.ndarray, p: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    """Lax matrices of stacked rows b, p of shape (..., n): shape (..., n, n).
+@lru_cache(maxsize=None)
+def _class_signs(n: int) -> np.ndarray:
+    """Read-only sign rows (2, n) of the two classes, even then odd."""
+    out = np.stack([SignVector.even(n).eps, SignVector.odd(n).eps])
+    out.setflags(write=False)
+    return out
 
-    The entry (r, r + 1) and its mirror accumulate eps_r b_r; for n = 2
-    they coincide and hold eps_1 b_1 + eps_2 b_2.
+
+@lru_cache(maxsize=None)
+def _gather(n: int, classes: tuple[int, ...]) -> np.ndarray:
+    """Read-only index map of _lax, of shape classes + (n, n).
+
+    classes is () for one sign row and (k,) for k of them.  Entry (r, r)
+    reads p_r at 1 + r of the row (0, p, w_1, ..., w_k), entries (r, r + 1)
+    and (r + 1, r) of class c read w_c[r], every other entry the leading 0.
+    """
+    k = math.prod(classes)
+    r, nxt = np.arange(n), _cyclic(n).nxt
+    w = 1 + n * (1 + np.arange(k)[:, None]) + r
+    out = np.zeros((k, n, n), dtype=np.intp)
+    out[:, r, r] = 1 + r
+    out[:, r, nxt] = w
+    out[:, nxt, r] = w
+    out = out.reshape(classes + (n, n))
+    out.setflags(write=False)
+    return out
+
+
+def _lax(b: np.ndarray, p: np.ndarray, eps: np.ndarray | None = None) -> np.ndarray:
+    """Lax matrices of stacked rows b, p of shape (..., n), one per sign row of eps.
+
+    eps of shape (n,) gives (..., n, n), eps of shape (k, n) gives
+    (..., k, n, n); without eps both classes, even then odd: (..., 2, n, n).
+    One take gathers every entry through _gather's map.  For n = 2 the
+    entries (1, 2) and (2, 1) both hold eps_1 b_1 + eps_2 b_2, summed
+    before the gather.
     """
     n = b.shape[-1]
-    ix = _cyclic(n)
-    w = eps * b
-    m = np.zeros(b.shape[:-1] + (n * n,))
-    m[..., ix.diag] = p
-    m[..., ix.upper] = w
-    m[..., ix.lower] += w
-    return m.reshape(b.shape + (n,))
-
-
-def _lax_pair(b: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """L and Lbar of stacked couplings and momenta of shape (..., n)."""
-    n = b.shape[-1]
-    return _lax_entries(b, p, SignVector.even(n).eps), _lax_entries(b, p, SignVector.odd(n).eps)
+    if eps is None:
+        eps = _class_signs(n)
+    w = b[..., None, :] * eps
+    if n == 2:
+        w = w + w[..., ::-1]
+    lead = b.shape[:-1]
+    row = np.concatenate((np.zeros(lead + (1,)), p, w.reshape(lead + (-1,))), axis=-1)
+    return row.take(_gather(n, eps.shape[:-1]), axis=-1)
 
 
 def _is_int(value) -> bool:
@@ -231,20 +259,29 @@ def build_lax(z: PhasePoint, eps: SignVector | None = None) -> LaxMatrix:
     """Build the Lax matrix with diagonal p and cyclic off-diagonal eps_r b_r.
 
     With all signs +1 this is the even representative L; with
-    eps = (1, ..., 1, -1) the odd representative Lbar.  Opposite cyclic
-    neighbours are accumulated mod n, so for n = 2 the (1,2) entry carries
+    eps = (1, ..., 1, -1) the odd representative Lbar.  The entries are
+    gathered from the row (0, p, eps b); for n = 2, where the superdiagonal
+    and the periodic corner coincide, the (1,2) and (2,1) entries carry
     b_1 + eps_2 b_2.
     """
     if eps is None:
         eps = SignVector.even(z.n)
     if eps.n != z.n:
         raise ValueError(f"sign vector length {eps.n} != particle count {z.n}")
-    return LaxMatrix(_lax_entries(z.couplings(), z.p, eps.eps), eps)
+    return LaxMatrix(_lax(z.couplings(), z.p, eps.eps), eps)
+
+
+@lru_cache(maxsize=None)
+def _strict_upper(n: int) -> np.ndarray:
+    """Read-only boolean mask of the entries (r, s), r < s, of an n x n matrix."""
+    out = np.triu(np.ones((n, n), dtype=bool), k=1)
+    out.setflags(write=False)
+    return out
 
 
 def _generator(power: np.ndarray) -> np.ndarray:
     """Antisymmetric matrix from the strict upper triangle of power / 2; stacks too."""
-    upper = 0.5 * np.triu(power, k=1)
+    upper = np.where(_strict_upper(power.shape[-1]), 0.5 * power, 0.0)
     return upper - np.swapaxes(upper, -1, -2)
 
 
@@ -265,7 +302,7 @@ def build_generator(z: PhasePoint, j: int, odd_class: bool = False) -> Generator
 def _traces(q: np.ndarray, p: np.ndarray) -> np.ndarray:
     """F_j = Tr(L^j)/j, j = 1..n, of stacked rows q, p of shape (..., n)."""
     n = q.shape[-1]
-    L = _lax_entries(_couplings(q, p), p, np.ones(n))
+    L = _lax(_couplings(q, p), p, SignVector.even(n).eps)
     out = np.empty(q.shape)
     power = np.eye(n)
     for j in range(1, n + 1):
@@ -338,10 +375,11 @@ def _off_band(b: np.ndarray, p: np.ndarray, j: int) -> tuple[np.ndarray, np.ndar
     Two arrays of shape (N,); see off_band_check for their definitions.
     """
     n = b.shape[-1]
-    L, Lbar = _lax_pair(b, p)
-    D = (np.linalg.matrix_power(L, j) - np.linalg.matrix_power(Lbar, j)).reshape(-1, n * n)
+    pair = _lax(b, p)
+    powers = np.linalg.matrix_power(pair, j)
+    D = (powers[:, 0] - powers[:, 1]).reshape(-1, n * n)
     # ||L||_2 is the largest singular value, the first that svd lists
-    scale = np.maximum(np.linalg.svd(L, compute_uv=False)[:, 0], 1.0) ** j
+    scale = np.maximum(np.linalg.svd(pair[:, 0], compute_uv=False)[:, 0], 1.0) ** j
     zeros, first, products = _band(n, j)
     zero_residual = np.max(np.abs(D[:, zeros]), axis=-1, initial=0.0) / scale
     expected = 4.0 if j == n else 2.0 * np.prod(b[:, products], axis=-1)
@@ -356,14 +394,13 @@ def _trace_gaps(b: np.ndarray, p: np.ndarray) -> np.ndarray:
     1, |Tr L^j|, |Tr Lbar^j| and the target.
     """
     n = b.shape[-1]
-    L, Lbar = _lax_pair(b, p)
+    pair = _lax(b, p)
     out = np.empty(b.shape)
-    PL, PB = L, Lbar
+    power = pair
     for j in range(1, n + 1):
         if j > 1:
-            PL, PB = PL @ L, PB @ Lbar
-        tl = np.trace(PL, axis1=-2, axis2=-1)
-        tb = np.trace(PB, axis1=-2, axis2=-1)
+            power = power @ pair
+        tl, tb = np.trace(power, axis1=-2, axis2=-1).T
         target = 4.0 * n if j == n else 0.0
         scale = np.maximum(np.maximum(np.abs(tl), np.abs(tb)), max(1.0, target))
         out[:, j - 1] = np.abs(tl - tb - target) / scale
@@ -381,9 +418,8 @@ def _char_poly(b: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     classes and every grid value.
     """
     n = b.shape[-1]
-    L, Lbar = _lax_pair(b, p)
     xI = _CHAR_POLY_GRID[:, None, None] * np.eye(n)
-    dets = np.linalg.det(xI - np.stack([L, Lbar], axis=1)[:, :, None])
+    dets = np.linalg.det(xI - _lax(b, p)[:, :, None])
     diffs = dets[:, 0] - dets[:, 1]
     constant = np.mean(diffs, axis=-1)
     return constant, np.max(np.abs(diffs - constant[:, None]), axis=-1)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable
 import numpy as np
 
-from .lax import PhasePoint, _couplings, _is_int, _lax_pair
+from .lax import PhasePoint, _couplings, _is_int, _lax
 from .dynamics import _trace_gradients
 from .spectral import DEGENERACY_TOL, _decompose_stack, _flag_gaps, _solve_rows, spectra
 from .singularity import (
@@ -259,7 +259,7 @@ def _lax_classes(points: list[PhasePoint]) -> tuple[np.ndarray, np.ndarray, np.n
     """
     q, p = np.array([z.q for z in points]), np.array([z.p for z in points])
     b = _couplings(q, p)
-    return b, p, np.concatenate(_lax_pair(b, p))
+    return b, p, np.moveaxis(_lax(b, p), -3, 0).reshape(-1, b.shape[1], b.shape[1])
 
 
 def _sample_errors(rows: list, ts, values: np.ndarray, gaps: np.ndarray,

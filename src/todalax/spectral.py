@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 import numpy as np
 
-from .lax import LaxMatrix, PhasePoint, SignVector, _lax_pair, build_lax
+from .lax import LaxMatrix, PhasePoint, SignVector, _lax, build_lax
 
 __all__ = [
     "TripleDegeneracyError",
@@ -316,7 +316,7 @@ def _spectra_stack(b: np.ndarray, p: np.ndarray) -> tuple[
     lowest row first and the even class before the odd.
     """
     out, errors = [], {}
-    for entries in _lax_pair(b, p):
+    for entries in np.moveaxis(_lax(b, p), -3, 0):
         vals, _, _, pairs, errs = _decompose_stack(entries)
         out.append((vals, pairs))
         for r, exc in errs.items():

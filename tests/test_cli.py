@@ -218,6 +218,25 @@ class TestVerifyCommand:
         assert ("unknown config keys" in captured.err) == bool(CONSTANT_KEYS & keys)
         assert captured.out == "" and not out.exists()
 
+    @pytest.mark.parametrize("out", ["5", "true"])
+    def test_non_string_out_is_config_error(self, tmp_path, out):
+        # 5 was opened as file descriptor 5 after the whole suite ran, and true
+        # wrote the report onto stdout and closed it; a fresh process keeps
+        # the test runner's own descriptors out of reach
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"n_values": [2], "suite": "quick", "num_points": 10, "out": {out}}}')
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        script = ("import sys\nfrom todalax.cli import main\ncode = main(sys.argv[1:])\n"
+                  "print('stdout open')\nsys.exit(code)")
+        run = subprocess.run([sys.executable, "-c", script, "verify", "--config", str(cfg)],
+                             capture_output=True, text=True, env=env, cwd=tmp_path)
+        assert run.returncode == 2
+        assert run.stderr.startswith("config error: out must be a path string or null")
+        assert run.stdout == "stdout open\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
     def test_config_file_with_overrides(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n_values": [2], "num_points": 10, "suite": "quick"}))

@@ -18,9 +18,13 @@ from todalax.lax import (
     trace_relation_check,
     _char_poly,
     _couplings,
+    _gather,
+    _generator,
+    _lax,
     _off_band,
     _trace_gaps,
 )
+from todalax.dynamics import lax_residual
 from todalax.verify import CHECKS
 
 # the registry's bounds, which decide pass or fail
@@ -479,3 +483,146 @@ class TestStackedKernels:
             PhasePoint(q[3], p[3])
         with pytest.raises(PhaseDomainError, match=f"^{re.escape(str(own.value))}$"):
             _couplings(q, p)
+
+
+# -- the one-gather builder and the kernels on its stacked pair ---------------
+
+
+def _entry_loop(b, p, eps):
+    # one row, entry by entry: the diagonal, then each coupling added to its two places
+    n = b.size
+    m = np.zeros((n, n))
+    m[np.arange(n), np.arange(n)] = p
+    for r in range(n):
+        s = (r + 1) % n
+        m[r, s] += eps[r] * b[r]
+        m[s, r] += eps[r] * b[r]
+    return m
+
+
+def _class_rows(n):
+    return np.stack([SignVector.even(n).eps, SignVector.odd(n).eps])
+
+
+def _per_class_generator(power):
+    upper = 0.5 * np.triu(power, k=1)
+    return upper - np.swapaxes(upper, -1, -2)
+
+
+class TestLaxBuilder:
+    """_lax gathers what an entry-by-entry fill computes, bit for bit, at every n and stack shape."""
+
+    @pytest.mark.parametrize("lead", [(), (1,), (7,)], ids=["row", "one-row stack", "stack"])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_the_entry_loop(self, n, lead):
+        rng = np.random.default_rng(800 + n)
+        b, p = np.exp(rng.standard_normal(lead + (n,))), rng.standard_normal(lead + (n,))
+        signs = np.concatenate([_class_rows(n), rng.choice([-1.0, 1.0], size=(3, n))])
+        rows_b, rows_p = b.reshape(-1, n), p.reshape(-1, n)
+        for eps in signs:
+            got = _lax(b, p, eps)
+            assert got.shape == lead + (n, n)
+            want = [_entry_loop(rb, rp, eps) for rb, rp in zip(rows_b, rows_p)]
+            assert np.array_equal(got.reshape(-1, n, n), want)
+        several = _lax(b, p, signs)
+        assert several.shape == lead + (len(signs), n, n)
+        assert np.array_equal(several, np.stack([_lax(b, p, eps) for eps in signs], axis=-3))
+
+    @pytest.mark.parametrize("lead", [(), (1,), (7,)], ids=["row", "one-row stack", "stack"])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_pair_is_two_single_class_builds(self, n, lead):
+        rng = np.random.default_rng(900 + n)
+        b, p = np.exp(rng.standard_normal(lead + (n,))), rng.standard_normal(lead + (n,))
+        pair = _lax(b, p)
+        assert pair.shape == lead + (2, n, n)
+        assert np.array_equal(pair[..., 0, :, :], _lax(b, p, SignVector.even(n).eps))
+        assert np.array_equal(pair[..., 1, :, :], _lax(b, p, SignVector.odd(n).eps))
+        z = PhasePoint(rng.standard_normal(n), rng.standard_normal(n))
+        assert np.array_equal(_lax(z.couplings(), z.p),
+                              [build_lax(z, SignVector.even(n)).entries,
+                               build_lax(z, SignVector.odd(n)).entries])
+
+    def test_index_maps_are_cached_and_read_only(self):
+        assert _gather(4, (2,)) is _gather(4, (2,))
+        assert _gather(4, (2,)).shape == (2, 4, 4) and _gather(4, ()).shape == (4, 4)
+        assert not _gather(4, (2,)).flags.writeable
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_generator_is_the_strict_upper_half_minus_its_transpose(self, n):
+        rng = np.random.default_rng(1000 + n)
+        for shape in [(n, n), (5, n, n), (5, 2, n, n)]:
+            power = rng.standard_normal(shape)
+            assert np.array_equal(_generator(power), _per_class_generator(power))
+
+
+def _per_class_off_band(b, p, j):
+    # each class raised to the power j on its own
+    n = b.size
+    L, Lbar = (_entry_loop(b, p, eps) for eps in _class_rows(n))
+    D = np.linalg.matrix_power(L, j) - np.linalg.matrix_power(Lbar, j)
+    scale = max(np.linalg.svd(L, compute_uv=False)[0], 1.0) ** j
+    rows, cols = np.indices((n, n))
+    zero_mask = np.abs(rows - cols) < n - j
+    zero = float(np.max(np.abs(D[zero_mask])) / scale) if zero_mask.any() else 0.0
+    diagonal = 0.0
+    for i in range(j):
+        expected = 4.0 if j == n else 2.0 * float(np.prod(b[(i - 1 - np.arange(j)) % n]))
+        diagonal = max(diagonal, abs(D[i, i + n - j] - expected) / max(abs(expected), 1e-300))
+    return zero, diagonal
+
+
+def _per_class_trace_gaps(b, p):
+    # one matmul per class and power
+    n = b.size
+    L, Lbar = (_entry_loop(b, p, eps) for eps in _class_rows(n))
+    out = np.empty(n)
+    PL, PB = L, Lbar
+    for j in range(1, n + 1):
+        if j > 1:
+            PL, PB = PL @ L, PB @ Lbar
+        target = 4.0 * n if j == n else 0.0
+        scale = max(1.0, abs(np.trace(PL)), abs(np.trace(PB)), target)
+        out[j - 1] = abs(np.trace(PL) - np.trace(PB) - target) / scale
+    return out
+
+
+def _per_class_lax_residual(b, p, j, odd_class):
+    # each class's power L^(j-1) or Lbar^(j-1) taken on its own
+    n = b.size
+    r = np.arange(n)
+    nxt, prv = (r + 1) % n, (r - 1) % n
+    even, odd = _class_rows(n)
+    L, Lbar = _entry_loop(b, p, even), _entry_loop(b, p, odd)
+    PL = np.linalg.matrix_power(L, j - 1)
+    M = _per_class_generator(PL if odd_class else np.linalg.matrix_power(Lbar, j - 1))
+    off = b * PL[r, nxt]
+    dq, dp = off - off[prv], np.diag(PL)
+    eps, A = (odd, Lbar) if odd_class else (even, L)
+    weight = 0.5 * (b * eps) * (dp - dp[nxt])
+    bracket = _entry_loop(weight, -dq, even)
+    return float(np.max(np.abs(bracket - (A @ M - M @ A))))
+
+
+class TestStackedPair:
+    """The kernels on the stacked pair equal the per-class formulas, bit for bit.
+
+    Every j up to n is covered, so exponents of 4 and more, where
+    matrix_power switches to binary squaring, are too.
+    """
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_checks_equal_the_per_class_formulas(self, n):
+        rng = np.random.default_rng(1100 + n)
+        for _ in range(4):
+            z = random_point(rng, n, scale=0.5)
+            b, p = z.couplings(), z.p
+            (L, Lbar) = (_entry_loop(b, p, eps) for eps in _class_rows(n))
+            assert np.array_equal(trace_relation_check(z).residuals, _per_class_trace_gaps(b, p))
+            for j in range(1, n + 1):
+                rep = off_band_check(z, j)
+                assert (rep.zero_residual, rep.diagonal_residual) == _per_class_off_band(b, p, j), j
+                for odd_class, source in ((False, Lbar), (True, L)):
+                    want = _per_class_generator(np.linalg.matrix_power(source, j - 1))
+                    assert np.array_equal(build_generator(z, j, odd_class).entries, want), j
+                    assert lax_residual(z, j, odd_class) == \
+                        _per_class_lax_residual(b, p, j, odd_class), (j, odd_class)
