@@ -124,21 +124,30 @@ def _seed(om, rest: list[PairTarget], eps: float) -> PhasePoint:
         raise ConfigError(f"--eps {eps}: {exc}") from exc
 
 
+def _point_from_spec(entry, what: str) -> PhasePoint:
+    if not isinstance(entry, dict):
+        raise ValueError(f"{what} must be an object with q and p, got {entry!r}")
+    return PhasePoint(np.asarray(entry["q"], float), np.asarray(entry["p"], float))
+
+
 def _curve_from_spec(spec: dict) -> ClosedCurve:
     kind = spec.get("type")
     if kind == "samples":
-        pts = [PhasePoint(np.asarray(p["q"], float), np.asarray(p["p"], float))
-               for p in spec["points"]]
-        return ClosedCurve.from_samples(pts)
+        points = spec["points"]
+        if not isinstance(points, list):
+            raise ValueError(f"points must be a list of points, got {points!r}")
+        return ClosedCurve.from_samples([_point_from_spec(p, f"point {k}")
+                                         for k, p in enumerate(points)])
     if kind == "circle":
-        center = PhasePoint(
-            np.asarray(spec["center"]["q"], float), np.asarray(spec["center"]["p"], float)
-        )
+        center = _point_from_spec(spec["center"], "center")
         target = PairTarget.parse(spec["pair"])
+        radius = spec.get("radius", 1e-2)
+        if isinstance(radius, bool) or not isinstance(radius, (int, float)):
+            raise ValueError(f"radius must be a number, got {radius!r}")
         return ClosedCurve.around_pair(
             center,
             target,
-            radius=float(spec.get("radius", 1e-2)),
+            radius=float(radius),
             initial_samples=spec.get("samples", 256),
             orientation=spec.get("orientation", 1),
         )
@@ -150,7 +159,7 @@ def cmd_maslov(args) -> int:
     try:
         try:
             curve = _curve_from_spec(spec)
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad curve spec: {exc}") from exc
         rep = check_holonomy_theorem(curve)
     except (*COMPUTATION_ERRORS, ValueError) as exc:

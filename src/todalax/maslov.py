@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable
 import numpy as np
 
-from .lax import PhasePoint, _couplings, _is_int, _lax
+from .lax import Q_GAP_LIMIT, PhaseDomainError, PhasePoint, _couplings, _cyclic, _is_int, _lax
 from .dynamics import _trace_gradients
 from .spectral import DEGENERACY_TOL, _decompose_stack, _flag_gaps, _solve_rows, spectra
 from .singularity import (
@@ -95,10 +95,17 @@ class ClosedCurve:
     ``point_at`` must satisfy point_at(0) = point_at(1).  Transport and
     winding computations start from ``initial_samples`` equal subintervals,
     an integer of at least 2, and subdivide adaptively.
+
+    The library's curves (``circle``, ``around_pair``, ``from_samples``,
+    ``oscillator_angle_loop`` and their ``reversed``) come from one stacked
+    map ts (m,) -> rows (m, 2n) of (q, p); their ``point_at`` is its
+    one-row view, and the walkers evaluate the map on whole stacks of t.
+    A caller's ``point_at`` is sampled one t at a time.
     """
 
     point_at: Callable[[float], PhasePoint]
     initial_samples: int = 256
+    _rows = None  # the stacked map of the library's curves; not a field
 
     def __post_init__(self):
         # a walk of fewer than two steps never leaves its start point
@@ -111,15 +118,29 @@ class ClosedCurve:
         if gap > 1e-12:
             raise ValueError(f"curve is not closed: endpoint mismatch {gap:.3e}")
 
+    @staticmethod
+    def _stacked(rows: Callable[[np.ndarray], np.ndarray], initial_samples) -> "ClosedCurve":
+        """The curve of the stacked map ``rows``; its point_at builds the one row of [t]."""
+        curve = ClosedCurve(lambda t: PhasePoint.from_vector(rows(np.array([t], float))[0]),
+                            initial_samples)
+        object.__setattr__(curve, "_rows", rows)
+        return curve
+
     def reversed(self) -> "ClosedCurve":
-        inner = self.point_at
-        return ClosedCurve(lambda t: inner(1.0 - t), self.initial_samples)
+        rows = self._rows
+        if rows is None:
+            inner = self.point_at
+            return ClosedCurve(lambda t: inner(1.0 - t), self.initial_samples)
+        return ClosedCurve._stacked(lambda ts: rows(1.0 - ts), self.initial_samples)
 
     @staticmethod
     def from_samples(points: list[PhasePoint], initial_samples: int | None = None) -> "ClosedCurve":
         """Piecewise-linear loop through the given points (last equals first)."""
         if len(points) < 3:
             raise ValueError("need at least three samples")
+        sizes = sorted({pt.n for pt in points})
+        if len(sizes) > 1:
+            raise ValueError(f"sample points must have one size n, got n = {sizes}")
         return _polyline(np.array([pt.as_vector() for pt in points]), initial_samples)
 
     @staticmethod
@@ -133,15 +154,8 @@ class ClosedCurve:
     ) -> "ClosedCurve":
         """The loop center + radius (cos(2 pi t) v1 + sin(2 pi t) v2), t -> orientation * t."""
         _require_orientation(orientation)
-        zc = center.as_vector()
-        v1 = np.asarray(v1, float)
-        v2 = np.asarray(v2, float)
-
-        def at(t: float) -> PhasePoint:
-            a = 2.0 * np.pi * t * orientation
-            return PhasePoint.from_vector(zc + radius * (np.cos(a) * v1 + np.sin(a) * v2))
-
-        return ClosedCurve(at, initial_samples)
+        return ClosedCurve._stacked(_circle(center.as_vector(), v1, v2, radius, orientation),
+                                    initial_samples)
 
     @staticmethod
     def around_pair(
@@ -157,6 +171,18 @@ class ClosedCurve:
         return ClosedCurve.circle(z, v1, v2, radius, initial_samples, orientation)
 
 
+def _circle(zc: np.ndarray, v1, v2, radius: float, orientation: int):
+    """The stacked map ts -> rows zc + radius (cos(a) v1 + sin(a) v2), a = 2 pi orientation t."""
+    v1 = np.asarray(v1, float)
+    v2 = np.asarray(v2, float)
+
+    def rows(ts: np.ndarray) -> np.ndarray:
+        a = (2.0 * np.pi * ts * orientation)[:, None]
+        return zc + radius * (np.cos(a) * v1 + np.sin(a) * v2)
+
+    return rows
+
+
 def _polyline(Z: np.ndarray, initial_samples: int | None = None) -> ClosedCurve:
     """The piecewise-linear loop through the rows of Z (m + 1, 2n), the last equal to the first."""
     closure = float(np.max(np.abs(Z[0] - Z[-1])))
@@ -164,32 +190,62 @@ def _polyline(Z: np.ndarray, initial_samples: int | None = None) -> ClosedCurve:
         raise ValueError(f"sample list does not close: gap {closure:.3e}")
     m = len(Z) - 1
 
-    def at(t: float) -> PhasePoint:
-        s = min(max(t, 0.0), 1.0) * m
-        k = min(int(np.floor(s)), m - 1)
-        w = s - k
-        return PhasePoint.from_vector((1.0 - w) * Z[k] + w * Z[k + 1])
+    def rows(ts: np.ndarray) -> np.ndarray:
+        s = np.minimum(np.maximum(ts, 0.0), 1.0) * m
+        k = np.minimum(np.floor(s).astype(int), m - 1)
+        w = (s - k)[:, None]
+        return (1.0 - w) * Z[k] + w * Z[k + 1]
 
-    return ClosedCurve(at, max(2 * m, 64) if initial_samples is None else initial_samples)
+    return ClosedCurve._stacked(rows, max(2 * m, 64) if initial_samples is None else initial_samples)
 
 
-_Observe = Callable[[np.ndarray, list[PhasePoint]], list]
+_Observe = Callable[[np.ndarray, np.ndarray, np.ndarray], list]
+
+
+def _samples(curve: ClosedCurve, ts: np.ndarray) -> tuple[np.ndarray, ValueError | None]:
+    """Rows (k, 2n) of (q, p) at ts up to the first sample off the phase space, and its error.
+
+    A library curve evaluates its stacked map once and tests every row at
+    once, as PhasePoint would; only the first failing row is built as a
+    PhasePoint, for its PhaseDomainError.  A caller's point_at is called
+    per t, up to the first ValueError it raises.  The error is None when
+    every sample is in.
+    """
+    if curve._rows is None:
+        rows, error = [], None
+        for t in ts:
+            try:
+                rows.append(curve.point_at(t).as_vector())
+            except ValueError as exc:
+                error = exc
+                break
+        return np.array(rows), error
+    rows = curve._rows(ts)
+    q = rows[:, :rows.shape[1] // 2]
+    inside = (np.isfinite(rows).all(axis=1)
+              & (np.abs(q - q[:, _cyclic(q.shape[1]).nxt]) <= Q_GAP_LIMIT).all(axis=1))
+    if not inside.all():
+        k = int(np.argmin(inside))
+        try:
+            PhasePoint.from_vector(rows[k])
+        except PhaseDomainError as exc:
+            return rows[:k], exc
+    return rows, None
 
 
 def _observe(curve: ClosedCurve, ts: np.ndarray, observe: _Observe) -> list:
-    """``observe`` at the samples point_at(t), t in ts: per t, the observation or its error.
+    """``observe`` at the samples of ts: per t, the observation or its error.
 
-    A point_at that raises a ValueError (a PhaseDomainError off the phase
-    space) ends the list with it, and the walk raises it when it reaches
+    A sample off the phase space (a ValueError, such as PhaseDomainError)
+    ends the list with its error, and the walk raises it when it reaches
     that t, as it would have raised it there alone.
     """
-    points = []
-    for t in ts:
-        try:
-            points.append(curve.point_at(t))
-        except ValueError as exc:
-            return (observe(ts[:len(points)], points) if points else []) + [exc]
-    return observe(ts, points)
+    rows, error = _samples(curve, ts)
+    obs = []
+    if len(rows):
+        n = rows.shape[1] // 2
+        obs = observe(ts[:len(rows)], rows[:, :n], rows[:, n:])
+    return obs if error is None else obs + [error]
 
 
 def _grid(curve: ClosedCurve, observe: _Observe):
@@ -208,11 +264,11 @@ def _walk(
     """Walk a closed curve from t = 0 to t = 1, bisecting rejected steps.
 
     The walk starts from ``curve.initial_samples`` equal steps.
-    ``observe(ts, zs)`` reads the walked quantity at a stack of samples, zs
-    the points ``curve.point_at(t)`` of ts: per sample, the observation, or
-    the exception it raises.  The grid of initial steps is observed in
-    stacks of GRID_CHUNK samples, a bisection midpoint as a stack of one;
-    an error comes out when the walk reaches its sample.
+    ``observe(ts, q, p)`` reads the walked quantity at a stack of samples,
+    q and p (m, n) the coordinates of the curve at ts: per sample, the
+    observation, or the exception it raises.  The grid of initial steps is
+    observed in stacks of GRID_CHUNK samples, a bisection midpoint as a
+    stack of one; an error comes out when the walk reaches its sample.
     ``advance(state, obs, t)`` returns ``(new_state, None)`` to accept the
     step to t or ``(None, reason)`` to reject it.  A rejected step is
     halved, down to a 1e-10 parameter step, and its observation is held
@@ -237,7 +293,7 @@ def _walk(
             if evaluations > MAX_EVALUATIONS:
                 raise TransportError(budget)
             if obs is None:
-                obs = observe([t_next], [curve.point_at(t_next)])[0]
+                obs = _observe(curve, np.array([t_next]), observe)[0]
             if isinstance(obs, Exception):
                 raise obs
             accepted, reason = advance(state, obs, t_next)
@@ -252,14 +308,13 @@ def _walk(
     return first, state
 
 
-def _lax_classes(points: list[PhasePoint]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Couplings and momenta (m, n) of the points, and their Lax matrices (2m, n, n).
+def _lax_classes(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Couplings (m, n) of stacked rows q, p (m, n), and their Lax matrices (2m, n, n).
 
     The m even-class matrices come first, then the m odd-class ones.
     """
-    q, p = np.array([z.q for z in points]), np.array([z.p for z in points])
     b = _couplings(q, p)
-    return b, p, np.moveaxis(_lax(b, p), -3, 0).reshape(-1, b.shape[1], b.shape[1])
+    return b, np.moveaxis(_lax(b, p), -3, 0).reshape(-1, b.shape[1], b.shape[1])
 
 
 def _sample_errors(rows: list, ts, values: np.ndarray, gaps: np.ndarray,
@@ -323,10 +378,10 @@ def transport_eigenvectors(curve: ClosedCurve) -> HolonomyResult:
                 return None, f"{cls} eigenvector {r} overlap {abs(ov[r]):.3f} <= {MIN_OVERLAP}"
         return tuple(W * np.sign(ov) for W, ov in zip(new, overlaps)), None
 
-    def observe(ts, points):
-        _, _, entries = _lax_classes(points)
+    def observe(ts, q, p):
+        _, entries = _lax_classes(q, p)
         values, vectors, gaps, _, errors = _decompose_stack(entries)
-        m = len(points)
+        m = len(q)
         rows = list(zip(vectors[:m], vectors[m:]))
         _sample_errors(rows, ts, values, gaps, errors)
         return rows
@@ -372,15 +427,15 @@ def oscillator_frame(z: PhasePoint) -> np.ndarray:
 def oscillator_angle_loop(n: int) -> ClosedCurve:
     """One period of the first oscillator's flow, the others held at (1, 0)."""
 
-    def at(t: float) -> PhasePoint:
-        q = np.ones(n)
-        p = np.zeros(n)
-        a = 2.0 * np.pi * t
-        q[0] = np.cos(a)
-        p[0] = -np.sin(a)
-        return PhasePoint(q, p)
+    def rows(ts: np.ndarray) -> np.ndarray:
+        z = np.zeros((len(ts), 2 * n))
+        z[:, :n] = 1.0
+        a = 2.0 * np.pi * ts
+        z[:, 0] = np.cos(a)
+        z[:, n] = -np.sin(a)
+        return z
 
-    return ClosedCurve(at, CALIBRATION_SAMPLES)
+    return ClosedCurve._stacked(rows, CALIBRATION_SAMPLES)
 
 
 @dataclass(frozen=True)
@@ -434,12 +489,12 @@ def maslov_index(
         trace.append((t, trace[-1][1] + step))
         return phi_next, None
 
-    def observe(ts, points):
+    def observe(ts, q, p):
         if frame_fn is not toda_frame:
-            phases, low = _frame_phase(np.array([frame_fn(z) for z in points]))
+            phases, low = _frame_phase(np.array([frame_fn(PhasePoint(*z)) for z in zip(q, p)]))
             rows = list(phases)
         else:  # the samples must be regular: both spectra, from eigenvalues only
-            b, p, entries = _lax_classes(points)
+            b, entries = _lax_classes(q, p)
             values, _, errors = _solve_rows(np.linalg.eigvalsh, entries)
             values = values[:, ::-1]
             gaps, _ = _flag_gaps(values, errors)
@@ -561,12 +616,9 @@ def enclosure_count_check(disks: list[DiskSpec]) -> EnclosureReport:
     """
     if not disks:
         raise ValueError("need at least one disk")
-    circles = []
-    for d in disks:
-        v1, v2 = pair_plane_duals(d.center, d.pair())
-        a = 2.0 * np.pi * np.linspace(0.0, 1.0, CIRCLE_SAMPLES + 1)[:, None] * d.orientation
-        circles.append(d.center.z.as_vector() + d.radius * (np.cos(a) * v1 + np.sin(a) * v2))
-    circles = np.array(circles)
+    grid = np.linspace(0.0, 1.0, CIRCLE_SAMPLES + 1)
+    circles = np.array([_circle(d.center.z.as_vector(), *pair_plane_duals(d.center, d.pair()),
+                                d.radius, d.orientation)(grid) for d in disks])
     n = circles.shape[-1] // 2
     _couplings(circles[..., :n], circles[..., n:])  # each sample a valid phase point
 

@@ -94,7 +94,7 @@ class PairTarget:
 
     @staticmethod
     def parse(text: str) -> "PairTarget":
-        cls, _, num = text.partition(":")
+        cls, _, num = text.partition(":") if isinstance(text, str) else ("", "", "")
         if cls not in ("even", "odd") or not num.isdigit():
             raise ValueError(f"cannot parse pair target {text!r}; expected 'even:R' or 'odd:S'")
         return PairTarget(cls == "odd", int(num))

@@ -405,6 +405,26 @@ class TestMaslovCommand:
         assert main(["maslov", str(spec_path)]) == 2
         assert "must hold a JSON object, got list" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec, message", [
+        ({"type": "samples", "points": 5}, "points must be a list of points, got 5"),
+        ({"type": "samples", "points": [1.0, 2.0, 1.0]},
+         "point 0 must be an object with q and p, got 1.0"),
+        ({"type": "samples", "points": [{"q": [0.1, 0.0], "p": [0.0, 0.0]},
+                                        {"q": [0.2, 0.0, 0.0], "p": [0.0, 0.0, 0.0]},
+                                        {"q": [0.1, 0.0], "p": [0.0, 0.0]}]},
+         "sample points must have one size n, got n = [2, 3]"),
+        ({"type": "circle", "center": [1, 2], "pair": "odd:1"},
+         "center must be an object with q and p, got [1, 2]"),
+        ({"type": "circle", "center": {"q": [0.1, 0.0, -0.1], "p": [0.0, 0.0, 0.0]},
+          "pair": "odd:1", "radius": None}, "radius must be a number, got None"),
+    ], ids=["points-number", "point-number", "mixed-sizes", "center-list", "radius-null"])
+    def test_curve_spec_of_wrong_shape_is_config_error(self, tmp_path, capsys, spec, message):
+        # each used to end in a TypeError traceback (a numpy shape error for mixed sizes)
+        spec_path = tmp_path / "curve.json"
+        spec_path.write_text(json.dumps(spec))
+        assert main(["maslov", str(spec_path)]) == 2
+        assert capsys.readouterr().err == f"config error: bad curve spec: {message}\n"
+
     def test_unknown_curve_type(self, tmp_path):
         spec_path = tmp_path / "odd.json"
         spec_path.write_text(json.dumps({"type": "spiral"}))

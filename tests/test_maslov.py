@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 import todalax.maslov as maslov
-from todalax.lax import PhasePoint
+from todalax.lax import PhaseDomainError, PhasePoint
 from todalax.spectral import _decompose_stack as decompose_stack
 from todalax.singularity import (
     PairTarget,
@@ -111,6 +111,90 @@ class TestClosedCurve:
         npt.assert_allclose(
             curve.point_at(0.25).as_vector(), rev.point_at(0.75).as_vector(), atol=1e-15
         )
+
+
+# The scalar formulas the library's curves evaluated one t at a time,
+# before they became stacked maps; the stacked rows must equal them bit for bit.
+
+def _circle_at(zc, v1, v2, radius, orientation, t):
+    a = 2.0 * np.pi * t * orientation
+    return zc + radius * (np.cos(a) * v1 + np.sin(a) * v2)
+
+
+def _polyline_at(Z, t):
+    m = len(Z) - 1
+    s = min(max(t, 0.0), 1.0) * m
+    k = min(int(np.floor(s)), m - 1)
+    w = s - k
+    return (1.0 - w) * Z[k] + w * Z[k + 1]
+
+
+def _oscillator_at(n, t):
+    q = np.ones(n)
+    p = np.zeros(n)
+    a = 2.0 * np.pi * t
+    q[0] = np.cos(a)
+    p[0] = -np.sin(a)
+    return np.concatenate([q, p])
+
+
+class TestStackedRows:
+    """The library's curves are stacked maps whose rows are the scalar formulas' bit for bit."""
+
+    @staticmethod
+    def assert_rows(curve, ts, at):
+        expected = np.array([at(t) for t in ts])
+        rows, error = maslov._samples(curve, np.asarray(ts, float))
+        assert error is None
+        assert rows.shape == expected.shape and rows.tobytes() == expected.tobytes()
+        for t, row in zip(ts[::7], expected[::7]):
+            assert curve.point_at(t).as_vector().tobytes() == row.tobytes()
+
+    @staticmethod
+    def times(rng):
+        # the grid of 256 steps, its midpoints and random t
+        grid = np.linspace(0.0, 1.0, 257)
+        return np.concatenate([grid, 0.5 * (grid[:-1] + grid[1:]), rng.uniform(0.0, 1.0, 64)])
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_circle(self, n):
+        rng = np.random.default_rng(n)
+        zc = 0.35 * rng.standard_normal(2 * n)
+        v1, v2 = np.linalg.qr(rng.standard_normal((2 * n, 2)))[0].T
+        ts = self.times(rng)
+        for radius in (1e-3, 5e-2, 1.0):
+            for orientation in (1, -1):
+                curve = ClosedCurve.circle(PhasePoint.from_vector(zc), v1, v2, radius,
+                                           orientation=orientation)
+                at = lambda t: _circle_at(zc, v1, v2, radius, orientation, t)
+                self.assert_rows(curve, ts, at)
+                self.assert_rows(curve.reversed(), ts, lambda t: at(1.0 - t))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_polyline(self, n):
+        rng = np.random.default_rng(100 + n)
+        Z = 0.35 * rng.standard_normal((6, 2 * n))
+        Z[-1] = Z[0]
+        curve = ClosedCurve.from_samples([PhasePoint.from_vector(z) for z in Z])
+        m = len(Z) - 1
+        # knots, both ends, clamped t and the walk's samples
+        ts = np.concatenate([np.arange(m + 1) / m, [0.0, 1.0, -0.3, -1e-300, 1.0 + 1e-12, 1.7],
+                             self.times(rng)])
+        self.assert_rows(curve, ts, lambda t: _polyline_at(Z, t))
+        self.assert_rows(curve.reversed(), ts, lambda t: _polyline_at(Z, 1.0 - t))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_oscillator_angle_loop(self, n):
+        curve = oscillator_angle_loop(n)
+        ts = self.times(np.random.default_rng(200 + n))
+        self.assert_rows(curve, ts, lambda t: _oscillator_at(n, t))
+        self.assert_rows(curve.reversed(), ts, lambda t: _oscillator_at(n, 1.0 - t))
+
+    def test_sizes_must_agree(self):
+        z2 = PhasePoint(np.array([0.1, 0.0]), np.zeros(2))
+        z3 = PhasePoint(np.array([0.1, 0.0, 0.2]), np.zeros(3))
+        with pytest.raises(ValueError, match=r"^sample points must have one size n, got n = \[2, 3\]$"):
+            ClosedCurve.from_samples([z2, z3, z2])
 
 
 class TestTransport:
@@ -372,7 +456,9 @@ class TestFramePhase:
             rest = [t for t in all_pair_targets(n) if t != target]
             sp = find_singular(perturbed_seed(omega_point(n), rest, eps=1e-2), [target])
             curve = ClosedCurve.around_pair(sp, target, radius=2e-3)
-            b, p, _ = maslov._lax_classes([curve.point_at(t) for t in np.linspace(0, 1, 257)])
+            points = [curve.point_at(t) for t in np.linspace(0, 1, 257)]
+            p = np.array([z.p for z in points])
+            b, _ = maslov._lax_classes(np.array([z.q for z in points]), p)
             self.assert_same_phase(maslov._toda_frames(b, p))
         loop = oscillator_angle_loop(3)
         self.assert_same_phase(np.array([oscillator_frame(loop.point_at(t))
@@ -407,7 +493,8 @@ class TestStackedGrid:
         sp = find_singular(perturbed_seed(omega_point(n), rest, eps=1e-2), [target])
         curve = ClosedCurve.around_pair(sp, target, radius=2e-3)
         points = [curve.point_at(t) for t in np.linspace(0.0, 1.0, 257)]
-        b, p, _ = maslov._lax_classes(points)
+        p = np.array([z.p for z in points])
+        b, _ = maslov._lax_classes(np.array([z.q for z in points]), p)
         frames = maslov._toda_frames(b, p)
         phases, low = maslov._frame_phase(frames)
         for z, frame, phase, smallest in zip(points, frames, phases, low):
@@ -478,6 +565,53 @@ class TestStackedGrid:
         npt.assert_array_equal(stacked.holonomy.gammabar, one_row.holonomy.gammabar)
         npt.assert_allclose(stacked.maslov.winding_trace, one_row.maslov.winding_trace,
                             rtol=0, atol=1e-13)
+
+    def test_domain_error_of_a_library_curve_waits_for_the_walk(self, sigma1_n3):
+        # a circle valid at t = 0 whose gap q_1 - q_2 passes Q_GAP_LIMIT near t = 1/4
+        z = PhasePoint(np.array([0.5, -0.2, 0.1]), np.array([0.3, 0.9, -0.4]))
+        e = np.eye(6)
+        curve = ClosedCurve.circle(z, e[3], e[0], 700.0, 64)
+        grid = np.linspace(0.0, 1.0, 65)
+        bad = [t for t in grid if np.abs(z.q[0] + 700.0 * np.sin(2.0 * np.pi * t) - z.q[1]) > 600]
+        assert grid[0] not in bad and 0.15 < bad[0] < 0.25
+        with pytest.raises(PhaseDomainError) as expected:
+            PhasePoint.from_vector(_circle_at(z.as_vector(), e[3], e[0], 700.0, 1, bad[0]))
+        message = str(expected.value)
+        assert message == "coupling b_1 overflows: |q_1 - q_2| = 618 exceeds 600.0"
+        for walk in (transport_eigenvectors, check_holonomy_theorem):
+            for c in (curve, ClosedCurve(curve.point_at, 64)):  # stacked, then one t at a time
+                with pytest.raises(PhaseDomainError) as err:
+                    walk(c)
+                assert str(err.value) == message
+        # a sample at the singular point before the domain error, in the same stack, wins:
+        # the circle of radius 1000 that passes through it at t = 1/16
+        a0 = np.pi / 8
+        centre = sigma1_n3.z.displaced(-1000.0 * (np.cos(a0) * e[3] + np.sin(a0) * e[0]))
+        through = ClosedCurve.circle(centre, e[3], e[0], 1000.0, 16)
+        with pytest.raises(PhaseDomainError):
+            through.point_at(0.25)
+        for walk in (transport_eigenvectors, check_holonomy_theorem):
+            for c in (through, ClosedCurve(through.point_at, 16)):
+                with pytest.raises(RegularityError, match=r"^sample at t = 0\.062500 has"):
+                    walk(c)
+
+    def test_holonomy_check_builds_no_point_per_sample(self, sigma1_n3, monkeypatch):
+        # the walks read stacked rows: the points they build do not grow with the grid
+        counts = []
+        post_init = PhasePoint.__post_init__
+
+        def counting(z):
+            counts[-1] += 1
+            post_init(z)
+
+        for samples in (64, 1024):
+            curve = ClosedCurve.around_pair(sigma1_n3, PairTarget(True, 1), radius=2e-3,
+                                            initial_samples=samples)
+            counts.append(0)
+            with monkeypatch.context() as patch:
+                patch.setattr(PhasePoint, "__post_init__", counting)
+                check_holonomy_theorem(curve)
+        assert counts[0] == counts[1]
 
     def test_budget_error_before_any_sample(self):
         z = PhasePoint(np.array([0.5, -0.2, 0.1]), np.array([0.3, 0.9, -0.4]))
