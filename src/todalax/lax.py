@@ -180,6 +180,13 @@ def _cyclic(n: int) -> _Cyclic:
     return out
 
 
+def _inside(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Per stacked row of q, p (..., n): whether PhasePoint(q, p) accepts it."""
+    gaps = q - q.take(_cyclic(q.shape[-1]).nxt, axis=-1)
+    return (np.isfinite(q).all(axis=-1) & np.isfinite(p).all(axis=-1)
+            & (np.abs(gaps) <= Q_GAP_LIMIT).all(axis=-1))
+
+
 def _couplings(q: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Couplings b_j of stacked rows q, p of shape (..., n), inside PhasePoint's domain.
 

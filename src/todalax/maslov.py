@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable
 import numpy as np
 
-from .lax import Q_GAP_LIMIT, PhaseDomainError, PhasePoint, _couplings, _cyclic, _is_int, _lax
+from .lax import PhaseDomainError, PhasePoint, _couplings, _inside, _is_int, _lax
 from .dynamics import _trace_gradients
 from .spectral import DEGENERACY_TOL, _decompose_stack, _flag_gaps, _solve_rows, spectra
 from .singularity import (
@@ -221,9 +221,8 @@ def _samples(curve: ClosedCurve, ts: np.ndarray) -> tuple[np.ndarray, ValueError
                 break
         return np.array(rows), error
     rows = curve._rows(ts)
-    q = rows[:, :rows.shape[1] // 2]
-    inside = (np.isfinite(rows).all(axis=1)
-              & (np.abs(q - q[:, _cyclic(q.shape[1]).nxt]) <= Q_GAP_LIMIT).all(axis=1))
+    n = rows.shape[1] // 2
+    inside = _inside(rows[:, :n], rows[:, n:])
     if not inside.all():
         k = int(np.argmin(inside))
         try:

@@ -417,7 +417,10 @@ class TestMaslovCommand:
          "center must be an object with q and p, got [1, 2]"),
         ({"type": "circle", "center": {"q": [0.1, 0.0, -0.1], "p": [0.0, 0.0, 0.0]},
           "pair": "odd:1", "radius": None}, "radius must be a number, got None"),
-    ], ids=["points-number", "point-number", "mixed-sizes", "center-list", "radius-null"])
+        ({"type": "circle", "center": {"q": [0.1, 0.0, -0.1], "p": [0.0, 0.0, 0.0]},
+          "pair": 1}, "cannot parse pair target 1; expected 'even:R' or 'odd:S'"),
+    ], ids=["points-number", "point-number", "mixed-sizes", "center-list", "radius-null",
+            "pair-number"])
     def test_curve_spec_of_wrong_shape_is_config_error(self, tmp_path, capsys, spec, message):
         # each used to end in a TypeError traceback (a numpy shape error for mixed sizes)
         spec_path = tmp_path / "curve.json"

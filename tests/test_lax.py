@@ -20,6 +20,7 @@ from todalax.lax import (
     _couplings,
     _gather,
     _generator,
+    _inside,
     _lax,
     _off_band,
     _trace_gaps,
@@ -469,16 +470,20 @@ class TestStackedKernels:
         got = np.stack(_char_poly(b, p), axis=-1)
         assert np.array_equal(got, [_reference_char_poly(z) for z in points])
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in subtract:RuntimeWarning")
     @pytest.mark.parametrize("q_bad, p_bad", [
         ([0.0, 700.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]),
         ([0.0, 0.0, 0.0, 0.0], [0.0, np.nan, 0.0, 0.0]),
         ([0.0, 0.0, np.inf, 0.0], [0.0, 0.0, 0.0, 0.0]),
+        ([1e308, -1e308, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]),  # finite, but the gap overflows
     ])
     def test_out_of_domain_row_raises_phase_point_error(self, q_bad, p_bad):
-        # the stacks' couplings come from _couplings, which checks every row
+        # the stacks' couplings come from _couplings, which checks every row;
+        # _inside flags the rows PhasePoint rejects
         rng = np.random.default_rng(500)
         q, p = 0.35 * rng.standard_normal((6, 4)), 0.35 * rng.standard_normal((6, 4))
         q[3], p[3] = q_bad, p_bad
+        assert np.array_equal(_inside(q, p), np.arange(6) != 3)
         with pytest.raises(PhaseDomainError) as own:
             PhasePoint(q[3], p[3])
         with pytest.raises(PhaseDomainError, match=f"^{re.escape(str(own.value))}$"):
