@@ -11,8 +11,8 @@ Python caches aside) are compared first, and a difference stops the script
 with the names of the differing files.  Pair k uses seed ``seed0 + k`` on
 both sides and runs the parent first when k is even.  The runs are made one at a time.  The
 result goes to ``BENCH_<label>.json`` at the root of this checkout: seeds,
-per-run metrics, medians, quartiles and pair wins of every end-to-end metric
-that ``BENCHMARK.json`` declares, and the per-layer metrics of the traced
+per-run metrics, medians, quartiles, pair wins and an unresolved flag of every
+end-to-end metric that ``BENCHMARK.json`` declares, and the per-layer metrics of the traced
 pairs of the claimed workload.
 """
 
@@ -118,7 +118,12 @@ def quartiles(runs: list[float]) -> dict:
 
 
 def summarise(results: dict, seeds: list[int], declared: dict) -> dict:
-    """Medians, quartiles, pair wins and the bound test of each end-to-end metric."""
+    """Medians, quartiles, pair wins and the bound test of each end-to-end metric.
+
+    A metric is unresolved when the parent's own runs spread wider than its
+    bound (interquartile range over median) and not every run of the change
+    beats every run of the parent: its bound test then cannot tell.
+    """
     metrics = {}
     for name, spec in declared.items():
         runs = {side: [r["metrics"][name]["value"] for r in results[side]] for side in results}
@@ -127,9 +132,13 @@ def summarise(results: dict, seeds: list[int], declared: dict) -> dict:
         parent, change = quartiles(runs["parent"]), quartiles(runs["change"])
         ratio = change["median"] / parent["median"]
         within = ratio >= 1.0 - spec["bound"] if higher else ratio <= 1.0 + spec["bound"]
+        spread = (parent["q75"] - parent["q25"]) / parent["median"]
+        beats_all = (min(runs["change"]) > max(runs["parent"]) if higher
+                     else max(runs["change"]) < min(runs["parent"]))
         metrics[name] = {"unit": spec["unit"], "better": spec["better"], "parent": parent,
                          "change": change, "change_over_parent": ratio, "change_wins": wins,
-                         "within_bound": bool(within)}
+                         "within_bound": bool(within),
+                         "unresolved": bool(spread > spec["bound"] and not beats_all)}
     return {
         "pairs": len(seeds),
         "seeds": seeds,

@@ -14,12 +14,14 @@ holonomy signs over both matrices reproduces (-1)^(mu/2).
 from __future__ import annotations
 
 from dataclasses import dataclass
+import numbers
 from typing import Callable
 import numpy as np
 
 from .lax import PhaseDomainError, PhasePoint, _couplings, _inside, _is_int, _lax
 from .dynamics import _trace_gradients
-from .spectral import DEGENERACY_TOL, _decompose_stack, _flag_gaps, _solve_rows, spectra
+from .spectral import (DEGENERACY_TOL, EigensolverError, _decompose_stack, _flag_gaps,
+                       _solve_rows, spectra)
 from .singularity import (
     PairTarget,
     SingularPoint,
@@ -37,9 +39,9 @@ __all__ = [
     "transport_eigenvectors",
     "MaslovResult",
     "toda_frame",
-    "oscillator_frame",
     "oscillator_angle_loop",
     "maslov_index",
+    "calibration_index",
     "HolonomyTheoremReport",
     "check_holonomy_theorem",
     "DiskSpec",
@@ -90,22 +92,17 @@ class LagrangianFrameError(RuntimeError):
 
 @dataclass(frozen=True)
 class ClosedCurve:
-    """A parameterized loop t in [0, 1] in phase space.
+    """A loop t in [0, 1] in phase space, given as one stacked map.
 
-    ``point_at`` must satisfy point_at(0) = point_at(1).  Transport and
-    winding computations start from ``initial_samples`` equal subintervals,
-    an integer of at least 2, and subdivide adaptively.
-
-    The library's curves (``circle``, ``around_pair``, ``from_samples``,
-    ``oscillator_angle_loop`` and their ``reversed``) come from one stacked
-    map ts (m,) -> rows (m, 2n) of (q, p); their ``point_at`` is its
-    one-row view, and the walkers evaluate the map on whole stacks of t.
-    A caller's ``point_at`` is sampled one t at a time.
+    ``rows(ts)`` maps parameters ts of shape (m,) to the (q, p) rows of the
+    curve at ts, of shape (m, 2n), and the rows at t = 0 and t = 1 agree.
+    Transport and winding computations evaluate the map on whole stacks of
+    t; they start from ``initial_samples`` equal subintervals, an integer
+    of at least 2, and subdivide adaptively.
     """
 
-    point_at: Callable[[float], PhasePoint]
+    rows: Callable[[np.ndarray], np.ndarray]
     initial_samples: int = 256
-    _rows = None  # the stacked map of the library's curves; not a field
 
     def __post_init__(self):
         # a walk of fewer than two steps never leaves its start point
@@ -113,35 +110,36 @@ class ClosedCurve:
             raise ValueError(
                 f"initial_samples must be an integer of at least 2, got {self.initial_samples!r}"
             )
-        z0, z1 = self.point_at(0.0), self.point_at(1.0)
-        gap = float(np.max(np.abs(z0.as_vector() - z1.as_vector())))
+        ends = self.rows(np.array([0.0, 1.0]))
+        if not (isinstance(ends, np.ndarray) and ends.dtype == float and ends.ndim == 2
+                and ends.shape[0] == 2 and ends.shape[1] >= 4 and ends.shape[1] % 2 == 0
+                and np.isfinite(ends).all()):
+            raise ValueError("rows must map ts = [0, 1] to a finite float array of shape "
+                             f"(2, 2n) with n >= 2, got {ends!r}")
+        _, error = _in_domain(ends)
+        if error is not None:
+            raise error
+        gap = float(np.max(np.abs(ends[0] - ends[1])))
         if gap > 1e-12:
             raise ValueError(f"curve is not closed: endpoint mismatch {gap:.3e}")
 
-    @staticmethod
-    def _stacked(rows: Callable[[np.ndarray], np.ndarray], initial_samples) -> "ClosedCurve":
-        """The curve of the stacked map ``rows``; its point_at builds the one row of [t]."""
-        curve = ClosedCurve(lambda t: PhasePoint.from_vector(rows(np.array([t], float))[0]),
-                            initial_samples)
-        object.__setattr__(curve, "_rows", rows)
-        return curve
+    def point_at(self, t: float) -> PhasePoint:
+        """The point at parameter t: the one row of ``rows`` at [t]."""
+        return PhasePoint.from_vector(self.rows(np.array([t], float))[0])
 
     def reversed(self) -> "ClosedCurve":
-        rows = self._rows
-        if rows is None:
-            inner = self.point_at
-            return ClosedCurve(lambda t: inner(1.0 - t), self.initial_samples)
-        return ClosedCurve._stacked(lambda ts: rows(1.0 - ts), self.initial_samples)
+        rows = self.rows
+        return ClosedCurve(lambda ts: rows(1.0 - ts), self.initial_samples)
 
     @staticmethod
-    def from_samples(points: list[PhasePoint], initial_samples: int | None = None) -> "ClosedCurve":
-        """Piecewise-linear loop through the given points (last equals first)."""
+    def from_samples(points: list[PhasePoint]) -> "ClosedCurve":
+        """Piecewise-linear loop through the m + 1 points (last equals first); max(2m, 64) steps."""
         if len(points) < 3:
             raise ValueError("need at least three samples")
         sizes = sorted({pt.n for pt in points})
         if len(sizes) > 1:
             raise ValueError(f"sample points must have one size n, got n = {sizes}")
-        return _polyline(np.array([pt.as_vector() for pt in points]), initial_samples)
+        return _polyline(np.array([pt.as_vector() for pt in points]))
 
     @staticmethod
     def circle(
@@ -154,8 +152,8 @@ class ClosedCurve:
     ) -> "ClosedCurve":
         """The loop center + radius (cos(2 pi t) v1 + sin(2 pi t) v2), t -> orientation * t."""
         _require_orientation(orientation)
-        return ClosedCurve._stacked(_circle(center.as_vector(), v1, v2, radius, orientation),
-                                    initial_samples)
+        return ClosedCurve(_circle(center.as_vector(), v1, v2, radius, orientation),
+                           initial_samples)
 
     @staticmethod
     def around_pair(
@@ -183,11 +181,8 @@ def _circle(zc: np.ndarray, v1, v2, radius: float, orientation: int):
     return rows
 
 
-def _polyline(Z: np.ndarray, initial_samples: int | None = None) -> ClosedCurve:
+def _polyline(Z: np.ndarray) -> ClosedCurve:
     """The piecewise-linear loop through the rows of Z (m + 1, 2n), the last equal to the first."""
-    closure = float(np.max(np.abs(Z[0] - Z[-1])))
-    if closure > 1e-12:
-        raise ValueError(f"sample list does not close: gap {closure:.3e}")
     m = len(Z) - 1
 
     def rows(ts: np.ndarray) -> np.ndarray:
@@ -196,31 +191,19 @@ def _polyline(Z: np.ndarray, initial_samples: int | None = None) -> ClosedCurve:
         w = (s - k)[:, None]
         return (1.0 - w) * Z[k] + w * Z[k + 1]
 
-    return ClosedCurve._stacked(rows, max(2 * m, 64) if initial_samples is None else initial_samples)
+    return ClosedCurve(rows, max(2 * m, 64))
 
 
 _Observe = Callable[[np.ndarray, np.ndarray, np.ndarray], list]
 
 
-def _samples(curve: ClosedCurve, ts: np.ndarray) -> tuple[np.ndarray, ValueError | None]:
-    """Rows (k, 2n) of (q, p) at ts up to the first sample off the phase space, and its error.
+def _in_domain(rows: np.ndarray) -> tuple[np.ndarray, PhaseDomainError | None]:
+    """The rows (m, 2n) of (q, p) up to the first one off the phase space, and its error.
 
-    A library curve evaluates its stacked map once and tests every row at
-    once, as PhasePoint would; only the first failing row is built as a
-    PhasePoint, for its PhaseDomainError.  A caller's point_at is called
-    per t, up to the first ValueError it raises.  The error is None when
-    every sample is in.
+    Every row is tested at once, as PhasePoint would test it; only the first
+    failing row is built as a PhasePoint, for its PhaseDomainError.  The
+    error is None when every row is in.
     """
-    if curve._rows is None:
-        rows, error = [], None
-        for t in ts:
-            try:
-                rows.append(curve.point_at(t).as_vector())
-            except ValueError as exc:
-                error = exc
-                break
-        return np.array(rows), error
-    rows = curve._rows(ts)
     n = rows.shape[1] // 2
     inside = _inside(rows[:, :n], rows[:, n:])
     if not inside.all():
@@ -235,11 +218,11 @@ def _samples(curve: ClosedCurve, ts: np.ndarray) -> tuple[np.ndarray, ValueError
 def _observe(curve: ClosedCurve, ts: np.ndarray, observe: _Observe) -> list:
     """``observe`` at the samples of ts: per t, the observation or its error.
 
-    A sample off the phase space (a ValueError, such as PhaseDomainError)
-    ends the list with its error, and the walk raises it when it reaches
-    that t, as it would have raised it there alone.
+    A sample off the phase space ends the list with its PhaseDomainError,
+    and the walk raises it when it reaches that t, as it would have raised
+    it there alone.
     """
-    rows, error = _samples(curve, ts)
+    rows, error = _in_domain(curve.rows(ts))
     obs = []
     if len(rows):
         n = rows.shape[1] // 2
@@ -413,14 +396,11 @@ def toda_frame(z: PhasePoint) -> np.ndarray:
     return _toda_frames(z.couplings()[None], z.p[None])[0]
 
 
-def oscillator_frame(z: PhasePoint) -> np.ndarray:
-    """Frame of n uncoupled unit harmonic oscillators (calibration system)."""
-    n = z.n
-    X = np.zeros((2 * n, n))
-    for j in range(n):
-        X[j, j] = z.p[j]
-        X[n + j, j] = -z.q[j]
-    return X
+def _oscillator_frames(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Frames (m, 2n, n) of n uncoupled unit harmonic oscillators (the calibration system)
+    at stacked rows q, p (m, n): column j has p_j in row j and -q_j in row n + j."""
+    eye = np.eye(q.shape[1])
+    return np.concatenate([eye * p[:, None, :], eye * -q[:, None, :]], axis=1)
 
 
 def oscillator_angle_loop(n: int) -> ClosedCurve:
@@ -434,7 +414,7 @@ def oscillator_angle_loop(n: int) -> ClosedCurve:
         z[:, n] = -np.sin(a)
         return z
 
-    return ClosedCurve._stacked(rows, CALIBRATION_SAMPLES)
+    return ClosedCurve(rows, CALIBRATION_SAMPLES)
 
 
 @dataclass(frozen=True)
@@ -443,42 +423,49 @@ class MaslovResult:
 
     mu: int
     winding_trace: np.ndarray  # rows (t, accumulated argument)
-    calibration_sign: int
 
 
-def _frame_phase(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Argument of det(W)^2 for each complex frame W = X_q + i X_p of a stack (..., 2n, n).
+def _frame_phase(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
+    """Argument of det(W)^2 for each complex frame W = X_q + i X_p of a stack (m, 2n, n).
 
-    Also returns each frame's smallest Gram eigenvalue, of W^H W.  At or
-    below FRAME_GRAM_TOL the frame has lost rank: its phase means nothing,
-    and the winding walk raises LagrangianFrameError there.
+    Also returns each frame's smallest Gram eigenvalue, of W^H W, and the
+    EigensolverError of each frame whose Gram matrix the solver fails on
+    (``_solve_rows``).  At or below FRAME_GRAM_TOL the frame has lost rank.
     """
     n = frames.shape[-1]
     W = frames[..., :n, :] + 1j * frames[..., n:, :]
-    low = np.linalg.eigvalsh(np.conj(np.swapaxes(W, -1, -2)) @ W)[..., 0]
+    gram, _, errors = _solve_rows(np.linalg.eigvalsh, np.conj(np.swapaxes(W, -1, -2)) @ W)
     det = np.linalg.det(W)
-    return np.angle(det * det), low
+    return np.angle(det * det), gram[..., 0], errors
 
 
 def _principal(a: float) -> float:
     return (a + np.pi) % (2.0 * np.pi) - np.pi
 
 
-def maslov_index(
-    curve: ClosedCurve, frame_fn: Callable[[PhasePoint], np.ndarray] | None = None
-) -> MaslovResult:
+def _frame_rows(ts: np.ndarray, frames: np.ndarray) -> list:
+    """Per sample at ts, the phase of its frame in the stack (m, 2n, n), or the frame's error:
+    LagrangianFrameError if it lost rank, EigensolverError if it overflowed."""
+    phases, low, failed = _frame_phase(frames)
+    rows = list(phases)
+    for r in np.flatnonzero(low <= FRAME_GRAM_TOL):
+        rows[r] = LagrangianFrameError(f"frame Gram matrix smallest eigenvalue "
+                                       f"{low[r]:.3e} <= {FRAME_GRAM_TOL:.0e}")
+    for r, exc in failed.items():
+        rows[r] = EigensolverError(f"sample at t = {ts[r]:.6f}: frame Gram matrix: {exc}")
+    return rows
+
+
+def _winding(curve: ClosedCurve, observe: _Observe) -> MaslovResult:
     """Winding number of det(W)^2 for the complex frames W = X_q + i X_p along the curve.
 
-    det P > 0 for the positive definite polar factor P of W = U P, so the
-    argument is that of det(U)^2.  It is accumulated with per-step jumps
-    kept below pi/2 by bisection, so the integer winding is unambiguous; the
-    stored calibration sign converts it to the Maslov index normalisation in
-    which the harmonic-oscillator angle loop scores +2.  ``frame_fn``
-    defaults to ``toda_frame``, whose samples must be regular.
+    ``observe`` gives per sample the phase of its frame or an error
+    (``_frame_rows``).  det P > 0 for the positive definite polar factor P
+    of W = U P, so the argument is that of det(U)^2.  It is accumulated
+    with per-step jumps kept below pi/2 by bisection, so the integer
+    winding is unambiguous; CALIBRATION_SIGN converts it to the Maslov
+    index normalisation in which the harmonic-oscillator angle loop scores +2.
     """
-    if frame_fn is None:
-        frame_fn = toda_frame
-
     trace = [(0.0, 0.0)]
 
     def advance(phi, phi_next, t):
@@ -487,24 +474,6 @@ def maslov_index(
             return None, f"phase jump {step:.3f}"
         trace.append((t, trace[-1][1] + step))
         return phi_next, None
-
-    def observe(ts, q, p):
-        if frame_fn is not toda_frame:
-            phases, low = _frame_phase(np.array([frame_fn(PhasePoint(*z)) for z in zip(q, p)]))
-            rows = list(phases)
-        else:  # the samples must be regular: both spectra, from eigenvalues only
-            b, entries = _lax_classes(q, p)
-            values, _, errors = _solve_rows(np.linalg.eigvalsh, entries)
-            values = values[:, ::-1]
-            gaps, _ = _flag_gaps(values, errors)
-            phases, low = _frame_phase(_toda_frames(b, p))
-            rows = list(phases)
-            _sample_errors(rows, ts, values, gaps, errors)
-        for r in np.flatnonzero(low <= FRAME_GRAM_TOL):
-            if not isinstance(rows[r], Exception):
-                rows[r] = LagrangianFrameError(f"frame Gram matrix smallest eigenvalue "
-                                               f"{low[r]:.3e} <= {FRAME_GRAM_TOL:.0e}")
-        return rows
 
     _walk(curve, observe, advance)
     total = trace[-1][1]
@@ -517,7 +486,33 @@ def maslov_index(
         raise TransportError(
             f"odd winding {mu}; the Lagrangian plane field should be orientable"
         )
-    return MaslovResult(mu, np.array(trace), CALIBRATION_SIGN)
+    return MaslovResult(mu, np.array(trace))
+
+
+def maslov_index(curve: ClosedCurve) -> MaslovResult:
+    """Maslov index of the curve: the winding of the ``toda_frame`` planes along it.
+
+    The samples must be regular; each reads both Lax spectra, from
+    eigenvalues only.
+    """
+
+    def observe(ts, q, p):
+        b, entries = _lax_classes(q, p)
+        values, _, errors = _solve_rows(np.linalg.eigvalsh, entries)
+        values = values[:, ::-1]
+        gaps, _ = _flag_gaps(values, errors)
+        rows = _frame_rows(ts, _toda_frames(b, p))
+        _sample_errors(rows, ts, values, gaps, errors)
+        return rows
+
+    return _winding(curve, observe)
+
+
+def calibration_index(n: int) -> MaslovResult:
+    """Maslov index of n uncoupled oscillators around ``oscillator_angle_loop(n)``: the
+    winding of their frames, which CALIBRATION_SIGN makes +2."""
+    return _winding(oscillator_angle_loop(n),
+                    lambda ts, q, p: _frame_rows(ts, _oscillator_frames(q, p)))
 
 
 @dataclass(frozen=True)
@@ -567,6 +562,10 @@ class DiskSpec:
     orientation: int = 1
 
     def __post_init__(self):
+        # a radius of 0 or below would switch off the boundary's distance guard
+        if isinstance(self.radius, bool) or not (isinstance(self.radius, numbers.Real)
+                                                  and 0.0 < self.radius < np.inf):
+            raise ValueError(f"radius must be a finite real > 0, got {self.radius!r}")
         _require_orientation(self.orientation)
 
     def pair(self) -> PairTarget:

@@ -53,11 +53,9 @@ from .maslov import (
     LagrangianFrameError,
     RegularityError,
     TransportError,
+    calibration_index,
     check_holonomy_theorem,
     enclosure_count_check,
-    maslov_index,
-    oscillator_angle_loop,
-    oscillator_frame,
 )
 from .reporting import CheckRecord, VerificationReport
 
@@ -362,8 +360,7 @@ def _transverse_structure(s: Sample) -> Outcome:
 @partial(Check, "maslov_calibration", "plumbing: harmonic-oscillator angle loop scores +2 "
          "with the stored orientation", 0.5, sizes=(None,))
 def _maslov_calibration(s: Sample) -> Outcome:
-    res = maslov_index(oscillator_angle_loop(3), frame_fn=oscillator_frame)
-    return Outcome(0.0 if res.mu == 2 and res.calibration_sign == -1 else 1.0)
+    return Outcome(0.0 if calibration_index(3).mu == 2 else 1.0)
 
 
 def _loop_faults(loop: str, rep, abs_mu: int, signs: tuple[float, ...] = ()) -> list[str]:

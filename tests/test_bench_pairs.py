@@ -1,4 +1,5 @@
-"""scripts/bench_pairs.py compares the benchmark files of both checkouts before it runs any."""
+"""scripts/bench_pairs.py compares the benchmark files of both checkouts before it runs any,
+and flags a metric whose parent runs spread too wide for its bound."""
 
 import importlib.util
 from pathlib import Path
@@ -60,3 +61,31 @@ def test_change_side_is_a_commit_with_a_dirty_flag():
     described = bench_pairs.describe_change(None)
     assert described["change"] == head and isinstance(described["change_dirty"], bool)
     assert bench_pairs.describe_change("HEAD") == {"change": head, "change_dirty": False}
+
+
+def _results(parent: list[float], change: list[float]) -> dict:
+    def run(value):
+        # the lower-is-better metric mirrors the higher one about 10
+        return {"metrics": {"ops_per_s": {"value": value}, "op_p50_ms": {"value": 20.0 - value}},
+                "failed": 0, "attempted": 10}
+
+    return {"parent": [run(v) for v in parent], "change": [run(v) for v in change]}
+
+
+DECLARED = {"ops_per_s": {"unit": "1/s", "better": "higher", "bound": 0.25},
+            "op_p50_ms": {"unit": "ms", "better": "lower", "bound": 0.25}}
+
+
+@pytest.mark.parametrize("parent, change, unresolved", [
+    # parent IQR / median = 0.4 > 0.25, and the sides interleave
+    ([5.0, 8.0, 10.0, 12.0, 15.0], [9.0, 11.0, 14.0, 8.0, 12.0], True),
+    # as wide, but every change run beats every parent run
+    ([5.0, 8.0, 10.0, 12.0, 15.0], [16.0, 17.0, 18.0, 16.5, 19.0], False),
+    # parent IQR / median = 0.1 <= 0.25: the bound test can tell
+    ([9.5, 10.0, 10.5, 9.0, 11.0], [9.0, 11.0, 14.0, 8.0, 12.0], False),
+])
+def test_unresolved_when_the_parent_spreads_wider_than_the_bound(parent, change, unresolved):
+    seeds = list(range(len(parent)))
+    metrics = bench_pairs.summarise(_results(parent, change), seeds, DECLARED)["metrics"]
+    assert metrics["ops_per_s"]["unresolved"] is unresolved
+    assert metrics["op_p50_ms"]["unresolved"] is unresolved

@@ -664,7 +664,7 @@ def test_loop_checks_read_their_singular_point_from_sigma1(monkeypatch):
 
 def _holonomy_report(mu, gamma, gammabar):
     return maslov.HolonomyTheoremReport(
-        maslov.MaslovResult(mu, np.zeros(1), maslov.CALIBRATION_SIGN),
+        maslov.MaslovResult(mu, np.zeros(1)),
         maslov.HolonomyResult(np.array(gamma), np.array(gammabar)), int((-1) ** (mu // 2)))
 
 

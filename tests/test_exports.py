@@ -79,11 +79,9 @@ def test_settable_values_are_pinned():
         "maslov.ClosedCurve.around_pair(radius)",
         "maslov.ClosedCurve.circle(initial_samples)",
         "maslov.ClosedCurve.circle(orientation)",
-        "maslov.ClosedCurve.from_samples(initial_samples)",
         "maslov.ClosedCurve.initial_samples",
         "maslov.DiskSpec.orientation",
         "maslov.DiskSpec.radius",
-        "maslov.maslov_index(frame_fn)",
         "singularity.omega_point(p0)",
         "singularity.omega_point(q0)",
         "singularity.perturbed_seed(eps)",

@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 import todalax.maslov as maslov
 from todalax.lax import PhaseDomainError, PhasePoint
-from todalax.spectral import _decompose_stack as decompose_stack
+from todalax.spectral import EigensolverError, _decompose_stack as decompose_stack
 from todalax.singularity import (
     PairTarget,
     all_pair_targets,
@@ -24,11 +26,11 @@ from todalax.maslov import (
     LagrangianFrameError,
     RegularityError,
     TransportError,
+    calibration_index,
     check_holonomy_theorem,
     enclosure_count_check,
     maslov_index,
     oscillator_angle_loop,
-    oscillator_frame,
     toda_frame,
     transport_eigenvectors,
 )
@@ -60,6 +62,12 @@ def coarse_loops():
     return loops
 
 
+def _constant(z: PhasePoint):
+    """The stacked map of the loop that stays at z."""
+    v = z.as_vector()
+    return lambda ts: np.tile(v, (len(ts), 1))
+
+
 class TestClosedCurve:
     def test_rejects_open_sample_list(self):
         pts = [PhasePoint(np.array([0.1 * k, 0.0]), np.zeros(2)) for k in range(4)]
@@ -82,17 +90,41 @@ class TestClosedCurve:
         # a walk of fewer than two steps never leaves its start point
         z = PhasePoint(np.array([0.5, -0.1]), np.zeros(2))
         with pytest.raises(ValueError, match="initial_samples must be an integer of at least 2"):
-            ClosedCurve(lambda t: z, samples)
+            ClosedCurve(_constant(z), samples)
         with pytest.raises(ValueError, match="at least 2"):
             ClosedCurve.circle(z, np.eye(4)[0], np.eye(4)[2], 0.1, initial_samples=samples)
-        if samples is not None:  # None lets from_samples choose
-            with pytest.raises(ValueError, match="at least 2"):
-                ClosedCurve.from_samples([z, z.displaced(0.1 * np.eye(4)[0]), z], samples)
 
     def test_accepts_integer_samples_from_two(self):
         z = PhasePoint(np.array([0.5, -0.1]), np.zeros(2))
         for samples in (2, np.int64(3)):
-            assert ClosedCurve(lambda t: z, samples).initial_samples == samples
+            assert ClosedCurve(_constant(z), samples).initial_samples == samples
+
+    @pytest.mark.parametrize("ends", [
+        [[0.5, -0.1, 0.0, 0.0]] * 2,
+        np.zeros((2, 4), dtype=int),
+        np.zeros((2, 4), dtype=np.float32),
+        np.zeros((2, 5)),
+        np.zeros((2, 2)),
+        np.zeros((3, 4)),
+        np.zeros(4),
+        np.zeros((2, 4, 1)),
+        np.full((2, 4), np.nan),
+        np.array([[0.5, -0.1, 0.0, np.inf]] * 2),
+    ], ids=["list", "int", "float32", "odd width", "n=1", "three rows", "1-d", "3-d", "nan",
+            "inf"])
+    def test_rejects_rows_other_than_a_finite_float_pair(self, ends):
+        # the map is the caller's: its rows at t = 0 and 1 are checked before any walk
+        with pytest.raises(ValueError, match=r"^rows must map ts = \[0, 1\] to a finite float "
+                                             r"array of shape \(2, 2n\) with n >= 2, got "):
+            ClosedCurve(lambda ts: ends, 8)
+
+    def test_rejects_open_or_off_domain_ends(self):
+        z = PhasePoint(np.array([0.5, -0.1]), np.zeros(2))
+        with pytest.raises(ValueError, match=r"^curve is not closed: endpoint mismatch 1\.0+e-06$"):
+            ClosedCurve(lambda ts: z.as_vector() + 1e-6 * ts[:, None], 8)
+        off = np.array([[700.0, 0.0, 0.0, 0.0]] * 2)
+        with pytest.raises(PhaseDomainError, match="^coupling b_1 overflows"):
+            ClosedCurve(lambda ts: off, 8)
 
     @pytest.mark.parametrize("orientation", [0, 2, -2, 1.7, 1.0, True, "1", None])
     def test_rejects_orientation_other_than_plus_or_minus_one(self, sigma1_n3, orientation):
@@ -144,7 +176,7 @@ class TestStackedRows:
     @staticmethod
     def assert_rows(curve, ts, at):
         expected = np.array([at(t) for t in ts])
-        rows, error = maslov._samples(curve, np.asarray(ts, float))
+        rows, error = maslov._in_domain(curve.rows(np.asarray(ts, float)))
         assert error is None
         assert rows.shape == expected.shape and rows.tobytes() == expected.tobytes()
         for t, row in zip(ts[::7], expected[::7]):
@@ -200,7 +232,7 @@ class TestStackedRows:
 class TestTransport:
     def test_constant_curve_trivial_holonomy(self):
         z = PhasePoint(np.array([0.5, -0.1, 0.3]), np.array([0.2, 0.1, -0.4]))
-        curve = ClosedCurve(lambda t: z, initial_samples=8)
+        curve = ClosedCurve(_constant(z), initial_samples=8)
         hol = transport_eigenvectors(curve)
         npt.assert_array_equal(hol.gamma, np.ones(3))
         npt.assert_array_equal(hol.gammabar, np.ones(3))
@@ -226,7 +258,8 @@ class TestTransport:
     def test_signs_stable_under_refinement(self, sigma1_n3, coarse_loops):
         curve = ClosedCurve.around_pair(sigma1_n3, PairTarget(True, 1), radius=2e-3)
         a = transport_eigenvectors(curve)
-        b = transport_eigenvectors(ClosedCurve(curve.point_at, 2 * curve.initial_samples))
+        b = transport_eigenvectors(
+            dataclasses.replace(curve, initial_samples=2 * curve.initial_samples))
         npt.assert_array_equal(a.gamma, b.gamma)
         npt.assert_array_equal(a.gammabar, b.gammabar)
         for fine, coarse in coarse_loops:
@@ -260,21 +293,22 @@ class TestTransport:
     def test_degenerate_curve_rejected(self, sigma1_n3):
         # a loop passing through the singular point itself is not regular
         away = sigma1_n3.z.displaced(1e-3 * np.eye(6)[0])
-        curve = ClosedCurve.from_samples([away, sigma1_n3.z, away], initial_samples=8)
+        curve = dataclasses.replace(ClosedCurve.from_samples([away, sigma1_n3.z, away]),
+                                    initial_samples=8)
         with pytest.raises(RegularityError):
             transport_eigenvectors(curve)
 
 
 class TestMaslovIndex:
     def test_oscillator_calibration(self):
-        res = maslov_index(oscillator_angle_loop(3), frame_fn=oscillator_frame)
+        res = calibration_index(3)
         assert res.mu == 2
-        assert res.calibration_sign == CALIBRATION_SIGN
+        # the frames wind 2 CALIBRATION_SIGN times; the stored sign makes that +2
+        assert np.rint(res.winding_trace[-1, 1] / (2.0 * np.pi)) == 2 * CALIBRATION_SIGN
 
     def test_oscillator_any_size(self):
-        for n in (1, 2, 5):
-            res = maslov_index(oscillator_angle_loop(max(n, 2)), frame_fn=oscillator_frame)
-            assert res.mu == 2
+        for n in range(2, 9):
+            assert calibration_index(n).mu == 2
 
     def test_regular_loop_zero(self):
         z = PhasePoint(np.array([0.5, -0.2, 0.1]), np.array([0.3, 0.9, -0.4]))
@@ -294,7 +328,7 @@ class TestMaslovIndex:
     def test_invariant_under_refinement(self, sigma1_n3, coarse_loops):
         curve = ClosedCurve.around_pair(sigma1_n3, PairTarget(True, 1), radius=2e-3)
         assert maslov_index(curve).mu == maslov_index(
-            ClosedCurve(curve.point_at, 2 * curve.initial_samples)).mu
+            dataclasses.replace(curve, initial_samples=2 * curve.initial_samples)).mu
         for fine, coarse in coarse_loops:
             mu = maslov_index(fine).mu
             assert abs(mu) == 2
@@ -306,8 +340,8 @@ class TestMaslovIndex:
 
     def test_invariant_under_reparameterization(self, sigma1_n3):
         curve = ClosedCurve.around_pair(sigma1_n3, PairTarget(True, 1), radius=2e-3)
-        inner = curve.point_at
-        warped = ClosedCurve(lambda t: inner(t * t * (3.0 - 2.0 * t)), curve.initial_samples)
+        warped = ClosedCurve(lambda ts: curve.rows(ts * ts * (3.0 - 2.0 * ts)),
+                             curve.initial_samples)
         assert maslov_index(curve).mu == maslov_index(warped).mu
 
     def test_winding_trace_monotone_parameter(self, sigma1_n3):
@@ -353,11 +387,11 @@ class TestHolonomyTheorem:
 
         seen = []
 
-        def at(t):
-            seen.append(t)
-            return fine.point_at(t)
+        def rows(ts):
+            seen.extend(ts)
+            return fine.rows(ts)
 
-        coarse = ClosedCurve(at, initial_samples=4)
+        coarse = ClosedCurve(rows, initial_samples=4)
         seen.clear()
         stacks.clear()
         hol = transport_eigenvectors(coarse)
@@ -408,6 +442,13 @@ class TestEnclosureCount:
         with pytest.raises(ValueError):
             enclosure_count_check([])
 
+    @pytest.mark.parametrize("radius", [0, -1e-2, np.nan, np.inf, True, "0.01"])
+    def test_disk_radius_must_be_a_finite_positive_real(self, sigma1_n3, radius):
+        # a radius of -1e-2 switched off the guard against a centre near the boundary:
+        # disks of radii 1e-3 and -1e-2 on one centre reported mu = -4 and passed
+        with pytest.raises(ValueError, match=r"^radius must be a finite real > 0, got "):
+            DiskSpec(sigma1_n3, radius=radius)
+
 
 def _unitary_phase(frames):
     """Reference winding phase: arg det(U)^2 for the unitary part U of each complex frame.
@@ -426,12 +467,23 @@ def _unitary_phase(frames):
     return np.angle(det * det), low
 
 
+def _oscillator_frame_at(z):
+    """The frame of n uncoupled unit oscillators at one row z = (q, p), built column by column."""
+    n = len(z) // 2
+    X = np.zeros((2 * n, n))
+    for j in range(n):
+        X[j, j] = z[n + j]
+        X[n + j, j] = -z[j]
+    return X
+
+
 class TestFramePhase:
     """arg det(W)^2 is the phase of the unitary part: W = U P with det P > 0."""
 
     @staticmethod
     def assert_same_phase(frames):
-        phase, low = maslov._frame_phase(frames)
+        phase, low, errors = maslov._frame_phase(frames)
+        assert errors == {}
         ref_phase, ref_low = _unitary_phase(frames)
         assert np.array_equal(low <= FRAME_GRAM_TOL, ref_low <= FRAME_GRAM_TOL)
         regular = ref_low > FRAME_GRAM_TOL
@@ -460,19 +512,27 @@ class TestFramePhase:
             p = np.array([z.p for z in points])
             b, _ = maslov._lax_classes(np.array([z.q for z in points]), p)
             self.assert_same_phase(maslov._toda_frames(b, p))
-        loop = oscillator_angle_loop(3)
-        self.assert_same_phase(np.array([oscillator_frame(loop.point_at(t))
-                                         for t in np.linspace(0, 1, 129)]))
+        rows = oscillator_angle_loop(3).rows(np.linspace(0, 1, 129))
+        frames = maslov._oscillator_frames(rows[:, :3], rows[:, 3:])
+        assert np.array_equal(frames, np.array([_oscillator_frame_at(z) for z in rows]))
+        self.assert_same_phase(frames)
 
-    def test_frame_of_lost_rank_raises(self):
-        def frame(z):
-            X = oscillator_frame(z)
-            X[:, 1] = X[:, 0]
-            return X
+    def test_frame_of_lost_rank_raises(self, monkeypatch):
+        def lost_rank(frames):
+            def kernel(*args):
+                X = frames(*args)
+                X[:, :, 1] = X[:, :, 0]
+                return X
+            return kernel
 
-        with pytest.raises(LagrangianFrameError,
-                           match=r"^frame Gram matrix smallest eigenvalue \S+ <= 1e-10$"):
-            maslov_index(oscillator_angle_loop(3), frame_fn=frame)
+        monkeypatch.setattr(maslov, "_toda_frames", lost_rank(maslov._toda_frames))
+        monkeypatch.setattr(maslov, "_oscillator_frames", lost_rank(maslov._oscillator_frames))
+        z = PhasePoint(np.array([0.5, -0.2, 0.1]), np.array([0.3, 0.9, -0.4]))
+        regular = ClosedCurve.circle(z, np.eye(6)[0], np.eye(6)[4], 0.05)
+        for walk in (lambda: maslov_index(regular), lambda: calibration_index(3)):
+            with pytest.raises(LagrangianFrameError,
+                               match=r"^frame Gram matrix smallest eigenvalue \S+ <= 1e-10$"):
+                walk()
 
 
 class TestStackedGrid:
@@ -496,10 +556,10 @@ class TestStackedGrid:
         p = np.array([z.p for z in points])
         b, _ = maslov._lax_classes(np.array([z.q for z in points]), p)
         frames = maslov._toda_frames(b, p)
-        phases, low = maslov._frame_phase(frames)
+        phases, low, _ = maslov._frame_phase(frames)
         for z, frame, phase, smallest in zip(points, frames, phases, low):
             assert np.array_equal(frame, toda_frame(z))
-            one_phase, one_low = maslov._frame_phase(toda_frame(z))
+            one_phase, one_low, _ = maslov._frame_phase(toda_frame(z))
             # 1 ulp of pi measured; the stacked products round apart from the 2-d ones
             assert abs(phase - one_phase) <= 4 * np.spacing(np.pi)
             assert smallest == pytest.approx(one_low, rel=1e-12)
@@ -517,27 +577,19 @@ class TestStackedGrid:
             assert str(err.value) == message
 
     def test_errors_of_later_samples_wait_for_the_walk(self, sigma1_n3):
-        # the grid sample at t = 0.8 cannot be evaluated; the walk stops at
-        # t = 1/2 first, as it did when it observed one sample at a time
-        inner = self.through(sigma1_n3, 5e-2, 10).point_at
-
-        def at(t):
-            if 0.75 < t < 0.85:
-                raise ValueError(f"no sample at {t}")
-            return inner(t)
+        # the grid sample at t = 0.8 is a NaN row, off the phase space; the walk
+        # stops at t = 1/2 first, as it did when it observed one sample at a time
+        def holed(curve):
+            return ClosedCurve(lambda ts: np.where(((0.75 < ts) & (ts < 0.85))[:, None], np.nan,
+                                                   curve.rows(ts)), 10)
 
         for walk in (transport_eigenvectors, maslov_index):
             with pytest.raises(RegularityError, match="t = 0.500000"):
-                walk(ClosedCurve(at, 10))
-        regular = ClosedCurve.around_pair(sigma1_n3, PairTarget(True, 1), radius=2e-3)
-
-        def broken(t):
-            if 0.75 < t < 0.85:
-                raise ValueError(f"no sample at {t}")
-            return regular.point_at(t)
-
-        with pytest.raises(ValueError, match="no sample at 0.8"):
-            transport_eigenvectors(ClosedCurve(broken, 10))
+                walk(holed(self.through(sigma1_n3, 5e-2, 10)))
+        regular = holed(ClosedCurve.around_pair(sigma1_n3, PairTarget(True, 1), radius=2e-3))
+        for walk in (transport_eigenvectors, maslov_index):
+            with pytest.raises(PhaseDomainError, match="^non-finite phase-space coordinates$"):
+                walk(regular)
 
     def test_grid_one_past_the_chunk_matches_one_row_walk(self, sigma1_n3, monkeypatch):
         curve = ClosedCurve.around_pair(sigma1_n3, PairTarget(True, 1), radius=2e-3,
@@ -566,7 +618,9 @@ class TestStackedGrid:
         npt.assert_allclose(stacked.maslov.winding_trace, one_row.maslov.winding_trace,
                             rtol=0, atol=1e-13)
 
-    def test_domain_error_of_a_library_curve_waits_for_the_walk(self, sigma1_n3):
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_domain_error_of_a_library_curve_waits_for_the_walk(self, sigma1_n3, monkeypatch):
         # a circle valid at t = 0 whose gap q_1 - q_2 passes Q_GAP_LIMIT near t = 1/4
         z = PhasePoint(np.array([0.5, -0.2, 0.1]), np.array([0.3, 0.9, -0.4]))
         e = np.eye(6)
@@ -578,11 +632,6 @@ class TestStackedGrid:
             PhasePoint.from_vector(_circle_at(z.as_vector(), e[3], e[0], 700.0, 1, bad[0]))
         message = str(expected.value)
         assert message == "coupling b_1 overflows: |q_1 - q_2| = 618 exceeds 600.0"
-        for walk in (transport_eigenvectors, check_holonomy_theorem):
-            for c in (curve, ClosedCurve(curve.point_at, 64)):  # stacked, then one t at a time
-                with pytest.raises(PhaseDomainError) as err:
-                    walk(c)
-                assert str(err.value) == message
         # a sample at the singular point before the domain error, in the same stack, wins:
         # the circle of radius 1000 that passes through it at t = 1/16
         a0 = np.pi / 8
@@ -590,10 +639,21 @@ class TestStackedGrid:
         through = ClosedCurve.circle(centre, e[3], e[0], 1000.0, 16)
         with pytest.raises(PhaseDomainError):
             through.point_at(0.25)
-        for walk in (transport_eigenvectors, check_holonomy_theorem):
-            for c in (through, ClosedCurve(through.point_at, 16)):
+        # a frame whose Gram matrix overflows stops the winding walk where it lies, with a
+        # typed error: t = 0 on the radius-1000 circle, t = 3/32 before the domain error
+        overflow = "sample at t = {}: frame Gram matrix: Eigenvalues did not converge"
+        for chunk in (GRID_CHUNK, 1):  # stacked, then one row at a time
+            monkeypatch.setattr(maslov, "GRID_CHUNK", chunk)
+            for walk in (transport_eigenvectors, check_holonomy_theorem):
+                with pytest.raises(PhaseDomainError) as err:
+                    walk(curve)
+                assert str(err.value) == message
                 with pytest.raises(RegularityError, match=r"^sample at t = 0\.062500 has"):
-                    walk(c)
+                    walk(through)
+            for c, t in ((curve, "0.093750"), (through, "0.000000")):
+                with pytest.raises(EigensolverError) as err:
+                    maslov_index(c)
+                assert str(err.value) == overflow.format(t)
 
     def test_holonomy_check_builds_no_point_per_sample(self, sigma1_n3, monkeypatch):
         # the walks read stacked rows: the points they build do not grow with the grid
@@ -612,16 +672,21 @@ class TestStackedGrid:
                 patch.setattr(PhasePoint, "__post_init__", counting)
                 check_holonomy_theorem(curve)
         assert counts[0] == counts[1]
+        counts.append(0)
+        with monkeypatch.context() as patch:
+            patch.setattr(PhasePoint, "__post_init__", counting)
+            calibration_index(3)
+        assert counts[-1] == 0
 
     def test_budget_error_before_any_sample(self):
         z = PhasePoint(np.array([0.5, -0.2, 0.1]), np.array([0.3, 0.9, -0.4]))
         seen = []
 
-        def at(t):
-            seen.append(t)
-            return z
+        def rows(ts):
+            seen.extend(ts)
+            return _constant(z)(ts)
 
-        curve = ClosedCurve(at, MAX_EVALUATIONS + 1)
+        curve = ClosedCurve(rows, MAX_EVALUATIONS + 1)
         seen.clear()
         for walk in (transport_eigenvectors, maslov_index):
             with pytest.raises(TransportError, match=f"budget of {MAX_EVALUATIONS} evaluations"):
