@@ -81,7 +81,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_singular(args) -> int:
-    n = args.n[0] if isinstance(args.n, list) else args.n
+    n = args.n[0]
     if args.targets == "all":
         targets = all_pair_targets(n)
     else:

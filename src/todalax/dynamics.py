@@ -164,16 +164,16 @@ def grad_combination(z: PhasePoint, c: np.ndarray) -> Gradient:
     return Gradient(*_gradient_field(n, c)(z.q, z.p))
 
 
+def _component_forms(b: np.ndarray, v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(dq, dp) of the component v . L . w for signed couplings b; rows (..., n) broadcast."""
+    ix = _cyclic(v.shape[-1])
+    half = 0.5 * b * (v * w[..., ix.nxt] + v[..., ix.nxt] * w)
+    return half - half[..., ix.prv], v * w
+
+
 def coordinate_form(z: PhasePoint, eps: SignVector, v: np.ndarray, w: np.ndarray) -> Gradient:
     """Exact gradient of the spectral component v . L^eps(z) . w for fixed v, w."""
-    n = z.n
-    ix = _cyclic(n)
-    b = z.couplings() * eps.eps
-    cross = v * w[ix.nxt] + v[ix.nxt] * w
-    half = 0.5 * b * cross
-    dq = half - half[ix.prv]
-    dp = v * w
-    return Gradient(dq, dp)
+    return Gradient(*_component_forms(z.couplings() * eps.eps, v, w))
 
 
 def poisson(f: Gradient, g: Gradient) -> float:

@@ -25,8 +25,8 @@ from .spectral import (DEGENERACY_TOL, EigensolverError, _decompose_stack, _flag
 from .singularity import (
     PairTarget,
     SingularPoint,
-    pair_bracket,
     pair_plane_duals,
+    pairing_denominator,
 )
 
 __all__ = [
@@ -501,7 +501,9 @@ def maslov_index(curve: ClosedCurve) -> MaslovResult:
         values, _, errors = _solve_rows(np.linalg.eigvalsh, entries)
         values = values[:, ::-1]
         gaps, _ = _flag_gaps(values, errors)
-        rows = _frame_rows(ts, _toda_frames(b, p))
+        # a frame that overflows gets its typed error in its row, without numpy's warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = _frame_rows(ts, _toda_frames(b, p))
         _sample_errors(rows, ts, values, gaps, errors)
         return rows
 
@@ -601,7 +603,7 @@ def _disk_sigma(disk: DiskSpec) -> int:
     z = disk.center.z
     target = disk.pair()
     u1, u2 = spectra(z)[target.odd_class].pair_vectors(target.positions(z.n))
-    return int(disk.orientation * np.sign(pair_bracket(z, target.odd_class, u1, u2)))
+    return int(disk.orientation * np.sign(pairing_denominator(z, target.odd_class, u1, u2)))
 
 
 def enclosure_count_check(disks: list[DiskSpec]) -> EnclosureReport:

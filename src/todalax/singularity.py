@@ -17,8 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .lax import PhasePoint, SignVector, build_generator, build_lax
-from .dynamics import _gradients, coordinate_form, grad_combination, grad_F, poisson
+from .lax import PhasePoint, SignVector, _class_signs, build_generator, build_lax, conjugating_signs
+from .dynamics import (_component_forms, _gradients, coordinate_form, grad_combination, grad_F,
+                       poisson)
 from .spectral import SpectralData, _spectra_stack, annihilator, spectra
 
 __all__ = [
@@ -36,7 +37,6 @@ __all__ = [
     "perturbed_seed",
     "pair_plane_duals",
     "pairing_denominator",
-    "pair_bracket",
     "transverse_frequency",
     "HessianReport",
     "hessian_structure_check",
@@ -272,15 +272,9 @@ def perturbed_seed(
     if not open_targets:
         return z
     specs = spectra(z)
-    rows = []
-    rhs = []
-    for t in open_targets:
-        u1, u2 = specs[t.odd_class].pair_basis(t.positions(z.n))
-        dxi, deta, _ = _pair_forms(z, t.odd_class, u1, u2)
-        rows.extend([dxi, deta])
-        rhs.extend([eps, 0.0])
-    A = np.array(rows)
-    delta = np.linalg.lstsq(A, np.array(rhs), rcond=None)[0]
+    A = _pair_rows(z, [(t.odd_class, *specs[t.odd_class].pair_basis(t.positions(z.n)))
+                       for t in open_targets])
+    delta = np.linalg.lstsq(A, np.tile([eps, 0.0], len(open_targets)), rcond=None)[0]
     return z.displaced(delta)
 
 
@@ -313,16 +307,9 @@ def find_singular(seed: PhasePoint, targets: list[PairTarget]) -> SingularPoint:
             raise ConvergenceError(
                 f"gaps {gaps} still above {GAP_TOL} after {MAX_ITER} iterations"
             )
-        residual = []
-        rows = []
-        bases = {}
-        for t in targets:
-            u1, u2 = bases[t] = specs[t.odd_class].pair_basis(t.positions(n))
-            residual.extend(_block_coordinates(z, t.odd_class, u1, u2))
-            dxi, deta, _ = _pair_forms(z, t.odd_class, u1, u2)
-            rows.extend([dxi, deta])
-        J = np.array(rows)
-        r = np.array(residual)
+        bases = {t: specs[t.odd_class].pair_basis(t.positions(n)) for t in targets}
+        r = np.array([x for t in targets for x in _block_coordinates(z, t.odd_class, *bases[t])])
+        J = _pair_rows(z, [(t.odd_class, *bases[t]) for t in targets])
         delta = np.linalg.lstsq(J, -r, rcond=None)[0]
 
         for _ in range(30):
@@ -375,14 +362,38 @@ def _flagged_pair(spec: SpectralData, target: PairTarget):
     return idx, u1, u2
 
 
+def _pair_forms(z: PhasePoint, odd_class, u1: np.ndarray, u2: np.ndarray):
+    """Gradient 1-forms (dxi, deta, dtau) of the block of a fixed pair basis, as 2n vectors.
+
+    Stacks u1, u2 (k, n) of k bases, with their classes odd_class (k,), give
+    stacks (k, 2n) of forms; each row rounds as the one-basis call does.
+    """
+    b = z.couplings() * _class_signs(z.n)[np.asarray(odd_class, dtype=int)]
+    f11, f22, f12 = (np.concatenate(_component_forms(b, v, w), axis=-1)
+                     for v, w in ((u1, u1), (u2, u2), (u1, u2)))
+    return 0.5 * (f22 - f11), f12, 0.5 * (f22 + f11)
+
+
+def _pair_rows(z: PhasePoint, bases: list) -> np.ndarray:
+    """Rows (2k, 2n) dxi_1, deta_1, ..., dxi_k, deta_k of k (odd_class, u1, u2) pair bases."""
+    odd, u1, u2 = (np.array(x) for x in zip(*bases))
+    dxi, deta, _ = _pair_forms(z, odd, u1, u2)
+    return np.stack([dxi, deta], axis=1).reshape(-1, 2 * z.n)
+
+
+def _flagged_bases(specs: tuple[SpectralData, SpectralData]) -> list:
+    """(odd_class, pair, u1, u2) of every flagged pair, even class first."""
+    return [(odd, pair, *spec.pair_vectors(pair))
+            for odd, spec in zip((False, True), specs) for pair in spec.degenerate_pairs]
+
+
 def pair_plane_duals(
     point: PhasePoint | SingularPoint, target: PairTarget
 ) -> tuple[np.ndarray, np.ndarray]:
     """Minimum-norm directions v1, v2 with dxi(v1) = deta(v2) = 1 and zero cross terms."""
     z = point.z if isinstance(point, SingularPoint) else point
     _, u1, u2 = _flagged_pair(spectra(z)[target.odd_class], target)
-    dxi, deta, _ = _pair_forms(z, target.odd_class, u1, u2)
-    A = np.vstack([dxi, deta])
+    A = _pair_rows(z, [(target.odd_class, u1, u2)])
     duals = A.T @ np.linalg.inv(A @ A.T)
     return duals[:, 0], duals[:, 1]
 
@@ -390,16 +401,12 @@ def pair_plane_duals(
 def pairing_denominator(z: PhasePoint, odd_class: bool, u1: np.ndarray, u2: np.ndarray) -> float:
     """The antisymmetric pairing 2 u1 . M(z) . u2 of a degenerate pair basis.
 
-    Equals -n b_m eps_m (u1_{m+1} u2_m - u1_m u2_{m+1}) independently of m;
-    it cannot vanish for an orthonormal pair.
+    Equals -n b_m eps_m (u1_{m+1} u2_m - u1_m u2_{m+1}) independently of m,
+    and n times the Poisson bracket {xi, eta}; it cannot vanish for an
+    orthonormal pair.
     """
     M = build_generator(z, 2, odd_class=odd_class).entries
     return 2.0 * float(u1 @ M @ u2)
-
-
-def pair_bracket(z: PhasePoint, odd_class: bool, u1: np.ndarray, u2: np.ndarray) -> float:
-    """Poisson bracket {xi, eta} of a degenerate pair, equal to the pairing / n."""
-    return pairing_denominator(z, odd_class, u1, u2) / z.n
 
 
 def transverse_frequency(point: PhasePoint | SingularPoint, target: PairTarget) -> float:
@@ -417,26 +424,12 @@ def _frequency(z: PhasePoint, spec: SpectralData, target: PairTarget) -> float:
     idx, u1, u2 = _flagged_pair(spec, target)
     denom = pairing_denominator(z, target.odd_class, u1, u2)
     if abs(denom) < 1e-10:
-        raise RuntimeError(
-            "vanishing pair pairing; the eigenpair basis lost orthonormality"
-        )
+        raise RuntimeError("vanishing pair pairing; the eigenpair basis lost orthonormality")
     return 2.0 * annihilator(spec, idx).derivative_at_root * denom / z.n
 
 
-def _pair_forms(z: PhasePoint, odd_class: bool, u1: np.ndarray, u2: np.ndarray):
-    """Gradient 1-forms (dxi, deta, dtau) of the block of a fixed pair basis, as 2n vectors."""
-    sign = _class_sign(z.n, odd_class)
-    f11 = coordinate_form(z, sign, u1, u1).as_vector()
-    f22 = coordinate_form(z, sign, u2, u2).as_vector()
-    f12 = coordinate_form(z, sign, u1, u2).as_vector()
-    return 0.5 * (f22 - f11), f12, 0.5 * (f22 + f11)
-
-
 def _symplectic_matrix(n: int) -> np.ndarray:
-    J = np.zeros((2 * n, 2 * n))
-    J[:n, n:] = np.eye(n)
-    J[n:, :n] = -np.eye(n)
-    return J
+    return np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(n))
 
 
 @dataclass(frozen=True)
@@ -445,87 +438,76 @@ class HessianReport:
 
     The Hessian of G = sum_j c_j F_j at the singular point is the spectral
     dyad sum  sum_a T'(lambda_a) Q_a  over the distinct eigenvalues of the
-    degenerate matrix: the target pair contributes
-    2 T'(lambda*)(dxi dxi + deta deta + dtau dtau), any other degenerate
-    pair a vanishing coefficient, and each simple eigenvalue its squared
-    differential.
+    degenerate matrix: each degenerate pair a contributes
+    2 T'(lambda_a)(dxi dxi + deta deta + dtau dtau), which vanishes for
+    every pair but the target, and each simple eigenvalue its squared
+    differential.  The linearised flow K = J G'' is elliptic with frequency
+    omega: its minimal polynomial is x^2 (x^2 + omega^2), and
+    Tr K^2 = -2 omega^2.
     """
 
     target: PairTarget
     residual_full: float
     omega_formula: float
-    omega_spectrum: float
-    spurious_eigenvalue: float
+    minimal_polynomial_residual: float
     trace_K_squared: float
 
     @property
     def omega_relative_error(self) -> float:
-        return abs(abs(self.omega_formula) - self.omega_spectrum) / abs(self.omega_formula)
+        """| |omega_formula| - sqrt(-Tr K^2 / 2) | / |omega_formula|; 1.0 unless Tr K^2 < 0."""
+        if not self.trace_K_squared < 0.0:
+            return 1.0
+        omega = abs(self.omega_formula)
+        return abs(omega - float(np.sqrt(-0.5 * self.trace_K_squared))) / omega
 
 
 def hessian_structure_check(point: PhasePoint | SingularPoint, target: PairTarget) -> HessianReport:
-    """Measure the dyadic Hessian structure and the linearised flow spectrum.
+    """Measure the dyadic Hessian structure and the invariants of the linearised flow.
 
     The Hessian is built by central differences of the analytic gradient of
     G, with step HESSIAN_STEP, keeping it independent of the dyadic formula
-    under test.  Residuals:
-    the full spectral dyad identity, eig(J G'') = one conjugate imaginary
-    pair +-i omega and zeros (the third largest imaginary part, spurious),
-    agreement of omega with the closed form, and ellipticity
-    Tr (J G'')^2 = -2 omega^2 < 0.
+    under test.  With K = J G'' and omega the closed form (``_frequency``),
+    the residuals are the full spectral dyad identity and
+    ||K^4 + omega^2 K^2|| / (omega^2 ||K^2||); Tr K^2 carries ellipticity
+    and the trace route to |omega|.
     """
     z = point.z if isinstance(point, SingularPoint) else point
     n = z.n
     spec = spectra(z)[target.odd_class]
-    idx, u1, u2 = _flagged_pair(spec, target)
+    idx, _, _ = _flagged_pair(spec, target)
     ann = annihilator(spec, idx)
-    c = ann.coefficients
 
     h = HESSIAN_STEP * max(1.0, float(np.max(np.abs(z.as_vector()))))
-    dim = 2 * n
-    H = np.empty((dim, dim))
-    for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = h
-        gp = grad_combination(z.displaced(e), c).as_vector()
-        gm = grad_combination(z.displaced(-e), c).as_vector()
-        H[:, i] = (gp - gm) / (2.0 * h)
+    c = ann.coefficients
+    H = np.array([(grad_combination(z.displaced(e), c).as_vector()
+                   - grad_combination(z.displaced(-e), c).as_vector()) / (2.0 * h)
+                  for e in h * np.eye(2 * n)])  # row i: the difference along coordinate i
     H = 0.5 * (H + H.T)
 
-    dxi, deta, dtau = _pair_forms(z, target.odd_class, u1, u2)
-    full = 2.0 * ann.derivative_at_root * (
-        np.outer(dxi, dxi) + np.outer(deta, deta) + np.outer(dtau, dtau))
-    skip = set(spec.degenerate_pairs[idx])
-    for other in spec.degenerate_pairs:
-        if other == spec.degenerate_pairs[idx]:
-            continue
-        skip.update(other)
-        v1, v2 = spec.pair_vectors(other)
-        oxi, oeta, otau = _pair_forms(z, target.odd_class, v1, v2)
-        coeff = 2.0 * ann.derivative(spec.pair_value(other))
-        full += coeff * (np.outer(oxi, oxi) + np.outer(oeta, oeta) + np.outer(otau, otau))
+    # the target pair first, then the other degenerate pairs, then the simple eigenvalues
+    own = spec.degenerate_pairs[idx]
+    full = 0.0
+    for pair in (own, *(other for other in spec.degenerate_pairs if other != own)):
+        dxi, deta, dtau = _pair_forms(z, target.odd_class, *spec.pair_vectors(pair))
+        full = full + 2.0 * ann.derivative(spec.pair_value(pair)) * (
+            np.outer(dxi, dxi) + np.outer(deta, deta) + np.outer(dtau, dtau))
+    paired = {k for pair in spec.degenerate_pairs for k in pair}
     for k in range(n):
-        if k in skip:
-            continue
-        uk = spec.vectors[:, k]
-        dlam = coordinate_form(z, _class_sign(n, target.odd_class), uk, uk).as_vector()
-        full += ann.derivative(float(spec.values[k])) * np.outer(dlam, dlam)
+        if k not in paired:
+            uk = spec.vectors[:, k]
+            dlam = coordinate_form(z, spec.sign, uk, uk).as_vector()
+            full += ann.derivative(float(spec.values[k])) * np.outer(dlam, dlam)
 
     K = _symplectic_matrix(n) @ H
-    ev = np.linalg.eigvals(K)
-    order = np.argsort(-np.abs(ev.imag))
-    omega_spec = float(abs(ev.imag[order[0]]))
-    spurious = float(abs(ev.imag[order[2]])) if dim > 2 else 0.0
-    omega_formula = 2.0 * ann.derivative_at_root * pairing_denominator(
-        z, target.odd_class, u1, u2
-    ) / n
+    K2 = K @ K
+    omega = _frequency(z, spec, target)
     return HessianReport(
         target=target,
         residual_full=float(np.linalg.norm(H - full)) / float(np.linalg.norm(H)),
-        omega_formula=omega_formula,
-        omega_spectrum=omega_spec,
-        spurious_eigenvalue=spurious,
-        trace_K_squared=float(np.trace(K @ K)),
+        omega_formula=omega,
+        minimal_polynomial_residual=float(np.linalg.norm(K2 @ K2 + omega**2 * K2))
+        / (omega**2 * float(np.linalg.norm(K2))),
+        trace_K_squared=float(np.trace(K2)),
     )
 
 
@@ -552,27 +534,20 @@ def _conjugate_spot_check(
     {f, g}* = -(2/n) [(v.D.x)(u.Meps.D.w) + (u.D.w)(v.Meps.D.x)]
     where D is the diagonal of accumulated sign products.
     """
-    from .lax import conjugating_signs
-
     n = z.n
     eps = spec.sign
     flipped = eps.eps.copy()
     flipped[0] *= -1.0
     flipped[1 % n] *= -1.0
     sigma = SignVector(flipped)
-    d = conjugating_signs(eps, sigma)
-    S = np.diag(d)
+    D = np.diag(conjugating_signs(eps, sigma))
     u1, u2 = spec.pair_vectors(pair)
-    w1, w2 = S @ u1, S @ u2
+    w1, w2 = D @ u1, D @ u2
 
     Meps = build_generator(z, 2, odd_class=(eps.parity() == -1)).entries
-    D = np.diag(d)
     worst = 0.0
-    cases = [(u1, u2, w1, w1), (u1, u2, w1, w2), (u1, u1, w1, w2)]
-    for (u, v, w, x) in cases:
-        gf = coordinate_form(z, eps, u, v)
-        gg = coordinate_form(z, sigma, w, x)
-        numeric = poisson(gf, gg)
+    for (u, v, w, x) in [(u1, u2, w1, w1), (u1, u2, w1, w2), (u1, u1, w1, w2)]:
+        numeric = poisson(coordinate_form(z, eps, u, v), coordinate_form(z, sigma, w, x))
         predicted = -(2.0 / n) * (
             float(v @ D @ x) * float(u @ Meps @ D @ w)
             + float(u @ D @ w) * float(v @ Meps @ D @ x)
@@ -592,69 +567,53 @@ def bracket_relations_check(point: PhasePoint | SingularPoint) -> BracketReport:
     """
     z = point.z if isinstance(point, SingularPoint) else point
     n = z.n
+    b = z.couplings()
+    specs = spectra(z)
     labels: list[str] = []
     forms: list[np.ndarray] = []
-    nonzero_partners: list[tuple[int, int]] = []
-    ratio_errors = []
-    m_indep = 0.0
-    mixed_parity = 0.0
-    conj_res = 0.0
-    b = z.couplings()
-
-    specs = spectra(z)
-    for odd_class in (False, True):
-        spec = specs[odd_class]
+    denoms = []
+    m_indep = conj_res = 0.0
+    for odd_class, pair, u1, u2 in _flagged_bases(specs):
         cls = "bar" if odd_class else ""
-        for pair in spec.degenerate_pairs:
-            u1, u2 = spec.pair_vectors(pair)
-            dxi, deta, dtau = _pair_forms(z, odd_class, u1, u2)
-            base = len(labels)
-            labels += [f"xi{cls}[{pair[0]}]", f"eta{cls}[{pair[0]}]", f"tau{cls}[{pair[0]}]"]
-            forms += [dxi, deta, dtau]
-            nonzero_partners.append((base, base + 1))
-
-            denom = pairing_denominator(z, odd_class, u1, u2)
-            bracket = float(np.dot(dxi[:n], deta[n:]) - np.dot(dxi[n:], deta[:n]))
-            ratio_errors.append(bracket * n / denom - 1.0)
-            eps = _class_sign(n, odd_class).eps
-            for m in range(n):
-                mp = (m + 1) % n
-                via_m = -n * b[m] * eps[m] * (u1[mp] * u2[m] - u1[m] * u2[mp])
-                m_indep = max(m_indep, abs(denom - via_m))
-        if spec.degenerate_pairs:
-            conj_res = max(conj_res, _conjugate_spot_check(z, spec, spec.degenerate_pairs[0]))
+        labels += [f"{name}{cls}[{pair[0]}]" for name in ("xi", "eta", "tau")]
+        forms += _pair_forms(z, odd_class, u1, u2)
+        denoms.append(pairing_denominator(z, odd_class, u1, u2))
+        eps = _class_sign(n, odd_class).eps
+        via_m = -n * b * eps * (np.roll(u1, -1) * u2 - u1 * np.roll(u2, -1))
+        m_indep = max(m_indep, float(np.max(np.abs(denoms[-1] - via_m))))
+        if pair == specs[odd_class].degenerate_pairs[0]:
+            conj_res = max(conj_res, _conjugate_spot_check(z, specs[odd_class], pair))
 
     # mixed-parity spectral components: same or different eigenvalues, always zero
+    mixed_parity = 0.0
     if specs[False].degenerate_pairs and specs[True].degenerate_pairs:
-        pe = specs[False].degenerate_pairs[0]
-        po = specs[True].degenerate_pairs[0]
-        ue1, ue2 = specs[False].pair_vectors(pe)
-        uo1, uo2 = specs[True].pair_vectors(po)
+        ue1, ue2 = specs[False].pair_vectors(specs[False].degenerate_pairs[0])
+        uo1, uo2 = specs[True].pair_vectors(specs[True].degenerate_pairs[0])
         for (u, v) in [(ue1, ue2), (ue1, ue1)]:
             for (w, x) in [(uo1, uo2), (uo2, uo2)]:
-                gf = coordinate_form(z, SignVector.even(n), u, v)
-                gg = coordinate_form(z, SignVector.odd(n), w, x)
-                mixed_parity = max(mixed_parity, abs(poisson(gf, gg)))
+                mixed_parity = max(mixed_parity, abs(poisson(
+                    coordinate_form(z, SignVector.even(n), u, v),
+                    coordinate_form(z, SignVector.odd(n), w, x))))
 
     m = len(labels)
     table = np.zeros((m, m))
     for i in range(m):
-        fi = forms[i]
         for j in range(i + 1, m):
-            fj = forms[j]
-            table[i, j] = float(np.dot(fi[:n], fj[n:]) - np.dot(fi[n:], fj[:n]))
+            table[i, j] = float(np.dot(forms[i][:n], forms[j][n:])
+                                - np.dot(forms[i][n:], forms[j][:n]))
             table[j, i] = -table[i, j]
+    # the same-pair {xi, eta} entries are the only nonzero ones
+    xi = np.arange(0, m, 3)
     zero_mask = np.triu(np.ones((m, m), dtype=bool), k=1)
-    for (i, j) in nonzero_partners:
-        zero_mask[i, j] = False
+    zero_mask[xi, xi + 1] = False
     zero_max = float(np.max(np.abs(table[zero_mask]))) if zero_mask.any() else 0.0
 
     return BracketReport(
         labels=tuple(labels),
         table=table,
         zero_max=zero_max,
-        ratio_errors=np.array(ratio_errors),
-        m_independence_max=float(m_indep),
+        ratio_errors=table[xi, xi + 1] * n / np.array(denoms) - 1.0,
+        m_independence_max=m_indep,
         mixed_parity_max=float(mixed_parity),
         conjugate_formula_residual=float(conj_res),
     )
@@ -668,17 +627,11 @@ def tangent_symplectic_check(point: PhasePoint | SingularPoint) -> float:
     stratum is a symplectic submanifold at this point.
     """
     z = point.z if isinstance(point, SingularPoint) else point
-    n = z.n
-    rows = []
-    for odd_class, spec in zip((False, True), spectra(z)):
-        for pair in spec.degenerate_pairs:
-            u1, u2 = spec.pair_vectors(pair)
-            dxi, deta, _ = _pair_forms(z, odd_class, u1, u2)
-            rows += [dxi, deta]
-    if not rows:
+    bases = [(odd, u1, u2) for odd, _, u1, u2 in _flagged_bases(spectra(z))]
+    if not bases:
         raise ValueError("no degenerate pairs; the point is regular")
-    A = np.array(rows)
+    A = _pair_rows(z, bases)
     _, _, Vt = np.linalg.svd(A)
-    T = Vt[len(rows):].T  # orthonormal basis of the tangent space
-    B = T.T @ _symplectic_matrix(n) @ T
+    T = Vt[len(A):].T  # orthonormal basis of the tangent space
+    B = T.T @ _symplectic_matrix(z.n) @ T
     return float(np.linalg.svd(B, compute_uv=False)[-1])

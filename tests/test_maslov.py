@@ -618,8 +618,6 @@ class TestStackedGrid:
         npt.assert_allclose(stacked.maslov.winding_trace, one_row.maslov.winding_trace,
                             rtol=0, atol=1e-13)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                                "ignore:invalid value encountered:RuntimeWarning")
     def test_domain_error_of_a_library_curve_waits_for_the_walk(self, sigma1_n3, monkeypatch):
         # a circle valid at t = 0 whose gap q_1 - q_2 passes Q_GAP_LIMIT near t = 1/4
         z = PhasePoint(np.array([0.5, -0.2, 0.1]), np.array([0.3, 0.9, -0.4]))

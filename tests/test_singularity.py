@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -337,11 +338,11 @@ class TestTransverseFrequency:
 
 
 def assert_hessian_within_bounds(rep):
-    # the registry does not check the spurious eigenvalue; bound it relative to omega
+    # the registry does not check the minimal polynomial yet; bound it at the same tolerance
     assert rep.residual_full < TRANSVERSE_TOL, rep
     assert rep.omega_relative_error < TRANSVERSE_TOL, rep
     assert rep.trace_K_squared < 0.0, rep
-    assert rep.spurious_eigenvalue < TRANSVERSE_TOL * abs(rep.omega_formula), rep
+    assert rep.minimal_polynomial_residual < TRANSVERSE_TOL, rep
 
 
 def assert_brackets_canonical(rep):
@@ -360,7 +361,7 @@ class TestHessianStructure:
         assert rep.residual_full < 1e-8
         assert rep.omega_relative_error < 1e-8
         assert rep.trace_K_squared < 0
-        assert rep.spurious_eigenvalue < 1e-8
+        assert rep.minimal_polynomial_residual < 1e-8
         assert_hessian_within_bounds(rep)
 
     def test_omega_point_rank_three(self):
@@ -370,13 +371,31 @@ class TestHessianStructure:
         sp = find_singular(om.z, all_pair_targets(3))
         rep = hessian_structure_check(sp, PairTarget(True, 1))
         assert rep.residual_full < 1e-8
+        assert rep.minimal_polynomial_residual < 1e-8
         assert_hessian_within_bounds(rep)
 
     def test_trace_matches_frequency(self):
         om = omega_point(3)
         sp = find_singular(perturbed_seed(om, [PairTarget(True, 1)]), [PairTarget(False, 1)])
         rep = hessian_structure_check(sp, PairTarget(False, 1))
-        npt.assert_allclose(rep.trace_K_squared, -2.0 * rep.omega_spectrum**2, rtol=1e-6)
+        assert rep.omega_formula == sp.frequencies[0]
+        npt.assert_allclose(rep.trace_K_squared, -2.0 * rep.omega_formula**2, rtol=1e-6)
+        omega_trace = np.sqrt(-0.5 * rep.trace_K_squared)
+        assert rep.omega_relative_error == pytest.approx(
+            abs(omega_trace - abs(rep.omega_formula)) / abs(rep.omega_formula), rel=1e-12)
+        # no elliptic pair without Tr K^2 < 0
+        assert replace(rep, trace_K_squared=0.0).omega_relative_error == 1.0
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_every_sigma1_target_is_elliptic(self, n):
+        # the n = 8 targets are within bounds too: no eigen-solve of the ill-conditioned K
+        found, missing, _ = Sample(n).sigma1
+        assert not missing
+        for sp in found:
+            rep = hessian_structure_check(sp, sp.targets[0])
+            assert rep.minimal_polynomial_residual < TRANSVERSE_TOL, rep
+            assert rep.omega_relative_error < TRANSVERSE_TOL, rep
+            assert rep.trace_K_squared < 0.0, rep
 
 
 class TestBracketRelations:
