@@ -493,7 +493,16 @@ def maslov_index(curve: ClosedCurve) -> MaslovResult:
     """Maslov index of the curve: the winding of the ``toda_frame`` planes along it.
 
     The samples must be regular; each reads both Lax spectra, from
-    eigenvalues only.
+    eigenvalues only.  The walk's domain is narrower than the phase space:
+    column j of a frame grows like b^(j-1) with the largest coupling
+    b = exp(g/2), g = max |q_r - q_{r+1}|, and the Gram matrix W^H W squares
+    that spread.  On radius-1e-3 circles at nine gap profiles (one gap, a
+    ramp, alternating gaps, six random), the walk returned at every profile
+    up to g = 236 at n = 3, and g = 7.8, 7.5, 4.6, 4.4, 2.7 at n = 4..8.
+    Beyond, it raises LagrangianFrameError (n >= 4: the computed smallest
+    Gram eigenvalue falls below FRAME_GRAM_TOL), TransportError (n = 3:
+    det(W)^2 overflows) or EigensolverError (the Gram matrix overflows,
+    from g = 354 at n = 3).
     """
 
     def observe(ts, q, p):
