@@ -341,9 +341,10 @@ def integrate_flow(
     flow c = e_2, whose kinetic plus potential splitting supports a
     fixed-step leapfrog.  The adaptive right-hand side is one call of
     _gradient_field's one-point kernel, and scipy.integrate is imported at
-    the first adaptive run (see solve_ivp).  A non-finite coefficient or
-    requested time, or an rtol that is not a finite positive real or is
-    below RTOL_FLOOR, which solve_ivp would not honour, raises ValueError.
+    the first adaptive run (see solve_ivp).  A non-finite coefficient, a
+    requested time outside the span from 0 to t_final, or an rtol that is
+    not a finite positive real or is below RTOL_FLOOR, which solve_ivp
+    would not honour, raises ValueError.
     """
     c = np.asarray(c, dtype=float)
     n = z0.n
@@ -358,8 +359,8 @@ def integrate_flow(
     t_eval = np.asarray(t_eval, dtype=float)
     if t_eval.size == 0:
         raise ValueError("t_eval must hold at least one time")
-    if not np.all(np.isfinite(t_eval)):
-        raise ValueError("t_eval must be finite")
+    if not np.all((min(0.0, t_final) <= t_eval) & (t_eval <= max(0.0, t_final))):
+        raise ValueError(f"t_eval must be finite and lie between 0 and t_final = {t_final}")
     _require_rtol(rtol)
     gradient = _gradient_field(n, c)  # checks c for the leapfrog too
 

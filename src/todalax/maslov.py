@@ -20,14 +20,9 @@ import numpy as np
 
 from .lax import PhaseDomainError, PhasePoint, _couplings, _inside, _is_int, _lax
 from .dynamics import _trace_gradients
-from .spectral import (DEGENERACY_TOL, EigensolverError, _decompose_stack, _flag_gaps,
-                       _solve_rows, spectra)
-from .singularity import (
-    PairTarget,
-    SingularPoint,
-    pair_plane_duals,
-    pairing_denominator,
-)
+from .spectral import DEGENERACY_TOL, EigensolverError, _decompose_stack, _flag_gaps, _solve_rows
+from .singularity import (PairTarget, SingularPoint, _at, _plane_duals, pair_plane_duals,
+                          pairing_denominator)
 
 __all__ = [
     "CALIBRATION_SIGN",
@@ -164,9 +159,9 @@ class ClosedCurve:
         orientation: int = 1,
     ) -> "ClosedCurve":
         """Circle in the dual plane of the (xi, eta) coordinates of one pair."""
-        v1, v2 = pair_plane_duals(point, target)
-        z = point.z if isinstance(point, SingularPoint) else point
-        return ClosedCurve.circle(z, v1, v2, radius, initial_samples, orientation)
+        z, specs = _at(point)
+        return ClosedCurve.circle(z, *_plane_duals(z, specs, target), radius, initial_samples,
+                                  orientation)
 
 
 def _circle(zc: np.ndarray, v1, v2, radius: float, orientation: int):
@@ -609,9 +604,9 @@ def _disk_sigma(disk: DiskSpec) -> int:
     {xi, eta} at the singular point.  The pair is flagged there: drawing
     the disk's circle with ``pair_plane_duals`` checked it.
     """
-    z = disk.center.z
+    z, specs = _at(disk.center)
     target = disk.pair()
-    u1, u2 = spectra(z)[target.odd_class].pair_vectors(target.positions(z.n))
+    u1, u2 = specs[target.odd_class].pair_vectors(target.positions(z.n))
     return int(disk.orientation * np.sign(pairing_denominator(z, target.odd_class, u1, u2)))
 
 

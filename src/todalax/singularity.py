@@ -14,10 +14,10 @@ transverse oscillation frequency) is verified against analytic gradients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import numpy as np
 
-from .lax import PhasePoint, SignVector, _class_signs, build_generator, build_lax, conjugating_signs
+from .lax import PhasePoint, SignVector, _class_signs, _lax, build_generator, conjugating_signs
 from .dynamics import (_component_forms, _gradients, coordinate_form, grad_combination, grad_F,
                        poisson)
 from .spectral import SpectralData, _spectra_stack, annihilator, spectra
@@ -192,10 +192,6 @@ class OmegaPoint:
     even_values: np.ndarray
     odd_values: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.z.n
-
 
 def omega_point(n: int, q0: float = 0.0, p0: float = 0.0) -> OmegaPoint:
     """The relative equilibrium with common position q0 and momentum p0."""
@@ -205,10 +201,6 @@ def omega_point(n: int, q0: float = 0.0, p0: float = 0.0) -> OmegaPoint:
     even = np.sort(p0 + 2.0 * np.cos(2.0 * np.pi * k / n))[::-1]
     odd = np.sort(p0 + 2.0 * np.cos(np.pi * (2.0 * k + 1.0) / n))[::-1]
     return OmegaPoint(PhasePoint(np.full(n, q0), np.full(n, p0)), even, odd)
-
-
-def _class_sign(n: int, odd_class: bool) -> SignVector:
-    return SignVector.odd(n) if odd_class else SignVector.even(n)
 
 
 def _target_gaps(specs: tuple[SpectralData, SpectralData], targets: list[PairTarget]) -> np.ndarray:
@@ -225,7 +217,7 @@ def _block_coordinates(z: PhasePoint, odd_class: bool, u1: np.ndarray, u2: np.nd
     basis spans a degenerate eigenspace, and their differentials at the
     basis point are the (dxi, deta) of ``_pair_forms``.
     """
-    entries = build_lax(z, _class_sign(z.n, odd_class)).entries
+    entries = _lax(z.couplings(), z.p, _class_signs(z.n)[int(odd_class)])
     a = float(u1 @ entries @ u1)
     d = float(u2 @ entries @ u2)
     return 0.5 * (d - a), float(u1 @ entries @ u2)
@@ -233,17 +225,19 @@ def _block_coordinates(z: PhasePoint, odd_class: bool, u1: np.ndarray, u2: np.nd
 
 @dataclass(frozen=True)
 class SingularPoint:
-    """A refined point where exactly the target pairs are degenerate."""
+    """A refined point where exactly the target pairs are degenerate.
+
+    ``spectra`` holds both classes' SpectralData at z, (even, odd), from which the finder
+    read the gaps and frequencies.  The structure checks and pair planes read it instead of
+    decomposing z again; they share its arrays, so none of them writes into them.
+    """
 
     z: PhasePoint
     targets: tuple[PairTarget, ...]
     residual_gaps: np.ndarray
     frequencies: np.ndarray
     iterations: int
-
-    @property
-    def n(self) -> int:
-        return self.z.n
+    spectra: tuple[SpectralData, SpectralData] = field(repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
         from .reporting import vector_strs
@@ -297,11 +291,9 @@ def find_singular(seed: PhasePoint, targets: list[PairTarget]) -> SingularPoint:
         t.positions(n)  # validate ordinals early
     z = seed
     specs = spectra(z)
-    iterations = 0
     for it in range(MAX_ITER + 1):
         gaps = _target_gaps(specs, targets)
         if float(np.max(gaps)) < GAP_TOL:
-            iterations = it
             break
         if it == MAX_ITER:
             raise ConvergenceError(
@@ -338,8 +330,15 @@ def find_singular(seed: PhasePoint, targets: list[PairTarget]) -> SingularPoint:
             f"collapsed onto a higher stratum: extra degenerate pairs {sorted(extra)}"
         )
 
-    freqs = np.array([_frequency(z, specs[t.odd_class], t) for t in targets])
-    return SingularPoint(z, tuple(targets), _target_gaps(specs, targets), freqs, iterations)
+    freqs = np.array([_frequency(z, specs[t.odd_class], t)[0] for t in targets])
+    return SingularPoint(z, tuple(targets), _target_gaps(specs, targets), freqs, it, specs)
+
+
+def _at(point: PhasePoint | SingularPoint) -> tuple[PhasePoint, tuple[SpectralData, SpectralData]]:
+    """The phase point and both classes' spectra: a SingularPoint's own, else decomposed once."""
+    if isinstance(point, SingularPoint):
+        return point.z, point.spectra
+    return point, spectra(point)
 
 
 def _subspace_overlap(basis, other) -> float:
@@ -391,8 +390,11 @@ def pair_plane_duals(
     point: PhasePoint | SingularPoint, target: PairTarget
 ) -> tuple[np.ndarray, np.ndarray]:
     """Minimum-norm directions v1, v2 with dxi(v1) = deta(v2) = 1 and zero cross terms."""
-    z = point.z if isinstance(point, SingularPoint) else point
-    _, u1, u2 = _flagged_pair(spectra(z)[target.odd_class], target)
+    return _plane_duals(*_at(point), target)
+
+
+def _plane_duals(z: PhasePoint, specs: tuple[SpectralData, SpectralData], target: PairTarget):
+    _, u1, u2 = _flagged_pair(specs[target.odd_class], target)
     A = _pair_rows(z, [(target.odd_class, u1, u2)])
     duals = A.T @ np.linalg.inv(A @ A.T)
     return duals[:, 0], duals[:, 1]
@@ -416,16 +418,18 @@ def transverse_frequency(point: PhasePoint | SingularPoint, target: PairTarget) 
     the sign follows the deterministic pair basis (swapping the basis flips
     it), the magnitude is basis independent.
     """
-    z = point.z if isinstance(point, SingularPoint) else point
-    return _frequency(z, spectra(z)[target.odd_class], target)
+    z, specs = _at(point)
+    return _frequency(z, specs[target.odd_class], target)[0]
 
 
-def _frequency(z: PhasePoint, spec: SpectralData, target: PairTarget) -> float:
+def _frequency(z: PhasePoint, spec: SpectralData, target: PairTarget):
+    """The frequency of a flagged target pair and the annihilator T it is read from."""
     idx, u1, u2 = _flagged_pair(spec, target)
+    ann = annihilator(spec, idx)
     denom = pairing_denominator(z, target.odd_class, u1, u2)
     if abs(denom) < 1e-10:
         raise RuntimeError("vanishing pair pairing; the eigenpair basis lost orthonormality")
-    return 2.0 * annihilator(spec, idx).derivative_at_root * denom / z.n
+    return 2.0 * ann.derivative_at_root * denom / z.n, ann
 
 
 def _symplectic_matrix(n: int) -> np.ndarray:
@@ -471,11 +475,10 @@ def hessian_structure_check(point: PhasePoint | SingularPoint, target: PairTarge
     ||K^4 + omega^2 K^2|| / (omega^2 ||K^2||); Tr K^2 carries ellipticity
     and the trace route to |omega|.
     """
-    z = point.z if isinstance(point, SingularPoint) else point
+    z, specs = _at(point)
     n = z.n
-    spec = spectra(z)[target.odd_class]
-    idx, _, _ = _flagged_pair(spec, target)
-    ann = annihilator(spec, idx)
+    spec = specs[target.odd_class]
+    omega, ann = _frequency(z, spec, target)
 
     h = HESSIAN_STEP * max(1.0, float(np.max(np.abs(z.as_vector()))))
     c = ann.coefficients
@@ -485,7 +488,7 @@ def hessian_structure_check(point: PhasePoint | SingularPoint, target: PairTarge
     H = 0.5 * (H + H.T)
 
     # the target pair first, then the other degenerate pairs, then the simple eigenvalues
-    own = spec.degenerate_pairs[idx]
+    own = spec.degenerate_pairs[ann.pair_index]
     full = 0.0
     for pair in (own, *(other for other in spec.degenerate_pairs if other != own)):
         dxi, deta, dtau = _pair_forms(z, target.odd_class, *spec.pair_vectors(pair))
@@ -500,7 +503,6 @@ def hessian_structure_check(point: PhasePoint | SingularPoint, target: PairTarge
 
     K = _symplectic_matrix(n) @ H
     K2 = K @ K
-    omega = _frequency(z, spec, target)
     return HessianReport(
         target=target,
         residual_full=float(np.linalg.norm(H - full)) / float(np.linalg.norm(H)),
@@ -565,10 +567,9 @@ def bracket_relations_check(point: PhasePoint | SingularPoint) -> BracketReport:
     m-independent coupling form, mixed-parity spectral components bracket
     to zero, and the conjugate-class bracket formula is spot checked.
     """
-    z = point.z if isinstance(point, SingularPoint) else point
+    z, specs = _at(point)
     n = z.n
     b = z.couplings()
-    specs = spectra(z)
     labels: list[str] = []
     forms: list[np.ndarray] = []
     denoms = []
@@ -578,7 +579,7 @@ def bracket_relations_check(point: PhasePoint | SingularPoint) -> BracketReport:
         labels += [f"{name}{cls}[{pair[0]}]" for name in ("xi", "eta", "tau")]
         forms += _pair_forms(z, odd_class, u1, u2)
         denoms.append(pairing_denominator(z, odd_class, u1, u2))
-        eps = _class_sign(n, odd_class).eps
+        eps = specs[odd_class].sign.eps
         via_m = -n * b * eps * (np.roll(u1, -1) * u2 - u1 * np.roll(u2, -1))
         m_indep = max(m_indep, float(np.max(np.abs(denoms[-1] - via_m))))
         if pair == specs[odd_class].degenerate_pairs[0]:
@@ -626,8 +627,8 @@ def tangent_symplectic_check(point: PhasePoint | SingularPoint) -> float:
     every degenerate pair; a positive return value witnesses that the
     stratum is a symplectic submanifold at this point.
     """
-    z = point.z if isinstance(point, SingularPoint) else point
-    bases = [(odd, u1, u2) for odd, _, u1, u2 in _flagged_bases(spectra(z))]
+    z, specs = _at(point)
+    bases = [(odd, u1, u2) for odd, _, u1, u2 in _flagged_bases(specs)]
     if not bases:
         raise ValueError("no degenerate pairs; the point is regular")
     A = _pair_rows(z, bases)

@@ -95,6 +95,8 @@ class RunConfig:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not all(_is_int(n) for n in self.n_values):
             raise ValueError(f"n_values must be integers, got {self.n_values}")
+        if not self.n_values:
+            raise ValueError("n_values must list at least one size")
         if any(n < 2 for n in self.n_values) or len(set(self.n_values)) != len(self.n_values):
             raise ValueError(f"n values must be distinct and at least 2, got {self.n_values}")
         if self.seed < 0:

@@ -1,4 +1,5 @@
 import argparse
+from dataclasses import replace
 import json
 import os
 from pathlib import Path
@@ -60,6 +61,7 @@ class TestConfig:
         ({"degeneracy_tol": "1e-8"}, "degeneracy_tol"),
         ({"bracket_tol": 1e-7}, "bracket_tol"),
         ({"ode_rtol": 1e-15}, "ode_rtol"),
+        ({"n_values": []}, "n_values must list at least one size"),
     ])
     def test_rejects_bad_values(self, bad, name):
         with pytest.raises(ValueError, match=name) as exc:
@@ -164,6 +166,10 @@ class TestVerifyCommand:
         sample = Sample(3)
         assert len(sample.sigma1[0]) == 2
         monkeypatch.setattr(spectral, "DEGENERACY_TOL", 0.9)
+        # a found point carries the spectra it was found with: decompose them again at 0.9
+        found, missing, reason = sample.sigma1
+        sample.sigma1 = ([replace(sp, spectra=spectral.spectra(sp.z)) for sp in found],
+                         missing, reason)
         corank, transverse = (next(c for c in CHECKS if c.name == name).run(sample)
                               for name in ("corank_sigma1", "transverse_structure"))
         assert corank.status == transverse.status == "fail"
@@ -204,6 +210,9 @@ class TestVerifyCommand:
         ([], '{"ode_rtol": 1e-11}', "ode_rtol"),
         ([], '[1, 2]', "must hold a JSON object, got list"),
         (["--n", "2"], '"n_values"', "must hold a JSON object, got str"),
+        # an empty size list used to run maslov_calibration alone and exit 0
+        (["--n", ""], None, "n_values must list at least one size"),
+        ([], '{"n_values": []}', "n_values must list at least one size"),
     ])
     def test_bad_config_exit_two_before_any_check(self, tmp_path, capsys, args, config, name):
         if config is not None:
@@ -257,6 +266,11 @@ class TestSingularCommand:
         assert labels == {"even:1", "odd:1"}
         gaps = [float(g) for pt in data["points"] for g in pt["residual_gaps"]]
         assert max(gaps) < 1e-10
+
+    def test_n4_all_targets_output_is_pinned(self, capsys):
+        # every byte the command prints; the finder's stored spectra stay out of it
+        assert main(["singular", "--n", "4", "--targets", "all"]) == 0
+        assert capsys.readouterr().out.encode() == (DATA / "singular_n4.json").read_bytes()
 
     def test_n4_three_components(self, tmp_path):
         out = tmp_path / "points4.json"

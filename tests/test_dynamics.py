@@ -266,6 +266,19 @@ class TestFlows:
                 with pytest.raises(ValueError, match="t_eval must be finite"):
                     integrate_flow(z0, c, 1.0, t_eval=bad, method=method)
 
+    @pytest.mark.parametrize("method", ["dop853", "verlet"])
+    def test_times_outside_the_span_rejected(self, method):
+        # the leapfrog used to clamp them: t = 2 got the t = 1 state, t = -1 the initial one
+        z0 = PhasePoint(np.array([0.1, -0.4, 0.3]), np.array([0.2, 0.0, -0.2]))
+        c = np.array([0.0, 1.0, 0.0])
+        for bad in ([0.5, 2.0, -1.0], [0.0, 1.0 + 1e-12], [-1e-12, 0.5]):
+            with pytest.raises(ValueError, match="lie between 0 and t_final = 1.0"):
+                integrate_flow(z0, c, 1.0, t_eval=bad, method=method)
+        with pytest.raises(ValueError, match="t_final = -1.0"):  # a backward span
+            integrate_flow(z0, c, -1.0, t_eval=[0.0, 0.5], method=method)
+        traj = integrate_flow(z0, c, 1.0, t_eval=[0.0, 0.5, 1.0], method=method)
+        assert traj.times.tolist() == [0.0, 0.5, 1.0]
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_coefficients_rejected(self, bad):
         # grad_combination returned NaN gradients; integrate_flow warned, then blamed the point

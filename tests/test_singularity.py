@@ -5,7 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from todalax import singularity, spectral
+from todalax import maslov, singularity, spectral
 from todalax.lax import PhasePoint, SignVector, _couplings, build_lax
 from todalax.spectral import (
     TripleDegeneracyError,
@@ -43,6 +43,7 @@ from todalax.verify import (
     Sample,
     random_points,
 )
+from todalax.maslov import ClosedCurve
 
 # the registry's bounds, which decide pass or fail
 TRANSVERSE_TOL = next(c.tolerance for c in CHECKS if c.name == "transverse_structure")
@@ -447,3 +448,63 @@ class TestGeometricWitnesses:
         rng = np.random.default_rng(3)
         with pytest.raises(ValueError):
             tangent_symplectic_check(random_point(rng, 3))
+
+
+class TestStoredSpectra:
+    """A found point carries the finder's spectra; what reads them decomposes nothing."""
+
+    @pytest.fixture
+    def decomposed(self, monkeypatch):
+        """The points ``spectra`` is called on, from singularity and maslov."""
+        seen = []
+
+        def counting(z):
+            seen.append(z)
+            return spectral.spectra(z)
+
+        for module in (singularity, maslov):
+            monkeypatch.setattr(module, "spectra", counting, raising=False)
+        return seen
+
+    def test_found_point_holds_the_spectra_at_z(self):
+        sp = Sample(3).sigma1[0][0]
+        for stored, fresh in zip(sp.spectra, spectra(sp.z)):
+            assert stored.degenerate_pairs == fresh.degenerate_pairs
+            assert stored.sign == fresh.sign
+            npt.assert_array_equal(stored.values, fresh.values)
+            npt.assert_array_equal(stored.vectors, fresh.vectors)
+        assert "spectra" not in repr(sp) and "spectra" not in sp.to_json_dict()
+        assert sp == replace(sp, spectra=spectra(omega_point(3).z))
+
+    def test_checks_on_a_found_point_decompose_nothing(self, decomposed):
+        sample = Sample(3)
+        found = sample.sigma1[0]
+        del decomposed[:]
+        for sp in found:
+            target = sp.targets[0]
+            hessian_structure_check(sp, target)
+            bracket_relations_check(sp)
+            tangent_symplectic_check(sp)
+            singularity.pair_plane_duals(sp, target)
+            transverse_frequency(sp, target)
+            ClosedCurve.around_pair(sp, target)
+        assert decomposed == []
+        # three decompositions per point before the finder's spectra were kept
+        record = next(c for c in CHECKS if c.name == "transverse_structure").run(sample)
+        assert record.status == "pass" and decomposed == []
+
+    def test_a_phase_point_is_decomposed_once(self, decomposed):
+        sp = Sample(3).sigma1[0][0]
+        target = sp.targets[0]
+        del decomposed[:]
+        ClosedCurve.around_pair(sp.z, target)
+        singularity.pair_plane_duals(sp.z, target)
+        assert decomposed == [sp.z, sp.z]
+
+    def test_hessian_check_builds_one_annihilator(self, monkeypatch):
+        sp = Sample(3).sigma1[0][1]
+        built = []
+        monkeypatch.setattr(singularity, "annihilator",
+                            lambda spec, idx: built.append(idx) or annihilator(spec, idx))
+        rep = hessian_structure_check(sp, sp.targets[0])
+        assert built == [0] and rep.omega_formula == sp.frequencies[0]
