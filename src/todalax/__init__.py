@@ -62,7 +62,6 @@ from .maslov import (
     HolonomyResult,
     MaslovResult,
     DiskSpec,
-    transport_eigenvectors,
     maslov_index,
     check_holonomy_theorem,
     enclosure_count_check,

@@ -9,6 +9,9 @@ by the harmonic-oscillator angle loop).  Independently, each normalized
 real eigenvector of either Lax matrix returns to plus or minus itself
 after continuation around the curve; the product of the even-indexed
 holonomy signs over both matrices reproduces (-1)^(mu/2).
+``check_holonomy_theorem`` reads both sides from one walk that observes
+each sample once; they share the samples and the solver's eigenvalues, and
+the winding reads no eigenvector.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 
 from .lax import PhaseDomainError, PhasePoint, _couplings, _inside, _is_int, _lax
 from .dynamics import _trace_gradients
-from .spectral import DEGENERACY_TOL, EigensolverError, _decompose_stack, _flag_gaps, _solve_rows
+from .spectral import DEGENERACY_TOL, EigensolverError, _decompose_stack, _solve_rows
 from .singularity import (PairTarget, SingularPoint, _at, _plane_duals, pair_plane_duals,
                           pairing_denominator)
 
@@ -31,7 +34,6 @@ __all__ = [
     "LagrangianFrameError",
     "ClosedCurve",
     "HolonomyResult",
-    "transport_eigenvectors",
     "MaslovResult",
     "toda_frame",
     "oscillator_angle_loop",
@@ -294,26 +296,6 @@ def _lax_classes(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return b, np.moveaxis(_lax(b, p), -3, 0).reshape(-1, b.shape[1], b.shape[1])
 
 
-def _sample_errors(rows: list, ts, values: np.ndarray, gaps: np.ndarray,
-                   errors: dict[int, Exception]) -> None:
-    """Put in ``rows`` each sample's first error: of its even class, its odd class, or its gap.
-
-    ``values``, ``gaps`` and ``errors`` are of the stack of both classes,
-    even first.  The gap is the smallest relative eigenvalue gap of both;
-    below REGULARITY_TOL the sample is a RegularityError.
-    """
-    m = len(rows)
-    relative = gaps / np.maximum(1.0, values[:, 0] - values[:, -1])[:, None]
-    gap = np.minimum(relative[:m].min(axis=1), relative[m:].min(axis=1))
-    for r in np.flatnonzero(gap < REGULARITY_TOL):
-        rows[r] = RegularityError(
-            f"sample at t = {ts[r]:.6f} has eigenvalue gap {gap[r]:.3e} below "
-            f"{REGULARITY_TOL:.1e}; the curve passes too close to a singular point"
-        )
-    for r in sorted(errors, reverse=True):  # the odd class first, so the even one wins
-        rows[r % m] = errors[r]
-
-
 @dataclass(frozen=True)
 class HolonomyResult:
     """Holonomy signs of all eigenvector bundles around one loop.
@@ -337,43 +319,6 @@ class HolonomyResult:
     @property
     def full_products(self) -> tuple[int, int]:
         return int(np.prod(self.gamma)), int(np.prod(self.gammabar))
-
-
-def transport_eigenvectors(curve: ClosedCurve) -> HolonomyResult:
-    """Continue the eigenvectors of both Lax matrices around the loop.
-
-    At every step the new eigenvector signs maximise overlap with the
-    previous ones; the sampling is bisected wherever the smallest overlap
-    over both classes drops to MIN_OVERLAP or below.
-    """
-
-    def advance(frames, new, _t):
-        overlaps = [np.einsum("ij,ij->j", V, W) for V, W in zip(frames, new)]
-        for cls, ov in zip(("even", "odd"), overlaps):
-            r = int(np.argmin(np.abs(ov)))
-            if abs(ov[r]) <= MIN_OVERLAP:
-                return None, f"{cls} eigenvector {r} overlap {abs(ov[r]):.3f} <= {MIN_OVERLAP}"
-        return tuple(W * np.sign(ov) for W, ov in zip(new, overlaps)), None
-
-    def observe(ts, q, p):
-        _, entries = _lax_classes(q, p)
-        values, vectors, gaps, _, errors = _decompose_stack(entries)
-        m = len(q)
-        rows = list(zip(vectors[:m], vectors[m:]))
-        _sample_errors(rows, ts, values, gaps, errors)
-        return rows
-
-    first, last = _walk(curve, observe, advance)
-    signs = []
-    for V0, V in zip(first, last):
-        final = np.einsum("ij,ij->j", V0, V)
-        if np.min(np.abs(final)) < 0.99:
-            raise TransportError(
-                f"loop closure overlap {np.min(np.abs(final)):.3f} too weak; "
-                "transport did not return to the initial eigenspaces"
-            )
-        signs.append(np.sign(final))
-    return HolonomyResult(*signs)
 
 
 def _toda_frames(b: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -438,11 +383,12 @@ def _principal(a: float) -> float:
     return (a + np.pi) % (2.0 * np.pi) - np.pi
 
 
-def _frame_rows(ts: np.ndarray, frames: np.ndarray) -> list:
-    """Per sample at ts, the phase of its frame in the stack (m, 2n, n), or the frame's error:
-    LagrangianFrameError if it lost rank, EigensolverError if it overflowed."""
+def _frame_rows(ts: np.ndarray, frames: np.ndarray, vectors: list) -> list:
+    """Per sample at ts, (the phase of its frame in the stack (m, 2n, n), its entry of
+    vectors), or the frame's error: LagrangianFrameError if it lost rank, EigensolverError if
+    it overflowed."""
     phases, low, failed = _frame_phase(frames)
-    rows = list(phases)
+    rows = list(zip(phases, vectors))
     for r in np.flatnonzero(low <= FRAME_GRAM_TOL):
         rows[r] = LagrangianFrameError(f"frame Gram matrix smallest eigenvalue "
                                        f"{low[r]:.3e} <= {FRAME_GRAM_TOL:.0e}")
@@ -451,26 +397,60 @@ def _frame_rows(ts: np.ndarray, frames: np.ndarray) -> list:
     return rows
 
 
-def _winding(curve: ClosedCurve, observe: _Observe) -> MaslovResult:
-    """Winding number of det(W)^2 for the complex frames W = X_q + i X_p along the curve.
+def _lax_samples(ts: np.ndarray, q: np.ndarray, p: np.ndarray) -> list:
+    """Per sample of a stack: (the phase of its ``toda_frame``, the eigenvectors (V, Vbar) of its
+    two Lax classes), or its first error: even class, odd class, eigenvalue gap, then frame.
 
-    ``observe`` gives per sample the phase of its frame or an error
-    (``_frame_rows``).  det P > 0 for the positive definite polar factor P
-    of W = U P, so the argument is that of det(U)^2.  It is accumulated
-    with per-step jumps kept below pi/2 by bisection, so the integer
-    winding is unambiguous; CALIBRATION_SIGN converts it to the Maslov
-    index normalisation in which the harmonic-oscillator angle loop scores +2.
+    The gap is the smaller of the two classes' smallest relative eigenvalue
+    gaps; below REGULARITY_TOL the sample is a RegularityError.
+    """
+    b, entries = _lax_classes(q, p)
+    values, vectors, gaps, _, errors = _decompose_stack(entries)
+    m = len(q)
+    # a frame that overflows gets its typed error in its row, without numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = _frame_rows(ts, _toda_frames(b, p), list(zip(vectors[:m], vectors[m:])))
+    relative = gaps / np.maximum(1.0, values[:, 0] - values[:, -1])[:, None]
+    gap = np.minimum(relative[:m].min(axis=1), relative[m:].min(axis=1))
+    for r in np.flatnonzero(gap < REGULARITY_TOL):
+        rows[r] = RegularityError(
+            f"sample at t = {ts[r]:.6f} has eigenvalue gap {gap[r]:.3e} below "
+            f"{REGULARITY_TOL:.1e}; the curve passes too close to a singular point"
+        )
+    for r in sorted(errors, reverse=True):  # the odd class first, so the even one wins
+        rows[r % m] = errors[r]
+    return rows
+
+
+def _winding(curve: ClosedCurve, observe: _Observe) -> tuple[MaslovResult, tuple, tuple]:
+    """Winding number of det(W)^2 for the complex frames W = X_q + i X_p along the curve,
+    with the eigenvectors at t = 0 and, continued by the same walk, at t = 1.
+
+    ``observe`` gives per sample (the phase of its frame, a tuple of
+    eigenvector matrices, empty for a phase-only walk) or an error.
+    det P > 0 for the positive definite polar factor P of W = U P, so the
+    argument is that of det(U)^2.  A step is accepted when every
+    eigenvector keeps more than MIN_OVERLAP overlap with its predecessor,
+    whose sign it takes, and the phase moves by less than pi/2; else it is
+    bisected.  CALIBRATION_SIGN converts the winding to the Maslov index
+    normalisation in which the harmonic-oscillator angle loop scores +2.
     """
     trace = [(0.0, 0.0)]
 
-    def advance(phi, phi_next, t):
+    def advance(state, obs, t):
+        (phi, frames), (phi_next, new) = state, obs
+        overlaps = [np.einsum("ij,ij->j", V, W) for V, W in zip(frames, new)]
+        for cls, ov in zip(("even", "odd"), overlaps):
+            r = int(np.argmin(np.abs(ov)))
+            if abs(ov[r]) <= MIN_OVERLAP:
+                return None, f"{cls} eigenvector {r} overlap {abs(ov[r]):.3f} <= {MIN_OVERLAP}"
         step = _principal(phi_next - phi)
         if abs(step) >= 0.5 * np.pi:
             return None, f"phase jump {step:.3f}"
         trace.append((t, trace[-1][1] + step))
-        return phi_next, None
+        return (phi_next, tuple(W * np.sign(ov) for W, ov in zip(new, overlaps))), None
 
-    _walk(curve, observe, advance)
+    (_, first), (_, last) = _walk(curve, observe, advance)
     total = trace[-1][1]
     winding = total / (2.0 * np.pi)
     nearest = int(np.rint(winding))
@@ -481,14 +461,15 @@ def _winding(curve: ClosedCurve, observe: _Observe) -> MaslovResult:
         raise TransportError(
             f"odd winding {mu}; the Lagrangian plane field should be orientable"
         )
-    return MaslovResult(mu, np.array(trace))
+    return MaslovResult(mu, np.array(trace)), first, last
 
 
 def maslov_index(curve: ClosedCurve) -> MaslovResult:
     """Maslov index of the curve: the winding of the ``toda_frame`` planes along it.
 
-    The samples must be regular; each reads both Lax spectra, from
-    eigenvalues only.  The walk's domain is narrower than the phase space:
+    The samples must be regular, and are observed as in ``check_holonomy_theorem``,
+    but the walk steers by the phase alone, so it cannot see a step that
+    wraps a full turn.  The walk's domain is narrower than the phase space:
     column j of a frame grows like b^(j-1) with the largest coupling
     b = exp(g/2), g = max |q_r - q_{r+1}|, and the Gram matrix W^H W squares
     that spread.  On radius-1e-3 circles at nine gap profiles (one gap, a
@@ -499,26 +480,16 @@ def maslov_index(curve: ClosedCurve) -> MaslovResult:
     det(W)^2 overflows) or EigensolverError (the Gram matrix overflows,
     from g = 354 at n = 3).
     """
-
-    def observe(ts, q, p):
-        b, entries = _lax_classes(q, p)
-        values, _, errors = _solve_rows(np.linalg.eigvalsh, entries)
-        values = values[:, ::-1]
-        gaps, _ = _flag_gaps(values, errors)
-        # a frame that overflows gets its typed error in its row, without numpy's warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            rows = _frame_rows(ts, _toda_frames(b, p))
-        _sample_errors(rows, ts, values, gaps, errors)
-        return rows
-
-    return _winding(curve, observe)
+    # the observations without their eigenvectors: the walk transports none
+    return _winding(curve, lambda ts, q, p: [obs if isinstance(obs, Exception) else (obs[0], ())
+                                             for obs in _lax_samples(ts, q, p)])[0]
 
 
 def calibration_index(n: int) -> MaslovResult:
     """Maslov index of n uncoupled oscillators around ``oscillator_angle_loop(n)``: the
     winding of their frames, which CALIBRATION_SIGN makes +2."""
     return _winding(oscillator_angle_loop(n),
-                    lambda ts, q, p: _frame_rows(ts, _oscillator_frames(q, p)))
+                    lambda ts, q, p: _frame_rows(ts, _oscillator_frames(q, p), [()] * len(ts)))[0]
 
 
 @dataclass(frozen=True)
@@ -543,15 +514,26 @@ class HolonomyTheoremReport:
 
 
 def check_holonomy_theorem(curve: ClosedCurve) -> HolonomyTheoremReport:
-    """Compute the Maslov index and the holonomies independently and compare.
+    """Compute the Maslov index and the holonomies along one walk and compare.
 
-    Each walk observes its own samples: the transport walk decomposes both
-    Lax classes, the winding walk reads their eigenvalues only.
+    Each sample is observed once: both Lax classes decomposed in one stack,
+    the Toda frame built from the same couplings.  The sides share the
+    samples and the eigenvalues the regularity guard reads, not
+    eigenvectors.  A step is accepted only when the eigenvector overlaps
+    and the frame phase both pass, so the winding also takes the steps that
+    transport bisects.
     """
-    hol = transport_eigenvectors(curve)
-    mas = maslov_index(curve)
-    lhs = int((-1) ** (mas.mu // 2))
-    return HolonomyTheoremReport(mas, hol, lhs)
+    mas, first, last = _winding(curve, _lax_samples)
+    signs = []
+    for V0, V in zip(first, last):
+        final = np.einsum("ij,ij->j", V0, V)
+        if np.min(np.abs(final)) < 0.99:
+            raise TransportError(
+                f"loop closure overlap {np.min(np.abs(final)):.3f} too weak; "
+                "transport did not return to the initial eigenspaces"
+            )
+        signs.append(np.sign(final))
+    return HolonomyTheoremReport(mas, HolonomyResult(*signs), int((-1) ** (mas.mu // 2)))
 
 
 @dataclass(frozen=True)
@@ -568,6 +550,8 @@ class DiskSpec:
     orientation: int = 1
 
     def __post_init__(self):
+        if not isinstance(self.center, SingularPoint):
+            raise ValueError(f"center must be a SingularPoint, got {type(self.center).__name__}")
         # a radius of 0 or below would switch off the boundary's distance guard
         if isinstance(self.radius, bool) or not (isinstance(self.radius, numbers.Real)
                                                   and 0.0 < self.radius < np.inf):
@@ -620,6 +604,9 @@ def enclosure_count_check(disks: list[DiskSpec]) -> EnclosureReport:
     """
     if not disks:
         raise ValueError("need at least one disk")
+    sizes = sorted({d.center.z.n for d in disks})
+    if len(sizes) > 1:
+        raise ValueError(f"disk centres must have one size n, got n = {sizes}")
     grid = np.linspace(0.0, 1.0, CIRCLE_SAMPLES + 1)
     circles = np.array([_circle(d.center.z.as_vector(), *pair_plane_duals(d.center, d.pair()),
                                 d.radius, d.orientation)(grid) for d in disks])

@@ -15,6 +15,7 @@ transverse oscillation frequency) is verified against analytic gradients.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 import numpy as np
 
 from .lax import PhasePoint, SignVector, _class_signs, _lax, build_generator, conjugating_signs
@@ -147,16 +148,15 @@ def _rank_decision(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (s < RANK_TOL * smax).sum(axis=1), band.any(axis=1)
 
 
-def corank(z: PhasePoint) -> CorankReport:
+def corank(point: PhasePoint | SingularPoint) -> CorankReport:
     """Rank-decide the Jacobian of the traces and count Lax degeneracies."""
+    z, (even, odd) = _at(point)
     n = z.n
     dF = np.array([grad_F(z, j).as_vector() for j in range(1, n + 1)])
     U, s, _ = np.linalg.svd(dF)
     k, band = _rank_decision(s[None])
     k = int(k[0])
     null_basis = U[:, n - k:].T.copy() if k else np.empty((0, n))
-
-    even, odd = spectra(z)
     nu, nubar = len(even.degenerate_pairs), len(odd.degenerate_pairs)
     return CorankReport(z, s, k, nu, nubar, null_basis, bool(band[0]))
 
@@ -191,6 +191,11 @@ class OmegaPoint:
     z: PhasePoint
     even_values: np.ndarray
     odd_values: np.ndarray
+
+    @cached_property
+    def spectra(self) -> tuple[SpectralData, SpectralData]:
+        """Both classes' SpectralData at z, decomposed when first read; nothing writes into it."""
+        return spectra(self.z)
 
 
 def omega_point(n: int, q0: float = 0.0, p0: float = 0.0) -> OmegaPoint:
@@ -265,7 +270,7 @@ def perturbed_seed(
     z = omega.z
     if not open_targets:
         return z
-    specs = spectra(z)
+    specs = omega.spectra
     A = _pair_rows(z, [(t.odd_class, *specs[t.odd_class].pair_basis(t.positions(z.n)))
                        for t in open_targets])
     delta = np.linalg.lstsq(A, np.tile([eps, 0.0], len(open_targets)), rcond=None)[0]

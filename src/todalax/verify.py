@@ -310,7 +310,7 @@ def _corank_sigma1(s: Sample) -> Outcome:
     found, missing, _ = s.sigma1
     reasons = [missing] if missing else []
     for sp in found:
-        rep = corank(sp.z)
+        rep = corank(sp)
         label = sp.targets[0].label
         if rep.inconclusive:
             reasons.append(f"{label}: inconclusive rank decision")

@@ -15,7 +15,7 @@ import todalax.verify as verify
 from todalax.cli import main
 from todalax.dynamics import integrate_flow
 from todalax.lax import PhaseDomainError, PhasePoint
-from todalax.maslov import ClosedCurve, maslov_index
+from todalax.maslov import ClosedCurve, check_holonomy_theorem, maslov_index
 from todalax.reporting import float_str
 from todalax.singularity import ConvergenceError, PairTarget
 from todalax.verify import CHECKS, RunConfig, Sample, run_suite
@@ -350,6 +350,31 @@ class TestMaslovCommand:
         expected = [f"{float_str(t)},{float_str(phi)}"
                     for t, phi in maslov_index(curve).winding_trace]
         assert lines[1:] == expected
+
+    def test_coarse_circle_returns_the_fine_index(self, tmp_path):
+        # the n = 5 even:1 circle from 2 samples printed mu = 0 and exited 1 while 256
+        # samples give mu = 2: the one walk bisects the steps whose phase wraps a full
+        # turn, and the trace is that walk's accepted t
+        pts = tmp_path / "pts.json"
+        assert main(["singular", "--n", "5", "--targets", "even:1", "--out", str(pts)]) == 0
+        pt = json.loads(pts.read_text())["points"][0]
+        center = {"q": [float(x) for x in pt["q"]], "p": [float(x) for x in pt["p"]]}
+        spec_path = tmp_path / "curve.json"
+        spec_path.write_text(json.dumps({"type": "circle", "center": center, "pair": "even:1",
+                                         "radius": 2e-3, "samples": 2}))
+        out, trace = tmp_path / "maslov.json", tmp_path / "trace.csv"
+        code = main(["maslov", str(spec_path), "--out", str(out), "--trace-csv", str(trace)])
+        assert code == 0
+        data = json.loads(out.read_text())
+        assert data["mu"] == 2 and data["agree"] is True
+        curve = ClosedCurve.around_pair(
+            PhasePoint(np.array(center["q"]), np.array(center["p"])),
+            PairTarget(False, 1), radius=2e-3, initial_samples=2,
+        )
+        walk = check_holonomy_theorem(curve).maslov.winding_trace
+        assert trace.read_text().splitlines()[1:] == [
+            f"{float_str(t)},{float_str(phi)}" for t, phi in walk]
+        assert len(walk) > len(maslov_index(curve).winding_trace)
 
     def test_sample_loop_regular(self, tmp_path):
         base = np.array([0.5, -0.2, 0.1, 0.3, 0.9, -0.4])

@@ -32,7 +32,6 @@ from todalax.maslov import (
     maslov_index,
     oscillator_angle_loop,
     toda_frame,
-    transport_eigenvectors,
 )
 
 
@@ -60,6 +59,11 @@ def coarse_loops():
                   for s in (4, 5, 6)]
         loops.append((fine, coarse))
     return loops
+
+
+def _holonomy(curve):
+    """The holonomy side of the one walk around the curve."""
+    return check_holonomy_theorem(curve).holonomy
 
 
 def _constant(z: PhasePoint):
@@ -233,7 +237,7 @@ class TestTransport:
     def test_constant_curve_trivial_holonomy(self):
         z = PhasePoint(np.array([0.5, -0.1, 0.3]), np.array([0.2, 0.1, -0.4]))
         curve = ClosedCurve(_constant(z), initial_samples=8)
-        hol = transport_eigenvectors(curve)
+        hol = _holonomy(curve)
         npt.assert_array_equal(hol.gamma, np.ones(3))
         npt.assert_array_equal(hol.gammabar, np.ones(3))
 
@@ -241,7 +245,7 @@ class TestTransport:
         om = omega_point(2)
         sp = find_singular(om.z, [PairTarget(True, 1)])
         curve = ClosedCurve.around_pair(sp, PairTarget(True, 1), radius=5e-2)
-        hol = transport_eigenvectors(curve)
+        hol = _holonomy(curve)
         npt.assert_array_equal(hol.gammabar, [-1.0, -1.0])
         npt.assert_array_equal(hol.gamma, [1.0, 1.0])
         assert hol.even_product == hol.odd_product == -1
@@ -251,29 +255,29 @@ class TestTransport:
         z = PhasePoint(np.array([0.5, -0.2, 0.1]), np.array([0.3, 0.9, -0.4]))
         for radius in (0.05, 0.01):
             curve = ClosedCurve.circle(z, np.eye(6)[0], np.eye(6)[4], radius)
-            hol = transport_eigenvectors(curve)
+            hol = _holonomy(curve)
             npt.assert_array_equal(hol.gamma, np.ones(3))
             npt.assert_array_equal(hol.gammabar, np.ones(3))
 
     def test_signs_stable_under_refinement(self, sigma1_n3, coarse_loops):
         curve = ClosedCurve.around_pair(sigma1_n3, PairTarget(True, 1), radius=2e-3)
-        a = transport_eigenvectors(curve)
-        b = transport_eigenvectors(
+        a = _holonomy(curve)
+        b = _holonomy(
             dataclasses.replace(curve, initial_samples=2 * curve.initial_samples))
         npt.assert_array_equal(a.gamma, b.gamma)
         npt.assert_array_equal(a.gammabar, b.gammabar)
         for fine, coarse in coarse_loops:
-            ref = transport_eigenvectors(fine)
+            ref = _holonomy(fine)
             for curve in coarse:
-                hol = transport_eigenvectors(curve)
+                hol = _holonomy(curve)
                 npt.assert_array_equal(hol.gamma, ref.gamma)
                 npt.assert_array_equal(hol.gammabar, ref.gammabar)
 
     def test_signs_stable_under_small_perturbation(self, sigma1_n3):
-        a = transport_eigenvectors(
+        a = _holonomy(
             ClosedCurve.around_pair(sigma1_n3, PairTarget(True, 1), radius=2e-3)
         )
-        b = transport_eigenvectors(
+        b = _holonomy(
             ClosedCurve.around_pair(sigma1_n3, PairTarget(True, 1), radius=3e-3)
         )
         npt.assert_array_equal(a.gamma, b.gamma)
@@ -283,7 +287,7 @@ class TestTransport:
         # descending convention: gamma_r = gamma_{r+1} for even 1-indexed r,
         # gammabar_r = gammabar_{r+1} for odd r
         curve = ClosedCurve.around_pair(sigma1_n3, PairTarget(True, 1), radius=2e-3)
-        hol = transport_eigenvectors(curve)
+        hol = _holonomy(curve)
         n = hol.gamma.size
         for r in range(2, n, 2):  # 1-indexed even r pairs (r, r+1)
             assert hol.gamma[r - 1] == hol.gamma[r]
@@ -296,7 +300,7 @@ class TestTransport:
         curve = dataclasses.replace(ClosedCurve.from_samples([away, sigma1_n3.z, away]),
                                     initial_samples=8)
         with pytest.raises(RegularityError):
-            transport_eigenvectors(curve)
+            _holonomy(curve)
 
 
 class TestMaslovIndex:
@@ -371,21 +375,25 @@ class TestHolonomyTheorem:
         npt.assert_array_equal(rep.holonomy.gammabar[:2], [-1.0, -1.0])
 
     def test_holonomy_check_decomposes_each_sample_once(self, sigma1_n3, monkeypatch):
-        # the transport walk decomposes each sample once, its initial grid in
-        # stacks of GRID_CHUNK samples; the winding walk reads eigenvalues only
-        stacks = []
+        # one walk: each observed stack is decomposed once and framed once, the initial
+        # grid in stacks of GRID_CHUNK samples and each midpoint as a stack of one
+        stacks, frames, seen = [], [], []
+        decompose_stack, toda_frames = maslov._decompose_stack, maslov._toda_frames
 
         def counting_decompose(entries, *args):
             stacks.append(len(entries) // 2)  # both classes of each sample
             return decompose_stack(entries, *args)
 
-        monkeypatch.setattr(maslov, "_decompose_stack", counting_decompose)
-        fine = ClosedCurve.around_pair(sigma1_n3, PairTarget(True, 1), radius=2e-3)
-        check_holonomy_theorem(fine)
-        full, rest = divmod(257, GRID_CHUNK)
-        assert stacks == [GRID_CHUNK] * full + [rest]
+        def counting_frames(b, p):
+            frames.append(len(b))
+            return toda_frames(b, p)
 
-        seen = []
+        monkeypatch.setattr(maslov, "_decompose_stack", counting_decompose)
+        monkeypatch.setattr(maslov, "_toda_frames", counting_frames)
+        fine = ClosedCurve.around_pair(sigma1_n3, PairTarget(True, 1), radius=2e-3)
+        ref = check_holonomy_theorem(fine)
+        full, rest = divmod(257, GRID_CHUNK)
+        assert stacks == frames == [GRID_CHUNK] * full + [rest]
 
         def rows(ts):
             seen.extend(ts)
@@ -394,19 +402,53 @@ class TestHolonomyTheorem:
         coarse = ClosedCurve(rows, initial_samples=4)
         seen.clear()
         stacks.clear()
-        hol = transport_eigenvectors(coarse)
-        assert len(stacks) > 1 and stacks[0] == 5  # the grid, then the midpoints
-        assert set(stacks[1:]) == {1}
-        assert sum(stacks) == len(seen) == len(set(seen))
-        stacks.clear()
-        seen.clear()
-        mas = maslov_index(coarse)
-        assert not stacks and len(seen) == len(set(seen)) > 5
+        frames.clear()
         rep = check_holonomy_theorem(coarse)
-        assert rep.mu == mas.mu
-        assert np.array_equal(rep.maslov.winding_trace, mas.winding_trace)
-        npt.assert_array_equal(rep.holonomy.gamma, hol.gamma)
-        npt.assert_array_equal(rep.holonomy.gammabar, hol.gammabar)
+        assert stacks == frames and stacks[0] == 5  # the grid, then the midpoints
+        assert len(stacks) > 1 and set(stacks[1:]) == {1}
+        assert sum(stacks) == len(seen) == len(set(seen))
+        assert rep.agree and rep.mu == ref.mu
+        npt.assert_array_equal(rep.holonomy.gamma, ref.holonomy.gamma)
+        npt.assert_array_equal(rep.holonomy.gammabar, ref.holonomy.gammabar)
+        # the phase-only walk bisects only where the phase fails: the one walk's
+        # winding trace holds every t of its trace
+        mas = maslov_index(coarse)
+        assert mas.mu == rep.mu
+        assert set(mas.winding_trace[:, 0]) <= set(rep.maslov.winding_trace[:, 0])
+
+    @pytest.mark.parametrize("n, label, samples, mu", [
+        (5, "even:1", 2, 2), (6, "odd:2", 3, -2), (8, "even:2", 3, 2),
+    ])
+    def test_coarse_sigma1_circle_returns_the_fine_index(self, n, label, samples, mu):
+        # a step that wraps the phase by a full turn moves the eigenvectors too: the
+        # one walk bisects it (the phase-only walk returned mu = 0 from 2 samples and
+        # an odd winding from 3)
+        target = PairTarget.parse(label)
+        rest = [t for t in all_pair_targets(n) if t != target]
+        sp = find_singular(perturbed_seed(omega_point(n), rest, eps=1e-2), [target])
+        fine = check_holonomy_theorem(ClosedCurve.around_pair(sp, target, radius=2e-3))
+        rep = check_holonomy_theorem(ClosedCurve.around_pair(sp, target, radius=2e-3,
+                                                             initial_samples=samples))
+        assert fine.mu == rep.mu == mu and rep.agree
+        npt.assert_array_equal(rep.holonomy.gamma, fine.holonomy.gamma)
+        npt.assert_array_equal(rep.holonomy.gammabar, fine.holonomy.gammabar)
+
+    @pytest.mark.parametrize("k, mu", [(17, 4), (45, 2), (56, 6), (76, 0)])
+    def test_random_circle_returns_its_fine_index(self, k, mu):
+        # circle k of 90 drawn from default_rng(11): n cycles through 3, 4, 5, then q, p
+        # ~ 0.35 N(0, 1), the plane of a QR of a normal (2n, 2) draw, radius ~ U(0.3, 1.5).
+        # mu is the 2048-sample walk's.  The phase-only walk raised an odd winding
+        # (17, 45, 76) or returned mu = 4 (56) at 64 samples, and failed 45 and 76 at 256.
+        rng = np.random.default_rng(11)
+        for i in range(k + 1):
+            n = (3, 4, 5)[i % 3]
+            q, p = 0.35 * rng.standard_normal(n), 0.35 * rng.standard_normal(n)
+            plane = np.linalg.qr(rng.standard_normal((2 * n, 2)))[0]
+            radius = rng.uniform(0.3, 1.5)
+        for samples in (64, 256):
+            rep = check_holonomy_theorem(ClosedCurve.circle(PhasePoint(q, p), *plane.T, radius,
+                                                            samples))
+            assert rep.mu == mu and rep.agree
 
     def test_regular_loop(self):
         z = PhasePoint(np.array([0.5, -0.2, 0.1]), np.array([0.3, 0.9, -0.4]))
@@ -441,6 +483,19 @@ class TestEnclosureCount:
     def test_needs_at_least_one_disk(self):
         with pytest.raises(ValueError):
             enclosure_count_check([])
+
+    def test_disks_must_have_one_size(self, sigma1_n3):
+        # the boundary joined circles of different n and ended in numpy's shape error
+        target = PairTarget(True, 1)
+        rest = [t for t in all_pair_targets(4) if t != target]
+        sp4 = find_singular(perturbed_seed(omega_point(4), rest, eps=1e-2), [target])
+        with pytest.raises(ValueError, match=r"^disk centres must have one size n, got n = \[3, 4\]$"):
+            enclosure_count_check([DiskSpec(sigma1_n3, radius=2e-3), DiskSpec(sp4, radius=2e-3)])
+
+    def test_disk_center_must_be_a_singular_point(self, sigma1_n3):
+        # a PhasePoint centre ended in an AttributeError: it has no targets or z
+        with pytest.raises(ValueError, match=r"^center must be a SingularPoint, got PhasePoint$"):
+            DiskSpec(sigma1_n3.z, radius=2e-3)
 
     @pytest.mark.parametrize("radius", [0, -1e-2, np.nan, np.inf, True, "0.01"])
     def test_disk_radius_must_be_a_finite_positive_real(self, sigma1_n3, radius):
@@ -571,7 +626,7 @@ class TestStackedGrid:
         message = ("sample at t = 0.500000 has eigenvalue gap 1.034e-12 below 1.0e-08; "
                    "the curve passes too close to a singular point")
         curve = self.through(sigma1_n3, 5e-2, samples)
-        for walk in (transport_eigenvectors, maslov_index, check_holonomy_theorem):
+        for walk in (maslov_index, check_holonomy_theorem):
             with pytest.raises(RegularityError) as err:
                 walk(curve)
             assert str(err.value) == message
@@ -583,11 +638,11 @@ class TestStackedGrid:
             return ClosedCurve(lambda ts: np.where(((0.75 < ts) & (ts < 0.85))[:, None], np.nan,
                                                    curve.rows(ts)), 10)
 
-        for walk in (transport_eigenvectors, maslov_index):
+        for walk in (check_holonomy_theorem, maslov_index):
             with pytest.raises(RegularityError, match="t = 0.500000"):
                 walk(holed(self.through(sigma1_n3, 5e-2, 10)))
         regular = holed(ClosedCurve.around_pair(sigma1_n3, PairTarget(True, 1), radius=2e-3))
-        for walk in (transport_eigenvectors, maslov_index):
+        for walk in (check_holonomy_theorem, maslov_index):
             with pytest.raises(PhaseDomainError, match="^non-finite phase-space coordinates$"):
                 walk(regular)
 
@@ -637,21 +692,27 @@ class TestStackedGrid:
         through = ClosedCurve.circle(centre, e[3], e[0], 1000.0, 16)
         with pytest.raises(PhaseDomainError):
             through.point_at(0.25)
-        # a frame whose Gram matrix overflows stops the winding walk where it lies, with a
-        # typed error: t = 0 on the radius-1000 circle, t = 3/32 before the domain error
+        # a frame whose Gram matrix overflows stops the one walk where it lies, with a typed
+        # error: t = 0 on the radius-1000 circle, t = 3/32 before the domain error
         overflow = "sample at t = {}: frame Gram matrix: Eigenvalues did not converge"
         for chunk in (GRID_CHUNK, 1):  # stacked, then one row at a time
             monkeypatch.setattr(maslov, "GRID_CHUNK", chunk)
-            for walk in (transport_eigenvectors, check_holonomy_theorem):
-                with pytest.raises(PhaseDomainError) as err:
-                    walk(curve)
-                assert str(err.value) == message
-                with pytest.raises(RegularityError, match=r"^sample at t = 0\.062500 has"):
-                    walk(through)
-            for c, t in ((curve, "0.093750"), (through, "0.000000")):
-                with pytest.raises(EigensolverError) as err:
-                    maslov_index(c)
-                assert str(err.value) == overflow.format(t)
+            for walk in (check_holonomy_theorem, maslov_index):
+                for c, t in ((curve, "0.093750"), (through, "0.000000")):
+                    with pytest.raises(EigensolverError) as err:
+                        walk(c)
+                    assert str(err.value) == overflow.format(t)
+        # with a frame that never fails, the walk meets the domain error where it lies, and
+        # the singular sample first
+        monkeypatch.setattr(maslov, "_toda_frames",
+                            lambda b, p: np.broadcast_to(np.eye(6, 3), (len(b), 6, 3)))
+        for chunk in (GRID_CHUNK, 1):
+            monkeypatch.setattr(maslov, "GRID_CHUNK", chunk)
+            with pytest.raises(PhaseDomainError) as err:
+                check_holonomy_theorem(curve)
+            assert str(err.value) == message
+            with pytest.raises(RegularityError, match=r"^sample at t = 0\.062500 has"):
+                check_holonomy_theorem(through)
 
     def test_holonomy_check_builds_no_point_per_sample(self, sigma1_n3, monkeypatch):
         # the walks read stacked rows: the points they build do not grow with the grid
@@ -686,7 +747,7 @@ class TestStackedGrid:
 
         curve = ClosedCurve(rows, MAX_EVALUATIONS + 1)
         seen.clear()
-        for walk in (transport_eigenvectors, maslov_index):
+        for walk in (check_holonomy_theorem, maslov_index):
             with pytest.raises(TransportError, match=f"budget of {MAX_EVALUATIONS} evaluations"):
                 walk(curve)
         assert seen == []

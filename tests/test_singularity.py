@@ -488,10 +488,26 @@ class TestStoredSpectra:
             singularity.pair_plane_duals(sp, target)
             transverse_frequency(sp, target)
             ClosedCurve.around_pair(sp, target)
+            rep, ref = corank(sp), corank(sp.z)
+            assert rep.z is sp.z and rep.corank == 1 and rep.theorem_holds
+            assert (rep.corank, rep.nu, rep.nubar) == (ref.corank, ref.nu, ref.nubar)
+            npt.assert_array_equal(rep.singular_values, ref.singular_values)
+            del decomposed[:]
         assert decomposed == []
-        # three decompositions per point before the finder's spectra were kept
-        record = next(c for c in CHECKS if c.name == "transverse_structure").run(sample)
-        assert record.status == "pass" and decomposed == []
+        # three decompositions per point before the finder's spectra were kept, one
+        # more in the corank check
+        for name in ("transverse_structure", "corank_sigma1"):
+            record = next(c for c in CHECKS if c.name == name).run(sample)
+            assert record.status == "pass" and decomposed == []
+
+    def test_an_equilibrium_is_decomposed_once(self, decomposed):
+        # its spectra open every target's seed; each seed is the one of a fresh equilibrium
+        om = omega_point(4)
+        targets = all_pair_targets(4)
+        seeds = [perturbed_seed(om, [t]) for t in targets]
+        assert decomposed == [om.z]
+        for t, seed in zip(targets, seeds):
+            npt.assert_array_equal(seed.as_vector(), perturbed_seed(omega_point(4), [t]).as_vector())
 
     def test_a_phase_point_is_decomposed_once(self, decomposed):
         sp = Sample(3).sigma1[0][0]
