@@ -9,6 +9,7 @@ by the harmonic-oscillator angle loop).  Independently, each normalized
 real eigenvector of either Lax matrix returns to plus or minus itself
 after continuation around the curve; the product of the even-indexed
 holonomy signs over both matrices reproduces (-1)^(mu/2).
+
 ``check_holonomy_theorem`` reads both sides from one walk that observes
 each sample once; they share the samples and the solver's eigenvalues, and
 the winding reads no eigenvector.

@@ -489,7 +489,8 @@ class TestEnclosureCount:
         target = PairTarget(True, 1)
         rest = [t for t in all_pair_targets(4) if t != target]
         sp4 = find_singular(perturbed_seed(omega_point(4), rest, eps=1e-2), [target])
-        with pytest.raises(ValueError, match=r"^disk centres must have one size n, got n = \[3, 4\]$"):
+        message = r"^disk centres must have one size n, got n = \[3, 4\]$"
+        with pytest.raises(ValueError, match=message):
             enclosure_count_check([DiskSpec(sigma1_n3, radius=2e-3), DiskSpec(sp4, radius=2e-3)])
 
     def test_disk_center_must_be_a_singular_point(self, sigma1_n3):

@@ -507,7 +507,8 @@ class TestStoredSpectra:
         seeds = [perturbed_seed(om, [t]) for t in targets]
         assert decomposed == [om.z]
         for t, seed in zip(targets, seeds):
-            npt.assert_array_equal(seed.as_vector(), perturbed_seed(omega_point(4), [t]).as_vector())
+            fresh = perturbed_seed(omega_point(4), [t])
+            npt.assert_array_equal(seed.as_vector(), fresh.as_vector())
 
     def test_a_phase_point_is_decomposed_once(self, decomposed):
         sp = Sample(3).sigma1[0][0]
