@@ -15,7 +15,7 @@ import numpy as np
 from .lax import PhaseDomainError, PhasePoint
 from .dynamics import DEFAULT_RTOL, FlowError, integrate_flow, trajectory_to_csv
 from .singularity import PairTarget, all_pair_targets, find_singular, omega_point, perturbed_seed
-from .maslov import ClosedCurve, check_holonomy_theorem
+from .maslov import ClosedCurve, _require_orientation, check_holonomy_theorem
 from .reporting import float_str
 from .verify import COMPUTATION_ERRORS, RunConfig, run_suite
 
@@ -144,13 +144,11 @@ def _curve_from_spec(spec: dict) -> ClosedCurve:
         radius = spec.get("radius", 1e-2)
         if isinstance(radius, bool) or not isinstance(radius, (int, float)):
             raise ValueError(f"radius must be a number, got {radius!r}")
-        return ClosedCurve.around_pair(
-            center,
-            target,
-            radius=float(radius),
-            initial_samples=spec.get("samples", 256),
-            orientation=spec.get("orientation", 1),
-        )
+        orientation = spec.get("orientation", 1)
+        _require_orientation(orientation)
+        curve = ClosedCurve.around_pair(center, target, radius=float(radius),
+                                        initial_samples=spec.get("samples", 256))
+        return curve if orientation == 1 else curve.reversed()
     raise ConfigError(f"unknown curve type {kind!r}; expected 'samples' or 'circle'")
 
 

@@ -47,7 +47,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Gradient:
     """Phase-space gradient split into position and momentum parts."""
 
@@ -264,7 +264,7 @@ class FlowError(RuntimeError):
     """Integration failed (step-size underflow or solver breakdown)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Samples of one Hamiltonian flow at the requested times.
 

@@ -18,7 +18,7 @@ two couplings of each class are summed before the gather.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 import math
 from typing import NamedTuple
@@ -48,7 +48,7 @@ class PhaseDomainError(ValueError):
     """Raised when a phase-space point cannot produce finite couplings."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhasePoint:
     """A point (q, p) of the 2n-dimensional phase space, n >= 2."""
 
@@ -99,7 +99,7 @@ class PhasePoint:
         return PhasePoint(z[:n], z[n:])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignVector:
     """An n-tuple of signs selecting one member of the Lax family; eps is a read-only copy."""
 
@@ -135,7 +135,7 @@ class SignVector:
         return SignVector(eps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LaxMatrix:
     """A periodic-tridiagonal symmetric Lax matrix together with its signs."""
 
@@ -147,13 +147,13 @@ class LaxMatrix:
         return self.entries.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratorMatrix:
     """Antisymmetric generator of the flow of one conserved trace."""
 
     entries: np.ndarray
     flow_index: int
-    odd_class: bool = field(default=False)
+    odd_class: bool
 
     @property
     def n(self) -> int:
@@ -180,25 +180,38 @@ def _cyclic(n: int) -> _Cyclic:
     return out
 
 
-def _inside(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Per stacked row of q, p (..., n): whether PhasePoint(q, p) accepts it."""
+def _first_outside(q: np.ndarray, p: np.ndarray) -> tuple[int, PhaseDomainError | None]:
+    """The first of the stacked rows q, p (m, n) that PhasePoint rejects, and its error.
+
+    Every row is tested at once, as PhasePoint would test it; only the first
+    failing row is built as a PhasePoint, for its PhaseDomainError.  Returns
+    (m, None) when every row is in.
+    """
     gaps = q - q.take(_cyclic(q.shape[-1]).nxt, axis=-1)
-    return (np.isfinite(q).all(axis=-1) & np.isfinite(p).all(axis=-1)
-            & (np.abs(gaps) <= Q_GAP_LIMIT).all(axis=-1))
+    inside = (np.isfinite(q).all(axis=-1) & np.isfinite(p).all(axis=-1)
+              & (np.abs(gaps) <= Q_GAP_LIMIT).all(axis=-1))
+    if not inside.all():
+        k = int(np.argmin(inside))
+        try:
+            PhasePoint(q[k], p[k])
+        except PhaseDomainError as exc:
+            return k, exc
+    return len(q), None
 
 
 def _couplings(q: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Couplings b_j of stacked rows q, p of shape (..., n), inside PhasePoint's domain.
 
     One test over all rows (every gap within Q_GAP_LIMIT, a finite sum of
-    the momenta) lets valid input through; otherwise every row is built as
-    a PhasePoint, whose own test raises the PhaseDomainError naming the fault.
+    the momenta) lets valid input through; otherwise the PhaseDomainError
+    of the first row off the phase space is raised (``_first_outside``).
     """
     n = q.shape[-1]
     gaps = q - q.take(_cyclic(n).nxt, axis=-1)
     if not (np.abs(gaps).max(initial=0.0) <= Q_GAP_LIMIT and math.isfinite(p.sum())):
-        for qr, pr in zip(q.reshape(-1, n), p.reshape(-1, n)):
-            PhasePoint(qr, pr)
+        _, error = _first_outside(q.reshape(-1, n), p.reshape(-1, n))
+        if error is not None:
+            raise error
     return np.exp(0.5 * gaps)
 
 
@@ -459,7 +472,7 @@ def off_band_check(z: PhasePoint, j: int) -> OffBandReport:
     return OffBandReport(z.n, j, float(zero[0]), float(diagonal[0]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TraceReport:
     """Deviations of Tr L^j - Tr Lbar^j from 0 (j < n) and 4n (j = n)."""
 

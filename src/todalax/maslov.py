@@ -18,11 +18,12 @@ the winding reads no eigenvector.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import itertools
 import numbers
 from typing import Callable
 import numpy as np
 
-from .lax import PhaseDomainError, PhasePoint, _couplings, _inside, _is_int, _lax
+from .lax import PhasePoint, _couplings, _first_outside, _is_int, _lax
 from .dynamics import _trace_gradients
 from .spectral import DEGENERACY_TOL, EigensolverError, _decompose_stack, _solve_rows
 from .singularity import (PairTarget, SingularPoint, _at, _plane_duals, pair_plane_duals,
@@ -71,7 +72,7 @@ CORRIDOR_SAMPLES = 32
 
 
 def _require_orientation(orientation) -> None:
-    """Raise ValueError unless ``orientation`` is the integer +1 or -1 (0 walks a constant loop)."""
+    """Raise ValueError unless ``orientation`` is the integer +1 or -1 (0 has no direction)."""
     if not (_is_int(orientation) and orientation in (1, -1)):
         raise ValueError(f"orientation must be +1 or -1, got {orientation!r}")
 
@@ -114,7 +115,8 @@ class ClosedCurve:
                 and np.isfinite(ends).all()):
             raise ValueError("rows must map ts = [0, 1] to a finite float array of shape "
                              f"(2, 2n) with n >= 2, got {ends!r}")
-        _, error = _in_domain(ends)
+        n = ends.shape[1] // 2
+        _, error = _first_outside(ends[:, :n], ends[:, n:])
         if error is not None:
             raise error
         gap = float(np.max(np.abs(ends[0] - ends[1])))
@@ -146,12 +148,10 @@ class ClosedCurve:
         v2: np.ndarray,
         radius: float,
         initial_samples: int = 256,
-        orientation: int = 1,
     ) -> "ClosedCurve":
-        """The loop center + radius (cos(2 pi t) v1 + sin(2 pi t) v2), t -> orientation * t."""
-        _require_orientation(orientation)
-        return ClosedCurve(_circle(center.as_vector(), v1, v2, radius, orientation),
-                           initial_samples)
+        """The loop center + radius (cos(2 pi t) v1 + sin(2 pi t) v2), from v1 towards v2;
+        ``reversed()`` walks it the other way."""
+        return ClosedCurve(_circle(center.as_vector(), v1, v2, radius), initial_samples)
 
     @staticmethod
     def around_pair(
@@ -159,21 +159,19 @@ class ClosedCurve:
         target: PairTarget,
         radius: float = 1e-2,
         initial_samples: int = 256,
-        orientation: int = 1,
     ) -> "ClosedCurve":
         """Circle in the dual plane of the (xi, eta) coordinates of one pair."""
         z, specs = _at(point)
-        return ClosedCurve.circle(z, *_plane_duals(z, specs, target), radius, initial_samples,
-                                  orientation)
+        return ClosedCurve.circle(z, *_plane_duals(z, specs, target), radius, initial_samples)
 
 
-def _circle(zc: np.ndarray, v1, v2, radius: float, orientation: int):
-    """The stacked map ts -> rows zc + radius (cos(a) v1 + sin(a) v2), a = 2 pi orientation t."""
+def _circle(zc: np.ndarray, v1, v2, radius: float):
+    """The stacked map ts -> rows zc + radius (cos(a) v1 + sin(a) v2), a = 2 pi t."""
     v1 = np.asarray(v1, float)
     v2 = np.asarray(v2, float)
 
     def rows(ts: np.ndarray) -> np.ndarray:
-        a = (2.0 * np.pi * ts * orientation)[:, None]
+        a = (2.0 * np.pi * ts)[:, None]
         return zc + radius * (np.cos(a) * v1 + np.sin(a) * v2)
 
     return rows
@@ -195,24 +193,6 @@ def _polyline(Z: np.ndarray) -> ClosedCurve:
 _Observe = Callable[[np.ndarray, np.ndarray, np.ndarray], list]
 
 
-def _in_domain(rows: np.ndarray) -> tuple[np.ndarray, PhaseDomainError | None]:
-    """The rows (m, 2n) of (q, p) up to the first one off the phase space, and its error.
-
-    Every row is tested at once, as PhasePoint would test it; only the first
-    failing row is built as a PhasePoint, for its PhaseDomainError.  The
-    error is None when every row is in.
-    """
-    n = rows.shape[1] // 2
-    inside = _inside(rows[:, :n], rows[:, n:])
-    if not inside.all():
-        k = int(np.argmin(inside))
-        try:
-            PhasePoint.from_vector(rows[k])
-        except PhaseDomainError as exc:
-            return rows[:k], exc
-    return rows, None
-
-
 def _observe(curve: ClosedCurve, ts: np.ndarray, observe: _Observe) -> list:
     """``observe`` at the samples of ts: per t, the observation or its error.
 
@@ -220,72 +200,12 @@ def _observe(curve: ClosedCurve, ts: np.ndarray, observe: _Observe) -> list:
     and the walk raises it when it reaches that t, as it would have raised
     it there alone.
     """
-    rows, error = _in_domain(curve.rows(ts))
-    obs = []
-    if len(rows):
-        n = rows.shape[1] // 2
-        obs = observe(ts[:len(rows)], rows[:, :n], rows[:, n:])
+    rows = curve.rows(ts)
+    n = rows.shape[1] // 2
+    q, p = rows[:, :n], rows[:, n:]
+    k, error = _first_outside(q, p)
+    obs = observe(ts[:k], q[:k], p[:k]) if k else []
     return obs if error is None else obs + [error]
-
-
-def _grid(curve: ClosedCurve, observe: _Observe):
-    """(t, observation or error) of the initial grid, observed GRID_CHUNK samples at a time."""
-    grid = np.linspace(0.0, 1.0, curve.initial_samples + 1)
-    for start in range(0, grid.size, GRID_CHUNK):
-        ts = grid[start:start + GRID_CHUNK]
-        yield from zip(ts, _observe(curve, ts, observe))
-
-
-def _walk(
-    curve: ClosedCurve,
-    observe: _Observe,
-    advance: Callable[[object, object, float], tuple[object, str | None]],
-):
-    """Walk a closed curve from t = 0 to t = 1, bisecting rejected steps.
-
-    The walk starts from ``curve.initial_samples`` equal steps.
-    ``observe(ts, q, p)`` reads the walked quantity at a stack of samples,
-    q and p (m, n) the coordinates of the curve at ts: per sample, the
-    observation, or the exception it raises.  The grid of initial steps is
-    observed in stacks of GRID_CHUNK samples, a bisection midpoint as a
-    stack of one; an error comes out when the walk reaches its sample.
-    ``advance(state, obs, t)`` returns ``(new_state, None)`` to accept the
-    step to t or ``(None, reason)`` to reject it.  A rejected step is
-    halved, down to a 1e-10 parameter step, and its observation is held
-    until the walk comes back to t, so each t is observed once.  Returns
-    the first and the last accepted state.
-    """
-    budget = f"loop walk exceeded the budget of {MAX_EVALUATIONS} evaluations"
-    # every initial step costs an evaluation
-    if curve.initial_samples > MAX_EVALUATIONS:
-        raise TransportError(budget)
-    grid = _grid(curve, observe)
-    _, first = next(grid)
-    if isinstance(first, Exception):
-        raise first
-    state, t_curr, evaluations = first, 0.0, 0
-    for t_grid, obs_grid in grid:
-        # (t, held observation or None), next t last
-        pending = [(t_grid, obs_grid)]
-        while pending:
-            t_next, obs = pending[-1]
-            evaluations += 1
-            if evaluations > MAX_EVALUATIONS:
-                raise TransportError(budget)
-            if obs is None:
-                obs = _observe(curve, np.array([t_next]), observe)[0]
-            if isinstance(obs, Exception):
-                raise obs
-            accepted, reason = advance(state, obs, t_next)
-            if accepted is None:
-                if t_next - t_curr < 1e-10:
-                    raise TransportError(f"{reason} at t = {t_next:.8f} despite maximal refinement")
-                pending[-1] = (t_next, obs)
-                pending.append((0.5 * (t_curr + t_next), None))
-                continue
-            state, t_curr = accepted, t_next
-            pending.pop()
-    return first, state
 
 
 def _lax_classes(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -297,7 +217,7 @@ def _lax_classes(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return b, np.moveaxis(_lax(b, p), -3, 0).reshape(-1, b.shape[1], b.shape[1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HolonomyResult:
     """Holonomy signs of all eigenvector bundles around one loop.
 
@@ -358,7 +278,7 @@ def oscillator_angle_loop(n: int) -> ClosedCurve:
     return ClosedCurve(rows, CALIBRATION_SAMPLES)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MaslovResult:
     """Winding number of the Lagrangian plane of the integral flows."""
 
@@ -427,33 +347,69 @@ def _winding(curve: ClosedCurve, observe: _Observe) -> tuple[MaslovResult, tuple
     """Winding number of det(W)^2 for the complex frames W = X_q + i X_p along the curve,
     with the eigenvectors at t = 0 and, continued by the same walk, at t = 1.
 
-    ``observe`` gives per sample (the phase of its frame, a tuple of
-    eigenvector matrices, empty for a phase-only walk) or an error.
-    det P > 0 for the positive definite polar factor P of W = U P, so the
-    argument is that of det(U)^2.  A step is accepted when every
-    eigenvector keeps more than MIN_OVERLAP overlap with its predecessor,
-    whose sign it takes, and the phase moves by less than pi/2; else it is
-    bisected.  CALIBRATION_SIGN converts the winding to the Maslov index
-    normalisation in which the harmonic-oscillator angle loop scores +2.
+    The walk goes from t = 0 to t = 1 in ``curve.initial_samples`` equal
+    steps.  ``observe(ts, q, p)`` reads a stack of samples, q and p (m, n)
+    the coordinates of the curve at ts: per sample, (the phase of its frame,
+    a tuple of eigenvector matrices, empty for a phase-only walk) or the
+    exception it raises.  The grid is observed GRID_CHUNK samples at a time,
+    as the walk reaches them, a bisection midpoint as a stack of one, and an
+    error is raised when the walk reaches its sample, so errors come in walk
+    order.  A step is accepted when every eigenvector keeps more than
+    MIN_OVERLAP overlap with its predecessor, whose sign it takes, and the
+    phase moves by less than pi/2.  Else it is halved, down to a 1e-10
+    parameter step, and its observation is held until the walk comes back
+    to its t, so each t is observed once.  Every step tried costs one of
+    MAX_EVALUATIONS evaluations.  det P > 0 for the positive definite polar
+    factor P of W = U P, so the argument is that of det(U)^2.
+    CALIBRATION_SIGN converts the winding to the Maslov index normalisation
+    in which the harmonic-oscillator angle loop scores +2.
     """
-    trace = [(0.0, 0.0)]
-
-    def advance(state, obs, t):
-        (phi, frames), (phi_next, new) = state, obs
-        overlaps = [np.einsum("ij,ij->j", V, W) for V, W in zip(frames, new)]
-        for cls, ov in zip(("even", "odd"), overlaps):
-            r = int(np.argmin(np.abs(ov)))
-            if abs(ov[r]) <= MIN_OVERLAP:
-                return None, f"{cls} eigenvector {r} overlap {abs(ov[r]):.3f} <= {MIN_OVERLAP}"
-        step = _principal(phi_next - phi)
-        if abs(step) >= 0.5 * np.pi:
-            return None, f"phase jump {step:.3f}"
-        trace.append((t, trace[-1][1] + step))
-        return (phi_next, tuple(W * np.sign(ov) for W, ov in zip(new, overlaps))), None
-
-    (_, first), (_, last) = _walk(curve, observe, advance)
-    total = trace[-1][1]
-    winding = total / (2.0 * np.pi)
+    budget = f"loop walk exceeded the budget of {MAX_EVALUATIONS} evaluations"
+    # every initial step costs an evaluation
+    if curve.initial_samples > MAX_EVALUATIONS:
+        raise TransportError(budget)
+    grid = np.linspace(0.0, 1.0, curve.initial_samples + 1)
+    # (t, observation or error) of the grid, a chunk observed when the walk reaches it
+    samples = itertools.chain.from_iterable(
+        zip(ts, _observe(curve, ts, observe))
+        for ts in (grid[start:start + GRID_CHUNK] for start in range(0, grid.size, GRID_CHUNK)))
+    _, first = next(samples)
+    if isinstance(first, Exception):
+        raise first
+    (phi, frames), t_curr, evaluations, trace = first, 0.0, 0, [(0.0, 0.0)]
+    for t_grid, obs_grid in samples:
+        # (t, held observation or None), next t last
+        pending = [(t_grid, obs_grid)]
+        while pending:
+            t_next, obs = pending[-1]
+            evaluations += 1
+            if evaluations > MAX_EVALUATIONS:
+                raise TransportError(budget)
+            if obs is None:
+                obs = _observe(curve, np.array([t_next]), observe)[0]
+            if isinstance(obs, Exception):
+                raise obs
+            phi_next, new = obs
+            overlaps = [np.einsum("ij,ij->j", V, W) for V, W in zip(frames, new)]
+            step = _principal(phi_next - phi)
+            reason = None
+            for cls, ov in zip(("even", "odd"), overlaps):
+                r = int(np.argmin(np.abs(ov)))
+                if reason is None and abs(ov[r]) <= MIN_OVERLAP:
+                    reason = f"{cls} eigenvector {r} overlap {abs(ov[r]):.3f} <= {MIN_OVERLAP}"
+            if reason is None and abs(step) >= 0.5 * np.pi:
+                reason = f"phase jump {step:.3f}"
+            if reason is not None:
+                if t_next - t_curr < 1e-10:
+                    raise TransportError(f"{reason} at t = {t_next:.8f} despite maximal refinement")
+                pending[-1] = (t_next, obs)
+                pending.append((0.5 * (t_curr + t_next), None))
+                continue
+            trace.append((t_next, trace[-1][1] + step))
+            phi, frames = phi_next, tuple(W * np.sign(ov) for W, ov in zip(new, overlaps))
+            t_curr = t_next
+            pending.pop()
+    winding = trace[-1][1] / (2.0 * np.pi)
     nearest = int(np.rint(winding))
     if abs(winding - nearest) > 1e-3:
         raise TransportError(f"winding {winding:.6f} is not close to an integer")
@@ -462,7 +418,7 @@ def _winding(curve: ClosedCurve, observe: _Observe) -> tuple[MaslovResult, tuple
         raise TransportError(
             f"odd winding {mu}; the Lagrangian plane field should be orientable"
         )
-    return MaslovResult(mu, np.array(trace)), first, last
+    return MaslovResult(mu, np.array(trace)), first[1], frames
 
 
 def maslov_index(curve: ClosedCurve) -> MaslovResult:
@@ -609,8 +565,10 @@ def enclosure_count_check(disks: list[DiskSpec]) -> EnclosureReport:
     if len(sizes) > 1:
         raise ValueError(f"disk centres must have one size n, got n = {sizes}")
     grid = np.linspace(0.0, 1.0, CIRCLE_SAMPLES + 1)
+    # a disk of orientation -1 has its circle walked backwards
     circles = np.array([_circle(d.center.z.as_vector(), *pair_plane_duals(d.center, d.pair()),
-                                d.radius, d.orientation)(grid) for d in disks])
+                                d.radius)(grid if d.orientation == 1 else 1.0 - grid)
+                        for d in disks])
     n = circles.shape[-1] // 2
     _couplings(circles[..., :n], circles[..., n:])  # each sample a valid phase point
 

@@ -113,7 +113,7 @@ def all_pair_targets(n: int) -> list[PairTarget]:
     ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorankReport:
     """Both sides of the rank identity at one point.
 
@@ -179,7 +179,7 @@ def _corank_stack(b: np.ndarray, p: np.ndarray
     return s, k, band, np.array([len(r) for r in even]), np.array([len(r) for r in odd])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OmegaPoint:
     """A relative equilibrium with its closed-form spectra.
 
@@ -228,7 +228,7 @@ def _block_coordinates(z: PhasePoint, odd_class: bool, u1: np.ndarray, u2: np.nd
     return 0.5 * (d - a), float(u1 @ entries @ u2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SingularPoint:
     """A refined point where exactly the target pairs are degenerate.
 
@@ -242,7 +242,7 @@ class SingularPoint:
     residual_gaps: np.ndarray
     frequencies: np.ndarray
     iterations: int
-    spectra: tuple[SpectralData, SpectralData] = field(repr=False, compare=False)
+    spectra: tuple[SpectralData, SpectralData] = field(repr=False)
 
     def to_json_dict(self) -> dict:
         from .reporting import vector_strs
@@ -518,7 +518,7 @@ def hessian_structure_check(point: PhasePoint | SingularPoint, target: PairTarge
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BracketReport:
     """Poisson-bracket table of the block coordinates of all degenerate pairs at one point."""
 

@@ -4,7 +4,7 @@ Eigenvalues are kept in descending order throughout.  Degeneracies of the
 periodic Toda Lax matrices are at most two-fold, so a flagged triple is
 treated as evidence of a tolerance or input fault rather than mathematics.
 ``spectra`` gives the spectral data of both Lax classes at a phase point;
-the loop walkers and the suite's random-point checks run the same
+the loop walk and the suite's random-point checks run the same
 bookkeeping, ``_decompose_stack``, on stacks of Lax matrices, and
 ``decompose`` is its one-row case.  The
 annihilating polynomial of a degenerate matrix supplies the coefficient
@@ -45,7 +45,7 @@ class EigensolverError(RuntimeError):
     """Eigen-decomposition failed its residual or orthonormality bound."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralData:
     """Descending spectrum of a Lax matrix with orthonormal eigenvectors.
 
@@ -351,7 +351,7 @@ def interlacing_check(z: PhasePoint) -> InterlacingReport:
     return InterlacingReport(n, tuple(violations), min(margins), max(overshoots))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AnnihilatorPolynomial:
     """det(L* - xI)/(lambda_r - x) expanded in powers of x.
 

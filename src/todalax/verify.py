@@ -61,7 +61,7 @@ from .reporting import CheckRecord, VerificationReport
 
 __all__ = ["RunConfig", "Sample", "Outcome", "Check", "CHECKS", "run_suite"]
 
-# Failures of the finder, the loop walkers and the eigen-decomposition: a
+# Failures of the finder, the loop walk and the eigen-decomposition: a
 # check that meets one is recorded as failed with the message, the rest of
 # the suite still runs.
 COMPUTATION_ERRORS = (ConvergenceError, StratumCollapseError, RegularityError, TransportError,
@@ -138,7 +138,7 @@ def _reason(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-@dataclass
+@dataclass(eq=False)
 class Sample:
     """What the checks run on at one size n, None for a check that does not depend on n.
 

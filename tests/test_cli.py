@@ -350,6 +350,15 @@ class TestMaslovCommand:
         expected = [f"{float_str(t)},{float_str(phi)}"
                     for t, phi in maslov_index(curve).winding_trace]
         assert lines[1:] == expected
+        # orientation -1 walks the same circle reversed
+        spec_path.write_text(json.dumps({**spec, "orientation": -1}))
+        assert main(["maslov", str(spec_path), "--out", str(out), "--trace-csv", str(trace)]) == 0
+        rev = json.loads(out.read_text())
+        assert rev["mu"] == -data["mu"] and rev["agree"] is True
+        assert (rev["gamma"], rev["gammabar"]) == (data["gamma"], data["gammabar"])
+        expected = [f"{float_str(t)},{float_str(phi)}"
+                    for t, phi in maslov_index(curve.reversed()).winding_trace]
+        assert trace.read_text().splitlines()[1:] == expected
 
     def test_coarse_circle_returns_the_fine_index(self, tmp_path):
         # the n = 5 even:1 circle from 2 samples printed mu = 0 and exited 1 while 256

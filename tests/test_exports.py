@@ -3,13 +3,16 @@
 The exports' settable values (parameters and fields with defaults) are pinned.
 """
 
+import copy
 import dataclasses
 import importlib
 import inspect
 
+import numpy as np
 import pytest
 
 import todalax
+from todalax import dynamics, lax, maslov, reporting, singularity, spectral, verify
 
 MODULES = ("lax", "spectral", "dynamics", "singularity", "maslov", "verify", "reporting", "cli")
 
@@ -71,14 +74,11 @@ def test_settable_values_are_pinned():
         "dynamics.integrate_flow(rtol)",
         "dynamics.integrate_flow(t_eval)",
         "dynamics.lax_residual(odd_class)",
-        "lax.GeneratorMatrix.odd_class",
         "lax.build_generator(odd_class)",
         "lax.build_lax(eps)",
         "maslov.ClosedCurve.around_pair(initial_samples)",
-        "maslov.ClosedCurve.around_pair(orientation)",
         "maslov.ClosedCurve.around_pair(radius)",
         "maslov.ClosedCurve.circle(initial_samples)",
-        "maslov.ClosedCurve.circle(orientation)",
         "maslov.ClosedCurve.initial_samples",
         "maslov.DiskSpec.orientation",
         "maslov.DiskSpec.radius",
@@ -86,3 +86,45 @@ def test_settable_values_are_pinned():
         "singularity.omega_point(q0)",
         "singularity.perturbed_seed(eps)",
     ]
+
+
+def _one_of_each() -> list:
+    """One instance of each exported dataclass, from the library's own calls at n = 3."""
+    z = lax.PhasePoint(np.array([0.3, -0.1, 0.2]), np.array([0.1, 0.4, -0.2]))
+    target = singularity.PairTarget(True, 1)
+    om = singularity.omega_point(3)
+    sp = singularity.find_singular(
+        singularity.perturbed_seed(om, [singularity.PairTarget(False, 1)], eps=1e-2), [target])
+    eye = np.eye(6)
+    holonomy = maslov.check_holonomy_theorem(maslov.ClosedCurve.circle(z, eye[0], eye[4], 0.05))
+    disk = maslov.DiskSpec(sp, radius=2e-3)
+    check = verify.CHECKS[0]
+    sample = verify.Sample(3, *verify.random_points(np.random.default_rng(0), 3, 4), om)
+    return [
+        z, lax.SignVector.odd(3), lax.build_lax(z), lax.build_generator(z, 2),
+        sp.spectra[1], spectral.annihilator(sp.spectra[1], 0),
+        dynamics.grad_F(z, 2),
+        dynamics.integrate_flow(z, np.eye(3)[1], 0.01, method="verlet"),
+        target, singularity.corank(sp), om, sp, singularity.hessian_structure_check(sp, target),
+        singularity.bracket_relations_check(sp),
+        maslov.ClosedCurve.around_pair(sp, target, radius=2e-3), holonomy.holonomy,
+        holonomy.maslov, holonomy, disk, maslov.enclosure_count_check([disk]),
+        verify.RunConfig(), sample, check, check.run(sample),
+        reporting.VerificationReport([check.run(sample)]),
+    ]
+
+
+def test_dataclasses_compare_and_hash():
+    # a dataclass holding arrays compares by identity: an elementwise == has no truth value
+    exported = set()
+    for module in MODULES:
+        mod = importlib.import_module(f"todalax.{module}")
+        exported |= {obj for obj in map(mod.__dict__.get, mod.__all__)
+                     if inspect.isclass(obj) and dataclasses.is_dataclass(obj)}
+    instances = _one_of_each()
+    assert {type(x) for x in instances} == exported
+    for x in instances:
+        twin = copy.deepcopy(x)  # equal fields, separate arrays
+        assert (x == x) is True and isinstance(x == twin, bool), type(x).__name__
+        if x.__dataclass_params__.frozen:
+            hash(x), hash(twin)

@@ -20,7 +20,7 @@ from todalax.lax import (
     _couplings,
     _gather,
     _generator,
-    _inside,
+    _first_outside,
     _lax,
     _off_band,
     _trace_gaps,
@@ -479,13 +479,16 @@ class TestStackedKernels:
     ])
     def test_out_of_domain_row_raises_phase_point_error(self, q_bad, p_bad):
         # the stacks' couplings come from _couplings, which checks every row;
-        # _inside flags the rows PhasePoint rejects
+        # _first_outside finds the first row PhasePoint rejects, with its error
         rng = np.random.default_rng(500)
         q, p = 0.35 * rng.standard_normal((6, 4)), 0.35 * rng.standard_normal((6, 4))
+        assert _first_outside(q, p) == (6, None)
         q[3], p[3] = q_bad, p_bad
-        assert np.array_equal(_inside(q, p), np.arange(6) != 3)
+        q[5], p[5] = q_bad, p_bad
         with pytest.raises(PhaseDomainError) as own:
             PhasePoint(q[3], p[3])
+        k, error = _first_outside(q, p)
+        assert k == 3 and type(error) is PhaseDomainError and str(error) == str(own.value)
         with pytest.raises(PhaseDomainError, match=f"^{re.escape(str(own.value))}$"):
             _couplings(q, p)
 

@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 import todalax.maslov as maslov
-from todalax.lax import PhaseDomainError, PhasePoint
+from todalax.lax import PhaseDomainError, PhasePoint, _first_outside
 from todalax.spectral import EigensolverError, _decompose_stack as decompose_stack
 from todalax.singularity import (
     PairTarget,
@@ -132,10 +132,7 @@ class TestClosedCurve:
 
     @pytest.mark.parametrize("orientation", [0, 2, -2, 1.7, 1.0, True, "1", None])
     def test_rejects_orientation_other_than_plus_or_minus_one(self, sigma1_n3, orientation):
-        # 0 walked a constant loop, and any other factor another loop than the circle
-        z = PhasePoint(np.array([0.5, -0.1]), np.zeros(2))
-        with pytest.raises(ValueError, match=r"orientation must be \+1 or -1"):
-            ClosedCurve.circle(z, np.eye(4)[0], np.eye(4)[2], 0.1, orientation=orientation)
+        # the disk's orientation is the sign of its sigma; 0 would drop the disk from the count
         with pytest.raises(ValueError, match=r"orientation must be \+1 or -1"):
             DiskSpec(sigma1_n3, orientation=orientation)
 
@@ -180,8 +177,8 @@ class TestStackedRows:
     @staticmethod
     def assert_rows(curve, ts, at):
         expected = np.array([at(t) for t in ts])
-        rows, error = maslov._in_domain(curve.rows(np.asarray(ts, float)))
-        assert error is None
+        rows = curve.rows(np.asarray(ts, float))
+        assert _first_outside(*np.hsplit(rows, 2)) == (len(ts), None)
         assert rows.shape == expected.shape and rows.tobytes() == expected.tobytes()
         for t, row in zip(ts[::7], expected[::7]):
             assert curve.point_at(t).as_vector().tobytes() == row.tobytes()
@@ -199,12 +196,11 @@ class TestStackedRows:
         v1, v2 = np.linalg.qr(rng.standard_normal((2 * n, 2)))[0].T
         ts = self.times(rng)
         for radius in (1e-3, 5e-2, 1.0):
-            for orientation in (1, -1):
-                curve = ClosedCurve.circle(PhasePoint.from_vector(zc), v1, v2, radius,
-                                           orientation=orientation)
-                at = lambda t: _circle_at(zc, v1, v2, radius, orientation, t)
-                self.assert_rows(curve, ts, at)
-                self.assert_rows(curve.reversed(), ts, lambda t: at(1.0 - t))
+            curve = ClosedCurve.circle(PhasePoint.from_vector(zc), v1, v2, radius)
+            at = lambda t: _circle_at(zc, v1, v2, radius, 1, t)
+            self.assert_rows(curve, ts, at)
+            # the one way to walk a circle backwards
+            self.assert_rows(curve.reversed(), ts, lambda t: at(1.0 - t))
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_polyline(self, n):
@@ -328,6 +324,15 @@ class TestMaslovIndex:
     def test_orientation_reversal_negates(self, sigma1_n3):
         curve = ClosedCurve.around_pair(sigma1_n3, PairTarget(True, 1), radius=2e-3)
         assert maslov_index(curve).mu == -maslov_index(curve.reversed()).mu
+
+    def test_reversed_circle_negates_mu_and_keeps_holonomies(self, sigma1_n3):
+        # the n = 3 odd:1 circle walked backwards: each eigenvector comes back with the
+        # same sign, and the plane winds the other way
+        curve = ClosedCurve.around_pair(sigma1_n3, PairTarget(True, 1), radius=2e-3)
+        fwd, rev = check_holonomy_theorem(curve), check_holonomy_theorem(curve.reversed())
+        assert abs(fwd.mu) == 2 and rev.mu == -fwd.mu and rev.agree
+        npt.assert_array_equal(rev.holonomy.gamma, fwd.holonomy.gamma)
+        npt.assert_array_equal(rev.holonomy.gammabar, fwd.holonomy.gammabar)
 
     def test_invariant_under_refinement(self, sigma1_n3, coarse_loops):
         curve = ClosedCurve.around_pair(sigma1_n3, PairTarget(True, 1), radius=2e-3)

@@ -474,7 +474,6 @@ class TestStoredSpectra:
             npt.assert_array_equal(stored.values, fresh.values)
             npt.assert_array_equal(stored.vectors, fresh.vectors)
         assert "spectra" not in repr(sp) and "spectra" not in sp.to_json_dict()
-        assert sp == replace(sp, spectra=spectra(omega_point(3).z))
 
     def test_checks_on_a_found_point_decompose_nothing(self, decomposed):
         sample = Sample(3)
