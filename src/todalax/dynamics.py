@@ -18,6 +18,7 @@ import numbers
 
 import numpy as np
 
+from . import _dop853_tableau as _dop853
 from .lax import (
     Q_GAP_LIMIT,
     PhasePoint,
@@ -109,50 +110,68 @@ def _trace_gradients(b: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def _gradient_field(n: int, c: np.ndarray):
-    """(q, p) -> (dG/dq, dG/dp) of G = sum_j c_j F_j on raw coordinate arrays: the one-point kernel.
+    """(t, z) -> (dG/dp, -dG/dq) of G = sum_j c_j F_j at z = (q, p): the one-point vector field.
 
-    Built once: the cyclic index arrays, the coefficients of the chain L,
-    L^2, ... up to the highest nonzero c_j, and the constant gradient (0, 1)
-    of F_1, scaled by c_1.  Each evaluation takes one gap vector, _couplings'
-    domain test, one exp, one flat Lax build and the power chain, reading the
-    upper entries and the diagonal of each power with a nonzero coefficient.
-    The values equal _grad_from_power's summed onto zeros in increasing j,
-    bit for bit, and every evaluation returns arrays of its own (solve_ivp
-    keeps the last one).  A non-finite c raises ValueError; points outside
-    the phase-space domain raise PhasePoint's PhaseDomainError.
+    Built once: the coefficients of the chain L, L^2, ... up to the highest
+    nonzero c_j, dG/dp = c_1 of F_1, L's flat indices and a buffer for L.
+    Each evaluation reads z as Python floats and takes the gaps and
+    _couplings' domain test there.  Only the couplings' exp and the powers
+    L^2, L^3, ... are numpy's (OpenBLAS matmul does not round as Python sums
+    do), so F_1 and F_2 alone build no matrix: L's entries (r, r + 1) and
+    diagonal are the couplings and the momenta.  The entries (r, r + 1) and
+    the diagonal of each power with a nonzero coefficient are summed onto
+    zeros in increasing j on Python floats, as _grad_from_power's rows would
+    be, bit for bit.  t is not read.  Every evaluation returns a fresh array
+    (solve_ivp keeps the last one).  A non-finite c raises ValueError;
+    points outside the phase-space domain raise PhasePoint's PhaseDomainError.
     """
     if not np.all(np.isfinite(c)):
         raise ValueError(f"coefficient vector c must be finite, got {c}")
-    nxt, prv, diag, upper, lower = _cyclic(n)
     nonzero = np.flatnonzero(c)
     chain = c[1:nonzero[-1] + 1].tolist() if nonzero.size else []
-    dp_first = np.zeros(n) + c[0]
+    dp_first = [0.0 + float(c[0])] * n
+    if not chain:
+        constant = np.array(dp_first + [-0.0] * n)
+    ix = _cyclic(n)
+    upper_then_diag = np.concatenate([ix.upper, ix.diag])
+    flat_L = np.zeros(n * n)  # the field's own L: every evaluation rewrites the entries above
+    L = flat_L.reshape(n, n)
 
-    def gradient(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        gaps = q - q[nxt]
-        # _couplings' test on Python floats, where a NaN fails every comparison
-        if not (math.isfinite(sum(p.tolist()))
-                and all([-Q_GAP_LIMIT <= g <= Q_GAP_LIMIT for g in gaps.tolist()])):
-            PhasePoint(q, p)
-        b = np.exp(0.5 * gaps)
-        m = np.zeros(n * n)
-        m[diag] = p
-        m[upper] = b
-        m[lower] += b  # n = 2: both couplings meet in one entry
-        L = m.reshape(n, n)
-        dq, dp = np.zeros(n), dp_first.copy()
-        power = L
+    def field(_t, z: np.ndarray) -> np.ndarray:
+        zs = z.tolist()
+        q, p = zs[:n], zs[n:]
+        gaps = [a - b for a, b in zip(q, q[1:] + q[:1])]
+        # _couplings' test on Python floats: with every coordinate finite, no gap is NaN
+        if not (math.isfinite(sum(zs)) and -Q_GAP_LIMIT <= min(gaps) and max(gaps) <= Q_GAP_LIMIT):
+            PhasePoint(z[:n], z[n:])
+        if not chain:
+            return constant.copy()
+        couplings = np.exp(np.multiply(0.5, gaps))
+        b = couplings.tolist()
+        # the entries (r, r + 1) and the diagonal of L; at n = 2 both couplings meet in one entry
+        upper = b if n > 2 else [b[0] + b[1], b[1] + b[0]]
+        diag = p
+        dq, dp = [0.0] * n, dp_first
+        power = None
         for k, cj in enumerate(chain):
             if k:
+                if power is None:
+                    flat_L[ix.diag] = z[n:]
+                    flat_L[ix.upper] = couplings if n > 2 else upper
+                    if n > 2:
+                        flat_L[ix.lower] = couplings
+                    power = L
                 power = power @ L
             if cj:
-                flat = power.ravel()
-                off = b * flat[upper]
-                dq += cj * (off - off[prv])
-                dp += cj * flat[diag]
-        return dq, dp
+                if k:
+                    read = power.take(upper_then_diag).tolist()
+                    upper, diag = read[:n], read[n:]
+                off = [x * u for x, u in zip(b, upper)]
+                dq = [d + cj * (o - o_prv) for d, o, o_prv in zip(dq, off, off[-1:] + off[:-1])]
+                dp = [d + cj * x for d, x in zip(dp, diag)]
+        return np.array(dp + [-x for x in dq])
 
-    return gradient
+    return field
 
 
 def grad_combination(z: PhasePoint, c: np.ndarray) -> Gradient:
@@ -161,7 +180,8 @@ def grad_combination(z: PhasePoint, c: np.ndarray) -> Gradient:
     n = z.n
     if c.size != n:
         raise ValueError(f"coefficient vector length {c.size} != {n}")
-    return Gradient(*_gradient_field(n, c)(z.q, z.p))
+    v = _gradient_field(n, c)(0.0, z.as_vector())
+    return Gradient(-v[n:], v[:n])
 
 
 def _component_forms(b: np.ndarray, v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -233,7 +253,7 @@ def lax_residual(z: PhasePoint, j: int, odd_class: bool = False) -> float:
 
 # DOP853's relative tolerance unless a caller sets one; integrate_flow says why not 1e-10.
 DEFAULT_RTOL = 1e-11
-# solve_ivp raises a smaller rtol to 100 machine epsilons, with only a warning.
+# The smallest rtol: DOP853's error control cannot resolve less than 100 machine epsilons.
 RTOL_FLOOR = 100 * float(np.finfo(float).eps)
 # DOP853's absolute tolerance.
 ATOL = 1e-12
@@ -245,23 +265,183 @@ def _require_rtol(value) -> None:
             and math.isfinite(value) and value > 0):
         raise ValueError(f"rtol must be a finite positive real, got {value!r}")
     if value < RTOL_FLOOR:
-        raise ValueError(f"rtol must be at least scipy's floor 100 eps = {RTOL_FLOOR:.3g}, "
+        raise ValueError(f"rtol must be at least the floor 100 eps = {RTOL_FLOOR:.3g}, "
                          f"got {value!r}")
-
-
-def solve_ivp(*args, **kwargs):
-    """scipy.integrate.solve_ivp, imported on first use.
-
-    Importing scipy.integrate costs about 0.7 s, which only integrate_flow
-    needs; the name stays a module attribute that tracers can replace.
-    """
-    from scipy.integrate import solve_ivp as scipy_solve_ivp
-
-    return scipy_solve_ivp(*args, **kwargs)
 
 
 class FlowError(RuntimeError):
     """Integration failed (step-size underflow or solver breakdown)."""
+
+
+# DOP853's step-size control: a safety factor on the asymptotic step and the
+# limits of one step's shrinking and growth.
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
+# the exponent -1/(q + 1) of the error estimator's order q = 7
+_ERROR_EXPONENT = -1 / 8
+# (s, A[s, :s], C[s]) of the stages after the first, then of the three dense-output stages
+_STAGES = tuple((s, _dop853.A[s, :s], float(_dop853.C[s])) for s in range(1, _dop853.N_STAGES))
+_EXTRA_STAGES = tuple((s, _dop853.A[s, :s], float(_dop853.C[s]))
+                      for s in range(_dop853.N_STAGES + 1, _dop853.N_STAGES_EXTENDED))
+_B = _dop853.A[_dop853.N_STAGES, :_dop853.N_STAGES]
+
+
+def _norm(x: np.ndarray):
+    """np.linalg.norm of a vector, as numpy computes it."""
+    return np.sqrt(x.dot(x))
+
+
+def _rms(x: np.ndarray):
+    return _norm(x) / x.size ** 0.5
+
+
+def _initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
+    """Hairer, Norsett & Wanner's starting step for an error estimator of order 7 (Sec. II.4)."""
+    interval_length = abs(t_bound - t0)
+    scale = atol + np.abs(y0) * rtol
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
+    if d0 < 1e-5 or d1 < 1e-5:
+        h0 = 1e-6
+    else:
+        h0 = 0.01 * d0 / d1
+    h0 = min(h0, interval_length)
+    y1 = y0 + h0 * direction * f0
+    f1 = fun(t0 + h0 * direction, y1)
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
+    return min(100 * h0, h1, interval_length)
+
+
+def solve_ivp(fun, t_span, y0, t_eval, rtol, atol):
+    """Dormand-Prince 8(5,3) from y0 over t_span, read at t_eval: (times, points, nfev).
+
+    ``fun(t, y)`` returns dy/dt as a fresh float array (the last one is kept
+    between steps).  A port of scipy 1.17's ``solve_ivp(fun, t_span, y0,
+    method="DOP853", t_eval=t_eval, rtol=rtol, atol=atol)`` that performs
+    the same numpy operations in the same order, so times, points (one row
+    per time) and the count of ``fun`` evaluations are byte-identical to
+    scipy's: the same starting step, stage sums ``np.dot(K[:s].T, a) * h``,
+    error norm from the fifth- and third-order estimates, step control
+    (growth capped at 1 after a rejection, a floor of 10 spacings of t) and
+    dense output with three extra stages, evaluated on the times each step
+    passes, in either direction.  The integration always runs to the end of
+    t_span, which must have nonzero length; t_eval must be a 1-d array of
+    times inside t_span, strictly ordered from its start to its end (what
+    integrate_flow checks).  A step size below the floor raises FlowError.
+    Coefficients: ``_dop853_tableau``.
+    """
+    t0, tf = map(float, t_span)
+    direction = 1.0 if tf > t0 else -1.0
+    if direction > 0:
+        t_eval_i = 0
+    else:  # decreasing order for np.searchsorted; t_eval_i bounds the slices from above
+        t_eval = t_eval[::-1]
+        t_eval_i = t_eval.shape[0]
+    # the next time to read, once a step reaches it
+    t_next = t_eval.tolist() + [math.inf] if direction > 0 else [-math.inf] + t_eval.tolist()
+
+    y = np.asarray(y0, dtype=float)
+    t = t0
+    f = fun(t, y)
+    abs_y = np.abs(y)
+    h_abs = _initial_step(fun, t, y, tf, f, direction, rtol, atol)
+    nfev = 2
+    K = np.empty((_dop853.N_STAGES_EXTENDED, y.size))
+    # the stage sums read K[:s].T; K[:13] holds the step's stages and its end
+    K_T = [K[:s].T for s in range(_dop853.N_STAGES_EXTENDED)]
+    K_step_T = K[:_dop853.N_STAGES + 1].T
+    times, points = [], []
+    while True:
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        if h_abs < min_step:
+            h_abs = min_step
+        step_rejected = False
+        while True:
+            if h_abs < min_step:
+                raise FlowError(f"integration stopped at t = {float(t)!r}: the step size fell below "
+                                f"the spacing of floating-point numbers")
+            h = h_abs * direction
+            t_new = t + h
+            if direction * (t_new - tf) > 0:
+                t_new = tf
+            h = t_new - t
+            h_abs = abs(h)
+
+            K[0] = f
+            for s, a, c in _STAGES:
+                # y + np.dot(K[:s].T, a) * h, in place
+                dy = K_T[s].dot(a)
+                dy *= h
+                dy += y
+                K[s] = fun(t + c * h, dy)
+            y_new = y + h * K_T[_dop853.N_STAGES].dot(_B)
+            f_new = fun(t + h, y_new)
+            K[_dop853.N_STAGES] = f_new
+            nfev += _dop853.N_STAGES
+
+            abs_y_new = np.abs(y_new)
+            scale = atol + np.maximum(abs_y, abs_y_new) * rtol
+            err5 = K_step_T.dot(_dop853.E5) / scale
+            err3 = K_step_T.dot(_dop853.E3) / scale
+            err5_norm_2 = _norm(err5)**2
+            err3_norm_2 = _norm(err3)**2
+            if err5_norm_2 == 0 and err3_norm_2 == 0:
+                error_norm = 0.0
+            else:
+                denom = err5_norm_2 + 0.01 * err3_norm_2
+                error_norm = abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+                if step_rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            step_rejected = True
+
+        t_old, y_old = t, y
+        t, y, f, abs_y = t_new, y_new, f_new, abs_y_new
+        # the times this step passed, a time equal to t included
+        if direction * (t - t_next[t_eval_i]) >= 0:
+            if direction > 0:
+                t_eval_i_new = np.searchsorted(t_eval, t, side='right')
+                t_eval_step = t_eval[t_eval_i:t_eval_i_new]
+            else:
+                t_eval_i_new = np.searchsorted(t_eval, t, side='left')
+                t_eval_step = t_eval[t_eval_i_new:t_eval_i][::-1]
+            for s, a, c in _EXTRA_STAGES:
+                dy = K_T[s].dot(a)
+                dy *= h
+                dy += y_old
+                K[s] = fun(t_old + c * h, dy)
+            nfev += len(_EXTRA_STAGES)
+            F = np.empty((_dop853.INTERPOLATOR_POWER, y.size))
+            f_start = K[0]
+            delta_y = y - y_old
+            F[0] = delta_y
+            F[1] = h * f_start - delta_y
+            F[2] = 2 * delta_y - h * (f + f_start)
+            F[3:] = h * _dop853.D.dot(K)
+            # the interpolant in the alternating Horner scheme of Dop853DenseOutput
+            x = ((t_eval_step - t_old) / (t - t_old))[:, None]
+            factors = (x, 1 - x)
+            dense = np.zeros((len(x), y.size))
+            for i, row in enumerate(F[::-1]):
+                dense += row
+                dense *= factors[i % 2]
+            dense += y_old
+            times.append(t_eval_step)
+            points.append(dense)
+            t_eval_i = t_eval_i_new
+        if direction * (t - tf) >= 0:
+            return np.concatenate(times), np.concatenate(points), nfev
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,18 +513,18 @@ def integrate_flow(
 ) -> Trajectory:
     """Integrate the flow of G = sum_j c_j F_j from z0 up to t_final.
 
-    The default integrator is Dormand-Prince 8(5,3) (scipy's DOP853) with
-    error control at ``rtol``, 1e-11 by default, and ATOL; its dense
+    The default integrator is the library's Dormand-Prince 8(5,3)
+    (``solve_ivp``, a port of scipy's DOP853 with byte-identical results)
+    with error control at ``rtol``, 1e-11 by default, and ATOL; its dense
     output is evaluated at the requested times.  At rtol = 1e-10 some
     n = 8 flows of F_3 drifted by up to 1.7e-8 over t = 1, above the
     suite's 1e-8 bound.  ``method="verlet"`` is available only for the pure physical
     flow c = e_2, whose kinetic plus potential splitting supports a
-    fixed-step leapfrog.  The adaptive right-hand side is one call of
-    _gradient_field's one-point kernel, and scipy.integrate is imported at
-    the first adaptive run (see solve_ivp).  A non-finite coefficient, a
-    requested time outside the span from 0 to t_final, or an rtol that is
-    not a finite positive real or is below RTOL_FLOOR, which solve_ivp
-    would not honour, raises ValueError.
+    fixed-step leapfrog.  The adaptive right-hand side is _gradient_field's
+    one-point vector field.  A non-finite coefficient, a requested time
+    outside the span from 0 to t_final, or an rtol that is not a finite
+    positive real or is below RTOL_FLOOR raises ValueError, and so do
+    requested times that the adaptive integrator would not meet in order.
     """
     c = np.asarray(c, dtype=float)
     n = z0.n
@@ -362,7 +542,7 @@ def integrate_flow(
     if not np.all((min(0.0, t_final) <= t_eval) & (t_eval <= max(0.0, t_final))):
         raise ValueError(f"t_eval must be finite and lie between 0 and t_final = {t_final}")
     _require_rtol(rtol)
-    gradient = _gradient_field(n, c)  # checks c for the leapfrog too
+    field = _gradient_field(n, c)  # checks c for the leapfrog too
 
     if method == "verlet":
         e2 = np.zeros(n)
@@ -377,24 +557,13 @@ def integrate_flow(
         return Trajectory(t_eval, points, c, nfev)
     if method != "dop853":
         raise ValueError(f"unknown integrator {method!r}")
+    steps = np.diff(t_eval)
+    if t_eval.ndim != 1 or not np.all(steps > 0.0 if t_final > 0.0 else steps < 0.0):
+        raise ValueError(f"t_eval must be a 1-d array of times strictly ordered from 0 "
+                         f"toward t_final = {t_final}")
 
-    def rhs(_t, z):
-        dq, dp = gradient(z[:n], z[n:])
-        return np.concatenate([dp, -dq])
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, t_final),
-        z0.as_vector(),
-        method="DOP853",
-        t_eval=t_eval,
-        rtol=rtol,
-        atol=ATOL,
-        dense_output=False,
-    )
-    if not sol.success:
-        raise FlowError(f"integration stopped at t = {sol.t[-1] if sol.t.size else 0.0}: {sol.message}")
-    return Trajectory(sol.t, sol.y.T.copy(), c, sol.nfev)
+    times, points, nfev = solve_ivp(field, (0.0, t_final), z0.as_vector(), t_eval, rtol, ATOL)
+    return Trajectory(times, points, c, nfev)
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:

@@ -389,22 +389,26 @@ def _band(n: int, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # PhasePoint.couplings) and momenta p, both of shape (N, n).  The scalar
 # checks are their N = 1 rows.
 
-def _off_band(b: np.ndarray, p: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-pattern and first-diagonal residuals of L^j - Lbar^j, 1 <= j <= n.
+def _off_band(b: np.ndarray, p: np.ndarray, exponents) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-pattern and first-diagonal residuals of L^j - Lbar^j for each j of ``exponents``.
 
-    Two arrays of shape (N,); see off_band_check for their definitions.
+    Two arrays of shape (len(exponents), N); see off_band_check for their
+    definitions.  ||L||_2 does not depend on j: one svd serves every power.
     """
     n = b.shape[-1]
     pair = _lax(b, p)
-    powers = np.linalg.matrix_power(pair, j)
-    D = (powers[:, 0] - powers[:, 1]).reshape(-1, n * n)
     # ||L||_2 is the largest singular value, the first that svd lists
-    scale = np.maximum(np.linalg.svd(pair[:, 0], compute_uv=False)[:, 0], 1.0) ** j
-    zeros, first, products = _band(n, j)
-    zero_residual = np.max(np.abs(D[:, zeros]), axis=-1, initial=0.0) / scale
-    expected = 4.0 if j == n else 2.0 * np.prod(b[:, products], axis=-1)
-    diagonal = np.abs(D[:, first] - expected) / np.maximum(np.abs(expected), 1e-300)
-    return zero_residual, np.max(diagonal, axis=-1)
+    norm = np.maximum(np.linalg.svd(pair[:, 0], compute_uv=False)[:, 0], 1.0)
+    zero_residual, diagonal = np.empty((2, len(exponents), len(b)))
+    for k, j in enumerate(exponents):
+        powers = np.linalg.matrix_power(pair, j)
+        D = (powers[:, 0] - powers[:, 1]).reshape(-1, n * n)
+        zeros, first, products = _band(n, j)
+        zero_residual[k] = np.max(np.abs(D[:, zeros]), axis=-1, initial=0.0) / norm ** j
+        expected = 4.0 if j == n else 2.0 * np.prod(b[:, products], axis=-1)
+        diagonal[k] = np.max(np.abs(D[:, first] - expected) / np.maximum(np.abs(expected), 1e-300),
+                             axis=-1)
+    return zero_residual, diagonal
 
 
 def _trace_gaps(b: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -468,8 +472,8 @@ def off_band_check(z: PhasePoint, j: int) -> OffBandReport:
     are scaled by ||L||^j (zero pattern) and relatively (diagonal values).
     """
     j = _require_index("power", j, z.n)
-    zero, diagonal = _off_band(z.couplings()[None], z.p[None], j)
-    return OffBandReport(z.n, j, float(zero[0]), float(diagonal[0]))
+    zero, diagonal = _off_band(z.couplings()[None], z.p[None], (j,))
+    return OffBandReport(z.n, j, float(zero[0, 0]), float(diagonal[0, 0]))
 
 
 @dataclass(frozen=True, eq=False)

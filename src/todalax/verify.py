@@ -217,7 +217,7 @@ class Check:
 @partial(Check, "off_band", "powers L^j - Lbar^j are j-off-banded; first diagonal "
          "2 b_{r-1}..b_{r-j}, 4 at j=n", 1e-10)
 def _off_band_check(s: Sample) -> Outcome:
-    return Outcome(max(float(np.max(_off_band(s.couplings, s.p, j))) for j in range(1, s.n + 1)))
+    return Outcome(float(np.max(_off_band(s.couplings, s.p, range(1, s.n + 1)))))
 
 
 @partial(Check, "trace_gap", "Tr L^j = Tr Lbar^j for j < n and Tr L^n - Tr Lbar^n = 4n", 1e-9)

@@ -114,6 +114,25 @@ def test_isospectral_flows_evaluation_count(monkeypatch):
     assert sum(t.nfev for t in trajectories) < 20_000
 
 
+@pytest.mark.parametrize("n", [2, 5])
+def test_off_band_takes_one_svd_per_size(monkeypatch, n):
+    # ||L||_2 does not depend on the power j; matrix_power still runs once per j
+    calls = {"svd": 0, "matrix_power": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    check = next(c for c in CHECKS if c.name == "off_band")
+    sample = Sample(n, *verify.random_points(np.random.default_rng(3), n, 20))
+    assert check.run(sample).status == "pass"
+    assert calls == {"svd": 1, "matrix_power": n}
+
+
 class TestVerifyCommand:
     @pytest.mark.parametrize("argv, golden", [
         (["--n", "2,3", "--points", "20", "--suite", "quick"], "verify_quick.json"),
@@ -518,7 +537,7 @@ class TestIntegrateCommand:
         (["--rtol", "nan"], "rtol"),
         (["--rtol", "inf"], "rtol"),
         (["--rtol", "-1", "--method", "verlet"], "rtol"),
-        (["--rtol", "1e-20"], "rtol must be at least scipy's floor 100 eps = 2.22e-14"),
+        (["--rtol", "1e-20"], "rtol must be at least the floor 100 eps = 2.22e-14"),
         (["--rtol", "1e-15", "--method", "verlet"], "2.22e-14"),
         (["--c", "nan,1"], "coefficient vector c must be finite"),
         (["--c", "0,inf", "--method", "verlet"], "coefficient vector c must be finite"),
@@ -600,28 +619,35 @@ def test_integrate_requires_out(capsys):
     assert "--out" in capsys.readouterr().err
 
 
-FIRST_FLOW = """
-import contextlib, io, sys
-import numpy as np
+NO_SCIPY = """
+import contextlib, io, json, sys
+from pathlib import Path
 import todalax.cli
+tmp = Path(sys.argv[1])
 with contextlib.redirect_stdout(io.StringIO()):
-    assert todalax.cli.main(["singular", "--n", "3"]) == 0
-print("scipy.integrate" in sys.modules)
-from todalax.dynamics import integrate_flow
-from todalax.lax import PhasePoint
-integrate_flow(PhasePoint(np.zeros(2), np.zeros(2)), np.array([0.0, 1.0]), 0.1)
-print("scipy.integrate" in sys.modules)
+    assert todalax.cli.main(["verify", "--suite", "quick", "--n", "3"]) == 0
+    assert todalax.cli.main(["integrate", "--q", "0.4,-0.3,-0.1", "--p", "0.2,-0.5,0.3",
+                             "--c", "0,0,1", "--t-final", "2", "--out", str(tmp / "flow.csv")]) == 0
+    assert todalax.cli.main(["singular", "--n", "3", "--targets", "odd:1",
+                             "--out", str(tmp / "pts.json")]) == 0
+    point = json.loads((tmp / "pts.json").read_text())["points"][0]
+    spec = {"type": "circle", "center": {"q": [float(x) for x in point["q"]],
+                                         "p": [float(x) for x in point["p"]]},
+            "pair": "odd:1", "radius": 2e-3, "samples": 16}
+    (tmp / "curve.json").write_text(json.dumps(spec))
+    assert todalax.cli.main(["maslov", str(tmp / "curve.json")]) == 0
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
 
-def test_scipy_integrate_is_imported_by_the_first_adaptive_flow():
-    # importing scipy.integrate takes about 0.7 s, and only integrate_flow needs it
+def test_no_subcommand_loads_scipy(tmp_path):
+    # the library integrates with its own DOP853; scipy is only the tests' oracle
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    run = subprocess.run([sys.executable, "-c", FIRST_FLOW], capture_output=True, text=True,
-                         env=env, check=True)
-    assert run.stdout.split() == ["False", "True"]
+    run = subprocess.run([sys.executable, "-c", NO_SCIPY, str(tmp_path)], capture_output=True,
+                         text=True, env=env, check=True)
+    assert run.stdout.split() == ["[]"]
 
 
 def test_random_points_keep_the_per_point_draw_order():

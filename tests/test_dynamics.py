@@ -303,9 +303,9 @@ class TestFlows:
     @pytest.mark.parametrize("method", ["dop853", "verlet"])
     @pytest.mark.parametrize("bad", [1e-20, 1e-15, 2.2e-14, np.nextafter(RTOL_FLOOR, 0.0)])
     def test_rtol_below_scipy_floor_rejected(self, method, bad):
-        # solve_ivp would run at 100 eps instead, with only a warning
+        # scipy's solve_ivp ran such an rtol at 100 eps, with only a warning; the floor stays
         z0 = PhasePoint(np.zeros(2), np.zeros(2))
-        with pytest.raises(ValueError, match="rtol must be at least scipy's floor 100 eps = 2.22e-14"):
+        with pytest.raises(ValueError, match="rtol must be at least the floor 100 eps = 2.22e-14"):
             integrate_flow(z0, np.array([0.0, 1.0]), 1.0, method=method, rtol=bad)
 
     def test_rtol_at_scipy_floor_runs_without_warning(self):
@@ -484,21 +484,84 @@ def _flow_specs(n):
     return [eye[j] for j in range(min(n, 3))] + [mixed]
 
 
+def _assert_same_bytes(got, ref):
+    times, points, nfev = got
+    assert ref.success
+    assert times.tobytes() == ref.t.tobytes()
+    assert points.tobytes() == ref.y.T.tobytes()
+    assert nfev == ref.nfev
+
+
+def _assert_flow_matches_scipy(z0, c, t_final, t_eval):
+    traj = integrate_flow(z0, c, t_final, t_eval=t_eval)
+    ref = solve_ivp(_reference_rhs(c), (0.0, t_final), z0.as_vector(), method="DOP853",
+                    t_eval=t_eval, rtol=1e-11, atol=1e-12)
+    _assert_same_bytes((traj.times, traj.points, traj.nfev), ref)
+
+
 class TestFrozenReference:
     T_FINAL = 1.0
     T_EVAL = np.linspace(0.0, 1.0, 11)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_adaptive_trajectories_bit_identical(self, n):
+        # forward, backward, and sampled only up to 0.6 of the span, which is still integrated
         rng = np.random.default_rng(20 + n)
         z0 = random_point(rng, n, scale=0.35)
+        spans = [(self.T_FINAL, self.T_EVAL), (-self.T_FINAL, -self.T_EVAL),
+                 (self.T_FINAL, self.T_EVAL[:7])]
         for c in _flow_specs(n):
-            traj = integrate_flow(z0, c, self.T_FINAL, t_eval=self.T_EVAL)
-            ref = solve_ivp(_reference_rhs(c), (0.0, self.T_FINAL), z0.as_vector(),
-                            method="DOP853", t_eval=self.T_EVAL, rtol=1e-11, atol=1e-12)
-            assert np.array_equal(traj.times, ref.t)
-            assert np.array_equal(traj.points, ref.y.T), c
-            assert traj.nfev == ref.nfev
+            for t_final, t_eval in spans:
+                _assert_flow_matches_scipy(z0, c, t_final, t_eval)
+        if n == 3:  # the isospectral_flows check's two flows
+            z0 = PhasePoint(np.array([0.4, -0.3, -0.1]), np.array([0.2, -0.5, 0.3]))
+            for c in np.eye(3)[1:]:
+                _assert_flow_matches_scipy(z0, c, 50.0, np.linspace(0, 50.0, 51))
+
+    def test_solver_matches_scipy_with_rejected_steps(self):
+        # van der Pol at mu = 10: scipy rejects 32 of the forward steps at rtol 1e-8
+        def vdp(_t, y):
+            return np.array([y[1], 10.0 * (1.0 - y[0] ** 2) * y[1] - y[0]])
+
+        for t_final in (20.0, -20.0):
+            t_eval = np.linspace(0.0, t_final, 41)
+            got = dynamics.solve_ivp(vdp, (0.0, t_final), np.array([2.0, 0.0]), t_eval, 1e-8, 1e-10)
+            ref = solve_ivp(vdp, (0.0, t_final), np.array([2.0, 0.0]), method="DOP853",
+                            t_eval=t_eval, rtol=1e-8, atol=1e-10)
+            _assert_same_bytes(got, ref)
+        steps = solve_ivp(vdp, (0.0, 20.0), np.array([2.0, 0.0]), method="DOP853",
+                          rtol=1e-8, atol=1e-10)
+        assert (steps.nfev - 2) // 12 > len(steps.t) - 1  # some attempts were rejected
+
+    def test_blow_up_stops_where_scipy_stops(self):
+        # y' = y^2, y(0) = 1 leaves every float before t = 1
+        def square(_t, y):
+            return y * y
+
+        ref = solve_ivp(square, (0.0, 2.0), np.array([1.0]), method="DOP853", rtol=1e-11,
+                        atol=1e-12)
+        assert ref.status == -1 and "step size" in ref.message
+        with pytest.raises(FlowError, match=re.escape(f"stopped at t = {float(ref.t[-1])!r}:")):
+            dynamics.solve_ivp(square, (0.0, 2.0), np.array([1.0]), np.array([0.0, 2.0]),
+                               1e-11, 1e-12)
+
+    @pytest.mark.parametrize("t_final, t_eval", [
+        (1.0, [0.0, 1.0, 0.5]), (1.0, [0.5, 0.5]), (-1.0, [0.0, -1.0, -0.5]), (1.0, [[0.0, 1.0]]),
+    ])
+    def test_unordered_times_rejected(self, t_final, t_eval):
+        # scipy's solve_ivp raised on these, and the stepper reads the times in order
+        z0 = PhasePoint(np.array([0.1, -0.1]), np.zeros(2))
+        with pytest.raises(ValueError, match="strictly ordered from 0 toward t_final"):
+            integrate_flow(z0, np.array([0.0, 1.0]), t_final, t_eval=np.array(t_eval))
+
+    def test_tableau_is_scipys(self):
+        from scipy.integrate._ivp import dop853_coefficients as ref
+
+        from todalax import _dop853_tableau as ours
+        for name in ("A", "B", "C", "E3", "E5", "D"):
+            assert getattr(ours, name).tobytes() == getattr(ref, name).tobytes(), name
+        for name in ("N_STAGES", "N_STAGES_EXTENDED", "INTERPOLATOR_POWER"):
+            assert getattr(ours, name) == getattr(ref, name)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_leapfrog_bit_identical(self, n):
@@ -534,13 +597,14 @@ class TestFrozenReference:
     def test_field_evaluations_share_no_memory(self, c):
         # solve_ivp keeps the last value of its right-hand side between steps
         field = dynamics._gradient_field(3, np.array(c))
-        first = field(np.array([0.4, -0.3, -0.1]), np.array([0.2, -0.5, 0.3]))
-        kept = [a.copy() for a in first]
-        second = field(np.array([0.1, 0.2, -0.3]), np.array([-0.4, 0.1, 0.6]))
-        for a in first:
-            for b in second:
-                assert not np.shares_memory(a, b)
-        assert all(np.array_equal(a, b) for a, b in zip(first, kept))
+        z1, z2 = np.array([0.4, -0.3, -0.1, 0.2, -0.5, 0.3]), np.array([0.1, 0.2, -0.3, -0.4, 0.1, 0.6])
+        first = field(0.0, z1)
+        kept = first.copy()
+        second = field(0.0, z2)
+        assert first.shape == second.shape == (6,)
+        assert not np.shares_memory(first, second)
+        assert not any(np.shares_memory(v, z) for v in (first, second) for z in (z1, z2))
+        assert np.array_equal(first, kept)
 
     def test_lax_residual_bit_identical(self):
         rng = np.random.default_rng(60)
@@ -589,10 +653,11 @@ class TestFrozenReference:
 class TestDomain:
     def _vector_field(self, monkeypatch, n):
         seen = {}
+        library = dynamics.solve_ivp
 
         def spy(fun, *args, **kwargs):
             seen["rhs"] = fun
-            return solve_ivp(fun, *args, **kwargs)
+            return library(fun, *args, **kwargs)
 
         monkeypatch.setattr(dynamics, "solve_ivp", spy)
         integrate_flow(PhasePoint(np.zeros(n), np.zeros(n)), np.eye(n)[1], 0.1)
