@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 import math
 import numbers
+from operator import sub
 
 import numpy as np
 
@@ -134,13 +135,14 @@ def _gradient_field(n: int, c: np.ndarray):
         constant = np.array(dp_first + [-0.0] * n)
     ix = _cyclic(n)
     upper_then_diag = np.concatenate([ix.upper, ix.diag])
-    flat_L = np.zeros(n * n)  # the field's own L: every evaluation rewrites the entries above
+    flat_L = np.zeros(n * n)  # the field's own L: every evaluation rewrites its band
     L = flat_L.reshape(n, n)
+    last = len(chain) - 1
 
     def field(_t, z: np.ndarray) -> np.ndarray:
         zs = z.tolist()
         q, p = zs[:n], zs[n:]
-        gaps = [a - b for a, b in zip(q, q[1:] + q[:1])]
+        gaps = list(map(sub, q, q[1:] + q[:1]))
         # _couplings' test on Python floats: with every coordinate finite, no gap is NaN
         if not (math.isfinite(sum(zs)) and -Q_GAP_LIMIT <= min(gaps) and max(gaps) <= Q_GAP_LIMIT):
             PhasePoint(z[:n], z[n:])
@@ -167,9 +169,11 @@ def _gradient_field(n: int, c: np.ndarray):
                     read = power.take(upper_then_diag).tolist()
                     upper, diag = read[:n], read[n:]
                 off = [x * u for x, u in zip(b, upper)]
-                dq = [d + cj * (o - o_prv) for d, o, o_prv in zip(dq, off, off[-1:] + off[:-1])]
                 dp = [d + cj * x for d, x in zip(dp, diag)]
-        return np.array(dp + [-x for x in dq])
+                if k == last:  # the chain ends at the highest nonzero c_j: -dG/dq joins dp
+                    return np.array(dp + [-(d + cj * (o - o_prv))
+                                          for d, o, o_prv in zip(dq, off, [off[-1]] + off)])
+                dq = [d + cj * (o - o_prv) for d, o, o_prv in zip(dq, off, [off[-1]] + off)]
 
     return field
 
