@@ -19,6 +19,7 @@ pairs of the claimed workload.
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import json
 import os
 import platform
@@ -28,7 +29,6 @@ import tarfile
 import tempfile
 
 import numpy as np
-import scipy
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -37,6 +37,14 @@ def resolve(rev: str) -> str:
     done = subprocess.run(["git", "-C", ROOT, "rev-parse", "--verify", f"{rev}^{{commit}}"],
                           capture_output=True, text=True, check=True)
     return done.stdout.strip()
+
+
+def scipy_version() -> str:
+    """The installed scipy's version for the host line; the library runs without scipy."""
+    try:
+        return importlib.metadata.version("scipy")
+    except importlib.metadata.PackageNotFoundError:
+        return "not installed"
 
 
 def export(rev: str, dest: str) -> str:
@@ -214,7 +222,7 @@ def main(argv=None) -> int:
                        "--trace T",
             "host": f"{os.cpu_count()} cores, {platform.machine()}; Python "
                     f"{platform.python_version()}, numpy {np.__version__}, scipy "
-                    f"{scipy.__version__}; BLAS pinned to one thread by perfbench",
+                    f"{scipy_version()}; BLAS pinned to one thread by perfbench",
             "method": "scripts/bench_pairs.py: parent and change run from two checkouts whose "
                       "perfbench/ and BENCHMARK.json files were compared equal before the first "
                       "run, in alternating pairs (pair k runs the parent "

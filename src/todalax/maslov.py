@@ -18,9 +18,8 @@ the winding reads no eigenvector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import itertools
 import numbers
-from typing import Callable
+from typing import Callable, NamedTuple
 import numpy as np
 
 from .lax import PhasePoint, _couplings, _first_outside, _is_int, _lax
@@ -190,22 +189,54 @@ def _polyline(Z: np.ndarray) -> ClosedCurve:
     return ClosedCurve(rows, max(2 * m, 64))
 
 
-_Observe = Callable[[np.ndarray, np.ndarray, np.ndarray], list]
+class _Samples(NamedTuple):
+    """Observations of a stack of m samples, as a walk reads them.
+
+    ``phases`` (m,) are the arguments of det(W)^2 of the samples' frames,
+    ``vectors`` (classes, m, n, n) the eigenvectors of each Lax class, even
+    then odd (no class for a phase-only walk), and ``error`` the exception
+    of sample ``stop``, the first that fails (m and None when none does).
+    The entries of a failing sample and of those after it are meaningless.
+    """
+
+    phases: np.ndarray
+    vectors: np.ndarray
+    stop: int
+    error: Exception | None
+
+    def phase_only(self) -> "_Samples":
+        """The same observation without eigenvectors, for a walk that transports none."""
+        return self._replace(vectors=self.vectors[:0])
 
 
-def _observe(curve: ClosedCurve, ts: np.ndarray, observe: _Observe) -> list:
-    """``observe`` at the samples of ts: per t, the observation or its error.
+_Observe = Callable[[np.ndarray, np.ndarray, np.ndarray], _Samples]
 
-    A sample off the phase space ends the list with its PhaseDomainError,
-    and the walk raises it when it reaches that t, as it would have raised
-    it there alone.
+
+def _observe(curve: ClosedCurve, ts: np.ndarray, observe: _Observe) -> _Samples:
+    """``observe`` at the samples of ts.
+
+    A sample off the phase space fails with its PhaseDomainError unless an
+    earlier one fails, and the walk raises it when it reaches that t, as it
+    would have raised it there alone.
     """
     rows = curve.rows(ts)
     n = rows.shape[1] // 2
     q, p = rows[:, :n], rows[:, n:]
     k, error = _first_outside(q, p)
-    obs = observe(ts[:k], q[:k], p[:k]) if k else []
-    return obs if error is None else obs + [error]
+    if k == 0:
+        return _Samples(np.empty(0), np.empty((0, 0, n, n)), 0, error)
+    obs = observe(ts[:k], q[:k], p[:k])
+    return obs if error is None or obs.error is not None else obs._replace(error=error)
+
+
+def _first_failure(m: int, checks: list) -> tuple[int, Exception | None]:
+    """The first of m samples that any check fails, and its error from the first check that
+    fails it; ``checks`` are pairs (the samples it fails, their error by sample) in priority
+    order.  (m, None) when no sample fails."""
+    stop = min((int(min(failed)) for failed, _ in checks if len(failed)), default=m)
+    if stop == m:
+        return m, None
+    return next((stop, error(stop)) for failed, error in checks if stop in failed)
 
 
 def _lax_classes(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -300,27 +331,28 @@ def _frame_phase(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict[int, 
     return np.angle(det * det), gram[..., 0], errors
 
 
-def _principal(a: float) -> float:
+def _principal(a: np.ndarray) -> np.ndarray:
     return (a + np.pi) % (2.0 * np.pi) - np.pi
 
 
-def _frame_rows(ts: np.ndarray, frames: np.ndarray, vectors: list) -> list:
-    """Per sample at ts, (the phase of its frame in the stack (m, 2n, n), its entry of
-    vectors), or the frame's error: LagrangianFrameError if it lost rank, EigensolverError if
-    it overflowed."""
+def _frame_rows(ts: np.ndarray, frames: np.ndarray) -> _Samples:
+    """The phases of a stack of frames (m, 2n, n) at ts, no eigenvectors, and the first failing
+    frame: EigensolverError if its Gram matrix overflowed, LagrangianFrameError if it lost
+    rank."""
     phases, low, failed = _frame_phase(frames)
-    rows = list(zip(phases, vectors))
-    for r in np.flatnonzero(low <= FRAME_GRAM_TOL):
-        rows[r] = LagrangianFrameError(f"frame Gram matrix smallest eigenvalue "
-                                       f"{low[r]:.3e} <= {FRAME_GRAM_TOL:.0e}")
-    for r, exc in failed.items():
-        rows[r] = EigensolverError(f"sample at t = {ts[r]:.6f}: frame Gram matrix: {exc}")
-    return rows
+    n = frames.shape[-1]
+    return _Samples(phases, np.empty((0, len(ts), n, n)), *_first_failure(len(ts), [
+        (failed, lambda r: EigensolverError(
+            f"sample at t = {ts[r]:.6f}: frame Gram matrix: {failed[r]}")),
+        (np.flatnonzero(low <= FRAME_GRAM_TOL), lambda r: LagrangianFrameError(
+            f"frame Gram matrix smallest eigenvalue {low[r]:.3e} <= {FRAME_GRAM_TOL:.0e}")),
+    ]))
 
 
-def _lax_samples(ts: np.ndarray, q: np.ndarray, p: np.ndarray) -> list:
-    """Per sample of a stack: (the phase of its ``toda_frame``, the eigenvectors (V, Vbar) of its
-    two Lax classes), or its first error: even class, odd class, eigenvalue gap, then frame.
+def _lax_samples(ts: np.ndarray, q: np.ndarray, p: np.ndarray) -> _Samples:
+    """A stack's observation: the phase of each sample's ``toda_frame``, the eigenvectors of
+    both Lax classes (V, then Vbar: (2, m, n, n)), and the first failing sample with its
+    first error: even class, odd class, eigenvalue gap, then frame.
 
     The gap is the smaller of the two classes' smallest relative eigenvalue
     gaps; below REGULARITY_TOL the sample is a RegularityError.
@@ -328,37 +360,60 @@ def _lax_samples(ts: np.ndarray, q: np.ndarray, p: np.ndarray) -> list:
     b, entries = _lax_classes(q, p)
     values, vectors, gaps, _, errors = _decompose_stack(entries)
     m = len(q)
-    # a frame that overflows gets its typed error in its row, without numpy's warnings
+    # a frame that overflows gets its typed error, without numpy's warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        rows = _frame_rows(ts, _toda_frames(b, p), list(zip(vectors[:m], vectors[m:])))
+        frame = _frame_rows(ts, _toda_frames(b, p))
     relative = gaps / np.maximum(1.0, values[:, 0] - values[:, -1])[:, None]
-    gap = np.minimum(relative[:m].min(axis=1), relative[m:].min(axis=1))
-    for r in np.flatnonzero(gap < REGULARITY_TOL):
-        rows[r] = RegularityError(
+    gap = relative.min(axis=1).reshape(2, m).min(axis=0)
+    return _Samples(frame.phases, vectors.reshape(2, m, *vectors.shape[1:]), *_first_failure(m, [
+        ({r % m for r in errors}, lambda r: errors.get(r, errors.get(r + m))),
+        (np.flatnonzero(gap < REGULARITY_TOL), lambda r: RegularityError(
             f"sample at t = {ts[r]:.6f} has eigenvalue gap {gap[r]:.3e} below "
-            f"{REGULARITY_TOL:.1e}; the curve passes too close to a singular point"
-        )
-    for r in sorted(errors, reverse=True):  # the odd class first, so the even one wins
-        rows[r % m] = errors[r]
-    return rows
+            f"{REGULARITY_TOL:.1e}; the curve passes too close to a singular point")),
+        ([frame.stop] if frame.error is not None else [], lambda r: frame.error),
+    ]))
 
 
-def _winding(curve: ClosedCurve, observe: _Observe) -> tuple[MaslovResult, tuple, tuple]:
+def _overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Overlaps (classes, ..., n) of the matching columns of two eigenvector stacks
+    (classes, ..., n, n); with no class there are none to compute."""
+    return np.einsum("c...ij,c...ij->c...j", a, b) if len(a) else a[..., 0, :]
+
+
+def _step_test(phi, frames: np.ndarray, phase, vectors: np.ndarray) -> tuple:
+    """One step from the walk's sample (phi, frames) to a sample (phase, vectors), eigenvectors
+    (classes, n, n): the phase step, the signs of the overlaps (classes, n), and why the step
+    fails (None when it passes)."""
+    overlaps = _overlaps(frames, vectors)
+    step = _principal(phase - phi)
+    for cls, ov in zip(("even", "odd"), np.abs(overlaps)):
+        r = int(np.argmin(ov))
+        if ov[r] <= MIN_OVERLAP:
+            return step, None, f"{cls} eigenvector {r} overlap {ov[r]:.3f} <= {MIN_OVERLAP}"
+    reason = f"phase jump {step:.3f}" if abs(step) >= 0.5 * np.pi else None
+    return step, np.sign(overlaps), reason
+
+
+def _winding(curve: ClosedCurve, observe: _Observe) -> tuple[MaslovResult, np.ndarray, np.ndarray]:
     """Winding number of det(W)^2 for the complex frames W = X_q + i X_p along the curve,
-    with the eigenvectors at t = 0 and, continued by the same walk, at t = 1.
+    with the eigenvectors (classes, n, n) at t = 0 and, continued by the same walk, at t = 1.
 
     The walk goes from t = 0 to t = 1 in ``curve.initial_samples`` equal
     steps.  ``observe(ts, q, p)`` reads a stack of samples, q and p (m, n)
-    the coordinates of the curve at ts: per sample, (the phase of its frame,
-    a tuple of eigenvector matrices, empty for a phase-only walk) or the
-    exception it raises.  The grid is observed GRID_CHUNK samples at a time,
-    as the walk reaches them, a bisection midpoint as a stack of one, and an
-    error is raised when the walk reaches its sample, so errors come in walk
-    order.  A step is accepted when every eigenvector keeps more than
-    MIN_OVERLAP overlap with its predecessor, whose sign it takes, and the
-    phase moves by less than pi/2.  Else it is halved, down to a 1e-10
-    parameter step, and its observation is held until the walk comes back
-    to its t, so each t is observed once.  Every step tried costs one of
+    the coordinates of the curve at ts, into one ``_Samples``.  A step is
+    accepted when every eigenvector keeps more than MIN_OVERLAP overlap with
+    its predecessor, whose sign it takes, and the phase moves by less than
+    pi/2.  The grid is observed GRID_CHUNK samples at a time, as the walk
+    reaches them, and the first tries of a chunk's steps are tested at once:
+    all phase steps, all overlaps in one stacked einsum (the chunk's first
+    sample against the walk's current one), all verdicts.  A run of passing
+    steps is accepted at once, its trace summed in walk order and its signs
+    the product of its overlap signs (a sign flip changes no bit of an
+    overlap but its sign).  A failing step is halved, down to a 1e-10
+    parameter step, each midpoint observed as a stack of one and tested
+    alone, the grid sample held until the walk comes back to its t, so each
+    t is observed once.  An error is raised when the walk reaches its
+    sample, so errors come in walk order.  Every step tried costs one of
     MAX_EVALUATIONS evaluations.  det P > 0 for the positive definite polar
     factor P of W = U P, so the argument is that of det(U)^2.
     CALIBRATION_SIGN converts the winding to the Maslov index normalisation
@@ -368,48 +423,78 @@ def _winding(curve: ClosedCurve, observe: _Observe) -> tuple[MaslovResult, tuple
     # every initial step costs an evaluation
     if curve.initial_samples > MAX_EVALUATIONS:
         raise TransportError(budget)
+    evaluations = 0
+
+    def spend(steps: int) -> None:
+        nonlocal evaluations
+        evaluations += steps
+        if evaluations > MAX_EVALUATIONS:
+            raise TransportError(budget)
+
     grid = np.linspace(0.0, 1.0, curve.initial_samples + 1)
-    # (t, observation or error) of the grid, a chunk observed when the walk reaches it
-    samples = itertools.chain.from_iterable(
-        zip(ts, _observe(curve, ts, observe))
-        for ts in (grid[start:start + GRID_CHUNK] for start in range(0, grid.size, GRID_CHUNK)))
-    _, first = next(samples)
-    if isinstance(first, Exception):
-        raise first
-    (phi, frames), t_curr, evaluations, trace = first, 0.0, 0, [(0.0, 0.0)]
-    for t_grid, obs_grid in samples:
-        # (t, held observation or None), next t last
-        pending = [(t_grid, obs_grid)]
-        while pending:
-            t_next, obs = pending[-1]
-            evaluations += 1
-            if evaluations > MAX_EVALUATIONS:
-                raise TransportError(budget)
-            if obs is None:
-                obs = _observe(curve, np.array([t_next]), observe)[0]
-            if isinstance(obs, Exception):
-                raise obs
-            phi_next, new = obs
-            overlaps = [np.einsum("ij,ij->j", V, W) for V, W in zip(frames, new)]
-            step = _principal(phi_next - phi)
-            reason = None
-            for cls, ov in zip(("even", "odd"), overlaps):
-                r = int(np.argmin(np.abs(ov)))
-                if reason is None and abs(ov[r]) <= MIN_OVERLAP:
-                    reason = f"{cls} eigenvector {r} overlap {abs(ov[r]):.3f} <= {MIN_OVERLAP}"
-            if reason is None and abs(step) >= 0.5 * np.pi:
-                reason = f"phase jump {step:.3f}"
-            if reason is not None:
-                if t_next - t_curr < 1e-10:
-                    raise TransportError(f"{reason} at t = {t_next:.8f} despite maximal refinement")
-                pending[-1] = (t_next, obs)
-                pending.append((0.5 * (t_curr + t_next), None))
-                continue
-            trace.append((t_next, trace[-1][1] + step))
-            phi, frames = phi_next, tuple(W * np.sign(ov) for W, ov in zip(new, overlaps))
-            t_curr = t_next
-            pending.pop()
-    winding = trace[-1][1] / (2.0 * np.pi)
+    first = _observe(curve, grid[:GRID_CHUNK], observe)
+    if first.stop == 0:
+        raise first.error
+    phi, frames, t_curr = first.phases[0], first.vectors[:, 0], 0.0
+    # the winding trace: parameters and accumulated arguments
+    angle, times, angles = 0.0, [0.0], [0.0]
+    for start in range(0, grid.size, GRID_CHUNK):
+        ts = grid[start:start + GRID_CHUNK]
+        obs = first if start == 0 else _observe(curve, ts, observe)
+        if obs.stop == 0:  # the walk reaches a chunk whose first sample fails
+            spend(1)
+            raise obs.error
+        # the first try of the step to each observed sample i + j of the chunk
+        i = int(start == 0)
+        phases = np.append(phi, obs.phases[i:obs.stop])
+        steps = _principal(phases[1:] - phases[:-1])
+        stack = np.concatenate([frames[:, None], obs.vectors[:, i:obs.stop]], axis=1)
+        overlaps = _overlaps(stack[:, :-1], stack[:, 1:])
+        fails = ((np.abs(steps) >= 0.5 * np.pi)
+                 | (np.abs(overlaps).min(axis=-1) <= MIN_OVERLAP).any(axis=0))
+        # frames: the eigenvectors of the walk's sample times signs
+        signs, j = 1.0, 0
+        for f in [*np.flatnonzero(fails).tolist(), len(steps)]:
+            if f > j:  # steps j .. f - 1 pass
+                spend(f - j)
+                k = i + f - 1
+                times += ts[i + j:k + 1].tolist()
+                angles += np.cumsum(np.append(angle, steps[j:f]))[1:].tolist()
+                signs = signs * np.sign(overlaps[:, j:f]).prod(axis=1)
+                phi, angle, t_curr = obs.phases[k], angles[-1], ts[k]
+                frames = obs.vectors[:, k] * signs[:, None, :]
+            if f == len(steps):
+                break
+            # step f failed its first try, a grid step far above the 1e-10 floor: halve it
+            spend(1)
+            k = i + f
+            # (t, held sample or None), next t last
+            pending = [(ts[k], (obs.phases[k], obs.vectors[:, k])), (0.5 * (t_curr + ts[k]), None)]
+            while pending:
+                t_next, sample = pending[-1]
+                spend(1)
+                if sample is None:
+                    one = _observe(curve, np.array([t_next]), observe)
+                    if one.stop == 0:
+                        raise one.error
+                    sample = one.phases[0], one.vectors[:, 0]
+                step, signs, reason = _step_test(phi, frames, *sample)
+                if reason is not None:
+                    if t_next - t_curr < 1e-10:
+                        raise TransportError(f"{reason} at t = {t_next:.8f} despite maximal refinement")
+                    pending[-1] = (t_next, sample)
+                    pending.append((0.5 * (t_curr + t_next), None))
+                    continue
+                angle = angle + step
+                times.append(t_next)
+                angles.append(angle)
+                phi, frames, t_curr = sample[0], sample[1] * signs[:, None, :], t_next
+                pending.pop()
+            j = f + 1
+        if obs.stop < len(ts):  # the walk reaches a sample that fails
+            spend(1)
+            raise obs.error
+    winding = angle / (2.0 * np.pi)
     nearest = int(np.rint(winding))
     if abs(winding - nearest) > 1e-3:
         raise TransportError(f"winding {winding:.6f} is not close to an integer")
@@ -418,14 +503,15 @@ def _winding(curve: ClosedCurve, observe: _Observe) -> tuple[MaslovResult, tuple
         raise TransportError(
             f"odd winding {mu}; the Lagrangian plane field should be orientable"
         )
-    return MaslovResult(mu, np.array(trace)), first[1], frames
+    return MaslovResult(mu, np.column_stack((times, angles))), first.vectors[:, 0], frames
 
 
 def maslov_index(curve: ClosedCurve) -> MaslovResult:
     """Maslov index of the curve: the winding of the ``toda_frame`` planes along it.
 
-    The samples must be regular, and are observed as in ``check_holonomy_theorem``,
-    but the walk steers by the phase alone, so it cannot see a step that
+    The samples must be regular, and are observed in stacks as in
+    ``check_holonomy_theorem``, but the walk drops the eigenvector stacks and
+    steers by the phase alone, so it cannot see a step that
     wraps a full turn.  The walk's domain is narrower than the phase space:
     column j of a frame grows like b^(j-1) with the largest coupling
     b = exp(g/2), g = max |q_r - q_{r+1}|, and the Gram matrix W^H W squares
@@ -437,16 +523,14 @@ def maslov_index(curve: ClosedCurve) -> MaslovResult:
     det(W)^2 overflows) or EigensolverError (the Gram matrix overflows,
     from g = 354 at n = 3).
     """
-    # the observations without their eigenvectors: the walk transports none
-    return _winding(curve, lambda ts, q, p: [obs if isinstance(obs, Exception) else (obs[0], ())
-                                             for obs in _lax_samples(ts, q, p)])[0]
+    return _winding(curve, lambda *stack: _lax_samples(*stack).phase_only())[0]
 
 
 def calibration_index(n: int) -> MaslovResult:
     """Maslov index of n uncoupled oscillators around ``oscillator_angle_loop(n)``: the
     winding of their frames, which CALIBRATION_SIGN makes +2."""
     return _winding(oscillator_angle_loop(n),
-                    lambda ts, q, p: _frame_rows(ts, _oscillator_frames(q, p), [()] * len(ts)))[0]
+                    lambda ts, q, p: _frame_rows(ts, _oscillator_frames(q, p)))[0]
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ and flags a metric whose parent runs spread too wide for its bound."""
 import importlib.util
 from pathlib import Path
 import subprocess
+import sys
 
 import pytest
 
@@ -89,3 +90,21 @@ def test_unresolved_when_the_parent_spreads_wider_than_the_bound(parent, change,
     metrics = bench_pairs.summarise(_results(parent, change), seeds, DECLARED)["metrics"]
     assert metrics["ops_per_s"]["unresolved"] is unresolved
     assert metrics["op_p50_ms"]["unresolved"] is unresolved
+
+
+def test_help_runs_without_scipy():
+    # scipy is a test-only dependency: the script reads its version from the metadata
+    code = ("import runpy, sys; sys.modules['scipy'] = None; "
+            "sys.argv = ['bench_pairs.py', '--help']; "
+            f"runpy.run_path({str(ROOT / 'scripts' / 'bench_pairs.py')!r}, run_name='__main__')")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: bench_pairs.py")
+
+
+def test_scipy_version_without_the_package(monkeypatch):
+    def missing(name):
+        raise bench_pairs.importlib.metadata.PackageNotFoundError(name)
+
+    monkeypatch.setattr(bench_pairs.importlib.metadata, "version", missing)
+    assert bench_pairs.scipy_version() == "not installed"

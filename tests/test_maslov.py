@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import numpy.testing as npt
@@ -764,3 +765,210 @@ class TestStackedGrid:
             with pytest.raises(DiskGeometryError) as err:
                 enclosure_count_check([DiskSpec(sigma1_n3, radius=r) for r in radii])
             assert str(err.value) == f"singular point {j} lies within 1.224e-03 of the boundary"
+
+
+def _one_step_winding(curve, observe):
+    """The walk as it tested every step alone: a frozen copy of its loop before the chunk test.
+
+    The grid is read out of the same stacked observations (GRID_CHUNK samples
+    at a time, a midpoint as a stack of one), one sample at a time; each
+    step is tested by its own overlaps and phase.  Returns what ``_winding``
+    returns, the eigenvectors as one (classes, n, n) array.
+    """
+    def samples(ts):
+        obs = maslov._observe(curve, ts, observe)
+        rows = [(obs.phases[r], tuple(obs.vectors[:, r])) for r in range(obs.stop)]
+        return rows if obs.error is None else rows + [obs.error]
+
+    budget = f"loop walk exceeded the budget of {maslov.MAX_EVALUATIONS} evaluations"
+    if curve.initial_samples > maslov.MAX_EVALUATIONS:
+        raise TransportError(budget)
+    grid = np.linspace(0.0, 1.0, curve.initial_samples + 1)
+    chunk = maslov.GRID_CHUNK
+    stream = itertools.chain.from_iterable(
+        zip(ts, samples(ts)) for ts in (grid[s:s + chunk] for s in range(0, grid.size, chunk)))
+    _, first = next(stream)
+    if isinstance(first, Exception):
+        raise first
+    (phi, frames), t_curr, evaluations, trace = first, 0.0, 0, [(0.0, 0.0)]
+    for t_grid, obs_grid in stream:
+        pending = [(t_grid, obs_grid)]
+        while pending:
+            t_next, obs = pending[-1]
+            evaluations += 1
+            if evaluations > maslov.MAX_EVALUATIONS:
+                raise TransportError(budget)
+            if obs is None:
+                obs = samples(np.array([t_next]))[0]
+            if isinstance(obs, Exception):
+                raise obs
+            phi_next, new = obs
+            overlaps = [np.einsum("ij,ij->j", V, W) for V, W in zip(frames, new)]
+            step = maslov._principal(phi_next - phi)
+            reason = None
+            for cls, ov in zip(("even", "odd"), overlaps):
+                r = int(np.argmin(np.abs(ov)))
+                if reason is None and abs(ov[r]) <= maslov.MIN_OVERLAP:
+                    reason = f"{cls} eigenvector {r} overlap {abs(ov[r]):.3f} <= {maslov.MIN_OVERLAP}"
+            if reason is None and abs(step) >= 0.5 * np.pi:
+                reason = f"phase jump {step:.3f}"
+            if reason is not None:
+                if t_next - t_curr < 1e-10:
+                    raise TransportError(f"{reason} at t = {t_next:.8f} despite maximal refinement")
+                pending[-1] = (t_next, obs)
+                pending.append((0.5 * (t_curr + t_next), None))
+                continue
+            trace.append((t_next, trace[-1][1] + step))
+            phi, frames = phi_next, tuple(W * np.sign(ov) for W, ov in zip(new, overlaps))
+            t_curr = t_next
+            pending.pop()
+    winding = trace[-1][1] / (2.0 * np.pi)
+    nearest = int(np.rint(winding))
+    if abs(winding - nearest) > 1e-3:
+        raise TransportError(f"winding {winding:.6f} is not close to an integer")
+    mu = CALIBRATION_SIGN * nearest
+    if mu % 2 != 0:
+        raise TransportError(f"odd winding {mu}; the Lagrangian plane field should be orientable")
+    return maslov.MaslovResult(mu, np.array(trace)), np.array(first[1]), np.array(frames)
+
+
+# the one walk, and the phase-only walk of maslov_index
+OBSERVERS = {"one walk": maslov._lax_samples,
+             "phase only": lambda *stack: maslov._lax_samples(*stack).phase_only()}
+
+
+def _outcome(walk, curve, observe):
+    """mu, the winding trace's bytes and the eigenvectors at t = 0 and 1, or the error."""
+    try:
+        mas, first, last = walk(curve, observe)
+    except (RuntimeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return (mas.mu, mas.winding_trace.shape, mas.winding_trace.tobytes(),
+            np.asarray(first).tobytes(), np.asarray(last).tobytes())
+
+
+def _assert_walks_agree(curve):
+    """The chunk-tested walk equals the one-step walk bit for bit, for both observations;
+    returns the one walk's outcome."""
+    outcomes = {}
+    for name, observe in OBSERVERS.items():
+        outcomes[name] = _outcome(maslov._winding, curve, observe)
+        assert outcomes[name] == _outcome(_one_step_winding, curve, observe), name
+    return outcomes["one walk"]
+
+
+def _random_circle(k, samples):
+    """Circle k of the 90 drawn from default_rng(11) (see test_random_circle_returns_its_fine_index)."""
+    rng = np.random.default_rng(11)
+    for i in range(k + 1):
+        n = (3, 4, 5)[i % 3]
+        q, p = 0.35 * rng.standard_normal(n), 0.35 * rng.standard_normal(n)
+        plane = np.linalg.qr(rng.standard_normal((2 * n, 2)))[0]
+        radius = rng.uniform(0.3, 1.5)
+    return ClosedCurve.circle(PhasePoint(q, p), *plane.T, radius, samples)
+
+
+@pytest.fixture(scope="module")
+def sigma1_points():
+    """Every single-pair point of n = 3, 5, 8 that the suite's sigma1 check finds."""
+    from todalax.verify import Sample
+
+    points = {n: Sample(n).sigma1[0] for n in (3, 5, 8)}
+    assert [len(points[n]) for n in (3, 5, 8)] == [2, 4, 7]
+    return points
+
+
+class TestChunkTest:
+    """The walk tests a chunk's steps at once and accepts runs of them; it must equal the walk
+    that tested each step alone bit for bit: mu, trace, eigenvectors and errors."""
+
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_sigma1_circles_match_the_one_step_walk(self, sigma1_points, n):
+        for sp in sigma1_points[n]:
+            for samples in (256, 4, 3, 2):
+                curve = ClosedCurve.around_pair(sp, sp.targets[0], radius=2e-3,
+                                                initial_samples=samples)
+                for c in (curve, curve.reversed()):
+                    _assert_walks_agree(c)
+
+    @pytest.mark.parametrize("k", [17, 45, 56, 76])
+    def test_random_circles_match_the_one_step_walk(self, k):
+        for samples in (64, 256):
+            _assert_walks_agree(_random_circle(k, samples))
+
+    def test_chunks_of_one_match_the_one_step_walk(self, sigma1_points, monkeypatch):
+        monkeypatch.setattr(maslov, "GRID_CHUNK", 1)
+        for sp in sigma1_points[3]:
+            for samples in (64, 4):
+                _assert_walks_agree(ClosedCurve.around_pair(sp, sp.targets[0], radius=2e-3,
+                                                            initial_samples=samples))
+        _assert_walks_agree(_random_circle(56, 64))
+
+    def test_budget_runs_out_mid_walk(self, sigma1_points, monkeypatch):
+        # the fine circle takes 256 evaluations, the coarse one 16 and the random ones 90 and
+        # 274: the budget runs out inside a run, in the second chunk, on the last step and
+        # inside a bisection, or not at all
+        sp = sigma1_points[3][0]
+        fine, coarse = (ClosedCurve.around_pair(sp, sp.targets[0], radius=2e-3,
+                                                initial_samples=s) for s in (256, 4))
+        for limit, curve, runs_out in ((50, fine, True), (200, fine, True), (255, fine, True),
+                                       (256, fine, False), (300, fine, False),
+                                       (10, coarse, True), (15, coarse, True),
+                                       (50, coarse, False), (300, coarse, False),
+                                       (80, _random_circle(56, 64), True),
+                                       (270, _random_circle(56, 256), True)):
+            monkeypatch.setattr(maslov, "MAX_EVALUATIONS", limit)
+            outcome = _assert_walks_agree(curve)
+            if runs_out:
+                assert outcome == (TransportError,
+                                   f"loop walk exceeded the budget of {limit} evaluations")
+            else:
+                assert isinstance(outcome[0], int)
+
+    def test_maximal_refinement_message(self, sigma1_points, monkeypatch):
+        # no overlap passes: the first step is halved down to the 1e-10 floor
+        monkeypatch.setattr(maslov, "MIN_OVERLAP", 1.5)
+        sp = sigma1_points[5][1]
+        for samples in (256, 4):
+            curve = ClosedCurve.around_pair(sp, sp.targets[0], radius=2e-3,
+                                            initial_samples=samples)
+            outcome = _assert_walks_agree(curve)
+            assert outcome[0] is TransportError
+            assert outcome[1].startswith("even eigenvector ")
+            assert outcome[1].endswith(" <= 1.5 at t = 0.00000000 despite maximal refinement")
+            with pytest.raises(TransportError, match="despite maximal refinement"):
+                check_holonomy_theorem(curve)
+            # the phase-only walk reads no overlap
+            assert abs(maslov_index(curve).mu) == 2
+
+    @pytest.mark.parametrize("hole", [(0.45, 0.55), (0.7, 0.8)])
+    def test_error_after_a_failing_grid_step(self, sigma1_n3, monkeypatch, hole):
+        # every grid step of the 4-sample circle fails its first try; the sample after one
+        # of them is off the phase space: the walk bisects the failing step, then raises
+        curve = ClosedCurve.around_pair(sigma1_n3, PairTarget(True, 1), radius=2e-3,
+                                        initial_samples=4)
+        lo, hi = hole
+        holed = ClosedCurve(lambda ts: np.where(((lo < ts) & (ts < hi))[:, None], np.nan,
+                                                curve.rows(ts)), 4)
+        stacks = []
+        observe = maslov._observe
+
+        def spy(c, ts, obs):
+            stacks.append(len(ts))
+            return observe(c, ts, obs)
+
+        monkeypatch.setattr(maslov, "_observe", spy)
+        assert _assert_walks_agree(holed) == (PhaseDomainError,
+                                              "non-finite phase-space coordinates")
+        stacks.clear()
+        with pytest.raises(PhaseDomainError):
+            check_holonomy_theorem(holed)
+        # the grid, then the midpoints of the failing steps before the hole
+        assert stacks[0] == 5 and len(stacks) > 1 and set(stacks[1:]) == {1}
+        # reaching the bad sample costs an evaluation, wherever it lies in its chunk (the
+        # hole opens the second chunk of two samples); each budget ends both walks alike
+        for chunk in (maslov.GRID_CHUNK, 2):
+            monkeypatch.setattr(maslov, "GRID_CHUNK", chunk)
+            for limit in range(1, 17):
+                monkeypatch.setattr(maslov, "MAX_EVALUATIONS", limit)
+                _assert_walks_agree(holed)
