@@ -450,6 +450,7 @@ def _winding(curve: ClosedCurve, observe: _Observe) -> tuple[MaslovResult, np.nd
         steps = _principal(phases[1:] - phases[:-1])
         stack = np.concatenate([frames[:, None], obs.vectors[:, i:obs.stop]], axis=1)
         overlaps = _overlaps(stack[:, :-1], stack[:, 1:])
+        # the smallest overlap of each class decides, as in _step_test (a NaN one passes)
         fails = ((np.abs(steps) >= 0.5 * np.pi)
                  | (np.abs(overlaps).min(axis=-1) <= MIN_OVERLAP).any(axis=0))
         # frames: the eigenvectors of the walk's sample times signs

@@ -8,6 +8,7 @@ import pytest
 import todalax.maslov as maslov
 from todalax.lax import PhaseDomainError, PhasePoint, _first_outside
 from todalax.spectral import EigensolverError, _decompose_stack as decompose_stack
+from todalax.verify import Sample
 from todalax.singularity import (
     PairTarget,
     all_pair_targets,
@@ -871,8 +872,6 @@ def _random_circle(k, samples):
 @pytest.fixture(scope="module")
 def sigma1_points():
     """Every single-pair point of n = 3, 5, 8 that the suite's sigma1 check finds."""
-    from todalax.verify import Sample
-
     points = {n: Sample(n).sigma1[0] for n in (3, 5, 8)}
     assert [len(points[n]) for n in (3, 5, 8)] == [2, 4, 7]
     return points
