@@ -8,6 +8,7 @@ computation failure, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import numpy as np
@@ -216,7 +217,9 @@ def cmd_integrate(args) -> int:
     return 0
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process; ``main`` runs ``cmd_<command>``."""
     ap = argparse.ArgumentParser(
         prog="todalax",
         description="Verification suite for the periodic Toda chain's Lax structure, "
@@ -236,7 +239,6 @@ def _parser() -> argparse.ArgumentParser:
     pv.add_argument("--points", type=int, help="random samples per check")
     pv.add_argument("--suite", choices=["full", "quick"], help="suite size")
     pv.add_argument("--no-timing", action="store_true", help="omit wall times from the report")
-    pv.set_defaults(fn=cmd_verify)
 
     ps = sub.add_parser("singular", parents=[sizes, out], help="locate singular points")
     ps.add_argument("--targets", default="all",
@@ -245,12 +247,10 @@ def _parser() -> argparse.ArgumentParser:
                     help="drive all listed pairs degenerate at one point")
     ps.add_argument("--eps", type=float, default=1e-2, help="seed perturbation size")
     ps.add_argument("--p0", type=float, default=0.0, help="common momentum of the seed equilibrium")
-    ps.set_defaults(fn=cmd_singular)
 
     pm = sub.add_parser("maslov", parents=[out], help="holonomies and Maslov index of a loop")
     pm.add_argument("curve", help="JSON curve specification file")
     pm.add_argument("--trace-csv", help="write the winding trace as CSV")
-    pm.set_defaults(fn=cmd_maslov)
 
     pi = sub.add_parser("integrate", help="integrate a trace flow")
     pi.add_argument("--q", type=_parse_float_list, required=True, help="initial positions")
@@ -263,7 +263,6 @@ def _parser() -> argparse.ArgumentParser:
     pi.add_argument("--method", choices=["dop853", "verlet"], default="dop853")
     pi.add_argument("--dt", type=float, default=1e-3, help="leapfrog step size")
     pi.add_argument("--out", required=True, help="output CSV path")
-    pi.set_defaults(fn=cmd_integrate)
     return ap
 
 
@@ -274,7 +273,8 @@ def main(argv=None) -> int:
         print("error: singular requires exactly one --n value", file=sys.stderr)
         return 2
     try:
-        return args.fn(args)
+        # looked up per call, so a replaced cmd_* function is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

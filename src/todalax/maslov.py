@@ -245,7 +245,7 @@ def _lax_classes(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The m even-class matrices come first, then the m odd-class ones.
     """
     b = _couplings(q, p)
-    return b, np.moveaxis(_lax(b, p), -3, 0).reshape(-1, b.shape[1], b.shape[1])
+    return b, _lax(b, p).swapaxes(0, 1).reshape(-1, b.shape[1], b.shape[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -410,10 +410,12 @@ def _winding(curve: ClosedCurve, observe: _Observe) -> tuple[MaslovResult, np.nd
     steps is accepted at once, its trace summed in walk order and its signs
     the product of its overlap signs (a sign flip changes no bit of an
     overlap but its sign).  A failing step is halved, down to a 1e-10
-    parameter step, each midpoint observed as a stack of one and tested
-    alone, the grid sample held until the walk comes back to its t, so each
-    t is observed once.  An error is raised when the walk reaches its
-    sample, so errors come in walk order.  Every step tried costs one of
+    parameter step, each midpoint tested alone, the grid sample held until
+    the walk comes back to its t, so each t is observed once.  The first
+    midpoints of a chunk's failing steps, which the walk visits unless it
+    raises first, are observed in one stack; the deeper ones each as a
+    stack of one.  An error is raised when the walk reaches its sample, so
+    errors come in walk order.  Every step tried costs one of
     MAX_EVALUATIONS evaluations.  det P > 0 for the positive definite polar
     factor P of W = U P, so the argument is that of det(U)^2.
     CALIBRATION_SIGN converts the winding to the Maslov index normalisation
@@ -453,9 +455,14 @@ def _winding(curve: ClosedCurve, observe: _Observe) -> tuple[MaslovResult, np.nd
         # the smallest overlap of each class decides, as in _step_test (a NaN one passes)
         fails = ((np.abs(steps) >= 0.5 * np.pi)
                  | (np.abs(overlaps).min(axis=-1) <= MIN_OVERLAP).any(axis=0))
+        failing = np.flatnonzero(fails).tolist()
+        if failing:  # the first midpoint of each failing step, in walk order
+            bounds = np.append(t_curr, ts[i:obs.stop])
+            mids_t = 0.5 * (bounds[:-1] + bounds[1:])[fails]
+            mids = _observe(curve, mids_t, observe)
         # frames: the eigenvectors of the walk's sample times signs
         signs, j = 1.0, 0
-        for f in [*np.flatnonzero(fails).tolist(), len(steps)]:
+        for r, f in enumerate([*failing, len(steps)]):
             if f > j:  # steps j .. f - 1 pass
                 spend(f - j)
                 k = i + f - 1
@@ -468,9 +475,13 @@ def _winding(curve: ClosedCurve, observe: _Observe) -> tuple[MaslovResult, np.nd
                 break
             # step f failed its first try, a grid step far above the 1e-10 floor: halve it
             spend(1)
+            if r == mids.stop:  # the walk reaches a midpoint that fails
+                spend(1)
+                raise mids.error
             k = i + f
             # (t, held sample or None), next t last
-            pending = [(ts[k], (obs.phases[k], obs.vectors[:, k])), (0.5 * (t_curr + ts[k]), None)]
+            pending = [(ts[k], (obs.phases[k], obs.vectors[:, k])),
+                       (mids_t[r], (mids.phases[r], mids.vectors[:, r]))]
             while pending:
                 t_next, sample = pending[-1]
                 spend(1)

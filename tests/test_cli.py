@@ -611,6 +611,18 @@ def test_readme_lists_the_verify_flags():
     assert set(re.findall(r"`(--[\w.-]+)`", sentence)) == options
 
 
+def test_main_builds_one_parser_and_runs_the_current_command(monkeypatch):
+    # the parser is built once; the subcommand's function is looked up when main runs, so
+    # a replaced cmd_integrate runs in place of the one defined when the parser was built
+    cli._parser.cache_clear()
+    ran = []
+    monkeypatch.setattr(cli, "cmd_integrate", lambda args: ran.append(args.out) or 0)
+    for out in ("a.csv", "b.csv"):
+        assert main([*INTEGRATE, "--out", out]) == 0
+    assert ran == ["a.csv", "b.csv"]
+    assert cli._parser.cache_info().misses == 1
+
+
 def test_integrate_requires_out(capsys):
     # without --out the CSV writer met a None path
     with pytest.raises(SystemExit) as exc:

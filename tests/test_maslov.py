@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import types
 
 import numpy as np
 import numpy.testing as npt
@@ -383,7 +384,8 @@ class TestHolonomyTheorem:
 
     def test_holonomy_check_decomposes_each_sample_once(self, sigma1_n3, monkeypatch):
         # one walk: each observed stack is decomposed once and framed once, the initial
-        # grid in stacks of GRID_CHUNK samples and each midpoint as a stack of one
+        # grid in stacks of GRID_CHUNK samples, the first midpoints of a chunk's failing
+        # steps in one stack and each deeper midpoint as a stack of one
         stacks, frames, seen = [], [], []
         decompose_stack, toda_frames = maslov._decompose_stack, maslov._toda_frames
 
@@ -411,8 +413,9 @@ class TestHolonomyTheorem:
         stacks.clear()
         frames.clear()
         rep = check_holonomy_theorem(coarse)
-        assert stacks == frames and stacks[0] == 5  # the grid, then the midpoints
-        assert len(stacks) > 1 and set(stacks[1:]) == {1}
+        # the grid, then the first midpoints of its 4 steps, which all fail, then the deeper ones
+        assert stacks == frames and stacks[:2] == [5, 4]
+        assert len(stacks) > 2 and set(stacks[2:]) == {1}
         assert sum(stacks) == len(seen) == len(set(seen))
         assert rep.agree and rep.mu == ref.mu
         npt.assert_array_equal(rep.holonomy.gamma, ref.holonomy.gamma)
@@ -598,8 +601,52 @@ class TestFramePhase:
                 walk()
 
 
+def _table_observation(table, rows, observe):
+    """``_observe`` of the rows of a table (m, 2n) at the float indices ``rows``, as t."""
+    curve = types.SimpleNamespace(rows=lambda ts: table[ts.astype(int)])
+    return maslov._observe(curve, np.asarray(rows, float), observe)
+
+
 class TestStackedGrid:
-    """The walkers observe their initial grid in stacks; each midpoint is a stack of one."""
+    """The walkers observe their initial grid, and the first midpoints of a chunk's failing
+    steps, in stacks; each deeper midpoint is a stack of one."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_an_observation_does_not_depend_on_its_stack(self, n):
+        # rows 0..127 desk-scale points, then an equilibrium (eigenvalue gap below
+        # REGULARITY_TOL; its oscillator frame is 0), a NaN row (off the phase space) and a
+        # regular row with q_1 = p_1 = 0 (an oscillator frame of lost rank)
+        rng = np.random.default_rng(n)
+        zero = 0.35 * rng.standard_normal(2 * n)
+        zero[[0, n]] = 0.0
+        table = np.vstack([0.35 * rng.standard_normal((128, 2 * n)),
+                           omega_point(n).z.as_vector(), np.full(2 * n, np.nan), zero])
+        stacks = [range(128), *(range(s, s + size) for size in (2, 5, 31)
+                                for s in range(0, 128 - size + 1, size))]
+        for row in (128, 129, 130):
+            for size in (2, 7, 128):
+                for at in (0, size // 2, size - 1):
+                    stacks.append([*range(at), row, *range(at, size - 1)])
+        observers = {"lax": maslov._lax_samples,
+                     "frame": lambda ts, q, p: maslov._frame_rows(
+                         ts, maslov._oscillator_frames(q, p))}
+        for name, observe in observers.items():
+            alone = [_table_observation(table, [r], observe) for r in range(len(table))]
+            assert [a.stop for a in alone[128:]] == ([0, 0, 1] if name == "lax" else [0, 0, 0])
+            if name == "lax":
+                assert isinstance(alone[128].error, RegularityError)
+            assert isinstance(alone[129].error, PhaseDomainError)
+            for stack in stacks:
+                obs = _table_observation(table, stack, observe)
+                for k, r in enumerate(stack[:obs.stop]):
+                    assert alone[r].stop == 1, (name, r)
+                    assert obs.phases[k].tobytes() == alone[r].phases[0].tobytes(), (name, r)
+                    assert obs.vectors[:, k].tobytes() == alone[r].vectors[:, 0].tobytes()
+                failed = [r for r in stack if alone[r].stop == 0]
+                assert obs.stop == (stack.index(failed[0]) if failed else len(stack))
+                if failed:
+                    error = alone[failed[0]].error
+                    assert (type(obs.error), str(obs.error)) == (type(error), str(error))
 
     @staticmethod
     def through(point, radius, samples):
@@ -940,6 +987,43 @@ class TestChunkTest:
             # the phase-only walk reads no overlap
             assert abs(maslov_index(curve).mu) == 2
 
+    def test_error_at_a_first_midpoint(self, sigma1_n3, monkeypatch):
+        # the 4-sample circle holed only around t = 0.625, the first midpoint of its third
+        # step: no grid sample fails, the stack of first midpoints does at its third sample,
+        # and the walk raises when it reaches that midpoint; with MIN_OVERLAP = 1.5 the
+        # bisection of the first step raises first
+        curve = ClosedCurve.around_pair(sigma1_n3, PairTarget(True, 1), radius=2e-3,
+                                        initial_samples=4)
+        holed = ClosedCurve(lambda ts: np.where((np.abs(ts - 0.625) < 0.01)[:, None], np.nan,
+                                                curve.rows(ts)), 4)
+        stacks = []
+        observe = maslov._observe
+
+        def spy(c, ts, obs):
+            stacks.append(ts.tolist())
+            return observe(c, ts, obs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(maslov, "_observe", spy)
+            with pytest.raises(PhaseDomainError, match="^non-finite phase-space coordinates$"):
+                check_holonomy_theorem(holed)
+        assert stacks[:2] == [[0.0, 0.25, 0.5, 0.75, 1.0], [0.125, 0.375, 0.625, 0.875]]
+        for overlap, expected in ((maslov.MIN_OVERLAP, PhaseDomainError),
+                                  (1.5, TransportError)):
+            monkeypatch.setattr(maslov, "MIN_OVERLAP", overlap)
+            # the hole lies in the stack of midpoints of the first chunk, and of the second
+            # of chunks of two samples; each budget ends both walks alike
+            for chunk in (GRID_CHUNK, 2):
+                monkeypatch.setattr(maslov, "GRID_CHUNK", chunk)
+                outcome = _assert_walks_agree(holed)
+                assert outcome[0] is expected
+                if expected is TransportError:
+                    assert outcome[1].endswith(" at t = 0.00000000 despite maximal refinement")
+                for limit in range(1, 17):
+                    with monkeypatch.context() as patch:
+                        patch.setattr(maslov, "MAX_EVALUATIONS", limit)
+                        _assert_walks_agree(holed)
+
     @pytest.mark.parametrize("hole", [(0.45, 0.55), (0.7, 0.8)])
     def test_error_after_a_failing_grid_step(self, sigma1_n3, monkeypatch, hole):
         # every grid step of the 4-sample circle fails its first try; the sample after one
@@ -962,8 +1046,10 @@ class TestChunkTest:
         stacks.clear()
         with pytest.raises(PhaseDomainError):
             check_holonomy_theorem(holed)
-        # the grid, then the midpoints of the failing steps before the hole
-        assert stacks[0] == 5 and len(stacks) > 1 and set(stacks[1:]) == {1}
+        # the grid, then the first midpoints of the failing steps before the hole in one
+        # stack, then the deeper midpoints one at a time
+        assert stacks[:2] == [5, int(np.count_nonzero(np.linspace(0.0, 1.0, 5) < lo)) - 1]
+        assert len(stacks) > 2 and set(stacks[2:]) == {1}
         # reaching the bad sample costs an evaluation, wherever it lies in its chunk (the
         # hole opens the second chunk of two samples); each budget ends both walks alike
         for chunk in (maslov.GRID_CHUNK, 2):
