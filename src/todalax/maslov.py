@@ -376,22 +376,26 @@ def _lax_samples(ts: np.ndarray, q: np.ndarray, p: np.ndarray) -> _Samples:
 
 def _overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Overlaps (classes, ..., n) of the matching columns of two eigenvector stacks
-    (classes, ..., n, n); with no class there are none to compute."""
-    return np.einsum("c...ij,c...ij->c...j", a, b) if len(a) else a[..., 0, :]
+    (classes, ..., n, n)."""
+    return np.einsum("c...ij,c...ij->c...j", a, b)
 
 
 def _step_test(phi, frames: np.ndarray, phase, vectors: np.ndarray) -> tuple:
     """One step from the walk's sample (phi, frames) to a sample (phase, vectors), eigenvectors
     (classes, n, n): the phase step, the signs of the overlaps (classes, n), and why the step
-    fails (None when it passes)."""
-    overlaps = _overlaps(frames, vectors)
+    fails (None when it passes).  With no class the phase alone decides and the signs are
+    None."""
     step = _principal(phase - phi)
-    for cls, ov in zip(("even", "odd"), np.abs(overlaps)):
-        r = int(np.argmin(ov))
-        if ov[r] <= MIN_OVERLAP:
-            return step, None, f"{cls} eigenvector {r} overlap {ov[r]:.3f} <= {MIN_OVERLAP}"
+    signs = None
+    if len(vectors):
+        overlaps = _overlaps(frames, vectors)
+        for cls, ov in zip(("even", "odd"), np.abs(overlaps)):
+            r = int(np.argmin(ov))
+            if ov[r] <= MIN_OVERLAP:
+                return step, None, f"{cls} eigenvector {r} overlap {ov[r]:.3f} <= {MIN_OVERLAP}"
+        signs = np.sign(overlaps)
     reason = f"phase jump {step:.3f}" if abs(step) >= 0.5 * np.pi else None
-    return step, np.sign(overlaps), reason
+    return step, signs, reason
 
 
 def _winding(curve: ClosedCurve, observe: _Observe) -> tuple[MaslovResult, np.ndarray, np.ndarray]:
@@ -438,6 +442,8 @@ def _winding(curve: ClosedCurve, observe: _Observe) -> tuple[MaslovResult, np.nd
     if first.stop == 0:
         raise first.error
     phi, frames, t_curr = first.phases[0], first.vectors[:, 0], 0.0
+    # a phase-only walk has no class: no overlap, sign or frame to carry
+    transport = len(frames) > 0
     # the winding trace: parameters and accumulated arguments
     angle, times, angles = 0.0, [0.0], [0.0]
     for start in range(0, grid.size, GRID_CHUNK):
@@ -450,11 +456,12 @@ def _winding(curve: ClosedCurve, observe: _Observe) -> tuple[MaslovResult, np.nd
         i = int(start == 0)
         phases = np.append(phi, obs.phases[i:obs.stop])
         steps = _principal(phases[1:] - phases[:-1])
-        stack = np.concatenate([frames[:, None], obs.vectors[:, i:obs.stop]], axis=1)
-        overlaps = _overlaps(stack[:, :-1], stack[:, 1:])
-        # the smallest overlap of each class decides, as in _step_test (a NaN one passes)
-        fails = ((np.abs(steps) >= 0.5 * np.pi)
-                 | (np.abs(overlaps).min(axis=-1) <= MIN_OVERLAP).any(axis=0))
+        fails = np.abs(steps) >= 0.5 * np.pi
+        if transport:
+            stack = np.concatenate([frames[:, None], obs.vectors[:, i:obs.stop]], axis=1)
+            overlaps = _overlaps(stack[:, :-1], stack[:, 1:])
+            # the smallest overlap of each class decides, as in _step_test (a NaN one passes)
+            fails |= (np.abs(overlaps).min(axis=-1) <= MIN_OVERLAP).any(axis=0)
         failing = np.flatnonzero(fails).tolist()
         if failing:  # the first midpoint of each failing step, in walk order
             bounds = np.append(t_curr, ts[i:obs.stop])
@@ -468,9 +475,10 @@ def _winding(curve: ClosedCurve, observe: _Observe) -> tuple[MaslovResult, np.nd
                 k = i + f - 1
                 times += ts[i + j:k + 1].tolist()
                 angles += np.cumsum(np.append(angle, steps[j:f]))[1:].tolist()
-                signs = signs * np.sign(overlaps[:, j:f]).prod(axis=1)
                 phi, angle, t_curr = obs.phases[k], angles[-1], ts[k]
-                frames = obs.vectors[:, k] * signs[:, None, :]
+                if transport:
+                    signs = signs * np.sign(overlaps[:, j:f]).prod(axis=1)
+                    frames = obs.vectors[:, k] * signs[:, None, :]
             if f == len(steps):
                 break
             # step f failed its first try, a grid step far above the 1e-10 floor: halve it
@@ -500,7 +508,9 @@ def _winding(curve: ClosedCurve, observe: _Observe) -> tuple[MaslovResult, np.nd
                 angle = angle + step
                 times.append(t_next)
                 angles.append(angle)
-                phi, frames, t_curr = sample[0], sample[1] * signs[:, None, :], t_next
+                phi, t_curr = sample[0], t_next
+                if transport:
+                    frames = sample[1] * signs[:, None, :]
                 pending.pop()
             j = f + 1
         if obs.stop < len(ts):  # the walk reaches a sample that fails

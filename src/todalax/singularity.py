@@ -18,10 +18,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 import numpy as np
 
-from .lax import PhasePoint, SignVector, _class_signs, _lax, build_generator, conjugating_signs
+from .lax import (PhasePoint, SignVector, _class_signs, _lax, build_generator, build_lax,
+                  conjugating_signs)
 from .dynamics import (_component_forms, _gradients, coordinate_form, grad_combination, grad_F,
                        poisson)
-from .spectral import SpectralData, _spectra_stack, annihilator, spectra
+from .spectral import SpectralData, _spectra_stack, annihilator, decompose, spectra
 
 __all__ = [
     "PairTarget",
@@ -208,10 +209,14 @@ def omega_point(n: int, q0: float = 0.0, p0: float = 0.0) -> OmegaPoint:
     return OmegaPoint(PhasePoint(np.full(n, q0), np.full(n, p0)), even, odd)
 
 
-def _target_gaps(specs: tuple[SpectralData, SpectralData], targets: list[PairTarget]) -> np.ndarray:
-    """Eigenvalue gap of every target pair, relative to max(1, spectral range)."""
-    n = specs[0].n
-    return np.array([specs[t.odd_class].relative_gaps[t.positions(n)[0]] for t in targets])
+def _target_gaps(specs, targets: list[PairTarget]) -> np.ndarray:
+    """Eigenvalue gap of every target pair, relative to max(1, spectral range).
+
+    ``specs[odd_class]`` is the SpectralData of a target's class; the other
+    class need not be there.
+    """
+    return np.array([specs[t.odd_class].relative_gaps[t.positions(specs[t.odd_class].n)[0]]
+                     for t in targets])
 
 
 def _block_coordinates(z: PhasePoint, odd_class: bool, u1: np.ndarray, u2: np.ndarray):
@@ -284,9 +289,12 @@ def find_singular(seed: PhasePoint, targets: list[PairTarget]) -> SingularPoint:
     the minimum-norm step on the stacked (xi, eta) residuals computed from
     their exact gradients in that basis, and halves the step until the new
     pair eigenspaces keep overlap of at least FRAME_OVERLAP with the frozen
-    ones.  Convergence within MAX_ITER iterations means every target gap is
-    below GAP_TOL relative to the spectral range; a degenerate non-target
-    pair at the solution raises StratumCollapseError.
+    ones; the accepted trial's bases are the next iteration's frozen ones.
+    Convergence within MAX_ITER iterations means every target gap is below
+    GAP_TOL relative to the spectral range; a degenerate non-target pair at
+    the solution raises StratumCollapseError.  The iterates decompose only
+    the classes the targets live in; a class without a target is decomposed
+    once, at the solution.
     """
     if not targets:
         raise ValueError("need at least one target pair")
@@ -294,8 +302,16 @@ def find_singular(seed: PhasePoint, targets: list[PairTarget]) -> SingularPoint:
     targets = list(targets)
     for t in targets:
         t.positions(n)  # validate ordinals early
+    signs = (SignVector.even(n), SignVector.odd(n))
+    own = sorted({t.odd_class for t in targets})  # the classes the targets live in
+
+    def decomposed(z: PhasePoint) -> dict[bool, SpectralData]:
+        """``spectra(z)[odd]`` of each own class odd, computed as ``spectra`` computes it."""
+        return {odd: decompose(build_lax(z, signs[odd])) for odd in own}
+
     z = seed
-    specs = spectra(z)
+    specs = decomposed(z)
+    bases = None  # the frozen target bases: the seed's, then each accepted trial's
     for it in range(MAX_ITER + 1):
         gaps = _target_gaps(specs, targets)
         if float(np.max(gaps)) < GAP_TOL:
@@ -304,24 +320,29 @@ def find_singular(seed: PhasePoint, targets: list[PairTarget]) -> SingularPoint:
             raise ConvergenceError(
                 f"gaps {gaps} still above {GAP_TOL} after {MAX_ITER} iterations"
             )
-        bases = {t: specs[t.odd_class].pair_basis(t.positions(n)) for t in targets}
-        r = np.array([x for t in targets for x in _block_coordinates(z, t.odd_class, *bases[t])])
-        J = _pair_rows(z, [(t.odd_class, *bases[t]) for t in targets])
+        if bases is None:
+            bases = [specs[t.odd_class].pair_basis(t.positions(n)) for t in targets]
+        frozen = [(t.odd_class, *b) for t, b in zip(targets, bases)]
+        r = np.array([x for basis in frozen for x in _block_coordinates(z, *basis)])
+        J = _pair_rows(z, frozen)
         delta = np.linalg.lstsq(J, -r, rcond=None)[0]
 
         for _ in range(30):
             z_new = z.displaced(delta)
-            specs_new = spectra(z_new)
-            if all(
-                _subspace_overlap(bases[t], specs_new[t.odd_class].pair_basis(t.positions(n)))
-                >= FRAME_OVERLAP
-                for t in targets
-            ):
+            specs_new = decomposed(z_new)
+            bases_new = []
+            for t, b in zip(targets, bases):
+                bases_new.append(specs_new[t.odd_class].pair_basis(t.positions(n)))
+                if not _subspace_overlap(b, bases_new[-1]) >= FRAME_OVERLAP:
+                    break
+            else:
                 break
             delta = 0.5 * delta
         else:
             raise ConvergenceError("step damping failed to keep the frame overlap")
-        z, specs = z_new, specs_new
+        z, specs, bases = z_new, specs_new, bases_new
+    specs = tuple(specs[odd] if odd in specs else decompose(build_lax(z, signs[odd]))
+                  for odd in (False, True))
 
     # the only degenerate pairs at the solution must be the targets
     want = {(t.odd_class, t.positions(n)) for t in targets}
@@ -373,8 +394,9 @@ def _pair_forms(z: PhasePoint, odd_class, u1: np.ndarray, u2: np.ndarray):
     stacks (k, 2n) of forms; each row rounds as the one-basis call does.
     """
     b = z.couplings() * _class_signs(z.n)[np.asarray(odd_class, dtype=int)]
-    f11, f22, f12 = (np.concatenate(_component_forms(b, v, w), axis=-1)
-                     for v, w in ((u1, u1), (u2, u2), (u1, u2)))
+    # the components (u1, u1), (u2, u2), (u1, u2) in one stack along a new first axis
+    f11, f22, f12 = np.concatenate(_component_forms(b, np.stack([u1, u2, u1]),
+                                                    np.stack([u1, u2, u2])), axis=-1)
     return 0.5 * (f22 - f11), f12, 0.5 * (f22 + f11)
 
 

@@ -100,20 +100,31 @@ def _canonical_pair_basis(v1: np.ndarray, v2: np.ndarray) -> tuple[np.ndarray, n
 
     The first vector maximises (and makes nonnegative) the first coordinate
     with a non-negligible projection onto the span; the second is the
-    remaining direction with a fixed sign.
+    remaining direction with a fixed sign.  The norms are computed as
+    ``np.linalg.norm`` computes them, without its dispatch.
     """
-    n = v1.size
     P = np.outer(v1, v1) + np.outer(v2, v2)
     k = 0
-    if np.linalg.norm(P[:, 0]) < 1e-8:
-        k = int(np.argmax(np.linalg.norm(P, axis=0)))
-    w1 = P[:, k] / np.linalg.norm(P[:, k])
+    if _norm(P[:, 0]) < 1e-8:
+        k = int(np.argmax(_column_norms(P)))
+    w1 = P[:, k] / _norm(P[:, k])
     Q = P - np.outer(w1, w1)
-    j = int(np.argmax(np.linalg.norm(Q, axis=0)))
-    w2 = Q[:, j] / np.linalg.norm(Q[:, j])
+    j = int(np.argmax(_column_norms(Q)))
+    w2 = Q[:, j] / _norm(Q[:, j])
     if w2[j] < 0:
         w2 = -w2
     return w1, w2
+
+
+def _norm(x: np.ndarray) -> float:
+    """``np.linalg.norm`` of a real vector: the root of the dot of a contiguous copy."""
+    x = np.ascontiguousarray(x)
+    return np.sqrt(x.dot(x))
+
+
+def _column_norms(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(a, axis=0)`` of a real matrix."""
+    return np.sqrt(np.add.reduce(a * a, axis=0))
 
 
 def _solve_rows(solve, entries: np.ndarray) -> tuple[object, np.ndarray, dict[int, Exception]]:
