@@ -407,8 +407,10 @@ def _winding(curve: ClosedCurve, observe: _Observe) -> tuple[MaslovResult, np.nd
     the coordinates of the curve at ts, into one ``_Samples``.  A step is
     accepted when every eigenvector keeps more than MIN_OVERLAP overlap with
     its predecessor, whose sign it takes, and the phase moves by less than
-    pi/2.  The grid is observed GRID_CHUNK samples at a time, as the walk
-    reaches them, and the first tries of a chunk's steps are tested at once:
+    pi/2; a phase-only walk, whose observations have no class, steers by
+    the phase alone and computes no overlap, sign or frame.  The grid is
+    observed GRID_CHUNK samples at a time, as the walk reaches them, and
+    the first tries of a chunk's steps are tested at once:
     all phase steps, all overlaps in one stacked einsum (the chunk's first
     sample against the walk's current one), all verdicts.  A run of passing
     steps is accepted at once, its trace summed in walk order and its signs

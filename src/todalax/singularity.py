@@ -311,7 +311,8 @@ def find_singular(seed: PhasePoint, targets: list[PairTarget]) -> SingularPoint:
 
     z = seed
     specs = decomposed(z)
-    bases = None  # the frozen target bases: the seed's, then each accepted trial's
+    # the frozen target bases: the seed's, then each accepted trial's
+    bases = [specs[t.odd_class].pair_basis(t.positions(n)) for t in targets]
     for it in range(MAX_ITER + 1):
         gaps = _target_gaps(specs, targets)
         if float(np.max(gaps)) < GAP_TOL:
@@ -320,8 +321,6 @@ def find_singular(seed: PhasePoint, targets: list[PairTarget]) -> SingularPoint:
             raise ConvergenceError(
                 f"gaps {gaps} still above {GAP_TOL} after {MAX_ITER} iterations"
             )
-        if bases is None:
-            bases = [specs[t.odd_class].pair_basis(t.positions(n)) for t in targets]
         frozen = [(t.odd_class, *b) for t, b in zip(targets, bases)]
         r = np.array([x for basis in frozen for x in _block_coordinates(z, *basis)])
         J = _pair_rows(z, frozen)

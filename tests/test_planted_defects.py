@@ -1,0 +1,53 @@
+"""Planted defects: each one fails named checks of the default suite.
+
+A check that passes under a defect in the computation it checks does not
+check it.  Each case plants one defect in the library, runs the default
+configuration and asserts which records fail: the checks that catch the
+defect, and no other.  A clean run fails none.  Every run builds its
+samples afresh, so nothing found under one defect reaches another run.
+"""
+
+import pytest
+
+from todalax import maslov, singularity
+from todalax.verify import RunConfig, run_suite
+
+
+def failing_checks() -> set[str]:
+    report = run_suite(RunConfig())
+    return {r.check_id for r in report.records if r.status != "pass"}
+
+
+def scaled_pairing(z, odd_class, u1, u2, _pairing=singularity.pairing_denominator):
+    """The pairing 2 u1 . M . u2, one percent too large."""
+    return 1.01 * _pairing(z, odd_class, u1, u2)
+
+
+def negated_principal(a, _principal=maslov._principal):
+    """The principal argument with its sign flipped: every winding step reversed."""
+    return -_principal(a)
+
+
+DEFECTS = {
+    # the finder stops while the target gap is still open
+    "loose_gap_tolerance": ((singularity, "GAP_TOL", 1e-4), {
+        "sigma1_components[n=3]", "corank_sigma1[n=3]", "transverse_structure[n=3]",
+        "transverse_structure[n=4]", "maslov_theorem[n=3]"}),
+    "scaled_pairing_denominator": ((singularity, "pairing_denominator", scaled_pairing), {
+        "bracket_relations_omega[n=2]", "bracket_relations_omega[n=3]",
+        "bracket_relations_omega[n=4]", "bracket_relations_omega[n=5]",
+        "transverse_structure[n=3]", "transverse_structure[n=4]"}),
+    "negated_winding": ((maslov, "_principal", negated_principal), {
+        "maslov_calibration", "maslov_theorem[n=3]"}),
+}
+
+
+def test_clean_run_passes():
+    assert failing_checks() == set()
+
+
+@pytest.mark.parametrize("name", DEFECTS)
+def test_defect_fails_its_checks(name, monkeypatch):
+    (module, attr, value), caught = DEFECTS[name]
+    monkeypatch.setattr(module, attr, value)
+    assert failing_checks() == caught

@@ -1,12 +1,14 @@
 import re
 from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from todalax import maslov, singularity, spectral
-from todalax.lax import PhasePoint, SignVector, _couplings, build_lax
+from todalax.dynamics import _component_forms
+from todalax.lax import PhasePoint, SignVector, _class_signs, _couplings, build_lax
 from todalax.spectral import (
     TripleDegeneracyError,
     _chain_links,
@@ -37,6 +39,7 @@ from todalax.singularity import (
 from todalax.verify import (
     BRACKET_TOL,
     CHECKS,
+    DESK_SCALE,
     M_INDEPENDENCE_TOL,
     RATIO_TOL,
     TANGENT_TOL,
@@ -524,3 +527,153 @@ class TestStoredSpectra:
                             lambda spec, idx: built.append(idx) or annihilator(spec, idx))
         rep = hessian_structure_check(sp, sp.targets[0])
         assert built == [0] and rep.omega_formula == sp.frequencies[0]
+
+
+def _reference_pair_rows(z, bases):
+    """Rows dxi_1, deta_1, ... of (odd_class, u1, u2) bases from three component-form calls."""
+    odd, u1, u2 = (np.array(x) for x in zip(*bases))
+    b = z.couplings() * _class_signs(z.n)[odd.astype(int)]
+    f11, f22, f12 = (np.concatenate(_component_forms(b, v, w), axis=-1)
+                     for v, w in ((u1, u1), (u2, u2), (u1, u2)))
+    return np.stack([0.5 * (f22 - f11), f12], axis=1).reshape(-1, 2 * z.n)
+
+
+def _reference_find_singular(seed, targets):
+    """The finder as it was frozen before it decomposed only its target classes: both classes
+    at every iterate and trial point, and the frozen bases computed again from each iterate's
+    spectra."""
+    n = seed.n
+    z = seed
+    specs = spectra(z)
+    for it in range(singularity.MAX_ITER + 1):
+        gaps = np.array([specs[t.odd_class].relative_gaps[t.positions(n)[0]] for t in targets])
+        if float(np.max(gaps)) < singularity.GAP_TOL:
+            break
+        if it == singularity.MAX_ITER:
+            raise singularity.ConvergenceError(
+                f"gaps {gaps} still above {singularity.GAP_TOL} after "
+                f"{singularity.MAX_ITER} iterations")
+        bases = {t: specs[t.odd_class].pair_basis(t.positions(n)) for t in targets}
+        r = np.array([x for t in targets
+                      for x in singularity._block_coordinates(z, t.odd_class, *bases[t])])
+        J = _reference_pair_rows(z, [(t.odd_class, *bases[t]) for t in targets])
+        delta = np.linalg.lstsq(J, -r, rcond=None)[0]
+        for _ in range(30):
+            z_new = z.displaced(delta)
+            specs_new = spectra(z_new)
+            if all(singularity._subspace_overlap(
+                    bases[t], specs_new[t.odd_class].pair_basis(t.positions(n)))
+                   >= singularity.FRAME_OVERLAP for t in targets):
+                break
+            delta = 0.5 * delta
+        else:
+            raise singularity.ConvergenceError("step damping failed to keep the frame overlap")
+        z, specs = z_new, specs_new
+    want = {(t.odd_class, t.positions(n)) for t in targets}
+    have = {(odd, p) for odd in (False, True) for p in specs[odd].degenerate_pairs}
+    extra, missing = have - want, want - have
+    if missing:
+        raise singularity.ConvergenceError(
+            f"target pairs {sorted(missing)} not degenerate at the solution")
+    if extra:
+        raise StratumCollapseError(
+            f"collapsed onto a higher stratum: extra degenerate pairs {sorted(extra)}")
+    freqs = np.array([singularity._frequency(z, specs[t.odd_class], t)[0] for t in targets])
+    gaps = np.array([specs[t.odd_class].relative_gaps[t.positions(n)[0]] for t in targets])
+    return z, gaps, freqs, it, specs
+
+
+def _finder_outcome(find, seed, targets):
+    """Every field the finder returns, as bytes, or the type and message of what it raised."""
+    try:
+        out = find(seed, list(targets))
+    except (RuntimeError, ValueError) as exc:
+        return type(exc), str(exc)
+    if isinstance(out, singularity.SingularPoint):
+        out = (out.z, out.residual_gaps, out.frequencies, out.iterations, out.spectra)
+    z, gaps, freqs, it, specs = out
+    return "found", (z.q.tobytes(), z.p.tobytes(), gaps.tobytes(), freqs.tobytes(), it,
+                     [(s.values.tobytes(), s.vectors.tobytes(), s.gaps.tobytes(),
+                       s.degenerate_pairs, s.sign.eps.tobytes()) for s in specs])
+
+
+def _generic_cases():
+    """30 desk-scale seeds at each of n = 3, 5, 8, one target each, from default_rng(7)."""
+    rng = np.random.default_rng(7)
+    cases = []
+    for n in (3, 5, 8):
+        targets = all_pair_targets(n)
+        for _ in range(30):
+            q, p = DESK_SCALE * rng.standard_normal((2, n))
+            cases.append((PhasePoint(q, p), [targets[rng.integers(len(targets))]]))
+    return cases
+
+
+class TestFrozenFinder:
+    """The finder against a frozen copy of its loop that decomposes both classes at every
+    iterate and recomputes its bases: every field byte for byte, every error by message."""
+
+    @staticmethod
+    def assert_same(seed, targets):
+        got = _finder_outcome(find_singular, seed, targets)
+        want = _finder_outcome(_reference_find_singular, seed, targets)
+        assert got == want
+        return got
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_every_single_target(self, n):
+        iterations = []
+        for q0, p0 in ((0.0, 0.0), (0.4, -0.7)):
+            om = omega_point(n, q0, p0)
+            for target in all_pair_targets(n):
+                rest = [t for t in all_pair_targets(n) if t != target]
+                got = self.assert_same(perturbed_seed(om, rest), [target])
+                assert got[0] == "found"
+                iterations.append(got[1][4])
+        # a pair the seed leaves closed by symmetry needs none
+        assert max(iterations) >= 1
+
+    def test_joint_targets(self):
+        # the n = 4 joint target at the equilibrium, and every two-pair target of n = 4..6
+        got = self.assert_same(omega_point(4).z, all_pair_targets(4))
+        assert got[0] == "found" and got[1][4] == 0
+        iterations = []
+        for n in (4, 5, 6):
+            targets = all_pair_targets(n)
+            for i, j in combinations(range(len(targets)), 2):
+                keep = [targets[i], targets[j]]
+                rest = [t for t in targets if t not in keep]
+                got = self.assert_same(perturbed_seed(omega_point(n), rest), keep)
+                assert got[0] == "found"
+                iterations.append(got[1][4])
+        assert sum(it >= 1 for it in iterations) >= 15
+
+    def test_generic_desk_seeds(self):
+        outcomes = [self.assert_same(seed, targets) for seed, targets in _generic_cases()]
+        assert all(out[0] == "found" for out in outcomes)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_bare_equilibrium_collapses_alike(self, n):
+        got = self.assert_same(omega_point(n).z, [all_pair_targets(n)[0]])
+        assert got[0] is StratumCollapseError and "extra degenerate pairs" in got[1]
+
+    def test_the_other_class_is_decomposed_once_at_the_solution(self, monkeypatch):
+        seen = []
+
+        def counting(L):
+            seen.append((L.sign.parity() == -1, L.entries.copy()))
+            return decompose(L)
+
+        monkeypatch.setattr(singularity, "decompose", counting)
+        om = omega_point(5)
+        for target in all_pair_targets(5):
+            rest = [t for t in all_pair_targets(5) if t != target]
+            del seen[:]
+            sp = find_singular(perturbed_seed(om, rest), [target])
+            own = [entries for odd, entries in seen if odd == target.odd_class]
+            other = [entries for odd, entries in seen if odd != target.odd_class]
+            # the seed and every trial point, then the solution's other class, last
+            assert len(own) > sp.iterations >= 1 and len(other) == 1
+            assert seen[-1][0] != target.odd_class
+            sign = sp.spectra[not target.odd_class].sign
+            npt.assert_array_equal(other[0], build_lax(sp.z, sign).entries)

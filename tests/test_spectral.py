@@ -149,6 +149,43 @@ class TestSpectra:
                 npt.assert_array_equal(u1, v1)
                 npt.assert_array_equal(u2, v2)
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_canonical_basis_matches_the_norm_version(self, n):
+        # pairs that vanish at coordinate 0, exactly or to 1e-10, take the k != 0 branch
+        # (||P[:, 0]|| < 1e-8); at n = 2 an orthonormal pair spans the plane, so only the
+        # generic pairs, with k = 0, are there
+        rng = np.random.default_rng(20 + n)
+        pairs = []
+        for scale in ([0.0, 1e-10] if n > 2 else []) + [1.0] * 3:
+            A = rng.standard_normal((n, 2))
+            A[0] *= scale
+            pairs.append(np.linalg.qr(A)[0].T)
+        for v1, v2 in pairs:
+            want = _norm_canonical_pair_basis(v1, v2)
+            got = _canonical_pair_basis(v1, v2)
+            assert [w.tobytes() for w in got] == [w.tobytes() for w in want]
+            W = np.column_stack(got)
+            npt.assert_allclose(W.T @ W, np.eye(2), atol=1e-14)
+            npt.assert_allclose(W @ W.T, np.outer(v1, v1) + np.outer(v2, v2), atol=1e-14)
+        taken = [np.linalg.norm((np.outer(v1, v1) + np.outer(v2, v2))[:, 0]) < 1e-8
+                 for v1, v2 in pairs]
+        assert taken == ([True, True] if n > 2 else []) + [False] * 3
+
+
+def _norm_canonical_pair_basis(v1, v2):
+    """``spectral._canonical_pair_basis`` frozen as it was with np.linalg.norm for its norms."""
+    P = np.outer(v1, v1) + np.outer(v2, v2)
+    k = 0
+    if np.linalg.norm(P[:, 0]) < 1e-8:
+        k = int(np.argmax(np.linalg.norm(P, axis=0)))
+    w1 = P[:, k] / np.linalg.norm(P[:, k])
+    Q = P - np.outer(w1, w1)
+    j = int(np.argmax(np.linalg.norm(Q, axis=0)))
+    w2 = Q[:, j] / np.linalg.norm(Q[:, j])
+    if w2[j] < 0:
+        w2 = -w2
+    return w1, w2
+
 
 class TestDecomposeStack:
     @pytest.mark.parametrize("n", [3, 5, 8])
