@@ -60,8 +60,9 @@ REGULARITY_TOL = DEGENERACY_TOL
 FRAME_GRAM_TOL = 1e-10
 # Curve evaluations one walk may spend before it gives up.
 MAX_EVALUATIONS = 200000
-# Samples of a walk's initial grid observed in one stacked call; a longer
-# grid is observed this many samples at a time, as the walk reaches them.
+# Steps of a walk's initial grid observed in one stacked call, as the walk
+# reaches them; the first stack also holds the start sample, so a 256-step
+# grid takes two stacks.
 GRID_CHUNK = 128
 # Initial steps of the calibration loop, and of the circles and corridors of
 # an enclosure boundary.
@@ -317,18 +318,55 @@ class MaslovResult:
     winding_trace: np.ndarray  # rows (t, accumulated argument)
 
 
+def _gram_clears_tol(gram: np.ndarray) -> bool:
+    """Whether the smallest eigenvalue ``eigvalsh`` computes for every Hermitian matrix G of a
+    stack (m, n, n) is provably above FRAME_GRAM_TOL: G - s I has a Cholesky factor for
+    s = FRAME_GRAM_TOL + (n + 1)^3 u d, u the unit roundoff and d the largest diagonal entry
+    of the stack.
+
+    A computed factor R of G - s I satisfies R^H R = G - s I + E with
+    ||E||_2 <= n (n + 1) u d to first order (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., Thm 10.3; the rounding of the shift adds
+    u d), so the least eigenvalue of G exceeds FRAME_GRAM_TOL + (n + 1)^3 u d
+    - ||E||_2.  The Hermitian eigensolver is backward stable, with error at
+    most a modest multiple of n u ||G||_2 <= n^2 u d (||G||_2 <= trace G),
+    which the rest of the margin covers, as it covers the small factors
+    complex arithmetic adds to both bounds.  False when a factor fails or d
+    is not finite, and then only the eigenvalues decide.
+    """
+    n = gram.shape[-1]
+    d = float(gram.diagonal(axis1=-2, axis2=-1).real.max(initial=0.0))
+    if not d < np.inf:  # an overflowing or NaN Gram matrix
+        return False
+    try:
+        np.linalg.cholesky(gram - (FRAME_GRAM_TOL + (n + 1) ** 3 * np.finfo(float).eps * d)
+                           * np.eye(n))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _frame_phase(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
     """Argument of det(W)^2 for each complex frame W = X_q + i X_p of a stack (m, 2n, n).
 
     Also returns each frame's smallest Gram eigenvalue, of W^H W, and the
     EigensolverError of each frame whose Gram matrix the solver fails on
     (``_solve_rows``).  At or below FRAME_GRAM_TOL the frame has lost rank.
+    The rank guard is a yes/no question, so a stack whose Gram matrices all
+    clear FRAME_GRAM_TOL by a shifted Cholesky factor (``_gram_clears_tol``,
+    a fraction of the eigensolver's cost) reads +inf for every frame; only
+    a stack it does not clear has its Gram eigenvalues computed, and they
+    decide as on every stack before.
     """
     n = frames.shape[-1]
     W = frames[..., :n, :] + 1j * frames[..., n:, :]
-    gram, _, errors = _solve_rows(np.linalg.eigvalsh, np.conj(np.swapaxes(W, -1, -2)) @ W)
+    gram = np.conj(np.swapaxes(W, -1, -2)) @ W
     det = np.linalg.det(W)
-    return np.angle(det * det), gram[..., 0], errors
+    phases = np.angle(det * det)
+    if _gram_clears_tol(gram):
+        return phases, np.full(gram.shape[:-2], np.inf), {}
+    values, _, errors = _solve_rows(np.linalg.eigvalsh, gram)
+    return phases, values[..., 0], errors
 
 
 def _principal(a: np.ndarray) -> np.ndarray:
@@ -409,8 +447,9 @@ def _winding(curve: ClosedCurve, observe: _Observe) -> tuple[MaslovResult, np.nd
     its predecessor, whose sign it takes, and the phase moves by less than
     pi/2; a phase-only walk, whose observations have no class, steers by
     the phase alone and computes no overlap, sign or frame.  The grid is
-    observed GRID_CHUNK samples at a time, as the walk reaches them, and
-    the first tries of a chunk's steps are tested at once:
+    observed GRID_CHUNK steps at a time, as the walk reaches them, the
+    first stack also holding the start sample, and the first tries of a
+    chunk's steps are tested at once:
     all phase steps, all overlaps in one stacked einsum (the chunk's first
     sample against the walk's current one), all verdicts.  A run of passing
     steps is accepted at once, its trace summed in walk order and its signs
@@ -440,7 +479,7 @@ def _winding(curve: ClosedCurve, observe: _Observe) -> tuple[MaslovResult, np.nd
             raise TransportError(budget)
 
     grid = np.linspace(0.0, 1.0, curve.initial_samples + 1)
-    first = _observe(curve, grid[:GRID_CHUNK], observe)
+    first = _observe(curve, grid[:GRID_CHUNK + 1], observe)
     if first.stop == 0:
         raise first.error
     phi, frames, t_curr = first.phases[0], first.vectors[:, 0], 0.0
@@ -448,14 +487,16 @@ def _winding(curve: ClosedCurve, observe: _Observe) -> tuple[MaslovResult, np.nd
     transport = len(frames) > 0
     # the winding trace: parameters and accumulated arguments
     angle, times, angles = 0.0, [0.0], [0.0]
-    for start in range(0, grid.size, GRID_CHUNK):
-        ts = grid[start:start + GRID_CHUNK]
-        obs = first if start == 0 else _observe(curve, ts, observe)
+    for start in range(0, curve.initial_samples, GRID_CHUNK):
+        # the chunk of steps to grid samples start + 1 .. start + GRID_CHUNK; the first
+        # chunk's stack also holds the sample at t = 0, its row i - 1
+        i = int(start == 0)
+        ts = grid[start + 1 - i:start + GRID_CHUNK + 1]
+        obs = first if i else _observe(curve, ts, observe)
         if obs.stop == 0:  # the walk reaches a chunk whose first sample fails
             spend(1)
             raise obs.error
         # the first try of the step to each observed sample i + j of the chunk
-        i = int(start == 0)
         phases = np.append(phi, obs.phases[i:obs.stop])
         steps = _principal(phases[1:] - phases[:-1])
         fails = np.abs(steps) >= 0.5 * np.pi

@@ -1,0 +1,24 @@
+"""scripts/layer_times.py prints every row of its layer table in a reduced pass."""
+
+import math
+import os
+from pathlib import Path
+import subprocess
+import sys
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_reduced_pass_prints_every_layer():
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "layer_times.py"), "--sizes", "3",
+         "--stacks", "1,4", "--repeat", "1", "--quick"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning"})
+    assert done.returncode == 0, done.stderr
+    labels = [line.split("  ")[0] for line in done.stdout.splitlines()[1:]]
+    assert labels == ["layer", "n=3 observe m=1", "n=3 observe m=4", "layer",
+                      "n=3 holonomy 256", "n=3 holonomy 4", "layer", "n=3 finder iterate"]
+    for line in done.stdout.splitlines():
+        if line.startswith("n=3 "):
+            assert all(math.isfinite(float(x)) for x in line[22:].split())

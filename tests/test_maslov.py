@@ -8,7 +8,7 @@ import pytest
 
 import todalax.maslov as maslov
 from todalax.lax import PhaseDomainError, PhasePoint, _first_outside
-from todalax.spectral import EigensolverError, _decompose_stack as decompose_stack
+from todalax.spectral import EigensolverError, _decompose_stack as decompose_stack, _solve_rows
 from todalax.verify import Sample
 from todalax.singularity import (
     PairTarget,
@@ -384,8 +384,9 @@ class TestHolonomyTheorem:
 
     def test_holonomy_check_decomposes_each_sample_once(self, sigma1_n3, monkeypatch):
         # one walk: each observed stack is decomposed once and framed once, the initial
-        # grid in stacks of GRID_CHUNK samples, the first midpoints of a chunk's failing
-        # steps in one stack and each deeper midpoint as a stack of one
+        # grid in stacks of GRID_CHUNK steps (the first also holds t = 0), the first
+        # midpoints of a chunk's failing steps in one stack and each deeper midpoint as a
+        # stack of one
         stacks, frames, seen = [], [], []
         decompose_stack, toda_frames = maslov._decompose_stack, maslov._toda_frames
 
@@ -401,8 +402,7 @@ class TestHolonomyTheorem:
         monkeypatch.setattr(maslov, "_toda_frames", counting_frames)
         fine = ClosedCurve.around_pair(sigma1_n3, PairTarget(True, 1), radius=2e-3)
         ref = check_holonomy_theorem(fine)
-        full, rest = divmod(257, GRID_CHUNK)
-        assert stacks == frames == [GRID_CHUNK] * full + [rest]
+        assert stacks == frames == [GRID_CHUNK + 1, GRID_CHUNK]  # 256 steps in two stacks
 
         def rows(ts):
             seen.extend(ts)
@@ -601,6 +601,145 @@ class TestFramePhase:
                 walk()
 
 
+def _eigenvalue_frame_phase(frames):
+    """The frame phase under the guard it had before the Cholesky test: a frozen copy of
+    ``_frame_phase`` that takes the smallest Gram eigenvalue of every frame of every stack.
+
+    """
+    n = frames.shape[-1]
+    W = frames[..., :n, :] + 1j * frames[..., n:, :]
+    gram, _, errors = _solve_rows(np.linalg.eigvalsh, np.conj(np.swapaxes(W, -1, -2)) @ W)
+    det = np.linalg.det(W)
+    return np.angle(det * det), gram[..., 0], errors
+
+
+def _walk_outcomes(curve):
+    """Both walks around the curve: mu, winding-trace bytes and the holonomies' bytes of
+    ``check_holonomy_theorem``, mu and trace bytes of ``maslov_index``; or each one's error."""
+    outcomes = []
+    for walk in (check_holonomy_theorem, maslov_index):
+        try:
+            result = walk(curve)
+        except (RuntimeError, ValueError) as exc:
+            outcomes.append((type(exc), str(exc)))
+            continue
+        mas = getattr(result, "maslov", result)
+        outcome = (mas.mu, mas.winding_trace.shape, mas.winding_trace.tobytes())
+        if walk is check_holonomy_theorem:
+            outcome += (result.holonomy.gamma.tobytes(), result.holonomy.gammabar.tobytes())
+        outcomes.append(outcome)
+    return outcomes
+
+
+def _large_gap_circles(n):
+    """16-sample circles of radius 1e-3 in the (q_1, p_1) plane around p = 0 points at five
+    gap profiles (one gap, a ramp, alternating gaps, two from default_rng(n)), each scaled to
+    a largest gap g of 2 .. 40."""
+    rng = np.random.default_rng(n)
+    profiles = [np.eye(n)[0], np.linspace(0.0, 1.0, n), np.arange(n) % 2.0,
+                rng.uniform(size=n), rng.uniform(size=n)]
+    e = np.eye(2 * n)
+    return [ClosedCurve.circle(PhasePoint(g * q / np.abs(q - np.roll(q, -1)).max(), np.zeros(n)),
+                               e[0], e[n], 1e-3, 16)
+            for q in profiles for g in (2, 3, 5, 8, 12, 18, 25, 32, 40)]
+
+
+class TestFrameGuard:
+    """The rank guard clears a stack by a shifted Cholesky factor and takes Gram eigenvalues only
+    where that fails; every walk must end as the walk that took them everywhere did."""
+
+    @staticmethod
+    def assert_guards_agree(monkeypatch, walks):
+        """The outcomes of the thunks ``walks`` under both guards agree; returns them and how
+        often the Cholesky test cleared a stack and failed one."""
+        decided = []
+        clears = maslov._gram_clears_tol
+
+        def spy(gram):
+            decided.append(clears(gram))
+            return decided[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(maslov, "_gram_clears_tol", spy)
+            new = [walk() for walk in walks]
+        with monkeypatch.context() as patch:
+            patch.setattr(maslov, "_frame_phase", _eigenvalue_frame_phase)
+            old = [walk() for walk in walks]
+        assert new == old
+        return new, decided.count(True), decided.count(False)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_sigma1_circles(self, monkeypatch, n):
+        walks = [lambda c=ClosedCurve.around_pair(sp, sp.targets[0], radius=2e-3,
+                                                  initial_samples=s): _walk_outcomes(c)
+                 for sp in Sample(n).sigma1[0] for s in (256, 4, 3, 2)]
+        outcomes, cleared, failed = self.assert_guards_agree(monkeypatch, walks)
+        assert cleared and not failed
+        assert all(isinstance(o[0], int) for walk in outcomes[::4] for o in walk)
+
+    def test_random_circles_and_calibration(self, monkeypatch):
+        walks = [lambda k=k: _walk_outcomes(_random_circle(k, 64)) for k in range(90)]
+        walks += [lambda n=n: _walk_outcomes(oscillator_angle_loop(n)) for n in range(2, 9)]
+        walks += [lambda n=n: calibration_index(n).winding_trace.tobytes() for n in range(2, 9)]
+        self.assert_guards_agree(monkeypatch, walks)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_large_gap_circles(self, monkeypatch, n):
+        walks = [lambda c=c: _walk_outcomes(c) for c in _large_gap_circles(n)]
+        outcomes, cleared, failed = self.assert_guards_agree(monkeypatch, walks)
+        # the large gaps reach past the Cholesky test: the eigenvalue path decides there, and
+        # at n >= 4 past the frame's domain (n = 3 keeps its rank beyond g = 200)
+        assert failed
+        lost = any(o[0] is LagrangianFrameError for walk in outcomes for o in walk)
+        assert lost == (n > 3)
+
+    def test_lost_rank_and_gram_overflow(self, monkeypatch):
+        def lost_rank(frames):
+            def kernel(*args):
+                X = frames(*args)
+                X[:, :, 1] = X[:, :, 0]
+                return X
+            return kernel
+
+        z = PhasePoint(np.array([0.5, -0.2, 0.1]), np.array([0.3, 0.9, -0.4]))
+        regular = ClosedCurve.circle(z, np.eye(6)[0], np.eye(6)[4], 0.05)
+        with monkeypatch.context() as patch:
+            patch.setattr(maslov, "_toda_frames", lost_rank(maslov._toda_frames))
+            outcomes, _, _ = self.assert_guards_agree(monkeypatch, [lambda: _walk_outcomes(regular)])
+        assert {o[0] for o in outcomes[0]} == {LagrangianFrameError}
+        # the radius-1000 circle whose first Gram matrix overflows
+        e = np.eye(6)
+        overflow = ClosedCurve.circle(z, e[3], e[0], 1000.0, 16)
+        outcomes, _, _ = self.assert_guards_agree(monkeypatch, [lambda: _walk_outcomes(overflow)])
+        assert {o[0] for o in outcomes[0]} == {EigensolverError}
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_a_cleared_stack_clears_the_eigenvalue_test(self, n):
+        # Gram matrices Q diag(w) Q^H with w_min = FRAME_GRAM_TOL (1 + d), d from -1e-3 to 10,
+        # and largest eigenvalues 1 .. 1e8: whatever the Cholesky test clears, eigvalsh does
+        rng = np.random.default_rng(n)
+        cleared = 0
+        for top in (1.0, 1e4, 1e8):
+            for d in (-1e-3, 0.0, 1e-6, 1e-3, 0.1, 1.0, 10.0):
+                for _ in range(20):
+                    Q = np.linalg.qr(rng.standard_normal((n, n))
+                                     + 1j * rng.standard_normal((n, n)))[0]
+                    w = np.sort(np.r_[FRAME_GRAM_TOL * (1.0 + d), top,
+                                      rng.uniform(FRAME_GRAM_TOL, top, n - 2)])
+                    gram = (Q * w) @ np.conj(Q.T)
+                    if maslov._gram_clears_tol(gram[None]):
+                        cleared += 1
+                        assert np.linalg.eigvalsh(gram)[0] > FRAME_GRAM_TOL
+        assert cleared > 0
+        # a stack clears only as a whole, and never with a non-finite Gram matrix
+        gram = np.tile(np.eye(n, dtype=complex), (3, 1, 1))
+        assert maslov._gram_clears_tol(gram)
+        for bad in (0.0, np.nan, np.inf):
+            spoiled = gram.copy()
+            spoiled[1, -1, -1] = bad
+            assert not maslov._gram_clears_tol(spoiled)
+
+
 def _table_observation(table, rows, observe):
     """``_observe`` of the rows of a table (m, 2n) at the float indices ``rows``, as t."""
     curve = types.SimpleNamespace(rows=lambda ts: table[ts.astype(int)])
@@ -657,7 +796,7 @@ class TestStackedGrid:
                                   samples)
 
     @pytest.mark.parametrize("n", [3, 5, 8])
-    def test_stacked_phase_within_four_ulps_of_one_row(self, n):
+    def test_stacked_phase_within_four_ulps_of_one_row(self, n, monkeypatch):
         target = PairTarget(True, 1)
         rest = [t for t in all_pair_targets(n) if t != target]
         sp = find_singular(perturbed_seed(omega_point(n), rest, eps=1e-2), [target])
@@ -666,7 +805,12 @@ class TestStackedGrid:
         p = np.array([z.p for z in points])
         b, _ = maslov._lax_classes(np.array([z.q for z in points]), p)
         frames = maslov._toda_frames(b, p)
+        # the Cholesky test clears the whole stack; the eigenvalue path reads the same phases
+        cleared, cleared_low, _ = maslov._frame_phase(frames)
+        assert np.all(cleared_low == np.inf)
+        monkeypatch.setattr(maslov, "_gram_clears_tol", lambda gram: False)
         phases, low, _ = maslov._frame_phase(frames)
+        assert phases.tobytes() == cleared.tobytes()
         for z, frame, phase, smallest in zip(points, frames, phases, low):
             assert np.array_equal(frame, toda_frame(z))
             one_phase, one_low, _ = maslov._frame_phase(toda_frame(z))
@@ -718,10 +862,12 @@ class TestStackedGrid:
         monkeypatch.setattr(maslov, "_decompose_stack", counting_decompose)
         monkeypatch.setattr(maslov, "_toda_frames", counting_frames)
         stacked = check_holonomy_theorem(curve)
-        assert stacks == frames == [GRID_CHUNK, 1]
+        assert stacks == frames == [GRID_CHUNK + 1]  # the start sample and GRID_CHUNK steps
         monkeypatch.setattr(maslov, "GRID_CHUNK", 1)
         one_row = check_holonomy_theorem(curve)
-        assert frames[2:] == [1] * (GRID_CHUNK + 1)  # no midpoints: the grid is fine enough
+        # the start sample with the first step, then one step a stack; no midpoints: the grid
+        # is fine enough
+        assert frames[1:] == [2] + [1] * (GRID_CHUNK - 1)
         assert stacked.mu == one_row.mu and abs(stacked.mu) == 2
         npt.assert_array_equal(stacked.holonomy.gamma, one_row.holonomy.gamma)
         npt.assert_array_equal(stacked.holonomy.gammabar, one_row.holonomy.gammabar)

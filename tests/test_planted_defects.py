@@ -39,6 +39,8 @@ DEFECTS = {
         "transverse_structure[n=3]", "transverse_structure[n=4]"}),
     "negated_winding": ((maslov, "_principal", negated_principal), {
         "maslov_calibration", "maslov_theorem[n=3]"}),
+    # the rank guard calls regular frames near the Sigma_1 point degenerate
+    "loose_frame_gram_tolerance": ((maslov, "FRAME_GRAM_TOL", 1e-3), {"maslov_theorem[n=3]"}),
 }
 
 
