@@ -347,7 +347,8 @@ def _gram_clears_tol(gram: np.ndarray) -> bool:
 
 
 def _frame_phase(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
-    """Argument of det(W)^2 for each complex frame W = X_q + i X_p of a stack (m, 2n, n).
+    """Argument of det(W)^2, taken as 2 arg det(W), for each complex frame W = X_q + i X_p of
+    a stack (m, 2n, n).
 
     Also returns each frame's smallest Gram eigenvalue, of W^H W, and the
     EigensolverError of each frame whose Gram matrix the solver fails on
@@ -361,8 +362,8 @@ def _frame_phase(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict[int, 
     n = frames.shape[-1]
     W = frames[..., :n, :] + 1j * frames[..., n:, :]
     gram = np.conj(np.swapaxes(W, -1, -2)) @ W
-    det = np.linalg.det(W)
-    phases = np.angle(det * det)
+    # 2 arg det(W), not arg det(W)^2: the square overflows long before det(W) does
+    phases = 2.0 * np.angle(np.linalg.det(W))
     if _gram_clears_tol(gram):
         return phases, np.full(gram.shape[:-2], np.inf), {}
     values, _, errors = _solve_rows(np.linalg.eigvalsh, gram)
@@ -580,13 +581,12 @@ def maslov_index(curve: ClosedCurve) -> MaslovResult:
     wraps a full turn.  The walk's domain is narrower than the phase space:
     column j of a frame grows like b^(j-1) with the largest coupling
     b = exp(g/2), g = max |q_r - q_{r+1}|, and the Gram matrix W^H W squares
-    that spread.  On radius-1e-3 circles at nine gap profiles (one gap, a
-    ramp, alternating gaps, six random), the walk returned at every profile
-    up to g = 236 at n = 3, and g = 7.8, 7.5, 4.6, 4.4, 2.7 at n = 4..8.
-    Beyond, it raises LagrangianFrameError (n >= 4: the computed smallest
-    Gram eigenvalue falls below FRAME_GRAM_TOL), TransportError (n = 3:
-    det(W)^2 overflows) or EigensolverError (the Gram matrix overflows,
-    from g = 354 at n = 3).
+    that spread.  On 16-sample radius-1e-3 circles in a random plane at nine
+    gap profiles (one gap, a ramp, alternating gaps, six random), the walk
+    returned at every profile up to g = 354 at n = 3, and g = 7.8, 6.9,
+    3.8, 4.5, 2.7 at n = 4..8.  Beyond, it raises EigensolverError (n = 3:
+    the Gram matrix overflows) or LagrangianFrameError (n >= 4: the
+    computed smallest Gram eigenvalue falls below FRAME_GRAM_TOL).
     """
     return _winding(curve, lambda *stack: _lax_samples(*stack).phase_only())[0]
 

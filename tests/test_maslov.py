@@ -600,17 +600,38 @@ class TestFramePhase:
                                match=r"^frame Gram matrix smallest eigenvalue \S+ <= 1e-10$"):
                 walk()
 
+    @staticmethod
+    def ramp_circle(g):
+        """The 16-sample circle of radius 1e-3 in the (q_1, p_1) plane around the n = 3 ramp
+        q = g (0, 1/2, 1), p = 0, whose largest gap is g."""
+        e = np.eye(6)
+        return ClosedCurve.circle(PhasePoint(g * np.array([0.0, 0.5, 1.0]), np.zeros(3)),
+                                  e[0], e[3], 1e-3, 16)
+
+    @pytest.mark.parametrize("g", [200, 240, 280, 320, 350])
+    def test_phase_past_the_overflow_of_the_squared_determinant(self, g):
+        # det(W)^2 overflows long before det(W) or the Gram matrix: the phase taken as
+        # arg det(W)^2 raised TransportError at each of these gaps
+        assert maslov_index(self.ramp_circle(g)).mu == 0
+
+    def test_gram_overflow_beyond_the_ramp_domain(self):
+        with pytest.raises(EigensolverError, match=r"^sample at t = 0\.000000: frame Gram matrix: "
+                                                   r"Eigenvalues did not converge$"):
+            maslov_index(self.ramp_circle(360))
+
 
 def _eigenvalue_frame_phase(frames):
     """The frame phase under the guard it had before the Cholesky test: a frozen copy of
     ``_frame_phase`` that takes the smallest Gram eigenvalue of every frame of every stack.
 
+    Its phase is taken as the library takes it, 2 arg det(W), so that walks
+    through it and through the library differ in the guard alone.
     """
     n = frames.shape[-1]
     W = frames[..., :n, :] + 1j * frames[..., n:, :]
     gram, _, errors = _solve_rows(np.linalg.eigvalsh, np.conj(np.swapaxes(W, -1, -2)) @ W)
     det = np.linalg.det(W)
-    return np.angle(det * det), gram[..., 0], errors
+    return 2.0 * np.angle(det), gram[..., 0], errors
 
 
 def _walk_outcomes(curve):
