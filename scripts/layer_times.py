@@ -53,7 +53,7 @@ def observation_rows(curve: maslov.ClosedCurve, m: int, repeat: int, quick: bool
     rows = curve.rows(ts)
     n = rows.shape[1] // 2
     q, p = rows[:, :n], rows[:, n:]
-    b, entries = maslov._lax_classes(q, p)
+    b, _ = maslov._lax_classes(q, p)
     frames = maslov._toda_frames(b, p)
     W = frames[:, :n] + 1j * frames[:, n:]
     gram = np.conj(np.swapaxes(W, -1, -2)) @ W
