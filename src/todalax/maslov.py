@@ -62,7 +62,7 @@ FRAME_GRAM_TOL = 1e-10
 MAX_EVALUATIONS = 200000
 # Steps of a walk's initial grid observed in one stacked call, as the walk
 # reaches them; the first stack also holds the start sample, so a 256-step
-# grid takes two stacks.
+# grid takes two stacks.  A stack of bisection midpoints holds at most as many.
 GRID_CHUNK = 128
 # Initial steps of the calibration loop, and of the circles and corridors of
 # an enclosure boundary.
@@ -419,22 +419,78 @@ def _overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("c...ij,c...ij->c...j", a, b)
 
 
-def _step_test(phi, frames: np.ndarray, phase, vectors: np.ndarray) -> tuple:
-    """One step from the walk's sample (phi, frames) to a sample (phase, vectors), eigenvectors
-    (classes, n, n): the phase step, the signs of the overlaps (classes, n), and why the step
-    fails (None when it passes).  With no class the phase alone decides and the signs are
-    None."""
-    step = _principal(phase - phi)
-    signs = None
+def _test_steps(phases: np.ndarray, vectors: np.ndarray) -> tuple:
+    """Test the steps between consecutive samples of stacked sequences, phases (..., m) and
+    eigenvectors (classes, ..., m, n, n): the phase steps (..., m - 1), the overlaps
+    (classes, ..., m - 1, n) and whether each step fails.
+
+    A step fails when the smallest overlap of a class is at most MIN_OVERLAP
+    (a NaN one passes) or the phase moves by pi/2 or more.  With no class the
+    phase alone decides and no overlap is computed.
+    """
+    steps = _principal(phases[..., 1:] - phases[..., :-1])
+    fails = np.abs(steps) >= 0.5 * np.pi
+    overlaps = vectors[..., 1:, 0, :]  # no class: an empty stack of the right shape
     if len(vectors):
-        overlaps = _overlaps(frames, vectors)
-        for cls, ov in zip(("even", "odd"), np.abs(overlaps)):
-            r = int(np.argmin(ov))
-            if ov[r] <= MIN_OVERLAP:
-                return step, None, f"{cls} eigenvector {r} overlap {ov[r]:.3f} <= {MIN_OVERLAP}"
-        signs = np.sign(overlaps)
-    reason = f"phase jump {step:.3f}" if abs(step) >= 0.5 * np.pi else None
-    return step, signs, reason
+        overlaps = _overlaps(vectors[..., :-1, :, :], vectors[..., 1:, :, :])
+        fails |= (np.abs(overlaps).min(axis=-1) <= MIN_OVERLAP).any(axis=0)
+    return steps, overlaps, fails
+
+
+def _failure(step, overlaps: np.ndarray) -> str:
+    """Why a failing step with this phase step and overlaps (classes, n) fails: its first class
+    whose smallest overlap is at most MIN_OVERLAP, else its phase jump."""
+    for cls, ov in zip(("even", "odd"), np.abs(overlaps)):
+        r = int(np.argmin(ov))
+        if ov[r] <= MIN_OVERLAP:
+            return f"{cls} eigenvector {r} overlap {ov[r]:.3f} <= {MIN_OVERLAP}"
+    return f"phase jump {step:.3f}"
+
+
+@dataclass(eq=False)
+class _Step:
+    """A tested step of a walk from sample a to sample b, each (t, phase, eigenvectors
+    (classes, n, n)), with its phase step, overlaps (classes, n) and verdict.  A failing step
+    gets ``halves`` once its midpoint is observed: its two tested halves, or the midpoint's
+    error alone."""
+
+    a: tuple
+    b: tuple
+    step: float
+    overlaps: np.ndarray
+    fails: bool
+    halves: list | None = None
+
+
+def _refine(curve: ClosedCurve, observe: _Observe, frontier: list) -> None:
+    """Halve the first GRID_CHUNK failing steps of ``frontier``, a walk's failing steps whose
+    midpoints it has not observed, in walk order.
+
+    Their midpoints are observed in one stack and both halves of each are
+    tested at once, by ``_test_steps`` on the rows (a, midpoint, b); the
+    failing halves take the steps' place at the frontier's head, in walk
+    order.  A step whose midpoint fails gets that error as its halves, and
+    the steps after it, which the walk cannot reach, leave the frontier.
+    """
+    batch = frontier[:GRID_CHUNK]
+    mids_t = np.array([0.5 * (s.a[0] + s.b[0]) for s in batch])
+    mids = _observe(curve, mids_t, observe)
+    k, failing = mids.stop, []
+    if k < len(batch):  # the walk raises at this midpoint and reaches no step after it
+        batch[k].halves = [mids.error]
+        frontier.clear()
+    if k:
+        ends = batch[:k]
+        phases = np.column_stack(([s.a[1] for s in ends], mids.phases[:k], [s.b[1] for s in ends]))
+        vectors = np.stack([np.stack([s.a[2] for s in ends], axis=1), mids.vectors[:, :k],
+                            np.stack([s.b[2] for s in ends], axis=1)], axis=2)
+        steps, overlaps, fails = _test_steps(phases, vectors)
+        for r, s in enumerate(ends):
+            m = (mids_t[r], mids.phases[r], mids.vectors[:, r])
+            s.halves = [_Step(a, b, steps[r, h], overlaps[:, r, h], fails[r, h])
+                        for h, (a, b) in enumerate(((s.a, m), (m, s.b)))]
+            failing += [half for half in s.halves if half.fails]
+    frontier[:len(batch)] = failing
 
 
 def _winding(curve: ClosedCurve, observe: _Observe) -> tuple[MaslovResult, np.ndarray, np.ndarray]:
@@ -449,23 +505,25 @@ def _winding(curve: ClosedCurve, observe: _Observe) -> tuple[MaslovResult, np.nd
     pi/2; a phase-only walk, whose observations have no class, steers by
     the phase alone and computes no overlap, sign or frame.  The grid is
     observed GRID_CHUNK steps at a time, as the walk reaches them, the
-    first stack also holding the start sample, and the first tries of a
-    chunk's steps are tested at once:
-    all phase steps, all overlaps in one stacked einsum (the chunk's first
-    sample against the walk's current one), all verdicts.  A run of passing
+    first stack also holding the start sample, and a chunk's steps are
+    tested at once (``_test_steps``): all phase steps, all overlaps in one
+    stacked einsum, all verdicts.  A failing step is halved, down to a
+    1e-10 parameter step, level by level: when the walk reaches the first
+    failing step whose midpoint it has not observed, the midpoints of the
+    chunk's such steps, up to GRID_CHUNK of them, are observed in one stack
+    and their halves tested at once (``_refine``).  A step's verdict
+    depends only on the
+    samples at its ends, so the walk then goes through the steps in walk
+    order, depth first, as if it had tested each alone: a run of passing
     steps is accepted at once, its trace summed in walk order and its signs
     the product of its overlap signs (a sign flip changes no bit of an
-    overlap but its sign).  A failing step is halved, down to a 1e-10
-    parameter step, each midpoint tested alone, the grid sample held until
-    the walk comes back to its t, so each t is observed once.  The first
-    midpoints of a chunk's failing steps, which the walk visits unless it
-    raises first, are observed in one stack; the deeper ones each as a
-    stack of one.  An error is raised when the walk reaches its sample, so
-    errors come in walk order.  Every step tried costs one of
-    MAX_EVALUATIONS evaluations.  det P > 0 for the positive definite polar
-    factor P of W = U P, so the argument is that of det(U)^2.
-    CALIBRATION_SIGN converts the winding to the Maslov index normalisation
-    in which the harmonic-oscillator angle loop scores +2.
+    overlap but its sign), and each t is observed once.  An error is
+    raised when the walk reaches its sample, so errors come in walk order.
+    Every step tried costs one of MAX_EVALUATIONS evaluations.  det P > 0
+    for the positive definite polar factor P of W = U P, so the argument is
+    that of det(U)^2.  CALIBRATION_SIGN converts the winding to the Maslov
+    index normalisation in which the harmonic-oscillator angle loop scores
+    +2.
     """
     budget = f"loop walk exceeded the budget of {MAX_EVALUATIONS} evaluations"
     # every initial step costs an evaluation
@@ -497,23 +555,18 @@ def _winding(curve: ClosedCurve, observe: _Observe) -> tuple[MaslovResult, np.nd
         if obs.stop == 0:  # the walk reaches a chunk whose first sample fails
             spend(1)
             raise obs.error
-        # the first try of the step to each observed sample i + j of the chunk
+        # the walk's sample, then the chunk's observed ones, and the first try of each step
+        bounds = np.append(t_curr, ts[i:obs.stop])
         phases = np.append(phi, obs.phases[i:obs.stop])
-        steps = _principal(phases[1:] - phases[:-1])
-        fails = np.abs(steps) >= 0.5 * np.pi
-        if transport:
-            stack = np.concatenate([frames[:, None], obs.vectors[:, i:obs.stop]], axis=1)
-            overlaps = _overlaps(stack[:, :-1], stack[:, 1:])
-            # the smallest overlap of each class decides, as in _step_test (a NaN one passes)
-            fails |= (np.abs(overlaps).min(axis=-1) <= MIN_OVERLAP).any(axis=0)
+        vectors = np.concatenate([frames[:, None], obs.vectors[:, i:obs.stop]], axis=1)
+        steps, overlaps, fails = _test_steps(phases, vectors)
         failing = np.flatnonzero(fails).tolist()
-        if failing:  # the first midpoint of each failing step, in walk order
-            bounds = np.append(t_curr, ts[i:obs.stop])
-            mids_t = 0.5 * (bounds[:-1] + bounds[1:])[fails]
-            mids = _observe(curve, mids_t, observe)
+        # the failing steps not yet halved, in walk order
+        frontier = [_Step(*((bounds[s], phases[s], vectors[:, s]) for s in (f, f + 1)),
+                          steps[f], overlaps[:, f], True) for f in failing]
         # frames: the eigenvectors of the walk's sample times signs
         signs, j = 1.0, 0
-        for r, f in enumerate([*failing, len(steps)]):
+        for f, pending in zip([*failing, len(steps)], [[s] for s in frontier] + [[]]):
             if f > j:  # steps j .. f - 1 pass
                 spend(f - j)
                 k = i + f - 1
@@ -523,39 +576,26 @@ def _winding(curve: ClosedCurve, observe: _Observe) -> tuple[MaslovResult, np.nd
                 if transport:
                     signs = signs * np.sign(overlaps[:, j:f]).prod(axis=1)
                     frames = obs.vectors[:, k] * signs[:, None, :]
-            if f == len(steps):
-                break
-            # step f failed its first try, a grid step far above the 1e-10 floor: halve it
-            spend(1)
-            if r == mids.stop:  # the walk reaches a midpoint that fails
+            while pending:  # step f failed its first try: walk its halves depth first
+                s = pending.pop()
                 spend(1)
-                raise mids.error
-            k = i + f
-            # (t, held sample or None), next t last
-            pending = [(ts[k], (obs.phases[k], obs.vectors[:, k])),
-                       (mids_t[r], (mids.phases[r], mids.vectors[:, r]))]
-            while pending:
-                t_next, sample = pending[-1]
-                spend(1)
-                if sample is None:
-                    one = _observe(curve, np.array([t_next]), observe)
-                    if one.stop == 0:
-                        raise one.error
-                    sample = one.phases[0], one.vectors[:, 0]
-                step, signs, reason = _step_test(phi, frames, *sample)
-                if reason is not None:
-                    if t_next - t_curr < 1e-10:
-                        raise TransportError(f"{reason} at t = {t_next:.8f} despite maximal refinement")
-                    pending[-1] = (t_next, sample)
-                    pending.append((0.5 * (t_curr + t_next), None))
+                if isinstance(s, Exception):  # the walk reaches a midpoint that fails
+                    raise s
+                if not s.fails:
+                    angle = angle + s.step
+                    t_curr, phi = s.b[:2]
+                    times.append(t_curr)
+                    angles.append(angle)
+                    if transport:
+                        signs = signs * np.sign(s.overlaps)
+                        frames = s.b[2] * signs[:, None, :]
                     continue
-                angle = angle + step
-                times.append(t_next)
-                angles.append(angle)
-                phi, t_curr = sample[0], t_next
-                if transport:
-                    frames = sample[1] * signs[:, None, :]
-                pending.pop()
+                if s.b[0] - t_curr < 1e-10:
+                    raise TransportError(f"{_failure(s.step, s.overlaps)} at t = {s.b[0]:.8f} "
+                                         "despite maximal refinement")
+                if s.halves is None:
+                    _refine(curve, observe, frontier)
+                pending += s.halves[::-1]
             j = f + 1
         if obs.stop < len(ts):  # the walk reaches a sample that fails
             spend(1)

@@ -384,9 +384,8 @@ class TestHolonomyTheorem:
 
     def test_holonomy_check_decomposes_each_sample_once(self, sigma1_n3, monkeypatch):
         # one walk: each observed stack is decomposed once and framed once, the initial
-        # grid in stacks of GRID_CHUNK steps (the first also holds t = 0), the first
-        # midpoints of a chunk's failing steps in one stack and each deeper midpoint as a
-        # stack of one
+        # grid in stacks of GRID_CHUNK steps (the first also holds t = 0), then the
+        # midpoints of a chunk's failing steps in one stack per refinement level
         stacks, frames, seen = [], [], []
         decompose_stack, toda_frames = maslov._decompose_stack, maslov._toda_frames
 
@@ -413,9 +412,9 @@ class TestHolonomyTheorem:
         stacks.clear()
         frames.clear()
         rep = check_holonomy_theorem(coarse)
-        # the grid, then the first midpoints of its 4 steps, which all fail, then the deeper ones
-        assert stacks == frames and stacks[:2] == [5, 4]
-        assert len(stacks) > 2 and set(stacks[2:]) == {1}
+        # the grid, then the first midpoints of its 4 steps, which all fail, then the
+        # midpoints of the 2 failing halves
+        assert stacks == frames == [5, 4, 2]
         assert sum(stacks) == len(seen) == len(set(seen))
         assert rep.agree and rep.mu == ref.mu
         npt.assert_array_equal(rep.holonomy.gamma, ref.holonomy.gamma)
@@ -768,8 +767,8 @@ def _table_observation(table, rows, observe):
 
 
 class TestStackedGrid:
-    """The walkers observe their initial grid, and the first midpoints of a chunk's failing
-    steps, in stacks; each deeper midpoint is a stack of one."""
+    """The walkers observe their initial grid in stacks, and the midpoints of a chunk's failing
+    steps in one stack per refinement level."""
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_an_observation_does_not_depend_on_its_stack(self, n):
@@ -1191,6 +1190,68 @@ class TestChunkTest:
                         patch.setattr(maslov, "MAX_EVALUATIONS", limit)
                         _assert_walks_agree(holed)
 
+    @pytest.mark.parametrize("n, label, samples", [
+        (5, "even:1", 2), (6, "odd:2", 3), (8, "even:2", 3),
+    ])
+    def test_every_budget_of_a_walk_three_levels_deep(self, n, label, samples, monkeypatch):
+        # the coarse circles of test_coarse_sigma1_circle_returns_the_fine_index, which the
+        # one walk refines three or more levels deep: every budget up to the one the walk
+        # needs ends both walks alike, also with stacks of at most two samples
+        target = PairTarget.parse(label)
+        rest = [t for t in all_pair_targets(n) if t != target]
+        sp = find_singular(perturbed_seed(omega_point(n), rest, eps=1e-2), [target])
+        curve = ClosedCurve.around_pair(sp, target, radius=2e-3, initial_samples=samples)
+        stacks = []
+        observe = maslov._observe
+
+        def spy(c, ts, obs):
+            stacks.append(len(ts))
+            return observe(c, ts, obs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(maslov, "_observe", spy)
+            rep = check_holonomy_theorem(curve)
+        assert len(stacks) >= 4  # the grid, then one stack per level
+        # every step tried costs an evaluation: the accepted steps, and the failing ones,
+        # one fewer than the accepted steps each grid step ends in
+        needed = 2 * (len(rep.maslov.winding_trace) - 1) - samples
+        for chunk in (GRID_CHUNK, 2):
+            monkeypatch.setattr(maslov, "GRID_CHUNK", chunk)
+            for limit in range(1, needed + 2):
+                monkeypatch.setattr(maslov, "MAX_EVALUATIONS", limit)
+                outcome = _assert_walks_agree(curve)
+                budget = (TransportError, f"loop walk exceeded the budget of {limit} evaluations")
+                assert (outcome == budget) == (limit < needed)
+
+    @pytest.mark.parametrize("hole", [0.0625, 0.9375])
+    def test_error_at_a_second_level_midpoint(self, sigma1_n3, monkeypatch, hole):
+        # the 4-sample circle holed only at the first or the last midpoint of its second
+        # level: the walk raises when it reaches that midpoint, after every step before it
+        # in walk order, though the level's stack is observed before them
+        curve = ClosedCurve.around_pair(sigma1_n3, PairTarget(True, 1), radius=2e-3,
+                                        initial_samples=4)
+        holed = ClosedCurve(lambda ts: np.where((np.abs(ts - hole) < 1e-3)[:, None], np.nan,
+                                                curve.rows(ts)), 4)
+        stacks = []
+        observe = maslov._observe
+
+        def spy(c, ts, obs):
+            stacks.append(ts.tolist())
+            return observe(c, ts, obs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(maslov, "_observe", spy)
+            with pytest.raises(PhaseDomainError, match="^non-finite phase-space coordinates$"):
+                check_holonomy_theorem(holed)
+        assert stacks == [[0.0, 0.25, 0.5, 0.75, 1.0], [0.125, 0.375, 0.625, 0.875],
+                          [0.0625, 0.9375]]
+        # the unholed walk takes 16 evaluations; each budget ends both walks alike
+        for chunk in (GRID_CHUNK, 2):
+            monkeypatch.setattr(maslov, "GRID_CHUNK", chunk)
+            for limit in range(1, 18):
+                monkeypatch.setattr(maslov, "MAX_EVALUATIONS", limit)
+                _assert_walks_agree(holed)
+
     @pytest.mark.parametrize("hole", [(0.45, 0.55), (0.7, 0.8)])
     def test_error_after_a_failing_grid_step(self, sigma1_n3, monkeypatch, hole):
         # every grid step of the 4-sample circle fails its first try; the sample after one
@@ -1214,9 +1275,9 @@ class TestChunkTest:
         with pytest.raises(PhaseDomainError):
             check_holonomy_theorem(holed)
         # the grid, then the first midpoints of the failing steps before the hole in one
-        # stack, then the deeper midpoints one at a time
-        assert stacks[:2] == [5, int(np.count_nonzero(np.linspace(0.0, 1.0, 5) < lo)) - 1]
-        assert len(stacks) > 2 and set(stacks[2:]) == {1}
+        # stack, then the midpoint of the one failing half among them
+        before = int(np.count_nonzero(np.linspace(0.0, 1.0, 5) < lo)) - 1
+        assert stacks == [5, before, 1]
         # reaching the bad sample costs an evaluation, wherever it lies in its chunk (the
         # hole opens the second chunk of two samples); each budget ends both walks alike
         for chunk in (maslov.GRID_CHUNK, 2):
