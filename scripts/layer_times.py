@@ -14,7 +14,9 @@ one thread.  Rows, at each n of ``--sizes`` around the Sigma_1 point of
   shifted Cholesky test, ``maslov._gram_clears_tol``); ``eigvalsh`` is the
   Gram eigensolve that the guard runs only for a stack it does not clear.
 - ``holonomy S``: ``check_holonomy_theorem`` on that circle at S initial
-  samples, per call: 256 steps and no bisection, or 4 steps that bisect.
+  samples, per call: 256 steps and no bisection, or 4 steps that bisect;
+  ``observes`` counts its observation calls (``maslov._observe``) and
+  ``of one`` those of a single sample.
 - ``finder iterate``: ``find_singular`` from the seed less the same call
   from its own solution (no iterate), divided by the seed's iterations.
 """
@@ -74,6 +76,22 @@ def observation_rows(curve: maslov.ClosedCurve, m: int, repeat: int, quick: bool
     return {name: best(fn, repeat, quick) / m * 1e6 for name, fn in parts.items()}
 
 
+def observation_sizes(curve: maslov.ClosedCurve) -> list[int]:
+    """The stack size of each observation call of one ``check_holonomy_theorem`` walk."""
+    sizes, observe = [], maslov._observe
+
+    def counting(c, ts, obs):
+        sizes.append(len(ts))
+        return observe(c, ts, obs)
+
+    maslov._observe = counting
+    try:
+        maslov.check_holonomy_theorem(curve)
+    finally:
+        maslov._observe = observe
+    return sizes
+
+
 def finder_iterate(n: int, repeat: int, quick: bool) -> float:
     """One Gauss-Newton iterate of ``find_singular`` in µs."""
     rest = [t for t in all_pair_targets(n) if t != TARGET]
@@ -103,7 +121,7 @@ def main(argv=None) -> int:
         for m in stacks:
             costs = observation_rows(curve, m, args.repeat, args.quick)
             print(f"{f'n={n} observe m={m}':<22}" + "".join(f"{costs[c]:>11.2f}" for c in columns))
-    print(f"{'layer':<22}{'ms per call':>11}")
+    print(f"{'layer':<22}{'ms per call':>11}{'observes':>11}{'of one':>11}")
     for n in sizes:
         rest = [t for t in all_pair_targets(n) if t != TARGET]
         sp = find_singular(perturbed_seed(omega_point(n), rest, eps=1e-2), [TARGET])
@@ -111,7 +129,9 @@ def main(argv=None) -> int:
             curve = maslov.ClosedCurve.around_pair(sp, TARGET, radius=2e-3,
                                                    initial_samples=samples)
             t = best(lambda: maslov.check_holonomy_theorem(curve), args.repeat, args.quick)
-            print(f"{f'n={n} holonomy {samples}':<22}{t * 1e3:>11.3f}")
+            observed = observation_sizes(curve)
+            print(f"{f'n={n} holonomy {samples}':<22}{t * 1e3:>11.3f}{len(observed):>11}"
+                  f"{observed.count(1):>11}")
     print(f"{'layer':<22}{'µs per iterate':>11}")
     for n in sizes:
         print(f"{f'n={n} finder iterate':<22}{finder_iterate(n, args.repeat, args.quick):>11.1f}")

@@ -22,3 +22,8 @@ def test_reduced_pass_prints_every_layer():
     for line in done.stdout.splitlines():
         if line.startswith("n=3 "):
             assert all(math.isfinite(float(x)) for x in line[22:].split())
+    # the holonomy rows count the walk's observation calls and those of one sample: the
+    # 256-step grid in two stacks; the 4-step grid, then one stack per refinement level
+    rows = {line[:22].strip(): line[22:].split() for line in done.stdout.splitlines()}
+    assert rows["n=3 holonomy 256"][1:] == ["2", "0"]
+    assert rows["n=3 holonomy 4"][1:] == ["3", "0"]
