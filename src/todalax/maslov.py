@@ -420,14 +420,11 @@ def _overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _test_steps(phases: np.ndarray, vectors: np.ndarray) -> tuple:
-    """Test the steps between consecutive samples of stacked sequences, phases (..., m) and
-    eigenvectors (classes, ..., m, n, n): the phase steps (..., m - 1), the overlaps
-    (classes, ..., m - 1, n) and whether each step fails.
-
-    A step fails when the smallest overlap of a class is at most MIN_OVERLAP
-    (a NaN one passes) or the phase moves by pi/2 or more.  With no class the
-    phase alone decides and no overlap is computed.
-    """
+    """The phase steps (..., m - 1), overlaps (classes, ..., m - 1, n) and verdicts of the steps
+    between consecutive samples of stacked sequences, phases (..., m) and eigenvectors
+    (classes, ..., m, n, n).  A step fails when the smallest overlap of a class is at most
+    MIN_OVERLAP (a NaN one passes) or the phase moves by pi/2 or more; with no class the phase
+    alone decides and no overlap is computed."""
     steps = _principal(phases[..., 1:] - phases[..., :-1])
     fails = np.abs(steps) >= 0.5 * np.pi
     overlaps = vectors[..., 1:, 0, :]  # no class: an empty stack of the right shape
@@ -435,16 +432,6 @@ def _test_steps(phases: np.ndarray, vectors: np.ndarray) -> tuple:
         overlaps = _overlaps(vectors[..., :-1, :, :], vectors[..., 1:, :, :])
         fails |= (np.abs(overlaps).min(axis=-1) <= MIN_OVERLAP).any(axis=0)
     return steps, overlaps, fails
-
-
-def _failure(step, overlaps: np.ndarray) -> str:
-    """Why a failing step with this phase step and overlaps (classes, n) fails: its first class
-    whose smallest overlap is at most MIN_OVERLAP, else its phase jump."""
-    for cls, ov in zip(("even", "odd"), np.abs(overlaps)):
-        r = int(np.argmin(ov))
-        if ov[r] <= MIN_OVERLAP:
-            return f"{cls} eigenvector {r} overlap {ov[r]:.3f} <= {MIN_OVERLAP}"
-    return f"phase jump {step:.3f}"
 
 
 @dataclass(eq=False)
@@ -461,17 +448,22 @@ class _Step:
     fails: bool
     halves: list | None = None
 
+    def reason(self) -> str:
+        """Why the step fails: its first class whose smallest overlap is at most MIN_OVERLAP,
+        else its phase jump."""
+        for cls, ov in zip(("even", "odd"), np.abs(self.overlaps)):
+            r = int(np.argmin(ov))
+            if ov[r] <= MIN_OVERLAP:
+                return f"{cls} eigenvector {r} overlap {ov[r]:.3f} <= {MIN_OVERLAP}"
+        return f"phase jump {self.step:.3f}"
+
 
 def _refine(curve: ClosedCurve, observe: _Observe, frontier: list) -> None:
-    """Halve the first GRID_CHUNK failing steps of ``frontier``, a walk's failing steps whose
-    midpoints it has not observed, in walk order.
-
-    Their midpoints are observed in one stack and both halves of each are
-    tested at once, by ``_test_steps`` on the rows (a, midpoint, b); the
-    failing halves take the steps' place at the frontier's head, in walk
-    order.  A step whose midpoint fails gets that error as its halves, and
-    the steps after it, which the walk cannot reach, leave the frontier.
-    """
+    """Halve the first GRID_CHUNK steps of ``frontier``, a walk's failing steps whose midpoints
+    it has not observed, in walk order: their midpoints in one stack, both halves of each tested
+    at once on the rows (a, midpoint, b), and the failing halves in their place.  A step whose
+    midpoint fails gets that error as its halves; the steps after it, which the walk cannot
+    reach, leave the frontier."""
     batch = frontier[:GRID_CHUNK]
     mids_t = np.array([0.5 * (s.a[0] + s.b[0]) for s in batch])
     mids = _observe(curve, mids_t, observe)
@@ -512,18 +504,17 @@ def _winding(curve: ClosedCurve, observe: _Observe) -> tuple[MaslovResult, np.nd
     failing step whose midpoint it has not observed, the midpoints of the
     chunk's such steps, up to GRID_CHUNK of them, are observed in one stack
     and their halves tested at once (``_refine``).  A step's verdict
-    depends only on the
-    samples at its ends, so the walk then goes through the steps in walk
-    order, depth first, as if it had tested each alone: a run of passing
-    steps is accepted at once, its trace summed in walk order and its signs
-    the product of its overlap signs (a sign flip changes no bit of an
-    overlap but its sign), and each t is observed once.  An error is
-    raised when the walk reaches its sample, so errors come in walk order.
-    Every step tried costs one of MAX_EVALUATIONS evaluations.  det P > 0
-    for the positive definite polar factor P of W = U P, so the argument is
-    that of det(U)^2.  CALIBRATION_SIGN converts the winding to the Maslov
-    index normalisation in which the harmonic-oscillator angle loop scores
-    +2.
+    depends only on the samples at its ends, so the walk goes through the
+    steps in walk order, depth first, as if it had tested each alone: a run
+    of passing steps is accepted at once, its trace summed in walk order
+    and its signs the product of its overlap signs (a sign flip changes no
+    bit of an overlap but its sign), and each t is observed once.  An error
+    is raised when the walk reaches its sample, so errors come in walk
+    order.  Every step tried costs one of MAX_EVALUATIONS evaluations.
+    det P > 0 for the positive definite polar factor P of W = U P, so the
+    argument is that of det(U)^2.  CALIBRATION_SIGN converts the winding to
+    the Maslov index normalisation in which the harmonic-oscillator angle
+    loop scores +2.
     """
     budget = f"loop walk exceeded the budget of {MAX_EVALUATIONS} evaluations"
     # every initial step costs an evaluation
@@ -591,8 +582,8 @@ def _winding(curve: ClosedCurve, observe: _Observe) -> tuple[MaslovResult, np.nd
                         frames = s.b[2] * signs[:, None, :]
                     continue
                 if s.b[0] - t_curr < 1e-10:
-                    raise TransportError(f"{_failure(s.step, s.overlaps)} at t = {s.b[0]:.8f} "
-                                         "despite maximal refinement")
+                    raise TransportError(f"{s.reason()} at t = {s.b[0]:.8f} despite maximal "
+                                         "refinement")
                 if s.halves is None:
                     _refine(curve, observe, frontier)
                 pending += s.halves[::-1]
