@@ -19,6 +19,9 @@ one thread.  Rows, at each n of ``--sizes`` around the Sigma_1 point of
   ``of one`` those of a single sample.
 - ``finder iterate``: ``find_singular`` from the seed less the same call
   from its own solution (no iterate), divided by the seed's iterations.
+- ``seed``: per call, ``point`` builds ``omega_point(n)``, ``spectra``
+  builds one and reads its closed-form spectra, and ``seed`` builds one and
+  opens every target but ``PairTarget(True, 1)`` with ``perturbed_seed``.
 """
 
 import os
@@ -102,6 +105,14 @@ def finder_iterate(n: int, repeat: int, quick: bool) -> float:
     return (full - none) / solution.iterations * 1e6
 
 
+def seed_costs(n: int, repeat: int, quick: bool) -> list[float]:
+    """The equilibrium, it and its spectra, and it and the seed, each in µs from a fresh one."""
+    rest = [t for t in all_pair_targets(n) if t != TARGET]
+    calls = (lambda: omega_point(n), lambda: omega_point(n).spectra,
+             lambda: perturbed_seed(omega_point(n), rest, eps=1e-2))
+    return [best(fn, repeat, quick) * 1e6 for fn in calls]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--sizes", default="3,5,8", help="comma-separated n (default 3,5,8)")
@@ -135,6 +146,10 @@ def main(argv=None) -> int:
     print(f"{'layer':<22}{'µs per iterate':>11}")
     for n in sizes:
         print(f"{f'n={n} finder iterate':<22}{finder_iterate(n, args.repeat, args.quick):>11.1f}")
+    print(f"{'layer':<22}{'point':>11}{'spectra':>11}{'seed':>11}   (µs per call)")
+    for n in sizes:
+        print(f"{f'n={n} seed':<22}" + "".join(
+            f"{t:>11.1f}" for t in seed_costs(n, args.repeat, args.quick)))
     return 0
 
 

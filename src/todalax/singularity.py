@@ -15,14 +15,15 @@ transverse oscillation frequency) is verified against analytic gradients.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 import numpy as np
 
 from .lax import (PhasePoint, SignVector, _class_signs, _lax, build_generator, build_lax,
                   conjugating_signs)
 from .dynamics import (_component_forms, _gradients, coordinate_form, grad_combination, grad_F,
                        poisson)
-from .spectral import SpectralData, _spectra_stack, annihilator, decompose, spectra
+from .spectral import (SpectralData, _canonical_pair_basis, _flag_gaps, _norm, _spectra_stack,
+                       annihilator, decompose, spectra)
 
 __all__ = [
     "PairTarget",
@@ -195,8 +196,51 @@ class OmegaPoint:
 
     @cached_property
     def spectra(self) -> tuple[SpectralData, SpectralData]:
-        """Both classes' SpectralData at z, decomposed when first read; nothing writes into it."""
-        return spectra(self.z)
+        """Both classes' SpectralData at z in closed form; nothing writes into it.
+
+        The values are ``even_values`` and ``odd_values``, flagged as ``decompose``
+        flags them; the vectors are the Fourier modes of ``_fourier_modes``, which
+        every equilibrium of size n shares.  Equals ``spectra(z)`` up to rounding.
+        """
+        n = self.z.n
+        errors = {}
+        gaps, pairs = _flag_gaps(np.stack([self.even_values, self.odd_values]), errors)
+        if errors:
+            raise errors[min(errors)]
+        modes = _fourier_modes(n)
+        return tuple(SpectralData(values, modes[c], gaps[c], pairs[c], sign) for c, values, sign
+                     in ((0, self.even_values, SignVector.even(n)),
+                         (1, self.odd_values, SignVector.odd(n))))
+
+
+@lru_cache(maxsize=None)
+def _fourier_modes(n: int) -> np.ndarray:
+    """Read-only eigenvectors (2, n, n) of both Lax classes at a relative equilibrium.
+
+    There each class is p0 I plus its n-cycle, periodic (even class, 0) or
+    antiperiodic (odd, 1), whatever q0 and p0.  Class c has the modes
+    cos(theta r) and sin(theta r), r = 0..n-1, of theta = pi (2m + c) / n in
+    [0, pi], in descending order of 2cos(theta): each 0 < theta < pi a
+    degenerate pair, its normalised columns in the orientation of
+    ``spectral._canonical_pair_basis``, and theta = 0 or pi one column of
+    equal entries or alternating signs, first entry positive.
+    """
+    r = np.arange(n)
+    out = np.empty((2, n, n))
+    for c in (0, 1):
+        col = 0
+        for k in range(c, n + 1, 2):  # k = 2m + c
+            cos = np.cos(np.pi * k / n * r)
+            if 0 < k < n:
+                sin = np.sin(np.pi * k / n * r)
+                out[c, :, col], out[c, :, col + 1] = _canonical_pair_basis(
+                    cos / _norm(cos), sin / _norm(sin))
+                col += 2
+            else:
+                out[c, :, col] = cos / _norm(cos)
+                col += 1
+    out.setflags(write=False)
+    return out
 
 
 def omega_point(n: int, q0: float = 0.0, p0: float = 0.0) -> OmegaPoint:
@@ -270,13 +314,15 @@ def perturbed_seed(
     The minimum-norm displacement with first-order block coordinates
     (xi, eta) = (eps, 0) on every listed pair leaves the remaining pairs
     closed to second order; they are then re-closed by the finder.  With
-    no pair to open the displacement is zero and the seed is omega.z.
+    no pair to open the displacement is zero and the seed is omega.z.  The
+    block coordinates are those of the equilibrium's stored pair vectors,
+    which are the canonical pair bases.
     """
     z = omega.z
     if not open_targets:
         return z
     specs = omega.spectra
-    A = _pair_rows(z, [(t.odd_class, *specs[t.odd_class].pair_basis(t.positions(z.n)))
+    A = _pair_rows(z, [(t.odd_class, *specs[t.odd_class].pair_vectors(t.positions(z.n)))
                        for t in open_targets])
     delta = np.linalg.lstsq(A, np.tile([eps, 0.0], len(open_targets)), rcond=None)[0]
     return z.displaced(delta)

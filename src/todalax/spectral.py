@@ -100,20 +100,27 @@ def _canonical_pair_basis(v1: np.ndarray, v2: np.ndarray) -> tuple[np.ndarray, n
 
     The first vector maximises (and makes nonnegative) the first coordinate
     with a non-negligible projection onto the span; the second is the
-    remaining direction with a fixed sign.  The norms are computed as
-    ``np.linalg.norm`` computes them, without its dispatch.
+    remaining direction with a fixed sign.  The columns that fix them are
+    chosen by ``_leading``, so that columns of equal norm up to rounding
+    pick the same one.  The norms are computed as ``np.linalg.norm``
+    computes them, without its dispatch.
     """
     P = np.outer(v1, v1) + np.outer(v2, v2)
     k = 0
     if _norm(P[:, 0]) < 1e-8:
-        k = int(np.argmax(_column_norms(P)))
+        k = _leading(_column_norms(P))
     w1 = P[:, k] / _norm(P[:, k])
     Q = P - np.outer(w1, w1)
-    j = int(np.argmax(_column_norms(Q)))
+    j = _leading(_column_norms(Q))
     w2 = Q[:, j] / _norm(Q[:, j])
     if w2[j] < 0:
         w2 = -w2
     return w1, w2
+
+
+def _leading(norms: np.ndarray) -> int:
+    """The lowest index whose norm is within a relative 1e-8 of the largest."""
+    return int(np.argmax(norms >= (1.0 - 1e-8) * norms.max()))
 
 
 def _norm(x: np.ndarray) -> float:

@@ -416,18 +416,25 @@ def _maslov_theorem(s: Sample) -> Outcome:
 @partial(Check, "isospectral_flows", "eigenvalues of L are constant along the second and "
          "third trace flows", 1e-8, sizes=(3,))
 def _isospectral_flows(s: Sample) -> Outcome:
-    # the spectra of both classes, drift relative to the even one's size
+    # the spectra of both classes, drift relative to the even one's size; and the centre
+    # of mass, whose sum sum_r q_r moves at the rate sum_j c_j Tr L^(j-1)(z0) exactly,
+    # relative to max(1, T |rate|) at the requested times
     z0 = PhasePoint(np.array([0.4, -0.3, -0.1]), np.array([0.2, -0.5, 0.3]))
     refs = np.linalg.eigvalsh(_lax(z0.couplings(), z0.p))
     scale = max(1.0, float(np.max(np.abs(refs[0]))))
-    drift = 0.0
+    traces = (refs[0] ** np.arange(3)[:, None]).sum(axis=1)  # Tr L^k, k = 0, 1, 2
+    ts = np.linspace(0, FLOW_T_FINAL, 51)
+    worst = 0.0
     for c in np.eye(3)[1:]:
-        traj = integrate_flow(z0, c, FLOW_T_FINAL, t_eval=np.linspace(0, FLOW_T_FINAL, 51))
+        traj = integrate_flow(z0, c, FLOW_T_FINAL, t_eval=ts)
         q, p = traj.points[:, :3], traj.points[:, 3:]
         b = _couplings(q, p)
         vals = np.linalg.eigvalsh(_lax(b, p))
-        drift = max(drift, float(np.max(np.abs(vals - refs))) / scale)
-    return Outcome(drift)
+        rate = float(c @ traces)
+        shift = q.sum(axis=1) - z0.q.sum() - ts * rate
+        worst = max(worst, float(np.max(np.abs(vals - refs))) / scale,
+                    float(np.max(np.abs(shift))) / max(1.0, FLOW_T_FINAL * abs(rate)))
+    return Outcome(worst)
 
 
 CHECKS = (

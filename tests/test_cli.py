@@ -381,7 +381,7 @@ class TestMaslovCommand:
 
     def test_coarse_circle_returns_the_fine_index(self, tmp_path):
         # the n = 5 even:1 circle from 2 samples printed mu = 0 and exited 1 while 256
-        # samples give mu = 2: the one walk bisects the steps whose phase wraps a full
+        # samples give mu = -2: the one walk bisects the steps whose phase wraps a full
         # turn, and the trace is that walk's accepted t
         pts = tmp_path / "pts.json"
         assert main(["singular", "--n", "5", "--targets", "even:1", "--out", str(pts)]) == 0
@@ -394,7 +394,7 @@ class TestMaslovCommand:
         code = main(["maslov", str(spec_path), "--out", str(out), "--trace-csv", str(trace)])
         assert code == 0
         data = json.loads(out.read_text())
-        assert data["mu"] == 2 and data["agree"] is True
+        assert data["mu"] == -2 and data["agree"] is True
         curve = ClosedCurve.around_pair(
             PhasePoint(np.array(center["q"]), np.array(center["p"])),
             PairTarget(False, 1), radius=2e-3, initial_samples=2,

@@ -8,7 +8,8 @@ import pytest
 
 import todalax.maslov as maslov
 from todalax.lax import PhaseDomainError, PhasePoint, _first_outside
-from todalax.spectral import EigensolverError, _decompose_stack as decompose_stack, _solve_rows
+from todalax.spectral import (EigensolverError, _decompose_stack as decompose_stack, _solve_rows,
+                              spectra)
 from todalax.verify import Sample
 from todalax.singularity import (
     PairTarget,
@@ -426,7 +427,7 @@ class TestHolonomyTheorem:
         assert set(mas.winding_trace[:, 0]) <= set(rep.maslov.winding_trace[:, 0])
 
     @pytest.mark.parametrize("n, label, samples, mu", [
-        (5, "even:1", 2, 2), (6, "odd:2", 3, -2), (8, "even:2", 3, 2),
+        (5, "even:1", 2, -2), (6, "odd:2", 3, -2), (8, "even:2", 3, -2),
     ])
     def test_coarse_sigma1_circle_returns_the_fine_index(self, n, label, samples, mu):
         # a step that wraps the phase by a full turn moves the eigenvectors too: the
@@ -441,6 +442,29 @@ class TestHolonomyTheorem:
         assert fine.mu == rep.mu == mu and rep.agree
         npt.assert_array_equal(rep.holonomy.gamma, fine.holonomy.gamma)
         npt.assert_array_equal(rep.holonomy.gammabar, fine.holonomy.gammabar)
+
+    @pytest.mark.parametrize("n, label, mu, sign", [
+        (4, "even:1", -2, 1), (5, "even:1", -2, -1), (6, "odd:2", -2, -1), (8, "even:2", -2, 1),
+    ])
+    def test_rounding_leaves_the_orientation_of_a_pair(self, n, label, mu, sign):
+        # at these near-symmetric points the canonical pair basis fixes its sign column
+        # among columns of equal norm; the seed from the decomposed equilibrium and ten
+        # seeds 1e-15 from the closed-form one gave (mu, sign of omega) = (-2, s) and
+        # (2, -s) both, while rounding picked the column
+        target = PairTarget.parse(label)
+        rest = [t for t in all_pair_targets(n) if t != target]
+        decomposed = omega_point(n)
+        decomposed.__dict__["spectra"] = spectra(decomposed.z)
+        seeds = [perturbed_seed(om, rest, eps=1e-2).as_vector()
+                 for om in (omega_point(n), decomposed)]
+        rng = np.random.default_rng(0)
+        seeds += [seeds[0] + 1e-15 * rng.standard_normal(2 * n) for _ in range(10)]
+        seen = set()
+        for seed in seeds:
+            sp = find_singular(PhasePoint.from_vector(seed), [target])
+            curve = ClosedCurve.around_pair(sp, target, radius=2e-3)
+            seen.add((maslov_index(curve).mu, float(np.sign(sp.frequencies[0]))))
+        assert seen == {(mu, sign)}
 
     @pytest.mark.parametrize("k, mu", [(17, 4), (45, 2), (56, 6), (76, 0)])
     def test_random_circle_returns_its_fine_index(self, k, mu):

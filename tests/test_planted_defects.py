@@ -7,6 +7,9 @@ defect, and no other.  A clean run fails none.  Every run builds its
 samples afresh, so nothing found under one defect reaches another run.
 """
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from todalax import maslov, singularity, verify
@@ -33,6 +36,22 @@ def loose_flow(z0, c, t_final, t_eval=None, _flow=verify.integrate_flow, **kwarg
     return _flow(z0, c, t_final, t_eval=t_eval, **{**kwargs, "rtol": 1e-6})
 
 
+def backward_flow(z0, c, t_final, t_eval=None, _flow=verify.integrate_flow, **kwargs):
+    """The suite's flow run backward: the points at -t for each requested t."""
+    return _flow(z0, c, -t_final, t_eval=-t_eval, **kwargs)
+
+
+def shifted_flow(z0, c, t_final, t_eval=None, _flow=verify.integrate_flow, **kwargs):
+    """The flow of the next trace up: F_3's for F_2, F_1's for F_3."""
+    return _flow(z0, np.roll(c, 1), t_final, t_eval=t_eval, **kwargs)
+
+
+def frozen_flow(z0, c, t_final, t_eval=None, _flow=verify.integrate_flow, **kwargs):
+    """The suite's flow with every sample replaced by the initial point."""
+    traj = _flow(z0, c, t_final, t_eval=t_eval, **kwargs)
+    return replace(traj, points=np.broadcast_to(z0.as_vector(), traj.points.shape))
+
+
 DEFECTS = {
     # the finder stops while the target gap is still open
     "loose_gap_tolerance": ((singularity, "GAP_TOL", 1e-4), {
@@ -48,6 +67,11 @@ DEFECTS = {
     "loose_frame_gram_tolerance": ((maslov, "FRAME_GRAM_TOL", 1e-3), {"maslov_theorem[n=3]"}),
     # the spectrum drifts along a loosely integrated flow
     "loose_flow_rtol": ((verify, "integrate_flow", loose_flow), {"isospectral_flows[n=3]"}),
+    # the spectrum stays put along each of these; the centre of mass does not move as
+    # sum_j c_j Tr L^(j-1) says
+    "backward_flow": ((verify, "integrate_flow", backward_flow), {"isospectral_flows[n=3]"}),
+    "shifted_flow": ((verify, "integrate_flow", shifted_flow), {"isospectral_flows[n=3]"}),
+    "frozen_flow": ((verify, "integrate_flow", frozen_flow), {"isospectral_flows[n=3]"}),
 }
 
 

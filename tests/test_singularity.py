@@ -232,6 +232,40 @@ class TestOmegaPoint:
             npt.assert_allclose(lam, om.even_values, atol=1e-12)
             npt.assert_allclose(bar, om.odd_values, atol=1e-12)
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_closed_form_spectra_match_the_decomposition(self, n):
+        # the stored spectra are the closed-form values, flagged as decompose flags them,
+        # and the Fourier modes, which match decompose's vectors: a pair's in the canonical
+        # basis, a simple one up to its sign, which decompose takes from the largest entry
+        # and so from rounding where entries of alternating sign tie
+        for q0, p0 in ((0.0, 0.0), (0.7, -0.2), (-1.3, 2.4), (0.2, 11.0)):
+            om = omega_point(n, q0=q0, p0=p0)
+            for spec, ref, values in zip(om.spectra, spectra(om.z),
+                                         (om.even_values, om.odd_values)):
+                assert spec.degenerate_pairs == ref.degenerate_pairs
+                assert spec.sign is ref.sign
+                npt.assert_array_equal(spec.values, values)
+                npt.assert_allclose(spec.vectors.T @ spec.vectors, np.eye(n), atol=1e-14)
+                simple = set(range(n))
+                for pair in spec.degenerate_pairs:
+                    simple -= set(pair)
+                    basis = spec.pair_vectors(pair)
+                    for got, want in zip(basis, ref.pair_vectors(pair)):
+                        npt.assert_allclose(got, want, atol=1e-13)
+                    for got, want in zip(spec.pair_basis(pair), basis):
+                        npt.assert_allclose(got, want, atol=1e-15, rtol=0)
+                    for got, want in zip(spectral._canonical_pair_basis(*basis), basis):
+                        npt.assert_allclose(got, want, atol=1e-15, rtol=0)
+                for k in simple:
+                    got, want = spec.vectors[:, k], ref.vectors[:, k]
+                    npt.assert_allclose(np.sign(got @ want) * got, want, atol=1e-13)
+
+    def test_the_closed_form_vectors_are_one_read_only_table(self):
+        a, b = omega_point(5).spectra, omega_point(5, q0=0.4, p0=-1.1).spectra
+        for x, y in zip(a, b):
+            assert x.vectors.base is y.vectors.base is singularity._fourier_modes(5)
+            assert not x.vectors.flags.writeable
+
 
 class TestFindSingular:
     def test_omega_seed_returns_immediately(self):
@@ -502,12 +536,17 @@ class TestStoredSpectra:
             record = next(c for c in CHECKS if c.name == name).run(sample)
             assert record.status == "pass" and decomposed == []
 
-    def test_an_equilibrium_is_decomposed_once(self, decomposed):
-        # its spectra open every target's seed; each seed is the one of a fresh equilibrium
+    def test_an_equilibrium_is_never_decomposed(self, decomposed, monkeypatch):
+        # its closed-form spectra open every target's seed; each seed is the one of a
+        # fresh equilibrium
+        stacks = []
+        kernel = spectral._decompose_stack
+        monkeypatch.setattr(spectral, "_decompose_stack",
+                            lambda entries: stacks.append(entries) or kernel(entries))
         om = omega_point(4)
         targets = all_pair_targets(4)
         seeds = [perturbed_seed(om, [t]) for t in targets]
-        assert decomposed == [om.z]
+        assert decomposed == stacks == []
         for t, seed in zip(targets, seeds):
             fresh = perturbed_seed(omega_point(4), [t])
             npt.assert_array_equal(seed.as_vector(), fresh.as_vector())

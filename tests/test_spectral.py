@@ -172,15 +172,36 @@ class TestSpectra:
         assert taken == ([True, True] if n > 2 else []) + [False] * 3
 
 
+    def test_canonical_basis_takes_the_lowest_of_tied_columns(self):
+        # the span of an n = 8 Fourier pair: the columns of P - w1 w1^T tie in norm at
+        # positions 1, 3, 5, 7 with alternating signs, so that any basis of the span, to
+        # rounding, fixes the sign by position 1
+        r = np.arange(8)
+        modes = np.stack([np.cos(np.pi * r / 2), np.sin(np.pi * r / 2)]) / 2.0
+        want = _canonical_pair_basis(*modes)
+        npt.assert_allclose(want, modes, atol=1e-15)
+        rng = np.random.default_rng(3)
+        for a in rng.uniform(0.0, 2.0 * np.pi, 10):
+            turn = np.array([[np.cos(a), np.sin(a)], [-np.sin(a), np.cos(a)]])
+            got = _canonical_pair_basis(*(turn @ modes + 1e-15 * rng.standard_normal((2, 8))))
+            npt.assert_allclose(got, want, atol=1e-14)
+        # a column off the largest norm by more than the relative 1e-8 is not tied
+        v2 = modes[1] * (1.0 + 1e-6 * (r == 3))
+        assert _canonical_pair_basis(modes[0], v2 / np.linalg.norm(v2))[1][3] > 0
+
+
 def _norm_canonical_pair_basis(v1, v2):
-    """``spectral._canonical_pair_basis`` frozen as it was with np.linalg.norm for its norms."""
+    """``spectral._canonical_pair_basis`` with np.linalg.norm for its norms."""
+    def leading(norms):
+        return int(np.argmax(norms >= (1.0 - 1e-8) * norms.max()))
+
     P = np.outer(v1, v1) + np.outer(v2, v2)
     k = 0
     if np.linalg.norm(P[:, 0]) < 1e-8:
-        k = int(np.argmax(np.linalg.norm(P, axis=0)))
+        k = leading(np.linalg.norm(P, axis=0))
     w1 = P[:, k] / np.linalg.norm(P[:, k])
     Q = P - np.outer(w1, w1)
-    j = int(np.argmax(np.linalg.norm(Q, axis=0)))
+    j = leading(np.linalg.norm(Q, axis=0))
     w2 = Q[:, j] / np.linalg.norm(Q[:, j])
     if w2[j] < 0:
         w2 = -w2
