@@ -22,6 +22,11 @@ one thread.  Rows, at each n of ``--sizes`` around the Sigma_1 point of
 - ``seed``: per call, ``point`` builds ``omega_point(n)``, ``spectra``
   builds one and reads its closed-form spectra, and ``seed`` builds one and
   opens every target but ``PairTarget(True, 1)`` with ``perturbed_seed``.
+- ``point``: the suite's seven per-point checks (off-band powers, trace
+  gap, characteristic-polynomial offset, involution, Lax equations,
+  interlacing, corank) at a desk-scale random point, per call: ``fresh``
+  builds the PhasePoint anew, so its Lax power table too; ``warm`` runs
+  them again on one point whose table holds every power already.
 """
 
 import os
@@ -38,9 +43,12 @@ import numpy as np  # noqa: E402
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
 from todalax import maslov  # noqa: E402
-from todalax.singularity import (PairTarget, all_pair_targets, find_singular,  # noqa: E402
-                                 omega_point, perturbed_seed)
-from todalax.spectral import _decompose_stack  # noqa: E402
+from todalax.dynamics import grad_F, lax_residual, poisson  # noqa: E402
+from todalax.lax import (PhasePoint, char_poly_offset, off_band_check,  # noqa: E402
+                         trace_relation_check)
+from todalax.singularity import (PairTarget, all_pair_targets, corank,  # noqa: E402
+                                 find_singular, omega_point, perturbed_seed)
+from todalax.spectral import _decompose_stack, interlacing_check  # noqa: E402
 
 TARGET = PairTarget(True, 1)
 
@@ -113,6 +121,34 @@ def seed_costs(n: int, repeat: int, quick: bool) -> list[float]:
     return [best(fn, repeat, quick) * 1e6 for fn in calls]
 
 
+def point_checks(z: PhasePoint) -> None:
+    """The suite's seven per-point checks at z, each through its scalar call."""
+    n = z.n
+    for j in range(1, n + 1):
+        off_band_check(z, j)
+    trace_relation_check(z)
+    char_poly_offset(z)
+    grads = [grad_F(z, j) for j in range(1, n + 1)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            poisson(grads[i], grads[j])
+    for j in range(1, n + 1):
+        lax_residual(z, j)
+        lax_residual(z, j, odd_class=True)
+    interlacing_check(z)
+    corank(z)
+
+
+def point_costs(n: int, repeat: int, quick: bool) -> list[float]:
+    """The seven checks at a fresh point and again at a warm one, each in µs."""
+    rng = np.random.default_rng(n)
+    q, p = 0.35 * rng.standard_normal(n), 0.35 * rng.standard_normal(n)
+    warm = PhasePoint(q, p)
+    point_checks(warm)
+    calls = (lambda: point_checks(PhasePoint(q, p)), lambda: point_checks(warm))
+    return [best(fn, repeat, quick) * 1e6 for fn in calls]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--sizes", default="3,5,8", help="comma-separated n (default 3,5,8)")
@@ -150,6 +186,10 @@ def main(argv=None) -> int:
     for n in sizes:
         print(f"{f'n={n} seed':<22}" + "".join(
             f"{t:>11.1f}" for t in seed_costs(n, args.repeat, args.quick)))
+    print(f"{'layer':<22}{'fresh':>11}{'warm':>11}   (µs per call)")
+    for n in sizes:
+        print(f"{f'n={n} point':<22}" + "".join(
+            f"{t:>11.1f}" for t in point_costs(n, args.repeat, args.quick)))
     return 0
 
 

@@ -28,6 +28,7 @@ from .lax import (
     _cyclic,
     _generator,
     _lax,
+    _Powers,
     _require_index,
     _traces,
 )
@@ -76,21 +77,20 @@ def _grad_from_power(power: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.n
     return off - off.take(ix.prv, axis=-1), power.diagonal(0, -2, -1)
 
 
-def _gradients(b: np.ndarray, p: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """dF_j/dq and dF_j/dp of stacked rows (see lax._off_band), from matrix_power(L, j - 1).
+def _gradients(t: _Powers, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """dF_j/dq and dF_j/dp of a Lax power table (see lax._off_band), from L^(j - 1).
 
     Both are contiguous arrays of their own: _brackets' matmuls of strided
     rows would not round as np.dot does.
     """
-    L = _lax(b, p, SignVector.even(b.shape[-1]).eps)
-    dq, dp = _grad_from_power(np.linalg.matrix_power(L, j - 1), b)
+    dq, dp = _grad_from_power(t.power(j - 1)[:, 0], t.b)
     return dq, dp.copy()
 
 
 def grad_F(z: PhasePoint, j: int) -> Gradient:
     """Analytic gradient of the j-th conserved trace, 1 <= j <= n."""
     j = _require_index("flow index", j, z.n)
-    dq, dp = _gradients(z.couplings()[None], z.p[None], j)
+    dq, dp = _gradients(z._powers, j)
     return Gradient(dq[0], dp[0])
 
 
@@ -207,39 +207,33 @@ def poisson(f: Gradient, g: Gradient) -> float:
     return float(np.dot(f.dq, g.dp) - np.dot(f.dp, g.dq))
 
 
-def _brackets(b: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """{F_i, F_j} for 1 <= i < j <= n of stacked rows (see lax._off_band).
+def _brackets(t: _Powers) -> np.ndarray:
+    """{F_i, F_j} for 1 <= i < j <= n of a Lax power table (see lax._off_band).
 
     Shape (N, n(n-1)/2), the pairs (i, j) in lexicographic order.  Each sum
     is a stacked matmul of a contiguous row by a contiguous column, which
     rounds as poisson's np.dot does.
     """
-    n = b.shape[-1]
-    grads = [_gradients(b, p, j) for j in range(1, n + 1)]
-    out = np.empty((len(b), n * (n - 1) // 2))
+    n = t.n
+    grads = [_gradients(t, j) for j in range(1, n + 1)]
+    out = np.empty((len(t.b), n * (n - 1) // 2))
     for k, (i, j) in enumerate(combinations(range(n), 2)):
         (fq, fp), (gq, gp) = grads[i], grads[j]
         out[:, k] = (fq[:, None, :] @ gp[:, :, None] - fp[:, None, :] @ gq[:, :, None])[:, 0, 0]
     return out
 
 
-def _lax_residuals(b: np.ndarray, p: np.ndarray, j: int, odd_class: bool) -> np.ndarray:
-    """lax_residual of stacked rows (see lax._off_band): shape (N,).
+def _lax_residuals(t: _Powers, j: int, odd_class: bool) -> np.ndarray:
+    """lax_residual of a Lax power table (see lax._off_band): shape (N,).
 
     The gradient of F_j comes from L^(j-1); the even class's generator from
-    Lbar^(j-1), the odd class's from L^(j-1).  Both classes are built at
-    once, and the even class raises both to the power j - 1 in one call.
+    Lbar^(j-1), the odd class's from L^(j-1), all of the table's power j - 1.
     """
-    n = b.shape[-1]
-    pair = _lax(b, p)
-    if odd_class:
-        grad_power = np.linalg.matrix_power(pair[:, 0], j - 1)
-        M = _generator(grad_power)
-    else:
-        powers = np.linalg.matrix_power(pair, j - 1)
-        grad_power, M = powers[:, 0], _generator(powers[:, 1])
-    dq, dp = _grad_from_power(grad_power, b)
-    L, eps = pair[:, int(odd_class)], _class_signs(n)[int(odd_class)]
+    n, b = t.n, t.b
+    powers = t.power(j - 1)
+    dq, dp = _grad_from_power(powers[:, 0], b)
+    M = _generator(powers[:, int(not odd_class)])
+    L, eps = t.pair[:, int(odd_class)], _class_signs(n)[int(odd_class)]
     weight = 0.5 * (b * eps) * (dp - dp.take(_cyclic(n).nxt, axis=-1))
     bracket = _lax(weight, -dq, SignVector.even(n).eps)
     return np.max(np.abs(bracket - (L @ M - M @ L)), axis=(-2, -1))
@@ -252,7 +246,7 @@ def lax_residual(z: PhasePoint, j: int, odd_class: bool = False) -> float:
     -dF/dq on the diagonal, b_m (dF/dp_m - dF/dp_(m+1))/2 at coupling m.
     """
     j = _require_index("flow index", j, z.n)
-    return float(_lax_residuals(z.couplings()[None], z.p[None], j, odd_class)[0])
+    return float(_lax_residuals(z._powers, j, odd_class)[0])
 
 
 # DOP853's relative tolerance unless a caller sets one; integrate_flow says why not 1e-10.

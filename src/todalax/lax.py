@@ -19,7 +19,7 @@ two couplings of each class are summed before the gather.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 import math
 from typing import NamedTuple
 import numpy as np
@@ -50,14 +50,23 @@ class PhaseDomainError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class PhasePoint:
-    """A point (q, p) of the 2n-dimensional phase space, n >= 2."""
+    """A point (q, p) of the 2n-dimensional phase space, n >= 2.
+
+    q and p are read-only copies of the arrays given, as SignVector's eps
+    is.  The point's Lax power table (its couplings, the pair of both Lax
+    classes and the powers and norm the checks ask for) is built the first
+    time a check reads it and kept on the point; it is not a field, so it
+    takes no part in the point's repr or construction.
+    """
 
     q: np.ndarray
     p: np.ndarray
 
     def __post_init__(self):
-        q = np.asarray(self.q, dtype=float)
-        p = np.asarray(self.p, dtype=float)
+        q = np.array(self.q, dtype=float)
+        p = np.array(self.p, dtype=float)
+        q.setflags(write=False)
+        p.setflags(write=False)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "p", p)
         if q.ndim != 1 or p.ndim != 1 or q.shape != p.shape:
@@ -79,14 +88,22 @@ class PhasePoint:
     def n(self) -> int:
         return self.q.size
 
+    @cached_property
+    def _powers(self) -> "_Powers":
+        """The point's Lax power table, a stack of one row."""
+        b = np.exp(0.5 * (self.q - self.q[_cyclic(self.n).nxt]))
+        return _Powers(b[None], self.p[None])
+
     def couplings(self) -> np.ndarray:
-        """The n couplings b_j = exp((q_j - q_{j+1})/2), q_{n+1} = q_1."""
-        return np.exp(0.5 * (self.q - self.q[_cyclic(self.n).nxt]))
+        """The n couplings b_j = exp((q_j - q_{j+1})/2), q_{n+1} = q_1; read-only."""
+        return self._powers.b[0]
 
     def displaced(self, dz: np.ndarray) -> "PhasePoint":
-        """The point shifted by a 2n-vector (dq, dp)."""
+        """The point shifted by a 2n-vector (dq, dp); ValueError for any other shape."""
         dz = np.asarray(dz, dtype=float)
         n = self.n
+        if dz.shape != (2 * n,):
+            raise ValueError(f"displacement must have shape ({2 * n},), got {dz.shape}")
         return PhasePoint(self.q + dz[:n], self.p + dz[n:])
 
     def as_vector(self) -> np.ndarray:
@@ -263,6 +280,60 @@ def _lax(b: np.ndarray, p: np.ndarray, eps: np.ndarray | None = None) -> np.ndar
     return row.take(_gather(n, eps.shape[:-1]), axis=-1)
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only."""
+    a.setflags(write=False)
+    return a
+
+
+class _Powers:
+    """Lax power table of stacked rows (N, n), the one place a matrix_power of L or Lbar is taken.
+
+    Holds the couplings b and momenta p of N points, the pair of both
+    classes ``_lax(b, p)`` (N, 2, n, n), ``power(j)`` =
+    ``np.linalg.matrix_power(pair, j)``, taken the first time j is asked
+    for, and ``norm``, ||L||_2 of each row from one svd taken when first
+    read.  The couplings, the pair, the powers and the norm are read-only,
+    and every result built from them is an array of its own.  A
+    PhasePoint keeps its table (a stack of one) and verify.Sample one per
+    size.  (The trace chains of _trace_gaps, _traces and the flow kernel
+    multiply by L step by step, a rounding their results keep.)
+    """
+
+    def __init__(self, b: np.ndarray, p: np.ndarray):
+        self.b, self.p = _frozen(b.view()), p
+        self._power: dict[int, np.ndarray] = {}
+
+    @property
+    def n(self) -> int:
+        return self.b.shape[-1]
+
+    @cached_property
+    def pair(self) -> np.ndarray:
+        return _frozen(_lax(self.b, self.p))
+
+    @cached_property
+    def norm(self) -> np.ndarray:
+        """||L||_2 of each row, shape (N,): the largest singular value, the first svd lists."""
+        return _frozen(np.linalg.svd(self.pair[:, 0], compute_uv=False)[:, 0])
+
+    def power(self, j: int) -> np.ndarray:
+        """matrix_power(pair, j), shape (N, 2, n, n): row r, class c is that class's own power."""
+        out = self._power.get(j)
+        if out is None:
+            out = self._power[j] = _frozen(np.linalg.matrix_power(self.pair, j))
+        return out
+
+    def head(self, k: int) -> "_Powers":
+        """The table of the first k rows, holding views of what this one has computed."""
+        out = _Powers(self.b[:k], self.p[:k])
+        for name in ("pair", "norm"):
+            if name in self.__dict__:
+                out.__dict__[name] = self.__dict__[name][:k]
+        out._power = {j: a[:k] for j, a in self._power.items()}
+        return out
+
+
 def _is_int(value) -> bool:
     """An int or numpy integer; bool, an int subclass, does not count."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
@@ -313,10 +384,9 @@ def build_generator(z: PhasePoint, j: int, odd_class: bool = False) -> Generator
     vanish for j = 1, and the even-class j = 2 matrix is the familiar
     nearest-neighbour antisymmetric coupling matrix.
     """
-    n = z.n
-    j = _require_index("flow index", j, n)
-    source = build_lax(z, SignVector.even(n) if odd_class else SignVector.odd(n))
-    return GeneratorMatrix(_generator(np.linalg.matrix_power(source.entries, j - 1)), j, odd_class)
+    j = _require_index("flow index", j, z.n)
+    source = z._powers.power(j - 1)[0, int(not odd_class)]
+    return GeneratorMatrix(_generator(source), j, odd_class)
 
 
 def _traces(q: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -384,24 +454,23 @@ def _band(n: int, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return out
 
 
-# The stacked kernels below take the rows of N points as couplings b
-# (from _couplings, which checks the phase-space domain, or from
-# PhasePoint.couplings) and momenta p, both of shape (N, n).  The scalar
-# checks are their N = 1 rows.
+# The stacked kernels below take the Lax power table of N points: that of
+# verify.Sample's random points (built from _couplings, which checks the
+# phase-space domain) or a PhasePoint's own.  The scalar checks are their
+# N = 1 rows.
 
-def _off_band(b: np.ndarray, p: np.ndarray, exponents) -> tuple[np.ndarray, np.ndarray]:
+def _off_band(t: _Powers, exponents) -> tuple[np.ndarray, np.ndarray]:
     """Zero-pattern and first-diagonal residuals of L^j - Lbar^j for each j of ``exponents``.
 
     Two arrays of shape (len(exponents), N); see off_band_check for their
-    definitions.  ||L||_2 does not depend on j: one svd serves every power.
+    definitions.  ||L||_2 does not depend on j: the table's one svd serves
+    every power.
     """
-    n = b.shape[-1]
-    pair = _lax(b, p)
-    # ||L||_2 is the largest singular value, the first that svd lists
-    norm = np.maximum(np.linalg.svd(pair[:, 0], compute_uv=False)[:, 0], 1.0)
+    n, b = t.n, t.b
+    norm = np.maximum(t.norm, 1.0)
     zero_residual, diagonal = np.empty((2, len(exponents), len(b)))
     for k, j in enumerate(exponents):
-        powers = np.linalg.matrix_power(pair, j)
+        powers = t.power(j)
         D = (powers[:, 0] - powers[:, 1]).reshape(-1, n * n)
         zeros, first, products = _band(n, j)
         zero_residual[k] = np.max(np.abs(D[:, zeros]), axis=-1, initial=0.0) / norm ** j
@@ -411,15 +480,16 @@ def _off_band(b: np.ndarray, p: np.ndarray, exponents) -> tuple[np.ndarray, np.n
     return zero_residual, diagonal
 
 
-def _trace_gaps(b: np.ndarray, p: np.ndarray) -> np.ndarray:
+def _trace_gaps(t: _Powers) -> np.ndarray:
     """|Tr L^j - Tr Lbar^j - target| / scale, j = 1..n: shape (N, n).
 
     The target is 0 for j < n and 4n at j = n; the scale is the largest of
-    1, |Tr L^j|, |Tr Lbar^j| and the target.
+    1, |Tr L^j|, |Tr Lbar^j| and the target.  The powers are the chain
+    pair, pair @ pair, ... of the table's pair, whose rounding the
+    reported residuals keep (matrix_power squares from exponent 4 on).
     """
-    n = b.shape[-1]
-    pair = _lax(b, p)
-    out = np.empty(b.shape)
+    n, pair = t.n, t.pair
+    out = np.empty(t.b.shape)
     power = pair
     for j in range(1, n + 1):
         if j > 1:
@@ -435,15 +505,14 @@ _CHAR_POLY_GRID = np.linspace(-3.0, 3.0, 21)
 _CHAR_POLY_GRID.setflags(write=False)
 
 
-def _char_poly(b: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _char_poly(t: _Powers) -> tuple[np.ndarray, np.ndarray]:
     """Mean over _CHAR_POLY_GRID and worst deviation from it of det(xI - L) - det(xI - Lbar).
 
     Two arrays of shape (N,), from one det call over all rows, both
     classes and every grid value.
     """
-    n = b.shape[-1]
-    xI = _CHAR_POLY_GRID[:, None, None] * np.eye(n)
-    dets = np.linalg.det(xI - _lax(b, p)[:, :, None])
+    xI = _CHAR_POLY_GRID[:, None, None] * np.eye(t.n)
+    dets = np.linalg.det(xI - t.pair[:, :, None])
     diffs = dets[:, 0] - dets[:, 1]
     constant = np.mean(diffs, axis=-1)
     return constant, np.max(np.abs(diffs - constant[:, None]), axis=-1)
@@ -472,7 +541,7 @@ def off_band_check(z: PhasePoint, j: int) -> OffBandReport:
     are scaled by ||L||^j (zero pattern) and relatively (diagonal values).
     """
     j = _require_index("power", j, z.n)
-    zero, diagonal = _off_band(z.couplings()[None], z.p[None], (j,))
+    zero, diagonal = _off_band(z._powers, (j,))
     return OffBandReport(z.n, j, float(zero[0, 0]), float(diagonal[0, 0]))
 
 
@@ -486,7 +555,7 @@ class TraceReport:
 
 def trace_relation_check(z: PhasePoint) -> TraceReport:
     """Measure how far Tr L^j - Tr Lbar^j is from 0 for j < n and from 4n at j = n."""
-    return TraceReport(z.n, _trace_gaps(z.couplings()[None], z.p[None])[0])
+    return TraceReport(z.n, _trace_gaps(z._powers)[0])
 
 
 @dataclass(frozen=True)
@@ -506,5 +575,5 @@ def char_poly_offset(z: PhasePoint) -> CharPolyReport:
     reported value is its mean over 21 points x on [-3, 3], the deviation
     the worst distance to it.
     """
-    constant, deviation = _char_poly(z.couplings()[None], z.p[None])
+    constant, deviation = _char_poly(z._powers)
     return CharPolyReport(float(constant[0]), float(deviation[0]))

@@ -18,12 +18,12 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 import numpy as np
 
-from .lax import (PhasePoint, SignVector, _class_signs, _lax, build_generator, build_lax,
-                  conjugating_signs)
+from .lax import (PhasePoint, SignVector, _Powers, _class_signs, _lax, build_generator,
+                  build_lax, conjugating_signs)
 from .dynamics import (_component_forms, _gradients, coordinate_form, grad_combination, grad_F,
                        poisson)
-from .spectral import (SpectralData, _canonical_pair_basis, _flag_gaps, _norm, _spectra_stack,
-                       annihilator, decompose, spectra)
+from .spectral import (SpectralData, _canonical_pair_basis, _flag_gaps, _norm, annihilator,
+                       decompose, spectra)
 
 __all__ = [
     "PairTarget",
@@ -163,21 +163,21 @@ def corank(point: PhasePoint | SingularPoint) -> CorankReport:
     return CorankReport(z, s, k, nu, nubar, null_basis, bool(band[0]))
 
 
-def _corank_stack(b: np.ndarray, p: np.ndarray
+def _corank_stack(t: _Powers, specs: tuple[tuple[np.ndarray, list], tuple[np.ndarray, list]]
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``corank`` of stacked rows b, p (N, n): singular values, corank, inconclusive, nu, nubar.
+    """``corank`` of a Lax power table's rows: singular values, corank, inconclusive, nu, nubar.
 
-    Row r of each equals the field of ``corank`` at row r's point.  A
-    failing row raises the error ``corank`` raises there, as
-    ``spectral._spectra_stack`` orders them.
+    ``specs`` is ``spectral._spectra_stack(t)``, whose flagged pairs give nu
+    and nubar.  Row r of each equals the field of ``corank`` at row r's
+    point.
     """
-    m, n = b.shape
+    m, n = t.b.shape
     jac = np.empty((m, n, 2 * n))
     for j in range(1, n + 1):
-        jac[:, j - 1, :n], jac[:, j - 1, n:] = _gradients(b, p, j)
+        jac[:, j - 1, :n], jac[:, j - 1, n:] = _gradients(t, j)
     s = np.linalg.svd(jac)[1]
     k, band = _rank_decision(s)
-    (_, even), (_, odd) = _spectra_stack(b, p)
+    (_, even), (_, odd) = specs
     return s, k, band, np.array([len(r) for r in even]), np.array([len(r) for r in odd])
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 import numpy as np
 
-from .lax import LaxMatrix, PhasePoint, SignVector, _lax, build_lax
+from .lax import LaxMatrix, PhasePoint, SignVector, _Powers, build_lax
 
 __all__ = [
     "TripleDegeneracyError",
@@ -326,15 +326,14 @@ def _interlacing_stack(lam: np.ndarray, bar: np.ndarray) -> tuple[np.ndarray, np
     return drop, drop < tol * sign
 
 
-def _spectra_stack(b: np.ndarray, p: np.ndarray) -> tuple[
-        tuple[np.ndarray, list], tuple[np.ndarray, list]]:
-    """``spectra`` of stacked rows b, p (N, n): each class's descending values and flagged pairs.
+def _spectra_stack(t: _Powers) -> tuple[tuple[np.ndarray, list], tuple[np.ndarray, list]]:
+    """``spectra`` of a Lax power table's rows: each class's descending values and flagged pairs.
 
     A failing row raises the error ``spectra`` raises at its point, the
     lowest row first and the even class before the odd.
     """
     out, errors = [], {}
-    for entries in np.moveaxis(_lax(b, p), -3, 0):
+    for entries in np.moveaxis(t.pair, -3, 0):
         vals, _, _, pairs, errs = _decompose_stack(entries)
         out.append((vals, pairs))
         for r, exc in errs.items():

@@ -17,6 +17,7 @@ import numpy as np
 
 from .lax import (
     PhasePoint,
+    _Powers,
     _char_poly,
     _couplings,
     _is_int,
@@ -144,7 +145,8 @@ class Sample:
 
     Random points as stacked rows q, p of shape (N, n), a relative
     equilibrium, centres of contractible loops (any size).  Every
-    random-point check reads the stacked rows at once.
+    random-point check reads the stacked rows at once, through one Lax
+    power table and one decomposition of both classes.
     """
 
     n: int | None
@@ -154,12 +156,30 @@ class Sample:
     centres: tuple[PhasePoint, ...] = ()
 
     @cached_property
-    def couplings(self) -> np.ndarray:
-        """Couplings of the random points, shape (N, n); with p, the random-point checks' input.
+    def powers(self) -> _Powers:
+        """Lax power table of the random points, the random-point checks' input.
 
         A point outside the phase-space domain raises PhasePoint's PhaseDomainError.
         """
-        return _couplings(self.q, self.p)
+        return _Powers(_couplings(self.q, self.p), self.p)
+
+    @cached_property
+    def _spectra(self) -> tuple[tuple | None, Exception | None]:
+        try:
+            return _spectra_stack(self.powers), None
+        except COMPUTATION_ERRORS as exc:
+            return None, exc
+
+    @property
+    def spectra(self) -> tuple[tuple[np.ndarray, list], tuple[np.ndarray, list]]:
+        """``spectral._spectra_stack`` of the random points, decomposed once per sample.
+
+        Every read raises the error the decomposition raised, if it did.
+        """
+        specs, error = self._spectra
+        if error is not None:
+            raise error
+        return specs
 
     @cached_property
     def sigma1(self) -> tuple[list[SingularPoint], str, str]:
@@ -217,18 +237,18 @@ class Check:
 @partial(Check, "off_band", "powers L^j - Lbar^j are j-off-banded; first diagonal "
          "2 b_{r-1}..b_{r-j}, 4 at j=n", 1e-10)
 def _off_band_check(s: Sample) -> Outcome:
-    return Outcome(float(np.max(_off_band(s.couplings, s.p, range(1, s.n + 1)))))
+    return Outcome(float(np.max(_off_band(s.powers, range(1, s.n + 1)))))
 
 
 @partial(Check, "trace_gap", "Tr L^j = Tr Lbar^j for j < n and Tr L^n - Tr Lbar^n = 4n", 1e-9)
 def _trace_gap(s: Sample) -> Outcome:
-    return Outcome(float(np.max(_trace_gaps(s.couplings, s.p))))
+    return Outcome(float(np.max(_trace_gaps(s.powers))))
 
 
 @partial(Check, "char_poly_offset",
          "det(xI - L) - det(xI - Lbar) is constant in x and z with magnitude 4", 1e-8)
 def _char_poly_offset(s: Sample) -> Outcome:
-    constants, deviations = _char_poly(s.couplings, s.p)
+    constants, deviations = _char_poly(s.powers)
     return Outcome(max(float(np.max(deviations)),
                        float(np.max(np.abs(np.abs(constants) - 4.0))),
                        float(np.max(constants) - np.min(constants))))
@@ -236,22 +256,22 @@ def _char_poly_offset(s: Sample) -> Outcome:
 
 @partial(Check, "involution", "all pairwise brackets of the conserved traces vanish", 1e-9)
 def _involution(s: Sample) -> Outcome:
-    return Outcome(float(np.max(np.abs(_brackets(s.couplings, s.p)))))
+    return Outcome(float(np.max(np.abs(_brackets(s.powers)))))
 
 
 @partial(Check, "lax_equations", "bracket of L with each trace equals the commutator with "
          "its generator, both classes", 1e-8)
 def _lax_equations(s: Sample) -> Outcome:
     # the first quarter of the points, at least ten
-    k = max(10, len(s.q) // 4)
-    return Outcome(max(float(np.max(_lax_residuals(s.couplings[:k], s.p[:k], j, odd)))
+    head = s.powers.head(max(10, len(s.q) // 4))
+    return Outcome(max(float(np.max(_lax_residuals(head, j, odd)))
                        for j in range(1, s.n + 1) for odd in (False, True)))
 
 
 @partial(Check, "interlacing",
          "merged spectra alternate strictly between classes, weakly inside", 1.0)
 def _interlacing(s: Sample) -> Outcome:
-    (lam, _), (bar, _) = _spectra_stack(s.couplings, s.p)
+    (lam, _), (bar, _) = s.spectra
     return Outcome(float(np.count_nonzero(_interlacing_stack(lam, bar)[1])))
 
 
@@ -259,7 +279,7 @@ def _interlacing(s: Sample) -> Outcome:
          "relative-equilibrium spectra match p0 + 2cos(pi k / n) closed forms", 1e-12)
 def _omega_spectra(s: Sample) -> Outcome:
     om = s.equilibrium
-    lam, bar = np.linalg.eigvalsh(_lax(om.z.couplings(), om.z.p))[:, ::-1]
+    lam, bar = np.linalg.eigvalsh(om.z._powers.pair[0])[:, ::-1]
     return Outcome(max(float(np.max(np.abs(lam - om.even_values))),
                        float(np.max(np.abs(bar - om.odd_values)))))
 
@@ -277,7 +297,7 @@ def _corank_omega(s: Sample) -> Outcome:
 @partial(Check, "corank_random",
          "generic points are regular: corank 0 and no degenerate pairs", 1.0)
 def _corank_random(s: Sample) -> Outcome:
-    _, k, band, nu, nubar = _corank_stack(s.couplings, s.p)
+    _, k, band, nu, nubar = _corank_stack(s.powers, s.spectra)
     bad = np.count_nonzero(~band & ((k != 0) | (k != nu + nubar)))
     return Outcome(float(bad), "fail" if bad else ("inconclusive" if band.any() else "pass"))
 
@@ -420,7 +440,7 @@ def _isospectral_flows(s: Sample) -> Outcome:
     # of mass, whose sum sum_r q_r moves at the rate sum_j c_j Tr L^(j-1)(z0) exactly,
     # relative to max(1, T |rate|) at the requested times
     z0 = PhasePoint(np.array([0.4, -0.3, -0.1]), np.array([0.2, -0.5, 0.3]))
-    refs = np.linalg.eigvalsh(_lax(z0.couplings(), z0.p))
+    refs = np.linalg.eigvalsh(z0._powers.pair[0])
     scale = max(1.0, float(np.max(np.abs(refs[0]))))
     traces = (refs[0] ** np.arange(3)[:, None]).sum(axis=1)  # Tr L^k, k = 0, 1, 2
     ts = np.linspace(0, FLOW_T_FINAL, 51)

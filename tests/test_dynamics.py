@@ -1,3 +1,4 @@
+from collections import Counter
 import itertools
 import re
 import warnings
@@ -8,7 +9,12 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import todalax.dynamics as dynamics
-from todalax.lax import PhaseDomainError, PhasePoint, SignVector, _couplings, build_lax, integrals
+import todalax.spectral as spectral
+from todalax.lax import (PhaseDomainError, PhasePoint, SignVector, _Powers, _couplings,
+                         build_generator, build_lax, char_poly_offset, integrals, off_band_check,
+                         trace_relation_check)
+from todalax.singularity import corank
+from todalax.spectral import interlacing_check, spectra
 from todalax.maslov import toda_frame
 from todalax.dynamics import (
     RTOL_FLOOR,
@@ -159,6 +165,84 @@ class TestLaxResidual:
                     assert lax_residual(z, j, odd_class=True) < 1e-9
 
 
+def _scalar_checks(n):
+    """The scalar checks of lax and dynamics at one point, as (name, z -> exact result)."""
+    out = [("trace_gaps", lambda z: trace_relation_check(z).residuals.tobytes()),
+           ("char_poly", lambda z: repr(char_poly_offset(z)))]
+    for j in range(1, n + 1):
+        out += [(f"off_band {j}", lambda z, j=j: repr(off_band_check(z, j))),
+                (f"grad_F {j}", lambda z, j=j: grad_F(z, j).as_vector().tobytes())]
+        for odd in (False, True):
+            out += [(f"lax_residual {j} {odd}", lambda z, j=j, odd=odd: repr(lax_residual(z, j, odd))),
+                    (f"generator {j} {odd}",
+                     lambda z, j=j, odd=odd: build_generator(z, j, odd).entries.tobytes())]
+    return out
+
+
+def _point_checks(n):
+    """Every per-point check: the scalar ones, both Lax builds, interlacing and corank."""
+    return _scalar_checks(n) + [
+        ("lax", lambda z: build_lax(z).entries.tobytes()),
+        ("lax odd", lambda z: build_lax(z, SignVector.odd(z.n)).entries.tobytes()),
+        ("interlacing", lambda z: repr(interlacing_check(z))),
+        ("corank", lambda z: corank(z).singular_values.tobytes()),
+    ]
+
+
+class TestPowerTable:
+    """A point's Lax power table is shared by its checks and changes none of their results."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_results_do_not_depend_on_warmth_or_order(self, n):
+        rng = np.random.default_rng(1300 + n)
+        q, p = 0.5 * rng.standard_normal(n), 0.5 * rng.standard_normal(n)
+        checks = _point_checks(n)
+        fresh = {name: check(PhasePoint(q, p)) for name, check in checks}  # a new point each
+        z = PhasePoint(q, p)
+        for order in (checks, checks[::-1], [checks[k] for k in rng.permutation(len(checks))]):
+            assert {name: check(z) for name, check in order} == fresh
+
+    def test_returned_arrays_are_their_own(self):
+        z = random_point(np.random.default_rng(1310), 4, scale=0.5)
+        checks = _point_checks(4)
+        want = {name: check(z) for name, check in checks}
+        for out in (build_lax(z).entries, build_lax(z, SignVector.odd(4)).entries,
+                    grad_F(z, 3).dq, grad_F(z, 3).dp, grad_F(z, 1).dp,
+                    build_generator(z, 3).entries, build_generator(z, 4, odd_class=True).entries):
+            out[...] = 7.0
+        assert {name: check(z) for name, check in checks} == want
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_a_fresh_point_takes_each_power_once(self, n, monkeypatch):
+        calls = Counter()
+
+        def count(owner, name):
+            fn = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        for owner, name in ((np.linalg, "matrix_power"), (np.linalg, "svd"),
+                            (spectral, "decompose")):
+            count(owner, name)
+        z = random_point(np.random.default_rng(1320 + n), n, scale=0.35)
+        for _, check in _scalar_checks(n):
+            check(z)
+        # the powers 0..n, each once, and the one svd of ||L||_2
+        assert calls["matrix_power"] <= n + 1 and calls["svd"] == 1
+        for _, check in _scalar_checks(n):
+            check(z)
+        corank(z)  # the Jacobian's svd; spectra are not memoised
+        assert calls["matrix_power"] <= n + 1 and calls["svd"] == 2
+        assert calls["decompose"] == 2
+        for k in (4, 6):
+            spectra(z)
+            assert calls["decompose"] == k
+
+
 def _stack(seed, n, count, scale):
     """Couplings and momenta of ``count`` random points, and the points themselves."""
     rng = np.random.default_rng(seed)
@@ -175,14 +259,14 @@ class TestStackedKernels:
         b, p, points = _stack(600 + n, n, count, scale=1.0)
         grads = [[grad_F(z, j) for j in range(1, n + 1)] for z in points]
         for j in range(1, n + 1):
-            dq, dp = dynamics._gradients(b, p, j)
+            dq, dp = dynamics._gradients(_Powers(b, p), j)
             assert np.array_equal(dq, [g[j - 1].dq for g in grads])
             assert np.array_equal(dp, [g[j - 1].dp for g in grads])
             for odd_class in (False, True):
-                assert np.array_equal(dynamics._lax_residuals(b, p, j, odd_class),
+                assert np.array_equal(dynamics._lax_residuals(_Powers(b, p), j, odd_class),
                                       [lax_residual(z, j, odd_class) for z in points])
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        assert np.array_equal(dynamics._brackets(b, p),
+        assert np.array_equal(dynamics._brackets(_Powers(b, p)),
                               [[poisson(g[i], g[j]) for i, j in pairs] for g in grads])
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
@@ -191,8 +275,8 @@ class TestStackedKernels:
         for j in range(1, n + 1):
             for odd_class in (False, True):
                 ref = [_reference_lax_residual(z, j, odd_class) for z in points]
-                assert np.array_equal(dynamics._lax_residuals(b, p, j, odd_class), ref)
-        assert np.array_equal(dynamics._brackets(b, p), [_reference_brackets(z) for z in points])
+                assert np.array_equal(dynamics._lax_residuals(_Powers(b, p), j, odd_class), ref)
+        assert np.array_equal(dynamics._brackets(_Powers(b, p)), [_reference_brackets(z) for z in points])
 
 
 class TestFlows:

@@ -23,6 +23,7 @@ from todalax.lax import (
     _first_outside,
     _lax,
     _off_band,
+    _Powers,
     _trace_gaps,
 )
 from todalax.dynamics import lax_residual
@@ -61,6 +62,32 @@ class TestPhasePoint:
     def test_vector_round_trip(self):
         z = PhasePoint(np.array([1.0, 2.0]), np.array([3.0, 4.0]))
         npt.assert_array_equal(PhasePoint.from_vector(z.as_vector()).q, z.q)
+
+    def test_coordinates_are_read_only_copies(self):
+        q, p = np.array([0.3, -0.2, 0.4, 0.1]), np.array([0.5, -0.1, 0.2, -0.6])
+        z = PhasePoint(q, p)
+        want = [off_band_check(z, 2), lax_residual(z, 3), build_lax(z).entries]
+        for a in (z.q, z.p, z.couplings()):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 9.0
+        q[0], p[0] = 9.0, 9.0  # the source arrays are not the point's
+        assert z.q[0] == 0.3 and z.p[0] == 0.5
+        same = PhasePoint(np.array([0.3, -0.2, 0.4, 0.1]), np.array([0.5, -0.1, 0.2, -0.6]))
+        for point in (z, same):
+            assert off_band_check(point, 2) == want[0]
+            assert lax_residual(point, 3) == want[1]
+            assert np.array_equal(build_lax(point).entries, want[2])
+
+    def test_displaced_adds_a_2n_vector(self):
+        z = PhasePoint(np.zeros(3), np.zeros(3))
+        moved = z.displaced(np.arange(6.0))
+        assert np.array_equal(moved.q, [0.0, 1.0, 2.0]) and np.array_equal(moved.p, [3.0, 4.0, 5.0])
+
+    @pytest.mark.parametrize("dz", [np.arange(4.0), np.arange(7.0), np.zeros((2, 3)), 1.0])
+    def test_displaced_rejects_another_shape(self, dz):
+        # a length-4 dz once broadcast its last entry onto every momentum: p = (3, 3, 3)
+        with pytest.raises(ValueError, match=r"shape \(6,\)"):
+            PhasePoint(np.zeros(3), np.zeros(3)).displaced(dz)
 
 
 class TestSignVector:
@@ -448,14 +475,14 @@ class TestStackedKernels:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_rows_equal_scalar_checks(self, n, count):
         b, p, points = _stack(300 + n, n, count, scale=1.0)
-        zero, diagonal = _off_band(b, p, range(1, n + 1))  # one svd for every power
+        zero, diagonal = _off_band(_Powers(b, p), range(1, n + 1))  # one svd for every power
         for j in range(1, n + 1):
             reps = [off_band_check(z, j) for z in points]
             assert np.array_equal(zero[j - 1], [r.zero_residual for r in reps]), j
             assert np.array_equal(diagonal[j - 1], [r.diagonal_residual for r in reps]), j
-        assert np.array_equal(_trace_gaps(b, p), [trace_relation_check(z).residuals
+        assert np.array_equal(_trace_gaps(_Powers(b, p)), [trace_relation_check(z).residuals
                                                   for z in points])
-        constant, deviation = _char_poly(b, p)
+        constant, deviation = _char_poly(_Powers(b, p))
         reps = [char_poly_offset(z) for z in points]
         assert np.array_equal(constant, [r.constant for r in reps])
         assert np.array_equal(deviation, [r.max_deviation for r in reps])
@@ -464,10 +491,10 @@ class TestStackedKernels:
     def test_kernels_equal_the_per_point_loops(self, n):
         b, p, points = _stack(400 + n, n, 25, scale=0.35)
         for j in range(1, n + 1):
-            got = np.stack(_off_band(b, p, (j,)), axis=-1)[0]
+            got = np.stack(_off_band(_Powers(b, p), (j,)), axis=-1)[0]
             assert np.array_equal(got, [_reference_off_band(z, j) for z in points]), j
-        assert np.array_equal(_trace_gaps(b, p), [_reference_trace_gaps(z) for z in points])
-        got = np.stack(_char_poly(b, p), axis=-1)
+        assert np.array_equal(_trace_gaps(_Powers(b, p)), [_reference_trace_gaps(z) for z in points])
+        got = np.stack(_char_poly(_Powers(b, p)), axis=-1)
         assert np.array_equal(got, [_reference_char_poly(z) for z in points])
 
     @pytest.mark.filterwarnings("ignore:overflow encountered in subtract:RuntimeWarning")

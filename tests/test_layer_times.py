@@ -19,7 +19,7 @@ def test_reduced_pass_prints_every_layer():
     labels = [line.split("  ")[0] for line in done.stdout.splitlines()[1:]]
     assert labels == ["layer", "n=3 observe m=1", "n=3 observe m=4", "layer",
                       "n=3 holonomy 256", "n=3 holonomy 4", "layer", "n=3 finder iterate",
-                      "layer", "n=3 seed"]
+                      "layer", "n=3 seed", "layer", "n=3 point"]
     for line in done.stdout.splitlines():
         if line.startswith("n=3 "):
             assert all(math.isfinite(float(x)) for x in line[22:].split())

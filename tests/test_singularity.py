@@ -8,7 +8,7 @@ import pytest
 
 from todalax import maslov, singularity, spectral
 from todalax.dynamics import _component_forms
-from todalax.lax import PhasePoint, SignVector, _class_signs, _couplings, build_lax
+from todalax.lax import PhasePoint, SignVector, _Powers, _class_signs, _couplings, build_lax
 from todalax.spectral import (
     TripleDegeneracyError,
     _chain_links,
@@ -110,9 +110,9 @@ class TestCorank:
 
 
 def _rows(points):
-    """Couplings and momenta of the points as stacked rows (N, n)."""
+    """Lax power table of the points as stacked rows (N, n)."""
     q, p = np.array([z.q for z in points]), np.array([z.p for z in points])
-    return _couplings(q, p), p
+    return _Powers(_couplings(q, p), p)
 
 
 def _mixed_stack(n):
@@ -137,7 +137,8 @@ class TestStackedRows:
     def test_corank_rows(self, n, rank_tol, monkeypatch):
         points = _mixed_stack(n)
         monkeypatch.setattr(singularity, "RANK_TOL", rank_tol)
-        s, k, band, nu, nubar = _corank_stack(*_rows(points))
+        rows = _rows(points)
+        s, k, band, nu, nubar = _corank_stack(rows, _spectra_stack(rows))
         for r, z in enumerate(points):
             ref = corank(z)
             assert np.array_equal(s[r], ref.singular_values)
@@ -150,7 +151,7 @@ class TestStackedRows:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_interlacing_rows(self, n):
         points = _mixed_stack(n)
-        (lam, _), (bar, _) = _spectra_stack(*_rows(points))
+        (lam, _), (bar, _) = _spectra_stack(_rows(points))
         drop, bad = _interlacing_stack(lam, bar)
         strict = _chain_links(n)[3] > 0
         for r, z in enumerate(points):
@@ -187,9 +188,9 @@ class TestStackErrors:
         assert message3 != message7
         points = good[:3] + [z3] + good[3:6] + [z7] + good[6:9]
         with pytest.raises(TripleDegeneracyError, match=f"^{re.escape(message3)}$"):
-            _corank_stack(*_rows(points))
+            _corank_stack(_rows(points), _spectra_stack(_rows(points)))
         with pytest.raises(TripleDegeneracyError, match=f"^{re.escape(message3)}$"):
-            _spectra_stack(*_rows(points))
+            _spectra_stack(_rows(points))
 
     def test_even_class_before_odd(self, monkeypatch):
         # a point whose two classes both hold a triple raises the even one's
@@ -203,7 +204,7 @@ class TestStackErrors:
             own.append(str(exc.value))
         assert message == own[0] != own[1]
         with pytest.raises(TripleDegeneracyError, match=f"^{re.escape(own[0])}$"):
-            _spectra_stack(*_rows([z]))
+            _spectra_stack(_rows([z]))
 
 
 class TestOmegaPoint:
