@@ -13,7 +13,9 @@ All indices are periodic with period n.  Every Lax matrix comes from one
 gather: a cached index map takes each entry from the row (0, p, eps b of
 each class), so both classes of a stack of points are built in one call.
 For n = 2, where the superdiagonal and the periodic corner coincide, the
-two couplings of each class are summed before the gather.
+two couplings of each class are summed before the gather.  The powers of
+the pair come from one table per point or stack (``_Powers``), which the
+checks of one point share.
 """
 
 from __future__ import annotations
