@@ -19,6 +19,10 @@ one thread.  Rows, at each n of ``--sizes`` around the Sigma_1 point of
   ``of one`` those of a single sample.
 - ``finder iterate``: ``find_singular`` from the seed less the same call
   from its own solution (no iterate), divided by the seed's iterations.
+- ``finder``: ``find_singular`` from a fresh copy of the seed, per call;
+  ``iterations``, ``points`` (the seed and every damping trial it visits)
+  and ``stacks`` (its ``_decompose_stack`` calls) are counted in one more
+  call.
 - ``seed``: per call, ``point`` builds ``omega_point(n)``, ``spectra``
   builds one and reads its closed-form spectra, and ``seed`` builds one and
   opens every target but ``PairTarget(True, 1)`` with ``perturbed_seed``.
@@ -42,7 +46,7 @@ import numpy as np  # noqa: E402
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-from todalax import maslov  # noqa: E402
+from todalax import maslov, singularity  # noqa: E402
 from todalax.dynamics import grad_F, lax_residual, poisson  # noqa: E402
 from todalax.lax import (PhasePoint, char_poly_offset, off_band_check,  # noqa: E402
                          trace_relation_check)
@@ -111,6 +115,22 @@ def finder_iterate(n: int, repeat: int, quick: bool) -> float:
     full = best(lambda: find_singular(seed, [TARGET]), repeat, quick)
     none = best(lambda: find_singular(solution.z, [TARGET]), repeat, quick)
     return (full - none) / solution.iterations * 1e6
+
+
+def finder_costs(n: int, repeat: int, quick: bool) -> tuple[float, int, int, int]:
+    """``find_singular`` from the seed in µs, its iterations, points visited and stacks decomposed."""
+    rest = [t for t in all_pair_targets(n) if t != TARGET]
+    seed = perturbed_seed(omega_point(n), rest, eps=1e-2)
+    t = best(lambda: find_singular(PhasePoint(seed.q, seed.p), [TARGET]), repeat, quick)
+    points, stacks = [seed], []
+    kernel, displaced = singularity._decompose_stack, PhasePoint.displaced
+    singularity._decompose_stack = lambda entries: stacks.append(len(entries)) or kernel(entries)
+    PhasePoint.displaced = lambda z, dz: points.append(displaced(z, dz)) or points[-1]
+    try:
+        sp = find_singular(PhasePoint(seed.q, seed.p), [TARGET])
+    finally:
+        singularity._decompose_stack, PhasePoint.displaced = kernel, displaced
+    return t * 1e6, sp.iterations, len(points), len(stacks)
 
 
 def seed_costs(n: int, repeat: int, quick: bool) -> list[float]:
@@ -182,6 +202,10 @@ def main(argv=None) -> int:
     print(f"{'layer':<22}{'µs per iterate':>11}")
     for n in sizes:
         print(f"{f'n={n} finder iterate':<22}{finder_iterate(n, args.repeat, args.quick):>11.1f}")
+    print(f"{'layer':<22}{'µs per call':>11}{'iterations':>11}{'points':>11}{'stacks':>11}")
+    for n in sizes:
+        t, *counts = finder_costs(n, args.repeat, args.quick)
+        print(f"{f'n={n} finder':<22}{t:>11.1f}" + "".join(f"{c:>11}" for c in counts))
     print(f"{'layer':<22}{'point':>11}{'spectra':>11}{'seed':>11}   (µs per call)")
     for n in sizes:
         print(f"{f'n={n} seed':<22}" + "".join(

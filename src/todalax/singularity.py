@@ -18,12 +18,11 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 import numpy as np
 
-from .lax import (PhasePoint, SignVector, _Powers, _class_signs, _lax, build_generator,
-                  build_lax, conjugating_signs)
+from .lax import PhasePoint, SignVector, _Powers, _class_signs, build_generator, conjugating_signs
 from .dynamics import (_component_forms, _gradients, coordinate_form, grad_combination, grad_F,
                        poisson)
-from .spectral import (SpectralData, _canonical_pair_basis, _flag_gaps, _norm, annihilator,
-                       decompose, spectra)
+from .spectral import (SpectralData, _canonical_pair_basis, _decompose_stack, _flag_gaps, _norm,
+                       annihilator, spectra)
 
 __all__ = [
     "PairTarget",
@@ -36,6 +35,7 @@ __all__ = [
     "SingularPoint",
     "ConvergenceError",
     "StratumCollapseError",
+    "VanishingPairingError",
     "find_singular",
     "perturbed_seed",
     "pair_plane_duals",
@@ -65,6 +65,11 @@ class ConvergenceError(RuntimeError):
 
 class StratumCollapseError(RuntimeError):
     """Extra eigenvalue pairs degenerated alongside the requested ones."""
+
+
+class VanishingPairingError(RuntimeError):
+    """The pairing 2 u1 . M . u2 of a degenerate pair basis vanished; it cannot for an
+    orthonormal eigenpair basis of its class."""
 
 
 @dataclass(frozen=True)
@@ -256,8 +261,7 @@ def omega_point(n: int, q0: float = 0.0, p0: float = 0.0) -> OmegaPoint:
 def _target_gaps(specs, targets: list[PairTarget]) -> np.ndarray:
     """Eigenvalue gap of every target pair, relative to max(1, spectral range).
 
-    ``specs[odd_class]`` is the SpectralData of a target's class; the other
-    class need not be there.
+    ``specs[odd_class]`` is the SpectralData of a target's class.
     """
     return np.array([specs[t.odd_class].relative_gaps[t.positions(specs[t.odd_class].n)[0]]
                      for t in targets])
@@ -271,7 +275,7 @@ def _block_coordinates(z: PhasePoint, odd_class: bool, u1: np.ndarray, u2: np.nd
     basis spans a degenerate eigenspace, and their differentials at the
     basis point are the (dxi, deta) of ``_pair_forms``.
     """
-    entries = _lax(z.couplings(), z.p, _class_signs(z.n)[int(odd_class)])
+    entries = z._powers.pair[0, int(odd_class)]
     a = float(u1 @ entries @ u1)
     d = float(u2 @ entries @ u2)
     return 0.5 * (d - a), float(u1 @ entries @ u2)
@@ -315,14 +319,15 @@ def perturbed_seed(
     (xi, eta) = (eps, 0) on every listed pair leaves the remaining pairs
     closed to second order; they are then re-closed by the finder.  With
     no pair to open the displacement is zero and the seed is omega.z.  The
-    block coordinates are those of the equilibrium's stored pair vectors,
-    which are the canonical pair bases.
+    block coordinates are those of the equilibrium's pair vectors, the
+    canonical pair bases, read from ``_fourier_modes`` as
+    ``OmegaPoint.spectra`` hands them out.
     """
     z = omega.z
     if not open_targets:
         return z
-    specs = omega.spectra
-    A = _pair_rows(z, [(t.odd_class, *specs[t.odd_class].pair_vectors(t.positions(z.n)))
+    modes = _fourier_modes(z.n)
+    A = _pair_rows(z, [(t.odd_class, *modes[int(t.odd_class)][:, t.positions(z.n)].T)
                        for t in open_targets])
     delta = np.linalg.lstsq(A, np.tile([eps, 0.0], len(open_targets)), rcond=None)[0]
     return z.displaced(delta)
@@ -338,9 +343,10 @@ def find_singular(seed: PhasePoint, targets: list[PairTarget]) -> SingularPoint:
     ones; the accepted trial's bases are the next iteration's frozen ones.
     Convergence within MAX_ITER iterations means every target gap is below
     GAP_TOL relative to the spectral range; a degenerate non-target pair at
-    the solution raises StratumCollapseError.  The iterates decompose only
-    the classes the targets live in; a class without a target is decomposed
-    once, at the solution.
+    the solution raises StratumCollapseError.  Every point visited, the
+    seed and each trial, is decomposed once, both classes in one stack: a
+    target class's error is raised there, a class without a target raises
+    its error only if it still has one at the solution.
     """
     if not targets:
         raise ValueError("need at least one target pair")
@@ -349,14 +355,20 @@ def find_singular(seed: PhasePoint, targets: list[PairTarget]) -> SingularPoint:
     for t in targets:
         t.positions(n)  # validate ordinals early
     signs = (SignVector.even(n), SignVector.odd(n))
-    own = sorted({t.odd_class for t in targets})  # the classes the targets live in
+    own = sorted({int(t.odd_class) for t in targets})  # the classes the targets live in
 
-    def decomposed(z: PhasePoint) -> dict[bool, SpectralData]:
-        """``spectra(z)[odd]`` of each own class odd, computed as ``spectra`` computes it."""
-        return {odd: decompose(build_lax(z, signs[odd])) for odd in own}
+    def decomposed(z: PhasePoint) -> tuple[tuple[SpectralData, SpectralData], dict]:
+        """Both classes' SpectralData at z and each failing class's error, the error of an
+        own class raised: one ``_decompose_stack`` of the pair of z's Lax power table."""
+        vals, vecs, gaps, pairs, errors = _decompose_stack(z._powers.pair[0])
+        for c in own:
+            if c in errors:
+                raise errors[c]
+        return tuple(SpectralData(vals[c], vecs[c], gaps[c], pairs[c], signs[c])
+                     for c in (0, 1)), errors
 
     z = seed
-    specs = decomposed(z)
+    specs, errors = decomposed(z)
     # the frozen target bases: the seed's, then each accepted trial's
     bases = [specs[t.odd_class].pair_basis(t.positions(n)) for t in targets]
     for it in range(MAX_ITER + 1):
@@ -374,7 +386,7 @@ def find_singular(seed: PhasePoint, targets: list[PairTarget]) -> SingularPoint:
 
         for _ in range(30):
             z_new = z.displaced(delta)
-            specs_new = decomposed(z_new)
+            specs_new, errors_new = decomposed(z_new)
             bases_new = []
             for t, b in zip(targets, bases):
                 bases_new.append(specs_new[t.odd_class].pair_basis(t.positions(n)))
@@ -385,9 +397,9 @@ def find_singular(seed: PhasePoint, targets: list[PairTarget]) -> SingularPoint:
             delta = 0.5 * delta
         else:
             raise ConvergenceError("step damping failed to keep the frame overlap")
-        z, specs, bases = z_new, specs_new, bases_new
-    specs = tuple(specs[odd] if odd in specs else decompose(build_lax(z, signs[odd]))
-                  for odd in (False, True))
+        z, specs, errors, bases = z_new, specs_new, errors_new, bases_new
+    if errors:  # the class without a target fails at the solution
+        raise errors[min(errors)]
 
     # the only degenerate pairs at the solution must be the targets
     want = {(t.odd_class, t.positions(n)) for t in targets}
@@ -483,6 +495,15 @@ def pairing_denominator(z: PhasePoint, odd_class: bool, u1: np.ndarray, u2: np.n
     return 2.0 * float(u1 @ M @ u2)
 
 
+def _pairing(z: PhasePoint, odd_class: bool, u1: np.ndarray, u2: np.ndarray) -> float:
+    """``pairing_denominator``; VanishingPairingError where it is below 1e-10 in size."""
+    denom = pairing_denominator(z, odd_class, u1, u2)
+    if abs(denom) < 1e-10:
+        raise VanishingPairingError(
+            f"vanishing pair pairing {denom:.3e}; the eigenpair basis lost orthonormality")
+    return denom
+
+
 def transverse_frequency(point: PhasePoint | SingularPoint, target: PairTarget) -> float:
     """Frequency of the elliptic transverse oscillation fixing the stratum.
 
@@ -498,9 +519,7 @@ def _frequency(z: PhasePoint, spec: SpectralData, target: PairTarget):
     """The frequency of a flagged target pair and the annihilator T it is read from."""
     idx, u1, u2 = _flagged_pair(spec, target)
     ann = annihilator(spec, idx)
-    denom = pairing_denominator(z, target.odd_class, u1, u2)
-    if abs(denom) < 1e-10:
-        raise RuntimeError("vanishing pair pairing; the eigenpair basis lost orthonormality")
+    denom = _pairing(z, target.odd_class, u1, u2)
     return 2.0 * ann.derivative_at_root * denom / z.n, ann
 
 
@@ -650,7 +669,7 @@ def bracket_relations_check(point: PhasePoint | SingularPoint) -> BracketReport:
         cls = "bar" if odd_class else ""
         labels += [f"{name}{cls}[{pair[0]}]" for name in ("xi", "eta", "tau")]
         forms += _pair_forms(z, odd_class, u1, u2)
-        denoms.append(pairing_denominator(z, odd_class, u1, u2))
+        denoms.append(_pairing(z, odd_class, u1, u2))
         eps = specs[odd_class].sign.eps
         via_m = -n * b * eps * (np.roll(u1, -1) * u2 - u1 * np.roll(u2, -1))
         m_indep = max(m_indep, float(np.max(np.abs(denoms[-1] - via_m))))

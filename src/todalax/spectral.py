@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 import numpy as np
 
-from .lax import LaxMatrix, PhasePoint, SignVector, _Powers, build_lax
+from .lax import LaxMatrix, PhasePoint, SignVector, _Powers
 
 __all__ = [
     "TripleDegeneracyError",
@@ -161,20 +161,23 @@ def _flag_gaps(values: np.ndarray, errors: dict[int, Exception]) -> tuple[np.nda
 
     A gap below DEGENERACY_TOL * max(1, spectral range) flags its pair; a
     row with two consecutive flagged gaps gets a TripleDegeneracyError in
-    ``errors`` unless it has an error already.
+    ``errors``, for its lowest such gaps, unless it has an error already.
+    One pass over the flagged gaps, row by row and lowest first.
     """
     gaps = values[:, :-1] - values[:, 1:]
     threshold = DEGENERACY_TOL * np.maximum(1.0, values[:, 0] - values[:, -1])
     small = gaps < threshold[:, None]
     pairs = [()] * len(values)
     if np.count_nonzero(small):
-        for r, i in zip(*np.nonzero(small[:, :-1] & small[:, 1:])):
-            errors.setdefault(int(r), TripleDegeneracyError(
-                f"eigenvalues {i}..{i + 2} all within {threshold[r]:.3e}; "
-                "check the degeneracy tolerance and the input matrix"
-            ))
-        for r in np.flatnonzero(small.any(axis=1)):
-            pairs[r] = tuple((int(i), int(i) + 1) for i in np.flatnonzero(small[r]))
+        last = None
+        for r, i in zip(*(a.tolist() for a in np.nonzero(small))):
+            if last == (r, i - 1):
+                errors.setdefault(r, TripleDegeneracyError(
+                    f"eigenvalues {i - 1}..{i + 1} all within {threshold[r]:.3e}; "
+                    "check the degeneracy tolerance and the input matrix"
+                ))
+            pairs[r] += ((i, i + 1),)
+            last = (r, i)
     return gaps, pairs
 
 
@@ -193,8 +196,11 @@ def _decompose_stack(entries: np.ndarray) -> tuple[
     # its 2-space moves each vector off its eigenvalue by up to the pair's
     # gap, which the degeneracy threshold allows but this bound does not
     residual = np.abs(entries @ vecs - vecs * vals[:, None, :])
-    # unpaired columns get a deterministic sign: largest entry positive
-    sign = np.sign(vecs[np.arange(m)[:, None], np.abs(vecs).argmax(axis=1), np.arange(n)])
+    # unpaired columns get a deterministic sign: largest entry positive, of entries whose
+    # size ties within a relative 1e-8 the lowest, as ``_leading`` picks
+    size = np.abs(vecs)
+    lead = (size >= (1.0 - 1e-8) * size.max(axis=1, keepdims=True)).argmax(axis=1)
+    sign = np.sign(vecs[np.arange(m)[:, None], lead, np.arange(n)])
 
     vals = vals[:, ::-1]
     gaps, pairs = _flag_gaps(vals, errors)
@@ -249,13 +255,13 @@ def decompose(L: LaxMatrix | np.ndarray) -> SpectralData:
 def spectra(z: PhasePoint) -> tuple[SpectralData, SpectralData]:
     """Spectral data of both Lax classes at z: (even L, odd Lbar).
 
-    Each equals ``decompose(build_lax(z, sign))`` for its class, so
+    Each is ``decompose`` of its class in the pair of z's Lax power table,
+    which equals ``decompose(build_lax(z, sign))`` for its class, so
     ``spectra(z)[odd_class]`` selects one class.
     """
-    return tuple(
-        decompose(build_lax(z, sign))
-        for sign in (SignVector.even(z.n), SignVector.odd(z.n))
-    )
+    pair = z._powers.pair[0]
+    return tuple(decompose(LaxMatrix(entries, sign))
+                 for entries, sign in zip(pair, (SignVector.even(z.n), SignVector.odd(z.n))))
 
 
 def interlacing_chain(n: int) -> list[tuple[str, int]]:
@@ -329,18 +335,16 @@ def _interlacing_stack(lam: np.ndarray, bar: np.ndarray) -> tuple[np.ndarray, np
 def _spectra_stack(t: _Powers) -> tuple[tuple[np.ndarray, list], tuple[np.ndarray, list]]:
     """``spectra`` of a Lax power table's rows: each class's descending values and flagged pairs.
 
-    A failing row raises the error ``spectra`` raises at its point, the
-    lowest row first and the even class before the odd.
+    Both classes are decomposed in one call, over the class-major stack
+    (2N, n, n) of the table's pair.  A failing row raises the error
+    ``spectra`` raises at its point, the lowest row first and the even
+    class before the odd.
     """
-    out, errors = [], {}
-    for entries in np.moveaxis(t.pair, -3, 0):
-        vals, _, _, pairs, errs = _decompose_stack(entries)
-        out.append((vals, pairs))
-        for r, exc in errs.items():
-            errors.setdefault(r, exc)
+    m, n = t.b.shape
+    vals, _, _, pairs, errors = _decompose_stack(np.swapaxes(t.pair, 0, 1).reshape(2 * m, n, n))
     if errors:
-        raise errors[min(errors)]
-    return tuple(out)
+        raise errors[min(errors, key=lambda r: (r % m, r // m))]
+    return (vals[:m], pairs[:m]), (vals[m:], pairs[m:])
 
 
 def interlacing_check(z: PhasePoint) -> InterlacingReport:
@@ -352,8 +356,8 @@ def interlacing_check(z: PhasePoint) -> InterlacingReport:
     ``_interlacing_stack``.
     """
     n = z.n
-    even, odd = spectra(z)
-    drop, bad = _interlacing_stack(even.values[None], odd.values[None])
+    (lam, _), (bar, _) = _spectra_stack(z._powers)
+    drop, bad = _interlacing_stack(lam, bar)
     chain = _chain_links(n)[0]
     violations, margins, overshoots = [], [], [0.0]
     for (ta, ia), (tb, ib), d, v in zip(chain[:-1], chain[1:], drop[0].tolist(), bad[0].tolist()):

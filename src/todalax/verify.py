@@ -38,6 +38,7 @@ from .singularity import (
     PairTarget,
     SingularPoint,
     StratumCollapseError,
+    VanishingPairingError,
     _corank_stack,
     all_pair_targets,
     bracket_relations_check,
@@ -62,11 +63,12 @@ from .reporting import CheckRecord, VerificationReport
 
 __all__ = ["RunConfig", "Sample", "Outcome", "Check", "CHECKS", "run_suite"]
 
-# Failures of the finder, the loop walk and the eigen-decomposition: a
-# check that meets one is recorded as failed with the message, the rest of
-# the suite still runs.
-COMPUTATION_ERRORS = (ConvergenceError, StratumCollapseError, RegularityError, TransportError,
-                      LagrangianFrameError, TripleDegeneracyError, EigensolverError)
+# Failures of the finder, the pairing of a pair basis, the loop walk and
+# the eigen-decomposition: a check that meets one is recorded as failed
+# with the message, the rest of the suite still runs.
+COMPUTATION_ERRORS = (ConvergenceError, StratumCollapseError, VanishingPairingError,
+                      RegularityError, TransportError, LagrangianFrameError,
+                      TripleDegeneracyError, EigensolverError)
 
 # Bounds of the canonical-structure checks: the brackets that vanish,
 # |n {xi, eta} / pairing - 1| of every degenerate pair, the spread of the

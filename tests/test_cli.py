@@ -702,8 +702,8 @@ def test_stacked_checks_raise_the_phase_point_error_of_a_bad_row():
 
 @pytest.mark.parametrize("tol", [None, 0.9])
 def test_random_points_are_decomposed_once_per_sample(monkeypatch, tol):
-    # interlacing and corank_random read one decomposition of both classes; at a degeneracy
-    # tolerance of 0.9 it fails, and both checks report its error
+    # interlacing and corank_random read one decomposition of both classes, one stack of
+    # 2N rows; at a degeneracy tolerance of 0.9 it fails, and both checks report its error
     if tol is not None:
         monkeypatch.setattr(spectral, "DEGENERACY_TOL", tol)
     stacks, decompose_stack = [], spectral._decompose_stack
@@ -711,7 +711,7 @@ def test_random_points_are_decomposed_once_per_sample(monkeypatch, tol):
                         lambda entries: stacks.append(len(entries)) or decompose_stack(entries))
     sample = Sample(3, *verify.random_points(np.random.default_rng(4), 3, 40))
     records = [c.run(sample) for c in CHECKS if c.name in ("interlacing", "corank_random")]
-    assert stacks == [40, 40]
+    assert stacks == [80]
     if tol is None:
         assert [r.status for r in records] == ["pass", "pass"]
     else:

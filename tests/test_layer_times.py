@@ -19,7 +19,7 @@ def test_reduced_pass_prints_every_layer():
     labels = [line.split("  ")[0] for line in done.stdout.splitlines()[1:]]
     assert labels == ["layer", "n=3 observe m=1", "n=3 observe m=4", "layer",
                       "n=3 holonomy 256", "n=3 holonomy 4", "layer", "n=3 finder iterate",
-                      "layer", "n=3 seed", "layer", "n=3 point"]
+                      "layer", "n=3 finder", "layer", "n=3 seed", "layer", "n=3 point"]
     for line in done.stdout.splitlines():
         if line.startswith("n=3 "):
             assert all(math.isfinite(float(x)) for x in line[22:].split())
@@ -28,3 +28,6 @@ def test_reduced_pass_prints_every_layer():
     rows = {line[:22].strip(): line[22:].split() for line in done.stdout.splitlines()}
     assert rows["n=3 holonomy 256"][1:] == ["2", "0"]
     assert rows["n=3 holonomy 4"][1:] == ["3", "0"]
+    # the finder decomposes each point it visits once, both classes in one stack: the seed
+    # and one accepted trial per iteration, none halved
+    assert rows["n=3 finder"][1:] == ["2", "3", "3"]

@@ -10,6 +10,7 @@ from todalax import maslov, singularity, spectral
 from todalax.dynamics import _component_forms
 from todalax.lax import PhasePoint, SignVector, _Powers, _class_signs, _couplings, build_lax
 from todalax.spectral import (
+    EigensolverError,
     TripleDegeneracyError,
     _chain_links,
     _interlacing_stack,
@@ -237,8 +238,8 @@ class TestOmegaPoint:
     def test_closed_form_spectra_match_the_decomposition(self, n):
         # the stored spectra are the closed-form values, flagged as decompose flags them,
         # and the Fourier modes, which match decompose's vectors: a pair's in the canonical
-        # basis, a simple one up to its sign, which decompose takes from the largest entry
-        # and so from rounding where entries of alternating sign tie
+        # basis, a simple one with its sign, which both take from the lowest of the entries
+        # that tie for the largest (the theta = pi mode (-1)^r / sqrt(n) ties at every entry)
         for q0, p0 in ((0.0, 0.0), (0.7, -0.2), (-1.3, 2.4), (0.2, 11.0)):
             om = omega_point(n, q0=q0, p0=p0)
             for spec, ref, values in zip(om.spectra, spectra(om.z),
@@ -258,8 +259,7 @@ class TestOmegaPoint:
                     for got, want in zip(spectral._canonical_pair_basis(*basis), basis):
                         npt.assert_allclose(got, want, atol=1e-15, rtol=0)
                 for k in simple:
-                    got, want = spec.vectors[:, k], ref.vectors[:, k]
-                    npt.assert_allclose(np.sign(got @ want) * got, want, atol=1e-13)
+                    npt.assert_allclose(spec.vectors[:, k], ref.vectors[:, k], atol=1e-13)
 
     def test_the_closed_form_vectors_are_one_read_only_table(self):
         a, b = omega_point(5).spectra, omega_point(5, q0=0.4, p0=-1.1).spectra
@@ -697,23 +697,55 @@ class TestFrozenFinder:
         got = self.assert_same(omega_point(n).z, [all_pair_targets(n)[0]])
         assert got[0] is StratumCollapseError and "extra degenerate pairs" in got[1]
 
-    def test_the_other_class_is_decomposed_once_at_the_solution(self, monkeypatch):
-        seen = []
-
-        def counting(L):
-            seen.append((L.sign.parity() == -1, L.entries.copy()))
-            return decompose(L)
-
-        monkeypatch.setattr(singularity, "decompose", counting)
+    def test_each_visited_point_is_decomposed_once(self, monkeypatch):
+        # the seed and every trial point, each in one _decompose_stack call of both classes;
+        # nothing is decomposed one class at a time
+        stacks, visited = [], []
+        kernel, displaced = singularity._decompose_stack, PhasePoint.displaced
+        monkeypatch.setattr(singularity, "_decompose_stack",
+                            lambda entries: stacks.append(entries.copy()) or kernel(entries))
+        monkeypatch.setattr(PhasePoint, "displaced",
+                            lambda z, dz: visited.append(displaced(z, dz)) or visited[-1])
+        monkeypatch.setattr(spectral, "decompose", None)
         om = omega_point(5)
         for target in all_pair_targets(5):
             rest = [t for t in all_pair_targets(5) if t != target]
-            del seen[:]
-            sp = find_singular(perturbed_seed(om, rest), [target])
-            own = [entries for odd, entries in seen if odd == target.odd_class]
-            other = [entries for odd, entries in seen if odd != target.odd_class]
-            # the seed and every trial point, then the solution's other class, last
-            assert len(own) > sp.iterations >= 1 and len(other) == 1
-            assert seen[-1][0] != target.odd_class
-            sign = sp.spectra[not target.odd_class].sign
-            npt.assert_array_equal(other[0], build_lax(sp.z, sign).entries)
+            seed = perturbed_seed(om, rest)
+            del stacks[:], visited[:]
+            sp = find_singular(seed, [target])
+            points = [seed] + visited
+            assert len(points) > sp.iterations >= 1 and points[-1] is sp.z
+            assert len(stacks) == len(points)
+            for entries, z in zip(stacks, points):
+                npt.assert_array_equal(entries, [build_lax(z, sign).entries for sign in
+                                                 (SignVector.even(5), SignVector.odd(5))])
+
+    def test_a_class_error_is_raised_where_the_finder_needs_the_class(self, monkeypatch):
+        # a target class's error is raised at the point it appears; the other class's only
+        # if it is still there at the solution, the third point here (the seed and one
+        # accepted trial per iteration)
+        target = PairTarget(True, 1)
+        seed = perturbed_seed(omega_point(5), [t for t in all_pair_targets(5) if t != target])
+        clean = _finder_outcome(find_singular, seed, [target])
+        assert clean[1][4] == 2
+        kernel = singularity._decompose_stack
+
+        def planting(at, row):
+            calls = []
+
+            def stack(entries):
+                out = kernel(entries)
+                calls.append(len(entries))
+                if len(calls) == at:
+                    out[4].setdefault(row, EigensolverError(f"planted in row {row} at {at}"))
+                return out
+            return stack
+
+        for at, row, want in ((1, 1, EigensolverError), (2, 1, EigensolverError),
+                              (2, 0, "found"), (3, 0, EigensolverError)):
+            monkeypatch.setattr(singularity, "_decompose_stack", planting(at, row))
+            got = _finder_outcome(find_singular, seed, [target])
+            if want == "found":
+                assert got == clean
+            else:
+                assert got == (want, f"planted in row {row} at {at}")

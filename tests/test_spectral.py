@@ -1,5 +1,3 @@
-import types
-
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -250,6 +248,72 @@ class TestDecomposeStack:
             assert np.array_equal(vals[r], ref.values) and np.array_equal(vecs[r], ref.vectors)
 
 
+def _reference_flag_gaps(values, errors):
+    """``spectral._flag_gaps`` as it was, with a triple mask and a loop over flagged rows."""
+    gaps = values[:, :-1] - values[:, 1:]
+    threshold = spectral.DEGENERACY_TOL * np.maximum(1.0, values[:, 0] - values[:, -1])
+    small = gaps < threshold[:, None]
+    pairs = [()] * len(values)
+    if np.count_nonzero(small):
+        for r, i in zip(*np.nonzero(small[:, :-1] & small[:, 1:])):
+            errors.setdefault(int(r), TripleDegeneracyError(
+                f"eigenvalues {i}..{i + 2} all within {threshold[r]:.3e}; "
+                "check the degeneracy tolerance and the input matrix"
+            ))
+        for r in np.flatnonzero(small.any(axis=1)):
+            pairs[r] = tuple((int(i), int(i) + 1) for i in np.flatnonzero(small[r]))
+    return gaps, pairs
+
+
+class TestFlagGaps:
+    """``_flag_gaps`` against its former masks: gaps, pairs and errors alike."""
+
+    @staticmethod
+    def assert_same(values, errors=()):
+        got_errors, want_errors = dict(errors), dict(errors)
+        got = spectral._flag_gaps(values, got_errors)
+        want = _reference_flag_gaps(values, want_errors)
+        assert np.array_equal(got[0], want[0])
+        assert got[1] == want[1]
+        assert all(type(a) is int for row in got[1] for pair in row for a in pair)
+        assert {r: (type(e), str(e)) for r, e in got_errors.items()} == \
+            {r: (type(e), str(e)) for r, e in want_errors.items()}
+        return got[1], got_errors
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_random_rows(self, n):
+        # descending rows, about a third of their gaps closed below the threshold, so that
+        # rows hold no pair, pairs, triples and longer runs; some rows carry an error already
+        rng = np.random.default_rng(n)
+        flagged = triples = 0
+        for _ in range(20):
+            steps = rng.exponential(1.0, (30, n - 1)) * rng.choice(
+                [1.0, 1e-10, 0.0], (30, n - 1), p=[0.6, 0.2, 0.2])
+            values = rng.uniform(-3, 3, (30, 1)) - np.concatenate(
+                (np.zeros((30, 1)), np.cumsum(steps, axis=1)), axis=1)
+            pairs, errors = self.assert_same(values, {3: EigensolverError("earlier")})
+            flagged += sum(map(bool, pairs))
+            triples += len(errors) - 1
+        assert flagged > 100 and (n < 3 or triples > 20)
+
+    def test_planted_triples(self):
+        values = np.array([
+            [3.0, 1.0, 0.0, -1.0, -2.0],  # nothing flagged
+            [3.0, 1.0, 1.0, -1.0, -2.0],  # one pair
+            [3.0, 3.0, 0.0, -2.0, -2.0],  # two pairs
+            [3.0, 1.0, 1.0, 1.0, -2.0],  # a triple
+            [1.0, 1.0, 1.0, 1.0, -2.0],  # a quadruple: the lowest triple's message
+            [2.0, 2.0, 2.0, 0.0, 0.0],  # a triple and a pair
+            [2.0, 2.0, 2.0, 0.0, 0.0],  # ... in a row with an error already
+            [1.0, 1.0, 1.0, 1.0, 1.0],  # all equal: range 0, threshold DEGENERACY_TOL
+        ])
+        pairs, errors = self.assert_same(values, {6: EigensolverError("earlier")})
+        assert pairs[:3] == [(), ((1, 2),), ((0, 1), (3, 4))]
+        assert sorted(errors) == [3, 4, 5, 6, 7]
+        assert str(errors[4]).startswith("eigenvalues 0..2 all within ")
+        assert str(errors[6]) == "earlier"
+
+
 class TestInterlacing:
     def test_chain_layout_small_n(self):
         assert interlacing_chain(2) == [("L", 0), ("B", 0), ("B", 1), ("L", 1)]
@@ -332,8 +396,8 @@ class TestInterlacingStack:
             lam, bar = -np.sort(-rng.standard_normal((2, n)), axis=1)
             if k % 2:
                 lam[rng.integers(n)] += rng.choice([1e-13, 0.5])
-            fake = (types.SimpleNamespace(values=lam), types.SimpleNamespace(values=bar))
-            monkeypatch.setattr(spectral, "spectra", lambda z, fake=fake: fake)
+            fake = ((lam[None], [()]), (bar[None], [()]))
+            monkeypatch.setattr(spectral, "_spectra_stack", lambda t, fake=fake: fake)
             rep = interlacing_check(z)
             assert (rep.violations, rep.min_strict_margin, rep.max_weak_overshoot) == \
                 _reference_interlacing(n, lam, bar)
