@@ -191,8 +191,8 @@ def grad_combination(z: PhasePoint, c: np.ndarray) -> Gradient:
 def _component_forms(b: np.ndarray, v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(dq, dp) of the component v . L . w for signed couplings b; rows (..., n) broadcast."""
     ix = _cyclic(v.shape[-1])
-    half = 0.5 * b * (v * w[..., ix.nxt] + v[..., ix.nxt] * w)
-    return half - half[..., ix.prv], v * w
+    half = 0.5 * b * (v * w.take(ix.nxt, axis=-1) + v.take(ix.nxt, axis=-1) * w)
+    return half - half.take(ix.prv, axis=-1), v * w
 
 
 def coordinate_form(z: PhasePoint, eps: SignVector, v: np.ndarray, w: np.ndarray) -> Gradient:

@@ -452,8 +452,8 @@ def _pair_forms(z: PhasePoint, odd_class, u1: np.ndarray, u2: np.ndarray):
     """
     b = z.couplings() * _class_signs(z.n)[np.asarray(odd_class, dtype=int)]
     # the components (u1, u1), (u2, u2), (u1, u2) in one stack along a new first axis
-    f11, f22, f12 = np.concatenate(_component_forms(b, np.stack([u1, u2, u1]),
-                                                    np.stack([u1, u2, u2])), axis=-1)
+    f11, f22, f12 = np.concatenate(_component_forms(b, np.array([u1, u2, u1]),
+                                                    np.array([u1, u2, u2])), axis=-1)
     return 0.5 * (f22 - f11), f12, 0.5 * (f22 + f11)
 
 
@@ -461,7 +461,7 @@ def _pair_rows(z: PhasePoint, bases: list) -> np.ndarray:
     """Rows (2k, 2n) dxi_1, deta_1, ..., dxi_k, deta_k of k (odd_class, u1, u2) pair bases."""
     odd, u1, u2 = (np.array(x) for x in zip(*bases))
     dxi, deta, _ = _pair_forms(z, odd, u1, u2)
-    return np.stack([dxi, deta], axis=1).reshape(-1, 2 * z.n)
+    return np.concatenate((dxi, deta), axis=-1).reshape(-1, 2 * z.n)
 
 
 def _flagged_bases(specs: tuple[SpectralData, SpectralData]) -> list:

@@ -105,12 +105,13 @@ def _canonical_pair_basis(v1: np.ndarray, v2: np.ndarray) -> tuple[np.ndarray, n
     pick the same one.  The norms are computed as ``np.linalg.norm``
     computes them, without its dispatch.
     """
-    P = np.outer(v1, v1) + np.outer(v2, v2)
-    k = 0
-    if _norm(P[:, 0]) < 1e-8:
+    P = v1[:, None] * v1 + v2[:, None] * v2  # np.outer's products, without its dispatch
+    k, norm = 0, _norm(P[:, 0])
+    if norm < 1e-8:
         k = _leading(_column_norms(P))
-    w1 = P[:, k] / _norm(P[:, k])
-    Q = P - np.outer(w1, w1)
+        norm = _norm(P[:, k])
+    w1 = P[:, k] / norm
+    Q = P - w1[:, None] * w1
     j = _leading(_column_norms(Q))
     w2 = Q[:, j] / _norm(Q[:, j])
     if w2[j] < 0:
