@@ -21,10 +21,6 @@ def failing_records() -> dict:
     return {r.check_id: r for r in report.records if r.status != "pass"}
 
 
-def failing_checks() -> set[str]:
-    return set(failing_records())
-
-
 def each_size(names: str, sizes) -> set[str]:
     """The record ids of each check of ``names`` at each n of ``sizes``."""
     return {f"{name}[n={n}]" for name in names.split() for n in sizes}
@@ -91,10 +87,9 @@ DEFECTS = {
     "backward_flow": ((verify, "integrate_flow", backward_flow), {"isospectral_flows[n=3]"}),
     "shifted_flow": ((verify, "integrate_flow", shifted_flow), {"isospectral_flows[n=3]"}),
     "frozen_flow": ((verify, "integrate_flow", frozen_flow), {"isospectral_flows[n=3]"}),
-    # every Lax power table holds Lbar as its even class and L as its odd one; the finder
-    # then fails to converge, where it used to reach a vanishing pairing and end the run.
-    # char_poly_offset and corank_random read both classes alike and cannot see it, nor can
-    # the flows, and n = 2's involution holds with either class
+    # every Lax power table holds Lbar as its even class and L as its odd one, and the
+    # finder fails to converge; char_poly_offset and corank_random read both classes alike
+    # and cannot see it, nor can the flows, and n = 2's involution holds with either class
     "classes_swapped": ((lax, "_class_signs", swapped_class_signs), (
         each_size("off_band trace_gap lax_equations interlacing omega_spectra corank_omega "
                   "bracket_relations_omega", range(2, 6))
@@ -105,19 +100,19 @@ DEFECTS = {
 
 
 def test_clean_run_passes():
-    assert failing_checks() == set()
+    assert set(failing_records()) == set()
 
 
 @pytest.mark.parametrize("name", DEFECTS)
 def test_defect_fails_its_checks(name, monkeypatch):
     (module, attr, value), caught = DEFECTS[name]
     monkeypatch.setattr(module, attr, value)
-    assert failing_checks() == caught
+    assert set(failing_records()) == caught
 
 
 def test_a_vanishing_pairing_fails_with_its_reason(monkeypatch):
-    # the bracket check and the finder's frequencies meet it; it used to end the run with
-    # a bare RuntimeError from the finder
+    # the bracket check and the finder's frequencies meet it, and each check that does is
+    # recorded as failed with the typed error
     monkeypatch.setattr(singularity, "pairing_denominator", vanishing_pairing)
     failing = failing_records()
     assert set(failing) == (
