@@ -241,7 +241,8 @@ def decompose(L: LaxMatrix | np.ndarray) -> SpectralData:
     else:
         entries = np.asarray(L, dtype=float)
         sgn = SignVector.even(entries.shape[0])
-    # build_lax's matrices are exactly symmetric and skip the tolerance test
+    # gathered Lax matrices (build_lax's, a power table's pair) are exactly symmetric and skip
+    # the tolerance test
     if not (
         np.array_equal(entries, entries.T)
         or np.allclose(entries, entries.T, atol=1e-12 * max(1.0, np.abs(entries).max()))
