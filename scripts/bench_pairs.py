@@ -47,6 +47,21 @@ def scipy_version() -> str:
         return "not installed"
 
 
+def host_line() -> str:
+    """Cores, machine, versions, and whether the runs write bytecode caches.
+
+    The runs inherit this interpreter's environment, so
+    ``sys.dont_write_bytecode`` (PYTHONDONTWRITEBYTECODE) tells whether a
+    run compiles the library's sources on import when no bytecode cache
+    exists, as in a fresh export; that compile's memory stays in the
+    process, so the size of the sources alone can move peak_rss_mb.
+    """
+    return (f"{os.cpu_count()} cores, {platform.machine()}; Python "
+            f"{platform.python_version()}, numpy {np.__version__}, scipy {scipy_version()}; "
+            f"BLAS pinned to one thread by perfbench; sys.dont_write_bytecode "
+            f"{sys.dont_write_bytecode}")
+
+
 def export(rev: str, dest: str) -> str:
     """The files of commit ``rev`` under ``dest``, from ``git archive``."""
     archive = os.path.join(dest, "tree.tar")
@@ -220,9 +235,7 @@ def main(argv=None) -> int:
             "what": args.what,
             "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds} "
                        "--trace T",
-            "host": f"{os.cpu_count()} cores, {platform.machine()}; Python "
-                    f"{platform.python_version()}, numpy {np.__version__}, scipy "
-                    f"{scipy_version()}; BLAS pinned to one thread by perfbench",
+            "host": host_line(),
             "method": "scripts/bench_pairs.py: parent and change run from two checkouts whose "
                       "perfbench/ and BENCHMARK.json files were compared equal before the first "
                       "run, in alternating pairs (pair k runs the parent "

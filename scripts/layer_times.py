@@ -31,6 +31,14 @@ one thread.  Rows, at each n of ``--sizes`` around the Sigma_1 point of
   interlacing, corank) at a desk-scale random point, per call: ``fresh``
   builds the PhasePoint anew, so its Lax power table too; ``warm`` runs
   them again on one point whose table holds every power already.
+- ``memory``: in KB, the ``tracemalloc`` peak of ``lax._char_poly`` on the
+  suite's random points (the default seed and point count, their pair
+  built), the size of that pair, and the peak of the registry's first
+  block (the checks run at every n) on one ``Sample`` of them, its table
+  and decomposition included.  These are counts, not times, taken after
+  one run has filled the caches: the first two are exact, the block's
+  within about 1 KB from run to run (numpy reuses small freed buffers
+  out of tracemalloc's sight).
 """
 
 import os
@@ -41,6 +49,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import sys  # noqa: E402
 import timeit  # noqa: E402
+import tracemalloc  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -48,11 +57,12 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 
 from todalax import maslov, singularity  # noqa: E402
 from todalax.dynamics import grad_F, lax_residual, poisson  # noqa: E402
-from todalax.lax import (PhasePoint, char_poly_offset, off_band_check,  # noqa: E402
-                         trace_relation_check)
+from todalax.lax import (PhasePoint, _char_poly, _couplings, _Powers,  # noqa: E402
+                         char_poly_offset, off_band_check, trace_relation_check)
 from todalax.singularity import (PairTarget, all_pair_targets, corank,  # noqa: E402
                                  find_singular, omega_point, perturbed_seed)
 from todalax.spectral import _decompose_stack, interlacing_check  # noqa: E402
+from todalax.verify import CHECKS, RunConfig, Sample, random_points  # noqa: E402
 
 TARGET = PairTarget(True, 1)
 
@@ -169,6 +179,34 @@ def point_costs(n: int, repeat: int, quick: bool) -> list[float]:
     return [best(fn, repeat, quick) * 1e6 for fn in calls]
 
 
+def peak_kb(fn) -> float:
+    """The ``tracemalloc`` peak of one call of ``fn``, in KB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1024
+    finally:
+        tracemalloc.stop()
+
+
+def memory_costs(n: int) -> list[float]:
+    """``_char_poly``'s peak on the suite's random points, their pair's size and the first
+    registry block's peak on a fresh ``Sample`` of them, each in KB."""
+    config = RunConfig()
+    q, p = random_points(np.random.default_rng(config.seed), n, config.points)
+    block = [check for check in CHECKS if check.sizes is None]
+
+    def run_block():
+        sample = Sample(n, q, p, omega_point(n))
+        for check in block:
+            check.run(sample)
+
+    run_block()
+    t = _Powers(_couplings(q, p), p)
+    t.pair
+    return [peak_kb(lambda: _char_poly(t)), t.pair.nbytes / 1024, peak_kb(run_block)]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--sizes", default="3,5,8", help="comma-separated n (default 3,5,8)")
@@ -214,6 +252,9 @@ def main(argv=None) -> int:
     for n in sizes:
         print(f"{f'n={n} point':<22}" + "".join(
             f"{t:>11.1f}" for t in point_costs(n, args.repeat, args.quick)))
+    print(f"{'layer':<22}{'char_poly':>11}{'pair':>11}{'block':>11}   (KB)")
+    for n in sizes:
+        print(f"{f'n={n} memory':<22}" + "".join(f"{kb:>11.0f}" for kb in memory_costs(n)))
     return 0
 
 

@@ -510,12 +510,19 @@ _CHAR_POLY_GRID.setflags(write=False)
 def _char_poly(t: _Powers) -> tuple[np.ndarray, np.ndarray]:
     """Mean over _CHAR_POLY_GRID and worst deviation from it of det(xI - L) - det(xI - Lbar).
 
-    Two arrays of shape (N,), from one det call over all rows, both
-    classes and every grid value.
+    Two arrays of shape (N,).  The determinants of both classes at every
+    grid value are taken over chunks of k = ceil(N / len(_CHAR_POLY_GRID))
+    rows, so a stacked xI - L holds 21 k < N + 21 rows' worth of
+    matrices, about the table's pair; a table of one row makes one det
+    call.  Each determinant is its own LU, so the chunks change no result.
     """
-    xI = _CHAR_POLY_GRID[:, None, None] * np.eye(t.n)
-    dets = np.linalg.det(xI - t.pair[:, :, None])
-    diffs = dets[:, 0] - dets[:, 1]
+    pair, grid = t.pair, _CHAR_POLY_GRID
+    xI = grid[:, None, None] * np.eye(t.n)
+    diffs = np.empty((len(pair), len(grid)))
+    k = -(-len(pair) // len(grid))
+    for i in range(0, len(pair), k):
+        dets = np.linalg.det(xI - pair[i:i + k, :, None])
+        diffs[i:i + k] = dets[:, 0] - dets[:, 1]
     constant = np.mean(diffs, axis=-1)
     return constant, np.max(np.abs(diffs - constant[:, None]), axis=-1)
 

@@ -148,7 +148,8 @@ class Sample:
     Random points as stacked rows q, p of shape (N, n), a relative
     equilibrium, centres of contractible loops (any size).  Every
     random-point check reads the stacked rows at once, through one Lax
-    power table and one decomposition of both classes.
+    power table and one decomposition of both classes, until ``release``
+    drops both.
     """
 
     n: int | None
@@ -156,14 +157,28 @@ class Sample:
     p: np.ndarray | None = None
     equilibrium: OmegaPoint | None = None
     centres: tuple[PhasePoint, ...] = ()
+    _released: bool = field(default=False, init=False, repr=False)
 
     @cached_property
     def powers(self) -> _Powers:
         """Lax power table of the random points, the random-point checks' input.
 
-        A point outside the phase-space domain raises PhasePoint's PhaseDomainError.
+        A point outside the phase-space domain raises PhasePoint's
+        PhaseDomainError; a read after ``release`` raises RuntimeError.
         """
+        if self._released:
+            raise RuntimeError(f"the random points of the n = {self.n} sample were released")
         return _Powers(_couplings(self.q, self.p), self.p)
+
+    def release(self) -> None:
+        """Drop the random points' power table and decomposition once their checks have run.
+
+        A later read of ``powers`` or ``spectra`` raises rather than
+        building the table again.
+        """
+        self._released = True
+        for name in ("powers", "_spectra"):
+            self.__dict__.pop(name, None)
 
     @cached_property
     def _spectra(self) -> tuple[tuple | None, Exception | None]:
@@ -479,11 +494,15 @@ def run_suite(config: RunConfig) -> VerificationReport:
         p0 = float(rng.uniform(-1, 1))
         om = omega_point(n, q0=float(rng.uniform(-1, 1)), p0=p0)
         samples[n] = Sample(n, q, p, om, loops)
-    # consecutive checks with equal sizes run size by size, at the sizes with a sample
+    # consecutive checks with equal sizes run size by size, at the sizes with a sample;
+    # only the first block, at every configured n, reads the random points, so each
+    # size's table and decomposition go once its part of that block has run
     for sizes, block in groupby(CHECKS, key=lambda check: check.sizes):
         block = list(block)
         for n in config.n_values if sizes is None else [n for n in sizes if n in samples]:
             for check in block:
                 t0 = time.perf_counter()
                 report.add(check.run(samples[n]), time.perf_counter() - t0)
+            if sizes is None:
+                samples[n].release()
     return report

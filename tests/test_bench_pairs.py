@@ -108,3 +108,10 @@ def test_scipy_version_without_the_package(monkeypatch):
 
     monkeypatch.setattr(bench_pairs.importlib.metadata, "version", missing)
     assert bench_pairs.scipy_version() == "not installed"
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_host_line_names_the_bytecode_setting(monkeypatch, flag):
+    # the runs inherit it: without bytecode caches each one compiles the sources it imports
+    monkeypatch.setattr(sys, "dont_write_bytecode", flag)
+    assert bench_pairs.host_line().endswith(f"; sys.dont_write_bytecode {flag}")

@@ -6,6 +6,7 @@ from pathlib import Path
 import re
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -718,6 +719,34 @@ def test_random_points_are_decomposed_once_per_sample(monkeypatch, tol):
         assert [r.status for r in records] == ["fail", "fail"]
         assert records[0].detail == records[1].detail
         assert records[0].detail.startswith("TripleDegeneracyError: ")
+
+
+def test_a_released_sample_raises_on_its_random_points():
+    sample = Sample(3, *verify.random_points(np.random.default_rng(4), 3, 12))
+    table = weakref.ref(sample.powers)
+    sample.spectra
+    sample.release()
+    assert table() is None
+    for name in ("powers", "spectra"):
+        with pytest.raises(RuntimeError, match="random points of the n = 3 sample were released"):
+            getattr(sample, name)
+
+
+def test_each_size_table_is_released_before_the_next_size(monkeypatch):
+    # run_suite drops a size's power table and decomposition once the random-point checks
+    # of that size have run: no table is alive when the next size's checks start
+    tables, off_band = [], verify._off_band
+
+    def watching(t, exponents):
+        assert [ref() for ref in tables] == [None] * len(tables)
+        tables.append(weakref.ref(t))
+        return off_band(t, exponents)
+
+    monkeypatch.setattr(verify, "_off_band", watching)
+    monkeypatch.setattr(verify, "FLOW_T_FINAL", 1.0)
+    report = run_suite(RunConfig(n_values=[2, 3, 4], num_points=10, suite="quick"))
+    assert len(tables) == 3 and tables[-1]() is None
+    assert {r.status for r in report.records} == {"pass"}
 
 
 def test_suite_keeps_failure_reasons(monkeypatch):

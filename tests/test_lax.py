@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -518,6 +519,51 @@ class TestStackedKernels:
         assert k == 3 and type(error) is PhaseDomainError and str(error) == str(own.value)
         with pytest.raises(PhaseDomainError, match=f"^{re.escape(str(own.value))}$"):
             _couplings(q, p)
+
+
+def _one_call_char_poly(t):
+    # the kernel before its row chunks: one det over all rows, both classes, every grid value
+    xI = np.linspace(-3.0, 3.0, 21)[:, None, None] * np.eye(t.n)
+    dets = np.linalg.det(xI - t.pair[:, :, None])
+    diffs = dets[:, 0] - dets[:, 1]
+    constant = np.mean(diffs, axis=-1)
+    return constant, np.max(np.abs(diffs - constant[:, None]), axis=-1)
+
+
+class TestCharPolyChunks:
+    """_char_poly takes its determinants over row chunks no larger than the table's pair."""
+
+    # a chunk is ceil(N / 21) rows: one row up to 21, then two, ...; 421 leaves a short chunk
+    @pytest.mark.parametrize("count", [1, 20, 21, 22, 200, 421])
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_chunks_equal_one_call(self, n, count):
+        b, p, _ = _stack(700 + n, n, count, scale=0.35)
+        got, want = _char_poly(_Powers(b, p)), _one_call_char_poly(_Powers(b, p))
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+    def test_peak_memory_stays_near_the_pair(self):
+        b, p, _ = _stack(800, 5, 420, scale=0.35)
+        t = _Powers(b, p)
+        t.pair
+        tracemalloc.start()
+        try:
+            _char_poly(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * t.pair.nbytes, (peak, t.pair.nbytes)
+
+    @pytest.mark.parametrize("count", [1, 200])
+    def test_det_calls(self, monkeypatch, count):
+        # a table of one row (every PhasePoint's) makes one det call; a larger one at most
+        # one per grid value, each on k rows at 21 grid values, 21 k < N + 21 rows' worth
+        sizes, det = [], np.linalg.det
+        monkeypatch.setattr(np.linalg, "det", lambda a: sizes.append(a.size) or det(a))
+        b, p, _ = _stack(900, 4, count, scale=0.35)
+        t = _Powers(b, p)
+        _char_poly(t)
+        assert len(sizes) == 1 if count == 1 else len(sizes) <= 21
+        assert max(sizes) <= t.pair.size + 20 * t.pair[0].size
 
 
 # -- the one-gather builder and the kernels on its stacked pair ---------------

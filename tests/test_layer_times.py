@@ -19,7 +19,8 @@ def test_reduced_pass_prints_every_layer():
     labels = [line.split("  ")[0] for line in done.stdout.splitlines()[1:]]
     assert labels == ["layer", "n=3 observe m=1", "n=3 observe m=4", "layer",
                       "n=3 holonomy 256", "n=3 holonomy 4", "layer", "n=3 finder iterate",
-                      "layer", "n=3 finder", "layer", "n=3 seed", "layer", "n=3 point"]
+                      "layer", "n=3 finder", "layer", "n=3 seed", "layer", "n=3 point",
+                      "layer", "n=3 memory"]
     for line in done.stdout.splitlines():
         if line.startswith("n=3 "):
             assert all(math.isfinite(float(x)) for x in line[22:].split())
@@ -31,3 +32,7 @@ def test_reduced_pass_prints_every_layer():
     # the finder decomposes each point it visits once, both classes in one stack: the seed
     # and one accepted trial per iteration, none halved
     assert rows["n=3 finder"][1:] == ["2", "3", "3"]
+    # 200 points' pair, 200 x 2 x 3 x 3 doubles, is 28 KB; the characteristic-polynomial
+    # determinants, taken over row chunks, stay within a few pairs
+    char_poly, pair, block = (float(x) for x in rows["n=3 memory"])
+    assert pair == 28 and char_poly < 6 * pair < block

@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from todalax import lax, maslov, singularity, verify
+from todalax import dynamics, lax, maslov, singularity, spectral, verify
 from todalax.verify import RunConfig, run_suite
 
 
@@ -67,6 +67,36 @@ def frozen_flow(z0, c, t_final, t_eval=None, _flow=verify.integrate_flow, **kwar
     return replace(traj, points=np.broadcast_to(z0.as_vector(), traj.points.shape))
 
 
+def even_class_powers(t, j, _power=lax._Powers.power):
+    """matrix_power of a table's pair with the even class's power in both classes."""
+    return np.repeat(_power(t, j)[:, :1], 2, axis=1)
+
+
+def power_off_by_one(t, j, _power=lax._Powers.power):
+    """matrix_power of a table's pair, one exponent too high from j = 2 on."""
+    return _power(t, j + 1 if j >= 2 else j)
+
+
+def scaled_dq(power, b, _grad=dynamics._grad_from_power):
+    """The gradient of Tr(L^j)/j with its q part one percent too large."""
+    dq, dp = _grad(power, b)
+    return 1.01 * dq, dp
+
+
+def negated_dq(power, b, _grad=dynamics._grad_from_power):
+    """The gradient of Tr(L^j)/j with its q part negated."""
+    dq, dp = _grad(power, b)
+    return -dq, dp
+
+
+def shifted_eigenvalues(entries, _decompose=spectral._decompose_stack):
+    """A stacked decomposition whose eigenvalues are all 1e-6 too large."""
+    vals, *rest = _decompose(entries)
+    return (vals + 1e-6, *rest)
+
+
+# each defect: (the module, or the modules, whose attribute it replaces; the attribute's
+# name; its value), and the records it fails
 DEFECTS = {
     # the finder stops while the target gap is still open
     "loose_gap_tolerance": ((singularity, "GAP_TOL", 1e-4), {
@@ -96,6 +126,24 @@ DEFECTS = {
         | each_size("involution", range(3, 6))
         | each_size("sigma1_components corank_sigma1 transverse_structure", (3, 4))
         | {"holonomy_omega_line[n=2]", "maslov_theorem[n=3]"})),
+    # every Lax power table gives Lbar the powers of L: the checks that compare the classes'
+    # powers or take Lbar's generators see it; the traces and spectra come from the pair
+    "even_class_powers": ((lax._Powers, "power", even_class_powers), (
+        each_size("off_band lax_equations", range(2, 6))
+        | each_size("bracket_relations_omega", range(3, 6))
+        | each_size("transverse_structure", (3, 4)))),
+    "power_off_by_one": ((lax._Powers, "power", power_off_by_one), (
+        each_size("off_band", range(2, 6)) | {"corank_random[n=5]"})),
+    # the trace gradients' q part: only the Lax equations compare it with a second route;
+    # a flipped sign also reaches the loops' Toda frames, built from the same gradients
+    "scaled_gradient_dq": ((dynamics, "_grad_from_power", scaled_dq),
+                           each_size("lax_equations", range(2, 6))),
+    "negated_gradient_dq": ((dynamics, "_grad_from_power", negated_dq),
+                            each_size("lax_equations", range(2, 6)) | {"maslov_theorem[n=3]"}),
+    # every stacked decomposition, at each module that calls it: of the checks that read
+    # eigenvalues, only the Hessian's dyads and frequencies at the singular points see 1e-6
+    "shifted_eigenvalues": (((spectral, singularity, maslov), "_decompose_stack",
+                             shifted_eigenvalues), each_size("transverse_structure", (3, 4))),
 }
 
 
@@ -105,8 +153,9 @@ def test_clean_run_passes():
 
 @pytest.mark.parametrize("name", DEFECTS)
 def test_defect_fails_its_checks(name, monkeypatch):
-    (module, attr, value), caught = DEFECTS[name]
-    monkeypatch.setattr(module, attr, value)
+    (modules, attr, value), caught = DEFECTS[name]
+    for module in modules if isinstance(modules, tuple) else (modules,):
+        monkeypatch.setattr(module, attr, value)
     assert set(failing_records()) == caught
 
 
