@@ -95,8 +95,8 @@ def shifted_eigenvalues(entries, _decompose=spectral._decompose_stack):
     return (vals + 1e-6, *rest)
 
 
-# each defect: (the module, or the modules, whose attribute it replaces; the attribute's
-# name; its value), and the records it fails
+# each defect: (the module or class whose attribute it replaces, or a tuple of modules;
+# the attribute's name; its value), and the records it fails
 DEFECTS = {
     # the finder stops while the target gap is still open
     "loose_gap_tolerance": ((singularity, "GAP_TOL", 1e-4), {
@@ -126,8 +126,8 @@ DEFECTS = {
         | each_size("involution", range(3, 6))
         | each_size("sigma1_components corank_sigma1 transverse_structure", (3, 4))
         | {"holonomy_omega_line[n=2]", "maslov_theorem[n=3]"})),
-    # every Lax power table gives Lbar the powers of L: the checks that compare the classes'
-    # powers or take Lbar's generators see it; the traces and spectra come from the pair
+    # every Lax power table gives Lbar the powers of L: checks that read the odd class's
+    # powers see it; the trace gaps and the spectra come from the pair itself
     "even_class_powers": ((lax._Powers, "power", even_class_powers), (
         each_size("off_band lax_equations", range(2, 6))
         | each_size("bracket_relations_omega", range(3, 6))
