@@ -3,9 +3,11 @@
     python3 scripts/bench_pairs.py --parent REV --label NAME --what "one line" \
         --workloads loops=10,verify=5 --seed0 701 --claim loops:ops_per_s --trace-pairs 2
 
-Each side runs ``perfbench/run.py`` from its own checkout: the parent from a
-``git archive`` export of REV, the change from this checkout (or from an
-export of ``--change REV``).  Both checkouts must hold the same benchmark:
+Each side runs ``perfbench/run.py`` from its own fresh checkout: the parent
+from a ``git archive`` export of REV, the change from an export of
+``--change REV`` or, without it, from a copy of this checkout's files
+(tracked and untracked, the ignored ones such as ``__pycache__`` aside), so
+that neither side starts with bytecode caches the other lacks.  Both checkouts must hold the same benchmark:
 ``BENCHMARK.json`` and the files under ``perfbench/`` (its ``out/`` and the
 Python caches aside) are compared first, and a difference stops the script
 with the names of the differing files.  Pair k uses seed ``seed0 + k`` on
@@ -23,6 +25,7 @@ import importlib.metadata
 import json
 import os
 import platform
+import shutil
 import subprocess
 import sys
 import tarfile
@@ -71,6 +74,19 @@ def export(rev: str, dest: str) -> str:
     with tarfile.open(archive) as tar:
         tar.extractall(tree, filter="data")
     os.remove(archive)
+    return tree
+
+
+def copy_worktree(dest: str) -> str:
+    """This checkout's files under ``dest``: tracked and untracked, not the ignored ones."""
+    done = subprocess.run(["git", "-C", ROOT, "ls-files", "-z", "--cached", "--others",
+                           "--exclude-standard"], capture_output=True, check=True)
+    tree = os.path.join(dest, "tree")
+    for rel in sorted(set(os.fsdecode(done.stdout).split("\0")) - {""}):
+        source = os.path.join(ROOT, rel)
+        if os.path.isfile(source):  # a tracked file deleted from the working tree is left out
+            os.makedirs(os.path.dirname(os.path.join(tree, rel)), exist_ok=True)
+            shutil.copy2(source, os.path.join(tree, rel))
     return tree
 
 
@@ -221,11 +237,9 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
         sides = {"parent": export(args.parent, tmp)}
-        if args.change:
-            os.makedirs(os.path.join(tmp, "change"))
-            sides["change"] = export(args.change, os.path.join(tmp, "change"))
-        else:
-            sides["change"] = ROOT
+        os.makedirs(os.path.join(tmp, "change"))
+        sides["change"] = (export(args.change, os.path.join(tmp, "change")) if args.change
+                           else copy_worktree(os.path.join(tmp, "change")))
         differing = differing_bench_files(sides["parent"], sides["change"])
         if differing:
             raise SystemExit("the parent and the change run different benchmarks; differing "
@@ -236,7 +250,7 @@ def main(argv=None) -> int:
             "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds} "
                        "--trace T",
             "host": host_line(),
-            "method": "scripts/bench_pairs.py: parent and change run from two checkouts whose "
+            "method": "scripts/bench_pairs.py: parent and change run from two fresh checkouts whose "
                       "perfbench/ and BENCHMARK.json files were compared equal before the first "
                       "run, in alternating pairs (pair k runs the parent "
                       "first when k is even), one run at a time, seed seed0 + k for pair k; "

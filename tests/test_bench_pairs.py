@@ -64,6 +64,32 @@ def test_change_side_is_a_commit_with_a_dirty_flag():
     assert bench_pairs.describe_change("HEAD") == {"change": head, "change_dirty": False}
 
 
+def test_change_side_is_a_fresh_copy_of_this_checkout(tmp_path, monkeypatch):
+    # without --change the change runs from a copy of the working tree, as free of bytecode
+    # caches as the parent's export, not from this checkout with its __pycache__
+    (ROOT / "src" / "todalax" / "__pycache__").mkdir(exist_ok=True)
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: bench_pairs.copy_worktree(dest))
+    checkouts = []
+
+    def first_pair(checkout, *args):
+        # pair 0 runs the parent, then the change: look at both while they exist
+        tree = Path(checkout)
+        checkouts.append((tree, sorted(tree.rglob("__pycache__")),
+                          (tree / "src" / "todalax" / "verify.py").read_bytes()))
+        if len(checkouts) == 2:
+            raise SystemExit("stop after the first pair")
+        return {"failed": 0, "metrics": {}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", first_pair)
+    with pytest.raises(SystemExit, match="stop after the first pair"):
+        bench_pairs.main(["--parent", "HEAD", "--label", "t", "--seed0", "1",
+                          "--workloads", "verify=1", "--workdir", str(tmp_path)])
+    (parent, _, _), (change, caches, source) = checkouts
+    assert change != ROOT and change.is_relative_to(tmp_path) and change != parent
+    assert caches == []
+    assert source == (ROOT / "src" / "todalax" / "verify.py").read_bytes()
+
+
 def _results(parent: list[float], change: list[float]) -> dict:
     def run(value):
         # the lower-is-better metric mirrors the higher one about 10

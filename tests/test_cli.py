@@ -840,3 +840,82 @@ def test_suite_runs_inconclusive_band(monkeypatch):
     report = run_suite(RunConfig(n_values=[2], num_points=10, suite="quick"))
     assert not report.failures
     assert report.inconclusive
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _flow_running(action, in_worker: bool):
+    """verify.integrate_flow that first runs ``action`` in a forked worker or in this process."""
+    parent = os.getpid()
+
+    def flow(*args, **kwargs):
+        if (os.getpid() != parent) == in_worker:
+            action()
+        return integrate_flow(*args, **kwargs)
+
+    return flow
+
+
+@pytest.mark.parametrize("config, golden", [
+    (RunConfig(n_values=[2, 3], num_points=20, suite="quick"), "verify_quick.json"),
+    (RunConfig(), "verify_default.json"),
+    (RunConfig(n_values=[2], num_points=10, suite="quick"), None),  # no flow check to fork
+], ids=["quick", "default", "no_n3"])
+def test_flow_worker_leaves_the_report_as_in_process(config, golden, suite_path, monkeypatch):
+    # the worker runs isospectral_flows beside the rest and its record takes the check's
+    # place, so the records are those of the in-process run, byte for byte; this process
+    # integrates no flow when the worker did
+    here = []
+    monkeypatch.setattr(verify, "integrate_flow", _flow_running(lambda: here.append(1), False))
+    report = run_suite(config)
+    n3 = 3 in config.n_values
+    assert len(suite_path.pids) == (suite_path.forked and n3)
+    assert len(here) == 2 * (n3 and not suite_path.forked)
+    assert_no_child_left()
+    assert list(report.timing) == [r.check_id for r in report.records]
+    if golden:
+        assert report.to_json(include_timing=False).encode() == (DATA / golden).read_bytes()
+
+
+def test_an_error_in_the_worker_raises_in_the_parent(monkeypatch, suite_path):
+    # an error outside COMPUTATION_ERRORS comes back with its type and message; the parent
+    # does not run the check again, which here would pass
+    def planted():
+        raise LookupError("planted in the worker")
+
+    monkeypatch.setattr(verify, "integrate_flow", _flow_running(planted, True))
+    config = RunConfig(n_values=[2, 3], num_points=20, suite="quick")
+    if not suite_path.forked:
+        assert {r.status for r in run_suite(config).records} == {"pass"}
+        return
+    with pytest.raises(LookupError, match="^planted in the worker$"):
+        run_suite(config)
+    assert len(suite_path.pids) == 1
+    assert_no_child_left()
+
+
+def test_a_worker_that_dies_without_a_result_leaves_the_report_whole(monkeypatch, suite_path):
+    # the parent runs the check itself once the worker is gone with nothing sent
+    monkeypatch.setattr(verify, "integrate_flow", _flow_running(lambda: os._exit(3), True))
+    report = run_suite(RunConfig(n_values=[2, 3], num_points=20, suite="quick"))
+    assert len(suite_path.pids) == suite_path.forked
+    assert_no_child_left()
+    assert list(report.timing) == [r.check_id for r in report.records]
+    assert report.to_json(include_timing=False).encode() == (
+        DATA / "verify_quick.json").read_bytes()
+
+
+def test_a_parent_error_kills_and_reaps_the_worker(monkeypatch, suite_path):
+    # the first check raises while the worker integrates: run_suite raises it and
+    # leaves no child behind
+    def planted(*args):
+        raise LookupError("planted in the parent")
+
+    monkeypatch.setattr(verify, "_off_band", planted)
+    with pytest.raises(LookupError, match="^planted in the parent$"):
+        run_suite(RunConfig(n_values=[2, 3], num_points=20, suite="quick"))
+    assert len(suite_path.pids) == suite_path.forked
+    assert_no_child_left()

@@ -5,6 +5,7 @@ check it.  Each case plants one defect in the library, runs the default
 configuration and asserts which records fail: the checks that catch the
 defect, and no other.  A clean run fails none.  Every run builds its
 samples afresh, so nothing found under one defect reaches another run.
+A defect planted before a run reaches the flow check's forked worker too.
 """
 
 from dataclasses import replace
@@ -13,6 +14,8 @@ import numpy as np
 import pytest
 
 from todalax import dynamics, lax, maslov, singularity, spectral, verify
+from todalax.dynamics import FlowError
+from todalax.lax import PhasePoint
 from todalax.verify import RunConfig, run_suite
 
 
@@ -65,6 +68,18 @@ def frozen_flow(z0, c, t_final, t_eval=None, _flow=verify.integrate_flow, **kwar
     """The suite's flow with every sample replaced by the initial point."""
     traj = _flow(z0, c, t_final, t_eval=t_eval, **kwargs)
     return replace(traj, points=np.broadcast_to(z0.as_vector(), traj.points.shape))
+
+
+def stalled_flow(z0, c, t_final, t_eval=None, **kwargs):
+    """An integration whose step size underflows at t = 12.5."""
+    raise FlowError("integration stopped at t = 12.5: the step size fell below the spacing "
+                    "of floating-point numbers")
+
+
+def far_start_flow(z0, c, t_final, t_eval=None, _flow=verify.integrate_flow, **kwargs):
+    """The suite's flow from z0 with its first gap widened past Q_GAP_LIMIT."""
+    far = PhasePoint(z0.q + np.eye(z0.n)[0] * lax.Q_GAP_LIMIT, z0.p)
+    return _flow(far, c, t_final, t_eval=t_eval, **kwargs)
 
 
 def even_class_powers(t, j, _power=lax._Powers.power):
@@ -171,3 +186,24 @@ def test_a_vanishing_pairing_fails_with_its_reason(monkeypatch):
     for check_id in ("bracket_relations_omega[n=3]", "sigma1_components[n=4]",
                      "maslov_theorem[n=3]"):
         assert "VanishingPairingError: vanishing pair pairing" in failing[check_id].detail
+
+
+# each flow defect: its integrate_flow and the reason the flow check's record keeps
+FLOW_ERRORS = {
+    "stalled_flow": (stalled_flow, "FlowError: integration stopped at t = 12.5: the step size "
+                     "fell below the spacing of floating-point numbers"),
+    "far_start_flow": (far_start_flow, "PhaseDomainError: coupling b_1 overflows: "
+                       "|q_1 - q_2| = 601 exceeds 600.0"),
+}
+
+
+@pytest.mark.parametrize("name", FLOW_ERRORS)
+def test_a_flow_error_fails_its_check_with_its_reason(name, monkeypatch, suite_path):
+    # the suite used to raise these and write no report; from the forked worker and
+    # in process alike, the flow check is recorded as failed with the typed error
+    flow, reason = FLOW_ERRORS[name]
+    monkeypatch.setattr(verify, "integrate_flow", flow)
+    failing = failing_records()
+    assert len(suite_path.pids) == suite_path.forked
+    assert set(failing) == {"isospectral_flows[n=3]"}
+    assert failing["isospectral_flows[n=3]"].detail == reason
