@@ -7,10 +7,11 @@ Each side runs ``perfbench/run.py`` from its own fresh checkout: the parent
 from a ``git archive`` export of REV, the change from an export of
 ``--change REV`` or, without it, from a copy of this checkout's files
 (tracked and untracked, the ignored ones such as ``__pycache__`` aside), so
-that neither side starts with bytecode caches the other lacks.  Both checkouts must hold the same benchmark:
-``BENCHMARK.json`` and the files under ``perfbench/`` (its ``out/`` and the
-Python caches aside) are compared first, and a difference stops the script
-with the names of the differing files.  Pair k uses seed ``seed0 + k`` on
+that neither side starts with bytecode caches the other lacks.  Both
+checkouts must hold the same benchmark: ``BENCHMARK.json`` and the files
+under ``perfbench/`` (its ``out/`` and the Python caches aside) are compared
+first, and a difference stops the script with the names of the differing
+files.  Pair k uses seed ``seed0 + k`` on
 both sides and runs the parent first when k is even.  The runs are made one at a time.  The
 result goes to ``BENCH_<label>.json`` at the root of this checkout: seeds,
 per-run metrics, medians, quartiles, pair wins and an unresolved flag of every
@@ -82,7 +83,7 @@ def copy_worktree(dest: str) -> str:
     done = subprocess.run(["git", "-C", ROOT, "ls-files", "-z", "--cached", "--others",
                            "--exclude-standard"], capture_output=True, check=True)
     tree = os.path.join(dest, "tree")
-    for rel in sorted(set(os.fsdecode(done.stdout).split("\0")) - {""}):
+    for rel in filter(None, os.fsdecode(done.stdout).split("\0")):
         source = os.path.join(ROOT, rel)
         if os.path.isfile(source):  # a tracked file deleted from the working tree is left out
             os.makedirs(os.path.dirname(os.path.join(tree, rel)), exist_ok=True)
@@ -250,9 +251,9 @@ def main(argv=None) -> int:
             "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds} "
                        "--trace T",
             "host": host_line(),
-            "method": "scripts/bench_pairs.py: parent and change run from two fresh checkouts whose "
-                      "perfbench/ and BENCHMARK.json files were compared equal before the first "
-                      "run, in alternating pairs (pair k runs the parent "
+            "method": "scripts/bench_pairs.py: parent and change run from two fresh checkouts "
+                      "whose perfbench/ and BENCHMARK.json files were compared equal before the "
+                      "first run, in alternating pairs (pair k runs the parent "
                       "first when k is even), one run at a time, seed seed0 + k for pair k; "
                       "quartiles are numpy percentiles 25/50/75 over the runs of one side; op "
                       "and set-up times are perfbench's host-speed-scaled figures",

@@ -2,6 +2,7 @@
 and flags a metric whose parent runs spread too wide for its bound."""
 
 import importlib.util
+import os
 from pathlib import Path
 import subprocess
 import sys
@@ -64,10 +65,14 @@ def test_change_side_is_a_commit_with_a_dirty_flag():
     assert bench_pairs.describe_change("HEAD") == {"change": head, "change_dirty": False}
 
 
-def test_change_side_is_a_fresh_copy_of_this_checkout(tmp_path, monkeypatch):
+def test_change_side_is_a_fresh_copy_of_this_checkout(tmp_path, monkeypatch, request):
     # without --change the change runs from a copy of the working tree, as free of bytecode
     # caches as the parent's export, not from this checkout with its __pycache__
-    (ROOT / "src" / "todalax" / "__pycache__").mkdir(exist_ok=True)
+    cache = ROOT / "src" / "todalax" / "__pycache__"
+    cache.mkdir(exist_ok=True)
+    probe = cache / f"probe-{os.getpid()}.pyc"
+    probe.write_bytes(b"")
+    request.addfinalizer(probe.unlink)
     monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: bench_pairs.copy_worktree(dest))
     checkouts = []
 
